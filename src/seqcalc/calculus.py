@@ -16,9 +16,6 @@ calculus classes:
     ig / og     class i / o with the disjunction-left rule replaced by a
                 restart-aware variant and an explicit restart rule targeting
                 a fixed goal formula
-    mi-or       contraction-free multi-succedent calculus whose disjunction-left,
-                implication-right rules force singleton premises
-    mi-forall   same idea with forall-right instead of disjunction-left
 """
 
 from __future__ import annotations
@@ -76,9 +73,6 @@ class RuleId(enum.Enum):
     IMP_L_STAR_INT = "imp-l*-int"
     OR_L_RESTART = "or-l-restart"
     RESTART = "restart"
-    M_OR_L = "m-or-l"
-    M_IMP_R = "m-imp-r"
-    M_FORALL_R = "m-forall-r"
 
 
 _BY_VALUE = {r.value: r for r in RuleId}
@@ -163,7 +157,7 @@ def rule_profile(p: Proof) -> frozenset[str]:
 # proof classes
 
 
-_KINDS = ("c", "i", "o", "cstar", "istar", "ig", "og", "mi-or", "mi-forall")
+_KINDS = ("c", "i", "o", "cstar", "istar", "ig", "og")
 
 _PLAIN_RULES = frozenset(
     {
@@ -229,8 +223,6 @@ _RULESETS: dict[str, frozenset[RuleId]] = {
     "istar": _ISTAR_RULES,
     "ig": (_PLAIN_RULES - {RuleId.OR_L}) | {RuleId.OR_L_RESTART, RuleId.RESTART},
     "og": (_PLAIN_RULES - {RuleId.OR_L}) | {RuleId.OR_L_RESTART, RuleId.RESTART},
-    "mi-or": (_CSTAR_RULES - {RuleId.OR_L, RuleId.IMP_R}) | {RuleId.M_OR_L, RuleId.M_IMP_R},
-    "mi-forall": (_CSTAR_RULES - {RuleId.FORALL_R, RuleId.IMP_R}) | {RuleId.M_FORALL_R, RuleId.M_IMP_R},
 }
 
 _SINGLETON_KINDS = {"i", "o", "istar", "ig", "og"}
@@ -264,8 +256,6 @@ INTUITIONISTIC = ProofClass("i")
 UNIFORM = ProofClass("o")
 CLASSICAL_STAR = ProofClass("cstar")
 INTUITIONISTIC_STAR = ProofClass("istar")
-MULTI_OR = ProofClass("mi-or")
-MULTI_FORALL = ProofClass("mi-forall")
 
 
 def restart_class(goal: Formula, uniform: bool = True) -> ProofClass:
@@ -521,35 +511,6 @@ def _check_node(node: Proof, cls: ProofClass, strengthened: bool) -> str | None:
             idx = node.principal[1]
             return _expect_premises(node, s.without_succ(idx).plus(ante=(f.left,), succ=(f.right,)))
 
-        case RuleId.M_IMP_R:
-            f = _principal(node, "succ")
-            if isinstance(f, str):
-                return f
-            if not isinstance(f, Imp):
-                return f"principal of {rule.value} must be an implication"
-            return _expect_premises(node, Sequent(s.ante + (f.left,), (f.right,)))
-
-        case RuleId.M_OR_L:
-            f = _principal(node, "ante")
-            if isinstance(f, str):
-                return f
-            if not isinstance(f, Or):
-                return f"principal of {rule.value} must be a disjunction"
-            if len(node.premises) != 2:
-                return "m-or-l takes two premises"
-            idx = node.principal[1]
-            rest = s.without_ante(idx)
-            p1, p2 = (q.conclusion for q in node.premises)
-            if len(p1.succ) != 1 or p1.succ != p2.succ:
-                return "m-or-l: premises must share one succedent formula"
-            if p1.succ[0] not in s.succ:
-                return "m-or-l: the premise goal must occur in the conclusion succedent"
-            if p1.ante != multiset_union(rest.ante, (f.left,)):
-                return "m-or-l: first premise must replace the principal by its left disjunct"
-            if p2.ante != multiset_union(rest.ante, (f.right,)):
-                return "m-or-l: second premise must replace the principal by its right disjunct"
-            return None
-
         case RuleId.FORALL_L | RuleId.EXISTS_R | RuleId.FORALL_L_STAR | RuleId.EXISTS_R_STAR:
             on_ante = rule in (RuleId.FORALL_L, RuleId.FORALL_L_STAR)
             keeps = rule in (RuleId.FORALL_L_STAR, RuleId.EXISTS_R_STAR)
@@ -567,7 +528,7 @@ def _check_node(node: Proof, cls: ProofClass, strengthened: bool) -> str | None:
             extra = ((inst,), ()) if on_ante else ((), (inst,))
             return _expect_premises(node, base.plus(*extra))
 
-        case RuleId.EXISTS_L | RuleId.FORALL_R | RuleId.M_FORALL_R:
+        case RuleId.EXISTS_L | RuleId.FORALL_R:
             on_ante = rule is RuleId.EXISTS_L
             f = _principal(node, "ante" if on_ante else "succ")
             if isinstance(f, str):
@@ -583,11 +544,9 @@ def _check_node(node: Proof, cls: ProofClass, strengthened: bool) -> str | None:
                 return f"eigenvariable {node.eigen!r} occurs in the restart goal"
             inst = instantiate(f, Const(node.eigen))
             idx = node.principal[1]
-            if rule is RuleId.EXISTS_L:
+            if on_ante:
                 return _expect_premises(node, s.without_ante(idx).plus(ante=(inst,)))
-            if rule is RuleId.FORALL_R:
-                return _expect_premises(node, s.without_succ(idx).plus(succ=(inst,)))
-            return _expect_premises(node, Sequent(s.ante, (inst,)))
+            return _expect_premises(node, s.without_succ(idx).plus(succ=(inst,)))
 
     return f"rule {rule.value} not handled"
 

@@ -16,6 +16,7 @@ import sys
 from importlib import resources
 
 from .calculus import (
+    _KINDS,
     ProofClass,
     check_proof,
     dump_proof,
@@ -26,7 +27,7 @@ from .calculus import (
     rule_profile,
     rule_usage,
 )
-from .fragments import REDUCTION_STAGES, classify, reduction_conditions
+from .fragments import REDUCTION_STAGES, FragmentId, classify, reduction_conditions
 from .parser import ParseError, parse_corpus, parse_formula, parse_sequent
 from .search import (
     NotProvedWithinLimits,
@@ -303,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--class",
         dest="proof_class",
-        choices=("c", "i", "o", "cstar", "istar", "ig", "og", "mi-or", "mi-forall"),
+        choices=_KINDS,
         default=None,
         help="calculus to validate against (default: the class recorded in the file)",
     )
@@ -317,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("classify", help="test grammar membership of a formula")
     p.add_argument("formula", help="formula text, a file path, or '-' for stdin")
-    p.add_argument("--fragment", required=True, choices=("f1", "f2", "f3", "f4", "lp-int", "lp-cls"))
+    p.add_argument("--fragment", required=True, choices=tuple(f.value for f in FragmentId))
     p.add_argument("--role", required=True, choices=tuple(_ROLE_ALIASES))
     p.set_defaults(run=cmd_classify)
 

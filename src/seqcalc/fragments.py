@@ -230,8 +230,18 @@ class ReductionKind(enum.Enum):
     SAME_SEQUENT = "same-sequent"
 
 
-def _absent(*families: str) -> Callable[[Profile], bool]:
-    gone = frozenset(families)
+#: The rule families each condition of the intuitionistic stage forbids, by
+#: ordinal.  The other stages, the F1-F4 guarantees and the extraction paths
+#: of transform.extract_intuitionistic reuse these sets.
+FORBIDDEN_FAMILIES: dict[int, frozenset[str]] = {
+    1: frozenset({"imp-r", "or-l"}),
+    2: frozenset({"imp-r", "forall-r"}),
+    3: frozenset({"imp-r", "forall-l"}),
+    4: frozenset({"imp-l", "or-r", "exists-r"}),
+}
+
+
+def _absent(gone: frozenset[str]) -> Callable[[Profile], bool]:
     return lambda profile: not (gone & profile)
 
 
@@ -260,23 +270,18 @@ def _restart_cond2(p: Profile) -> bool:
 #:   restart: profile of an intuitionistic proof of an augmented sequent;
 #:       guarantees a restart goal-directed proof.
 REDUCTION_STAGES: dict[str, tuple[tuple[int, Callable[[Profile], bool]], ...]] = {
-    "intuitionistic": (
-        (1, _absent("imp-r", "or-l")),
-        (2, _absent("imp-r", "forall-r")),
-        (3, _absent("imp-r", "forall-l")),
-        (4, _absent("imp-l", "or-r", "exists-r")),
-    ),
+    "intuitionistic": tuple((n, _absent(gone)) for n, gone in FORBIDDEN_FAMILIES.items()),
     "augmented": (
-        (1, _absent("forall-r")),
-        (2, _absent("imp-r", "or-l")),
-        (3, _absent("imp-r", "forall-l")),
-        (4, _absent("imp-l", "or-r", "exists-r")),
+        (1, _absent(frozenset({"forall-r"}))),
+        (2, _absent(FORBIDDEN_FAMILIES[1])),
+        (3, _absent(FORBIDDEN_FAMILIES[3])),
+        (4, _absent(FORBIDDEN_FAMILIES[4])),
     ),
     "uniform": ((1, _uniform_cond),),
     "restart": (
-        (1, _absent("forall-r")),
+        (1, _absent(frozenset({"forall-r"}))),
         (2, _restart_cond2),
-        (3, _absent("forall-l", "imp-r")),
+        (3, _absent(FORBIDDEN_FAMILIES[3])),
     ),
 }
 
@@ -322,18 +327,11 @@ class FragmentGuarantee:
 
 
 _GUARANTEES: dict[FragmentId, FragmentGuarantee] = {
-    FragmentId.F1: FragmentGuarantee(
-        FragmentId.F1, frozenset({"imp-r", "or-l"}), "intuitionistic", ReductionKind.SOME_GOAL
-    ),
-    FragmentId.F2: FragmentGuarantee(
-        FragmentId.F2, frozenset({"imp-r", "forall-r"}), "intuitionistic", ReductionKind.GOAL_DISJUNCTION
-    ),
-    FragmentId.F3: FragmentGuarantee(
-        FragmentId.F3, frozenset({"imp-r", "forall-l"}), "intuitionistic", ReductionKind.GOAL_DISJUNCTION
-    ),
-    FragmentId.F4: FragmentGuarantee(
-        FragmentId.F4, frozenset({"imp-l", "or-r", "exists-r"}), "intuitionistic", ReductionKind.SAME_SEQUENT
-    ),
+    # fragment Fn meets condition n of the intuitionistic stage
+    **{
+        frag: FragmentGuarantee(frag, FORBIDDEN_FAMILIES[n], "intuitionistic", _INT_CONDITION_KIND[n])
+        for n, frag in enumerate((FragmentId.F1, FragmentId.F2, FragmentId.F3, FragmentId.F4), 1)
+    },
     FragmentId.LP_INT: FragmentGuarantee(
         FragmentId.LP_INT, frozenset({"or-l", "exists-l"}), "uniform", None
     ),

@@ -56,6 +56,7 @@ from .syntax import (
     ground_subterms,
     instantiate,
     is_quantifier_free,
+    map_terms,
     metas_in,
     predicate_names,
     term_key,
@@ -95,21 +96,7 @@ class Subst:
         return t
 
     def resolve_formula(self, f: Formula) -> Formula:
-        match f:
-            case Atom(p, args):
-                return Atom(p, tuple(self.resolve_term(a) for a in args))
-            case And(l, r):
-                return And(self.resolve_formula(l), self.resolve_formula(r))
-            case Or(l, r):
-                return Or(self.resolve_formula(l), self.resolve_formula(r))
-            case Imp(l, r):
-                return Imp(self.resolve_formula(l), self.resolve_formula(r))
-            case Forall(b, h):
-                return Forall(self.resolve_formula(b), h)
-            case Exists(b, h):
-                return Exists(self.resolve_formula(b), h)
-            case _:
-                return f
+        return map_terms(f, lambda a, _: self.resolve_term(a))
 
     def resolve_sequent(self, s: Sequent) -> Sequent:
         return Sequent(
@@ -561,8 +548,7 @@ class _ClassicalProver:
             return self._collapse(t)
 
         def gformula(f: Formula) -> Formula:
-            f = fill.resolve_formula(subst.resolve_formula(f))
-            return self._collapse_formula(f)
+            return map_terms(f, lambda a, _: gterm(a))
 
         def build(sk: _Skel) -> Proof:
             seq = Sequent(
@@ -587,23 +573,6 @@ class _ClassicalProver:
                 return App(name, tuple(self._collapse(a) for a in args))
             case _:
                 return t
-
-    def _collapse_formula(self, f: Formula) -> Formula:
-        match f:
-            case Atom(p, args):
-                return Atom(p, tuple(self._collapse(a) for a in args))
-            case And(l, r):
-                return And(self._collapse_formula(l), self._collapse_formula(r))
-            case Or(l, r):
-                return Or(self._collapse_formula(l), self._collapse_formula(r))
-            case Imp(l, r):
-                return Imp(self._collapse_formula(l), self._collapse_formula(r))
-            case Forall(b, h):
-                return Forall(self._collapse_formula(b), h)
-            case Exists(b, h):
-                return Exists(self._collapse_formula(b), h)
-            case _:
-                return f
 
     def run(self) -> SearchOutcome:
         if is_quantifier_free_sequent(self.root):
@@ -880,6 +849,39 @@ class _GroundProver:
                 self._low = outer_low
         return None
 
+    def _right_rule(self, s, goal, depth, counts) -> Proof | None:
+        """Introduce a compound goal by its right rule; None if that fails
+        or the goal is not compound.  Both search modes share this."""
+        match goal:
+            case And(l, r):
+                sub1 = self.search(Sequent(s.ante, (l,)), depth, counts)
+                if sub1 is None:
+                    return None
+                sub2 = self.search(Sequent(s.ante, (r,)), depth, counts)
+                return None if sub2 is None else Proof(RuleId.AND_R, s, (sub1, sub2), ("succ", 0))
+            case Imp(l, r):
+                sub = self.search(Sequent(s.ante + (l,), (r,)), depth, counts)
+                return None if sub is None else Proof(RuleId.IMP_R, s, (sub,), ("succ", 0))
+            case Forall():
+                c = self._fresh()
+                sub = self.search(Sequent(s.ante, (instantiate(goal, Const(c)),)), depth, counts)
+                return None if sub is None else Proof(RuleId.FORALL_R, s, (sub,), ("succ", 0), eigen=c)
+            case Or(l, r):
+                for rule, kept in ((RuleId.OR_R_LEFT, l), (RuleId.OR_R_RIGHT, r)):
+                    sub = self.search(Sequent(s.ante, (kept,)), depth, counts)
+                    if sub is not None:
+                        return Proof(rule, s, (sub,), ("succ", 0))
+            case Exists():
+                key = self._template(goal)[0]
+                if counts.get(key, 0) < self.limits.quantifier_budget:
+                    c2 = dict(counts)
+                    c2[key] = c2.get(key, 0) + 1
+                    for t in self._witnesses(s):
+                        sub = self.search(Sequent(s.ante, (instantiate(goal, t),)), depth, c2)
+                        if sub is not None:
+                            return Proof(RuleId.EXISTS_R, s, (sub,), ("succ", 0), witness=t)
+        return None
+
     # invertible-first search over the starred single-succedent rules
     def _search_starred(self, s, goal, depth, counts) -> Proof | None:
         # both branches of imp-l*-int keep an atomic goal, so an unmatchable
@@ -906,38 +908,12 @@ class _GroundProver:
                     return None if sub2 is None else Proof(RuleId.OR_L, s, (sub1, sub2), ("ante", i))
                 case _:
                     pass
-        match goal:
-            case And(l, r):
-                sub1 = self.search(Sequent(s.ante, (l,)), depth, counts)
-                if sub1 is None:
-                    return None
-                sub2 = self.search(Sequent(s.ante, (r,)), depth, counts)
-                return None if sub2 is None else Proof(RuleId.AND_R, s, (sub1, sub2), ("succ", 0))
-            case Imp(l, r):
-                sub = self.search(Sequent(s.ante + (l,), (r,)), depth, counts)
-                return None if sub is None else Proof(RuleId.IMP_R, s, (sub,), ("succ", 0))
-            case Forall():
-                c = self._fresh()
-                sub = self.search(Sequent(s.ante, (instantiate(goal, Const(c)),)), depth, counts)
-                return None if sub is None else Proof(RuleId.FORALL_R, s, (sub,), ("succ", 0), eigen=c)
-            case _:
-                pass
-
-        # genuine choice points, in a fixed order
-        if isinstance(goal, Or):
-            for rule, kept in ((RuleId.OR_R_LEFT, goal.left), (RuleId.OR_R_RIGHT, goal.right)):
-                sub = self.search(Sequent(s.ante, (kept,)), depth, counts)
-                if sub is not None:
-                    return Proof(rule, s, (sub,), ("succ", 0))
-        if isinstance(goal, Exists):
-            key = self._template(goal)[0]
-            if counts.get(key, 0) < self.limits.quantifier_budget:
-                c2 = dict(counts)
-                c2[key] = c2.get(key, 0) + 1
-                for t in self._witnesses(s):
-                    sub = self.search(Sequent(s.ante, (instantiate(goal, t),)), depth, c2)
-                    if sub is not None:
-                        return Proof(RuleId.EXISTS_R, s, (sub,), ("succ", 0), witness=t)
+        # the right rules of and, imp and forall are invertible; those of or
+        # and exists are genuine choice points, and the left rules below
+        # follow in a fixed order when they fail
+        sub = self._right_rule(s, goal, depth, counts)
+        if sub is not None or isinstance(goal, (And, Imp, Forall)):
+            return sub
         for i, f in enumerate(s.ante):
             if isinstance(f, Imp):
                 sub1 = self.search(Sequent(s.ante, (f.left,)), depth, counts)
@@ -966,39 +942,8 @@ class _GroundProver:
 
     # goal-directed search emitting plain rules
     def _search_uniform(self, s, goal, depth, counts) -> Proof | None:
-        match goal:
-            case And(l, r):
-                sub1 = self.search(Sequent(s.ante, (l,)), depth, counts)
-                if sub1 is None:
-                    return None
-                sub2 = self.search(Sequent(s.ante, (r,)), depth, counts)
-                return None if sub2 is None else Proof(RuleId.AND_R, s, (sub1, sub2), ("succ", 0))
-            case Imp(l, r):
-                sub = self.search(Sequent(s.ante + (l,), (r,)), depth, counts)
-                return None if sub is None else Proof(RuleId.IMP_R, s, (sub,), ("succ", 0))
-            case Forall():
-                c = self._fresh()
-                sub = self.search(Sequent(s.ante, (instantiate(goal, Const(c)),)), depth, counts)
-                return None if sub is None else Proof(RuleId.FORALL_R, s, (sub,), ("succ", 0), eigen=c)
-            case Or(l, r):
-                for rule, kept in ((RuleId.OR_R_LEFT, l), (RuleId.OR_R_RIGHT, r)):
-                    sub = self.search(Sequent(s.ante, (kept,)), depth, counts)
-                    if sub is not None:
-                        return Proof(rule, s, (sub,), ("succ", 0))
-                return None
-            case Exists():
-                key = self._template(goal)[0]
-                if counts.get(key, 0) >= self.limits.quantifier_budget:
-                    return None
-                c2 = dict(counts)
-                c2[key] = c2.get(key, 0) + 1
-                for t in self._witnesses(s):
-                    sub = self.search(Sequent(s.ante, (instantiate(goal, t),)), depth, c2)
-                    if sub is not None:
-                        return Proof(RuleId.EXISTS_R, s, (sub,), ("succ", 0), witness=t)
-                return None
-            case _:
-                pass
+        if isinstance(goal, (And, Or, Imp, Forall, Exists)):
+            return self._right_rule(s, goal, depth, counts)
 
         # atomic (or bottom) goal: a goal no antecedent head can produce is
         # hopeless here, and only a restart can rescue it

@@ -12,7 +12,7 @@ from __future__ import annotations
 import functools
 import re
 from dataclasses import dataclass, field
-from typing import Iterable, Union
+from typing import Callable, Iterable, Iterator, Union
 
 # ---------------------------------------------------------------------------
 # terms
@@ -148,90 +148,91 @@ def neg(f: Formula) -> Formula:
     return Imp(f, BOT)
 
 
-def is_atomic(f: Formula) -> bool:
-    return isinstance(f, Atom)
-
-
 def is_quantifier_free(f: Formula) -> bool:
-    match f:
-        case Forall() | Exists():
-            return False
-        case And(l, r) | Or(l, r) | Imp(l, r):
-            return is_quantifier_free(l) and is_quantifier_free(r)
-        case _:
-            return True
+    return not any(type(g) in (Forall, Exists) for g in subformulas(f))
 
 
 def connective_count(f: Formula) -> int:
-    match f:
-        case And(l, r) | Or(l, r) | Imp(l, r):
-            return 1 + connective_count(l) + connective_count(r)
-        case Forall(body=b) | Exists(body=b):
-            return 1 + connective_count(b)
-        case _:
-            return 0
+    return sum(type(g) not in (Atom, Top, Bot) for g in subformulas(f))
+
+
+# ---------------------------------------------------------------------------
+# traversal core: every rewrite of atom arguments goes through map_terms, and
+# every collector reads the nodes that _walk yields
+
+
+def map_terms(f: Formula, fn: Callable[[Term, int], Term]) -> Formula:
+    """f rebuilt with fn(term, depth) in place of each atom argument, where
+    depth is the number of binders enclosing the atom."""
+
+    def go(g: Formula, depth: int) -> Formula:
+        k = type(g)
+        if k is Atom:
+            return Atom(g.pred, tuple(fn(a, depth) for a in g.args)) if g.args else g
+        if k is And or k is Or or k is Imp:
+            return k(go(g.left, depth), go(g.right, depth))
+        if k is Forall or k is Exists:
+            return k(go(g.body, depth + 1), g.hint)
+        return g
+
+    return go(f, 0)
+
+
+_TERM_TYPES = frozenset((Var, Bound, Const, App, Meta))
+_FORMULA_TYPES = frozenset((Top, Bot, Atom, And, Or, Imp, Forall, Exists))
+
+
+def _walk(x, kinds: frozenset) -> Iterator:
+    """The term and formula nodes in x whose type is one of kinds, each
+    before its children.  x may be a term, a formula, a sequent, or an
+    iterable of any of these.  Uses an explicit stack, so nesting depth
+    costs no recursion."""
+    stack = [x]
+    while stack:
+        y = stack.pop()
+        k = type(y)
+        if k in kinds:
+            yield y
+        if k is And or k is Or or k is Imp:
+            stack.append(y.left)
+            stack.append(y.right)
+        elif k is Forall or k is Exists:
+            stack.append(y.body)
+        elif k is Atom or k is App:
+            stack.extend(y.args)
+        elif k is Sequent:
+            stack.extend(y.ante)
+            stack.extend(y.succ)
+        elif k not in _TERM_TYPES and k not in _FORMULA_TYPES:
+            stack.extend(y)
+
+
+def subformulas(x) -> Iterator[Formula]:
+    """Every subformula occurrence in x, each before its own subformulas.
+    x may be a term, a formula, a sequent, or an iterable of any of these."""
+    return _walk(x, _FORMULA_TYPES)
+
+
+def subterms(x) -> Iterator[Term]:
+    """Every subterm occurrence in x, each before its arguments: those of the
+    atom arguments of its formulas, and of x itself where x holds terms."""
+    return _walk(x, _TERM_TYPES)
 
 
 # ---------------------------------------------------------------------------
 # de Bruijn plumbing
 
 
-def shift_term(t: Term, by: int, cutoff: int = 0) -> Term:
-    match t:
-        case Bound(i):
-            return Bound(i + by) if i >= cutoff else t
-        case App(name, args):
-            return App(name, tuple(shift_term(a, by, cutoff) for a in args))
-        case _:
-            return t
-
-
-def _shift(f: Formula, by: int, cutoff: int) -> Formula:
-    match f:
-        case Atom(p, args):
-            return Atom(p, tuple(shift_term(a, by, cutoff) for a in args))
-        case And(l, r):
-            return And(_shift(l, by, cutoff), _shift(r, by, cutoff))
-        case Or(l, r):
-            return Or(_shift(l, by, cutoff), _shift(r, by, cutoff))
-        case Imp(l, r):
-            return Imp(_shift(l, by, cutoff), _shift(r, by, cutoff))
-        case Forall(b, h):
-            return Forall(_shift(b, by, cutoff + 1), h)
-        case Exists(b, h):
-            return Exists(_shift(b, by, cutoff + 1), h)
-        case _:
-            return f
-
-
 def _replace_bound_term(t: Term, depth: int, repl: Term) -> Term:
     match t:
         case Bound(i) if i == depth:
-            return shift_term(repl, depth)
+            return repl
         case Bound(i) if i > depth:
             return Bound(i - 1)
         case App(name, args):
             return App(name, tuple(_replace_bound_term(a, depth, repl) for a in args))
         case _:
             return t
-
-
-def _replace_bound(f: Formula, depth: int, repl: Term) -> Formula:
-    match f:
-        case Atom(p, args):
-            return Atom(p, tuple(_replace_bound_term(a, depth, repl) for a in args))
-        case And(l, r):
-            return And(_replace_bound(l, depth, repl), _replace_bound(r, depth, repl))
-        case Or(l, r):
-            return Or(_replace_bound(l, depth, repl), _replace_bound(r, depth, repl))
-        case Imp(l, r):
-            return Imp(_replace_bound(l, depth, repl), _replace_bound(r, depth, repl))
-        case Forall(b, h):
-            return Forall(_replace_bound(b, depth + 1, repl), h)
-        case Exists(b, h):
-            return Exists(_replace_bound(b, depth + 1, repl), h)
-        case _:
-            return f
 
 
 def instantiate(q: Formula, t: Term) -> Formula:
@@ -241,7 +242,7 @@ def instantiate(q: Formula, t: Term) -> Formula:
     """
     if not isinstance(q, (Forall, Exists)):
         raise TypeError(f"not a quantified formula: {q!r}")
-    return _replace_bound(q.body, 0, t)
+    return map_terms(q.body, lambda a, depth: _replace_bound_term(a, depth, t))
 
 
 def _abstract_term(t: Term, name: str, depth: int) -> Term:
@@ -254,32 +255,14 @@ def _abstract_term(t: Term, name: str, depth: int) -> Term:
             return t
 
 
-def _abstract(f: Formula, name: str, depth: int) -> Formula:
-    match f:
-        case Atom(p, args):
-            return Atom(p, tuple(_abstract_term(a, name, depth) for a in args))
-        case And(l, r):
-            return And(_abstract(l, name, depth), _abstract(r, name, depth))
-        case Or(l, r):
-            return Or(_abstract(l, name, depth), _abstract(r, name, depth))
-        case Imp(l, r):
-            return Imp(_abstract(l, name, depth), _abstract(r, name, depth))
-        case Forall(b, h):
-            return Forall(_abstract(b, name, depth + 1), h)
-        case Exists(b, h):
-            return Exists(_abstract(b, name, depth + 1), h)
-        case _:
-            return f
-
-
 def forall(name: str, f: Formula) -> Formula:
     """Bind every free Var(name) in f under a new universal quantifier."""
-    return Forall(_abstract(f, name, 0), name)
+    return Forall(map_terms(f, lambda a, depth: _abstract_term(a, name, depth)), name)
 
 
 def exists(name: str, f: Formula) -> Formula:
     """Bind every free Var(name) in f under a new existential quantifier."""
-    return Exists(_abstract(f, name, 0), name)
+    return Exists(map_terms(f, lambda a, depth: _abstract_term(a, name, depth)), name)
 
 
 # ---------------------------------------------------------------------------
@@ -302,21 +285,7 @@ def substitute(t: Term, name: str, f: Formula) -> Formula:
     Capture cannot occur: binders are nameless, so any binder in f leaves
     the replacement term untouched.
     """
-    match f:
-        case Atom(p, args):
-            return Atom(p, tuple(substitute_term(a, name, t) for a in args))
-        case And(l, r):
-            return And(substitute(t, name, l), substitute(t, name, r))
-        case Or(l, r):
-            return Or(substitute(t, name, l), substitute(t, name, r))
-        case Imp(l, r):
-            return Imp(substitute(t, name, l), substitute(t, name, r))
-        case Forall(b, h):
-            return Forall(substitute(t, name, b), h)
-        case Exists(b, h):
-            return Exists(substitute(t, name, b), h)
-        case _:
-            return f
+    return map_terms(f, lambda a, _: substitute_term(a, name, t))
 
 
 def rename_constant_term(t: Term, old: str, new: str) -> Term:
@@ -332,55 +301,11 @@ def rename_constant_term(t: Term, old: str, new: str) -> Term:
 
 def rename_constant(f: Formula, old: str, new: str) -> Formula:
     """Rename a constant or function symbol everywhere in f."""
-    match f:
-        case Atom(p, args):
-            return Atom(p, tuple(rename_constant_term(a, old, new) for a in args))
-        case And(l, r):
-            return And(rename_constant(l, old, new), rename_constant(r, old, new))
-        case Or(l, r):
-            return Or(rename_constant(l, old, new), rename_constant(r, old, new))
-        case Imp(l, r):
-            return Imp(rename_constant(l, old, new), rename_constant(r, old, new))
-        case Forall(b, h):
-            return Forall(rename_constant(b, old, new), h)
-        case Exists(b, h):
-            return Exists(rename_constant(b, old, new), h)
-        case _:
-            return f
+    return map_terms(f, lambda a, _: rename_constant_term(a, old, new))
 
 
 # ---------------------------------------------------------------------------
 # symbol collection
-
-
-def _term_symbols(t: Term, out: set[str]) -> None:
-    match t:
-        case Const(n):
-            out.add(n)
-        case Var(n):
-            out.add(n)
-        case Meta():
-            out.add(t.name)
-        case App(fn, args):
-            out.add(fn)
-            for a in args:
-                _term_symbols(a, out)
-        case _:
-            pass
-
-
-def _formula_symbols(f: Formula, out: set[str]) -> None:
-    match f:
-        case Atom(_, args):
-            for a in args:
-                _term_symbols(a, out)
-        case And(l, r) | Or(l, r) | Imp(l, r):
-            _formula_symbols(l, out)
-            _formula_symbols(r, out)
-        case Forall(body=b) | Exists(body=b):
-            _formula_symbols(b, out)
-        case _:
-            pass
 
 
 def free_symbols(x) -> frozenset[str]:
@@ -389,126 +314,27 @@ def free_symbols(x) -> frozenset[str]:
     Predicate names and bound variables are not included.  x may be a term,
     a formula, a sequent, or an iterable of any of these.
     """
-    out: set[str] = set()
-    _collect_symbols(x, out)
-    return frozenset(out)
-
-
-def _collect_symbols(x, out: set[str]) -> None:
-    if isinstance(x, (Var, Bound, Const, App, Meta)):
-        _term_symbols(x, out)
-    elif isinstance(x, (Top, Bot, Atom, And, Or, Imp, Forall, Exists)):
-        _formula_symbols(x, out)
-    elif isinstance(x, Sequent):
-        for f in x.ante:
-            _formula_symbols(f, out)
-        for f in x.succ:
-            _formula_symbols(f, out)
-    else:
-        for item in x:
-            _collect_symbols(item, out)
+    return frozenset(t.name for t in subterms(x) if type(t) is not Bound)
 
 
 def predicate_names(f: Formula) -> frozenset[str]:
-    out: set[str] = set()
-
-    def walk(g: Formula) -> None:
-        match g:
-            case Atom(p, _):
-                out.add(p)
-            case And(l, r) | Or(l, r) | Imp(l, r):
-                walk(l)
-                walk(r)
-            case Forall(body=b) | Exists(body=b):
-                walk(b)
-            case _:
-                pass
-
-    walk(f)
-    return frozenset(out)
+    return frozenset(g.pred for g in subformulas(f) if type(g) is Atom)
 
 
 def metas_in(x) -> frozenset[int]:
     """Idents of metavariables occurring in a term, formula, sequent or iterable."""
-    out: set[int] = set()
-
-    def term(t: Term) -> None:
-        match t:
-            case Meta(i):
-                out.add(i)
-            case App(_, args):
-                for a in args:
-                    term(a)
-            case _:
-                pass
-
-    def walk(y) -> None:
-        if isinstance(y, (Var, Bound, Const, App, Meta)):
-            term(y)
-        elif isinstance(y, Atom):
-            for a in y.args:
-                term(a)
-        elif isinstance(y, (And, Or, Imp)):
-            walk(y.left)
-            walk(y.right)
-        elif isinstance(y, (Forall, Exists)):
-            walk(y.body)
-        elif isinstance(y, (Top, Bot)):
-            pass
-        elif isinstance(y, Sequent):
-            for f in y.ante:
-                walk(f)
-            for f in y.succ:
-                walk(f)
-        else:
-            for item in y:
-                walk(item)
-
-    walk(x)
-    return frozenset(out)
+    return frozenset(t.ident for t in subterms(x) if type(t) is Meta)
 
 
 def ground_subterms(x) -> frozenset[Term]:
     """All subterms of atom arguments in x that contain no Meta, Var or Bound."""
-    out: set[Term] = set()
-
-    def term(t: Term) -> bool:
-        match t:
-            case Const():
-                out.add(t)
-                return True
-            case App(_, args):
-                ok = all([term(a) for a in args])
-                if ok:
-                    out.add(t)
-                return ok
-            case _:
-                return False
-
-    def walk(y) -> None:
-        if isinstance(y, (Var, Bound, Const, App, Meta)):
-            term(y)
-        elif isinstance(y, Atom):
-            for a in y.args:
-                term(a)
-        elif isinstance(y, (And, Or, Imp)):
-            walk(y.left)
-            walk(y.right)
-        elif isinstance(y, (Forall, Exists)):
-            walk(y.body)
-        elif isinstance(y, (Top, Bot)):
-            pass
-        elif isinstance(y, Sequent):
-            for f in y.ante:
-                walk(f)
-            for f in y.succ:
-                walk(f)
-        else:
-            for item in y:
-                walk(item)
-
-    walk(x)
-    return frozenset(out)
+    ground: set[Term] = set()
+    # the walk yields each term before its arguments, so reversed it meets
+    # every argument of an application before the application itself
+    for t in reversed(list(subterms(x))):
+        if type(t) is Const or (type(t) is App and all(a in ground for a in t.args)):
+            ground.add(t)
+    return frozenset(ground)
 
 
 def fresh_name(base: str, taken: Iterable[str]) -> str:
@@ -598,9 +424,6 @@ class Sequent:
     def without_succ(self, index: int) -> "Sequent":
         return Sequent(self.ante, self.succ[:index] + self.succ[index + 1 :])
 
-    def is_singleton_succ(self) -> bool:
-        return len(self.succ) == 1
-
     def __str__(self) -> str:
         return format_sequent(self)
 
@@ -648,11 +471,9 @@ def format_term(t: Term) -> str:
     raise TypeError(f"not a term: {t!r}")
 
 
-def _binder_names(f: Formula) -> set[str]:
+def _binder_names(f: Formula) -> frozenset[str]:
     """Names that a freshly chosen binder name must avoid inside f."""
-    out: set[str] = set()
-    _collect_symbols(f, out)
-    return out | predicate_names(f) | _RESERVED
+    return free_symbols(f) | predicate_names(f) | _RESERVED
 
 
 def _format(f: Formula, prec: int, avoid: set[str]) -> str:
@@ -680,7 +501,7 @@ def _format(f: Formula, prec: int, avoid: set[str]) -> str:
             kw = "forall" if isinstance(f, Forall) else "exists"
             base = h if _IDENT.fullmatch(h or "") and h not in _RESERVED else "x"
             name = fresh_name(base, avoid | _binder_names(b))
-            opened = _replace_bound(b, 0, Var(name))
+            opened = instantiate(f, Var(name))
             s = f"{kw} {name}. {_format(opened, 0, avoid | {name})}"
             return f"({s})" if prec > 0 else s
     raise TypeError(f"not a formula: {f!r}")

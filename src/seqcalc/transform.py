@@ -27,6 +27,7 @@ from __future__ import annotations
 from dataclasses import replace
 
 from .calculus import Proof, RuleId, is_axiom, rule_family, rule_usage
+from .fragments import FORBIDDEN_FAMILIES
 from .syntax import (
     BOT,
     And,
@@ -187,12 +188,6 @@ def _widen(p: Proof, ea: tuple, es: tuple) -> Proof:
 
     if rule in (RuleId.IMP_L, RuleId.IMP_L_STAR_INT):
         premises = (_widen(p.premises[0], ea, ()), _widen(p.premises[1], ea, es))
-    elif rule is RuleId.OR_L_RESTART:
-        premises = (_widen(p.premises[0], ea, ()), _widen(p.premises[1], ea, ()))
-    elif rule in (RuleId.RESTART, RuleId.M_IMP_R, RuleId.M_FORALL_R):
-        premises = (_widen(p.premises[0], ea, ()),)
-    elif rule is RuleId.M_OR_L:
-        premises = tuple(_widen(q, ea, ()) for q in p.premises)
     else:
         premises = tuple(_widen(q, ea, es) for q in p.premises)
 
@@ -316,7 +311,8 @@ def _invert_once(p: Proof, side: str, f: Formula, which: int = 0, eigen: str | N
 
     Height-preserving on contraction-free starred proofs, except where a
     bottom-right node forces a rebuild through weakening (still bounded by
-    the input height) or a shared-compound axiom needs eta expansion first.
+    the input height) or an axiom closed only under strengthened axioms
+    needs a bottom-right step or eta expansion (see _reclose).
     """
     s = p.conclusion
     rule = p.rule
@@ -326,15 +322,7 @@ def _invert_once(p: Proof, side: str, f: Formula, which: int = 0, eigen: str | N
 
     if rule is RuleId.AXIOM:
         t = _inverted_sequent(s, side, f, which, eigen)
-        if is_axiom(t, strengthened=True):
-            return Proof(RuleId.AXIOM, t)
-        for g in s.ante:
-            if g in s.succ:
-                ga = multiset_minus(s.ante, (g,))
-                gs = multiset_minus(s.succ, (g,))
-                expanded = weaken(identity_proof(g), ga, gs)
-                return _invert_once(expanded, side, f, which, eigen)
-        raise TransformError(f"axiom {s} lost its closing pair under inversion")
+        return _reclose(s, t, lambda q: _invert_once(q, side, f, which, eigen))
 
     pf = _principal_formula(p) if p.principal is not None else None
     pside = p.principal[0] if p.principal is not None else None
@@ -375,6 +363,26 @@ def _invert_once(p: Proof, side: str, f: Formula, which: int = 0, eigen: str | N
     return _node(rule, t, premises, pside, pf, p.witness, p.eigen)
 
 
+def _reclose(s: Sequent, t: Sequent, redo) -> Proof:
+    """Close t, the sequent an axiom node over s becomes under a transform,
+    without strengthened axioms: by a standard axiom, by bottom-right when
+    bottom is in the antecedent, or else by eta-expanding a compound formula
+    s shares between its sides and handing that expansion to redo, which
+    repeats the transform on it."""
+    if is_axiom(t):
+        return Proof(RuleId.AXIOM, t)
+    if BOT in t.ante and t.succ:
+        head = t.succ[0]
+        inner = Sequent(t.ante, multiset_minus(t.succ, (head,)) + (BOT,))
+        return _node(RuleId.BOT_R, t, [Proof(RuleId.AXIOM, inner)], "succ", head)
+    for g in s.ante:
+        if g in s.succ and not isinstance(g, (Atom, Top, Bot)):
+            rest_ante = multiset_minus(s.ante, (g,))
+            rest_succ = multiset_minus(s.succ, (g,))
+            return redo(weaken(identity_proof(g), rest_ante, rest_succ))
+    raise TransformError(f"axiom {s} does not close {t}")
+
+
 def _widen_or_keep(p: Proof, ea, es) -> Proof:
     if not ea and not es:
         return p
@@ -409,9 +417,7 @@ def _contract_once(p: Proof, side: str, f: Formula) -> Proof:
     if rule in (RuleId.CONTR_L, RuleId.CONTR_R):
         raise TransformError("contraction elimination expects contraction-free subproofs")
     if rule is RuleId.AXIOM:
-        if is_axiom(target, strengthened=True):
-            return Proof(RuleId.AXIOM, target)
-        raise TransformError(f"axiom {s} is no longer closed after contraction")
+        return _reclose(s, target, lambda q: _contract_once(q, side, f))
 
     pf = _principal_formula(p) if p.principal is not None else None
     pside = p.principal[0] if p.principal is not None else None
@@ -485,13 +491,7 @@ def _drop_bot_succ(p: Proof) -> Proof:
     if rule in (RuleId.CONTR_L, RuleId.CONTR_R):
         raise TransformError("bottom removal expects a contraction-free proof")
     if rule is RuleId.AXIOM:
-        if is_axiom(target, strengthened=True):
-            return Proof(RuleId.AXIOM, target)
-        if BOT in s.ante and target.succ:
-            head = target.succ[0]
-            inner_seq = Sequent(s.ante, multiset_minus(target.succ, (head,)) + (BOT,))
-            return _node(RuleId.BOT_R, target, [Proof(RuleId.AXIOM, inner_seq)], "succ", head)
-        raise TransformError(f"removing the bottom from {s} leaves an unprovable sequent")
+        return _reclose(s, target, _drop_bot_succ)
 
     pf = _principal_formula(p) if p.principal is not None else None
     if rule is RuleId.BOT_R and isinstance(pf, Bot):
@@ -584,8 +584,6 @@ def expand_starred(p: Proof) -> Proof:
 # classical to single-succedent extraction
 
 
-_SOME_GOAL_FORBIDDEN = frozenset({"imp-r", "or-l"})
-_ROUND_TRIP_FORBIDDEN = frozenset({"imp-l", "or-r", "exists-r"})
 _STARRED_RULES = frozenset(
     {
         RuleId.AND_L_STAR,
@@ -722,15 +720,17 @@ def extract_intuitionistic(p: Proof) -> Proof:
     if _STARRED_RULES & set(rule_usage(p)):
         p = expand_starred(p)
     fams = {rule_family(r) for r in rule_usage(p)}
-    if not fams & _SOME_GOAL_FORBIDDEN:
+    # the two paths are conditions 1 and 4 of the intuitionistic stage
+    some_goal, round_trip = FORBIDDEN_FAMILIES[1], FORBIDDEN_FAMILIES[4]
+    if not fams & some_goal:
         return _extract_some_goal(p)
-    if not fams & _ROUND_TRIP_FORBIDDEN:
+    if not fams & round_trip:
         if len(p.conclusion.succ) != 1:
             raise TransformError(
                 "the starred round-trip extraction needs a single-succedent end sequent"
             )
         return expand_starred(eliminate_contractions(_starify(p)))
-    blocking = sorted(fams & (_SOME_GOAL_FORBIDDEN | _ROUND_TRIP_FORBIDDEN))
+    blocking = sorted(fams & (some_goal | round_trip))
     raise TransformError(f"proof uses {', '.join(blocking)}; no extraction path applies")
 
 

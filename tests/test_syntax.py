@@ -17,6 +17,7 @@ from seqcalc.syntax import (
     Exists,
     Forall,
     Imp,
+    Meta,
     Or,
     Sequent,
     Top,
@@ -33,6 +34,7 @@ from seqcalc.syntax import (
     ground_subterms,
     instantiate,
     is_quantifier_free,
+    metas_in,
     multiset_minus,
     multiset_union,
     neg,
@@ -44,7 +46,7 @@ from seqcalc.syntax import (
 )
 from seqcalc.parser import parse_formula, parse_sequent
 
-from _oracles import random_propositional, PROP_LEAVES
+from _oracles import mixed_leaves, random_in_grammar, random_propositional, PROP_LEAVES
 
 
 def rand_fo_formula(rng: random.Random, depth: int):
@@ -152,6 +154,51 @@ def test_rename_constant():
     f = parse_formula("p(a) => exists x. r(x, a)")
     g = rename_constant(f, "a", "z")
     assert g == parse_formula("p(z) => exists x. r(x, z)")
+
+
+# ---------------------------------------------------------------------------
+# the traversal core under shadowing binders
+
+
+FRAGMENTS = ("f1", "f2", "f3", "f4", "lp-int", "lp-cls")
+
+
+def clause_draw(seed: int):
+    """A clause of a seeded fragment over the mixed leaves: a free x, and x
+    binders nested inside one another."""
+    rng = random.Random(seed)
+    return random_in_grammar(rng, rng.choice(FRAGMENTS), "clause", 6, mixed_leaves())
+
+
+@given(seeds)
+def test_binding_and_renaming_round_trip(seed):
+    f = clause_draw(seed)
+    assert instantiate(forall("x", f), Var("x")) == f
+    t = App("g", (Var("x"), Const("b")))
+    assert instantiate(forall("x", f), t) == substitute(t, "x", f)
+    z = fresh_name("z", free_symbols(f) | predicate_names(f))
+    renamed = rename_constant(f, "a", z)
+    assert (renamed != f) == ("a" in free_symbols(f))
+    assert rename_constant(renamed, z, "a") == f
+
+
+@given(seeds)
+def test_substituted_metavariable_occurs_exactly_where_x_is_free(seed):
+    f = clause_draw(seed)
+    want = frozenset({0}) if "x" in free_symbols(f) else frozenset()
+    assert metas_in(substitute(Meta(0), "x", f)) == want
+
+
+@given(seeds)
+def test_sequent_collectors_are_unions_over_members(seed):
+    rng = random.Random(seed)
+    members = [clause_draw(rng.randrange(2**32)) for _ in range(3)]
+    members[1] = substitute(App("g", (Meta(1),)), "x", members[1])
+    members[2] = substitute(App("g", (Const("b"),)), "x", members[2])
+    s = Sequent(tuple(members[:2]), tuple(members[2:]))
+    for collect in (free_symbols, metas_in, ground_subterms):
+        assert collect(s) == frozenset().union(*(collect(m) for m in members))
+    assert not free_symbols(ground_subterms(s)) & {"x", "X1"}
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from seqcalc.calculus import (
 )
 from seqcalc.parser import parse_formula, parse_sequent
 from seqcalc.search import Proved, SearchLimits, prove
-from seqcalc.syntax import And, Atom, Bot, Const, Imp, Or, Sequent, Top, Var, forall
+from seqcalc.syntax import And, Atom, Bot, Const, Forall, Imp, Or, Sequent, Top, Var, forall
 from seqcalc.transform import (
     TransformError,
     augment,
@@ -174,6 +174,20 @@ def test_hand_built_contraction_r():
     assert out.conclusion == root.conclusion
     assert RuleId.CONTR_R not in rule_usage(out)
     assert RuleId.CONTR_L not in rule_usage(out)
+
+
+def test_contraction_elimination_closes_on_standard_axioms(corpus_by_name):
+    # the succedent forall is shared with the antecedent next to a bottom, so
+    # removing the contraction meets a leaf that only a strengthened axiom or
+    # a bottom-right step closes; the result must use the latter
+    res = prove(corpus_by_name["aug-exists-self"].sequent, "c")
+    assert isinstance(res, Proved)
+    s = res.proof.conclusion
+    i = next(k for k, f in enumerate(s.succ) if isinstance(f, Forall))
+    dirty = Proof(RuleId.CONTR_R, s, (weaken(res.proof, extra_succ=(s.succ[i],)),), ("succ", i))
+    out = eliminate_contractions(dirty)
+    assert out.conclusion == s
+    assert check_proof(out, CLASSICAL_STAR)
 
 
 @given(st.integers(0, 5_000))
