@@ -23,6 +23,7 @@ from __future__ import annotations
 import enum
 import json
 from dataclasses import dataclass
+from typing import Iterator
 
 from .syntax import (
     BOT,
@@ -128,24 +129,23 @@ def proof_height(p: Proof) -> int:
     return best
 
 
-def proof_size(p: Proof) -> int:
-    n = 0
+def proof_nodes(p: Proof) -> Iterator[Proof]:
+    """Every node of p in pre-order: each node before its premises, the
+    premises left to right.  Uses an explicit stack, so proof height costs
+    no recursion."""
     stack = [p]
     while stack:
         node = stack.pop()
-        n += 1
-        stack.extend(node.premises)
-    return n
+        yield node
+        stack.extend(reversed(node.premises))
+
+
+def proof_size(p: Proof) -> int:
+    return sum(1 for _ in proof_nodes(p))
 
 
 def rule_usage(p: Proof) -> frozenset[RuleId]:
-    out: set[RuleId] = set()
-    stack = [p]
-    while stack:
-        node = stack.pop()
-        out.add(node.rule)
-        stack.extend(node.premises)
-    return frozenset(out)
+    return frozenset(node.rule for node in proof_nodes(p))
 
 
 def rule_profile(p: Proof) -> frozenset[str]:
@@ -292,6 +292,98 @@ def is_axiom(s: Sequent, strengthened: bool = False) -> bool:
     return False
 
 
+#: The principal formula of each rule that has one: the side it sits on and
+#: the connective it must have (None: any formula).
+_SHAPES: dict[RuleId, tuple[str, type | None]] = {
+    RuleId.CONTR_L: ("ante", None),
+    RuleId.CONTR_R: ("succ", None),
+    RuleId.BOT_R: ("succ", None),
+    RuleId.AND_L_LEFT: ("ante", And),
+    RuleId.AND_L_RIGHT: ("ante", And),
+    RuleId.AND_L_STAR: ("ante", And),
+    RuleId.OR_L: ("ante", Or),
+    RuleId.OR_L_RESTART: ("ante", Or),
+    RuleId.IMP_L: ("ante", Imp),
+    RuleId.IMP_L_STAR: ("ante", Imp),
+    RuleId.IMP_L_STAR_INT: ("ante", Imp),
+    RuleId.FORALL_L: ("ante", Forall),
+    RuleId.FORALL_L_STAR: ("ante", Forall),
+    RuleId.EXISTS_L: ("ante", Exists),
+    RuleId.AND_R: ("succ", And),
+    RuleId.OR_R_LEFT: ("succ", Or),
+    RuleId.OR_R_RIGHT: ("succ", Or),
+    RuleId.OR_R_STAR: ("succ", Or),
+    RuleId.IMP_R: ("succ", Imp),
+    RuleId.EXISTS_R: ("succ", Exists),
+    RuleId.EXISTS_R_STAR: ("succ", Exists),
+    RuleId.FORALL_R: ("succ", Forall),
+}
+
+_CONNECTIVE_NAMES = {
+    And: "a conjunction",
+    Or: "a disjunction",
+    Imp: "an implication",
+    Forall: "a forall formula",
+    Exists: "a exists formula",
+}
+
+#: rules whose premises keep the principal formula
+_KEEPS_PRINCIPAL = {RuleId.CONTR_L, RuleId.CONTR_R, RuleId.FORALL_L_STAR, RuleId.EXISTS_R_STAR}
+
+
+def premises(
+    rule: RuleId,
+    s: Sequent,
+    index: int,
+    f: Formula,
+    witness: Term | None = None,
+    eigen: str | None = None,
+    goal: Formula | None = None,
+) -> tuple[Sequent, ...]:
+    """The premise sequents `rule` derives `s` from, `f` being its principal
+    at `index` on the rule's side.  ValueError for the axiom, restart and
+    multi-succedent imp-l rules (whose succedent split is free)."""
+    if rule not in _SHAPES:
+        raise ValueError(f"rule {rule.value} has no principal formula")
+    side = _SHAPES[rule][0]
+    ante, succ = s.ante, s.succ
+    if rule not in _KEEPS_PRINCIPAL:
+        if side == "ante":
+            ante = ante[:index] + ante[index + 1 :]
+        else:
+            succ = succ[:index] + succ[index + 1 :]
+
+    def add(*parts: Formula) -> Sequent:
+        return Sequent(ante + parts, succ) if side == "ante" else Sequent(ante, succ + parts)
+
+    match rule:
+        case RuleId.CONTR_L | RuleId.CONTR_R:
+            return (add(f),)
+        case RuleId.BOT_R:
+            return (add(BOT),)
+        case RuleId.AND_L_LEFT | RuleId.OR_R_LEFT:
+            return (add(f.left),)
+        case RuleId.AND_L_RIGHT | RuleId.OR_R_RIGHT:
+            return (add(f.right),)
+        case RuleId.AND_L_STAR | RuleId.OR_R_STAR:
+            return (add(f.left, f.right),)
+        case RuleId.OR_L | RuleId.AND_R:
+            return (add(f.left), add(f.right))
+        case RuleId.OR_L_RESTART:
+            return (add(f.left), Sequent(ante + (f.right,), (goal,)))
+        case RuleId.IMP_L_STAR:
+            return (Sequent(ante, succ + (f.left,)), add(f.right))
+        case RuleId.IMP_L_STAR_INT:
+            return (Sequent(s.ante, (f.left,)), add(f.right))
+        case RuleId.IMP_R:
+            return (Sequent(ante + (f.left,), succ + (f.right,)),)
+        case RuleId.FORALL_L | RuleId.EXISTS_R | RuleId.FORALL_L_STAR | RuleId.EXISTS_R_STAR:
+            return (add(instantiate(f, witness)),)
+        case RuleId.EXISTS_L | RuleId.FORALL_R:
+            return (add(instantiate(f, Const(eigen))),)
+    raise ValueError(f"rule {rule.value} leaves its succedent split free")
+
+
 def _uniform_violation(node: Proof) -> str | None:
     succ = node.conclusion.succ
     if len(succ) != 1:
@@ -299,32 +391,12 @@ def _uniform_violation(node: Proof) -> str | None:
     goal = succ[0]
     if isinstance(goal, (Atom, Top, Bot)):
         return None
-    wanted = {
-        And: {RuleId.AND_R},
-        Or: {RuleId.OR_R_LEFT, RuleId.OR_R_RIGHT},
-        Imp: {RuleId.IMP_R},
-        Forall: {RuleId.FORALL_R},
-        Exists: {RuleId.EXISTS_R},
-    }[type(goal)]
-    if node.rule not in wanted:
+    if _SHAPES.get(node.rule) != ("succ", type(goal)):
         return (
             f"compound goal {format_formula(goal)} must be introduced by its "
             f"right rule, not {node.rule.value}"
         )
     return None
-
-
-def _principal(node: Proof, side: str) -> Formula | str:
-    """The principal formula, or an error message."""
-    if node.principal is None:
-        return f"rule {node.rule.value} needs a principal formula"
-    got_side, index = node.principal
-    if got_side != side:
-        return f"rule {node.rule.value} expects its principal on the {side} side"
-    formulas = node.conclusion.ante if side == "ante" else node.conclusion.succ
-    if not 0 <= index < len(formulas):
-        return f"principal index {index} out of range"
-    return formulas[index]
 
 
 def _expect_premises(node: Proof, *wanted: Sequent) -> str | None:
@@ -346,209 +418,61 @@ def _check_node(node: Proof, cls: ProofClass, strengthened: bool) -> str | None:
     if node.witness is not None and metas_in(node.witness):
         return "witness term contains unresolved metavariables"
 
-    match rule:
-        case RuleId.AXIOM:
-            if node.premises:
-                return "axiom must not have premises"
-            if not is_axiom(s, strengthened):
-                return f"not an axiom: {s}"
-            return None
+    if rule is RuleId.AXIOM:
+        if node.premises:
+            return "axiom must not have premises"
+        if not is_axiom(s, strengthened):
+            return f"not an axiom: {s}"
+        return None
 
-        case RuleId.RESTART:
-            if cls.kind not in _RESTART_KINDS:
-                return "restart outside a restart class"
-            if len(node.premises) != 1:
-                return "restart takes one premise"
-            if len(s.succ) != 1:
-                return "restart needs a singleton succedent"
-            return _expect_premises(node, Sequent(s.ante, (cls.goal,)))
+    if rule is RuleId.RESTART:
+        if cls.kind not in _RESTART_KINDS:
+            return "restart outside a restart class"
+        if len(node.premises) != 1:
+            return "restart takes one premise"
+        if len(s.succ) != 1:
+            return "restart needs a singleton succedent"
+        return _expect_premises(node, Sequent(s.ante, (cls.goal,)))
 
-        case RuleId.CONTR_L | RuleId.CONTR_R:
-            side = "ante" if rule is RuleId.CONTR_L else "succ"
-            f = _principal(node, side)
-            if isinstance(f, str):
-                return f
-            extra = ((f,), ()) if side == "ante" else ((), (f,))
-            return _expect_premises(node, s.plus(*extra))
-
-        case RuleId.BOT_R:
-            f = _principal(node, "succ")
-            if isinstance(f, str):
-                return f
-            idx = node.principal[1]
-            return _expect_premises(node, s.without_succ(idx).plus(succ=(BOT,)))
-
-        case RuleId.AND_L_LEFT | RuleId.AND_L_RIGHT:
-            f = _principal(node, "ante")
-            if isinstance(f, str):
-                return f
-            if not isinstance(f, And):
-                return f"principal of {rule.value} must be a conjunction"
-            kept = f.left if rule is RuleId.AND_L_LEFT else f.right
-            idx = node.principal[1]
-            return _expect_premises(node, s.without_ante(idx).plus(ante=(kept,)))
-
-        case RuleId.AND_L_STAR:
-            f = _principal(node, "ante")
-            if isinstance(f, str):
-                return f
-            if not isinstance(f, And):
-                return f"principal of {rule.value} must be a conjunction"
-            idx = node.principal[1]
-            return _expect_premises(node, s.without_ante(idx).plus(ante=(f.left, f.right)))
-
-        case RuleId.OR_L:
-            f = _principal(node, "ante")
-            if isinstance(f, str):
-                return f
-            if not isinstance(f, Or):
-                return f"principal of {rule.value} must be a disjunction"
-            idx = node.principal[1]
-            rest = s.without_ante(idx)
-            return _expect_premises(node, rest.plus(ante=(f.left,)), rest.plus(ante=(f.right,)))
-
-        case RuleId.OR_L_RESTART:
-            if cls.kind not in _RESTART_KINDS:
-                return "or-l-restart outside a restart class"
-            f = _principal(node, "ante")
-            if isinstance(f, str):
-                return f
-            if not isinstance(f, Or):
-                return f"principal of {rule.value} must be a disjunction"
-            idx = node.principal[1]
-            rest = s.without_ante(idx)
-            return _expect_premises(
-                node,
-                rest.plus(ante=(f.left,)),
-                Sequent(rest.ante + (f.right,), (cls.goal,)),
-            )
-
-        case RuleId.AND_R:
-            f = _principal(node, "succ")
-            if isinstance(f, str):
-                return f
-            if not isinstance(f, And):
-                return f"principal of {rule.value} must be a conjunction"
-            idx = node.principal[1]
-            rest = s.without_succ(idx)
-            return _expect_premises(node, rest.plus(succ=(f.left,)), rest.plus(succ=(f.right,)))
-
-        case RuleId.OR_R_LEFT | RuleId.OR_R_RIGHT:
-            f = _principal(node, "succ")
-            if isinstance(f, str):
-                return f
-            if not isinstance(f, Or):
-                return f"principal of {rule.value} must be a disjunction"
-            kept = f.left if rule is RuleId.OR_R_LEFT else f.right
-            idx = node.principal[1]
-            return _expect_premises(node, s.without_succ(idx).plus(succ=(kept,)))
-
-        case RuleId.OR_R_STAR:
-            f = _principal(node, "succ")
-            if isinstance(f, str):
-                return f
-            if not isinstance(f, Or):
-                return f"principal of {rule.value} must be a disjunction"
-            idx = node.principal[1]
-            return _expect_premises(node, s.without_succ(idx).plus(succ=(f.left, f.right)))
-
-        case RuleId.IMP_L:
-            f = _principal(node, "ante")
-            if isinstance(f, str):
-                return f
-            if not isinstance(f, Imp):
-                return f"principal of {rule.value} must be an implication"
-            if len(node.premises) != 2:
-                return "imp-l takes two premises"
-            idx = node.principal[1]
-            rest = s.without_ante(idx)
-            p1, p2 = (q.conclusion for q in node.premises)
-            if p1.ante != rest.ante:
-                return "imp-l: first premise must keep the remaining antecedent"
-            delta1 = multiset_minus(p1.succ, (f.left,))
-            if delta1 is None:
-                return "imp-l: first premise must add the implication antecedent to the succedent"
-            if p2.ante != multiset_union(rest.ante, (f.right,)):
-                return "imp-l: second premise must add the implication consequent to the antecedent"
-            if multiset_union(delta1, p2.succ) != s.succ:
-                return "imp-l: premise succedents must split the conclusion succedent"
-            return None
-
-        case RuleId.IMP_L_STAR:
-            f = _principal(node, "ante")
-            if isinstance(f, str):
-                return f
-            if not isinstance(f, Imp):
-                return f"principal of {rule.value} must be an implication"
-            idx = node.principal[1]
-            rest = s.without_ante(idx)
-            return _expect_premises(
-                node,
-                Sequent(rest.ante, multiset_union(s.succ, (f.left,))),
-                Sequent(multiset_union(rest.ante, (f.right,)), s.succ),
-            )
-
-        case RuleId.IMP_L_STAR_INT:
-            f = _principal(node, "ante")
-            if isinstance(f, str):
-                return f
-            if not isinstance(f, Imp):
-                return f"principal of {rule.value} must be an implication"
-            idx = node.principal[1]
-            rest = s.without_ante(idx)
-            return _expect_premises(
-                node,
-                Sequent(s.ante, (f.left,)),
-                Sequent(multiset_union(rest.ante, (f.right,)), s.succ),
-            )
-
-        case RuleId.IMP_R:
-            f = _principal(node, "succ")
-            if isinstance(f, str):
-                return f
-            if not isinstance(f, Imp):
-                return f"principal of {rule.value} must be an implication"
-            idx = node.principal[1]
-            return _expect_premises(node, s.without_succ(idx).plus(ante=(f.left,), succ=(f.right,)))
-
-        case RuleId.FORALL_L | RuleId.EXISTS_R | RuleId.FORALL_L_STAR | RuleId.EXISTS_R_STAR:
-            on_ante = rule in (RuleId.FORALL_L, RuleId.FORALL_L_STAR)
-            keeps = rule in (RuleId.FORALL_L_STAR, RuleId.EXISTS_R_STAR)
-            f = _principal(node, "ante" if on_ante else "succ")
-            if isinstance(f, str):
-                return f
-            want_type = Forall if on_ante else Exists
-            if not isinstance(f, want_type):
-                return f"principal of {rule.value} must be a {want_type.__name__.lower()} formula"
-            if node.witness is None:
-                return f"rule {rule.value} needs a witness term"
-            inst = instantiate(f, node.witness)
-            idx = node.principal[1]
-            base = s if keeps else (s.without_ante(idx) if on_ante else s.without_succ(idx))
-            extra = ((inst,), ()) if on_ante else ((), (inst,))
-            return _expect_premises(node, base.plus(*extra))
-
-        case RuleId.EXISTS_L | RuleId.FORALL_R:
-            on_ante = rule is RuleId.EXISTS_L
-            f = _principal(node, "ante" if on_ante else "succ")
-            if isinstance(f, str):
-                return f
-            want_type = Exists if on_ante else Forall
-            if not isinstance(f, want_type):
-                return f"principal of {rule.value} must be a {want_type.__name__.lower()} formula"
-            if not node.eigen:
-                return f"rule {rule.value} needs an eigenvariable"
-            if node.eigen in free_symbols(s):
-                return f"eigenvariable {node.eigen!r} already occurs in the conclusion"
-            if cls.kind in _RESTART_KINDS and node.eigen in free_symbols(cls.goal):
-                return f"eigenvariable {node.eigen!r} occurs in the restart goal"
-            inst = instantiate(f, Const(node.eigen))
-            idx = node.principal[1]
-            if on_ante:
-                return _expect_premises(node, s.without_ante(idx).plus(ante=(inst,)))
-            return _expect_premises(node, s.without_succ(idx).plus(succ=(inst,)))
-
-    return f"rule {rule.value} not handled"
+    side, connective = _SHAPES[rule]
+    if node.principal is None:
+        return f"rule {rule.value} needs a principal formula"
+    got_side, index = node.principal
+    if got_side != side:
+        return f"rule {rule.value} expects its principal on the {side} side"
+    formulas = s.ante if side == "ante" else s.succ
+    if not 0 <= index < len(formulas):
+        return f"principal index {index} out of range"
+    f = formulas[index]
+    if connective is not None and not isinstance(f, connective):
+        return f"principal of {rule.value} must be {_CONNECTIVE_NAMES[connective]}"
+    if rule is RuleId.IMP_L:
+        # multi-succedent: the premise succedents split the conclusion's
+        if len(node.premises) != 2:
+            return "imp-l takes two premises"
+        rest = s.without_ante(index)
+        p1, p2 = (q.conclusion for q in node.premises)
+        if p1.ante != rest.ante:
+            return "imp-l: first premise must keep the remaining antecedent"
+        delta1 = multiset_minus(p1.succ, (f.left,))
+        if delta1 is None:
+            return "imp-l: first premise must add the implication antecedent to the succedent"
+        if p2.ante != multiset_union(rest.ante, (f.right,)):
+            return "imp-l: second premise must add the implication consequent to the antecedent"
+        if multiset_union(delta1, p2.succ) != s.succ:
+            return "imp-l: premise succedents must split the conclusion succedent"
+        return None
+    if (side, connective) in (("ante", Forall), ("succ", Exists)):
+        if node.witness is None:
+            return f"rule {rule.value} needs a witness term"
+    elif (side, connective) in (("ante", Exists), ("succ", Forall)):
+        if not node.eigen:
+            return f"rule {rule.value} needs an eigenvariable"
+        if node.eigen in free_symbols(s):
+            return f"eigenvariable {node.eigen!r} already occurs in the conclusion"
+        if cls.kind in _RESTART_KINDS and node.eigen in free_symbols(cls.goal):
+            return f"eigenvariable {node.eigen!r} occurs in the restart goal"
+    return _expect_premises(node, *premises(rule, s, index, f, node.witness, node.eigen, cls.goal))
 
 
 def check_proof(proof: Proof, cls: ProofClass, strengthened_axioms: bool = False) -> CheckReport:

@@ -151,17 +151,20 @@ def cmd_prove(args) -> int:
 # check
 
 
-def cmd_check(args) -> int:
+def _load_proof_file(path: str):
+    """The proof and class stored at path; unreadable or malformed files
+    raise _DataError."""
+    text = _read_file(path)
     try:
-        proof, embedded = load_proof(_read_file(args.proof))
-    except (_DataError, ParseError) as exc:
-        print(f"{exc}", file=sys.stderr)
-        return EXIT_DATA
+        return load_proof(text)
+    except ParseError as exc:
+        raise _DataError(str(exc)) from exc
     except (ValueError, KeyError, TypeError) as exc:
-        print(f"malformed proof file: {exc}", file=sys.stderr)
-        return EXIT_DATA
+        raise _DataError(f"malformed proof file: {exc}") from exc
 
-    cls = embedded
+
+def cmd_check(args) -> int:
+    proof, cls = _load_proof_file(args.proof)
     if args.proof_class:
         goal = None
         if args.goal:
@@ -191,15 +194,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    try:
-        proof, cls = load_proof(_read_file(args.proof))
-    except (_DataError, ParseError) as exc:
-        print(f"{exc}", file=sys.stderr)
-        return EXIT_DATA
-    except (ValueError, KeyError, TypeError) as exc:
-        print(f"malformed proof file: {exc}", file=sys.stderr)
-        return EXIT_DATA
-
+    proof, cls = _load_proof_file(args.proof)
     usage = rule_usage(proof)
     profile = rule_profile(proof)
     print(f"end sequent: {format_sequent(proof.conclusion)}")

@@ -36,171 +36,96 @@ class Role(enum.Enum):
     BASE_GOAL = "base-goal"
 
 
-def _leaf(f: Formula) -> bool:
-    return isinstance(f, (Top, Bot, Atom))
+# Each fragment's grammar as data: role -> productions.  A production is
+# "leaf" (an atom, top or bottom), a role name (a unit production such as
+# goal := base-goal), or a connective with the roles of its operands.  A role
+# has at most one production per connective, so the first production whose
+# connective matches decides.
+_Grammar = dict[str, tuple]
 
-
-# Each fragment gets two (or three) hand-written recursive predicates.  They
-# deliberately mirror the grammar productions one branch per production.
-
-
-def _f1_goal(f: Formula) -> bool:
-    match f:
-        case And(l, r) | Or(l, r):
-            return _f1_goal(l) and _f1_goal(r)
-        case Forall(body=b) | Exists(body=b):
-            return _f1_goal(b)
-        case _:
-            return _leaf(f)
-
-
-def _f1_clause(f: Formula) -> bool:
-    match f:
-        case Imp(l, r):
-            return _f1_goal(l) and _f1_clause(r)
-        case And(l, r):
-            return _f1_clause(l) and _f1_clause(r)
-        case Exists(body=b) | Forall(body=b):
-            return _f1_clause(b)
-        case _:
-            return _leaf(f)
-
-
-def _f2_goal(f: Formula) -> bool:
-    match f:
-        case And(l, r) | Or(l, r):
-            return _f2_goal(l) and _f2_goal(r)
-        case Exists(body=b):
-            return _f2_goal(b)
-        case _:
-            return _leaf(f)
-
-
-def _f2_clause(f: Formula) -> bool:
-    match f:
-        case Imp(l, r):
-            return _f2_goal(l) and _f2_clause(r)
-        case And(l, r) | Or(l, r):
-            return _f2_clause(l) and _f2_clause(r)
-        case Exists(body=b) | Forall(body=b):
-            return _f2_clause(b)
-        case _:
-            return _leaf(f)
-
-
-def _f3_goal(f: Formula) -> bool:
-    return _f1_goal(f)
-
-
-def _f3_clause(f: Formula) -> bool:
-    match f:
-        case Imp(l, r):
-            return _f3_goal(l) and _f3_clause(r)
-        case And(l, r) | Or(l, r):
-            return _f3_clause(l) and _f3_clause(r)
-        case Exists(body=b):
-            return _f3_clause(b)
-        case _:
-            return _leaf(f)
-
-
-def _f4_goal(f: Formula) -> bool:
-    match f:
-        case And(l, r):
-            return _f4_goal(l) and _f4_goal(r)
-        case Imp(l, r):
-            return _f4_clause(l) and _f4_goal(r)
-        case Forall(body=b):
-            return _f4_goal(b)
-        case _:
-            return _leaf(f)
-
-
-def _f4_clause(f: Formula) -> bool:
-    match f:
-        case And(l, r) | Or(l, r):
-            return _f4_clause(l) and _f4_clause(r)
-        case Exists(body=b) | Forall(body=b):
-            return _f4_clause(b)
-        case _:
-            return _leaf(f)
-
-
-def _lpint_goal(f: Formula) -> bool:
-    match f:
-        case And(l, r) | Or(l, r):
-            return _lpint_goal(l) and _lpint_goal(r)
-        case Imp(l, r):
-            return _lpint_clause(l) and _lpint_goal(r)
-        case Forall(body=b) | Exists(body=b):
-            return _lpint_goal(b)
-        case _:
-            return _leaf(f)
-
-
-def _lpint_clause(f: Formula) -> bool:
-    match f:
-        case Imp(l, r):
-            return _lpint_goal(l) and _lpint_clause(r)
-        case And(l, r):
-            return _lpint_clause(l) and _lpint_clause(r)
-        case Forall(body=b):
-            return _lpint_clause(b)
-        case _:
-            return _leaf(f)
-
-
-def _lpcls_base(f: Formula) -> bool:
-    match f:
-        case And(l, r) | Or(l, r):
-            return _lpcls_base(l) and _lpcls_base(r)
-        case Forall(body=b) | Exists(body=b):
-            return _lpcls_base(b)
-        case _:
-            return _leaf(f)
-
-
-def _lpcls_goal(f: Formula) -> bool:
-    if _lpcls_base(f):
-        return True
-    match f:
-        case Imp(l, r):
-            return _lpcls_clause(l) and _lpcls_goal(r)
-        case And(l, r):
-            return _lpcls_goal(l) and _lpcls_goal(r)
-        case Forall(body=b):
-            return _lpcls_goal(b)
-        case _:
-            return False
-
-
-def _lpcls_clause(f: Formula) -> bool:
-    match f:
-        case Imp(l, r):
-            return _lpcls_base(l) and _lpcls_clause(r)
-        case And(l, r):
-            return _lpcls_clause(l) and _lpcls_clause(r)
-        case Forall(body=b):
-            return _lpcls_clause(b)
-        case _:
-            return _leaf(f)
-
-
-_CLASSIFIERS: dict[tuple[FragmentId, Role], Callable[[Formula], bool]] = {
-    (FragmentId.F1, Role.GOAL): _f1_goal,
-    (FragmentId.F1, Role.CLAUSE): _f1_clause,
-    (FragmentId.F2, Role.GOAL): _f2_goal,
-    (FragmentId.F2, Role.CLAUSE): _f2_clause,
-    (FragmentId.F3, Role.GOAL): _f3_goal,
-    (FragmentId.F3, Role.CLAUSE): _f3_clause,
-    (FragmentId.F4, Role.GOAL): _f4_goal,
-    (FragmentId.F4, Role.CLAUSE): _f4_clause,
-    (FragmentId.LP_INT, Role.GOAL): _lpint_goal,
-    (FragmentId.LP_INT, Role.CLAUSE): _lpint_clause,
-    (FragmentId.LP_CLS, Role.GOAL): _lpcls_goal,
-    (FragmentId.LP_CLS, Role.CLAUSE): _lpcls_clause,
-    (FragmentId.LP_CLS, Role.BASE_GOAL): _lpcls_base,
+_GRAMMARS: dict[FragmentId, _Grammar] = {
+    FragmentId.F1: {
+        "goal": ("leaf", (And, "goal", "goal"), (Or, "goal", "goal"), (Forall, "goal"), (Exists, "goal")),
+        "clause": (
+            "leaf",
+            (Imp, "goal", "clause"),
+            (And, "clause", "clause"),
+            (Forall, "clause"),
+            (Exists, "clause"),
+        ),
+    },
+    FragmentId.F2: {
+        "goal": ("leaf", (And, "goal", "goal"), (Or, "goal", "goal"), (Exists, "goal")),
+        "clause": (
+            "leaf",
+            (Imp, "goal", "clause"),
+            (And, "clause", "clause"),
+            (Or, "clause", "clause"),
+            (Forall, "clause"),
+            (Exists, "clause"),
+        ),
+    },
+    FragmentId.F3: {
+        "goal": ("leaf", (And, "goal", "goal"), (Or, "goal", "goal"), (Forall, "goal"), (Exists, "goal")),
+        "clause": (
+            "leaf",
+            (Imp, "goal", "clause"),
+            (And, "clause", "clause"),
+            (Or, "clause", "clause"),
+            (Exists, "clause"),
+        ),
+    },
+    FragmentId.F4: {
+        "goal": ("leaf", (And, "goal", "goal"), (Imp, "clause", "goal"), (Forall, "goal")),
+        "clause": (
+            "leaf",
+            (And, "clause", "clause"),
+            (Or, "clause", "clause"),
+            (Forall, "clause"),
+            (Exists, "clause"),
+        ),
+    },
+    FragmentId.LP_INT: {
+        "goal": (
+            "leaf",
+            (And, "goal", "goal"),
+            (Or, "goal", "goal"),
+            (Imp, "clause", "goal"),
+            (Forall, "goal"),
+            (Exists, "goal"),
+        ),
+        "clause": ("leaf", (Imp, "goal", "clause"), (And, "clause", "clause"), (Forall, "clause")),
+    },
+    FragmentId.LP_CLS: {
+        "base-goal": (
+            "leaf",
+            (And, "base-goal", "base-goal"),
+            (Or, "base-goal", "base-goal"),
+            (Forall, "base-goal"),
+            (Exists, "base-goal"),
+        ),
+        "goal": ("base-goal", (Imp, "clause", "goal"), (And, "goal", "goal"), (Forall, "goal")),
+        "clause": ("leaf", (Imp, "base-goal", "clause"), (And, "clause", "clause"), (Forall, "clause")),
+    },
 }
+
+_LEAVES = (Top, Bot, Atom)
+
+
+def _member(f: Formula, grammar: _Grammar, role: str) -> bool:
+    """Whether f derives from `role` in the grammar."""
+    for prod in grammar[role]:
+        if prod == "leaf":
+            if isinstance(f, _LEAVES):
+                return True
+        elif isinstance(prod, str):
+            if _member(f, grammar, prod):
+                return True
+        elif type(f) is prod[0]:
+            if prod[0] in (Forall, Exists):
+                return _member(f.body, grammar, prod[1])
+            return _member(f.left, grammar, prod[1]) and _member(f.right, grammar, prod[2])
+    return False
 
 
 def classify(f: Formula, fragment: FragmentId | str, role: Role | str) -> bool:
@@ -209,10 +134,10 @@ def classify(f: Formula, fragment: FragmentId | str, role: Role | str) -> bool:
         fragment = FragmentId(fragment)
     if isinstance(role, str):
         role = Role(role)
-    try:
-        return _CLASSIFIERS[(fragment, role)](f)
-    except KeyError:
-        raise ValueError(f"fragment {fragment.value} has no role {role.value}") from None
+    grammar = _GRAMMARS[fragment]
+    if role.value not in grammar:
+        raise ValueError(f"fragment {fragment.value} has no role {role.value}")
+    return _member(f, grammar, role.value)
 
 
 # ---------------------------------------------------------------------------

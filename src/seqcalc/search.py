@@ -628,6 +628,11 @@ class _GroundProver:
         self._low = _NO_CYCLE
         self._pending: list[tuple] = []
         self.prunes = 0
+        # template heads of the antecedent members this mode decomposes
+        # eagerly: and, or, exists when starred; exists, and or without a
+        # restart goal, when goal-directed
+        eager_uniform = ("E.",) if restart_goal is not None else ("E.", "|(")
+        self._eager = eager_uniform if uniform else ("&(", "|(", "E.")
 
     def _fresh(self) -> str:
         name = f"{self.name_prefix}{self.counter}"
@@ -711,8 +716,18 @@ class _GroundProver:
         # the loop check collapses duplicates (contraction is admissible, and
         # set-states are what make quantifier-free search terminate); the
         # failure cache must not, since multiplicity affects what is provable
-        # within fixed resources
-        loop_key = ";".join(dict.fromkeys(parts)) + "|-" + goal
+        # within fixed resources.  Members the mode decomposes eagerly keep
+        # their multiplicity even in the loop key: decomposing one of two
+        # copies leaves a state the collapsed key cannot tell from its parent,
+        # which would be pruned as a cycle.  Those steps consume their
+        # principal, so the kept copies cannot pile up along a path.
+        kept = dict.fromkeys(parts)
+        if len(kept) < len(parts):
+            eager = self._eager
+            kept = [p for p in parts if p.startswith(eager)] + [
+                p for p in kept if not p.startswith(eager)
+            ]
+        loop_key = ";".join(kept) + "|-" + goal
         if counts is None:
             return loop_key
         state_key = ";".join(parts) + "|-" + goal

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-from .calculus import Proof, RuleId, is_axiom, rule_family, rule_usage
+from .calculus import Proof, RuleId, is_axiom, premises, proof_nodes, rule_family, rule_usage
 from .fragments import FORBIDDEN_FAMILIES
 from .syntax import (
     BOT,
@@ -94,17 +94,9 @@ def _node(
 
 
 def _tree_symbols(p: Proof) -> set[str]:
-    out: set[str] = set()
-    stack = [p]
-    while stack:
-        n = stack.pop()
-        out |= free_symbols(n.conclusion)
-        if n.witness is not None:
-            out |= free_symbols(n.witness)
-        if n.eigen:
-            out.add(n.eigen)
-        stack.extend(n.premises)
-    return out
+    nodes = list(proof_nodes(p))
+    parts = [n.conclusion for n in nodes] + [n.witness for n in nodes if n.witness is not None]
+    return set(free_symbols(parts)) | {n.eigen for n in nodes if n.eigen}
 
 
 def _rename_seq(s: Sequent, old: str, new: str) -> Sequent:
@@ -266,37 +258,30 @@ def identity_proof(f: Formula) -> Proof:
 # height-preserving inversion
 
 
+#: the invertible rule of each (side, connective) pair
+_INVERTIBLE = {
+    ("ante", And): RuleId.AND_L_STAR,
+    ("ante", Or): RuleId.OR_L,
+    ("ante", Imp): RuleId.IMP_L_STAR,
+    ("ante", Exists): RuleId.EXISTS_L,
+    ("succ", And): RuleId.AND_R,
+    ("succ", Or): RuleId.OR_R_STAR,
+    ("succ", Imp): RuleId.IMP_R,
+    ("succ", Forall): RuleId.FORALL_R,
+}
+
+
 def _inverted_sequent(s: Sequent, side: str, f: Formula, which: int, eigen: str | None) -> Sequent:
     """The sequent obtained by replacing one occurrence of f with its premise parts."""
-    if side == "ante":
-        rest = multiset_minus(s.ante, (f,))
-        if rest is None:
-            raise TransformError(f"{format_formula(f)} does not occur in the antecedent of {s}")
-        match f:
-            case And(l, r):
-                return Sequent(rest + (l, r), s.succ)
-            case Or(l, r):
-                return Sequent(rest + ((l,) if which == 0 else (r,)), s.succ)
-            case Imp(l, r):
-                if which == 0:
-                    return Sequent(rest, s.succ + (l,))
-                return Sequent(rest + (r,), s.succ)
-            case Exists():
-                return Sequent(rest + (instantiate(f, Const(eigen)),), s.succ)
-    else:
-        rest = multiset_minus(s.succ, (f,))
-        if rest is None:
-            raise TransformError(f"{format_formula(f)} does not occur in the succedent of {s}")
-        match f:
-            case And(l, r):
-                return Sequent(s.ante, rest + ((l,) if which == 0 else (r,)))
-            case Or(l, r):
-                return Sequent(s.ante, rest + (l, r))
-            case Imp(l, r):
-                return Sequent(s.ante + (l,), rest + (r,))
-            case Forall():
-                return Sequent(s.ante, rest + (instantiate(f, Const(eigen)),))
-    raise TransformError(f"no invertible rule applies to {format_formula(f)} on the {side} side")
+    try:
+        index = (s.ante if side == "ante" else s.succ).index(f)
+    except ValueError:
+        where = "antecedent" if side == "ante" else "succedent"
+        raise TransformError(f"{format_formula(f)} does not occur in the {where} of {s}") from None
+    rule = _INVERTIBLE.get((side, type(f)))
+    if rule is None:
+        raise TransformError(f"no invertible rule applies to {format_formula(f)} on the {side} side")
+    return premises(rule, s, index, f, eigen=eigen)[which]
 
 
 def _rebind_eigen(q: Proof, old: str, new: str) -> Proof:

@@ -34,11 +34,14 @@ from seqcalc.syntax import (
     Atom,
     Bot,
     Const,
+    Exists,
+    Forall,
     Imp,
     Or,
     Sequent,
     Top,
     Var,
+    exists,
     forall,
 )
 
@@ -166,6 +169,94 @@ def test_failure_path_names_the_offending_premise():
     )
     rep = check_proof(node, CLASSICAL)
     assert not rep and rep.path == (1,)
+
+
+# Every rule with a principal formula: its side, the connective its principal
+# must have (None: any), the phrase the checker names it by (verbatim, "a
+# exists formula" included), the class the rule is checked in, and the binder
+# datum it needs ("witness", "eigen" or None).
+_RULE_SHAPES = {
+    RuleId.CONTR_L: ("ante", None, None, "c", None),
+    RuleId.CONTR_R: ("succ", None, None, "c", None),
+    RuleId.BOT_R: ("succ", None, None, "c", None),
+    RuleId.AND_L_LEFT: ("ante", And, "a conjunction", "c", None),
+    RuleId.AND_L_RIGHT: ("ante", And, "a conjunction", "c", None),
+    RuleId.AND_L_STAR: ("ante", And, "a conjunction", "cstar", None),
+    RuleId.OR_L: ("ante", Or, "a disjunction", "c", None),
+    RuleId.OR_L_RESTART: ("ante", Or, "a disjunction", "ig", None),
+    RuleId.AND_R: ("succ", And, "a conjunction", "c", None),
+    RuleId.OR_R_LEFT: ("succ", Or, "a disjunction", "c", None),
+    RuleId.OR_R_RIGHT: ("succ", Or, "a disjunction", "c", None),
+    RuleId.OR_R_STAR: ("succ", Or, "a disjunction", "cstar", None),
+    RuleId.IMP_L: ("ante", Imp, "an implication", "c", None),
+    RuleId.IMP_L_STAR: ("ante", Imp, "an implication", "cstar", None),
+    RuleId.IMP_L_STAR_INT: ("ante", Imp, "an implication", "istar", None),
+    RuleId.IMP_R: ("succ", Imp, "an implication", "c", None),
+    RuleId.FORALL_L: ("ante", Forall, "a forall formula", "c", "witness"),
+    RuleId.FORALL_L_STAR: ("ante", Forall, "a forall formula", "cstar", "witness"),
+    RuleId.EXISTS_R: ("succ", Exists, "a exists formula", "c", "witness"),
+    RuleId.EXISTS_R_STAR: ("succ", Exists, "a exists formula", "cstar", "witness"),
+    RuleId.EXISTS_L: ("ante", Exists, "a exists formula", "c", "eigen"),
+    RuleId.FORALL_R: ("succ", Forall, "a forall formula", "c", "eigen"),
+}
+
+_SAMPLES = {
+    And: And(Q, S),
+    Or: Or(Q, S),
+    Imp: Imp(Q, S),
+    Forall: forall("x", Atom("p", (Var("x"),))),
+    Exists: exists("x", Atom("p", (Var("x"),))),
+}
+
+
+def _shape_class(kind):
+    return ProofClass(kind, Q) if kind in ("ig", "og") else ProofClass(kind)
+
+
+def test_rule_shape_table_covers_every_rule_with_a_principal():
+    assert set(_RULE_SHAPES) == set(RuleId) - {RuleId.AXIOM, RuleId.RESTART}
+
+
+@pytest.mark.parametrize(
+    "rule",
+    [r for r, shape in _RULE_SHAPES.items() if shape[1] is not None],
+    ids=lambda r: r.value,
+)
+def test_checker_rejects_a_principal_of_the_wrong_connective(rule):
+    side, conn, noun, kind, _ = _RULE_SHAPES[rule]
+    wrong = Or(Q, S) if conn is And else And(Q, S)
+    node = Proof(rule, Sequent((wrong,), (wrong,)), (), principal=(side, 0))
+    rep = check_proof(node, _shape_class(kind))
+    assert not rep and rep.path == ()
+    assert rep.message == f"principal of {rule.value} must be {noun}"
+
+
+@pytest.mark.parametrize("rule", list(_RULE_SHAPES), ids=lambda r: r.value)
+def test_checker_rejects_a_principal_on_the_wrong_side(rule):
+    side, conn, _, kind, _ = _RULE_SHAPES[rule]
+    f = _SAMPLES[conn] if conn is not None else Q
+    other = "succ" if side == "ante" else "ante"
+    node = Proof(rule, Sequent((f,), (f,)), (), principal=(other, 0))
+    rep = check_proof(node, _shape_class(kind))
+    assert not rep and rep.path == ()
+    assert rep.message == f"rule {rule.value} expects its principal on the {side} side"
+
+
+@pytest.mark.parametrize(
+    "rule",
+    [r for r, shape in _RULE_SHAPES.items() if shape[4]],
+    ids=lambda r: r.value,
+)
+def test_checker_rejects_a_quantifier_rule_without_its_term(rule):
+    side, conn, _, kind, needs = _RULE_SHAPES[rule]
+    f = _SAMPLES[conn]
+    node = Proof(rule, Sequent((f,), (f,)), (), principal=(side, 0))
+    rep = check_proof(node, _shape_class(kind))
+    assert not rep and rep.path == ()
+    if needs == "witness":
+        assert rep.message == f"rule {rule.value} needs a witness term"
+    else:
+        assert rep.message == f"rule {rule.value} needs an eigenvariable"
 
 
 # ---------------------------------------------------------------------------

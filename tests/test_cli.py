@@ -161,6 +161,22 @@ def test_analyze_reports_rules_and_conditions(tmp_path, capsys):
     assert "reduction[restart]: condition 1" in text
 
 
+def test_analyze_missing_file_is_data_error(capsys):
+    assert run("analyze", "/nonexistent/p.json") == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("cannot read /nonexistent/p.json: ")
+
+
+def test_analyze_malformed_file_is_data_error(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text("{]")
+    assert run("analyze", str(bad)) == EXIT_DATA
+    assert capsys.readouterr().err.startswith("malformed proof file: ")
+    bad.write_text('{"class": "c", "rule": "axiom", "sequent": {"ante": ["q &"], "succ": []}}')
+    assert run("analyze", str(bad)) == EXIT_DATA
+    assert capsys.readouterr().err == "expected a formula, found end of input (line 1, column 4)\n"
+
+
 def test_analyze_axiom_only_profile(tmp_path, capsys):
     out = tmp_path / "p.json"
     run("prove", "q |- q", "--emit", str(out))

@@ -205,6 +205,23 @@ def test_determinism_across_runs():
     assert dump_proof(a.proof, a.proof_class) == dump_proof(b.proof, b.proof_class)
 
 
+@pytest.mark.parametrize(
+    "text,logic",
+    [
+        ("q, q | s, q | s |- t => t", "i"),
+        ("q, q | s, q | s, q => r |- r", "o"),
+        ("q, q | s, q | s, q => r |- r", "i"),
+    ],
+)
+def test_loop_check_keeps_repeated_members_decomposed_eagerly(text, logic):
+    # splitting one of two equal disjunctions leaves a state that differs
+    # from its parent only in that disjunction's multiplicity; the loop
+    # check must not take it for a cycle
+    res = prove(parse_sequent(text), logic)
+    assert isinstance(res, Proved), res
+    assert check_proof(res.proof, res.proof_class)
+
+
 # ---------------------------------------------------------------------------
 # Herbrandization
 
