@@ -691,12 +691,12 @@ class _GroundProver:
         self._tmpl_memo[f] = got
         return got
 
-    def _canon(self, s: Sequent, counts: dict[Formula, int] | None = None):
-        """Canonical state key: constants outside the root vocabulary are
-        renamed by first occurrence over the sorted templates, so isomorphic
-        states tend to compare equal (and equal states always do).  With
-        counts given, also returns the instantiation tallies under the same
-        renaming."""
+    def _canon(self, s: Sequent, counts: dict[Formula, int]):
+        """Canonical state keys for the loop check and the failure cache:
+        constants outside the root vocabulary are renamed by first occurrence
+        over the sorted templates, so isomorphic states tend to compare equal
+        (and equal states always do).  The failure-cache key also holds the
+        instantiation tallies."""
         items = sorted(self._template(f) for f in s.ante)
         gt, gcs = self._template(s.succ[0])
         mapping: dict[str, str] = {}
@@ -723,13 +723,14 @@ class _GroundProver:
         # principal, so the kept copies cannot pile up along a path.
         kept = dict.fromkeys(parts)
         if len(kept) < len(parts):
+            # sorting put equal members side by side
             eager = self._eager
-            kept = [p for p in parts if p.startswith(eager)] + [
-                p for p in kept if not p.startswith(eager)
-            ]
+            kept, prev = [], None
+            for p in parts:
+                if p != prev or p.startswith(eager):
+                    kept.append(p)
+                prev = p
         loop_key = ";".join(kept) + "|-" + goal
-        if counts is None:
-            return loop_key
         state_key = ";".join(parts) + "|-" + goal
         tallies = tuple(sorted(kv for kv in counts.items() if kv[1]))
         return loop_key, (state_key, tallies)
