@@ -324,7 +324,7 @@ _CONNECTIVE_NAMES = {
     Or: "a disjunction",
     Imp: "an implication",
     Forall: "a forall formula",
-    Exists: "a exists formula",
+    Exists: "an exists formula",
 }
 
 #: rules whose premises keep the principal formula
@@ -426,8 +426,6 @@ def _check_node(node: Proof, cls: ProofClass, strengthened: bool) -> str | None:
         return None
 
     if rule is RuleId.RESTART:
-        if cls.kind not in _RESTART_KINDS:
-            return "restart outside a restart class"
         if len(node.premises) != 1:
             return "restart takes one premise"
         if len(s.succ) != 1:

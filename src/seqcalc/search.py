@@ -22,14 +22,17 @@ Three engines share this module:
   available.  The restart variant adds a restart rule and a restart-aware
   disjunction-left rule aimed at a fixed goal formula.  These goal-directed
   searches report Proved or NotProvedWithinLimits, never Refuted.
+
+The intuitionistic, goal-directed and restart searches share one ground
+engine.  It runs in the caller's thread on an explicit stack of suspended
+rule applications, so a search path may be as long as memory allows and a
+call changes no interpreter-wide setting; concurrent calls are independent.
 """
 
 from __future__ import annotations
 
-import sys
-import threading
 from dataclasses import dataclass
-from typing import Iterator, Union
+from typing import Generator, Iterator, Union
 
 from .calculus import Proof, ProofClass, RuleId, is_axiom, restart_class
 from .syntax import (
@@ -269,6 +272,10 @@ class _OutOfNodes(Exception):
 
 # lowlink value meaning "no cycle detected in this subtree"
 _NO_CYCLE = 10**9
+
+# a ground-search visit: yields premises as (sequent, depth, counts), is sent
+# each premise's proof or None, and returns its own
+_Visit = Generator[tuple, Proof | None, Proof | None]
 
 
 class _Budget:
@@ -797,6 +804,28 @@ class _GroundProver:
     # -- search -----------------------------------------------------------------
 
     def search(self, s: Sequent, depth: int, counts: dict[Formula, int]) -> Proof | None:
+        """Search s on an explicit stack in the caller's thread.  A visit is
+        a generator that yields each premise it needs as (sequent, depth,
+        counts) and receives the premise's proof or None; the stack holds
+        the suspended visits of the current path, so the path's length is
+        bounded by memory, not by the interpreter's recursion limit."""
+        stack: list = []
+        visit = self._visit(s, depth, counts)
+        result = None
+        while True:
+            try:
+                premise = visit.send(result)
+            except StopIteration as done:
+                if not stack:
+                    return done.value
+                visit = stack.pop()
+                result = done.value
+            else:
+                stack.append(visit)
+                visit = self._visit(*premise)
+                result = None
+
+    def _visit(self, s: Sequent, depth: int, counts: dict[Formula, int]) -> _Visit:
         self.budget.tick()
         goal = s.succ[0]
         strengthened = self.limits.strengthened_axioms
@@ -835,13 +864,11 @@ class _GroundProver:
         self._path[loop_key] = level
         outer_low, self._low = self._low, _NO_CYCLE
         mark = len(self._pending)
-        try:
-            if self.uniform:
-                result = self._search_uniform(s, goal, depth - 1, counts)
-            else:
-                result = self._search_starred(s, goal, depth - 1, counts)
-        finally:
-            del self._path[loop_key]
+        if self.uniform:
+            result = yield from self._search_uniform(s, goal, depth - 1, counts)
+        else:
+            result = yield from self._search_starred(s, goal, depth - 1, counts)
+        del self._path[loop_key]
         if result is not None:
             # a proof voids the subtree's provisional failures: they assumed
             # ancestors with no proof
@@ -865,26 +892,26 @@ class _GroundProver:
                 self._low = outer_low
         return None
 
-    def _right_rule(self, s, goal, depth, counts) -> Proof | None:
+    def _right_rule(self, s, goal, depth, counts) -> _Visit:
         """Introduce a compound goal by its right rule; None if that fails
         or the goal is not compound.  Both search modes share this."""
         match goal:
             case And(l, r):
-                sub1 = self.search(Sequent(s.ante, (l,)), depth, counts)
+                sub1 = yield (Sequent(s.ante, (l,)), depth, counts)
                 if sub1 is None:
                     return None
-                sub2 = self.search(Sequent(s.ante, (r,)), depth, counts)
+                sub2 = yield (Sequent(s.ante, (r,)), depth, counts)
                 return None if sub2 is None else Proof(RuleId.AND_R, s, (sub1, sub2), ("succ", 0))
             case Imp(l, r):
-                sub = self.search(Sequent(s.ante + (l,), (r,)), depth, counts)
+                sub = yield (Sequent(s.ante + (l,), (r,)), depth, counts)
                 return None if sub is None else Proof(RuleId.IMP_R, s, (sub,), ("succ", 0))
             case Forall():
                 c = self._fresh()
-                sub = self.search(Sequent(s.ante, (instantiate(goal, Const(c)),)), depth, counts)
+                sub = yield (Sequent(s.ante, (instantiate(goal, Const(c)),)), depth, counts)
                 return None if sub is None else Proof(RuleId.FORALL_R, s, (sub,), ("succ", 0), eigen=c)
             case Or(l, r):
                 for rule, kept in ((RuleId.OR_R_LEFT, l), (RuleId.OR_R_RIGHT, r)):
-                    sub = self.search(Sequent(s.ante, (kept,)), depth, counts)
+                    sub = yield (Sequent(s.ante, (kept,)), depth, counts)
                     if sub is not None:
                         return Proof(rule, s, (sub,), ("succ", 0))
             case Exists():
@@ -893,13 +920,13 @@ class _GroundProver:
                     c2 = dict(counts)
                     c2[key] = c2.get(key, 0) + 1
                     for t in self._witnesses(s):
-                        sub = self.search(Sequent(s.ante, (instantiate(goal, t),)), depth, c2)
+                        sub = yield (Sequent(s.ante, (instantiate(goal, t),)), depth, c2)
                         if sub is not None:
                             return Proof(RuleId.EXISTS_R, s, (sub,), ("succ", 0), witness=t)
         return None
 
     # invertible-first search over the starred single-succedent rules
-    def _search_starred(self, s, goal, depth, counts) -> Proof | None:
+    def _search_starred(self, s, goal, depth, counts) -> _Visit:
         # both branches of imp-l*-int keep an atomic goal, so an unmatchable
         # one dooms the whole subtree
         if type(goal) in (Atom, Bot) and not self._attainable(s, goal):
@@ -908,34 +935,34 @@ class _GroundProver:
             match f:
                 case And(l, r):
                     prem = s.without_ante(i).plus(ante=(l, r))
-                    sub = self.search(prem, depth, counts)
+                    sub = yield (prem, depth, counts)
                     return None if sub is None else Proof(RuleId.AND_L_STAR, s, (sub,), ("ante", i))
                 case Exists():
                     c = self._fresh()
                     prem = s.without_ante(i).plus(ante=(instantiate(f, Const(c)),))
-                    sub = self.search(prem, depth, counts)
+                    sub = yield (prem, depth, counts)
                     return None if sub is None else Proof(RuleId.EXISTS_L, s, (sub,), ("ante", i), eigen=c)
                 case Or(l, r):
                     rest = s.without_ante(i)
-                    sub1 = self.search(rest.plus(ante=(l,)), depth, counts)
+                    sub1 = yield (rest.plus(ante=(l,)), depth, counts)
                     if sub1 is None:
                         return None
-                    sub2 = self.search(rest.plus(ante=(r,)), depth, counts)
+                    sub2 = yield (rest.plus(ante=(r,)), depth, counts)
                     return None if sub2 is None else Proof(RuleId.OR_L, s, (sub1, sub2), ("ante", i))
                 case _:
                     pass
         # the right rules of and, imp and forall are invertible; those of or
         # and exists are genuine choice points, and the left rules below
         # follow in a fixed order when they fail
-        sub = self._right_rule(s, goal, depth, counts)
+        sub = yield from self._right_rule(s, goal, depth, counts)
         if sub is not None or isinstance(goal, (And, Imp, Forall)):
             return sub
         for i, f in enumerate(s.ante):
             if isinstance(f, Imp):
-                sub1 = self.search(Sequent(s.ante, (f.left,)), depth, counts)
+                sub1 = yield (Sequent(s.ante, (f.left,)), depth, counts)
                 if sub1 is not None:
                     prem2 = s.without_ante(i).plus(ante=(f.right,))
-                    sub2 = self.search(prem2, depth, counts)
+                    sub2 = yield (prem2, depth, counts)
                     if sub2 is not None:
                         return Proof(RuleId.IMP_L_STAR_INT, s, (sub1, sub2), ("ante", i))
         for i, f in enumerate(s.ante):
@@ -951,21 +978,21 @@ class _GroundProver:
                 inst = instantiate(f, t)
                 if inst in ante_set:
                     continue
-                sub = self.search(s.plus(ante=(inst,)), depth, c2)
+                sub = yield (s.plus(ante=(inst,)), depth, c2)
                 if sub is not None:
                     return Proof(RuleId.FORALL_L_STAR, s, (sub,), ("ante", i), witness=t)
         return None
 
     # goal-directed search emitting plain rules
-    def _search_uniform(self, s, goal, depth, counts) -> Proof | None:
+    def _search_uniform(self, s, goal, depth, counts) -> _Visit:
         if isinstance(goal, (And, Or, Imp, Forall, Exists)):
-            return self._right_rule(s, goal, depth, counts)
+            return (yield from self._right_rule(s, goal, depth, counts))
 
         # atomic (or bottom) goal: a goal no antecedent head can produce is
         # hopeless here, and only a restart can rescue it
         if not self._attainable(s, goal):
             if self.rgoal is not None and goal != self.rgoal:
-                sub = self.search(Sequent(s.ante, (self.rgoal,)), depth, counts)
+                sub = yield (Sequent(s.ante, (self.rgoal,)), depth, counts)
                 if sub is not None:
                     return Proof(RuleId.RESTART, s, (sub,))
             return None
@@ -979,14 +1006,14 @@ class _GroundProver:
             if k is Exists:
                 c = self._fresh()
                 prem = s.without_ante(i).plus(ante=(instantiate(f, Const(c)),))
-                sub = self.search(prem, depth, counts)
+                sub = yield (prem, depth, counts)
                 return None if sub is None else Proof(RuleId.EXISTS_L, s, (sub,), ("ante", i), eigen=c)
             if k is Or and self.rgoal is None:
                 rest = s.without_ante(i)
-                sub1 = self.search(rest.plus(ante=(f.left,)), depth, counts)
+                sub1 = yield (rest.plus(ante=(f.left,)), depth, counts)
                 if sub1 is None:
                     return None
-                sub2 = self.search(rest.plus(ante=(f.right,)), depth, counts)
+                sub2 = yield (rest.plus(ante=(f.right,)), depth, counts)
                 return None if sub2 is None else Proof(RuleId.OR_L, s, (sub1, sub2), ("ante", i))
 
         if self.rgoal is not None:
@@ -999,9 +1026,9 @@ class _GroundProver:
                 if type(f) is not Or:
                     continue
                 rest = s.without_ante(i)
-                if self.search(rest.plus(ante=(f.left,)), depth, counts) is None:
+                if (yield (rest.plus(ante=(f.left,)), depth, counts)) is None:
                     return None
-                if self.search(rest.plus(ante=(f.right,)), depth, counts) is None:
+                if (yield (rest.plus(ante=(f.right,)), depth, counts)) is None:
                     return None
                 break
 
@@ -1009,10 +1036,10 @@ class _GroundProver:
         for i, f in enumerate(s.ante):
             match f:
                 case Imp(l, r):
-                    sub1 = self.search(Sequent(s.ante, (l,)), depth, counts)
+                    sub1 = yield (Sequent(s.ante, (l,)), depth, counts)
                     if sub1 is None:
                         continue
-                    sub2 = self.search(s.plus(ante=(r,)), depth, counts)
+                    sub2 = yield (s.plus(ante=(r,)), depth, counts)
                     if sub2 is None:
                         continue
                     return self._contracted(s, f, RuleId.IMP_L, (sub1, sub2))
@@ -1020,7 +1047,7 @@ class _GroundProver:
                     for rule, kept in ((RuleId.AND_L_LEFT, l), (RuleId.AND_L_RIGHT, r)):
                         if kept in s.ante:
                             continue
-                        sub = self.search(s.plus(ante=(kept,)), depth, counts)
+                        sub = yield (s.plus(ante=(kept,)), depth, counts)
                         if sub is not None:
                             return self._contracted(s, f, rule, (sub,))
                 case Forall():
@@ -1034,24 +1061,24 @@ class _GroundProver:
                         inst = instantiate(f, t)
                         if inst in ante_set:
                             continue
-                        sub = self.search(s.plus(ante=(inst,)), depth, c2)
+                        sub = yield (s.plus(ante=(inst,)), depth, c2)
                         if sub is not None:
                             return self._contracted(s, f, RuleId.FORALL_L, (sub,), witness=t)
                 case Or(l, r):
                     # only reached with a restart goal; the plain split
                     # happened eagerly above
                     rest = s.without_ante(i)
-                    sub1 = self.search(rest.plus(ante=(l,)), depth, counts)
+                    sub1 = yield (rest.plus(ante=(l,)), depth, counts)
                     if sub1 is None:
                         continue
-                    sub2 = self.search(Sequent(rest.ante + (r,), (self.rgoal,)), depth, counts)
+                    sub2 = yield (Sequent(rest.ante + (r,), (self.rgoal,)), depth, counts)
                     if sub2 is None:
                         continue
                     return Proof(RuleId.OR_L_RESTART, s, (sub1, sub2), ("ante", i))
                 case _:
                     pass
         if self.rgoal is not None and goal != self.rgoal:
-            sub = self.search(Sequent(s.ante, (self.rgoal,)), depth, counts)
+            sub = yield (Sequent(s.ante, (self.rgoal,)), depth, counts)
             if sub is not None:
                 return Proof(RuleId.RESTART, s, (sub,))
         return None
@@ -1064,34 +1091,15 @@ class _GroundProver:
 
     def run(self) -> SearchOutcome:
         qf = is_quantifier_free_sequent(self.root)
-        depth = 10**9 if qf else self.limits.depth
         # quantifier-free search has no depth bound (the loop check is what
-        # terminates it), so paths can recurse past the default interpreter
-        # limits; give the search its own deep stack
-        box: list = []
-
-        def go() -> None:
-            try:
-                box.append(self.search(self.root, depth, {}))
-            except BaseException as exc:  # re-raised below
-                box.append(exc)
-
-        old_limit = sys.getrecursionlimit()
-        threading.stack_size(256 * 1024 * 1024)
-        sys.setrecursionlimit(200_000)
-        worker = threading.Thread(target=go)
-        try:
-            worker.start()
-            worker.join()
-        finally:
-            sys.setrecursionlimit(old_limit)
-            threading.stack_size(0)
+        # terminates it); its paths grow on search's own stack, not the
+        # interpreter's
+        depth = 10**9 if qf else self.limits.depth
         out_of_nodes = False
-        proof = box[0]
-        if isinstance(proof, _OutOfNodes):
+        try:
+            proof = self.search(self.root, depth, {})
+        except _OutOfNodes:
             proof, out_of_nodes = None, True
-        elif isinstance(proof, BaseException):
-            raise proof
         if proof is not None:
             if self.rgoal is not None:
                 return Proved(proof, restart_class(self.rgoal))

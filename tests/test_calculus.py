@@ -194,9 +194,9 @@ _RULE_SHAPES = {
     RuleId.IMP_R: ("succ", Imp, "an implication", "c", None),
     RuleId.FORALL_L: ("ante", Forall, "a forall formula", "c", "witness"),
     RuleId.FORALL_L_STAR: ("ante", Forall, "a forall formula", "cstar", "witness"),
-    RuleId.EXISTS_R: ("succ", Exists, "a exists formula", "c", "witness"),
-    RuleId.EXISTS_R_STAR: ("succ", Exists, "a exists formula", "cstar", "witness"),
-    RuleId.EXISTS_L: ("ante", Exists, "a exists formula", "c", "eigen"),
+    RuleId.EXISTS_R: ("succ", Exists, "an exists formula", "c", "witness"),
+    RuleId.EXISTS_R_STAR: ("succ", Exists, "an exists formula", "cstar", "witness"),
+    RuleId.EXISTS_L: ("ante", Exists, "an exists formula", "c", "eigen"),
     RuleId.FORALL_R: ("succ", Forall, "a forall formula", "c", "eigen"),
 }
 
@@ -331,6 +331,13 @@ def test_restart_node_reproves_the_goal():
     assert check_proof(node, ProofClass("ig", goal=Q))
     wrong = ProofClass("og", goal=S)
     assert not check_proof(node, wrong)
+
+
+def test_restart_node_rejected_outside_the_restart_classes():
+    node = Proof(RuleId.RESTART, Sequent((Q,), (T,)), (axiom([Q], [Q]),))
+    rep = check_proof(node, INTUITIONISTIC)
+    assert not rep and rep.path == ()
+    assert rep.message == "rule restart is not part of class i"
 
 
 def test_plain_or_l_banned_in_restart_classes():

@@ -1,6 +1,9 @@
 """Proof search: verdicts per logic, limits, restart, Herbrandization, unification."""
 
 import random
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 from hypothesis import given
@@ -22,6 +25,7 @@ from seqcalc.search import (
     unify_formulas,
 )
 from seqcalc.syntax import (
+    And,
     App,
     Atom,
     Bound,
@@ -220,6 +224,51 @@ def test_loop_check_keeps_repeated_members_decomposed_eagerly(text, logic):
     res = prove(parse_sequent(text), logic)
     assert isinstance(res, Proved), res
     assert check_proof(res.proof, res.proof_class)
+
+
+def _signature(res):
+    if isinstance(res, Proved):
+        return dump_proof(res.proof, res.proof_class)
+    return type(res).__name__
+
+
+def test_concurrent_calls_leave_interpreter_settings_alone():
+    rng = random.Random(5)
+    jobs = []
+    for k in range(64):
+        s = random_propositional_sequent(rng, 8)
+        jobs.append((Sequent(s.ante, s.succ[:1] or (Atom("q"),)), "io"[k % 2]))
+    expected = [_signature(prove(s, logic)) for s, logic in jobs]
+    limit, stack = sys.getrecursionlimit(), threading.stack_size()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            futures = [pool.submit(prove, s, logic) for s, logic in jobs]
+            got = [_signature(f.result(timeout=120)) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert sys.getrecursionlimit() == limit
+    assert threading.stack_size() == stack
+    assert got == expected
+
+
+def _balanced_conjunction(atoms):
+    if len(atoms) == 1:
+        return atoms[0]
+    mid = len(atoms) // 2
+    return And(_balanced_conjunction(atoms[:mid]), _balanced_conjunction(atoms[mid:]))
+
+
+def test_deep_search_paths_need_no_deep_interpreter_stack():
+    # and-l* splits one conjunction per step, so the path to the first
+    # closure is over 500 visits long
+    c = _balanced_conjunction([Atom(f"p{k}") for k in range(512)])
+    limit = sys.getrecursionlimit()
+    res = prove(Sequent((c,), (c,)), "i")
+    assert isinstance(res, Proved), res
+    assert check_proof(res.proof, res.proof_class)
+    assert sys.getrecursionlimit() == limit
 
 
 # ---------------------------------------------------------------------------
