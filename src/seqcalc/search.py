@@ -101,12 +101,6 @@ class Subst:
     def resolve_formula(self, f: Formula) -> Formula:
         return map_terms(f, lambda a, _: self.resolve_term(a))
 
-    def resolve_sequent(self, s: Sequent) -> Sequent:
-        return Sequent(
-            tuple(self.resolve_formula(f) for f in s.ante),
-            tuple(self.resolve_formula(f) for f in s.succ),
-        )
-
 
 def _occurs_or_captures(ident: int, t: Term, subst: Subst) -> bool:
     """True if metavariable ident occurs in t, or t is not locally closed."""
@@ -358,7 +352,11 @@ class _ClassicalProver:
             premise = Proof(RuleId.AXIOM, s.without_succ(0).plus(succ=(BOT,)))
             return Proof(RuleId.BOT_R, s, (premise,), ("succ", 0))
 
+        # rest, the sequent without the principal, is built only for members
+        # that a rule here takes apart
         for i, f in enumerate(s.ante):
+            if type(f) not in (And, Or, Imp):
+                continue
             rest = s.without_ante(i)
             match f:
                 case And(l, r):
@@ -371,16 +369,16 @@ class _ClassicalProver:
                     sub2 = self.decide(rest.plus(ante=(r,)))
                     return None if sub2 is None else Proof(RuleId.OR_L, s, (sub1, sub2), ("ante", i))
                 case Imp(l, r):
-                    sub1 = self.decide(Sequent(rest.ante, s.succ + (l,)))
+                    sub1 = self.decide(rest.plus(succ=(l,)))
                     if sub1 is None:
                         return None
-                    sub2 = self.decide(Sequent(rest.ante + (r,), s.succ))
+                    sub2 = self.decide(rest.plus(ante=(r,)))
                     return (
                         None if sub2 is None else Proof(RuleId.IMP_L_STAR, s, (sub1, sub2), ("ante", i))
                     )
-                case _:
-                    pass
         for i, f in enumerate(s.succ):
+            if type(f) not in (And, Or, Imp):
+                continue
             rest = s.without_succ(i)
             match f:
                 case And(l, r):
@@ -395,8 +393,6 @@ class _ClassicalProver:
                 case Imp(l, r):
                     sub = self.decide(rest.plus(ante=(l,), succ=(r,)))
                     return None if sub is None else Proof(RuleId.IMP_R, s, (sub,), ("succ", i))
-                case _:
-                    pass
         return None
 
     # -- metavariable search --------------------------------------------------
@@ -451,6 +447,8 @@ class _ClassicalProver:
 
         # one invertible step, when available
         for i, f in enumerate(s.ante):
+            if type(f) not in (And, Or, Imp, Exists):
+                continue
             rest = s.without_ante(i)
             match f:
                 case And(l, r):
@@ -464,23 +462,22 @@ class _ClassicalProver:
                             yield sb2, _Skel(RuleId.OR_L, s, (sk1, sk2), "ante", f)
                     return
                 case Imp(l, r):
-                    p1 = Sequent(rest.ante, s.succ + (l,))
-                    p2 = Sequent(rest.ante + (r,), s.succ)
+                    p1, p2 = rest.plus(succ=(l,)), rest.plus(ante=(r,))
                     for sb1, sk1 in self.solve(p1, subst, counts, mult):
                         for sb2, sk2 in self.solve(p2, sb1, counts, mult):
                             yield sb2, _Skel(RuleId.IMP_L_STAR, s, (sk1, sk2), "ante", f)
                     return
                 case Exists():
                     name = self.fresh_eigen()
-                    live = sorted(metas_in(subst.resolve_sequent(s)))
+                    live = sorted(metas_in(map(subst.resolve_formula, s.ante + s.succ)))
                     t: Term = App(name, tuple(Meta(m) for m in live)) if live else Const(name)
                     prem = rest.plus(ante=(instantiate(f, t),))
                     for sb, sk in self.solve(prem, subst, counts, mult):
                         yield sb, _Skel(RuleId.EXISTS_L, s, (sk,), "ante", f, eigen=name)
                     return
-                case _:
-                    pass
         for i, f in enumerate(s.succ):
+            if type(f) not in (And, Or, Imp, Forall):
+                continue
             rest = s.without_succ(i)
             match f:
                 case And(l, r):
@@ -499,14 +496,12 @@ class _ClassicalProver:
                     return
                 case Forall():
                     name = self.fresh_eigen()
-                    live = sorted(metas_in(subst.resolve_sequent(s)))
+                    live = sorted(metas_in(map(subst.resolve_formula, s.ante + s.succ)))
                     t = App(name, tuple(Meta(m) for m in live)) if live else Const(name)
                     prem = rest.plus(succ=(instantiate(f, t),))
                     for sb, sk in self.solve(prem, subst, counts, mult):
                         yield sb, _Skel(RuleId.FORALL_R, s, (sk,), "succ", f, eigen=name)
                     return
-                case _:
-                    pass
 
         # quantifier instantiations: the only genuine proof-shape choices left
         for f in s.ante:
@@ -533,7 +528,7 @@ class _ClassicalProver:
         symbols: set[str] = set(_symbols_everywhere(self.root)) | self.dynamic_eigens
 
         def scan(sk: _Skel) -> None:
-            resolved = subst.resolve_sequent(sk.seq)
+            resolved = [subst.resolve_formula(f) for f in sk.seq.ante + sk.seq.succ]
             leftovers.update(metas_in(resolved))
             symbols.update(free_symbols(resolved))
             if sk.witness is not None:
@@ -839,7 +834,7 @@ class _GroundProver:
             and not isinstance(goal, Bot)
             and (not self.uniform or isinstance(goal, Atom))
         ):
-            inner = Proof(RuleId.AXIOM, Sequent(s.ante, (BOT,)))
+            inner = Proof(RuleId.AXIOM, Sequent._presorted(s.ante, (BOT,)))
             return Proof(RuleId.BOT_R, s, (inner,), ("succ", 0))
 
         loop_key, cache_key = self._canon(s, counts)
@@ -897,21 +892,21 @@ class _GroundProver:
         or the goal is not compound.  Both search modes share this."""
         match goal:
             case And(l, r):
-                sub1 = yield (Sequent(s.ante, (l,)), depth, counts)
+                sub1 = yield (Sequent._presorted(s.ante, (l,)), depth, counts)
                 if sub1 is None:
                     return None
-                sub2 = yield (Sequent(s.ante, (r,)), depth, counts)
+                sub2 = yield (Sequent._presorted(s.ante, (r,)), depth, counts)
                 return None if sub2 is None else Proof(RuleId.AND_R, s, (sub1, sub2), ("succ", 0))
             case Imp(l, r):
-                sub = yield (Sequent(s.ante + (l,), (r,)), depth, counts)
+                sub = yield (s.without_succ(0).plus(ante=(l,), succ=(r,)), depth, counts)
                 return None if sub is None else Proof(RuleId.IMP_R, s, (sub,), ("succ", 0))
             case Forall():
                 c = self._fresh()
-                sub = yield (Sequent(s.ante, (instantiate(goal, Const(c)),)), depth, counts)
+                sub = yield (Sequent._presorted(s.ante, (instantiate(goal, Const(c)),)), depth, counts)
                 return None if sub is None else Proof(RuleId.FORALL_R, s, (sub,), ("succ", 0), eigen=c)
             case Or(l, r):
                 for rule, kept in ((RuleId.OR_R_LEFT, l), (RuleId.OR_R_RIGHT, r)):
-                    sub = yield (Sequent(s.ante, (kept,)), depth, counts)
+                    sub = yield (Sequent._presorted(s.ante, (kept,)), depth, counts)
                     if sub is not None:
                         return Proof(rule, s, (sub,), ("succ", 0))
             case Exists():
@@ -920,7 +915,7 @@ class _GroundProver:
                     c2 = dict(counts)
                     c2[key] = c2.get(key, 0) + 1
                     for t in self._witnesses(s):
-                        sub = yield (Sequent(s.ante, (instantiate(goal, t),)), depth, c2)
+                        sub = yield (Sequent._presorted(s.ante, (instantiate(goal, t),)), depth, c2)
                         if sub is not None:
                             return Proof(RuleId.EXISTS_R, s, (sub,), ("succ", 0), witness=t)
         return None
@@ -959,7 +954,7 @@ class _GroundProver:
             return sub
         for i, f in enumerate(s.ante):
             if isinstance(f, Imp):
-                sub1 = yield (Sequent(s.ante, (f.left,)), depth, counts)
+                sub1 = yield (Sequent._presorted(s.ante, (f.left,)), depth, counts)
                 if sub1 is not None:
                     prem2 = s.without_ante(i).plus(ante=(f.right,))
                     sub2 = yield (prem2, depth, counts)
@@ -992,7 +987,7 @@ class _GroundProver:
         # hopeless here, and only a restart can rescue it
         if not self._attainable(s, goal):
             if self.rgoal is not None and goal != self.rgoal:
-                sub = yield (Sequent(s.ante, (self.rgoal,)), depth, counts)
+                sub = yield (Sequent._presorted(s.ante, (self.rgoal,)), depth, counts)
                 if sub is not None:
                     return Proof(RuleId.RESTART, s, (sub,))
             return None
@@ -1036,7 +1031,7 @@ class _GroundProver:
         for i, f in enumerate(s.ante):
             match f:
                 case Imp(l, r):
-                    sub1 = yield (Sequent(s.ante, (l,)), depth, counts)
+                    sub1 = yield (Sequent._presorted(s.ante, (l,)), depth, counts)
                     if sub1 is None:
                         continue
                     sub2 = yield (s.plus(ante=(r,)), depth, counts)
@@ -1071,14 +1066,14 @@ class _GroundProver:
                     sub1 = yield (rest.plus(ante=(l,)), depth, counts)
                     if sub1 is None:
                         continue
-                    sub2 = yield (Sequent(rest.ante + (r,), (self.rgoal,)), depth, counts)
+                    sub2 = yield (rest.without_succ(0).plus(ante=(r,), succ=(self.rgoal,)), depth, counts)
                     if sub2 is None:
                         continue
                     return Proof(RuleId.OR_L_RESTART, s, (sub1, sub2), ("ante", i))
                 case _:
                     pass
         if self.rgoal is not None and goal != self.rgoal:
-            sub = yield (Sequent(s.ante, (self.rgoal,)), depth, counts)
+            sub = yield (Sequent._presorted(s.ante, (self.rgoal,)), depth, counts)
             if sub is not None:
                 return Proof(RuleId.RESTART, s, (sub,))
         return None

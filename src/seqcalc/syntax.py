@@ -3,12 +3,16 @@
 Bound variables are stored as nameless (de Bruijn) indices; each binder keeps
 a display-name hint that equality, hashing and ordering ignore, so
 alpha-equivalent formulas compare equal.  Sequents keep both sides as
-multisets in a canonical sorted order, which makes multiset equality plain
-tuple equality.
+multisets in a canonical sorted order (by formula_key, stable), which makes
+multiset equality plain tuple equality.  The public Sequent constructor
+sorts; only the private Sequent._presorted and the edits without_ante,
+without_succ and plus skip that sort, so they must be given sides that are
+already in that order.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
 import re
 from dataclasses import dataclass, field
@@ -406,7 +410,12 @@ def term_size(t: Term) -> int:
 @_cache_hashes
 @dataclass(frozen=True)
 class Sequent:
-    """A multiset sequent.  Both sides are stored sorted, so == is multiset equality."""
+    """A multiset sequent.  Both sides are stored sorted, so == is multiset equality.
+
+    The constructor sorts both sides.  Sequent._presorted, without_ante,
+    without_succ and plus do not: they need sides already in the order
+    sorted(key=formula_key) gives, as every Sequent's sides are, and keep
+    that order (plus inserts each new member where sorted() would put it)."""
 
     ante: tuple[Formula, ...] = ()
     succ: tuple[Formula, ...] = ()
@@ -415,20 +424,40 @@ class Sequent:
         object.__setattr__(self, "ante", tuple(sorted(self.ante, key=formula_key)))
         object.__setattr__(self, "succ", tuple(sorted(self.succ, key=formula_key)))
 
+    @classmethod
+    def _presorted(cls, ante: tuple[Formula, ...], succ: tuple[Formula, ...]) -> "Sequent":
+        """A sequent over sides that are already sorted by formula_key, in the
+        order sorted() gives them; the sides are taken as they are."""
+        s = object.__new__(cls)
+        object.__setattr__(s, "ante", ante)
+        object.__setattr__(s, "succ", succ)
+        return s
+
     def plus(self, ante: Iterable[Formula] = (), succ: Iterable[Formula] = ()) -> "Sequent":
-        return Sequent(self.ante + tuple(ante), self.succ + tuple(succ))
+        return Sequent._presorted(_insorted(self.ante, ante), _insorted(self.succ, succ))
 
     def without_ante(self, index: int) -> "Sequent":
-        return Sequent(self.ante[:index] + self.ante[index + 1 :], self.succ)
+        return Sequent._presorted(self.ante[:index] + self.ante[index + 1 :], self.succ)
 
     def without_succ(self, index: int) -> "Sequent":
-        return Sequent(self.ante, self.succ[:index] + self.succ[index + 1 :])
+        return Sequent._presorted(self.ante, self.succ[:index] + self.succ[index + 1 :])
 
     def __str__(self) -> str:
         return format_sequent(self)
 
     def __repr__(self) -> str:
         return f"Sequent({format_sequent(self)!r})"
+
+
+def _insorted(side: tuple[Formula, ...], new: Iterable[Formula]) -> tuple[Formula, ...]:
+    """The sorted side with the new members added: each goes after every
+    member with an equal key, which is where sorted() puts it after them."""
+    out = None
+    for f in new:
+        if out is None:
+            out = list(side)
+        bisect.insort_right(out, f, key=formula_key)
+    return side if out is None else tuple(out)
 
 
 def multiset_minus(xs: tuple[Formula, ...], ys: Iterable[Formula]) -> tuple[Formula, ...] | None:

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from seqcalc.calculus import ProofClass, check_proof, dump_proof
+from seqcalc.calculus import ProofClass, check_proof, dump_proof, proof_nodes
 from seqcalc.parser import parse_formula, parse_sequent
 from seqcalc.search import (
     NotProvedWithinLimits,
@@ -33,7 +33,9 @@ from seqcalc.syntax import (
     Exists,
     Sequent,
     format_sequent,
+    formula_key,
 )
+from seqcalc.transform import augment
 
 from _oracles import random_propositional_sequent, truth_table_valid
 
@@ -269,6 +271,32 @@ def test_deep_search_paths_need_no_deep_interpreter_stack():
     assert isinstance(res, Proved), res
     assert check_proof(res.proof, res.proof_class)
     assert sys.getrecursionlimit() == limit
+
+
+def test_classical_decision_of_a_wide_conjunction():
+    # the classical twin of the test above: and-l* and and-r each take one
+    # conjunction apart, over 500 steps between them
+    c = _balanced_conjunction([Atom(f"p{k}") for k in range(256)])
+    res = prove(Sequent((c,), (c,)), "c")
+    assert isinstance(res, Proved), res
+    assert check_proof(res.proof, res.proof_class)
+
+
+def test_search_builds_only_sorted_sequents(corpus):
+    # the engines build premises without re-sorting them; every side of
+    # every conclusion must still be in the order sorted() gives it
+    limits = SearchLimits(node_budget=5_000)
+    for e in corpus:
+        s = e.sequent
+        outcomes = [prove(s, logic, limits) for logic in "cio"]
+        outcomes += [prove_restart(s, limits), prove(augment(s), "o", limits)]
+        for res in outcomes:
+            if not isinstance(res, Proved):
+                continue
+            for node in proof_nodes(res.proof):
+                for side in (node.conclusion.ante, node.conclusion.succ):
+                    want = sorted(side, key=formula_key)
+                    assert all(a is b for a, b in zip(side, want)), (e.name, format_sequent(node.conclusion))
 
 
 # ---------------------------------------------------------------------------

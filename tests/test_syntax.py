@@ -237,6 +237,44 @@ def test_sequent_plus_and_without():
     assert back == s
 
 
+def _rehinted(f, hint: str):
+    """An alpha-variant of f: equal to it, but every binder named hint."""
+    if isinstance(f, (Forall, Exists)):
+        return type(f)(_rehinted(f.body, hint), hint)
+    if isinstance(f, (And, Or, Imp)):
+        return type(f)(_rehinted(f.left, hint), _rehinted(f.right, hint))
+    return f
+
+
+def _shown(s: Sequent):
+    """Both sides member by member, binder hints included."""
+    return [format_formula(f) for f in s.ante], [format_formula(f) for f in s.succ]
+
+
+@given(seeds)
+def test_sequent_edits_match_the_sorting_constructor(seed):
+    # without_* and plus skip the constructor's sort; they must still give
+    # the order sorted() gives, down to which of two alpha-variants comes first
+    rng = random.Random(seed)
+    pool = [
+        random_in_grammar(rng, rng.choice(FRAGMENTS), rng.choice(("clause", "goal")), rng.randrange(4), mixed_leaves())
+        for _ in range(3)
+    ]
+
+    def members(n: int) -> tuple:
+        return tuple(_rehinted(rng.choice(pool), rng.choice("xyz")) for _ in range(n))
+
+    s = Sequent(members(rng.randrange(6)), members(rng.randrange(4)))
+    edits = [(s.without_ante(i), Sequent(s.ante[:i] + s.ante[i + 1 :], s.succ)) for i in range(len(s.ante))]
+    edits += [(s.without_succ(i), Sequent(s.ante, s.succ[:i] + s.succ[i + 1 :])) for i in range(len(s.succ))]
+    for _ in range(4):
+        a, b = members(rng.randrange(3)), members(rng.randrange(3))
+        edits.append((s.plus(a, b), Sequent(s.ante + a, s.succ + b)))
+    for got, want in edits:
+        assert got == want
+        assert _shown(got) == _shown(want)
+
+
 # ---------------------------------------------------------------------------
 # sizes, keys, printing
 
