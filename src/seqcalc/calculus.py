@@ -16,6 +16,16 @@ calculus classes:
     ig / og     class i / o with the disjunction-left rule replaced by a
                 restart-aware variant and an explicit restart rule targeting
                 a fixed goal formula
+
+`dump_proof` writes a proof as one flat JSON document, `{"format": 2,
+"class", "goal"?, "formulas", "nodes"}`.  `formulas` lists each distinct
+formula text once.  `nodes` lists the nodes in post-order, so every node
+comes after its premises and the root is last; each non-root node is the
+premise of exactly one later node, so the document is a tree and not a
+shared graph.  A node names its conclusion's `ante` and `succ` as indices
+into `formulas` and its `premises` as indices into `nodes`, next to its
+`rule`, `principal`, `witness` and `eigen`; null and empty fields are left
+out.  `load_proof` rejects a document that breaks any of this.
 """
 
 from __future__ import annotations
@@ -508,71 +518,141 @@ def check_proof(proof: Proof, cls: ProofClass, strengthened_axioms: bool = False
 # ---------------------------------------------------------------------------
 # JSON round trip
 
-
-def _node_to_json(p: Proof) -> dict:
-    return {
-        "rule": p.rule.value,
-        "sequent": {
-            "ante": [format_formula(f) for f in p.conclusion.ante],
-            "succ": [format_formula(f) for f in p.conclusion.succ],
-        },
-        "principal": None if p.principal is None else {"side": p.principal[0], "index": p.principal[1]},
-        "witness": None if p.witness is None else format_term(p.witness),
-        "eigen": p.eigen,
-        "premises": [_node_to_json(q) for q in p.premises],
-    }
+#: version of the flat document layout, the only one load_proof reads
+_FORMAT = 2
 
 
 def proof_to_json(p: Proof, cls: ProofClass) -> dict:
-    doc = {"class": cls.kind}
+    """The flat document of p (see the module docstring).  Nodes are listed
+    per occurrence, so a subproof used twice is listed twice; formulas are
+    shared by object identity, then by printed text, never by == (which
+    would merge alpha-variants and lose a member's binder name)."""
+    formulas: list[str] = []
+    by_text: dict[str, int] = {}
+    by_id: dict[int, int] = {}
+
+    def refs(side: tuple[Formula, ...]) -> list[int]:
+        out = []
+        for f in side:
+            i = by_id.get(id(f))
+            if i is None:
+                text = format_formula(f)
+                i = by_id[id(f)] = by_text.setdefault(text, len(formulas))
+                if i == len(formulas):
+                    formulas.append(text)
+            out.append(i)
+        return out
+
+    nodes: list[dict] = []
+    # post-order on an explicit stack: (node, indices of its premises so far)
+    stack: list[tuple[Proof, list[int]]] = [(p, [])]
+    while stack:
+        node, done = stack[-1]
+        if len(done) < len(node.premises):
+            stack.append((node.premises[len(done)], []))
+            continue
+        stack.pop()
+        entry: dict = {"rule": node.rule.value}
+        if node.conclusion.ante:
+            entry["ante"] = refs(node.conclusion.ante)
+        if node.conclusion.succ:
+            entry["succ"] = refs(node.conclusion.succ)
+        if node.principal is not None:
+            entry["principal"] = list(node.principal)
+        if node.witness is not None:
+            entry["witness"] = format_term(node.witness)
+        if node.eigen is not None:
+            entry["eigen"] = node.eigen
+        if done:
+            entry["premises"] = done
+        if stack:
+            stack[-1][1].append(len(nodes))
+        nodes.append(entry)
+
+    doc: dict = {"format": _FORMAT, "class": cls.kind}
     if cls.goal is not None:
         doc["goal"] = format_formula(cls.goal)
-    doc.update(_node_to_json(p))
+    doc["formulas"] = formulas
+    doc["nodes"] = nodes
     return doc
 
 
-def _node_from_json(data: dict, parse_formula, parse_term) -> Proof:
-    try:
-        rule = rule_from_string(data["rule"])
-        seq = data["sequent"]
-        conclusion = Sequent(
-            tuple(parse_formula(f) for f in seq["ante"]),
-            tuple(parse_formula(f) for f in seq["succ"]),
-        )
-        principal = data.get("principal")
-        if principal is not None:
-            side, index = principal["side"], principal["index"]
-            if side not in ("ante", "succ") or not isinstance(index, int):
-                raise ValueError(f"bad principal {principal!r}")
-            principal = (side, index)
-        witness = data.get("witness")
-        if witness is not None:
-            witness = parse_term(witness)
-        eigen = data.get("eigen")
-        if eigen is not None and not isinstance(eigen, str):
-            raise ValueError(f"bad eigenvariable {eigen!r}")
-        premises = tuple(_node_from_json(q, parse_formula, parse_term) for q in data.get("premises", ()))
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed proof node: {exc}") from exc
-    return Proof(rule, conclusion, premises, principal, witness, eigen)
+def _indices(entry: dict, key: str, bound: int) -> list[int]:
+    """entry[key] (default empty) as a list of indices below bound."""
+    value = entry.get(key, [])
+    if isinstance(value, list) and all(type(i) is int and 0 <= i < bound for i in value):
+        return value
+    raise ValueError(f"{key} must be a list of indices below {bound}, found {value!r}")
 
 
 def proof_from_json(data: dict) -> tuple[Proof, ProofClass]:
+    """The proof and class of a flat document.  ValueError (ParseError for
+    bad formula or term text) unless the document keeps every invariant of
+    the module docstring."""
     from .parser import parse_formula, parse_term
 
     if not isinstance(data, dict):
         raise ValueError("proof document must be a JSON object")
+    if data.get("format") != _FORMAT:
+        raise ValueError(f"unknown proof document format {data.get('format')!r}, expected {_FORMAT}")
     kind = data.get("class")
     if kind not in _KINDS:
         raise ValueError(f"unknown proof class {kind!r}")
-    goal = data.get("goal")
-    cls = ProofClass(kind, parse_formula(goal) if goal is not None else None)
-    return _node_from_json(data, parse_formula, parse_term), cls
+    try:
+        goal = data.get("goal")
+        cls = ProofClass(kind, parse_formula(goal) if goal is not None else None)
+        table = data["formulas"]
+        entries = data["nodes"]
+        if not isinstance(table, list) or not isinstance(entries, list):
+            raise ValueError("formulas and nodes must be lists")
+        if not entries:
+            raise ValueError("proof document has no nodes")
+        formulas = [parse_formula(text) for text in table]
+        built: list[Proof] = []
+        used = [False] * len(entries)
+        for k, entry in enumerate(entries):
+            rule = rule_from_string(entry["rule"])
+            ante = _indices(entry, "ante", len(formulas))
+            succ = _indices(entry, "succ", len(formulas))
+            conclusion = Sequent([formulas[i] for i in ante], [formulas[i] for i in succ])
+            premises = _indices(entry, "premises", k)
+            for j in premises:
+                if used[j]:
+                    raise ValueError(f"node {j} is a premise of more than one node")
+                used[j] = True
+            principal = entry.get("principal")
+            if principal is not None:
+                if not (
+                    isinstance(principal, list)
+                    and len(principal) == 2
+                    and principal[0] in ("ante", "succ")
+                    and isinstance(principal[1], int)
+                ):
+                    raise ValueError(f"bad principal {principal!r}")
+                principal = tuple(principal)
+            witness = entry.get("witness")
+            if witness is not None:
+                witness = parse_term(witness)
+            eigen = entry.get("eigen")
+            if eigen is not None and not isinstance(eigen, str):
+                raise ValueError(f"bad eigenvariable {eigen!r}")
+            subproofs = tuple(built[j] for j in premises)
+            built.append(Proof(rule, conclusion, subproofs, principal, witness, eigen))
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"malformed proof document: {exc}") from exc
+    if not all(used[:-1]):
+        raise ValueError(f"node {used.index(False)} is not the premise of any node")
+    return built[-1], cls
 
 
-def dump_proof(p: Proof, cls: ProofClass, indent: int | None = 2) -> str:
-    return json.dumps(proof_to_json(p, cls), indent=indent)
+def dump_proof(p: Proof, cls: ProofClass) -> str:
+    return json.dumps(proof_to_json(p, cls), separators=(",", ":"))
 
 
 def load_proof(text: str) -> tuple[Proof, ProofClass]:
-    return proof_from_json(json.loads(text))
+    try:
+        data = json.loads(text)
+    except RecursionError:
+        # json's decoder recurses on nesting; a flat document nests 4 deep
+        raise ValueError("proof document nests too deeply") from None
+    return proof_from_json(data)

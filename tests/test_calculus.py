@@ -1,6 +1,7 @@
 """Proof checking: rule schemata, class constraints, metrics, JSON round trip."""
 
 import json
+import re
 
 import pytest
 from hypothesis import given
@@ -20,6 +21,7 @@ from seqcalc.calculus import (
     is_axiom,
     load_proof,
     proof_height,
+    proof_nodes,
     proof_size,
     restart_class,
     rule_family,
@@ -43,8 +45,11 @@ from seqcalc.syntax import (
     Var,
     exists,
     forall,
+    format_formula,
 )
+from seqcalc.transform import expand_starred
 
+from _documents import DEEPLY_NESTED, FLAT, MALFORMED, malformed
 from _oracles import random_propositional_sequent
 
 Q, S, T = Atom("q"), Atom("s"), Atom("t")
@@ -534,19 +539,28 @@ def test_round_trip_restart_class_keeps_goal():
 def test_json_schema_keys():
     res = prove_restart(parse_sequent("q | s, q => t, s => t |- t"))
     data = json.loads(dump_proof(res.proof, res.proof_class))
-    assert {"rule", "sequent", "principal", "witness", "eigen", "premises", "class", "goal"} <= set(
-        data
-    )
-    assert set(data["sequent"]) == {"ante", "succ"}
-    for child in data["premises"]:
-        assert {"rule", "sequent", "premises"} <= set(child)
-        assert "class" not in child
+    assert set(data) == {"format", "class", "goal", "formulas", "nodes"}
+    assert data["format"] == 2
+    assert all(isinstance(f, str) for f in data["formulas"])
+    assert len(set(data["formulas"])) == len(data["formulas"])
+    for k, node in enumerate(data["nodes"]):
+        assert "rule" in node
+        assert set(node) <= {"rule", "ante", "succ", "principal", "witness", "eigen", "premises"}
+        assert all(v is not None and v != [] for v in node.values())
+        assert all(j < k for j in node.get("premises", []))
+    root = data["nodes"][-1]
+    assert {"rule", "ante", "succ", "principal", "premises"} <= set(root)
+    res = prove(parse_sequent("forall x. p(x) |- forall y. p(y)"), "c")
+    data = json.loads(dump_proof(res.proof, res.proof_class))
+    assert "goal" not in data
+    keys = set().union(*data["nodes"])
+    assert {"witness", "eigen"} <= keys
 
 
 def test_load_rejects_unknown_rule():
     res = prove(parse_sequent("q |- q"), "c")
     data = json.loads(dump_proof(res.proof, res.proof_class))
-    data["rule"] = "axiom2"
+    data["nodes"][-1]["rule"] = "axiom2"
     with pytest.raises(ValueError):
         load_proof(json.dumps(data))
 
@@ -558,3 +572,78 @@ def test_quantified_round_trip_keeps_witness_and_eigen():
     assert p == res.proof and cls == res.proof_class
     used = rule_usage(p)
     assert {rule_family(r) for r in used} & {"forall-l", "exists-r"}
+
+
+def _proofs_of_every_class(text):
+    """(proof, class) for each class the searches and starred expansion
+    reach on the sequent."""
+    s = parse_sequent(text)
+    out = []
+    for logic in "cio":
+        res = prove(s, logic)
+        if isinstance(res, Proved):
+            out.append((res.proof, res.proof_class))
+            if logic in "ci":
+                out.append((expand_starred(res.proof), ProofClass(logic)))
+    res = prove_restart(s)
+    if isinstance(res, Proved):
+        goal = res.proof_class.goal
+        out += [(res.proof, ProofClass("og", goal)), (res.proof, ProofClass("ig", goal))]
+    return out
+
+
+def _members(node):
+    return [format_formula(f) for f in node.conclusion.ante + node.conclusion.succ]
+
+
+def test_round_trip_on_every_class_keeps_binder_names():
+    # alpha-variant members compare equal, yet each keeps its own binder
+    # name through the formula table
+    texts = (
+        "forall x. p(x), forall y. p(y) |- (forall z. p(z)) & (forall w. p(w))",
+        "exists x. p(x), exists y. p(y) |- (exists z. p(z)) & (exists w. p(w))",
+        "q | s, q => t, s => t |- t",
+    )
+    kinds = set()
+    for text in texts:
+        for p, cls in _proofs_of_every_class(text):
+            assert check_proof(p, cls), (text, cls)
+            q, got = load_proof(dump_proof(p, cls))
+            assert q == p and got == cls
+            assert format_formula(got.goal or Q) == format_formula(cls.goal or Q)
+            assert [_members(n) for n in proof_nodes(q)] == [_members(n) for n in proof_nodes(p)], (text, cls)
+            kinds.add(cls.kind)
+    assert kinds == {"c", "i", "o", "cstar", "istar", "ig", "og"}
+    ante = parse_sequent(texts[0]).ante
+    assert [format_formula(f) for f in ante] == ["forall x. p(x)", "forall y. p(y)"]
+
+
+def test_dump_lists_a_shared_premise_once_per_use():
+    leaf = axiom([Q], [Q])
+    p = Proof(RuleId.AND_R, Sequent((Q,), (And(Q, Q),)), (leaf, leaf), ("succ", 0))
+    assert check_proof(p, CLASSICAL)
+    data = json.loads(dump_proof(p, CLASSICAL))
+    assert data["formulas"] == ["q", "q & q"]
+    assert [n.get("premises") for n in data["nodes"]] == [None, None, [0, 1]]
+    q, cls = load_proof(json.dumps(data))
+    assert q == p and cls == CLASSICAL
+    assert q.premises[0] is not q.premises[1]
+
+
+def test_hand_written_flat_document_loads():
+    p, cls = load_proof(json.dumps(FLAT))
+    assert cls == CLASSICAL
+    assert check_proof(p, cls)
+    assert p.conclusion == parse_sequent("q, s |- q & s")
+    assert json.loads(dump_proof(p, cls)) == FLAT
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED))
+def test_load_rejects_malformed_flat_document(name):
+    with pytest.raises(ValueError, match=re.escape(MALFORMED[name][1])):
+        load_proof(json.dumps(malformed(name)))
+
+
+def test_load_rejects_deeply_nested_json():
+    with pytest.raises(ValueError, match="proof document nests too deeply"):
+        load_proof(DEEPLY_NESTED)

@@ -16,6 +16,8 @@ from seqcalc.cli import (
     main,
 )
 
+from _documents import DEEPLY_NESTED, FLAT, MALFORMED, malformed
+
 PEIRCE = "|- ((q => s) => q) => q"
 
 
@@ -143,9 +145,33 @@ def test_check_malformed_json_is_data_error(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{]")
     assert run("check", str(bad)) == EXIT_DATA
-    bad.write_text('{"rule": "axiom2"}')
+    bad.write_text('{"format": 2, "class": "c", "formulas": [], "nodes": [{"rule": "axiom2"}]}')
     assert run("check", str(bad)) == EXIT_DATA
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("command", ["check", "analyze"])
+@pytest.mark.parametrize("name", sorted(MALFORMED))
+def test_malformed_flat_document_is_data_error(tmp_path, capsys, command, name):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(malformed(name)))
+    assert run(command, str(bad)) == EXIT_DATA
+    assert capsys.readouterr().err.startswith(f"malformed proof file: {MALFORMED[name][1]}")
+
+
+@pytest.mark.parametrize("command", ["check", "analyze"])
+def test_deeply_nested_document_is_data_error(tmp_path, capsys, command):
+    bad = tmp_path / "bad.json"
+    bad.write_text(DEEPLY_NESTED)
+    assert run(command, str(bad)) == EXIT_DATA
+    assert capsys.readouterr().err == "malformed proof file: proof document nests too deeply\n"
+
+
+def test_hand_written_flat_document_checks(tmp_path, capsys):
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps(FLAT))
+    assert run("check", str(good)) == EXIT_PROVED
+    assert capsys.readouterr().out == "ok [c] q, s |- q & s\n"
 
 
 def test_analyze_reports_rules_and_conditions(tmp_path, capsys):
@@ -172,7 +198,9 @@ def test_analyze_malformed_file_is_data_error(tmp_path, capsys):
     bad.write_text("{]")
     assert run("analyze", str(bad)) == EXIT_DATA
     assert capsys.readouterr().err.startswith("malformed proof file: ")
-    bad.write_text('{"class": "c", "rule": "axiom", "sequent": {"ante": ["q &"], "succ": []}}')
+    bad.write_text(
+        '{"format": 2, "class": "c", "formulas": ["q &"], "nodes": [{"rule": "axiom", "ante": [0]}]}'
+    )
     assert run("analyze", str(bad)) == EXIT_DATA
     assert capsys.readouterr().err == "expected a formula, found end of input (line 1, column 4)\n"
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from seqcalc.calculus import ProofClass, check_proof, dump_proof, proof_nodes
+from seqcalc.calculus import ProofClass, check_proof, dump_proof, load_proof, proof_nodes
 from seqcalc.parser import parse_formula, parse_sequent
 from seqcalc.search import (
     NotProvedWithinLimits,
@@ -34,6 +34,7 @@ from seqcalc.syntax import (
     Sequent,
     format_sequent,
     formula_key,
+    neg,
 )
 from seqcalc.transform import augment
 
@@ -270,6 +271,30 @@ def test_deep_search_paths_need_no_deep_interpreter_stack():
     res = prove(Sequent((c,), (c,)), "i")
     assert isinstance(res, Proved), res
     assert check_proof(res.proof, res.proof_class)
+    assert sys.getrecursionlimit() == limit
+
+
+def _node_fields(node):
+    return (node.rule, node.conclusion, node.principal, node.witness, node.eigen, len(node.premises))
+
+
+def test_deep_proofs_round_trip_through_json():
+    # the i proof of the 512-atom sequent above is over 500 nodes high; the
+    # c proof of ~^100 p |- p nests its members 100 deep
+    c = _balanced_conjunction([Atom(f"p{k}") for k in range(512)])
+    negated = Atom("p")
+    for _ in range(100):
+        negated = neg(negated)
+    limit = sys.getrecursionlimit()
+    for s, logic in ((Sequent((c,), (c,)), "i"), (Sequent((negated,), (Atom("p"),)), "c")):
+        res = prove(s, logic)
+        assert isinstance(res, Proved), res
+        text = dump_proof(res.proof, res.proof_class)
+        p, cls = load_proof(text)
+        assert cls == res.proof_class
+        assert dump_proof(p, cls) == text
+        # node by node: Proof.__eq__ recurses, so a deep proof is not compared whole
+        assert [_node_fields(n) for n in proof_nodes(p)] == [_node_fields(n) for n in proof_nodes(res.proof)]
     assert sys.getrecursionlimit() == limit
 
 
