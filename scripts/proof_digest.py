@@ -1,0 +1,100 @@
+"""Digest of the package's search output, to show that a change keeps it.
+
+    PYTHONPATH=src python scripts/proof_digest.py [--stream N] [--seed S]
+
+Searches the golden corpus and two seeded streams under five relations: c,
+i, o, restart (prove_restart) and augment+o (o on the sequent with the
+negated goal added).  The streams are random quantifier-free sequents and
+in-fragment sequents (F1-F4, LP_INT, LP_CLS and Horn), drawn by the test
+suite's generators in tests/_oracles.py.  Each outcome is recorded as the
+dump_proof document of a Proved outcome, or as the outcome's kind
+otherwise, and each group prints its count of outcomes and the sha256 of
+their records, in order; the last line covers all groups.  Two builds that
+print the same lines searched every sequent to the same outcome and the
+same proof, byte for byte.  The output does not depend on PYTHONHASHSEED.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import random
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
+
+from seqcalc import Proved, SearchLimits, augment, dump_proof, parse_corpus, prove, prove_restart  # noqa: E402
+from seqcalc.syntax import Atom, Sequent  # noqa: E402
+
+from _oracles import random_fragment_sequent, random_horn_sequent, random_propositional_sequent  # noqa: E402
+
+CORPUS_LIMITS = SearchLimits(node_budget=5_000)
+STREAM_LIMITS = SearchLimits(node_budget=250)
+FRAGMENTS = ("f1", "f2", "f3", "f4", "lp-int", "lp-cls", "horn")
+
+
+def _record(search) -> str:
+    try:
+        out = search()
+    except ValueError:
+        return "ValueError"
+    if isinstance(out, Proved):
+        return dump_proof(out.proof, out.proof_class)
+    return type(out).__name__
+
+
+def _relations(s: Sequent, limits: SearchLimits):
+    """(name, search) for each relation; a relation that refuses the
+    sequent's shape raises ValueError, which is recorded as such."""
+    yield "c", lambda: prove(s, "c", limits)
+    yield "i", lambda: prove(s, "i", limits)
+    yield "o", lambda: prove(s, "o", limits)
+    yield "restart", lambda: prove_restart(s, limits)
+    yield "augment-o", lambda: prove(augment(s), "o", limits)
+
+
+def _single(s: Sequent) -> Sequent:
+    return Sequent(s.ante, s.succ[:1] or (Atom("q"),))
+
+
+def groups(stream: int, seed: int):
+    """(group name, [sequent], limits) in a fixed order."""
+    text = (ROOT / "src/seqcalc/data/paper.corpus").read_text(encoding="utf-8")
+    yield "corpus", [e.sequent for e in parse_corpus(text)], CORPUS_LIMITS
+    rng = random.Random(seed)
+    yield "quantifier-free", [_single(random_propositional_sequent(rng, 8)) for _ in range(stream)], STREAM_LIMITS
+    rng = random.Random(seed + 1)
+    drawn = []
+    for k in range(stream):
+        frag, j = FRAGMENTS[k % len(FRAGMENTS)], k // len(FRAGMENTS)
+        if frag == "horn":
+            drawn.append(random_horn_sequent(rng))
+        else:
+            drawn.append(random_fragment_sequent(rng, frag, 1 + j % 3, 1 + (j // 3) % 3, 1 + (j // 9) % 3))
+    yield "fragment", drawn, STREAM_LIMITS
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--stream", type=int, default=1000, help="sequents per seeded stream (default 1000)")
+    ap.add_argument("--seed", type=int, default=1, help="seed of the streams (default 1)")
+    args = ap.parse_args(argv)
+    total, n_total = hashlib.sha256(), 0
+    for name, sequents, limits in groups(args.stream, args.seed):
+        h, n = hashlib.sha256(), 0
+        for s in sequents:
+            for rel, search in _relations(s, limits):
+                line = f"{rel}\t{_record(search)}\n".encode()
+                h.update(line)
+                total.update(line)
+                n += 1
+        n_total += n
+        print(f"{name} {n} {h.hexdigest()}")
+    print(f"all {n_total} {total.hexdigest()}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -2,79 +2,206 @@
 
 Bound variables are stored as nameless (de Bruijn) indices; each binder keeps
 a display-name hint that equality, hashing and ordering ignore, so
-alpha-equivalent formulas compare equal.  Sequents keep both sides as
-multisets in a canonical sorted order (by formula_key, stable), which makes
-multiset equality plain tuple equality.  The public Sequent constructor
-sorts; only the private Sequent._presorted and the edits without_ante,
-without_succ and plus skip that sort, so they must be given sides that are
-already in that order.
+alpha-equivalent formulas compare equal.
+
+Terms and formulas are hash-consed: every constructor looks its structure up
+in one table of weak references, so building a structure that is alive
+already, with the same binder hints, returns the existing object.  Nodes are
+immutable.  At construction each node also stores
+
+* its alpha-canonical twin: the same structure with every binder hint "x",
+  or None on a node that is canonical already.  No node refers to itself or
+  sits in a reference cycle, so a node is freed, and its table entry
+  dropped, as soon as the last reference to it goes;
+* its sort key: a flat, prefix-free string built from its children's keys.
+  Keys compare exactly as the structural tuples (kind, then the fields left
+  to right, shorter argument lists first) would, and depend on the
+  structure alone, never on the order in which nodes were built, so every
+  process orders the same sequent the same way.
+
+So == is an identity test on twins, while hash, formula_key and term_key
+read the key; none of them recurses.  The table may be shared by threads:
+an insert is one dict.setdefault on a table key that hashes and compares in
+C, so threads that build equal structures get one object.
+
+Sequents keep both sides as multisets in a canonical sorted order (by
+formula_key, stable), which makes multiset equality plain tuple equality.
+The public Sequent constructor sorts; only the private Sequent._presorted
+and the edits without_ante, without_succ and plus skip that sort, so they
+must be given sides that are already in that order.
 """
 
 from __future__ import annotations
 
 import bisect
-import functools
 import re
-from dataclasses import dataclass, field
+import weakref
+from _weakref import _remove_dead_weakref
+from dataclasses import dataclass
+from operator import attrgetter
 from typing import Callable, Iterable, Iterator, Union
+
+# ---------------------------------------------------------------------------
+# interning
+
+
+class _Ref(weakref.ref):
+    """A table entry: a weak reference to a node that keeps the node's table
+    key, so the entry can be dropped when the node dies."""
+
+    __slots__ = ("key",)
+
+
+# table key -> entry; a table key holds the node's class, its names, numbers
+# and hints, and the ids of its children (unique while the node holds them)
+_TABLE: dict[tuple, _Ref] = {}
+_set = object.__setattr__
+
+
+def _drop(ref: _Ref, table=_TABLE, remove=_remove_dead_weakref) -> None:
+    # remove deletes the entry only while it holds a dead reference: a
+    # concurrent build may have replaced it with a live one
+    remove(table, ref.key)
+
+
+def _interned(ikey: tuple):
+    ref = _TABLE.get(ikey)
+    return None if ref is None else ref()
+
+
+def _build(cls, ikey: tuple, values: tuple, key: str, twin):
+    """A new node of cls with the given field values, sort key and twin,
+    entered under ikey; the node another thread entered first, if any."""
+    node = object.__new__(cls)
+    for name, value in zip(cls.__match_args__, values):
+        _set(node, name, value)
+    _set(node, "_key", key)
+    _set(node, "_twin", twin)
+    ref = _Ref(node, _drop)
+    ref.key = ikey
+    while True:
+        # one atomic step under the interpreter lock: a table key holds only
+        # classes, strings and ints, which hash and compare in C
+        got = _TABLE.setdefault(ikey, ref)
+        if got is ref:
+            return node
+        other = got()
+        if other is not None:
+            return other
+        _remove_dead_weakref(_TABLE, ikey)
+
+
+# sort keys: each node kind has a one-character tag, names and integers
+# have order-preserving, prefix-free encodings, and ")" closes an argument
+# list (it sorts below every term tag, so a shorter list sorts first)
+_END = ")"
+_CANONICAL_HINT = "x"
+_COMPLEMENT = str.maketrans("0123456789", "9876543210")
+
+
+def _name_key(s: str) -> str:
+    # NUL is escaped and a double NUL ends the name, so a name sorts
+    # before every extension of it
+    return s.replace("\0", "\0\1") + "\0\0"
+
+
+def _int_key(n: int) -> str:
+    # a length marker, then the digits; negatives sort below, the longest
+    # first, with complemented digits
+    digits = format(abs(n), "d")
+    if n >= 0:
+        return chr(0x80 + len(digits)) + digits
+    return "\x7f" + chr(0x10FFFF - len(digits)) + digits.translate(_COMPLEMENT)
+
+
+class _Node:
+    """A hash-consed term or formula (see the module docstring)."""
+
+    __slots__ = ("_key", "_twin", "__weakref__")
+    __match_args__: tuple[str, ...] = ()
+
+    def __eq__(self, other):
+        if isinstance(other, _Node):
+            return (self._twin or self) is (other._twin or other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot change {name!r}: terms and formulas are immutable")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, n) for n in self.__match_args__)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self.__match_args__)
+        return f"{type(self).__name__}({fields})"
+
+
+def _leaf(cls, value, encode: Callable) -> _Node:
+    ikey = (cls, value)
+    return _interned(ikey) or _build(cls, ikey, (value,), cls._tag + encode(value), None)
+
+
+def _applied(cls, name: str, args) -> _Node:
+    args = tuple(args)
+    ikey = (cls, name, *map(id, args))
+    return _interned(ikey) or _build(
+        cls, ikey, (name, args), cls._tag + _name_key(name) + "".join([a._key for a in args]) + _END, None
+    )
+
 
 # ---------------------------------------------------------------------------
 # terms
 
 
-def _cache_hashes(cls):
-    """Terms and formulas serve as multiset members and memo keys, so they are
-    hashed far more often than they are built; frozen dataclasses recompute the
-    structural hash on every call, so stash it on first use instead."""
-    generated = cls.__hash__
-
-    def __hash__(self):
-        try:
-            return self._hash
-        except AttributeError:
-            h = generated(self)
-            object.__setattr__(self, "_hash", h)
-            return h
-
-    cls.__hash__ = __hash__
-    return cls
-
-
-@_cache_hashes
-@dataclass(frozen=True)
-class Var:
+class Var(_Node):
     """Free named variable.  Built programmatically; the parser never emits one."""
 
-    name: str
+    __slots__ = __match_args__ = ("name",)
+    _tag = "b"
+
+    def __new__(cls, name: str) -> Var:
+        return _leaf(cls, name, _name_key)
 
 
-@_cache_hashes
-@dataclass(frozen=True)
-class Bound:
+class Bound(_Node):
     """Occurrence of a bound variable, as the de Bruijn index of its binder."""
 
-    index: int
+    __slots__ = __match_args__ = ("index",)
+    _tag = "a"
+
+    def __new__(cls, index: int) -> Bound:
+        return _leaf(cls, index, _int_key)
 
 
-@_cache_hashes
-@dataclass(frozen=True)
-class Const:
-    name: str
+class Const(_Node):
+    __slots__ = __match_args__ = ("name",)
+    _tag = "c"
+
+    def __new__(cls, name: str) -> Const:
+        return _leaf(cls, name, _name_key)
 
 
-@_cache_hashes
-@dataclass(frozen=True)
-class App:
-    name: str
-    args: tuple["Term", ...]
+class App(_Node):
+    __slots__ = __match_args__ = ("name", "args")
+    _tag = "e"
+
+    def __new__(cls, name: str, args: Iterable[Term]) -> App:
+        return _applied(cls, name, args)
 
 
-@_cache_hashes
-@dataclass(frozen=True)
-class Meta:
+class Meta(_Node):
     """Unification placeholder used by the classical prover.  Prints as X<ident>."""
 
-    ident: int
+    __slots__ = __match_args__ = ("ident",)
+    _tag = "d"
+
+    def __new__(cls, ident: int) -> Meta:
+        return _leaf(cls, ident, _int_key)
 
     @property
     def name(self) -> str:
@@ -87,58 +214,86 @@ Term = Union[Var, Bound, Const, App, Meta]
 # formulas
 
 
-@_cache_hashes
-@dataclass(frozen=True)
-class Top:
-    pass
+class _Unit(_Node):
+    __slots__ = ()
+
+    def __new__(cls):
+        return _interned((cls,)) or _build(cls, (cls,), (), cls._tag, None)
 
 
-@_cache_hashes
-@dataclass(frozen=True)
-class Bot:
-    pass
+class Top(_Unit):
+    __slots__ = ()
+    _tag = "0"
 
 
-@_cache_hashes
-@dataclass(frozen=True)
-class Atom:
-    pred: str
-    args: tuple[Term, ...] = ()
+class Bot(_Unit):
+    __slots__ = ()
+    _tag = "1"
 
 
-@_cache_hashes
-@dataclass(frozen=True)
-class And:
-    left: "Formula"
-    right: "Formula"
+class Atom(_Node):
+    __slots__ = __match_args__ = ("pred", "args")
+    _tag = "2"
+
+    def __new__(cls, pred: str, args: Iterable[Term] = ()) -> Atom:
+        return _applied(cls, pred, args)
 
 
-@_cache_hashes
-@dataclass(frozen=True)
-class Or:
-    left: "Formula"
-    right: "Formula"
+class _Binary(_Node):
+    __slots__ = __match_args__ = ("left", "right")
+
+    def __new__(cls, left: Formula, right: Formula):
+        ikey = (cls, id(left), id(right))
+        node = _interned(ikey)
+        if node is None:
+            lt, rt = left._twin, right._twin
+            if lt is None and rt is None:
+                node = _build(cls, ikey, (left, right), cls._tag + left._key + right._key, None)
+            else:
+                twin = cls(lt or left, rt or right)
+                node = _build(cls, ikey, (left, right), twin._key, twin)
+        return node
 
 
-@_cache_hashes
-@dataclass(frozen=True)
-class Imp:
-    left: "Formula"
-    right: "Formula"
+class And(_Binary):
+    __slots__ = ()
+    _tag = "3"
 
 
-@_cache_hashes
-@dataclass(frozen=True)
-class Forall:
-    body: "Formula"
-    hint: str = field(default="x", compare=False)
+class Or(_Binary):
+    __slots__ = ()
+    _tag = "4"
 
 
-@_cache_hashes
-@dataclass(frozen=True)
-class Exists:
-    body: "Formula"
-    hint: str = field(default="x", compare=False)
+class Imp(_Binary):
+    __slots__ = ()
+    _tag = "5"
+
+
+class _Quantifier(_Node):
+    __slots__ = __match_args__ = ("body", "hint")
+
+    def __new__(cls, body: Formula, hint: str = _CANONICAL_HINT):
+        ikey = (cls, id(body), hint)
+        node = _interned(ikey)
+        if node is None:
+            bt = body._twin
+            if bt is None and hint == _CANONICAL_HINT:
+                node = _build(cls, ikey, (body, hint), cls._tag + body._key, None)
+            else:
+                twin = cls(bt or body, _CANONICAL_HINT)
+                node = _build(cls, ikey, (body, hint), twin._key, twin)
+        return node
+
+
+class Forall(_Quantifier):
+    __slots__ = ()
+    _tag = "6"
+
+
+class Exists(_Quantifier):
+    __slots__ = ()
+    _tag = "7"
 
 
 Formula = Union[Top, Bot, Atom, And, Or, Imp, Forall, Exists]
@@ -355,44 +510,22 @@ def fresh_name(base: str, taken: Iterable[str]) -> str:
 # ---------------------------------------------------------------------------
 # structural ordering
 
-
-@functools.lru_cache(maxsize=None)
-def term_key(t: Term) -> tuple:
-    match t:
-        case Bound(i):
-            return (0, i)
-        case Var(n):
-            return (1, n)
-        case Const(n):
-            return (2, n)
-        case Meta(i):
-            return (3, i)
-        case App(fn, args):
-            return (4, fn, tuple(term_key(a) for a in args))
-    raise TypeError(f"not a term: {t!r}")
+_KEY = attrgetter("_key")
 
 
-@functools.lru_cache(maxsize=None)
-def formula_key(f: Formula) -> tuple:
-    """Total structural order on formulas; ignores binder display names."""
-    match f:
-        case Top():
-            return (0,)
-        case Bot():
-            return (1,)
-        case Atom(p, args):
-            return (2, p, tuple(term_key(a) for a in args))
-        case And(l, r):
-            return (3, formula_key(l), formula_key(r))
-        case Or(l, r):
-            return (4, formula_key(l), formula_key(r))
-        case Imp(l, r):
-            return (5, formula_key(l), formula_key(r))
-        case Forall(body=b):
-            return (6, formula_key(b))
-        case Exists(body=b):
-            return (7, formula_key(b))
-    raise TypeError(f"not a formula: {f!r}")
+def term_key(t: Term) -> str:
+    """Total structural order on terms: the flat key stored at construction."""
+    if type(t) not in _TERM_TYPES:
+        raise TypeError(f"not a term: {t!r}")
+    return t._key
+
+
+def formula_key(f: Formula) -> str:
+    """Total structural order on formulas: the flat key stored at
+    construction, which ignores binder display names."""
+    if type(f) not in _FORMULA_TYPES:
+        raise TypeError(f"not a formula: {f!r}")
+    return f._key
 
 
 def term_size(t: Term) -> int:
@@ -407,10 +540,17 @@ def term_size(t: Term) -> int:
 # sequents
 
 
-@_cache_hashes
 @dataclass(frozen=True)
 class Sequent:
     """A multiset sequent.  Both sides are stored sorted, so == is multiset equality.
+
+    Members are interned formulas, kept as the objects they were built as,
+    so each keeps its own binder hints.  The sides are sorted, stably, by
+    formula_key, which reads the key stored on each member and orders
+    alpha-variants as equal; so two sequents compare equal exactly when
+    their members do, pairwise, and == and hash cost one identity test and
+    one cached string hash per member.  Sequents themselves are not
+    interned.
 
     The constructor sorts both sides.  Sequent._presorted, without_ante,
     without_succ and plus do not: they need sides already in the order
@@ -421,8 +561,8 @@ class Sequent:
     succ: tuple[Formula, ...] = ()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "ante", tuple(sorted(self.ante, key=formula_key)))
-        object.__setattr__(self, "succ", tuple(sorted(self.succ, key=formula_key)))
+        object.__setattr__(self, "ante", tuple(sorted(self.ante, key=_KEY)))
+        object.__setattr__(self, "succ", tuple(sorted(self.succ, key=_KEY)))
 
     @classmethod
     def _presorted(cls, ante: tuple[Formula, ...], succ: tuple[Formula, ...]) -> "Sequent":
@@ -456,7 +596,7 @@ def _insorted(side: tuple[Formula, ...], new: Iterable[Formula]) -> tuple[Formul
     for f in new:
         if out is None:
             out = list(side)
-        bisect.insort_right(out, f, key=formula_key)
+        bisect.insort_right(out, f, key=_KEY)
     return side if out is None else tuple(out)
 
 
@@ -475,7 +615,7 @@ def multiset_union(*parts: Iterable[Formula]) -> tuple[Formula, ...]:
     out: list[Formula] = []
     for p in parts:
         out.extend(p)
-    return tuple(sorted(out, key=formula_key))
+    return tuple(sorted(out, key=_KEY))
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ from functools import lru_cache
 
 from seqcalc.syntax import (
     And,
+    App,
     Atom,
     Bot,
     Bound,
@@ -23,14 +24,52 @@ from seqcalc.syntax import (
     Forall,
     Formula,
     Imp,
+    Meta,
     Or,
     Sequent,
+    Term,
     Top,
     Var,
     forall,
     exists,
     substitute,
 )
+
+# ---------------------------------------------------------------------------
+# structural order as nested tuples
+
+
+def reference_term_key(t: Term) -> tuple:
+    """The structural order on terms as nested tuples: the kind, then the
+    fields left to right.  syntax.term_key must order and equate as this."""
+    if isinstance(t, Bound):
+        return (0, t.index)
+    if isinstance(t, Var):
+        return (1, t.name)
+    if isinstance(t, Const):
+        return (2, t.name)
+    if isinstance(t, Meta):
+        return (3, t.ident)
+    if isinstance(t, App):
+        return (4, t.name, tuple(reference_term_key(a) for a in t.args))
+    raise TypeError(f"not a term: {t!r}")
+
+
+_REFERENCE_TAGS = {Top: 0, Bot: 1, Atom: 2, And: 3, Or: 4, Imp: 5, Forall: 6, Exists: 7}
+
+
+def reference_formula_key(f: Formula) -> tuple:
+    """The structural order on formulas as nested tuples, binder hints left
+    out.  syntax.formula_key must order and equate as this."""
+    tag = _REFERENCE_TAGS[type(f)]
+    if isinstance(f, Atom):
+        return (tag, f.pred, tuple(reference_term_key(a) for a in f.args))
+    if isinstance(f, (And, Or, Imp)):
+        return (tag, reference_formula_key(f.left), reference_formula_key(f.right))
+    if isinstance(f, (Forall, Exists)):
+        return (tag, reference_formula_key(f.body))
+    return (tag,)
+
 
 # ---------------------------------------------------------------------------
 # truth tables

@@ -1,10 +1,18 @@
-"""Term and formula structure: binding, substitution, multisets, printing."""
+"""Term and formula structure: binding, substitution, multisets, printing,
+interning and the flat sort keys."""
 
+import gc
+import itertools
+import pickle
 import random
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from seqcalc import syntax
 from seqcalc.syntax import (
     BOT,
     TOP,
@@ -40,13 +48,21 @@ from seqcalc.syntax import (
     neg,
     predicate_names,
     rename_constant,
+    subformulas,
     substitute,
     term_key,
     term_size,
 )
 from seqcalc.parser import parse_formula, parse_sequent
 
-from _oracles import mixed_leaves, random_in_grammar, random_propositional, PROP_LEAVES
+from _oracles import (
+    PROP_LEAVES,
+    mixed_leaves,
+    random_in_grammar,
+    random_propositional,
+    reference_formula_key,
+    reference_term_key,
+)
 
 
 def rand_fo_formula(rng: random.Random, depth: int):
@@ -346,3 +362,120 @@ def test_format_formula_precedence_minimal_parens():
     assert format_formula(parse_formula("(p | q) & s")) == "(p | q) & s"
     assert format_formula(parse_formula("p => q => s")) == "p => q => s"
     assert format_formula(parse_formula("(p => q) => s")) == "(p => q) => s"
+
+
+# ---------------------------------------------------------------------------
+# interning and the flat sort keys
+
+# names that are prefixes of one another or hold the characters the keys
+# use as separators; integers of different signs and digit counts
+NAMES = st.sampled_from(("", "p", "pq", "p\0", "p\0q", "p\1", "p)", "p0", "q", "a", "ab"))
+INTS = st.sampled_from((0, 1, 9, 10, 99, 100, -1, -9, -10, 10**20)) | st.integers(-(10**6), 10**6)
+HINTS = st.sampled_from(("x", "y", "z"))
+TERMS = st.recursive(
+    st.builds(Bound, INTS) | st.builds(Var, NAMES) | st.builds(Const, NAMES) | st.builds(Meta, INTS),
+    lambda sub: st.builds(App, NAMES, st.lists(sub, max_size=3).map(tuple)),
+    max_leaves=5,
+)
+FORMULAS = st.recursive(
+    st.sampled_from((TOP, BOT)) | st.builds(Atom, NAMES, st.lists(TERMS, max_size=2).map(tuple)),
+    lambda sub: st.builds(And, sub, sub)
+    | st.builds(Or, sub, sub)
+    | st.builds(Imp, sub, sub)
+    | st.builds(Forall, sub, HINTS)
+    | st.builds(Exists, sub, HINTS),
+    max_leaves=6,
+)
+
+
+def _cmp(a, b) -> int:
+    return (a > b) - (a < b)
+
+
+@settings(max_examples=200)
+@given(st.lists(TERMS, min_size=2, max_size=8))
+@example([Meta(9), Meta(10), Bound(9), Bound(10), Bound(-10), Bound(-9), Bound(-1), Var("p"), Var("pq"), Const("pq"), Const("p")])
+@example([App("p", ()), App("pq", ()), App("p", (Meta(10),)), App("p", (Meta(9),)), App("p", (Meta(9), Const("a")))])
+def test_term_key_orders_as_the_nested_reference(ts):
+    for t, u in itertools.combinations(ts, 2):
+        ref_t, ref_u = reference_term_key(t), reference_term_key(u)
+        assert _cmp(term_key(t), term_key(u)) == _cmp(ref_t, ref_u)
+        assert (t == u) == (ref_t == ref_u) == (t is u)
+
+
+@settings(max_examples=200)
+@given(st.lists(FORMULAS, min_size=2, max_size=8))
+@example([Atom("pq"), Atom("p"), Atom("p", (Meta(10),)), Atom("p", (Meta(9),)), Forall(Atom("p")), Exists(TOP)])
+@example([And(Atom("p"), TOP), And(Atom("pq"), BOT), Forall(Atom("p", (Bound(0),)), "y"), Forall(Atom("p", (Bound(0),)))])
+def test_formula_key_orders_as_the_nested_reference(fs):
+    for f, g in itertools.combinations(fs, 2):
+        ref_f, ref_g = reference_formula_key(f), reference_formula_key(g)
+        assert _cmp(formula_key(f), formula_key(g)) == _cmp(ref_f, ref_g)
+        assert (f == g) == (ref_f == ref_g)
+    by_key, by_reference = sorted(fs, key=formula_key), sorted(fs, key=reference_formula_key)
+    assert all(a is b for a, b in zip(by_key, by_reference))
+
+
+@given(FORMULAS)
+def test_equal_builds_are_one_object_and_alpha_variants_are_not(f):
+    assert pickle.loads(pickle.dumps(f)) is f
+    g = _rehinted(f, "w")
+    assert g == f and hash(g) == hash(f) and formula_key(g) == formula_key(f)
+    if any(isinstance(h, (Forall, Exists)) for h in subformulas(f)):
+        assert g is not f
+        assert " w. " in format_formula(g) and " w. " not in format_formula(f)
+    else:
+        assert g is f
+
+
+def test_dropped_formulas_leave_the_intern_table():
+    # with the cycle collector off only reference counts free nodes, so the
+    # table shrinks back only if no node sits in a reference cycle
+    gc.collect()
+    gc.disable()
+    try:
+        before = len(syntax._TABLE)
+        built = [forall("y", Imp(Atom(f"dropped{k}", (Var("y"), Const(f"c{k}"))), BOT)) for k in range(10_000)]
+        assert len(syntax._TABLE) >= before + 40_000
+        del built
+        assert len(syntax._TABLE) == before
+    finally:
+        gc.enable()
+
+
+def test_concurrent_builds_of_equal_structures_share_one_object():
+    start = threading.Barrier(8)
+
+    def build(_):
+        start.wait(timeout=60)
+        return [Forall(Imp(Atom(f"raced{i}", (App("f", (Const(f"r{i}"),)),)), BOT), "y") for i in range(2_500)]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            built = list(pool.map(build, range(8), timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    for same in zip(*built):
+        assert all(f is same[0] for f in same)
+
+
+def _tower(f, n: int = 2000):
+    for _ in range(n):
+        f = neg(f)
+    return f
+
+
+def test_deep_members_sort_compare_and_hash_without_recursion():
+    assert sys.getrecursionlimit() < 2000
+    f, g = _tower(Atom("p")), _tower(Atom("q"))
+    assert Sequent((f,), (f,)).succ == (f,)
+    assert Sequent((g, f), ()).ante == (f, g)
+    assert _tower(Atom("p")) is f and hash(f) == hash(_tower(Atom("p")))
+    # alpha-variants are two objects, so == must compare their twins
+    y, z = (_tower(Forall(Atom("p", (Bound(0),)), h)) for h in "yz")
+    assert y == z and y is not z and hash(y) == hash(z)
+    # the nested reference key cannot even be built at this depth
+    with pytest.raises(RecursionError):
+        reference_formula_key(f)
