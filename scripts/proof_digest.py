@@ -9,9 +9,17 @@ in-fragment sequents (F1-F4, LP_INT, LP_CLS and Horn), drawn by the test
 suite's generators in tests/_oracles.py.  Each outcome is recorded as the
 dump_proof document of a Proved outcome, or as the outcome's kind
 otherwise, and each group prints its count of outcomes and the sha256 of
-their records, in order; the last line covers all groups.  Two builds that
+their records, in order; the all line covers all groups.  Two builds that
 print the same lines searched every sequent to the same outcome and the
-same proof, byte for byte.  The output does not depend on PYTHONHASHSEED.
+same proof, byte for byte.
+
+A last line, transforms, covers the proof transforms on every proof the
+corpus group found: expand_starred, extract_intuitionistic, and
+eliminate_contractions both of the expanded c proof and of a copy of each
+starred proof with seeded contractions inserted (decorate_with_contractions
+in tests/_oracles.py).  Each result is recorded as its dump_proof document,
+or as the class of the error it raised.  It is not part of the all line.
+The output does not depend on PYTHONHASHSEED.
 """
 
 from __future__ import annotations
@@ -27,22 +35,58 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 from seqcalc import Proved, SearchLimits, augment, dump_proof, parse_corpus, prove, prove_restart  # noqa: E402
 from seqcalc.syntax import Atom, Sequent  # noqa: E402
+from seqcalc.transform import (  # noqa: E402
+    TransformError,
+    eliminate_contractions,
+    expand_starred,
+    extract_intuitionistic,
+)
 
-from _oracles import random_fragment_sequent, random_horn_sequent, random_propositional_sequent  # noqa: E402
+from _oracles import (  # noqa: E402
+    decorate_with_contractions,
+    random_fragment_sequent,
+    random_horn_sequent,
+    random_propositional_sequent,
+)
 
 CORPUS_LIMITS = SearchLimits(node_budget=5_000)
 STREAM_LIMITS = SearchLimits(node_budget=250)
 FRAGMENTS = ("f1", "f2", "f3", "f4", "lp-int", "lp-cls", "horn")
 
 
-def _record(search) -> str:
+def _outcome(search):
+    """The search's outcome, or the ValueError it raised on refusing the sequent."""
     try:
-        out = search()
-    except ValueError:
-        return "ValueError"
+        return search()
+    except ValueError as exc:
+        return exc
+
+
+def _record(out) -> str:
     if isinstance(out, Proved):
         return dump_proof(out.proof, out.proof_class)
     return type(out).__name__
+
+
+def _transformed(make, cls) -> str:
+    try:
+        return dump_proof(make(), cls)
+    except TransformError as exc:
+        return type(exc).__name__
+
+
+def _transforms(out: Proved, seed: int):
+    """(name, record) for each transform applied to the proof of out."""
+    p, cls = out.proof, out.proof_class
+    yield "expand", _transformed(lambda: expand_starred(p), cls)
+    yield "extract", _transformed(lambda: extract_intuitionistic(p), cls)
+    if cls.kind == "cstar":
+        yield "elim-expanded", _transformed(lambda: eliminate_contractions(expand_starred(p)), cls)
+    if cls.kind in ("cstar", "istar"):
+        rng = random.Random(seed)
+        yield "elim-decorated", _transformed(
+            lambda: eliminate_contractions(decorate_with_contractions(rng, p, 2)), cls
+        )
 
 
 def _relations(s: Sequent, limits: SearchLimits):
@@ -82,17 +126,27 @@ def main(argv=None) -> int:
     ap.add_argument("--seed", type=int, default=1, help="seed of the streams (default 1)")
     args = ap.parse_args(argv)
     total, n_total = hashlib.sha256(), 0
+    proved: list[tuple[str, Proved]] = []
     for name, sequents, limits in groups(args.stream, args.seed):
         h, n = hashlib.sha256(), 0
         for s in sequents:
             for rel, search in _relations(s, limits):
-                line = f"{rel}\t{_record(search)}\n".encode()
+                out = _outcome(search)
+                if name == "corpus" and isinstance(out, Proved):
+                    proved.append((rel, out))
+                line = f"{rel}\t{_record(out)}\n".encode()
                 h.update(line)
                 total.update(line)
                 n += 1
         n_total += n
         print(f"{name} {n} {h.hexdigest()}")
     print(f"all {n_total} {total.hexdigest()}")
+    h, n = hashlib.sha256(), 0
+    for k, (rel, out) in enumerate(proved):
+        for step, record in _transforms(out, args.seed + k):
+            h.update(f"{rel}\t{step}\t{record}\n".encode())
+            n += 1
+    print(f"transforms {n} {h.hexdigest()}")
     return 0
 
 

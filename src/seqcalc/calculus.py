@@ -17,6 +17,12 @@ calculus classes:
                 restart-aware variant and an explicit restart rule targeting
                 a fixed goal formula
 
+`premises`, read from one rule table, is the one definition of each rule's
+premises: the checker, the provers and the proof transforms all call it.
+Its builders edit the conclusion's sorted sides instead of sorting, so the
+sides must be sorted, as every Sequent's are.  `INVERTIBLE` names the
+invertible rule of each connective on each side.
+
 `dump_proof` writes a proof as one flat JSON document, `{"format": 2,
 "class", "goal"?, "formulas", "nodes"}`.  `formulas` lists each distinct
 formula text once.  `nodes` lists the nodes in post-order, so every node
@@ -60,6 +66,8 @@ from .syntax import (
 
 
 class RuleId(enum.Enum):
+    __hash__ = object.__hash__  # members are singletons; Enum's hash is a Python call
+
     AXIOM = "axiom"
     CONTR_L = "contr-l"
     CONTR_R = "contr-r"
@@ -302,33 +310,6 @@ def is_axiom(s: Sequent, strengthened: bool = False) -> bool:
     return False
 
 
-#: The principal formula of each rule that has one: the side it sits on and
-#: the connective it must have (None: any formula).
-_SHAPES: dict[RuleId, tuple[str, type | None]] = {
-    RuleId.CONTR_L: ("ante", None),
-    RuleId.CONTR_R: ("succ", None),
-    RuleId.BOT_R: ("succ", None),
-    RuleId.AND_L_LEFT: ("ante", And),
-    RuleId.AND_L_RIGHT: ("ante", And),
-    RuleId.AND_L_STAR: ("ante", And),
-    RuleId.OR_L: ("ante", Or),
-    RuleId.OR_L_RESTART: ("ante", Or),
-    RuleId.IMP_L: ("ante", Imp),
-    RuleId.IMP_L_STAR: ("ante", Imp),
-    RuleId.IMP_L_STAR_INT: ("ante", Imp),
-    RuleId.FORALL_L: ("ante", Forall),
-    RuleId.FORALL_L_STAR: ("ante", Forall),
-    RuleId.EXISTS_L: ("ante", Exists),
-    RuleId.AND_R: ("succ", And),
-    RuleId.OR_R_LEFT: ("succ", Or),
-    RuleId.OR_R_RIGHT: ("succ", Or),
-    RuleId.OR_R_STAR: ("succ", Or),
-    RuleId.IMP_R: ("succ", Imp),
-    RuleId.EXISTS_R: ("succ", Exists),
-    RuleId.EXISTS_R_STAR: ("succ", Exists),
-    RuleId.FORALL_R: ("succ", Forall),
-}
-
 _CONNECTIVE_NAMES = {
     And: "a conjunction",
     Or: "a disjunction",
@@ -337,8 +318,62 @@ _CONNECTIVE_NAMES = {
     Exists: "an exists formula",
 }
 
-#: rules whose premises keep the principal formula
-_KEEPS_PRINCIPAL = {RuleId.CONTR_L, RuleId.CONTR_R, RuleId.FORALL_L_STAR, RuleId.EXISTS_R_STAR}
+#: the invertible rule of each connective, per side: the rules every
+#: search applies eagerly and that height-preserving inversion undoes
+INVERTIBLE: dict[str, dict[type, RuleId]] = {
+    "ante": {And: RuleId.AND_L_STAR, Or: RuleId.OR_L, Imp: RuleId.IMP_L_STAR, Exists: RuleId.EXISTS_L},
+    "succ": {And: RuleId.AND_R, Or: RuleId.OR_R_STAR, Imp: RuleId.IMP_R, Forall: RuleId.FORALL_R},
+}
+
+
+def _or_l_restart(s: Sequent, i: int, f, t, g) -> tuple[Sequent, ...]:
+    return s.replace_ante(i, (f.left,)), Sequent._presorted(s.ante, (g,)).replace_ante(i, (f.right,))
+
+
+#: Every rule with a principal formula: its side, the connective it must
+#: have (None: any formula), and the builder of its premises from
+#: (conclusion, principal index, principal, term, restart goal); imp-l,
+#: whose succedent split is free, has none.
+_RULES = {
+    RuleId.CONTR_L: ("ante", None, lambda s, i, f, t, g: (s.plus(ante=(f,)),)),
+    RuleId.CONTR_R: ("succ", None, lambda s, i, f, t, g: (s.plus(succ=(f,)),)),
+    RuleId.BOT_R: ("succ", None, lambda s, i, f, t, g: (s.replace_succ(i, (BOT,)),)),
+    RuleId.AND_L_LEFT: ("ante", And, lambda s, i, f, t, g: (s.replace_ante(i, (f.left,)),)),
+    RuleId.AND_L_RIGHT: ("ante", And, lambda s, i, f, t, g: (s.replace_ante(i, (f.right,)),)),
+    RuleId.AND_L_STAR: ("ante", And, lambda s, i, f, t, g: (s.replace_ante(i, (f.left, f.right)),)),
+    RuleId.OR_L: (
+        "ante",
+        Or,
+        lambda s, i, f, t, g: (s.replace_ante(i, (f.left,)), s.replace_ante(i, (f.right,))),
+    ),
+    RuleId.OR_L_RESTART: ("ante", Or, _or_l_restart),
+    RuleId.IMP_L: ("ante", Imp, None),
+    RuleId.IMP_L_STAR: (
+        "ante",
+        Imp,
+        lambda s, i, f, t, g: (s.without_ante(i).plus(succ=(f.left,)), s.replace_ante(i, (f.right,))),
+    ),
+    RuleId.IMP_L_STAR_INT: (
+        "ante",
+        Imp,
+        lambda s, i, f, t, g: (Sequent._presorted(s.ante, (f.left,)), s.replace_ante(i, (f.right,))),
+    ),
+    RuleId.FORALL_L: ("ante", Forall, lambda s, i, f, t, g: (s.replace_ante(i, (instantiate(f, t),)),)),
+    RuleId.FORALL_L_STAR: ("ante", Forall, lambda s, i, f, t, g: (s.plus(ante=(instantiate(f, t),)),)),
+    RuleId.EXISTS_L: ("ante", Exists, lambda s, i, f, t, g: (s.replace_ante(i, (instantiate(f, t),)),)),
+    RuleId.AND_R: (
+        "succ",
+        And,
+        lambda s, i, f, t, g: (s.replace_succ(i, (f.left,)), s.replace_succ(i, (f.right,))),
+    ),
+    RuleId.OR_R_LEFT: ("succ", Or, lambda s, i, f, t, g: (s.replace_succ(i, (f.left,)),)),
+    RuleId.OR_R_RIGHT: ("succ", Or, lambda s, i, f, t, g: (s.replace_succ(i, (f.right,)),)),
+    RuleId.OR_R_STAR: ("succ", Or, lambda s, i, f, t, g: (s.replace_succ(i, (f.left, f.right)),)),
+    RuleId.IMP_R: ("succ", Imp, lambda s, i, f, t, g: (s.replace_succ(i, (f.right,)).plus(ante=(f.left,)),)),
+    RuleId.EXISTS_R: ("succ", Exists, lambda s, i, f, t, g: (s.replace_succ(i, (instantiate(f, t),)),)),
+    RuleId.EXISTS_R_STAR: ("succ", Exists, lambda s, i, f, t, g: (s.plus(succ=(instantiate(f, t),)),)),
+    RuleId.FORALL_R: ("succ", Forall, lambda s, i, f, t, g: (s.replace_succ(i, (instantiate(f, t),)),)),
+}
 
 
 def premises(
@@ -346,52 +381,24 @@ def premises(
     s: Sequent,
     index: int,
     f: Formula,
-    witness: Term | None = None,
-    eigen: str | None = None,
+    term: Term | None = None,
     goal: Formula | None = None,
 ) -> tuple[Sequent, ...]:
     """The premise sequents `rule` derives `s` from, `f` being its principal
-    at `index` on the rule's side.  ValueError for the axiom, restart and
-    multi-succedent imp-l rules (whose succedent split is free)."""
-    if rule not in _SHAPES:
-        raise ValueError(f"rule {rule.value} has no principal formula")
-    side = _SHAPES[rule][0]
-    ante, succ = s.ante, s.succ
-    if rule not in _KEEPS_PRINCIPAL:
-        if side == "ante":
-            ante = ante[:index] + ante[index + 1 :]
-        else:
-            succ = succ[:index] + succ[index + 1 :]
-
-    def add(*parts: Formula) -> Sequent:
-        return Sequent(ante + parts, succ) if side == "ante" else Sequent(ante, succ + parts)
-
-    match rule:
-        case RuleId.CONTR_L | RuleId.CONTR_R:
-            return (add(f),)
-        case RuleId.BOT_R:
-            return (add(BOT),)
-        case RuleId.AND_L_LEFT | RuleId.OR_R_LEFT:
-            return (add(f.left),)
-        case RuleId.AND_L_RIGHT | RuleId.OR_R_RIGHT:
-            return (add(f.right),)
-        case RuleId.AND_L_STAR | RuleId.OR_R_STAR:
-            return (add(f.left, f.right),)
-        case RuleId.OR_L | RuleId.AND_R:
-            return (add(f.left), add(f.right))
-        case RuleId.OR_L_RESTART:
-            return (add(f.left), Sequent(ante + (f.right,), (goal,)))
-        case RuleId.IMP_L_STAR:
-            return (Sequent(ante, succ + (f.left,)), add(f.right))
-        case RuleId.IMP_L_STAR_INT:
-            return (Sequent(s.ante, (f.left,)), add(f.right))
-        case RuleId.IMP_R:
-            return (Sequent(ante + (f.left,), succ + (f.right,)),)
-        case RuleId.FORALL_L | RuleId.EXISTS_R | RuleId.FORALL_L_STAR | RuleId.EXISTS_R_STAR:
-            return (add(instantiate(f, witness)),)
-        case RuleId.EXISTS_L | RuleId.FORALL_R:
-            return (add(instantiate(f, Const(eigen))),)
-    raise ValueError(f"rule {rule.value} leaves its succedent split free")
+    at `index` on the rule's side; `term` is the witness of a quantifier
+    rule or the eigenvariable of an eigen rule, `goal` the restart goal.
+    This is the one definition of the rules' premises.  Its builders edit
+    the sorted sides of `s` instead of sorting anew, so `s` must have sides
+    in sorted order, as every Sequent does.  ValueError for the axiom,
+    restart and multi-succedent imp-l rules (whose succedent split is
+    free)."""
+    try:
+        build = _RULES[rule][2]
+    except KeyError:
+        raise ValueError(f"rule {rule.value} has no principal formula") from None
+    if build is None:
+        raise ValueError(f"rule {rule.value} leaves its succedent split free")
+    return build(s, index, f, term, goal)
 
 
 def _uniform_violation(node: Proof) -> str | None:
@@ -401,7 +408,7 @@ def _uniform_violation(node: Proof) -> str | None:
     goal = succ[0]
     if isinstance(goal, (Atom, Top, Bot)):
         return None
-    if _SHAPES.get(node.rule) != ("succ", type(goal)):
+    if _RULES.get(node.rule, ())[:2] != ("succ", type(goal)):
         return (
             f"compound goal {format_formula(goal)} must be introduced by its "
             f"right rule, not {node.rule.value}"
@@ -442,7 +449,7 @@ def _check_node(node: Proof, cls: ProofClass, strengthened: bool) -> str | None:
             return "restart needs a singleton succedent"
         return _expect_premises(node, Sequent(s.ante, (cls.goal,)))
 
-    side, connective = _SHAPES[rule]
+    side, connective, _ = _RULES[rule]
     if node.principal is None:
         return f"rule {rule.value} needs a principal formula"
     got_side, index = node.principal
@@ -470,8 +477,9 @@ def _check_node(node: Proof, cls: ProofClass, strengthened: bool) -> str | None:
         if multiset_union(delta1, p2.succ) != s.succ:
             return "imp-l: premise succedents must split the conclusion succedent"
         return None
+    term = node.witness
     if (side, connective) in (("ante", Forall), ("succ", Exists)):
-        if node.witness is None:
+        if term is None:
             return f"rule {rule.value} needs a witness term"
     elif (side, connective) in (("ante", Exists), ("succ", Forall)):
         if not node.eigen:
@@ -480,7 +488,8 @@ def _check_node(node: Proof, cls: ProofClass, strengthened: bool) -> str | None:
             return f"eigenvariable {node.eigen!r} already occurs in the conclusion"
         if cls.kind in _RESTART_KINDS and node.eigen in free_symbols(cls.goal):
             return f"eigenvariable {node.eigen!r} occurs in the restart goal"
-    return _expect_premises(node, *premises(rule, s, index, f, node.witness, node.eigen, cls.goal))
+        term = Const(node.eigen)
+    return _expect_premises(node, *premises(rule, s, index, f, term, cls.goal))
 
 
 def check_proof(proof: Proof, cls: ProofClass, strengthened_axioms: bool = False) -> CheckReport:

@@ -27,6 +27,10 @@ The intuitionistic, goal-directed and restart searches share one ground
 engine.  It runs in the caller's thread on an explicit stack of suspended
 rule applications, so a search path may be as long as memory allows and a
 call changes no interpreter-wide setting; concurrent calls are independent.
+Its per-mode table `_EAGER` names the antecedent connectives it splits
+eagerly, and so the members its loop check must not collapse.  Every
+engine takes its invertible rules from `calculus.INVERTIBLE` and builds
+their premises with `calculus.premises`, as the checker does.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Generator, Iterator, Union
 
-from .calculus import Proof, ProofClass, RuleId, is_axiom, restart_class
+from .calculus import INVERTIBLE, Proof, ProofClass, RuleId, is_axiom, premises, restart_class
 from .syntax import (
     BOT,
     And,
@@ -311,6 +315,18 @@ def is_quantifier_free_sequent(s: Sequent) -> bool:
     return all(is_quantifier_free(f) for f in s.ante + s.succ)
 
 
+def _invertible_step(s: Sequent) -> tuple[RuleId, str, int, Formula] | None:
+    """The invertible rule of the first member of s that has one, antecedent
+    first, as (rule, side, index, principal); None if no member has one."""
+    for side, members in (("ante", s.ante), ("succ", s.succ)):
+        rules = INVERTIBLE[side]
+        for i, f in enumerate(members):
+            rule = rules.get(type(f))
+            if rule is not None:
+                return rule, side, i, f
+    return None
+
+
 # ---------------------------------------------------------------------------
 # classical prover
 
@@ -349,51 +365,20 @@ class _ClassicalProver:
         if is_axiom(s, self.limits.strengthened_axioms):
             return Proof(RuleId.AXIOM, s)
         if BOT in s.ante and s.succ:
-            premise = Proof(RuleId.AXIOM, s.without_succ(0).plus(succ=(BOT,)))
-            return Proof(RuleId.BOT_R, s, (premise,), ("succ", 0))
+            (premise,) = premises(RuleId.BOT_R, s, 0, s.succ[0])
+            return Proof(RuleId.BOT_R, s, (Proof(RuleId.AXIOM, premise),), ("succ", 0))
 
-        # rest, the sequent without the principal, is built only for members
-        # that a rule here takes apart
-        for i, f in enumerate(s.ante):
-            if type(f) not in (And, Or, Imp):
-                continue
-            rest = s.without_ante(i)
-            match f:
-                case And(l, r):
-                    sub = self.decide(rest.plus(ante=(l, r)))
-                    return None if sub is None else Proof(RuleId.AND_L_STAR, s, (sub,), ("ante", i))
-                case Or(l, r):
-                    sub1 = self.decide(rest.plus(ante=(l,)))
-                    if sub1 is None:
-                        return None
-                    sub2 = self.decide(rest.plus(ante=(r,)))
-                    return None if sub2 is None else Proof(RuleId.OR_L, s, (sub1, sub2), ("ante", i))
-                case Imp(l, r):
-                    sub1 = self.decide(rest.plus(succ=(l,)))
-                    if sub1 is None:
-                        return None
-                    sub2 = self.decide(rest.plus(ante=(r,)))
-                    return (
-                        None if sub2 is None else Proof(RuleId.IMP_L_STAR, s, (sub1, sub2), ("ante", i))
-                    )
-        for i, f in enumerate(s.succ):
-            if type(f) not in (And, Or, Imp):
-                continue
-            rest = s.without_succ(i)
-            match f:
-                case And(l, r):
-                    sub1 = self.decide(rest.plus(succ=(l,)))
-                    if sub1 is None:
-                        return None
-                    sub2 = self.decide(rest.plus(succ=(r,)))
-                    return None if sub2 is None else Proof(RuleId.AND_R, s, (sub1, sub2), ("succ", i))
-                case Or(l, r):
-                    sub = self.decide(rest.plus(succ=(l, r)))
-                    return None if sub is None else Proof(RuleId.OR_R_STAR, s, (sub,), ("succ", i))
-                case Imp(l, r):
-                    sub = self.decide(rest.plus(ante=(l,), succ=(r,)))
-                    return None if sub is None else Proof(RuleId.IMP_R, s, (sub,), ("succ", i))
-        return None
+        step = _invertible_step(s)
+        if step is None:
+            return None
+        rule, side, i, f = step
+        subs = []
+        for premise in premises(rule, s, i, f):
+            sub = self.decide(premise)
+            if sub is None:
+                return None
+            subs.append(sub)
+        return Proof(rule, s, tuple(subs), (side, i))
 
     # -- metavariable search --------------------------------------------------
 
@@ -431,8 +416,8 @@ class _ClassicalProver:
             yield subst, _Skel(RuleId.AXIOM, s)
             return
         if BOT in s.ante and s.succ:
-            inner = _Skel(RuleId.AXIOM, s.without_succ(0).plus(succ=(BOT,)))
-            yield subst, _Skel(RuleId.BOT_R, s, (inner,), "succ", s.succ[0])
+            (premise,) = premises(RuleId.BOT_R, s, 0, s.succ[0])
+            yield subst, _Skel(RuleId.BOT_R, s, (_Skel(RuleId.AXIOM, premise),), "succ", s.succ[0])
             return
         for a, b in self._axiom_pairs(s):
             if subst.resolve_formula(a) == subst.resolve_formula(b):
@@ -446,80 +431,40 @@ class _ClassicalProver:
                 yield nxt, _Skel(RuleId.AXIOM, s)
 
         # one invertible step, when available
-        for i, f in enumerate(s.ante):
-            if type(f) not in (And, Or, Imp, Exists):
-                continue
-            rest = s.without_ante(i)
-            match f:
-                case And(l, r):
-                    for sb, sk in self.solve(rest.plus(ante=(l, r)), subst, counts, mult):
-                        yield sb, _Skel(RuleId.AND_L_STAR, s, (sk,), "ante", f)
-                    return
-                case Or(l, r):
-                    p1, p2 = rest.plus(ante=(l,)), rest.plus(ante=(r,))
-                    for sb1, sk1 in self.solve(p1, subst, counts, mult):
-                        for sb2, sk2 in self.solve(p2, sb1, counts, mult):
-                            yield sb2, _Skel(RuleId.OR_L, s, (sk1, sk2), "ante", f)
-                    return
-                case Imp(l, r):
-                    p1, p2 = rest.plus(succ=(l,)), rest.plus(ante=(r,))
-                    for sb1, sk1 in self.solve(p1, subst, counts, mult):
-                        for sb2, sk2 in self.solve(p2, sb1, counts, mult):
-                            yield sb2, _Skel(RuleId.IMP_L_STAR, s, (sk1, sk2), "ante", f)
-                    return
-                case Exists():
-                    name = self.fresh_eigen()
-                    live = sorted(metas_in(map(subst.resolve_formula, s.ante + s.succ)))
-                    t: Term = App(name, tuple(Meta(m) for m in live)) if live else Const(name)
-                    prem = rest.plus(ante=(instantiate(f, t),))
-                    for sb, sk in self.solve(prem, subst, counts, mult):
-                        yield sb, _Skel(RuleId.EXISTS_L, s, (sk,), "ante", f, eigen=name)
-                    return
-        for i, f in enumerate(s.succ):
-            if type(f) not in (And, Or, Imp, Forall):
-                continue
-            rest = s.without_succ(i)
-            match f:
-                case And(l, r):
-                    p1, p2 = rest.plus(succ=(l,)), rest.plus(succ=(r,))
-                    for sb1, sk1 in self.solve(p1, subst, counts, mult):
-                        for sb2, sk2 in self.solve(p2, sb1, counts, mult):
-                            yield sb2, _Skel(RuleId.AND_R, s, (sk1, sk2), "succ", f)
-                    return
-                case Or(l, r):
-                    for sb, sk in self.solve(rest.plus(succ=(l, r)), subst, counts, mult):
-                        yield sb, _Skel(RuleId.OR_R_STAR, s, (sk,), "succ", f)
-                    return
-                case Imp(l, r):
-                    for sb, sk in self.solve(rest.plus(ante=(l,), succ=(r,)), subst, counts, mult):
-                        yield sb, _Skel(RuleId.IMP_R, s, (sk,), "succ", f)
-                    return
-                case Forall():
-                    name = self.fresh_eigen()
-                    live = sorted(metas_in(map(subst.resolve_formula, s.ante + s.succ)))
-                    t = App(name, tuple(Meta(m) for m in live)) if live else Const(name)
-                    prem = rest.plus(succ=(instantiate(f, t),))
-                    for sb, sk in self.solve(prem, subst, counts, mult):
-                        yield sb, _Skel(RuleId.FORALL_R, s, (sk,), "succ", f, eigen=name)
-                    return
+        step = _invertible_step(s)
+        if step is not None:
+            rule, side, i, f = step
+            term = eigen = None
+            if type(f) in (Exists, Forall):
+                eigen = self.fresh_eigen()
+                live = sorted(metas_in(map(subst.resolve_formula, s.ante + s.succ)))
+                term = App(eigen, tuple(Meta(m) for m in live)) if live else Const(eigen)
+            for sb, subs in self._solve_all(premises(rule, s, i, f, term), subst, counts, mult):
+                yield sb, _Skel(rule, s, subs, side, f, eigen=eigen)
+            return
 
         # quantifier instantiations: the only genuine proof-shape choices left
-        for f in s.ante:
-            if isinstance(f, Forall) and counts.get(f, 0) < mult:
-                m = self.fresh_meta()
-                c2 = dict(counts)
-                c2[f] = c2.get(f, 0) + 1
-                prem = s.plus(ante=(instantiate(f, m),))
-                for sb, sk in self.solve(prem, subst, c2, mult):
-                    yield sb, _Skel(RuleId.FORALL_L_STAR, s, (sk,), "ante", f, witness=m)
-        for f in s.succ:
-            if isinstance(f, Exists) and counts.get(f, 0) < mult:
-                m = self.fresh_meta()
-                c2 = dict(counts)
-                c2[f] = c2.get(f, 0) + 1
-                prem = s.plus(succ=(instantiate(f, m),))
-                for sb, sk in self.solve(prem, subst, c2, mult):
-                    yield sb, _Skel(RuleId.EXISTS_R_STAR, s, (sk,), "succ", f, witness=m)
+        for side, k, rule in (("ante", Forall, RuleId.FORALL_L_STAR), ("succ", Exists, RuleId.EXISTS_R_STAR)):
+            for i, f in enumerate(s.ante if side == "ante" else s.succ):
+                if type(f) is k and counts.get(f, 0) < mult:
+                    m = self.fresh_meta()
+                    c2 = dict(counts)
+                    c2[f] = c2.get(f, 0) + 1
+                    (premise,) = premises(rule, s, i, f, m)
+                    for sb, sk in self.solve(premise, subst, c2, mult):
+                        yield sb, _Skel(rule, s, (sk,), side, f, witness=m)
+
+    def _solve_all(self, prems, subst, counts, mult) -> Iterator[tuple[Subst, tuple[_Skel, ...]]]:
+        """solve over the one or two premises of a rule, threading the
+        substitution from the first into the second."""
+        if len(prems) == 1:
+            for sb, sk in self.solve(prems[0], subst, counts, mult):
+                yield sb, (sk,)
+            return
+        p1, p2 = prems
+        for sb1, sk1 in self.solve(p1, subst, counts, mult):
+            for sb2, sk2 in self.solve(p2, sb1, counts, mult):
+                yield sb2, (sk1, sk2)
 
     # -- grounding -------------------------------------------------------------
 
@@ -598,6 +543,24 @@ class _ClassicalProver:
 # intuitionistic / goal-directed / restart prover
 
 
+#: loop-check template tag of each compound connective
+_TAGS = {And: "&(", Or: "|(", Imp: ">(", Forall: "A.", Exists: "E."}
+
+#: the connectives of the antecedent members each ground-search mode splits
+#: eagerly, by (goal-directed, has a restart goal): with a restart goal the
+#: disjunction split is a genuine choice, and goal-directed search keeps
+#: conjunctions for the backchain
+_EAGER = {
+    (False, False): (And, Or, Exists),
+    (True, False): (Or, Exists),
+    (True, True): (Exists,),
+}
+_EAGER_HEADS = {mode: tuple(_TAGS[k] for k in eager) for mode, eager in _EAGER.items()}
+
+#: the right rules the ground searches apply without a choice (or-r* needs two succedent slots)
+_RIGHT_INVERTIBLE = {k: rule for k, rule in INVERTIBLE["succ"].items() if k is not Or}
+
+
 class _GroundProver:
     """Single-succedent search.  uniform=False searches the contraction-free
     starred calculus; uniform=True restricts to goal-directed order and emits
@@ -630,11 +593,8 @@ class _GroundProver:
         self._low = _NO_CYCLE
         self._pending: list[tuple] = []
         self.prunes = 0
-        # template heads of the antecedent members this mode decomposes
-        # eagerly: and, or, exists when starred; exists, and or without a
-        # restart goal, when goal-directed
-        eager_uniform = ("E.",) if restart_goal is not None else ("E.", "|(")
-        self._eager = eager_uniform if uniform else ("&(", "|(", "E.")
+        mode = uniform, restart_goal is not None
+        self._eager, self._eager_heads = _EAGER[mode], _EAGER_HEADS[mode]
 
     def _fresh(self) -> str:
         name = f"{self.name_prefix}{self.counter}"
@@ -677,17 +637,11 @@ class _GroundProver:
                 if not g.args:
                     return g.pred
                 return g.pred + "(" + ",".join(cterm(a) for a in g.args) + ")"
-            if k is And:
-                return "&(" + cform(g.left) + "," + cform(g.right) + ")"
-            if k is Or:
-                return "|(" + cform(g.left) + "," + cform(g.right) + ")"
-            if k is Imp:
-                return ">(" + cform(g.left) + "," + cform(g.right) + ")"
-            if k is Forall:
-                return "A." + cform(g.body)
-            if k is Exists:
-                return "E." + cform(g.body)
-            return "T" if k is Top else "F"
+            if k is Top or k is Bot:
+                return "T" if k is Top else "F"
+            if k is Forall or k is Exists:
+                return _TAGS[k] + cform(g.body)
+            return _TAGS[k] + cform(g.left) + "," + cform(g.right) + ")"
 
         got = (cform(f), tuple(holes))
         self._tmpl_memo[f] = got
@@ -726,7 +680,7 @@ class _GroundProver:
         kept = dict.fromkeys(parts)
         if len(kept) < len(parts):
             # sorting put equal members side by side
-            eager = self._eager
+            eager = self._eager_heads
             kept, prev = [], None
             for p in parts:
                 if p != prev or p.startswith(eager):
@@ -834,8 +788,8 @@ class _GroundProver:
             and not isinstance(goal, Bot)
             and (not self.uniform or isinstance(goal, Atom))
         ):
-            inner = Proof(RuleId.AXIOM, Sequent._presorted(s.ante, (BOT,)))
-            return Proof(RuleId.BOT_R, s, (inner,), ("succ", 0))
+            (premise,) = premises(RuleId.BOT_R, s, 0, goal)
+            return Proof(RuleId.BOT_R, s, (Proof(RuleId.AXIOM, premise),), ("succ", 0))
 
         loop_key, cache_key = self._canon(s, counts)
         seen_at = self._path.get(loop_key)
@@ -887,37 +841,58 @@ class _GroundProver:
                 self._low = outer_low
         return None
 
-    def _right_rule(self, s, goal, depth, counts) -> _Visit:
-        """Introduce a compound goal by its right rule; None if that fails
-        or the goal is not compound.  Both search modes share this."""
-        match goal:
-            case And(l, r):
-                sub1 = yield (Sequent._presorted(s.ante, (l,)), depth, counts)
-                if sub1 is None:
-                    return None
-                sub2 = yield (Sequent._presorted(s.ante, (r,)), depth, counts)
-                return None if sub2 is None else Proof(RuleId.AND_R, s, (sub1, sub2), ("succ", 0))
-            case Imp(l, r):
-                sub = yield (s.without_succ(0).plus(ante=(l,), succ=(r,)), depth, counts)
-                return None if sub is None else Proof(RuleId.IMP_R, s, (sub,), ("succ", 0))
-            case Forall():
-                c = self._fresh()
-                sub = yield (Sequent._presorted(s.ante, (instantiate(goal, Const(c)),)), depth, counts)
-                return None if sub is None else Proof(RuleId.FORALL_R, s, (sub,), ("succ", 0), eigen=c)
-            case Or(l, r):
-                for rule, kept in ((RuleId.OR_R_LEFT, l), (RuleId.OR_R_RIGHT, r)):
-                    sub = yield (Sequent._presorted(s.ante, (kept,)), depth, counts)
-                    if sub is not None:
-                        return Proof(rule, s, (sub,), ("succ", 0))
-            case Exists():
-                key = self._template(goal)[0]
-                if counts.get(key, 0) < self.limits.quantifier_budget:
-                    c2 = dict(counts)
-                    c2[key] = c2.get(key, 0) + 1
-                    for t in self._witnesses(s):
-                        sub = yield (Sequent._presorted(s.ante, (instantiate(goal, t),)), depth, c2)
-                        if sub is not None:
-                            return Proof(RuleId.EXISTS_R, s, (sub,), ("succ", 0), witness=t)
+    def _apply(self, rule: RuleId, s, side: str, i: int, f, depth, counts) -> _Visit:
+        """Apply an invertible rule: search its premises in order and stop at
+        the first that fails.  The eigen rules, the invertible rules of a
+        quantifier, get a fresh constant."""
+        eigen = self._fresh() if type(f) in (Exists, Forall) else None
+        subs = []
+        for premise in premises(rule, s, i, f, None if eigen is None else Const(eigen)):
+            sub = yield (premise, depth, counts)
+            if sub is None:
+                return None
+            subs.append(sub)
+        return Proof(rule, s, tuple(subs), (side, i), None, eigen)
+
+    def _eager_step(self, s, depth, counts) -> _Visit | None:
+        """The step splitting the first antecedent member whose connective
+        this mode decomposes eagerly; None when there is none."""
+        ante_rules = INVERTIBLE["ante"]
+        for i, f in enumerate(s.ante):
+            k = type(f)
+            if k in self._eager:
+                return self._apply(ante_rules[k], s, "ante", i, f, depth, counts)
+        return None
+
+    def _right_rule(self, s, goal, depth, counts) -> _Visit | None:
+        """The step introducing a compound goal by its right rule, None for
+        an atomic goal.  Both search modes share this."""
+        k = type(goal)
+        if k in _RIGHT_INVERTIBLE:
+            return self._apply(_RIGHT_INVERTIBLE[k], s, "succ", 0, goal, depth, counts)
+        if k is Or or k is Exists:
+            return self._right_choice(s, goal, depth, counts)
+        return None
+
+    def _right_choice(self, s, goal, depth, counts) -> _Visit:
+        """Introduce a disjunction or existential goal: try each disjunct,
+        or each witness within the quantifier budget, until one is proved."""
+        if type(goal) is Or:
+            for rule in (RuleId.OR_R_LEFT, RuleId.OR_R_RIGHT):
+                (premise,) = premises(rule, s, 0, goal)
+                sub = yield (premise, depth, counts)
+                if sub is not None:
+                    return Proof(rule, s, (sub,), ("succ", 0))
+            return None
+        key = self._template(goal)[0]
+        if counts.get(key, 0) < self.limits.quantifier_budget:
+            c2 = dict(counts)
+            c2[key] = c2.get(key, 0) + 1
+            for t in self._witnesses(s):
+                (premise,) = premises(RuleId.EXISTS_R, s, 0, goal, t)
+                sub = yield (premise, depth, c2)
+                if sub is not None:
+                    return Proof(RuleId.EXISTS_R, s, (sub,), ("succ", 0), witness=t)
         return None
 
     # invertible-first search over the starred single-succedent rules
@@ -926,38 +901,22 @@ class _GroundProver:
         # one dooms the whole subtree
         if type(goal) in (Atom, Bot) and not self._attainable(s, goal):
             return None
-        for i, f in enumerate(s.ante):
-            match f:
-                case And(l, r):
-                    prem = s.without_ante(i).plus(ante=(l, r))
-                    sub = yield (prem, depth, counts)
-                    return None if sub is None else Proof(RuleId.AND_L_STAR, s, (sub,), ("ante", i))
-                case Exists():
-                    c = self._fresh()
-                    prem = s.without_ante(i).plus(ante=(instantiate(f, Const(c)),))
-                    sub = yield (prem, depth, counts)
-                    return None if sub is None else Proof(RuleId.EXISTS_L, s, (sub,), ("ante", i), eigen=c)
-                case Or(l, r):
-                    rest = s.without_ante(i)
-                    sub1 = yield (rest.plus(ante=(l,)), depth, counts)
-                    if sub1 is None:
-                        return None
-                    sub2 = yield (rest.plus(ante=(r,)), depth, counts)
-                    return None if sub2 is None else Proof(RuleId.OR_L, s, (sub1, sub2), ("ante", i))
-                case _:
-                    pass
+        step = self._eager_step(s, depth, counts)
+        if step is not None:
+            return (yield from step)
         # the right rules of and, imp and forall are invertible; those of or
         # and exists are genuine choice points, and the left rules below
         # follow in a fixed order when they fail
-        sub = yield from self._right_rule(s, goal, depth, counts)
-        if sub is not None or isinstance(goal, (And, Imp, Forall)):
-            return sub
+        step = self._right_rule(s, goal, depth, counts)
+        if step is not None:
+            sub = yield from step
+            if sub is not None or type(goal) in _RIGHT_INVERTIBLE:
+                return sub
         for i, f in enumerate(s.ante):
             if isinstance(f, Imp):
                 sub1 = yield (Sequent._presorted(s.ante, (f.left,)), depth, counts)
                 if sub1 is not None:
-                    prem2 = s.without_ante(i).plus(ante=(f.right,))
-                    sub2 = yield (prem2, depth, counts)
+                    sub2 = yield (s.replace_ante(i, (f.right,)), depth, counts)
                     if sub2 is not None:
                         return Proof(RuleId.IMP_L_STAR_INT, s, (sub1, sub2), ("ante", i))
         for i, f in enumerate(s.ante):
@@ -980,8 +939,9 @@ class _GroundProver:
 
     # goal-directed search emitting plain rules
     def _search_uniform(self, s, goal, depth, counts) -> _Visit:
-        if isinstance(goal, (And, Or, Imp, Forall, Exists)):
-            return (yield from self._right_rule(s, goal, depth, counts))
+        step = self._right_rule(s, goal, depth, counts)
+        if step is not None:
+            return (yield from step)
 
         # atomic (or bottom) goal: a goal no antecedent head can produce is
         # hopeless here, and only a restart can rescue it
@@ -996,20 +956,9 @@ class _GroundProver:
         # opening an existential at an exempt goal loses no proofs (with a
         # restart goal the disjunction step is a genuine choice and stays in
         # the backchain loop below)
-        for i, f in enumerate(s.ante):
-            k = type(f)
-            if k is Exists:
-                c = self._fresh()
-                prem = s.without_ante(i).plus(ante=(instantiate(f, Const(c)),))
-                sub = yield (prem, depth, counts)
-                return None if sub is None else Proof(RuleId.EXISTS_L, s, (sub,), ("ante", i), eigen=c)
-            if k is Or and self.rgoal is None:
-                rest = s.without_ante(i)
-                sub1 = yield (rest.plus(ante=(f.left,)), depth, counts)
-                if sub1 is None:
-                    return None
-                sub2 = yield (rest.plus(ante=(f.right,)), depth, counts)
-                return None if sub2 is None else Proof(RuleId.OR_L, s, (sub1, sub2), ("ante", i))
+        step = self._eager_step(s, depth, counts)
+        if step is not None:
+            return (yield from step)
 
         if self.rgoal is not None:
             # the restart split is a genuine choice, but each disjunct alone
@@ -1020,11 +969,9 @@ class _GroundProver:
             for i, f in enumerate(s.ante):
                 if type(f) is not Or:
                     continue
-                rest = s.without_ante(i)
-                if (yield (rest.plus(ante=(f.left,)), depth, counts)) is None:
-                    return None
-                if (yield (rest.plus(ante=(f.right,)), depth, counts)) is None:
-                    return None
+                for premise in premises(RuleId.OR_L, s, i, f):
+                    if (yield (premise, depth, counts)) is None:
+                        return None
                 break
 
         # backchain on the antecedent

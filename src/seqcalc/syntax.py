@@ -553,9 +553,10 @@ class Sequent:
     interned.
 
     The constructor sorts both sides.  Sequent._presorted, without_ante,
-    without_succ and plus do not: they need sides already in the order
-    sorted(key=formula_key) gives, as every Sequent's sides are, and keep
-    that order (plus inserts each new member where sorted() would put it)."""
+    without_succ, replace_ante, replace_succ and plus do not: they need
+    sides already in the order sorted(key=formula_key) gives, as every
+    Sequent's sides are, and keep that order (plus and replace_* insert
+    each new member where sorted() would put it)."""
 
     ante: tuple[Formula, ...] = ()
     succ: tuple[Formula, ...] = ()
@@ -575,6 +576,14 @@ class Sequent:
 
     def plus(self, ante: Iterable[Formula] = (), succ: Iterable[Formula] = ()) -> "Sequent":
         return Sequent._presorted(_insorted(self.ante, ante), _insorted(self.succ, succ))
+
+    def replace_ante(self, index: int, new: Iterable[Formula]) -> "Sequent":
+        """without_ante(index).plus(ante=new), building one sequent."""
+        return Sequent._presorted(_insorted(self.ante[:index] + self.ante[index + 1 :], new), self.succ)
+
+    def replace_succ(self, index: int, new: Iterable[Formula]) -> "Sequent":
+        """without_succ(index).plus(succ=new), building one sequent."""
+        return Sequent._presorted(self.ante, _insorted(self.succ[:index] + self.succ[index + 1 :], new))
 
     def without_ante(self, index: int) -> "Sequent":
         return Sequent._presorted(self.ante[:index] + self.ante[index + 1 :], self.succ)

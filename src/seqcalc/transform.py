@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-from .calculus import Proof, RuleId, is_axiom, premises, proof_nodes, rule_family, rule_usage
+from .calculus import INVERTIBLE, Proof, RuleId, is_axiom, premises, proof_nodes, rule_family, rule_usage
 from .fragments import FORBIDDEN_FAMILIES
 from .syntax import (
     BOT,
@@ -258,19 +258,6 @@ def identity_proof(f: Formula) -> Proof:
 # height-preserving inversion
 
 
-#: the invertible rule of each (side, connective) pair
-_INVERTIBLE = {
-    ("ante", And): RuleId.AND_L_STAR,
-    ("ante", Or): RuleId.OR_L,
-    ("ante", Imp): RuleId.IMP_L_STAR,
-    ("ante", Exists): RuleId.EXISTS_L,
-    ("succ", And): RuleId.AND_R,
-    ("succ", Or): RuleId.OR_R_STAR,
-    ("succ", Imp): RuleId.IMP_R,
-    ("succ", Forall): RuleId.FORALL_R,
-}
-
-
 def _inverted_sequent(s: Sequent, side: str, f: Formula, which: int, eigen: str | None) -> Sequent:
     """The sequent obtained by replacing one occurrence of f with its premise parts."""
     try:
@@ -278,10 +265,10 @@ def _inverted_sequent(s: Sequent, side: str, f: Formula, which: int, eigen: str 
     except ValueError:
         where = "antecedent" if side == "ante" else "succedent"
         raise TransformError(f"{format_formula(f)} does not occur in the {where} of {s}") from None
-    rule = _INVERTIBLE.get((side, type(f)))
+    rule = INVERTIBLE[side].get(type(f))
     if rule is None:
         raise TransformError(f"no invertible rule applies to {format_formula(f)} on the {side} side")
-    return premises(rule, s, index, f, eigen=eigen)[which]
+    return premises(rule, s, index, f, None if eigen is None else Const(eigen))[which]
 
 
 def _rebind_eigen(q: Proof, old: str, new: str) -> Proof:
@@ -314,24 +301,14 @@ def _invert_once(p: Proof, side: str, f: Formula, which: int = 0, eigen: str | N
 
     if pf == f and pside == side:
         # the node acts on the very formula being inverted
-        if rule is RuleId.AND_L_STAR:
-            return p.premises[0]
-        if rule is RuleId.AND_R:
-            return p.premises[which]
-        if rule is RuleId.OR_L:
-            return p.premises[which]
-        if rule is RuleId.OR_R_STAR:
-            return p.premises[0]
-        if rule is RuleId.IMP_L_STAR:
+        if rule in (RuleId.EXISTS_L, RuleId.FORALL_R):
+            return _rebind_eigen(p.premises[0], p.eigen, eigen)
+        if rule is INVERTIBLE[side].get(type(f)):
             return p.premises[which]
         if rule is RuleId.IMP_L_STAR_INT:
             if which == 0:
                 raise TransformError("the goal premise of the single-succedent rule is not invertible")
             return p.premises[1]
-        if rule is RuleId.IMP_R:
-            return p.premises[0]
-        if rule in (RuleId.EXISTS_L, RuleId.FORALL_R):
-            return _rebind_eigen(p.premises[0], p.eigen, eigen)
         if rule is RuleId.BOT_R:
             # not invertible: rebuild by weakening the bottom premise
             t = _inverted_sequent(s, side, f, which, eigen)
@@ -378,10 +355,6 @@ def _widen_or_keep(p: Proof, ea, es) -> Proof:
 # contraction elimination
 
 
-_ANTE_CONSUMING = {RuleId.AND_L_STAR, RuleId.OR_L, RuleId.IMP_L_STAR, RuleId.IMP_L_STAR_INT, RuleId.EXISTS_L}
-_SUCC_CONSUMING = {RuleId.AND_R, RuleId.OR_R_STAR, RuleId.IMP_R, RuleId.FORALL_R, RuleId.BOT_R}
-
-
 def _contract_once(p: Proof, side: str, f: Formula) -> Proof:
     """From a contraction-free proof of a sequent holding two copies of f,
     build a contraction-free proof with one copy, by induction on the size
@@ -406,8 +379,9 @@ def _contract_once(p: Proof, side: str, f: Formula) -> Proof:
 
     pf = _principal_formula(p) if p.principal is not None else None
     pside = p.principal[0] if p.principal is not None else None
+    # the invertible rules, imp-l*-int and bot-r consume their principal
     consuming = pf == f and pside == side and (
-        rule in _ANTE_CONSUMING if side == "ante" else rule in _SUCC_CONSUMING
+        rule is INVERTIBLE[side].get(type(f)) or rule in (RuleId.IMP_L_STAR_INT, RuleId.BOT_R)
     )
 
     if not consuming:

@@ -13,6 +13,7 @@ import itertools
 import random
 from functools import lru_cache
 
+from seqcalc.calculus import RuleId
 from seqcalc.syntax import (
     And,
     App,
@@ -32,6 +33,7 @@ from seqcalc.syntax import (
     Var,
     forall,
     exists,
+    instantiate,
     substitute,
 )
 
@@ -69,6 +71,79 @@ def reference_formula_key(f: Formula) -> tuple:
     if isinstance(f, (Forall, Exists)):
         return (tag, reference_formula_key(f.body))
     return (tag,)
+
+
+# ---------------------------------------------------------------------------
+# rule premises by sorting construction
+
+#: rules whose premises keep the principal formula
+_KEEPS_PRINCIPAL = {RuleId.CONTR_L, RuleId.CONTR_R, RuleId.FORALL_L_STAR, RuleId.EXISTS_R_STAR}
+#: rules whose principal is in the succedent
+_SUCC_RULES = {
+    RuleId.CONTR_R,
+    RuleId.BOT_R,
+    RuleId.AND_R,
+    RuleId.OR_R_LEFT,
+    RuleId.OR_R_RIGHT,
+    RuleId.OR_R_STAR,
+    RuleId.IMP_R,
+    RuleId.EXISTS_R,
+    RuleId.EXISTS_R_STAR,
+    RuleId.FORALL_R,
+}
+
+
+def reference_premises(
+    rule: RuleId,
+    s: Sequent,
+    index: int,
+    f: Formula,
+    witness: Term | None = None,
+    eigen: str | None = None,
+    goal: Formula | None = None,
+) -> tuple[Sequent, ...]:
+    """The premises of a rule application, one case per rule, each built
+    by the sorting Sequent constructor.  calculus.premises must return
+    these, member object for member object."""
+    if rule in (RuleId.AXIOM, RuleId.RESTART):
+        raise ValueError(f"rule {rule.value} has no principal formula")
+    side = "succ" if rule in _SUCC_RULES else "ante"
+    ante, succ = s.ante, s.succ
+    if rule not in _KEEPS_PRINCIPAL:
+        if side == "ante":
+            ante = ante[:index] + ante[index + 1 :]
+        else:
+            succ = succ[:index] + succ[index + 1 :]
+
+    def add(*parts: Formula) -> Sequent:
+        return Sequent(ante + parts, succ) if side == "ante" else Sequent(ante, succ + parts)
+
+    match rule:
+        case RuleId.CONTR_L | RuleId.CONTR_R:
+            return (add(f),)
+        case RuleId.BOT_R:
+            return (add(Bot()),)
+        case RuleId.AND_L_LEFT | RuleId.OR_R_LEFT:
+            return (add(f.left),)
+        case RuleId.AND_L_RIGHT | RuleId.OR_R_RIGHT:
+            return (add(f.right),)
+        case RuleId.AND_L_STAR | RuleId.OR_R_STAR:
+            return (add(f.left, f.right),)
+        case RuleId.OR_L | RuleId.AND_R:
+            return (add(f.left), add(f.right))
+        case RuleId.OR_L_RESTART:
+            return (add(f.left), Sequent(ante + (f.right,), (goal,)))
+        case RuleId.IMP_L_STAR:
+            return (Sequent(ante, succ + (f.left,)), add(f.right))
+        case RuleId.IMP_L_STAR_INT:
+            return (Sequent(s.ante, (f.left,)), add(f.right))
+        case RuleId.IMP_R:
+            return (Sequent(ante + (f.left,), succ + (f.right,)),)
+        case RuleId.FORALL_L | RuleId.EXISTS_R | RuleId.FORALL_L_STAR | RuleId.EXISTS_R_STAR:
+            return (add(instantiate(f, witness)),)
+        case RuleId.EXISTS_L | RuleId.FORALL_R:
+            return (add(instantiate(f, Const(eigen))),)
+    raise ValueError(f"rule {rule.value} leaves its succedent split free")
 
 
 # ---------------------------------------------------------------------------
@@ -458,7 +533,7 @@ def decorate_with_contractions(rng: random.Random, proof, n: int):
     into the subproof by weakening, and closes with the matching contraction,
     so the decorated tree still proves the same end sequent.
     """
-    from seqcalc.calculus import Proof, RuleId
+    from seqcalc.calculus import Proof
     from seqcalc.transform import weaken
 
     def nodes(p, path=()):

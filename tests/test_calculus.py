@@ -4,10 +4,11 @@ import json
 import re
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from seqcalc.calculus import (
+    _RULES,
     CLASSICAL,
     CLASSICAL_STAR,
     INTUITIONISTIC,
@@ -20,6 +21,7 @@ from seqcalc.calculus import (
     dump_proof,
     is_axiom,
     load_proof,
+    premises,
     proof_height,
     proof_nodes,
     proof_size,
@@ -33,6 +35,7 @@ from seqcalc.parser import parse_sequent
 from seqcalc.search import Proved, prove, prove_restart
 from seqcalc.syntax import (
     And,
+    App,
     Atom,
     Bot,
     Const,
@@ -50,7 +53,7 @@ from seqcalc.syntax import (
 from seqcalc.transform import expand_starred
 
 from _documents import DEEPLY_NESTED, FLAT, MALFORMED, malformed
-from _oracles import random_propositional_sequent
+from _oracles import random_propositional_sequent, reference_premises
 
 Q, S, T = Atom("q"), Atom("s"), Atom("t")
 
@@ -262,6 +265,84 @@ def test_checker_rejects_a_quantifier_rule_without_its_term(rule):
         assert rep.message == f"rule {rule.value} needs a witness term"
     else:
         assert rep.message == f"rule {rule.value} needs an eigenvariable"
+
+
+# ---------------------------------------------------------------------------
+# the premise table against the sorting reference
+
+
+def _px(v):
+    return forall(v, Atom("p", (Var(v),)))
+
+
+def _ex(v):
+    return exists(v, Atom("p", (Var(v),)))
+
+
+# alpha-variants (binder hints x and y) are distinct objects with equal sort
+# keys, so the property also sees the order kept among equal keys
+_MEMBERS = [
+    Q,
+    S,
+    Bot(),
+    *(g for v in "xy" for g in (_px(v), _ex(v), And(_px(v), Q), Imp(_ex(v), S))),
+    Or(_px("x"), _px("y")),
+    Or(_px("y"), _px("x")),
+    And(_ex("x"), _ex("y")),
+    Imp(_px("x"), _px("y")),
+    forall("x", And(Atom("p", (Var("x"),)), Q)),
+    exists("y", Or(Q, Atom("p", (Var("y"),)))),
+]
+_TERMS = [Const("a"), Const("b"), App("f", (Const("a"),))]
+
+
+@settings(max_examples=400)
+@given(st.data())
+def test_premise_table_matches_the_sorting_reference(data):
+    rule = data.draw(st.sampled_from([r for r in _RULE_SHAPES if r is not RuleId.IMP_L]), "rule")
+    side, conn, _, _, needs = _RULE_SHAPES[rule]
+    f = data.draw(st.sampled_from([g for g in _MEMBERS if conn is None or type(g) is conn]), "principal")
+    ante = data.draw(st.lists(st.sampled_from(_MEMBERS), max_size=4), "ante")
+    succ = data.draw(st.lists(st.sampled_from(_MEMBERS), max_size=3), "succ")
+    own = ante if side == "ante" else succ
+    own.insert(data.draw(st.integers(0, len(own)), "at"), f)
+    s = Sequent(tuple(ante), tuple(succ))
+    index = next(i for i, g in enumerate(s.ante if side == "ante" else s.succ) if g is f)
+    goal = data.draw(st.sampled_from(_MEMBERS), "goal")
+    if needs == "eigen":
+        name = data.draw(st.sampled_from(["a", "c", "e0"]), "eigen")
+        want = reference_premises(rule, s, index, f, eigen=name, goal=goal)
+        got = premises(rule, s, index, f, Const(name), goal)
+    else:
+        term = data.draw(st.sampled_from(_TERMS), "term")
+        want = reference_premises(rule, s, index, f, witness=term, goal=goal)
+        got = premises(rule, s, index, f, term, goal)
+    assert got == want
+    assert [([id(g) for g in p.ante], [id(g) for g in p.succ]) for p in got] == [
+        ([id(g) for g in p.ante], [id(g) for g in p.succ]) for p in want
+    ]
+
+
+def test_rule_table_has_the_principal_shape_of_every_rule():
+    assert {r: shape[:2] for r, shape in _RULES.items()} == {r: shape[:2] for r, shape in _RULE_SHAPES.items()}
+
+
+@pytest.mark.parametrize(
+    "rule, message",
+    [
+        (RuleId.AXIOM, "rule axiom has no principal formula"),
+        (RuleId.RESTART, "rule restart has no principal formula"),
+        (RuleId.IMP_L, "rule imp-l leaves its succedent split free"),
+    ],
+    ids=["axiom", "restart", "imp-l"],
+)
+def test_premises_refuses_rules_without_fixed_premises(rule, message):
+    f = Imp(Q, S)
+    s = Sequent((f,), (Q, S))
+    for build in (premises, reference_premises):
+        with pytest.raises(ValueError) as err:
+            build(rule, s, 0, f)
+        assert str(err.value) == message
 
 
 # ---------------------------------------------------------------------------

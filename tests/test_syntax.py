@@ -269,8 +269,8 @@ def _shown(s: Sequent):
 
 @given(seeds)
 def test_sequent_edits_match_the_sorting_constructor(seed):
-    # without_* and plus skip the constructor's sort; they must still give
-    # the order sorted() gives, down to which of two alpha-variants comes first
+    # without_*, replace_* and plus skip the constructor's sort; they must still
+    # give the order sorted() gives, down to which of two alpha-variants comes first
     rng = random.Random(seed)
     pool = [
         random_in_grammar(rng, rng.choice(FRAGMENTS), rng.choice(("clause", "goal")), rng.randrange(4), mixed_leaves())
@@ -286,6 +286,12 @@ def test_sequent_edits_match_the_sorting_constructor(seed):
     for _ in range(4):
         a, b = members(rng.randrange(3)), members(rng.randrange(3))
         edits.append((s.plus(a, b), Sequent(s.ante + a, s.succ + b)))
+        if s.ante:
+            i = rng.randrange(len(s.ante))
+            edits.append((s.replace_ante(i, a), Sequent(s.ante[:i] + s.ante[i + 1 :] + a, s.succ)))
+        if s.succ:
+            i = rng.randrange(len(s.succ))
+            edits.append((s.replace_succ(i, b), Sequent(s.ante, s.succ[:i] + s.succ[i + 1 :] + b)))
     for got, want in edits:
         assert got == want
         assert _shown(got) == _shown(want)
