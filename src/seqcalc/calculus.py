@@ -303,9 +303,10 @@ def is_axiom(s: Sequent, strengthened: bool = False) -> bool:
     for f in s.succ:
         if isinstance(f, Top):
             return True
-    succ_set = set(s.succ)
+    # sort keys: equal exactly for equal formulas, and hashed in C
+    succ_keys = {f._key for f in s.succ}
     for f in s.ante:
-        if f in succ_set and (strengthened or isinstance(f, (Atom, Bot))):
+        if f._key in succ_keys and (strengthened or isinstance(f, (Atom, Bot))):
             return True
     return False
 

@@ -1,4 +1,4 @@
-"""Recursive-descent parser for formulas, sequents, and corpus files.
+"""Parser for formulas, sequents, and corpus files: two flat passes.
 
 Concrete syntax, loosest to tightest binding:
 
@@ -17,12 +17,23 @@ only under a binder, so an unbound identifier is a constant (or a predicate,
 in formula position).  Capitalized identifiers are rejected: that spelling
 is reserved for printed metavariables.  A sequent is written
 `ante |- succ` with comma-separated, possibly empty sides.
+
+The first pass is one regex findall over the source, which yields the token
+texts, and one dict lookup per text for its kind.  The second is an
+operator-precedence (shunting-yard) loop over an operand stack and an
+operator stack that holds the pending binary connectives, prefix `~`,
+quantifier frames (each with its name on the binder list) and open
+parentheses; argument lists are read by the same kind of loop over a stack
+of open applications.  Neither pass recurses, so nesting depth is bounded
+by memory only.  The passes build no position objects: a ParseError finds
+the offending token's offsets by scanning the source again.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import islice, repeat
 
 from .syntax import (
     BOT,
@@ -39,7 +50,6 @@ from .syntax import (
     Or,
     Sequent,
     Term,
-    neg,
 )
 
 
@@ -65,205 +75,253 @@ class ParseError(ValueError):
         return f"{self.message} (line {line}, column {col})"
 
 
-_TOKEN = re.compile(
-    r"""(?P<ws>\s+)
-      | (?P<ident>[a-z][A-Za-z0-9_]*)
-      | (?P<capident>[A-Z][A-Za-z0-9_]*)
-      | (?P<turnstile>\|-)
-      | (?P<imp>=>)
-      | (?P<lparen>\()
-      | (?P<rparen>\))
-      | (?P<comma>,)
-      | (?P<dot>\.)
-      | (?P<amp>&)
-      | (?P<pipe>\|)
-      | (?P<tilde>~)
-    """,
-    re.VERBOSE,
-)
+# ---------------------------------------------------------------------------
+# tokens
 
-_KEYWORDS = {"forall", "exists", "top", "bot"}
+# every token; findall skips what matches none, so a source is well formed
+# exactly when its tokens joined give its non-whitespace characters
+_TOKEN = re.compile(r"[a-z][A-Za-z0-9_]*|\|-|=>|[(),.&|~]")
+_SPACE = re.compile(r"\s*")
+_CAPITALIZED = re.compile(r"[A-Z][A-Za-z0-9_]*")
+
+# token kinds; the binary connectives are their own precedences, and every
+# other kind an operator stack holds is below them
+_IMP, _OR, _AND = 1, 2, 3
+_BOTTOM, _LPAREN, _FORALL, _EXISTS, _TILDE = -1, -2, -3, -4, -5
+_IDENT, _RPAREN, _COMMA, _DOT, _TURNSTILE, _TOP, _BOT, _EOF = 4, 5, 6, 7, 8, 9, 10, 11
+
+_KIND = {
+    "=>": _IMP,
+    "|": _OR,
+    "&": _AND,
+    "(": _LPAREN,
+    ")": _RPAREN,
+    ",": _COMMA,
+    ".": _DOT,
+    "~": _TILDE,
+    "|-": _TURNSTILE,
+    "forall": _FORALL,
+    "exists": _EXISTS,
+    "top": _TOP,
+    "bot": _BOT,
+}
+
+# a binary connective reduces the pending connectives on the operator stack
+# at or above its threshold: its own precedence when it is left
+# associative, one above it when it is right associative
+_THRESHOLD = {_IMP: _IMP + 1, _OR: _OR, _AND: _AND}
+_BINARY = {_IMP: Imp, _OR: Or, _AND: And}
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str
-    text: str
-    span: SourceSpan
+def _tokens(source: str) -> tuple[list[str], list[int]]:
+    """The token texts of source and their kinds, the kinds ending in _EOF."""
+    texts = _TOKEN.findall(source)
+    if "".join(texts) != "".join(source.split()):
+        raise _lexical_error(source)
+    kinds = list(map(_KIND.get, texts, repeat(_IDENT)))
+    kinds.append(_EOF)
+    return texts, kinds
 
 
-def _tokenize(source: str) -> list[_Token]:
-    out: list[_Token] = []
+def _lexical_error(source: str) -> ParseError:
+    """The error for the first character of source that starts no token."""
     pos = 0
-    while pos < len(source):
+    while True:
+        pos = _SPACE.match(source, pos).end()
         m = _TOKEN.match(source, pos)
         if m is None:
-            raise ParseError(f"unexpected character {source[pos]!r}", SourceSpan(pos, pos + 1), source)
-        kind = m.lastgroup or ""
-        if kind == "capident":
-            raise ParseError(
-                f"capitalized identifier {m.group()!r} (that spelling is reserved for metavariables)",
-                SourceSpan(m.start(), m.end()),
-                source,
-            )
-        if kind != "ws":
-            text = m.group()
-            if kind == "ident" and text in _KEYWORDS:
-                kind = text
-            out.append(_Token(kind, text, SourceSpan(m.start(), m.end())))
+            break
         pos = m.end()
-    out.append(_Token("eof", "", SourceSpan(len(source), len(source))))
-    return out
+    m = _CAPITALIZED.match(source, pos)
+    if m is not None:
+        return ParseError(
+            f"capitalized identifier {m.group()!r} (that spelling is reserved for metavariables)",
+            SourceSpan(m.start(), m.end()),
+            source,
+        )
+    return ParseError(f"unexpected character {source[pos]!r}", SourceSpan(pos, pos + 1), source)
 
 
-class _Parser:
-    def __init__(self, source: str):
-        self.source = source
-        self.tokens = _tokenize(source)
-        self.pos = 0
-        self.binders: list[str] = []  # innermost last
+def _error(message: str, source: str, i: int) -> ParseError:
+    """The error for token i (the end of input when i is past the last
+    token), its span found by scanning source again."""
+    m = next(islice(_TOKEN.finditer(source), i, None), None)
+    span = SourceSpan(len(source), len(source)) if m is None else SourceSpan(m.start(), m.end())
+    return ParseError(message, span, source)
 
-    # -- token helpers ----------------------------------------------------
 
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
+def _expected(what: str, source: str, texts: list[str], i: int) -> ParseError:
+    found = repr(texts[i]) if i < len(texts) else "end of input"
+    return _error(f"expected {what}, found {found}", source, i)
 
-    def next(self) -> _Token:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
 
-    def expect(self, kind: str, what: str) -> _Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            raise self.error(f"expected {what}, found {tok.text!r}" if tok.kind != "eof" else f"expected {what}, found end of input", tok)
-        return self.next()
+# ---------------------------------------------------------------------------
+# terms and formulas
 
-    def error(self, message: str, tok: _Token) -> ParseError:
-        return ParseError(message, tok.span, self.source)
 
-    # -- grammar ----------------------------------------------------------
+def _arguments(
+    source: str, texts: list[str], kinds: list[int], i: int, binders: list[str]
+) -> tuple[tuple[Term, ...], int]:
+    """The argument list whose "(" is token i, and the index after its ")"."""
+    open_apps: list[tuple[str, list[Term]]] = []  # name and earlier arguments, innermost last
+    args: list[Term] = []
+    i += 1
+    while True:
+        if kinds[i] != _IDENT:
+            raise _expected("a term", source, texts, i)
+        name = texts[i]
+        i += 1
+        if kinds[i] == _LPAREN:
+            if name in binders:
+                raise _error(f"bound variable {name!r} cannot take arguments", source, i - 1)
+            open_apps.append((name, args))
+            args = []
+            i += 1
+            continue
+        term = Bound(binders[::-1].index(name)) if name in binders else Const(name)
+        while True:
+            args.append(term)
+            k = kinds[i]
+            i += 1
+            if k == _COMMA:
+                break
+            if k != _RPAREN:
+                raise _expected("')'", source, texts, i - 1)
+            if not open_apps:
+                return tuple(args), i
+            name, outer = open_apps.pop()
+            term = App(name, args)
+            args = outer
 
-    def formula(self) -> Formula:
-        left = self.disjunction()
-        if self.peek().kind == "imp":
-            self.next()
-            return Imp(left, self.formula())
-        return left
 
-    def disjunction(self) -> Formula:
-        f = self.conjunction()
-        while self.peek().kind == "pipe":
-            self.next()
-            f = Or(f, self.conjunction())
-        return f
+def _formula(source: str, texts: list[str], kinds: list[int], i: int, binders: list[str]) -> tuple[Formula, int]:
+    """The formula that starts at token i, and the index of the first token
+    after it: one that continues no formula (a ")" continues one only while
+    a "(" is open)."""
+    lefts: list[Formula] = []  # left operands of the pending connectives
+    ops = [_BOTTOM]
+    parens = 0
+    while True:
+        # an operand: prefix operators, then an atom, a unit or a "("
+        k = kinds[i]
+        if k == _IDENT:
+            name = texts[i]
+            if name in binders:
+                raise _error(f"bound variable {name!r} used as a formula", source, i)
+            if kinds[i + 1] == _LPAREN:
+                args, i = _arguments(source, texts, kinds, i + 1, binders)
+                f = Atom(name, args)
+            else:
+                f = Atom(name)
+                i += 1
+        elif k == _TILDE:
+            ops.append(k)
+            i += 1
+            continue
+        elif k == _LPAREN:
+            ops.append(k)
+            parens += 1
+            i += 1
+            continue
+        elif k == _FORALL or k == _EXISTS:
+            if kinds[i + 1] != _IDENT:
+                raise _expected("a bound variable name", source, texts, i + 1)
+            if kinds[i + 2] != _DOT:
+                raise _expected("'.' after the bound variable", source, texts, i + 2)
+            binders.append(texts[i + 1])
+            ops.append(k)
+            i += 3
+            continue
+        elif k == _TOP:
+            f = TOP
+            i += 1
+        elif k == _BOT:
+            f = BOT
+            i += 1
+        else:
+            raise _expected("a formula", source, texts, i)
+        # after an operand: apply the prefix "~"s, then close groups until a
+        # connective continues the formula
+        while True:
+            op = ops[-1]
+            while op == _TILDE:
+                ops.pop()
+                f = Imp(f, BOT)
+                op = ops[-1]
+            k = kinds[i]
+            if k == _AND or k == _OR or k == _IMP:
+                threshold = _THRESHOLD[k]
+                while op >= threshold:
+                    ops.pop()
+                    f = _BINARY[op](lefts.pop(), f)
+                    op = ops[-1]
+                lefts.append(f)
+                ops.append(k)
+                i += 1
+                break
+            if k == _RPAREN and parens:
+                parens -= 1
+                i += 1
+                stop = _LPAREN
+            elif parens:
+                raise _expected("')'", source, texts, i)
+            else:
+                stop = _BOTTOM
+            op = ops.pop()
+            while op != stop:
+                if op > 0:
+                    f = _BINARY[op](lefts.pop(), f)
+                elif op == _TILDE:
+                    f = Imp(f, BOT)
+                else:
+                    f = (Forall if op == _FORALL else Exists)(f, binders.pop())
+                op = ops.pop()
+            if stop == _BOTTOM:
+                return f, i
 
-    def conjunction(self) -> Formula:
-        f = self.unary()
-        while self.peek().kind == "amp":
-            self.next()
-            f = And(f, self.unary())
-        return f
 
-    def unary(self) -> Formula:
-        tok = self.peek()
-        if tok.kind == "tilde":
-            self.next()
-            return neg(self.unary())
-        if tok.kind in ("forall", "exists"):
-            self.next()
-            name = self.expect("ident", "a bound variable name").text
-            self.expect("dot", "'.' after the bound variable")
-            self.binders.append(name)
-            try:
-                body = self.formula()
-            finally:
-                self.binders.pop()
-            return Forall(body, name) if tok.kind == "forall" else Exists(body, name)
-        return self.atom()
-
-    def atom(self) -> Formula:
-        tok = self.next()
-        if tok.kind == "top":
-            return TOP
-        if tok.kind == "bot":
-            return BOT
-        if tok.kind == "lparen":
-            f = self.formula()
-            self.expect("rparen", "')'")
-            return f
-        if tok.kind == "ident":
-            if self._bound_index(tok.text) is not None:
-                raise self.error(f"bound variable {tok.text!r} used as a formula", tok)
-            args: tuple[Term, ...] = ()
-            if self.peek().kind == "lparen":
-                args = self.arglist()
-            return Atom(tok.text, args)
-        raise self.error(f"expected a formula, found {tok.text!r}" if tok.kind != "eof" else "expected a formula, found end of input", tok)
-
-    def arglist(self) -> tuple[Term, ...]:
-        self.expect("lparen", "'('")
-        args = [self.term()]
-        while self.peek().kind == "comma":
-            self.next()
-            args.append(self.term())
-        self.expect("rparen", "')'")
-        return tuple(args)
-
-    def term(self) -> Term:
-        tok = self.expect("ident", "a term")
-        idx = self._bound_index(tok.text)
-        if idx is not None:
-            if self.peek().kind == "lparen":
-                raise self.error(f"bound variable {tok.text!r} cannot take arguments", tok)
-            return Bound(idx)
-        if self.peek().kind == "lparen":
-            return App(tok.text, self.arglist())
-        return Const(tok.text)
-
-    def _bound_index(self, name: str) -> int | None:
-        for depth, binder in enumerate(reversed(self.binders)):
-            if binder == name:
-                return depth
-        return None
-
-    # -- entry points -----------------------------------------------------
-
-    def parse_formula(self) -> Formula:
-        f = self.formula()
-        self.expect("eof", "end of input")
-        return f
-
-    def parse_sequent(self) -> Sequent:
-        ante = self.formula_list(stop={"turnstile"})
-        self.expect("turnstile", "'|-'")
-        succ = self.formula_list(stop={"eof"})
-        self.expect("eof", "end of input")
-        return Sequent(tuple(ante), tuple(succ))
-
-    def formula_list(self, stop: set[str]) -> list[Formula]:
-        if self.peek().kind in stop:
-            return []
-        out = [self.formula()]
-        while self.peek().kind == "comma":
-            self.next()
-            out.append(self.formula())
-        return out
+# ---------------------------------------------------------------------------
+# entry points
 
 
 def parse_formula(source: str) -> Formula:
-    return _Parser(source).parse_formula()
+    texts, kinds = _tokens(source)
+    f, i = _formula(source, texts, kinds, 0, [])
+    if kinds[i] != _EOF:
+        raise _expected("end of input", source, texts, i)
+    return f
 
 
 def parse_term(source: str) -> Term:
-    p = _Parser(source)
-    t = p.term()
-    p.expect("eof", "end of input")
+    texts, kinds = _tokens(source)
+    if kinds[0] != _IDENT:
+        raise _expected("a term", source, texts, 0)
+    if kinds[1] == _LPAREN:
+        args, i = _arguments(source, texts, kinds, 1, [])
+        t = App(texts[0], args)
+    else:
+        t, i = Const(texts[0]), 1
+    if kinds[i] != _EOF:
+        raise _expected("end of input", source, texts, i)
     return t
 
 
 def parse_sequent(source: str) -> Sequent:
-    return _Parser(source).parse_sequent()
+    texts, kinds = _tokens(source)
+    sides: tuple[list[Formula], list[Formula]] = ([], [])
+    i = 0
+    for side, end, what in ((sides[0], _TURNSTILE, "'|-'"), (sides[1], _EOF, "end of input")):
+        if kinds[i] != end:
+            while True:
+                f, i = _formula(source, texts, kinds, i, [])
+                side.append(f)
+                if kinds[i] != _COMMA:
+                    break
+                i += 1
+        if kinds[i] != end:
+            raise _expected(what, source, texts, i)
+        i += 1
+    return Sequent(tuple(sides[0]), tuple(sides[1]))
 
 
 # ---------------------------------------------------------------------------

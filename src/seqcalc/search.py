@@ -580,8 +580,10 @@ class _GroundProver:
         # definitive failures per canonical state, each recorded with the
         # depth and instantiation tallies it failed under
         self.failed: dict = {}
-        self._heads_memo: dict[Formula, tuple] = {}
-        self._tmpl_memo: dict[Formula, tuple] = {}
+        # formula memos keyed by the formula's sort key, which is
+        # alpha-invariant and hashes in C
+        self._heads_memo: dict[str, tuple] = {}
+        self._tmpl_memo: dict[str, tuple] = {}
         self._wit_memo: dict[Sequent, list] = {}
         # loop check: canonical keys of the states on the current path, each
         # with its position; `_low` tracks the shallowest position any cycle
@@ -608,7 +610,7 @@ class _GroundProver:
         root vocabulary replaced by per-formula hole numbers, plus the hole
         fillers in first-occurrence order.  Memoized; canonical state keys
         are assembled from these without revisiting formula structure."""
-        got = self._tmpl_memo.get(f)
+        got = self._tmpl_memo.get(f._key)
         if got is not None:
             return got
         root = self.root_symbols
@@ -644,7 +646,7 @@ class _GroundProver:
             return _TAGS[k] + cform(g.left) + "," + cform(g.right) + ")"
 
         got = (cform(f), tuple(holes))
-        self._tmpl_memo[f] = got
+        self._tmpl_memo[f._key] = got
         return got
 
     def _canon(self, s: Sequent, counts: dict[Formula, int]):
@@ -708,7 +710,7 @@ class _GroundProver:
         """Atoms in positive position within f, argument slots a left-rule
         instantiation could fill wildcarded to None.  Bottom in positive
         position appears as the pair ("", ()): it lets any goal close."""
-        got = self._heads_memo.get(f)
+        got = self._heads_memo.get(f._key)
         if got is not None:
             return got
         acc: set = set()
@@ -728,7 +730,7 @@ class _GroundProver:
             elif k is Forall or k is Exists:
                 stack.append(g.body)
         got = tuple(acc)
-        self._heads_memo[f] = got
+        self._heads_memo[f._key] = got
         return got
 
     def _attainable(self, s: Sequent, goal: Formula) -> bool:

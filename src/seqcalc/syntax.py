@@ -635,18 +635,9 @@ _IDENT = re.compile(r"[a-z][A-Za-z0-9_]*")
 
 
 def format_term(t: Term) -> str:
-    match t:
-        case Var(n):
-            return n
-        case Bound(i):
-            return f"#{i}"  # only visible for ill-scoped fragments, never from the API
-        case Const(n):
-            return n
-        case Meta():
-            return t.name
-        case App(fn, args):
-            return f"{fn}({', '.join(format_term(a) for a in args)})"
-    raise TypeError(f"not a term: {t!r}")
+    if type(t) not in _TERM_TYPES:
+        raise TypeError(f"not a term: {t!r}")
+    return _format(t)
 
 
 def _binder_names(f: Formula) -> frozenset[str]:
@@ -654,40 +645,97 @@ def _binder_names(f: Formula) -> frozenset[str]:
     return free_symbols(f) | predicate_names(f) | _RESERVED
 
 
-def _format(f: Formula, prec: int, avoid: set[str]) -> str:
-    # precedence levels: 0 imp (right assoc), 1 or, 2 and, 3 unary/atom
-    match f:
-        case Top():
-            return "top"
-        case Bot():
-            return "bot"
-        case Atom(p, args):
-            if not args:
-                return p
-            return f"{p}({', '.join(format_term(a) for a in args)})"
-        case Imp(l, r):
-            s = f"{_format(l, 1, avoid)} => {_format(r, 0, avoid)}"
-            return f"({s})" if prec > 0 else s
-        case Or(l, r):
-            # left-associative: chains print without parens on the left
-            s = f"{_format(l, 1, avoid)} | {_format(r, 2, avoid)}"
-            return f"({s})" if prec > 1 else s
-        case And(l, r):
-            s = f"{_format(l, 2, avoid)} & {_format(r, 3, avoid)}"
-            return f"({s})" if prec > 2 else s
-        case Forall(body=b, hint=h) | Exists(body=b, hint=h):
-            kw = "forall" if isinstance(f, Forall) else "exists"
-            base = h if _IDENT.fullmatch(h or "") and h not in _RESERVED else "x"
-            name = fresh_name(base, avoid | _binder_names(b))
-            opened = instantiate(f, Var(name))
-            s = f"{kw} {name}. {_format(opened, 0, avoid | {name})}"
-            return f"({s})" if prec > 0 else s
-    raise TypeError(f"not a formula: {f!r}")
+# per binary connective: its text, the highest context precedence it prints
+# in without parentheses, and the precedences of its operands.  Levels: 0 imp
+# (right associative), 1 or, 2 and (both left associative), 3 unary/atom
+_INFIX = {
+    Imp: (" => ", 0, 1, 0),
+    Or: (" | ", 1, 1, 2),
+    And: (" & ", 2, 2, 3),
+}
+
+
+def _format(item) -> str:
+    """The text of item, a term or a (formula, precedence) pair, printed by
+    walking an explicit stack.  The stack holds the texts still to emit,
+    the terms and (formula, precedence) pairs still to print, and a None
+    where a binder's scope ends.  names holds the binder names in scope,
+    innermost last, so Bound(i) prints as the i-th from the end."""
+    out: list[str] = []
+    names: list[str] = []
+    stack = [item]
+    while stack:
+        x = stack.pop()
+        k = type(x)
+        if k is str:
+            out.append(x)
+        elif k is tuple:
+            f, prec = x
+            k = type(f)
+            if k is Atom:
+                if f.args:
+                    out.append(f.pred + "(")
+                    _push_args(stack, f.args)
+                else:
+                    out.append(f.pred)
+            elif k in _INFIX:
+                op, limit, lp, rp = _INFIX[k]
+                if prec > limit:
+                    out.append("(")
+                    stack.append(")")
+                stack += ((f.right, rp), op, (f.left, lp))
+            elif k is Forall or k is Exists:
+                hint = f.hint
+                base = hint if _IDENT.fullmatch(hint or "") and hint not in _RESERVED else "x"
+                name = fresh_name(base, _binder_names(f.body).union(names))
+                if prec > 0:
+                    out.append("(")
+                    stack.append(")")
+                out.append(("forall " if k is Forall else "exists ") + name + ". ")
+                names.append(name)
+                stack += (None, (f.body, 0))
+            elif k is Top:
+                out.append("top")
+            elif k is Bot:
+                out.append("bot")
+            else:
+                raise TypeError(f"not a formula: {f!r}")
+        elif x is None:
+            names.pop()
+        elif k is Const or k is Var or k is Meta:
+            out.append(x.name)
+        elif k is App:
+            out.append(x.name + "(")
+            _push_args(stack, x.args)
+        elif k is Bound:
+            # the name of the i-th enclosing binder; an index past them all
+            # prints as it would after opening each of them
+            i, n = x.index, len(names)
+            out.append(names[~i] if 0 <= i < n else f"#{i - n if i >= n else i}")
+        else:
+            raise TypeError(f"not a term: {x!r}")
+    return "".join(out)
+
+
+def _push_args(stack: list, args: tuple) -> None:
+    """Push an argument list's texts and terms, its ")" first."""
+    stack.append(")")
+    for a in reversed(args[1:]):
+        stack.append(a)
+        stack.append(", ")
+    if args:
+        stack.append(args[0])
 
 
 def format_formula(f: Formula) -> str:
-    """Concrete syntax that the parser reads back to an equal formula."""
-    return _format(f, 0, set())
+    """Concrete syntax that the parser reads back to an equal formula.
+
+    Parentheses appear only where precedence or associativity needs them.
+    A binder prints with its hint, or with the first fresh variant of it (or
+    of "x", where the hint is no usable identifier) that avoids the names
+    of the enclosing binders, the keywords and the symbols of its body.
+    Printing walks an explicit stack, so nesting depth costs no recursion."""
+    return _format((f, 0))
 
 
 def format_sequent(s: Sequent) -> str:

@@ -355,6 +355,22 @@ def _widen_or_keep(p: Proof, ea, es) -> Proof:
 # contraction elimination
 
 
+#: plain rules that contraction elimination handles as context although they
+#: consume their principal (and imp-l splits the succedent); the starred
+#: rules it expects keep the principal
+_PLAIN_DROPPING = frozenset(
+    (
+        RuleId.AND_L_LEFT,
+        RuleId.AND_L_RIGHT,
+        RuleId.OR_R_LEFT,
+        RuleId.OR_R_RIGHT,
+        RuleId.FORALL_L,
+        RuleId.EXISTS_R,
+        RuleId.IMP_L,
+    )
+)
+
+
 def _contract_once(p: Proof, side: str, f: Formula) -> Proof:
     """From a contraction-free proof of a sequent holding two copies of f,
     build a contraction-free proof with one copy, by induction on the size
@@ -385,7 +401,17 @@ def _contract_once(p: Proof, side: str, f: Formula) -> Proof:
     )
 
     if not consuming:
-        premises = tuple(_contract_once(q, side, f) for q in p.premises)
+        try:
+            premises = tuple(_contract_once(q, side, f) for q in p.premises)
+        except TransformError as exc:
+            # a plain rule drops a copy by consuming it, or imp-l by handing
+            # the succedent copies to different premises
+            if rule in _PLAIN_DROPPING and (pf == f and pside == side or rule is RuleId.IMP_L and side == "succ"):
+                raise TransformError(
+                    f"contraction elimination expects starred-calculus proofs: {rule.value} drops "
+                    f"a copy of {format_formula(f)} that it treats as context"
+                ) from exc
+            raise
         return _node(rule, target, premises, pside, pf, p.witness, p.eigen)
 
     match rule:

@@ -11,9 +11,12 @@ from __future__ import annotations
 
 import itertools
 import random
+import re
+from dataclasses import dataclass
 from functools import lru_cache
 
 from seqcalc.calculus import RuleId
+from seqcalc.parser import ParseError, SourceSpan
 from seqcalc.syntax import (
     And,
     App,
@@ -31,9 +34,10 @@ from seqcalc.syntax import (
     Term,
     Top,
     Var,
-    forall,
     exists,
+    forall,
     instantiate,
+    neg,
     substitute,
 )
 
@@ -572,3 +576,209 @@ def decorate_with_contractions(rng: random.Random, proof, n: int):
             node = Proof(RuleId.CONTR_R, s, (widened,), ("succ", s.succ.index(f)))
         proof = set_node(proof, path, node)
     return proof
+
+
+# ---------------------------------------------------------------------------
+# recursive-descent parser: the reference for seqcalc.parser's stack parser,
+# which must return the same objects and raise the same errors
+
+
+_REF_TOKEN = re.compile(
+    r"""(?P<ws>\s+)
+      | (?P<ident>[a-z][A-Za-z0-9_]*)
+      | (?P<capident>[A-Z][A-Za-z0-9_]*)
+      | (?P<turnstile>\|-)
+      | (?P<imp>=>)
+      | (?P<lparen>\()
+      | (?P<rparen>\))
+      | (?P<comma>,)
+      | (?P<dot>\.)
+      | (?P<amp>&)
+      | (?P<pipe>\|)
+      | (?P<tilde>~)
+    """,
+    re.VERBOSE,
+)
+
+_REF_KEYWORDS = {"forall", "exists", "top", "bot"}
+
+
+@dataclass(frozen=True)
+class _RefToken:
+    kind: str
+    text: str
+    span: SourceSpan
+
+
+def _reference_tokenize(source: str) -> list[_RefToken]:
+    out: list[_RefToken] = []
+    pos = 0
+    while pos < len(source):
+        m = _REF_TOKEN.match(source, pos)
+        if m is None:
+            raise ParseError(f"unexpected character {source[pos]!r}", SourceSpan(pos, pos + 1), source)
+        kind = m.lastgroup or ""
+        if kind == "capident":
+            raise ParseError(
+                f"capitalized identifier {m.group()!r} (that spelling is reserved for metavariables)",
+                SourceSpan(m.start(), m.end()),
+                source,
+            )
+        if kind != "ws":
+            text = m.group()
+            if kind == "ident" and text in _REF_KEYWORDS:
+                kind = text
+            out.append(_RefToken(kind, text, SourceSpan(m.start(), m.end())))
+        pos = m.end()
+    out.append(_RefToken("eof", "", SourceSpan(len(source), len(source))))
+    return out
+
+
+class _ReferenceParser:
+    def __init__(self, source: str):
+        self.source = source
+        self.tokens = _reference_tokenize(source)
+        self.pos = 0
+        self.binders: list[str] = []  # innermost last
+
+    # -- token helpers ----------------------------------------------------
+
+    def peek(self) -> _RefToken:
+        return self.tokens[self.pos]
+
+    def next(self) -> _RefToken:
+        tok = self.tokens[self.pos]
+        self.pos += 1
+        return tok
+
+    def expect(self, kind: str, what: str) -> _RefToken:
+        tok = self.peek()
+        if tok.kind != kind:
+            raise self.error(f"expected {what}, found {tok.text!r}" if tok.kind != "eof" else f"expected {what}, found end of input", tok)
+        return self.next()
+
+    def error(self, message: str, tok: _RefToken) -> ParseError:
+        return ParseError(message, tok.span, self.source)
+
+    # -- grammar ----------------------------------------------------------
+
+    def formula(self) -> Formula:
+        left = self.disjunction()
+        if self.peek().kind == "imp":
+            self.next()
+            return Imp(left, self.formula())
+        return left
+
+    def disjunction(self) -> Formula:
+        f = self.conjunction()
+        while self.peek().kind == "pipe":
+            self.next()
+            f = Or(f, self.conjunction())
+        return f
+
+    def conjunction(self) -> Formula:
+        f = self.unary()
+        while self.peek().kind == "amp":
+            self.next()
+            f = And(f, self.unary())
+        return f
+
+    def unary(self) -> Formula:
+        tok = self.peek()
+        if tok.kind == "tilde":
+            self.next()
+            return neg(self.unary())
+        if tok.kind in ("forall", "exists"):
+            self.next()
+            name = self.expect("ident", "a bound variable name").text
+            self.expect("dot", "'.' after the bound variable")
+            self.binders.append(name)
+            try:
+                body = self.formula()
+            finally:
+                self.binders.pop()
+            return Forall(body, name) if tok.kind == "forall" else Exists(body, name)
+        return self.atom()
+
+    def atom(self) -> Formula:
+        tok = self.next()
+        if tok.kind == "top":
+            return Top()
+        if tok.kind == "bot":
+            return Bot()
+        if tok.kind == "lparen":
+            f = self.formula()
+            self.expect("rparen", "')'")
+            return f
+        if tok.kind == "ident":
+            if self._bound_index(tok.text) is not None:
+                raise self.error(f"bound variable {tok.text!r} used as a formula", tok)
+            args: tuple[Term, ...] = ()
+            if self.peek().kind == "lparen":
+                args = self.arglist()
+            return Atom(tok.text, args)
+        raise self.error(f"expected a formula, found {tok.text!r}" if tok.kind != "eof" else "expected a formula, found end of input", tok)
+
+    def arglist(self) -> tuple[Term, ...]:
+        self.expect("lparen", "'('")
+        args = [self.term()]
+        while self.peek().kind == "comma":
+            self.next()
+            args.append(self.term())
+        self.expect("rparen", "')'")
+        return tuple(args)
+
+    def term(self) -> Term:
+        tok = self.expect("ident", "a term")
+        idx = self._bound_index(tok.text)
+        if idx is not None:
+            if self.peek().kind == "lparen":
+                raise self.error(f"bound variable {tok.text!r} cannot take arguments", tok)
+            return Bound(idx)
+        if self.peek().kind == "lparen":
+            return App(tok.text, self.arglist())
+        return Const(tok.text)
+
+    def _bound_index(self, name: str) -> int | None:
+        for depth, binder in enumerate(reversed(self.binders)):
+            if binder == name:
+                return depth
+        return None
+
+    # -- entry points -----------------------------------------------------
+
+    def parse_formula(self) -> Formula:
+        f = self.formula()
+        self.expect("eof", "end of input")
+        return f
+
+    def parse_sequent(self) -> Sequent:
+        ante = self.formula_list(stop={"turnstile"})
+        self.expect("turnstile", "'|-'")
+        succ = self.formula_list(stop={"eof"})
+        self.expect("eof", "end of input")
+        return Sequent(tuple(ante), tuple(succ))
+
+    def formula_list(self, stop: set[str]) -> list[Formula]:
+        if self.peek().kind in stop:
+            return []
+        out = [self.formula()]
+        while self.peek().kind == "comma":
+            self.next()
+            out.append(self.formula())
+        return out
+
+
+def reference_parse_formula(source: str) -> Formula:
+    return _ReferenceParser(source).parse_formula()
+
+
+def reference_parse_term(source: str) -> Term:
+    p = _ReferenceParser(source)
+    t = p.term()
+    p.expect("eof", "end of input")
+    return t
+
+
+def reference_parse_sequent(source: str) -> Sequent:
+    return _ReferenceParser(source).parse_sequent()

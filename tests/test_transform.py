@@ -190,6 +190,19 @@ def test_contraction_elimination_closes_on_standard_axioms(corpus_by_name):
     assert check_proof(out, CLASSICAL_STAR)
 
 
+def test_contraction_elimination_names_the_plain_rule_that_drops_a_copy(corpus_by_name):
+    # expansion turns the and-l* step into contr-l over and-l-left/right,
+    # and and-l-left consumes one of the two copies the contraction joins
+    res = prove(corpus_by_name["and-proj"].sequent, "c")
+    assert isinstance(res, Proved)
+    with pytest.raises(TransformError) as err:
+        eliminate_contractions(expand_starred(res.proof))
+    assert str(err.value) == (
+        "contraction elimination expects starred-calculus proofs: "
+        "and-l-left drops a copy of p & q that it treats as context"
+    )
+
+
 @given(st.integers(0, 5_000))
 def test_decorated_proofs_clean_up(seed):
     rng = random.Random(seed)
