@@ -28,7 +28,12 @@ engine.  It runs in the caller's thread on an explicit stack of suspended
 rule applications, so a search path may be as long as memory allows and a
 call changes no interpreter-wide setting; concurrent calls are independent.
 Its per-mode table `_EAGER` names the antecedent connectives it splits
-eagerly, and so the members its loop check must not collapse.  Every
+eagerly, and so the members its loop check must not collapse.  Its loop
+check and failure cache key a state by a tuple of its members' stored sort
+keys; only a member holding a constant the search made itself (an
+eigenvariable or the blank witness, kept in the set `made`) is serialized,
+with those constants renamed by first occurrence.  A quantifier-free search
+makes no constant, so it keys every state by sort keys alone.  Every
 engine takes its invertible rules from `calculus.INVERTIBLE` and builds
 their premises with `calculus.premises`, as the checker does.
 """
@@ -36,11 +41,13 @@ their premises with `calculus.premises`, as the checker does.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Generator, Iterator, Union
 
 from .calculus import INVERTIBLE, Proof, ProofClass, RuleId, is_axiom, premises, restart_class
 from .syntax import (
     BOT,
+    TOP,
     And,
     App,
     Atom,
@@ -312,7 +319,16 @@ def _symbols_everywhere(s: Sequent) -> set[str]:
 
 
 def is_quantifier_free_sequent(s: Sequent) -> bool:
-    return all(is_quantifier_free(f) for f in s.ante + s.succ)
+    return all(map(is_quantifier_free, s.ante)) and all(map(is_quantifier_free, s.succ))
+
+
+def _has_bot(ante: tuple[Formula, ...]) -> bool:
+    """BOT in ante, by identity: top and bottom are interned, and in a
+    sorted side only top sorts before bottom."""
+    for f in ante:
+        if f is not TOP:
+            return f is BOT
+    return False
 
 
 def _invertible_step(s: Sequent) -> tuple[RuleId, str, int, Formula] | None:
@@ -349,9 +365,10 @@ class _ClassicalProver:
         self.root = root
         self.limits = limits
         self.budget = _Budget(limits.node_budget)
-        taken = _symbols_everywhere(root)
-        self.eigen_prefix = _reserved_prefix("e", taken)
-        self.const_prefix = _reserved_prefix("c", taken)
+        # the root's symbols and the name prefixes that avoid them, set by
+        # run on the first-order path only
+        self.root_symbols: set[str] = set()
+        self.eigen_prefix = self.const_prefix = ""
         self.next_meta = 0
         self.next_eigen = 0
         self.dynamic_eigens: set[str] = set()
@@ -364,7 +381,7 @@ class _ClassicalProver:
         self.budget.tick()
         if is_axiom(s, self.limits.strengthened_axioms):
             return Proof(RuleId.AXIOM, s)
-        if BOT in s.ante and s.succ:
+        if s.succ and _has_bot(s.ante):
             (premise,) = premises(RuleId.BOT_R, s, 0, s.succ[0])
             return Proof(RuleId.BOT_R, s, (Proof(RuleId.AXIOM, premise),), ("succ", 0))
 
@@ -415,20 +432,23 @@ class _ClassicalProver:
         if any(isinstance(f, Top) for f in s.succ):
             yield subst, _Skel(RuleId.AXIOM, s)
             return
-        if BOT in s.ante and s.succ:
+        if s.succ and _has_bot(s.ante):
             (premise,) = premises(RuleId.BOT_R, s, 0, s.succ[0])
             yield subst, _Skel(RuleId.BOT_R, s, (_Skel(RuleId.AXIOM, premise),), "succ", s.succ[0])
             return
-        for a, b in self._axiom_pairs(s):
-            if subst.resolve_formula(a) == subst.resolve_formula(b):
-                yield subst, _Skel(RuleId.AXIOM, s)
-                return
-
-        # closures that commit to bindings: alternatives, not definitive
+        # a pair that unifies without a new binding is already equal under
+        # subst and closes definitively; pairs that commit to bindings are
+        # alternatives, tried in order when no pair closes definitively
+        alternatives = []
         for a, b in self._axiom_pairs(s):
             nxt = unify_formulas(a, b, subst)
-            if nxt is not None and nxt is not subst:
-                yield nxt, _Skel(RuleId.AXIOM, s)
+            if nxt is subst:
+                yield subst, _Skel(RuleId.AXIOM, s)
+                return
+            if nxt is not None:
+                alternatives.append(nxt)
+        for nxt in alternatives:
+            yield nxt, _Skel(RuleId.AXIOM, s)
 
         # one invertible step, when available
         step = _invertible_step(s)
@@ -470,7 +490,7 @@ class _ClassicalProver:
 
     def _ground(self, skel: _Skel, subst: Subst) -> Proof:
         leftovers: set[int] = set()
-        symbols: set[str] = set(_symbols_everywhere(self.root)) | self.dynamic_eigens
+        symbols = self.root_symbols | self.dynamic_eigens
 
         def scan(sk: _Skel) -> None:
             resolved = [subst.resolve_formula(f) for f in sk.seq.ante + sk.seq.succ]
@@ -530,6 +550,9 @@ class _ClassicalProver:
             if proof is None:
                 return Refuted()
             return Proved(proof, ProofClass("cstar"))
+        self.root_symbols = _symbols_everywhere(self.root)
+        self.eigen_prefix = _reserved_prefix("e", self.root_symbols)
+        self.const_prefix = _reserved_prefix("c", self.root_symbols)
         try:
             for mult in range(1, self.limits.quantifier_budget + 1):
                 for subst, skel in self.solve(self.root, Subst(), {}, mult):
@@ -543,7 +566,7 @@ class _ClassicalProver:
 # intuitionistic / goal-directed / restart prover
 
 
-#: loop-check template tag of each compound connective
+#: template tag of each compound connective
 _TAGS = {And: "&(", Or: "|(", Imp: ">(", Forall: "A.", Exists: "E."}
 
 #: the connectives of the antecedent members each ground-search mode splits
@@ -555,10 +578,11 @@ _EAGER = {
     (True, False): (Or, Exists),
     (True, True): (Exists,),
 }
-_EAGER_HEADS = {mode: tuple(_TAGS[k] for k in eager) for mode, eager in _EAGER.items()}
 
 #: the right rules the ground searches apply without a choice (or-r* needs two succedent slots)
 _RIGHT_INVERTIBLE = {k: rule for k, rule in INVERTIBLE["succ"].items() if k is not Or}
+
+_KEY = attrgetter("_key")
 
 
 class _GroundProver:
@@ -572,10 +596,14 @@ class _GroundProver:
         self.uniform = uniform
         self.rgoal = restart_goal
         self.budget = _Budget(limits.node_budget)
-        self.root_symbols = _symbols_everywhere(root)
-        self.name_prefix = _reserved_prefix("c", self.root_symbols)
+        # the names of the constants this search made: the blank witness,
+        # number 0, and the eigenvariables, numbered from 1.  Their prefix
+        # avoids every symbol of the root; it and the blank are found on
+        # first need, which a quantifier-free search never has
+        self.made: set[str] = set()
+        self._prefix: str | None = None
+        self._blank: Const | None = None
         self.counter = 0
-        self.blank = Const(self._fresh())
         self.truncated = False
         # definitive failures per canonical state, each recorded with the
         # depth and instantiation tallies it failed under
@@ -591,86 +619,123 @@ class _GroundProver:
         # a cycle is provisional (it assumed the ancestor it looped to would
         # fail), parked in `_pending`, and committed to `failed` only once
         # the node the cycle closed on completes without a proof
-        self._path: dict[str, int] = {}
+        self._path: dict[tuple, int] = {}
         self._low = _NO_CYCLE
         self._pending: list[tuple] = []
         self.prunes = 0
-        mode = uniform, restart_goal is not None
-        self._eager, self._eager_heads = _EAGER[mode], _EAGER_HEADS[mode]
+        self._eager = _EAGER[uniform, restart_goal is not None]
+
+    def _made_name(self, number: int) -> str:
+        if self._prefix is None:
+            self._prefix = _reserved_prefix("c", _symbols_everywhere(self.root))
+        name = f"{self._prefix}{number}"
+        self.made.add(name)
+        return name
 
     def _fresh(self) -> str:
-        name = f"{self.name_prefix}{self.counter}"
+        """A new eigenvariable name."""
         self.counter += 1
-        return name
+        return self._made_name(self.counter)
 
     # -- loop-check keys ------------------------------------------------------
 
-    def _template(self, f: Formula) -> tuple:
-        """Serialize f once: a flat token string with constants outside the
-        root vocabulary replaced by per-formula hole numbers, plus the hole
-        fillers in first-occurrence order.  Memoized; canonical state keys
-        are assembled from these without revisiting formula structure."""
+    def _template(self, f: Formula) -> tuple[str, tuple[str, ...]]:
+        """Serialize f once: a flat token text with each made constant
+        replaced by a hole number, plus the hole fillers in first-occurrence
+        order.  The text is an injective function of f's structure with its
+        made constants taken as holes; it also keys f's instantiation
+        tallies.  Walks an explicit stack, emitting tokens left to right, so
+        hole numbers follow first occurrence and nesting depth costs no
+        recursion.  Memoized by f's sort key: a constant's status never
+        changes, since made names avoid the root's symbols and a made
+        constant enters a state only after it is made."""
         got = self._tmpl_memo.get(f._key)
         if got is not None:
             return got
-        root = self.root_symbols
+        made = self.made
         holes: dict[str, int] = {}
-
-        def cterm(t: Term) -> str:
-            k = type(t)
-            if k is Const:
-                n = t.name
-                if n in root:
-                    return n
-                i = holes.get(n)
-                if i is None:
-                    i = len(holes)
-                    holes[n] = i
-                return f"!{i}"
-            if k is App:
-                return t.name + "(" + ",".join(cterm(a) for a in t.args) + ")"
-            if k is Bound:
-                return f"#{t.index}"
-            return t.name
-
-        def cform(g: Formula) -> str:
-            k = type(g)
-            if k is Atom:
-                if not g.args:
-                    return g.pred
-                return g.pred + "(" + ",".join(cterm(a) for a in g.args) + ")"
-            if k is Top or k is Bot:
-                return "T" if k is Top else "F"
-            if k is Forall or k is Exists:
-                return _TAGS[k] + cform(g.body)
-            return _TAGS[k] + cform(g.left) + "," + cform(g.right) + ")"
-
-        got = (cform(f), tuple(holes))
+        out: list[str] = []
+        stack: list = [f]
+        while stack:
+            x = stack.pop()
+            k = type(x)
+            if k is str:
+                out.append(x)
+            elif k is Const:
+                n = x.name
+                out.append(f"!{holes.setdefault(n, len(holes))}" if n in made else n)
+            elif k is Atom and not x.args:
+                out.append(x.pred)
+            elif k is Atom or k is App:
+                args = x.args
+                out.append((x.pred if k is Atom else x.name) + "(")
+                stack.append(")")
+                for i in range(len(args) - 1, 0, -1):
+                    stack.append(args[i])
+                    stack.append(",")
+                if args:
+                    stack.append(args[0])
+            elif k is Bound:
+                out.append(f"#{x.index}")
+            elif k is Top or k is Bot:
+                out.append("T" if k is Top else "F")
+            elif k is Forall or k is Exists:
+                out.append(_TAGS[k])
+                stack.append(x.body)
+            elif k in _TAGS:
+                out.append(_TAGS[k])
+                stack += (")", x.right, ",", x.left)
+            else:
+                out.append(x.name)
+        got = ("".join(out), tuple(holes))
         self._tmpl_memo[f._key] = got
         return got
 
-    def _canon(self, s: Sequent, counts: dict[Formula, int]):
-        """Canonical state keys for the loop check and the failure cache:
-        constants outside the root vocabulary are renamed by first occurrence
-        over the sorted templates, so isomorphic states tend to compare equal
-        (and equal states always do).  The failure-cache key also holds the
-        instantiation tallies."""
-        items = sorted(self._template(f) for f in s.ante)
-        gt, gcs = self._template(s.succ[0])
-        mapping: dict[str, str] = {}
+    def _canon(self, s: Sequent, counts: dict[str, int]) -> tuple[tuple, tuple]:
+        """The state's loop-check key (members, goal) and failure-cache key
+        (members, goal, tallies), where tallies are the instantiation counts.
 
-        def rename(consts: tuple) -> str:
-            out = []
-            for c in consts:
-                r = mapping.get(c)
-                if r is None:
-                    r = f"!{len(mapping)}"
-                    mapping[c] = r
-                out.append(r)
-            return ",".join(out)
+        A member or goal that holds no made constant is its sort key.  While
+        the search has made no constant, members is the antecedent's sort
+        keys in the sequent's own order, which is sorted by them, and no
+        template is looked up.  Otherwise each member is an item (text,
+        holes): its sort key and no holes, or its template.  The items are
+        sorted, the made constants in their holes and then in the goal's are
+        renamed by first occurrence to integers, and a member with holes
+        enters members as (text, renamed holes), which no sort key equals.
+        So isomorphic states tend to compare equal, and equal states always
+        do.  With no made constant both ways give the same tuple, so a
+        search that makes its first constant midway keys consistently.
 
-        parts = [t + "/" + rename(cs) if cs else t for t, cs in items]
-        goal = gt + "/" + rename(gcs) if gcs else gt
+        These keys are equal exactly when the earlier keys were, which were
+        joined strings with every member as its template text.  A template
+        text is an injective function of a member's structure, and hole
+        numbers keep their left-to-right first-occurrence order.  Changing
+        the text encoding, as from template text to sort key for members
+        without holes, therefore only moves whole blocks of equal text
+        within the sorted order, and applying the same block move to two
+        states does not change whether their renamed hole sequences agree."""
+        ante = s.ante
+        goal = s.succ[0]
+        if not self.made:
+            items = None
+            members = tuple(map(_KEY, ante))
+            goal_key = goal._key
+        else:
+            eager = self._eager
+            items = []
+            for f in ante:
+                text, holes = self._template(f)
+                items.append((text, holes, type(f) in eager) if holes else (f._key, (), type(f) in eager))
+            items.sort()
+            mapping: dict[str, int] = {}
+
+            def rename(holes: tuple[str, ...]) -> tuple[int, ...]:
+                return tuple([mapping.setdefault(c, len(mapping)) for c in holes])
+
+            members = tuple([(text, rename(holes)) if holes else text for text, holes, _ in items])
+            text, holes = self._template(goal)
+            goal_key = (text, rename(holes)) if holes else goal._key
         # the loop check collapses duplicates (contraction is admissible, and
         # set-states are what make quantifier-free search terminate); the
         # failure cache must not, since multiplicity affects what is provable
@@ -679,27 +744,31 @@ class _GroundProver:
         # copies leaves a state the collapsed key cannot tell from its parent,
         # which would be pruned as a cycle.  Those steps consume their
         # principal, so the kept copies cannot pile up along a path.
-        kept = dict.fromkeys(parts)
-        if len(kept) < len(parts):
+        kept = members
+        if len(set(members)) < len(members):
             # sorting put equal members side by side
-            eager = self._eager_heads
+            if items is None:
+                eagers = [type(f) in self._eager for f in ante]
+            else:
+                eagers = [e for _, _, e in items]
             kept, prev = [], None
-            for p in parts:
-                if p != prev or p.startswith(eager):
-                    kept.append(p)
-                prev = p
-        loop_key = ";".join(kept) + "|-" + goal
-        state_key = ";".join(parts) + "|-" + goal
-        tallies = tuple(sorted(kv for kv in counts.items() if kv[1]))
-        return loop_key, (state_key, tallies)
+            for m, e in zip(members, eagers):
+                if m != prev or e:
+                    kept.append(m)
+                prev = m
+            kept = tuple(kept)
+        tallies = tuple(sorted(counts.items())) if counts else ()
+        return (kept, goal_key), (members, goal_key, tallies)
 
     # -- witness candidates -----------------------------------------------------
 
     def _witnesses(self, s: Sequent) -> list[Term]:
         got = self._wit_memo.get(s)
         if got is None:
+            if self._blank is None:
+                self._blank = Const(self._made_name(0))
             terms = set(ground_subterms(s))
-            terms.add(self.blank)
+            terms.add(self._blank)
             got = sorted(terms, key=lambda t: (term_size(t), term_key(t)))
             self._wit_memo[s] = got
         return got
@@ -754,7 +823,7 @@ class _GroundProver:
 
     # -- search -----------------------------------------------------------------
 
-    def search(self, s: Sequent, depth: int, counts: dict[Formula, int]) -> Proof | None:
+    def search(self, s: Sequent, depth: int, counts: dict[str, int]) -> Proof | None:
         """Search s on an explicit stack in the caller's thread.  A visit is
         a generator that yields each premise it needs as (sequent, depth,
         counts) and receives the premise's proof or None; the stack holds
@@ -776,7 +845,7 @@ class _GroundProver:
                 visit = self._visit(*premise)
                 result = None
 
-    def _visit(self, s: Sequent, depth: int, counts: dict[Formula, int]) -> _Visit:
+    def _visit(self, s: Sequent, depth: int, counts: dict[str, int]) -> _Visit:
         self.budget.tick()
         goal = s.succ[0]
         strengthened = self.limits.strengthened_axioms
@@ -786,7 +855,7 @@ class _GroundProver:
             if not self.uniform or isinstance(goal, (Atom, Top, Bot)):
                 return Proof(RuleId.AXIOM, s)
         if (
-            BOT in s.ante
+            _has_bot(s.ante)
             and not isinstance(goal, Bot)
             and (not self.uniform or isinstance(goal, Atom))
         ):

@@ -308,7 +308,18 @@ def neg(f: Formula) -> Formula:
 
 
 def is_quantifier_free(f: Formula) -> bool:
-    return not any(type(g) in (Forall, Exists) for g in subformulas(f))
+    """Whether f has no quantifier.  Walks f's formula nodes on an explicit
+    stack, never entering a term, and stops at the first quantifier."""
+    stack = [f]
+    while stack:
+        g = stack.pop()
+        k = type(g)
+        if k is And or k is Or or k is Imp:
+            stack.append(g.left)
+            stack.append(g.right)
+        elif k is Forall or k is Exists:
+            return False
+    return True
 
 
 def connective_count(f: Formula) -> int:
@@ -640,9 +651,42 @@ def format_term(t: Term) -> str:
     return _format(t)
 
 
-def _binder_names(f: Formula) -> frozenset[str]:
-    """Names that a freshly chosen binder name must avoid inside f."""
-    return free_symbols(f) | predicate_names(f) | _RESERVED
+def _body_names(f: Formula) -> dict[int, frozenset[str]]:
+    """The free symbols and predicate names of the body of every quantifier
+    in f, keyed by the body's id: the names a binder over that body must
+    avoid, besides the keywords and the enclosing binders' names.  One pass
+    on an explicit stack: an atom's names go to its innermost enclosing
+    body, and a body's names, once its end (its id) is popped, to the next
+    body out.  A body met again is not walked again."""
+    below: dict[int, frozenset[str]] = {}
+    accs: list[set[str]] = [set()]
+    stack: list = [f]
+    while stack:
+        g = stack.pop()
+        k = type(g)
+        if k is int:
+            below[g] = names = frozenset(accs.pop())
+            accs[-1] |= names
+        elif k is And or k is Or or k is Imp:
+            stack.append(g.left)
+            stack.append(g.right)
+        elif k is Forall or k is Exists:
+            names = below.get(id(g.body))
+            if names is None:
+                accs.append(set())
+                stack.append(id(g.body))
+                stack.append(g.body)
+            else:
+                accs[-1] |= names
+        elif k is Atom:
+            accs[-1] |= free_symbols(g)
+            accs[-1].add(g.pred)
+    return below
+
+
+def _candidate(base: str, i: int) -> str:
+    """The i-th name fresh_name tries for base: base, then base0, base1, ..."""
+    return base if i == 0 else f"{base}{i - 1}"
 
 
 # per binary connective: its text, the highest context precedence it prints
@@ -660,9 +704,22 @@ def _format(item) -> str:
     walking an explicit stack.  The stack holds the texts still to emit,
     the terms and (formula, precedence) pairs still to print, and a None
     where a binder's scope ends.  names holds the binder names in scope,
-    innermost last, so Bound(i) prints as the i-th from the end."""
+    innermost last, so Bound(i) prints as the i-th from the end; they are
+    distinct, and scope holds them as a set.
+
+    A binder's name is fresh_name(base, body | keywords | scope), found
+    without building that union: below gives each binder the names of its
+    body, computed at the first binder, and skip gives per base how many of
+    its first candidates are known to be in scope, so the search starts
+    after them.  opened keeps, per binder in scope, its base and the skip
+    it found, restored where its scope ends; so nested binders that share
+    a hint cost time linear in their number."""
     out: list[str] = []
     names: list[str] = []
+    scope: set[str] = set()
+    opened: list[tuple[str, int]] = []
+    skip: dict[str, int] = {}
+    below = None
     stack = [item]
     while stack:
         x = stack.pop()
@@ -687,12 +744,24 @@ def _format(item) -> str:
             elif k is Forall or k is Exists:
                 hint = f.hint
                 base = hint if _IDENT.fullmatch(hint or "") and hint not in _RESERVED else "x"
-                name = fresh_name(base, _binder_names(f.body).union(names))
+                if below is None:
+                    below = _body_names(item[0])
+                body = below[id(f.body)]
+                start = i = skip.get(base, 0)
+                name = _candidate(base, i)
+                while name in body or name in scope or name in _RESERVED:
+                    i += 1
+                    name = _candidate(base, i)
+                names.append(name)
+                scope.add(name)
+                opened.append((base, start))
+                while _candidate(base, start) in scope:
+                    start += 1
+                skip[base] = start
                 if prec > 0:
                     out.append("(")
                     stack.append(")")
                 out.append(("forall " if k is Forall else "exists ") + name + ". ")
-                names.append(name)
                 stack += (None, (f.body, 0))
             elif k is Top:
                 out.append("top")
@@ -701,7 +770,9 @@ def _format(item) -> str:
             else:
                 raise TypeError(f"not a formula: {f!r}")
         elif x is None:
-            names.pop()
+            scope.remove(names.pop())
+            base, start = opened.pop()
+            skip[base] = start
         elif k is Const or k is Var or k is Meta:
             out.append(x.name)
         elif k is App:

@@ -782,3 +782,62 @@ def reference_parse_term(source: str) -> Term:
 
 def reference_parse_sequent(source: str) -> Sequent:
     return _ReferenceParser(source).parse_sequent()
+
+
+# ---------------------------------------------------------------------------
+# ground-search state keys as joined strings
+
+_REF_TAGS = {And: "&(", Or: "|(", Imp: ">(", Forall: "A.", Exists: "E."}
+
+
+def _reference_template(f: Formula, root: set[str]) -> tuple[str, tuple[str, ...]]:
+    """f as a token string with each constant outside root replaced by a
+    per-formula hole number, plus the hole fillers in first-occurrence order."""
+    holes: dict[str, int] = {}
+
+    def cterm(t: Term) -> str:
+        if isinstance(t, Const):
+            if t.name in root:
+                return t.name
+            return f"!{holes.setdefault(t.name, len(holes))}"
+        if isinstance(t, App):
+            return t.name + "(" + ",".join(cterm(a) for a in t.args) + ")"
+        if isinstance(t, Bound):
+            return f"#{t.index}"
+        return t.name
+
+    def cform(g: Formula) -> str:
+        if isinstance(g, Atom):
+            return g.pred + "(" + ",".join(cterm(a) for a in g.args) + ")" if g.args else g.pred
+        if isinstance(g, (Top, Bot)):
+            return "T" if isinstance(g, Top) else "F"
+        if isinstance(g, (Forall, Exists)):
+            return _REF_TAGS[type(g)] + cform(g.body)
+        return _REF_TAGS[type(g)] + cform(g.left) + "," + cform(g.right) + ")"
+
+    return cform(f), tuple(holes)
+
+
+def reference_state_keys(prover, s: Sequent, counts: dict) -> tuple[str, tuple]:
+    """The ground engine's loop-check and failure-cache keys of state s, as
+    joined strings: every antecedent member is its template, the templates
+    are sorted, and the constants outside the root's vocabulary are renamed
+    by first occurrence over them and then over the goal's.  The loop key
+    keeps one copy of each member, except of the members the prover's mode
+    splits eagerly; the cache key keeps every copy, and the tallies."""
+    from seqcalc.search import _symbols_everywhere
+
+    root = _symbols_everywhere(prover.root)
+    items = sorted(_reference_template(f, root) for f in s.ante)
+    gt, gcs = _reference_template(s.succ[0], root)
+    mapping: dict[str, str] = {}
+
+    def rename(consts: tuple[str, ...]) -> str:
+        return ",".join(mapping.setdefault(c, f"!{len(mapping)}") for c in consts)
+
+    parts = [t + "/" + rename(cs) if cs else t for t, cs in items]
+    goal = gt + "/" + rename(gcs) if gcs else gt
+    eager = tuple(_REF_TAGS[k] for k in prover._eager)
+    kept = [p for i, p in enumerate(parts) if i == 0 or p != parts[i - 1] or p.startswith(eager)]
+    tallies = tuple(sorted(kv for kv in counts.items() if kv[1]))
+    return ";".join(kept) + "|-" + goal, (";".join(parts) + "|-" + goal, tallies)

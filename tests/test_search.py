@@ -4,9 +4,10 @@ import random
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from unittest import mock
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from seqcalc.calculus import ProofClass, check_proof, dump_proof, load_proof, proof_nodes
@@ -17,6 +18,7 @@ from seqcalc.search import (
     Refuted,
     SearchLimits,
     Subst,
+    _GroundProver,
     herbrandize,
     is_quantifier_free_sequent,
     prove,
@@ -31,6 +33,7 @@ from seqcalc.syntax import (
     Bound,
     Const,
     Exists,
+    Imp,
     Sequent,
     format_sequent,
     formula_key,
@@ -38,7 +41,15 @@ from seqcalc.syntax import (
 )
 from seqcalc.transform import augment
 
-from _oracles import random_propositional_sequent, truth_table_valid
+from _oracles import (
+    random_fragment_sequent,
+    random_horn_sequent,
+    random_propositional_sequent,
+    reference_state_keys,
+    truth_table_valid,
+)
+
+_FRAGMENTS = ("f1", "f2", "f3", "f4", "lp-int", "lp-cls")
 
 PEIRCE = parse_sequent("|- ((q => s) => q) => q")
 
@@ -322,6 +333,108 @@ def test_search_builds_only_sorted_sequents(corpus):
                 for side in (node.conclusion.ante, node.conclusion.succ):
                     want = sorted(side, key=formula_key)
                     assert all(a is b for a, b in zip(side, want)), (e.name, format_sequent(node.conclusion))
+
+
+#: longer than the default recursion limit
+_DEEP = 1_500
+
+
+def _deep_chain(chain: str) -> Sequent:
+    p, q = Atom("p"), Atom("q")
+    if chain == "&":
+        f = p
+        for _ in range(_DEEP - 1):
+            f = And(p, f)
+        return Sequent((f,), (p,))
+    f = p
+    for _ in range(_DEEP):
+        f = Imp(q, f)
+    return Sequent((f, q), (p,))
+
+
+@pytest.mark.parametrize("logic", ["i", "o"])
+@pytest.mark.parametrize("chain", ["&", "=>"])
+def test_deep_members_are_searched_at_the_default_recursion_limit(chain, logic):
+    limit = sys.getrecursionlimit()
+    assert limit < _DEEP
+    s = _deep_chain(chain)
+    assert isinstance(prove(s, logic), Proved)
+    # the search opens the existential with a constant of its own, so the
+    # states after it key the chain by its serialized template
+    s = s.plus(ante=(Exists(Atom("r", (Bound(0),)), "x"),))
+    res = prove(s, logic, SearchLimits(node_budget=20_000))
+    assert isinstance(res, (Proved, NotProvedWithinLimits)), res
+    assert sys.getrecursionlimit() == limit
+
+
+#: the relations whose states the reference-key property records
+_KEYED_SEARCHES = (
+    lambda s, limits: prove(s, "i", limits),
+    lambda s, limits: prove(s, "o", limits),
+    lambda s, limits: prove_restart(augment(s), limits),
+)
+
+
+def _key_draw(seed: int) -> Sequent:
+    """A quantifier-free, in-fragment or Horn sequent with one goal; the
+    fragment draws include forall goals and existential clauses, whose
+    searches make eigenvariables and use the blank witness."""
+    rng = random.Random(seed)
+    source = rng.choice(("propositional",) + _FRAGMENTS + ("horn",))
+    if source == "propositional":
+        s = random_propositional_sequent(rng)
+        return Sequent(s.ante, s.succ[:1] or (Atom("q"),))
+    if source == "horn":
+        return random_horn_sequent(rng)
+    return random_fragment_sequent(rng, source, rng.randint(1, 3), rng.randint(1, 3), rng.randint(1, 3))
+
+
+def _recorded_keys(s: Sequent) -> list[list[tuple]]:
+    """Per search of s, each state that reached _canon as (new loop key,
+    new cache key, reference loop key, reference cache key)."""
+    records: list = []
+    canon = _GroundProver._canon
+
+    def recording(prover, state, counts):
+        keys = canon(prover, state, counts)
+        records.append((prover, state, dict(counts), keys))
+        return keys
+
+    searches = []
+    with mock.patch.object(_GroundProver, "_canon", recording):
+        for search in _KEYED_SEARCHES:
+            del records[:]
+            search(s, SearchLimits(node_budget=400))
+            searches.append(
+                [(*keys, *reference_state_keys(prover, state, counts)) for prover, state, counts, keys in records]
+            )
+    return searches
+
+
+def _same_partition(xs: list, ys: list) -> bool:
+    """Whether xs[i] == xs[j] exactly when ys[i] == ys[j], for every i, j."""
+    return len(set(xs)) == len(set(ys)) == len(set(zip(xs, ys)))
+
+
+@settings(max_examples=300)
+@given(st.integers(0, 10**6))
+def test_state_keys_are_equal_exactly_when_the_reference_keys_are(seed):
+    for states in _recorded_keys(_key_draw(seed)):
+        loop, cache, ref_loop, ref_cache = zip(*states) if states else ((),) * 4
+        assert _same_partition(list(loop), list(ref_loop))
+        assert _same_partition(list(cache), list(ref_cache))
+
+
+def test_reference_key_draws_reach_states_with_made_constants():
+    # the property above must also compare states whose members hold
+    # constants the search made: such members key as (text, holes) pairs
+    holed = blank = 0
+    for seed in range(200):
+        for states in _recorded_keys(_key_draw(seed)):
+            for _, cache, _, ref_cache in states:
+                holed += any(type(m) is tuple for m in cache[0])
+                blank += "!" in ref_cache[0]
+    assert holed > 100 and blank > 100
 
 
 # ---------------------------------------------------------------------------

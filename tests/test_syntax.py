@@ -2,6 +2,7 @@
 interning and the flat sort keys."""
 
 import gc
+import hashlib
 import itertools
 import pickle
 import random
@@ -309,6 +310,12 @@ def test_connective_count():
 def test_is_quantifier_free():
     assert is_quantifier_free(parse_formula("p & q => s"))
     assert not is_quantifier_free(parse_formula("p & exists x. q(x)"))
+    # nesting deeper than the recursion limit, a quantifier at the bottom
+    limit = sys.getrecursionlimit()
+    deep = parse_formula("~" * 3_000 + "(q(a) | p)")
+    assert is_quantifier_free(deep)
+    assert not is_quantifier_free(Imp(deep, neg(Forall(Atom("q", (Bound(0),))))))
+    assert sys.getrecursionlimit() == limit
 
 
 def test_term_size():
@@ -368,6 +375,28 @@ def test_format_formula_precedence_minimal_parens():
     assert format_formula(parse_formula("(p | q) & s")) == "(p | q) & s"
     assert format_formula(parse_formula("p => q => s")) == "p => q => s"
     assert format_formula(parse_formula("(p => q) => s")) == "(p => q) => s"
+
+
+def test_nested_quantifiers_with_mixed_hints_print_and_read_back():
+    # 2,000 binders whose hints collide with one another, with the
+    # keywords and with the symbols of their bodies, so that each name is a
+    # fresh variant; the printer reads each body's symbols from one pass
+    limit = sys.getrecursionlimit()
+    hints = ("x", "x0", "y", "forall", "1a", "x", "p", "x1")
+    f = Atom("p", (Bound(0), Bound(3), Const("x1")))
+    for k in range(2_000):
+        if k % 7 == 0:
+            f = And(Atom("q", (Bound(k % 5), Const("y0"))), f)
+        f = (Forall if k % 3 else Exists)(f, hints[k % len(hints)])
+    text = format_formula(f)
+    assert parse_formula(text) == f
+    assert format_formula(parse_formula(text)) == text
+    assert text.startswith("forall x10. exists p0. forall x. forall x0. exists x2. q(x2, y0) & (forall y.")
+    # the text the printer gave when it walked each body at its binder
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "f0ec010fd36063b7aaccc9801cea3a00c97fa30c5f7bc2840578e4799bdfc618"
+    )
+    assert sys.getrecursionlimit() == limit
 
 
 # ---------------------------------------------------------------------------
