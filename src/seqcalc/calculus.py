@@ -426,13 +426,18 @@ def _expect_premises(node: Proof, *wanted: Sequent) -> str | None:
     return f"{node.rule.value}: expected premises [{want_text}], found [{got_text}]"
 
 
-def _check_node(node: Proof, cls: ProofClass, strengthened: bool) -> str | None:
-    """Validate one rule application (premise sequents, not their subtrees)."""
+def _check_node(node: Proof, cls: ProofClass, strengthened: bool, clean: set[int]) -> str | None:
+    """Validate one rule application (premise sequents, not their subtrees).
+    clean holds the ids of the members already found free of metavariables;
+    the members scanned here are added to it."""
     rule = node.rule
     s = node.conclusion
 
-    if metas_in(s):
-        return "sequent contains unresolved metavariables"
+    for f in s.ante + s.succ:
+        if id(f) not in clean:
+            if metas_in(f):
+                return "sequent contains unresolved metavariables"
+            clean.add(id(f))
     if node.witness is not None and metas_in(node.witness):
         return "witness term contains unresolved metavariables"
 
@@ -503,6 +508,8 @@ def check_proof(proof: Proof, cls: ProofClass, strengthened_axioms: bool = False
     allowed = _RULESETS[cls.kind]
     singleton = cls.kind in _SINGLETON_KINDS
     uniform = cls.kind in _UNIFORM_KINDS
+    # every member is scanned for metavariables once, not once per node
+    clean: set[int] = set()
 
     stack: list[tuple[Proof, tuple[int, ...]]] = [(proof, ())]
     while stack:
@@ -517,7 +524,7 @@ def check_proof(proof: Proof, cls: ProofClass, strengthened_axioms: bool = False
             msg = _uniform_violation(node)
             if msg:
                 return CheckReport(False, msg, path)
-        msg = _check_node(node, cls, strengthened_axioms)
+        msg = _check_node(node, cls, strengthened_axioms, clean)
         if msg:
             return CheckReport(False, msg, path)
         for i, q in enumerate(node.premises):

@@ -12,6 +12,7 @@ Exit codes follow sysexits conventions where they apply:
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from importlib import resources
 
@@ -64,16 +65,8 @@ class _Parser(argparse.ArgumentParser):
 
 def _read_text(spec: str) -> str:
     """Inline text, a readable path, or '-' for stdin."""
-    if spec == "-":
-        return sys.stdin.read()
-    try:
-        import os
-
-        if os.path.exists(spec):
-            with open(spec, encoding="utf-8") as fh:
-                return fh.read()
-    except OSError as exc:
-        raise _DataError(f"cannot read {spec}: {exc}") from exc
+    if spec == "-" or os.path.exists(spec):
+        return _read_file(spec)
     return spec
 
 
@@ -320,7 +313,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("corpus", help="run a corpus file under all three relations")
     p.add_argument("action", choices=("run",))
     p.add_argument("file", nargs="?", default=None, help="corpus path (default: the shipped corpus)")
-    p.add_argument("--strengthened-axioms", action="store_true", help=argparse.SUPPRESS)
     _add_limit_flags(p)
     p.set_defaults(run=cmd_corpus)
 

@@ -16,7 +16,7 @@ import enum
 from dataclasses import dataclass
 from typing import Callable
 
-from .syntax import And, Atom, Bot, Exists, Forall, Formula, Imp, Or, Sequent, Top
+from .syntax import And, Exists, Forall, Formula, Imp, Or, Sequent
 
 
 class FragmentId(enum.Enum):
@@ -39,8 +39,7 @@ class Role(enum.Enum):
 # Each fragment's grammar as data: role -> productions.  A production is
 # "leaf" (an atom, top or bottom), a role name (a unit production such as
 # goal := base-goal), or a connective with the roles of its operands.  A role
-# has at most one production per connective, so the first production whose
-# connective matches decides.
+# has at most one production per connective.
 _Grammar = dict[str, tuple]
 
 _GRAMMARS: dict[FragmentId, _Grammar] = {
@@ -109,23 +108,73 @@ _GRAMMARS: dict[FragmentId, _Grammar] = {
     },
 }
 
-_LEAVES = (Top, Bot, Atom)
+def _tables(grammar: _Grammar):
+    """The grammar as lookup tables over role sets, each set a bit mask (bit
+    n: the n-th role): each role's bit, the roles of a leaf, and per
+    connective the roles it derives from its operands' roles, indexed by
+    their masks.  Every entry is closed over the unit productions."""
+    bit = {role: 1 << n for n, role in enumerate(grammar)}
+    units = [(bit[role], bit[prod]) for role, prods in grammar.items() for prod in prods if prod in bit]
+
+    def roles(connective: type | None, operands: tuple[int, ...] = ()) -> int:
+        mask = 0
+        for role, prods in grammar.items():
+            for prod in prods:
+                if connective is None and prod == "leaf" or (
+                    type(prod) is tuple
+                    and prod[0] is connective
+                    and all(m & bit[r] for r, m in zip(prod[1:], operands))
+                ):
+                    mask |= bit[role]
+        for _ in grammar:  # a chain of unit productions visits each role once
+            for role_bit, source_bit in units:
+                if mask & source_bit:
+                    mask |= role_bit
+        return mask
+
+    masks = range(1 << len(grammar))
+    binary = {k: [[roles(k, (l, r)) for r in masks] for l in masks] for k in (And, Or, Imp)}
+    unary = {k: [roles(k, (b,)) for b in masks] for k in (Forall, Exists)}
+    return bit, roles(None), binary, unary
 
 
-def _member(f: Formula, grammar: _Grammar, role: str) -> bool:
-    """Whether f derives from `role` in the grammar."""
-    for prod in grammar[role]:
-        if prod == "leaf":
-            if isinstance(f, _LEAVES):
-                return True
-        elif isinstance(prod, str):
-            if _member(f, grammar, prod):
-                return True
-        elif type(f) is prod[0]:
-            if prod[0] in (Forall, Exists):
-                return _member(f.body, grammar, prod[1])
-            return _member(f.left, grammar, prod[1]) and _member(f.right, grammar, prod[2])
-    return False
+_TABLES = {frag: _tables(grammar) for frag, grammar in _GRAMMARS.items()}
+_COMPOUND = frozenset((And, Or, Imp, Forall, Exists))
+
+
+def _roles(f: Formula, leaf: int, binary: dict, unary: dict) -> int:
+    """The roles f derives from, as a bit mask.  One bottom-up pass over f's
+    distinct subformulas on an explicit stack, so nesting depth costs no
+    recursion: a leaf operand is looked up in place, and a compound node
+    whose compound operands are not done yet goes back on the stack below
+    them."""
+    done: dict[int, int] = {}
+    stack = [f]
+    while stack:
+        g = stack.pop()
+        k = type(g)
+        if k in binary:
+            left, right = g.left, g.right
+            lm = done.get(id(left)) if type(left) in _COMPOUND else leaf
+            rm = done.get(id(right)) if type(right) in _COMPOUND else leaf
+            if lm is not None and rm is not None:
+                done[id(g)] = binary[k][lm][rm]
+                continue
+            stack.append(g)
+            if lm is None:
+                stack.append(left)
+            if rm is None:
+                stack.append(right)
+        elif k in unary:
+            body = g.body
+            bm = done.get(id(body)) if type(body) in _COMPOUND else leaf
+            if bm is not None:
+                done[id(g)] = unary[k][bm]
+                continue
+            stack += (g, body)
+        else:
+            done[id(g)] = leaf
+    return done[id(f)]
 
 
 def classify(f: Formula, fragment: FragmentId | str, role: Role | str) -> bool:
@@ -134,10 +183,10 @@ def classify(f: Formula, fragment: FragmentId | str, role: Role | str) -> bool:
         fragment = FragmentId(fragment)
     if isinstance(role, str):
         role = Role(role)
-    grammar = _GRAMMARS[fragment]
-    if role.value not in grammar:
+    bit, leaf, binary, unary = _TABLES[fragment]
+    if role.value not in bit:
         raise ValueError(f"fragment {fragment.value} has no role {role.value}")
-    return _member(f, grammar, role.value)
+    return bool(_roles(f, leaf, binary, unary) & bit[role.value])
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,13 @@ All operations are pure functions from valid proofs to valid proofs:
   and exists-right are absent and the end sequent has one succedent formula).
 * ``augment`` adds the negation of the goal to the antecedent.
 
-Transformations detect malformed inputs lazily and raise TransformError.
+No transform restates a rule's premises: each reads them from
+``calculus.premises``.  ``_PLAIN_STEPS`` pairs and-l*, or-r*, forall-l* and
+exists-r* with the plain rules each expands into above a contraction on its
+principal.  So contraction elimination takes one step for every rule that
+consumes the contracted formula, and expansion and its inverse, ``_starify``,
+one step for those four rules.  Transformations detect malformed inputs
+lazily and raise TransformError.
 """
 
 from __future__ import annotations
@@ -355,20 +361,21 @@ def _widen_or_keep(p: Proof, ea, es) -> Proof:
 # contraction elimination
 
 
+#: the plain steps each of these starred rules expands into, above a
+#: contraction on its principal; _starify maps each step back
+_PLAIN_STEPS: dict[RuleId, tuple[RuleId, ...]] = {
+    RuleId.AND_L_STAR: (RuleId.AND_L_LEFT, RuleId.AND_L_RIGHT),
+    RuleId.OR_R_STAR: (RuleId.OR_R_LEFT, RuleId.OR_R_RIGHT),
+    RuleId.FORALL_L_STAR: (RuleId.FORALL_L,),
+    RuleId.EXISTS_R_STAR: (RuleId.EXISTS_R,),
+}
+_STARRED_OF = {plain: star for star, steps in _PLAIN_STEPS.items() for plain in steps}
+_STARRED_RULES = frozenset(_PLAIN_STEPS) | {RuleId.IMP_L_STAR, RuleId.IMP_L_STAR_INT}
+
 #: plain rules that contraction elimination handles as context although they
 #: consume their principal (and imp-l splits the succedent); the starred
 #: rules it expects keep the principal
-_PLAIN_DROPPING = frozenset(
-    (
-        RuleId.AND_L_LEFT,
-        RuleId.AND_L_RIGHT,
-        RuleId.OR_R_LEFT,
-        RuleId.OR_R_RIGHT,
-        RuleId.FORALL_L,
-        RuleId.EXISTS_R,
-        RuleId.IMP_L,
-    )
-)
+_PLAIN_DROPPING = frozenset(_STARRED_OF) | {RuleId.IMP_L}
 
 
 def _contract_once(p: Proof, side: str, f: Formula) -> Proof:
@@ -402,7 +409,7 @@ def _contract_once(p: Proof, side: str, f: Formula) -> Proof:
 
     if not consuming:
         try:
-            premises = tuple(_contract_once(q, side, f) for q in p.premises)
+            kept = tuple(_contract_once(q, side, f) for q in p.premises)
         except TransformError as exc:
             # a plain rule drops a copy by consuming it, or imp-l by handing
             # the succedent copies to different premises
@@ -412,56 +419,32 @@ def _contract_once(p: Proof, side: str, f: Formula) -> Proof:
                     f"a copy of {format_formula(f)} that it treats as context"
                 ) from exc
             raise
-        return _node(rule, target, premises, pside, pf, p.witness, p.eigen)
+        return _node(rule, target, kept, pside, pf, p.witness, p.eigen)
 
-    match rule:
-        case RuleId.AND_L_STAR:
-            q = _invert_once(p.premises[0], "ante", f)
-            q = _contract_once(q, "ante", f.left)
-            q = _contract_once(q, "ante", f.right)
-            return _node(rule, target, [q], "ante", f)
-        case RuleId.OR_L:
-            a = _contract_once(_invert_once(p.premises[0], "ante", f, which=0), "ante", f.left)
-            b = _contract_once(_invert_once(p.premises[1], "ante", f, which=1), "ante", f.right)
-            return _node(rule, target, [a, b], "ante", f)
-        case RuleId.IMP_L_STAR:
-            a = _contract_once(_invert_once(p.premises[0], "ante", f, which=0), "succ", f.left)
-            b = _contract_once(_invert_once(p.premises[1], "ante", f, which=1), "ante", f.right)
-            return _node(rule, target, [a, b], "ante", f)
-        case RuleId.IMP_L_STAR_INT:
-            a = _contract_once(p.premises[0], "ante", f)
-            b = _contract_once(_invert_once(p.premises[1], "ante", f, which=1), "ante", f.right)
-            return _node(rule, target, [a, b], "ante", f)
-        case RuleId.EXISTS_L:
-            c = p.eigen
-            q = _freshen_eigens(p.premises[0], {c})
-            q = _invert_once(q, "ante", f, eigen=c)
-            q = _contract_once(q, "ante", instantiate(f, Const(c)))
-            return _node(rule, target, [q], "ante", f, eigen=c)
-        case RuleId.AND_R:
-            a = _contract_once(_invert_once(p.premises[0], "succ", f, which=0), "succ", f.left)
-            b = _contract_once(_invert_once(p.premises[1], "succ", f, which=1), "succ", f.right)
-            return _node(rule, target, [a, b], "succ", f)
-        case RuleId.OR_R_STAR:
-            q = _invert_once(p.premises[0], "succ", f)
-            q = _contract_once(q, "succ", f.left)
-            q = _contract_once(q, "succ", f.right)
-            return _node(rule, target, [q], "succ", f)
-        case RuleId.IMP_R:
-            q = _invert_once(p.premises[0], "succ", f)
-            q = _contract_once(q, "ante", f.left)
-            q = _contract_once(q, "succ", f.right)
-            return _node(rule, target, [q], "succ", f)
-        case RuleId.FORALL_R:
-            c = p.eigen
-            q = _freshen_eigens(p.premises[0], {c})
-            q = _invert_once(q, "succ", f, eigen=c)
-            q = _contract_once(q, "succ", instantiate(f, Const(c)))
-            return _node(rule, target, [q], "succ", f, eigen=c)
-        case RuleId.BOT_R:
-            # the premise proves the target with an extra bottom on the right
-            return _drop_bot_succ(p.premises[0])
-    raise TransformError(f"cannot contract past rule {rule.value}")
+    if rule is RuleId.BOT_R:
+        # the premise proves the target with an extra bottom on the right
+        return _drop_bot_succ(p.premises[0])
+    # Premise j holds the context copy of f beside the parts the rule put in
+    # place of the principal: invert that copy into premise j's parts of f's
+    # own invertible rule, then contract each part.  The goal premise of
+    # imp-l*-int still holds the principal, so it is contracted on f.
+    c = p.eigen if rule in (RuleId.EXISTS_L, RuleId.FORALL_R) else None
+    wanted = premises(rule, s, p.principal[1], f, None if c is None else Const(c))
+    built = []
+    for j, want in enumerate(wanted):
+        q = p.premises[j]
+        if rule is RuleId.IMP_L_STAR_INT and j == 0:
+            built.append(_contract_once(q, "ante", f))
+            continue
+        if c is not None:
+            q = _freshen_eigens(q, {c})
+        q = _invert_once(q, side, f, which=j, eigen=c)
+        for g in multiset_minus(want.ante, target.ante):
+            q = _contract_once(q, "ante", g)
+        for g in multiset_minus(want.succ, target.succ):
+            q = _contract_once(q, "succ", g)
+        built.append(q)
+    return _node(rule, target, built, side, f, eigen=c)
 
 
 def _drop_bot_succ(p: Proof) -> Proof:
@@ -509,50 +492,38 @@ def expand_starred(p: Proof) -> Proof:
     """Replace every starred node by its plain decomposition with explicit
     contractions.  Succedent cardinalities are preserved, so single-succedent
     inputs expand to single-succedent outputs."""
-    premises = tuple(expand_starred(q) for q in p.premises)
+    expanded = tuple(expand_starred(q) for q in p.premises)
     s = p.conclusion
     rule = p.rule
 
-    if rule is RuleId.AND_L_STAR:
+    if rule in _PLAIN_STEPS:
+        # a contraction on the principal, then each plain step on its first
+        # remaining copy, each step's conclusion the premise of the one below
         f = _principal_formula(p)
-        rest = multiset_minus(s.ante, (f,))
-        step_r = _node(RuleId.AND_L_RIGHT, Sequent(rest + (f.left, f), s.succ), [premises[0]], "ante", f)
-        step_l = _node(RuleId.AND_L_LEFT, Sequent(rest + (f, f), s.succ), [step_r], "ante", f)
-        return _node(RuleId.CONTR_L, s, [step_l], "ante", f)
-
-    if rule is RuleId.OR_R_STAR:
-        f = _principal_formula(p)
-        rest = multiset_minus(s.succ, (f,))
-        step_r = _node(RuleId.OR_R_RIGHT, Sequent(s.ante, rest + (f.left, f)), [premises[0]], "succ", f)
-        step_l = _node(RuleId.OR_R_LEFT, Sequent(s.ante, rest + (f, f)), [step_r], "succ", f)
-        return _node(RuleId.CONTR_R, s, [step_l], "succ", f)
-
-    if rule is RuleId.FORALL_L_STAR:
-        f = _principal_formula(p)
-        inner = _node(
-            RuleId.FORALL_L, s.plus(ante=(f,)), [premises[0]], "ante", f, witness=p.witness
-        )
-        return _node(RuleId.CONTR_L, s, [inner], "ante", f)
-
-    if rule is RuleId.EXISTS_R_STAR:
-        f = _principal_formula(p)
-        inner = _node(
-            RuleId.EXISTS_R, s.plus(succ=(f,)), [premises[0]], "succ", f, witness=p.witness
-        )
-        return _node(RuleId.CONTR_R, s, [inner], "succ", f)
+        side = p.principal[0]
+        contr = RuleId.CONTR_L if side == "ante" else RuleId.CONTR_R
+        below, t, steps = contr, s, []
+        for step in _PLAIN_STEPS[rule]:
+            t = premises(below, t, (t.ante if side == "ante" else t.succ).index(f), f)[0]
+            steps.append((step, t))
+            below = step
+        node = expanded[0]
+        for step, t in reversed(steps):
+            node = _node(step, t, [node], side, f, p.witness)
+        return _node(contr, s, [node], side, f)
 
     if rule is RuleId.IMP_L_STAR_INT:
         f = _principal_formula(p)
         doubled = s.plus(ante=(f,))
-        second = weaken(premises[1], extra_ante=(f,))
-        inner = _node(RuleId.IMP_L, doubled, [premises[0], second], "ante", f)
+        second = weaken(expanded[1], extra_ante=(f,))
+        inner = _node(RuleId.IMP_L, doubled, [expanded[0], second], "ante", f)
         return _node(RuleId.CONTR_L, s, [inner], "ante", f)
 
     if rule is RuleId.IMP_L_STAR:
         f = _principal_formula(p)
         doubled_ante = s.ante + (f,)
-        first = weaken(premises[0], extra_ante=(f,))
-        second = weaken(premises[1], extra_ante=(f,))
+        first = weaken(expanded[0], extra_ante=(f,))
+        second = weaken(expanded[1], extra_ante=(f,))
         cur = _node(RuleId.IMP_L, Sequent(doubled_ante, s.succ + s.succ), [first, second], "ante", f)
         acc = list(s.succ + s.succ)
         for d in s.succ:
@@ -560,65 +531,48 @@ def expand_starred(p: Proof) -> Proof:
             cur = _node(RuleId.CONTR_R, Sequent(doubled_ante, tuple(acc)), [cur], "succ", d)
         return _node(RuleId.CONTR_L, s, [cur], "ante", f)
 
-    if premises == p.premises:
+    if expanded == p.premises:
         return p
-    return replace(p, premises=premises)
+    return replace(p, premises=expanded)
 
 
 # ---------------------------------------------------------------------------
 # classical to single-succedent extraction
 
 
-_STARRED_RULES = frozenset(
-    {
-        RuleId.AND_L_STAR,
-        RuleId.OR_R_STAR,
-        RuleId.FORALL_L_STAR,
-        RuleId.EXISTS_R_STAR,
-        RuleId.IMP_L_STAR,
-        RuleId.IMP_L_STAR_INT,
-    }
-)
-
-
 def _starify(p: Proof) -> Proof:
     """Convert plain rule applications to their starred forms, weakening the
     subproofs so the kept principal is available in the premises."""
-    premises = tuple(_starify(q) for q in p.premises)
+    starred = tuple(_starify(q) for q in p.premises)
     s = p.conclusion
     rule = p.rule
 
-    if rule in (RuleId.AND_L_LEFT, RuleId.AND_L_RIGHT):
+    star = _STARRED_OF.get(rule)
+    if star is not None:
+        # weaken by what the starred premise holds beyond the plain one
         f = _principal_formula(p)
-        other = f.right if rule is RuleId.AND_L_LEFT else f.left
-        q = weaken(premises[0], extra_ante=(other,))
-        return _node(RuleId.AND_L_STAR, s, [q], "ante", f)
-    if rule is RuleId.FORALL_L:
-        f = _principal_formula(p)
-        q = weaken(premises[0], extra_ante=(f,))
-        return _node(RuleId.FORALL_L_STAR, s, [q], "ante", f, witness=p.witness)
-    if rule in (RuleId.OR_R_LEFT, RuleId.OR_R_RIGHT):
-        f = _principal_formula(p)
-        other = f.right if rule is RuleId.OR_R_LEFT else f.left
-        q = weaken(premises[0], extra_succ=(other,))
-        return _node(RuleId.OR_R_STAR, s, [q], "succ", f)
-    if rule is RuleId.EXISTS_R:
-        f = _principal_formula(p)
-        q = weaken(premises[0], extra_succ=(f,))
-        return _node(RuleId.EXISTS_R_STAR, s, [q], "succ", f, witness=p.witness)
+        side = p.principal[0]
+        want = premises(star, s, p.principal[1], f, p.witness)[0]
+        got = p.premises[0].conclusion
+        extra_ante = multiset_minus(want.ante, got.ante)
+        extra_succ = multiset_minus(want.succ, got.succ)
+        if extra_ante is None or extra_succ is None:
+            raise TransformError(f"malformed {rule.value} node at {s}")
+        q = weaken(starred[0], extra_ante, extra_succ)
+        return _node(star, s, [q], side, f, p.witness)
     if rule is RuleId.IMP_L:
         f = _principal_formula(p)
         delta1 = multiset_minus(p.premises[0].conclusion.succ, (f.left,))
         if delta1 is None:
             raise TransformError(f"malformed implication-left node at {s}")
         theta = p.premises[1].conclusion.succ
-        q1 = weaken(premises[0], extra_succ=theta)
-        q2 = weaken(premises[1], extra_succ=delta1)
+        q1 = weaken(starred[0], extra_succ=theta)
+        q2 = weaken(starred[1], extra_succ=delta1)
         return _node(RuleId.IMP_L_STAR, s, [q1, q2], "ante", f)
 
-    if premises == p.premises:
+    if starred == p.premises:
         return p
-    return replace(p, premises=premises)
+    return replace(p, premises=starred)
 
 
 def _extract_some_goal(p: Proof) -> Proof:
@@ -637,10 +591,6 @@ def _extract_some_goal(p: Proof) -> Proof:
                 return Proof(RuleId.AXIOM, Sequent(s.ante, (g,)))
         raise TransformError(f"axiom node is not closed: {s}")
 
-    if rule is RuleId.CONTR_L:
-        f = _principal_formula(p)
-        q = _extract_some_goal(p.premises[0])
-        return _node(rule, Sequent(s.ante, q.conclusion.succ), [q], "ante", f)
     if rule is RuleId.CONTR_R:
         return _extract_some_goal(p.premises[0])
     if rule is RuleId.BOT_R:
@@ -650,31 +600,24 @@ def _extract_some_goal(p: Proof) -> Proof:
             return q
         return _node(rule, Sequent(s.ante, (f,)), [q], "succ", f)
 
-    if rule in (RuleId.AND_L_LEFT, RuleId.AND_L_RIGHT, RuleId.FORALL_L, RuleId.EXISTS_L):
+    if rule in (RuleId.CONTR_L, RuleId.AND_L_LEFT, RuleId.AND_L_RIGHT, RuleId.FORALL_L, RuleId.EXISTS_L):
         f = _principal_formula(p)
         q = _extract_some_goal(p.premises[0])
         return _node(
             rule, Sequent(s.ante, q.conclusion.succ), [q], "ante", f, p.witness, p.eigen
         )
 
-    if rule is RuleId.AND_R:
+    if rule in (RuleId.AND_R, RuleId.OR_R_LEFT, RuleId.OR_R_RIGHT, RuleId.EXISTS_R, RuleId.FORALL_R):
+        # a premise whose goal is another member of the succedent proves it
         f = _principal_formula(p)
         others = set(multiset_minus(s.succ, (f,)))
-        q1 = _extract_some_goal(p.premises[0])
-        if q1.conclusion.succ[0] in others:
-            return q1
-        q2 = _extract_some_goal(p.premises[1])
-        if q2.conclusion.succ[0] in others:
-            return q2
-        return _node(rule, Sequent(s.ante, (f,)), [q1, q2], "succ", f)
-
-    if rule in (RuleId.OR_R_LEFT, RuleId.OR_R_RIGHT, RuleId.EXISTS_R, RuleId.FORALL_R):
-        f = _principal_formula(p)
-        others = set(multiset_minus(s.succ, (f,)))
-        q = _extract_some_goal(p.premises[0])
-        if q.conclusion.succ[0] in others:
-            return q
-        return _node(rule, Sequent(s.ante, (f,)), [q], "succ", f, p.witness, p.eigen)
+        extracted = []
+        for q in p.premises:
+            q = _extract_some_goal(q)
+            if q.conclusion.succ[0] in others:
+                return q
+            extracted.append(q)
+        return _node(rule, Sequent(s.ante, (f,)), extracted, "succ", f, p.witness, p.eigen)
 
     if rule is RuleId.IMP_L:
         f = _principal_formula(p)

@@ -4,7 +4,10 @@ Everything here is deliberately written against the public data types only,
 by a different mechanism than the library code uses: validity is decided by
 truth tables, grammar membership by bottom-up set construction from
 production tables, and the generators build formulas directly from those
-same tables.
+same tables.  The reference parser, state keys and per-rule proof transforms
+are earlier implementations of the library's own code, kept so that their
+replacements can be compared with them; the transforms share transform's
+node, inversion and weakening helpers.
 """
 
 from __future__ import annotations
@@ -12,10 +15,11 @@ from __future__ import annotations
 import itertools
 import random
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
-from seqcalc.calculus import RuleId
+from seqcalc.calculus import INVERTIBLE, Proof, RuleId, rule_family, rule_usage
+from seqcalc.fragments import FORBIDDEN_FAMILIES
 from seqcalc.parser import ParseError, SourceSpan
 from seqcalc.syntax import (
     And,
@@ -36,9 +40,21 @@ from seqcalc.syntax import (
     Var,
     exists,
     forall,
+    format_formula,
     instantiate,
+    multiset_minus,
     neg,
     substitute,
+)
+from seqcalc.transform import (
+    TransformError,
+    _drop_bot_succ,
+    _freshen_eigens,
+    _invert_once,
+    _node,
+    _principal_formula,
+    _reclose,
+    weaken,
 )
 
 # ---------------------------------------------------------------------------
@@ -537,9 +553,6 @@ def decorate_with_contractions(rng: random.Random, proof, n: int):
     into the subproof by weakening, and closes with the matching contraction,
     so the decorated tree still proves the same end sequent.
     """
-    from seqcalc.calculus import Proof
-    from seqcalc.transform import weaken
-
     def nodes(p, path=()):
         yield path
         for i, q in enumerate(p.premises):
@@ -841,3 +854,291 @@ def reference_state_keys(prover, s: Sequent, counts: dict) -> tuple[str, tuple]:
     kept = [p for i, p in enumerate(parts) if i == 0 or p != parts[i - 1] or p.startswith(eager)]
     tallies = tuple(sorted(kv for kv in counts.items() if kv[1]))
     return ";".join(kept) + "|-" + goal, (";".join(parts) + "|-" + goal, tallies)
+
+
+# ---------------------------------------------------------------------------
+# per-rule proof transforms: the reference for seqcalc.transform's generic
+# steps, which read each rule's premises from calculus.premises and must
+# return the same proofs and raise the same errors
+
+
+def _reference_contract_once(p, side: str, f: Formula):
+    """Contraction of one copy of f, one case per consuming rule."""
+    s = p.conclusion
+    if side == "ante":
+        rest = multiset_minus(s.ante, (f,))
+        if rest is None:
+            raise TransformError(f"{format_formula(f)} missing from the antecedent of {s}")
+        target = Sequent(rest, s.succ)
+    else:
+        rest = multiset_minus(s.succ, (f,))
+        if rest is None:
+            raise TransformError(f"{format_formula(f)} missing from the succedent of {s}")
+        target = Sequent(s.ante, rest)
+
+    rule = p.rule
+    if rule in (RuleId.CONTR_L, RuleId.CONTR_R):
+        raise TransformError("contraction elimination expects contraction-free subproofs")
+    if rule is RuleId.AXIOM:
+        return _reclose(s, target, lambda q: _reference_contract_once(q, side, f))
+
+    pf = _principal_formula(p) if p.principal is not None else None
+    pside = p.principal[0] if p.principal is not None else None
+    consuming = pf == f and pside == side and (
+        rule is INVERTIBLE[side].get(type(f)) or rule in (RuleId.IMP_L_STAR_INT, RuleId.BOT_R)
+    )
+
+    if not consuming:
+        try:
+            premises = tuple(_reference_contract_once(q, side, f) for q in p.premises)
+        except TransformError as exc:
+            dropping = {
+                RuleId.AND_L_LEFT,
+                RuleId.AND_L_RIGHT,
+                RuleId.OR_R_LEFT,
+                RuleId.OR_R_RIGHT,
+                RuleId.FORALL_L,
+                RuleId.EXISTS_R,
+                RuleId.IMP_L,
+            }
+            if rule in dropping and (pf == f and pside == side or rule is RuleId.IMP_L and side == "succ"):
+                raise TransformError(
+                    f"contraction elimination expects starred-calculus proofs: {rule.value} drops "
+                    f"a copy of {format_formula(f)} that it treats as context"
+                ) from exc
+            raise
+        return _node(rule, target, premises, pside, pf, p.witness, p.eigen)
+
+    invert, contract = _invert_once, _reference_contract_once
+    match rule:
+        case RuleId.AND_L_STAR:
+            q = invert(p.premises[0], "ante", f)
+            q = contract(q, "ante", f.left)
+            q = contract(q, "ante", f.right)
+            return _node(rule, target, [q], "ante", f)
+        case RuleId.OR_L:
+            a = contract(invert(p.premises[0], "ante", f, which=0), "ante", f.left)
+            b = contract(invert(p.premises[1], "ante", f, which=1), "ante", f.right)
+            return _node(rule, target, [a, b], "ante", f)
+        case RuleId.IMP_L_STAR:
+            a = contract(invert(p.premises[0], "ante", f, which=0), "succ", f.left)
+            b = contract(invert(p.premises[1], "ante", f, which=1), "ante", f.right)
+            return _node(rule, target, [a, b], "ante", f)
+        case RuleId.IMP_L_STAR_INT:
+            a = contract(p.premises[0], "ante", f)
+            b = contract(invert(p.premises[1], "ante", f, which=1), "ante", f.right)
+            return _node(rule, target, [a, b], "ante", f)
+        case RuleId.EXISTS_L:
+            c = p.eigen
+            q = _freshen_eigens(p.premises[0], {c})
+            q = invert(q, "ante", f, eigen=c)
+            q = contract(q, "ante", instantiate(f, Const(c)))
+            return _node(rule, target, [q], "ante", f, eigen=c)
+        case RuleId.AND_R:
+            a = contract(invert(p.premises[0], "succ", f, which=0), "succ", f.left)
+            b = contract(invert(p.premises[1], "succ", f, which=1), "succ", f.right)
+            return _node(rule, target, [a, b], "succ", f)
+        case RuleId.OR_R_STAR:
+            q = invert(p.premises[0], "succ", f)
+            q = contract(q, "succ", f.left)
+            q = contract(q, "succ", f.right)
+            return _node(rule, target, [q], "succ", f)
+        case RuleId.IMP_R:
+            q = invert(p.premises[0], "succ", f)
+            q = contract(q, "ante", f.left)
+            q = contract(q, "succ", f.right)
+            return _node(rule, target, [q], "succ", f)
+        case RuleId.FORALL_R:
+            c = p.eigen
+            q = _freshen_eigens(p.premises[0], {c})
+            q = invert(q, "succ", f, eigen=c)
+            q = contract(q, "succ", instantiate(f, Const(c)))
+            return _node(rule, target, [q], "succ", f, eigen=c)
+        case RuleId.BOT_R:
+            return _drop_bot_succ(p.premises[0])
+    raise TransformError(f"cannot contract past rule {rule.value}")
+
+
+def reference_eliminate_contractions(p):
+    premises = tuple(reference_eliminate_contractions(q) for q in p.premises)
+    if p.rule in (RuleId.CONTR_L, RuleId.CONTR_R):
+        side = "ante" if p.rule is RuleId.CONTR_L else "succ"
+        return _reference_contract_once(premises[0], side, _principal_formula(p))
+    if premises == p.premises:
+        return p
+    return replace(p, premises=premises)
+
+
+def reference_expand_starred(p):
+    """Starred-rule expansion, each sequent of the decomposition built by hand."""
+    premises = tuple(reference_expand_starred(q) for q in p.premises)
+    s = p.conclusion
+    rule = p.rule
+
+    if rule is RuleId.AND_L_STAR:
+        f = _principal_formula(p)
+        rest = multiset_minus(s.ante, (f,))
+        step_r = _node(RuleId.AND_L_RIGHT, Sequent(rest + (f.left, f), s.succ), [premises[0]], "ante", f)
+        step_l = _node(RuleId.AND_L_LEFT, Sequent(rest + (f, f), s.succ), [step_r], "ante", f)
+        return _node(RuleId.CONTR_L, s, [step_l], "ante", f)
+    if rule is RuleId.OR_R_STAR:
+        f = _principal_formula(p)
+        rest = multiset_minus(s.succ, (f,))
+        step_r = _node(RuleId.OR_R_RIGHT, Sequent(s.ante, rest + (f.left, f)), [premises[0]], "succ", f)
+        step_l = _node(RuleId.OR_R_LEFT, Sequent(s.ante, rest + (f, f)), [step_r], "succ", f)
+        return _node(RuleId.CONTR_R, s, [step_l], "succ", f)
+    if rule is RuleId.FORALL_L_STAR:
+        f = _principal_formula(p)
+        inner = _node(RuleId.FORALL_L, s.plus(ante=(f,)), [premises[0]], "ante", f, witness=p.witness)
+        return _node(RuleId.CONTR_L, s, [inner], "ante", f)
+    if rule is RuleId.EXISTS_R_STAR:
+        f = _principal_formula(p)
+        inner = _node(RuleId.EXISTS_R, s.plus(succ=(f,)), [premises[0]], "succ", f, witness=p.witness)
+        return _node(RuleId.CONTR_R, s, [inner], "succ", f)
+    if rule is RuleId.IMP_L_STAR_INT:
+        f = _principal_formula(p)
+        doubled = s.plus(ante=(f,))
+        second = weaken(premises[1], extra_ante=(f,))
+        inner = _node(RuleId.IMP_L, doubled, [premises[0], second], "ante", f)
+        return _node(RuleId.CONTR_L, s, [inner], "ante", f)
+    if rule is RuleId.IMP_L_STAR:
+        f = _principal_formula(p)
+        doubled_ante = s.ante + (f,)
+        first = weaken(premises[0], extra_ante=(f,))
+        second = weaken(premises[1], extra_ante=(f,))
+        cur = _node(RuleId.IMP_L, Sequent(doubled_ante, s.succ + s.succ), [first, second], "ante", f)
+        acc = list(s.succ + s.succ)
+        for d in s.succ:
+            acc.remove(d)
+            cur = _node(RuleId.CONTR_R, Sequent(doubled_ante, tuple(acc)), [cur], "succ", d)
+        return _node(RuleId.CONTR_L, s, [cur], "ante", f)
+
+    if premises == p.premises:
+        return p
+    return replace(p, premises=premises)
+
+
+def reference_starify(p):
+    """Plain rules to their starred forms, the kept parts named by hand."""
+    premises = tuple(reference_starify(q) for q in p.premises)
+    s = p.conclusion
+    rule = p.rule
+
+    if rule in (RuleId.AND_L_LEFT, RuleId.AND_L_RIGHT):
+        f = _principal_formula(p)
+        other = f.right if rule is RuleId.AND_L_LEFT else f.left
+        q = weaken(premises[0], extra_ante=(other,))
+        return _node(RuleId.AND_L_STAR, s, [q], "ante", f)
+    if rule is RuleId.FORALL_L:
+        f = _principal_formula(p)
+        q = weaken(premises[0], extra_ante=(f,))
+        return _node(RuleId.FORALL_L_STAR, s, [q], "ante", f, witness=p.witness)
+    if rule in (RuleId.OR_R_LEFT, RuleId.OR_R_RIGHT):
+        f = _principal_formula(p)
+        other = f.right if rule is RuleId.OR_R_LEFT else f.left
+        q = weaken(premises[0], extra_succ=(other,))
+        return _node(RuleId.OR_R_STAR, s, [q], "succ", f)
+    if rule is RuleId.EXISTS_R:
+        f = _principal_formula(p)
+        q = weaken(premises[0], extra_succ=(f,))
+        return _node(RuleId.EXISTS_R_STAR, s, [q], "succ", f, witness=p.witness)
+    if rule is RuleId.IMP_L:
+        f = _principal_formula(p)
+        delta1 = multiset_minus(p.premises[0].conclusion.succ, (f.left,))
+        if delta1 is None:
+            raise TransformError(f"malformed implication-left node at {s}")
+        theta = p.premises[1].conclusion.succ
+        q1 = weaken(premises[0], extra_succ=theta)
+        q2 = weaken(premises[1], extra_succ=delta1)
+        return _node(RuleId.IMP_L_STAR, s, [q1, q2], "ante", f)
+
+    if premises == p.premises:
+        return p
+    return replace(p, premises=premises)
+
+
+def reference_extract_some_goal(p):
+    s = p.conclusion
+    rule = p.rule
+
+    if rule is RuleId.AXIOM:
+        for g in s.succ:
+            if isinstance(g, Top):
+                return Proof(RuleId.AXIOM, Sequent(s.ante, (g,)))
+        for g in s.succ:
+            if g in s.ante:
+                return Proof(RuleId.AXIOM, Sequent(s.ante, (g,)))
+        raise TransformError(f"axiom node is not closed: {s}")
+
+    if rule is RuleId.CONTR_L:
+        f = _principal_formula(p)
+        q = reference_extract_some_goal(p.premises[0])
+        return _node(rule, Sequent(s.ante, q.conclusion.succ), [q], "ante", f)
+    if rule is RuleId.CONTR_R:
+        return reference_extract_some_goal(p.premises[0])
+    if rule is RuleId.BOT_R:
+        f = _principal_formula(p)
+        q = reference_extract_some_goal(p.premises[0])
+        if q.conclusion.succ[0] in set(s.succ):
+            return q
+        return _node(rule, Sequent(s.ante, (f,)), [q], "succ", f)
+
+    if rule in (RuleId.AND_L_LEFT, RuleId.AND_L_RIGHT, RuleId.FORALL_L, RuleId.EXISTS_L):
+        f = _principal_formula(p)
+        q = reference_extract_some_goal(p.premises[0])
+        return _node(rule, Sequent(s.ante, q.conclusion.succ), [q], "ante", f, p.witness, p.eigen)
+
+    if rule is RuleId.AND_R:
+        f = _principal_formula(p)
+        others = set(multiset_minus(s.succ, (f,)))
+        q1 = reference_extract_some_goal(p.premises[0])
+        if q1.conclusion.succ[0] in others:
+            return q1
+        q2 = reference_extract_some_goal(p.premises[1])
+        if q2.conclusion.succ[0] in others:
+            return q2
+        return _node(rule, Sequent(s.ante, (f,)), [q1, q2], "succ", f)
+
+    if rule in (RuleId.OR_R_LEFT, RuleId.OR_R_RIGHT, RuleId.EXISTS_R, RuleId.FORALL_R):
+        f = _principal_formula(p)
+        others = set(multiset_minus(s.succ, (f,)))
+        q = reference_extract_some_goal(p.premises[0])
+        if q.conclusion.succ[0] in others:
+            return q
+        return _node(rule, Sequent(s.ante, (f,)), [q], "succ", f, p.witness, p.eigen)
+
+    if rule is RuleId.IMP_L:
+        f = _principal_formula(p)
+        delta1 = multiset_minus(p.premises[0].conclusion.succ, (f.left,))
+        if delta1 is None:
+            raise TransformError(f"malformed implication-left node at {s}")
+        q1 = reference_extract_some_goal(p.premises[0])
+        if q1.conclusion.succ[0] in set(delta1):
+            return weaken(q1, extra_ante=(f,))
+        q2 = reference_extract_some_goal(p.premises[1])
+        return _node(rule, Sequent(s.ante, q2.conclusion.succ), [q1, q2], "ante", f)
+
+    raise TransformError(f"rule {rule.value} cannot appear in this extraction")
+
+
+def reference_extract_intuitionistic(p):
+    starred = {
+        RuleId.AND_L_STAR,
+        RuleId.OR_R_STAR,
+        RuleId.FORALL_L_STAR,
+        RuleId.EXISTS_R_STAR,
+        RuleId.IMP_L_STAR,
+        RuleId.IMP_L_STAR_INT,
+    }
+    if starred & set(rule_usage(p)):
+        p = reference_expand_starred(p)
+    fams = {rule_family(r) for r in rule_usage(p)}
+    some_goal, round_trip = FORBIDDEN_FAMILIES[1], FORBIDDEN_FAMILIES[4]
+    if not fams & some_goal:
+        return reference_extract_some_goal(p)
+    if not fams & round_trip:
+        if len(p.conclusion.succ) != 1:
+            raise TransformError("the starred round-trip extraction needs a single-succedent end sequent")
+        return reference_expand_starred(reference_eliminate_contractions(reference_starify(p)))
+    blocking = sorted(fams & (some_goal | round_trip))
+    raise TransformError(f"proof uses {', '.join(blocking)}; no extraction path applies")

@@ -42,6 +42,7 @@ from seqcalc.syntax import (
     Exists,
     Forall,
     Imp,
+    Meta,
     Or,
     Sequent,
     Top,
@@ -462,6 +463,38 @@ def test_or_l_restart_second_branch_swaps_goal():
     assert check_proof(node, cls)
     # same tree with the restart goal changed: second premise no longer fits
     assert not check_proof(node, ProofClass("og", goal=T))
+
+
+# ---------------------------------------------------------------------------
+# deep proofs: each member is scanned for metavariables once
+
+
+def test_the_goal_directed_proof_of_a_600_deep_implication_chain_replays():
+    # q => ... => q => p, q |- p: one imp-l step per implication, each
+    # sequent a member shorter than the one below it
+    f = Atom("p")
+    for _ in range(600):
+        f = Imp(Q, f)
+    res = prove(Sequent((f, Q), (Atom("p"),)), "o")
+    assert isinstance(res, Proved) and proof_height(res.proof) > 1_200
+    assert check_proof(res.proof, res.proof_class)
+
+
+def test_a_metavariable_deep_in_a_proof_is_found_at_its_node():
+    # 600 imp-r steps down to the restart goal's first appearance: the
+    # restart premise is the only sequent that holds the metavariable
+    goal = Atom("p", (Meta(1),))
+    depth = 600
+    chain = [Atom("r")]
+    for _ in range(depth):
+        chain.append(Imp(Q, chain[-1]))
+    node = Proof(RuleId.RESTART, Sequent((Q,) * depth, (chain[0],)), (axiom([Q] * depth, [goal]),))
+    for k in range(1, depth + 1):
+        node = Proof(RuleId.IMP_R, Sequent((Q,) * (depth - k), (chain[k],)), (node,), principal=("succ", 0))
+    rep = check_proof(node, restart_class(goal))
+    assert not rep
+    assert rep.message == "sequent contains unresolved metavariables"
+    assert rep.path == (0,) * (depth + 1)
 
 
 # ---------------------------------------------------------------------------

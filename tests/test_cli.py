@@ -226,6 +226,12 @@ def test_classify_membership(capsys):
     assert capsys.readouterr().out.strip() == "yes"
 
 
+@pytest.mark.parametrize("chain,verdict", [(" & ".join(["q"] * 2_001), "yes"), ("~" * 2_000 + "q", "no")])
+def test_classify_a_2000_deep_chain(chain, verdict, capsys):
+    assert run("classify", "--fragment", "f1", "--role", "goal", chain) == EXIT_PROVED
+    assert capsys.readouterr().out.strip() == verdict
+
+
 def test_classify_gprime_role(capsys):
     assert run("classify", "--fragment", "lp-cls", "--role", "gprime", "q | s") == EXIT_PROVED
     assert capsys.readouterr().out.strip() == "yes"

@@ -13,7 +13,7 @@ from seqcalc.fragments import (
     reduction_conditions,
 )
 from seqcalc.parser import parse_formula, parse_sequent
-from seqcalc.syntax import Atom, Bot, Top, Var, is_quantifier_free
+from seqcalc.syntax import And, Atom, Bot, Imp, Top, Var, is_quantifier_free
 
 from _oracles import FRAGMENT_ROLES, formula_universe, grammar_members
 
@@ -99,6 +99,31 @@ def test_lp_cls_goal_implications_take_clause_antecedents():
     assert classify(parse_formula("(q => s) => t"), "lp-cls", "goal")
     assert not classify(parse_formula("(q | s) => t"), "lp-cls", "goal")
     assert not classify(parse_formula("((q => s) => t) => u"), "lp-cls", "goal")
+
+
+def _chain(kind: str, depth: int):
+    """q under depth connectives: q & (q & ...), ~~...q or q => (q => ...)."""
+    q = f = Atom("q")
+    for _ in range(depth):
+        f = And(q, f) if kind == "&" else Imp(f, Bot()) if kind == "~" else Imp(q, f)
+    return f
+
+
+@pytest.mark.parametrize("kind", ["&", "~", "=>"])
+def test_deep_chains_classify_as_their_three_deep_prefix(kind):
+    # membership is decided bottom-up on an explicit stack, so 2,000 deep
+    # costs no recursion; the enumeration decides the 3-deep chain
+    shallow, deep = _chain(kind, 3), _chain(kind, 2_000)
+    verdicts = []
+    for frag, roles in FRAGMENT_ROLES.items():
+        members = grammar_members(frag, 3, (Atom("q"), Bot()))
+        for role in roles:
+            want = shallow in members[role]
+            assert classify(shallow, frag, role) == want, (frag, role)
+            assert classify(deep, frag, role) == want, (frag, role)
+            verdicts.append(want)
+    # every role admits the & chain; the others split the roles
+    assert all(verdicts) if kind == "&" else any(verdicts) and not all(verdicts)
 
 
 # ---------------------------------------------------------------------------

@@ -10,17 +10,20 @@ from seqcalc.calculus import (
     CLASSICAL,
     CLASSICAL_STAR,
     INTUITIONISTIC,
+    INVERTIBLE,
     Proof,
     ProofClass,
     RuleId,
     check_proof,
+    dump_proof,
     proof_height,
+    proof_nodes,
     proof_size,
     rule_family,
     rule_usage,
 )
 from seqcalc.parser import parse_formula, parse_sequent
-from seqcalc.search import Proved, SearchLimits, prove
+from seqcalc.search import Proved, SearchLimits, prove, prove_restart
 from seqcalc.syntax import And, Atom, Bot, Const, Forall, Imp, Or, Sequent, Top, Var, forall
 from seqcalc.transform import (
     TransformError,
@@ -31,9 +34,19 @@ from seqcalc.transform import (
     identity_proof,
     weaken,
 )
-from seqcalc.transform import _invert_once
+from seqcalc.transform import _extract_some_goal, _invert_once, _starify
 
-from _oracles import decorate_with_contractions, random_propositional_sequent
+from _oracles import (
+    decorate_with_contractions,
+    random_fragment_sequent,
+    random_horn_sequent,
+    random_propositional_sequent,
+    reference_eliminate_contractions,
+    reference_expand_starred,
+    reference_extract_intuitionistic,
+    reference_extract_some_goal,
+    reference_starify,
+)
 
 Q, S, T = Atom("q"), Atom("s"), Atom("t")
 
@@ -301,6 +314,34 @@ def test_extraction_goal_comes_from_the_original_succedent():
     assert check_proof(out, INTUITIONISTIC)
 
 
+def test_extraction_keeps_the_first_premise_that_proves_another_goal():
+    # both premises of the and-r step prove the other member t; the first
+    # is an axiom, the second takes an and-l-right step first
+    s = parse_sequent("t, s & t |- q & s, t")
+    upper = parse_sequent("t, s & t |- s, t")
+    second = Proof(
+        RuleId.AND_L_RIGHT,
+        upper,
+        (axiom([T, T], [S, T]),),
+        principal=("ante", upper.ante.index(parse_formula("s & t"))),
+    )
+    p = Proof(
+        RuleId.AND_R,
+        s,
+        (axiom(s.ante, [Q, T]), second),
+        principal=("succ", s.succ.index(parse_formula("q & s"))),
+    )
+    assert check_proof(p, CLASSICAL)
+    out = extract_intuitionistic(p)
+    assert out == Proof(RuleId.AXIOM, Sequent(s.ante, (T,)))
+
+
+def test_starify_rejects_a_premise_the_starred_rule_cannot_hold():
+    p = Proof(RuleId.AND_L_LEFT, parse_sequent("q & s |- t"), (axiom([T], [T]),), principal=("ante", 0))
+    with pytest.raises(TransformError, match=r"^malformed and-l-left node at q & s \|- t$"):
+        _starify(p)
+
+
 def test_extraction_round_trip_path_handles_implication_right():
     # no implication-left, disjunction-right or exists-right: the
     # single-succedent path applies even though imp-r is present
@@ -334,6 +375,96 @@ def test_extraction_property_on_eligible_random_proofs(seed):
     assert check_proof(out, INTUITIONISTIC)
     assert out.conclusion.ante == s.ante
     assert out.conclusion.succ[0] in s.succ
+
+
+# ---------------------------------------------------------------------------
+# the generic per-rule steps against the per-rule reference
+
+
+def _seeded_proofs(n: int):
+    """Proved outcomes of n seeded sequents, a third each quantifier-free,
+    in-fragment (first-order included) and Horn, under c, i, o and restart."""
+    rng = random.Random(20)
+    limits = SearchLimits(node_budget=2_000)
+    frags = ("f1", "f2", "f3", "f4", "lp-int", "lp-cls")
+    for k in range(n):
+        if k % 3 == 0:
+            s = random_propositional_sequent(rng, 6)
+        elif k % 3 == 1:
+            s = random_fragment_sequent(rng, frags[k % 6], rng.randint(1, 3), rng.randint(1, 3), rng.randint(1, 3))
+        else:
+            s = random_horn_sequent(rng)
+        searches = [lambda r=r: prove(s, r, limits) for r in ("c", "i", "o")]
+        for search in searches + [lambda: prove_restart(s, limits)]:
+            try:
+                res = search()
+            except ValueError:  # a single-succedent relation on a wider sequent
+                continue
+            if isinstance(res, Proved):
+                yield res
+
+
+def _record(make, cls) -> str:
+    try:
+        return dump_proof(make(), cls)
+    except TransformError as exc:
+        return f"TransformError: {exc}"
+
+
+#: the rules that consume their principal, each with its own contraction step
+_CONSUMING = {*INVERTIBLE["ante"].values(), *INVERTIBLE["succ"].values(), RuleId.IMP_L_STAR_INT, RuleId.BOT_R}
+
+
+def _contracted_on_principals(p):
+    """Each subproof of p whose rule consumes its principal, below a
+    contraction on that principal: eliminating it takes the rule's step."""
+    for n in proof_nodes(p):
+        if n.rule in _CONSUMING:
+            side, i = n.principal
+            f = (n.conclusion.ante if side == "ante" else n.conclusion.succ)[i]
+            try:
+                widened = weaken(n, extra_ante=(f,)) if side == "ante" else weaken(n, extra_succ=(f,))
+            except TransformError:  # a succedent copy that imp-l*-int forbids
+                continue
+            yield Proof(RuleId.CONTR_L if side == "ante" else RuleId.CONTR_R, n.conclusion, (widened,), n.principal)
+
+
+def test_generic_steps_match_the_per_rule_reference():
+    rng = random.Random(21)
+    compared = errors = 0
+    for res in _seeded_proofs(150):
+        p, cls = res.proof, res.proof_class
+        try:
+            dirty = decorate_with_contractions(rng, p, 3)
+        except TransformError:  # a succedent copy that a restart node forbids
+            dirty = None
+        cases = [
+            (lambda: expand_starred(p), lambda: reference_expand_starred(p)),
+            (lambda: extract_intuitionistic(p), lambda: reference_extract_intuitionistic(p)),
+            # the two extraction paths on every expanded proof, eligible or not
+            (lambda: _starify(expand_starred(p)), lambda: reference_starify(reference_expand_starred(p))),
+            (
+                lambda: _extract_some_goal(expand_starred(p)),
+                lambda: reference_extract_some_goal(reference_expand_starred(p)),
+            ),
+            (
+                lambda: eliminate_contractions(expand_starred(p)),
+                lambda: reference_eliminate_contractions(reference_expand_starred(p)),
+            ),
+        ]
+        if dirty is not None:
+            cases.append(
+                (lambda: eliminate_contractions(dirty), lambda: reference_eliminate_contractions(dirty))
+            )
+        for q in _contracted_on_principals(p):
+            cases.append((lambda q=q: eliminate_contractions(q), lambda q=q: reference_eliminate_contractions(q)))
+        for new, ref in cases:
+            got = _record(new, cls)
+            assert got == _record(ref, cls), (p.conclusion, cls)
+            compared += 1
+            errors += got.startswith("TransformError")
+    # both outcomes occur often enough for the comparison to mean something
+    assert compared > 1_500 and 100 < errors < compared - 1_000
 
 
 # ---------------------------------------------------------------------------
