@@ -42,7 +42,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import Generator, Iterator, Union
+from typing import Generator, Iterable, Iterator, Union
 
 from .calculus import INVERTIBLE, Proof, ProofClass, RuleId, is_axiom, premises, restart_class
 from .syntax import (
@@ -111,6 +111,24 @@ class Subst:
 
     def resolve_formula(self, f: Formula) -> Formula:
         return map_terms(f, lambda a, _: self.resolve_term(a))
+
+    def unbound(self, idents: Iterable[int]) -> set[int]:
+        """The metavariables the given ones resolve into: metas_in of their
+        resolved forms, found by following the bindings, building no term."""
+        out: set[int] = set()
+        seen: set[int] = set()
+        todo = list(idents)
+        while todo:
+            i = todo.pop()
+            if i in seen:
+                continue
+            seen.add(i)
+            t = self._map.get(i)
+            if t is None:
+                out.add(i)
+            else:
+                todo += metas_in(t)
+        return out
 
 
 def _occurs_or_captures(ident: int, t: Term, subst: Subst) -> bool:
@@ -296,10 +314,16 @@ class _Budget:
 
 
 def _mentions_bound(t: Term) -> bool:
-    if type(t) is Bound:
-        return True
-    if type(t) is App:
-        return any(_mentions_bound(a) for a in t.args)
+    """Whether t holds a Bound.  Walks an explicit stack, so nesting depth
+    costs no recursion."""
+    stack = [t]
+    while stack:
+        u = stack.pop()
+        k = type(u)
+        if k is Bound:
+            return True
+        if k is App:
+            stack += u.args
     return False
 
 
@@ -372,6 +396,8 @@ class _ClassicalProver:
         self.next_meta = 0
         self.next_eigen = 0
         self.dynamic_eigens: set[str] = set()
+        # each member's own metavariables, by the member's sort key
+        self._metas: dict[str, frozenset[int]] = {}
 
     # -- quantifier-free decision -------------------------------------------
 
@@ -457,7 +483,7 @@ class _ClassicalProver:
             term = eigen = None
             if type(f) in (Exists, Forall):
                 eigen = self.fresh_eigen()
-                live = sorted(metas_in(map(subst.resolve_formula, s.ante + s.succ)))
+                live = self._live_metas(s, subst)
                 term = App(eigen, tuple(Meta(m) for m in live)) if live else Const(eigen)
             for sb, subs in self._solve_all(premises(rule, s, i, f, term), subst, counts, mult):
                 yield sb, _Skel(rule, s, subs, side, f, eigen=eigen)
@@ -473,6 +499,20 @@ class _ClassicalProver:
                     (premise,) = premises(rule, s, i, f, m)
                     for sb, sk in self.solve(premise, subst, c2, mult):
                         yield sb, _Skel(rule, s, (sk,), side, f, witness=m)
+
+    def _live_metas(self, s: Sequent, subst: Subst) -> list[int]:
+        """The metavariables of s resolved under subst, in order: each
+        member's own, memoized by sort key, followed through subst's
+        bindings, so no member is rebuilt."""
+        memo = self._metas
+        own: set[int] = set()
+        for side in (s.ante, s.succ):
+            for f in side:
+                ms = memo.get(f._key)
+                if ms is None:
+                    ms = memo[f._key] = metas_in(f)
+                own |= ms
+        return sorted(subst.unbound(own))
 
     def _solve_all(self, prems, subst, counts, mult) -> Iterator[tuple[Subst, tuple[_Skel, ...]]]:
         """solve over the one or two premises of a rule, threading the
@@ -491,9 +531,18 @@ class _ClassicalProver:
     def _ground(self, skel: _Skel, subst: Subst) -> Proof:
         leftovers: set[int] = set()
         symbols = self.root_symbols | self.dynamic_eigens
+        # the skeleton's sequents share most of their members; the skeleton
+        # keeps every member alive during the call, so each is scanned and
+        # grounded once, by its id
+        scanned: set[int] = set()
+        grounded: dict[int, Formula] = {}
 
         def scan(sk: _Skel) -> None:
-            resolved = [subst.resolve_formula(f) for f in sk.seq.ante + sk.seq.succ]
+            resolved = []
+            for f in sk.seq.ante + sk.seq.succ:
+                if id(f) not in scanned:
+                    scanned.add(id(f))
+                    resolved.append(subst.resolve_formula(f))
             leftovers.update(metas_in(resolved))
             symbols.update(free_symbols(resolved))
             if sk.witness is not None:
@@ -515,7 +564,10 @@ class _ClassicalProver:
             return self._collapse(t)
 
         def gformula(f: Formula) -> Formula:
-            return map_terms(f, lambda a, _: gterm(a))
+            g = grounded.get(id(f))
+            if g is None:
+                g = grounded[id(f)] = map_terms(f, lambda a, _: gterm(a))
+            return g
 
         def build(sk: _Skel) -> Proof:
             seq = Sequent(
@@ -609,10 +661,15 @@ class _GroundProver:
         # depth and instantiation tallies it failed under
         self.failed: dict = {}
         # formula memos keyed by the formula's sort key, which is
-        # alpha-invariant and hashes in C
+        # alpha-invariant and hashes in C: the positive heads, and the
+        # loop-check item (text, holes, eager) of a member or goal
         self._heads_memo: dict[str, tuple] = {}
-        self._tmpl_memo: dict[str, tuple] = {}
+        self._items: dict[str, tuple[str, tuple[str, ...], bool]] = {}
         self._wit_memo: dict[Sequent, list] = {}
+        # instantiate(f, t) by (id(f), id(t)); an entry holds f and t, so
+        # neither id can pass to another object while the entry lives.  By
+        # identity, not sort key: an instance keeps f's binder hints
+        self._instances: dict[tuple[int, int], tuple[Formula, Term, Formula]] = {}
         # loop check: canonical keys of the states on the current path, each
         # with its position; `_low` tracks the shallowest position any cycle
         # in the subtree under exploration closed back to.  A failure inside
@@ -639,19 +696,29 @@ class _GroundProver:
 
     # -- loop-check keys ------------------------------------------------------
 
+    def _item(self, f: Formula) -> tuple[str, tuple[str, ...], bool]:
+        """f's loop-check item (text, holes, eager): its template text and
+        holes when it holds a made constant, else its sort key and no holes;
+        eager tells whether this mode splits f eagerly.  The text also keys
+        f's instantiation tallies, where f is quantified: its sort key then
+        starts with a digit tag and its template text with "A." or "E.", so
+        the two kinds of text never meet.  Memoized by f's sort key: a
+        constant's status never changes, since made names avoid the root's
+        symbols and a made constant enters a state only after it is made."""
+        got = self._items.get(f._key)
+        if got is None:
+            text, holes = self._template(f)
+            got = (text if holes else f._key, holes, type(f) in self._eager)
+            self._items[f._key] = got
+        return got
+
     def _template(self, f: Formula) -> tuple[str, tuple[str, ...]]:
-        """Serialize f once: a flat token text with each made constant
-        replaced by a hole number, plus the hole fillers in first-occurrence
-        order.  The text is an injective function of f's structure with its
-        made constants taken as holes; it also keys f's instantiation
-        tallies.  Walks an explicit stack, emitting tokens left to right, so
-        hole numbers follow first occurrence and nesting depth costs no
-        recursion.  Memoized by f's sort key: a constant's status never
-        changes, since made names avoid the root's symbols and a made
-        constant enters a state only after it is made."""
-        got = self._tmpl_memo.get(f._key)
-        if got is not None:
-            return got
+        """Serialize f: a flat token text with each made constant replaced
+        by a hole number, plus the hole fillers in first-occurrence order.
+        The text is an injective function of f's structure with its made
+        constants taken as holes.  Walks an explicit stack, emitting tokens
+        left to right, so hole numbers follow first occurrence and nesting
+        depth costs no recursion."""
         made = self.made
         holes: dict[str, int] = {}
         out: list[str] = []
@@ -687,9 +754,7 @@ class _GroundProver:
                 stack += (")", x.right, ",", x.left)
             else:
                 out.append(x.name)
-        got = ("".join(out), tuple(holes))
-        self._tmpl_memo[f._key] = got
-        return got
+        return "".join(out), tuple(holes)
 
     def _canon(self, s: Sequent, counts: dict[str, int]) -> tuple[tuple, tuple]:
         """The state's loop-check key (members, goal) and failure-cache key
@@ -698,14 +763,16 @@ class _GroundProver:
         A member or goal that holds no made constant is its sort key.  While
         the search has made no constant, members is the antecedent's sort
         keys in the sequent's own order, which is sorted by them, and no
-        template is looked up.  Otherwise each member is an item (text,
-        holes): its sort key and no holes, or its template.  The items are
-        sorted, the made constants in their holes and then in the goal's are
-        renamed by first occurrence to integers, and a member with holes
-        enters members as (text, renamed holes), which no sort key equals.
-        So isomorphic states tend to compare equal, and equal states always
-        do.  With no made constant both ways give the same tuple, so a
-        search that makes its first constant midway keys consistently.
+        item is looked up.  Otherwise each member and the goal is its item
+        (see _item), one memo lookup each.  When no member has holes the
+        items are already in sorted order, so members is again the sort keys
+        in sequent order.  Otherwise the items are sorted.  The made
+        constants in their holes and then in the goal's are renamed by first
+        occurrence to integers, and a member with holes enters members as
+        (text, renamed holes), which no sort key equals.  So isomorphic
+        states tend to compare equal, and equal states always do.  With no
+        made constant both ways give the same tuple, so a search that makes
+        its first constant midway keys consistently.
 
         These keys are equal exactly when the earlier keys were, which were
         joined strings with every member as its template text.  A template
@@ -717,25 +784,37 @@ class _GroundProver:
         states does not change whether their renamed hole sequences agree."""
         ante = s.ante
         goal = s.succ[0]
-        if not self.made:
-            items = None
+        items = members = None
+        if self.made:
+            memo = self._items
+            items = []
+            holed = False
+            for f in ante:
+                item = memo.get(f._key) or self._item(f)
+                if item[1]:
+                    holed = True
+                items.append(item)
+            goal_item = memo.get(goal._key) or self._item(goal)
+            if holed or goal_item[1]:
+                if holed:
+                    items.sort()
+                mapping: dict[str, int] = {}
+                keys = []
+                for text, holes, _ in items + [goal_item]:
+                    if holes:
+                        renamed = []
+                        for c in holes:
+                            n = mapping.get(c)
+                            if n is None:
+                                n = mapping[c] = len(mapping)
+                            renamed.append(n)
+                        text = (text, tuple(renamed))
+                    keys.append(text)
+                goal_key = keys.pop()
+                members = tuple(keys)
+        if members is None:
             members = tuple(map(_KEY, ante))
             goal_key = goal._key
-        else:
-            eager = self._eager
-            items = []
-            for f in ante:
-                text, holes = self._template(f)
-                items.append((text, holes, type(f) in eager) if holes else (f._key, (), type(f) in eager))
-            items.sort()
-            mapping: dict[str, int] = {}
-
-            def rename(holes: tuple[str, ...]) -> tuple[int, ...]:
-                return tuple([mapping.setdefault(c, len(mapping)) for c in holes])
-
-            members = tuple([(text, rename(holes)) if holes else text for text, holes, _ in items])
-            text, holes = self._template(goal)
-            goal_key = (text, rename(holes)) if holes else goal._key
         # the loop check collapses duplicates (contraction is admissible, and
         # set-states are what make quantifier-free search terminate); the
         # failure cache must not, since multiplicity affects what is provable
@@ -750,7 +829,7 @@ class _GroundProver:
             if items is None:
                 eagers = [type(f) in self._eager for f in ante]
             else:
-                eagers = [e for _, _, e in items]
+                eagers = [item[2] for item in items]
             kept, prev = [], None
             for m, e in zip(members, eagers):
                 if m != prev or e:
@@ -761,6 +840,13 @@ class _GroundProver:
         return (kept, goal_key), (members, goal_key, tallies)
 
     # -- witness candidates -----------------------------------------------------
+
+    def _instance(self, f: Formula, t: Term) -> Formula:
+        """instantiate(f, t), memoized for this search by identity."""
+        got = self._instances.get((id(f), id(t)))
+        if got is None:
+            got = self._instances[id(f), id(t)] = (f, t, instantiate(f, t))
+        return got[2]
 
     def _witnesses(self, s: Sequent) -> list[Term]:
         got = self._wit_memo.get(s)
@@ -955,7 +1041,7 @@ class _GroundProver:
                 if sub is not None:
                     return Proof(rule, s, (sub,), ("succ", 0))
             return None
-        key = self._template(goal)[0]
+        key = self._item(goal)[0]
         if counts.get(key, 0) < self.limits.quantifier_budget:
             c2 = dict(counts)
             c2[key] = c2.get(key, 0) + 1
@@ -993,14 +1079,14 @@ class _GroundProver:
         for i, f in enumerate(s.ante):
             if not isinstance(f, Forall):
                 continue
-            key = self._template(f)[0]
+            key = self._item(f)[0]
             if counts.get(key, 0) >= self.limits.quantifier_budget:
                 continue
             c2 = dict(counts)
             c2[key] = c2.get(key, 0) + 1
             ante_set = set(s.ante)
             for t in self._witnesses(s):
-                inst = instantiate(f, t)
+                inst = self._instance(f, t)
                 if inst in ante_set:
                     continue
                 sub = yield (s.plus(ante=(inst,)), depth, c2)
@@ -1064,14 +1150,14 @@ class _GroundProver:
                         if sub is not None:
                             return self._contracted(s, f, rule, (sub,))
                 case Forall():
-                    key = self._template(f)[0]
+                    key = self._item(f)[0]
                     if counts.get(key, 0) >= self.limits.quantifier_budget:
                         continue
                     c2 = dict(counts)
                     c2[key] = c2.get(key, 0) + 1
                     ante_set = set(s.ante)
                     for t in self._witnesses(s):
-                        inst = instantiate(f, t)
+                        inst = self._instance(f, t)
                         if inst in ante_set:
                             continue
                         sub = yield (s.plus(ante=(inst,)), depth, c2)

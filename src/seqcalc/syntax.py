@@ -37,7 +37,6 @@ import bisect
 import re
 import weakref
 from _weakref import _remove_dead_weakref
-from dataclasses import dataclass
 from operator import attrgetter
 from typing import Callable, Iterable, Iterator, Union
 
@@ -540,18 +539,22 @@ def formula_key(f: Formula) -> str:
 
 
 def term_size(t: Term) -> int:
-    match t:
-        case App(_, args):
-            return 1 + sum(term_size(a) for a in args)
-        case _:
-            return 1
+    """The number of term nodes in t.  Walks an explicit stack, so nesting
+    depth costs no recursion."""
+    n = 0
+    stack = [t]
+    while stack:
+        u = stack.pop()
+        n += 1
+        if type(u) is App:
+            stack += u.args
+    return n
 
 
 # ---------------------------------------------------------------------------
 # sequents
 
 
-@dataclass(frozen=True)
 class Sequent:
     """A multiset sequent.  Both sides are stored sorted, so == is multiset equality.
 
@@ -563,27 +566,49 @@ class Sequent:
     one cached string hash per member.  Sequents themselves are not
     interned.
 
+    A sequent is immutable: its two slots are set once, at construction,
+    and assigning or deleting an attribute raises AttributeError.
+
     The constructor sorts both sides.  Sequent._presorted, without_ante,
     without_succ, replace_ante, replace_succ and plus do not: they need
     sides already in the order sorted(key=formula_key) gives, as every
     Sequent's sides are, and keep that order (plus and replace_* insert
     each new member where sorted() would put it)."""
 
-    ante: tuple[Formula, ...] = ()
-    succ: tuple[Formula, ...] = ()
+    __slots__ = ("ante", "succ")
+    __match_args__ = ("ante", "succ")
+    ante: tuple[Formula, ...]
+    succ: tuple[Formula, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "ante", tuple(sorted(self.ante, key=_KEY)))
-        object.__setattr__(self, "succ", tuple(sorted(self.succ, key=_KEY)))
+    def __init__(self, ante: Iterable[Formula] = (), succ: Iterable[Formula] = ()) -> None:
+        _set_ante(self, tuple(sorted(ante, key=_KEY)))
+        _set_succ(self, tuple(sorted(succ, key=_KEY)))
 
     @classmethod
     def _presorted(cls, ante: tuple[Formula, ...], succ: tuple[Formula, ...]) -> "Sequent":
         """A sequent over sides that are already sorted by formula_key, in the
         order sorted() gives them; the sides are taken as they are."""
-        s = object.__new__(cls)
-        object.__setattr__(s, "ante", ante)
-        object.__setattr__(s, "succ", succ)
+        s = _new(cls)
+        _set_ante(s, ante)
+        _set_succ(s, succ)
         return s
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot change {name!r}: sequents are immutable")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if type(other) is type(self):
+            return self.ante == other.ante and self.succ == other.succ
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.ante, self.succ))
+
+    def __reduce__(self):
+        # the sides are sorted already, and sorting them again keeps them
+        return Sequent, (self.ante, self.succ)
 
     def plus(self, ante: Iterable[Formula] = (), succ: Iterable[Formula] = ()) -> "Sequent":
         return Sequent._presorted(_insorted(self.ante, ante), _insorted(self.succ, succ))
@@ -607,6 +632,11 @@ class Sequent:
 
     def __repr__(self) -> str:
         return f"Sequent({format_sequent(self)!r})"
+
+
+_new = object.__new__
+_set_ante = Sequent.ante.__set__
+_set_succ = Sequent.succ.__set__
 
 
 def _insorted(side: tuple[Formula, ...], new: Iterable[Formula]) -> tuple[Formula, ...]:

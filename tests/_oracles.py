@@ -42,6 +42,7 @@ from seqcalc.syntax import (
     forall,
     format_formula,
     instantiate,
+    metas_in,
     multiset_minus,
     neg,
     substitute,
@@ -854,6 +855,58 @@ def reference_state_keys(prover, s: Sequent, counts: dict) -> tuple[str, tuple]:
     kept = [p for i, p in enumerate(parts) if i == 0 or p != parts[i - 1] or p.startswith(eager)]
     tallies = tuple(sorted(kv for kv in counts.items() if kv[1]))
     return ";".join(kept) + "|-" + goal, (";".join(parts) + "|-" + goal, tallies)
+
+
+# ---------------------------------------------------------------------------
+# the classical prover's live metavariables at an eigenvariable step
+
+
+def _quantified_term(rng: random.Random, depth: int) -> Term:
+    k = rng.randrange(5 if depth else 3)
+    if k < 2:
+        return Var("xy"[k])
+    if k == 2:
+        return Const(rng.choice("ab"))
+    if k == 3:
+        return App("f", (_quantified_term(rng, depth - 1),))
+    return App("g", (_quantified_term(rng, depth - 1), _quantified_term(rng, depth - 1)))
+
+
+def _quantified_formula(rng: random.Random, depth: int) -> Formula:
+    if depth == 0 or rng.random() < 0.25:
+        if rng.random() < 0.5:
+            return Atom("p", (_quantified_term(rng, 1),))
+        return Atom("r", (_quantified_term(rng, 1), _quantified_term(rng, 1)))
+    k = rng.randrange(5)
+    if k < 3:
+        return (And, Or, Imp)[k](_quantified_formula(rng, depth - 1), _quantified_formula(rng, depth - 1))
+    return (forall, exists)[k - 3](rng.choice("xy"), _quantified_formula(rng, depth - 1))
+
+
+def random_quantified_sequent(rng: random.Random) -> Sequent:
+    """A closed first-order sequent for the classical prover: 1-3
+    antecedent universals and 1-2 succedent existentials, each over a binary
+    connective whose operands nest further quantifiers over unary and binary
+    function terms.  Its searches reach eigenvariable steps whose
+    metavariables are bound, some of them to terms holding further
+    metavariables: the instances of the outer quantifiers split, and the
+    first branch's closure binds what the second branch opens."""
+
+    def closed(binder) -> Formula:
+        v = rng.choice("xy")
+        split = rng.choice((And, Or, Imp))
+        f = binder(v, split(_quantified_formula(rng, rng.randint(1, 3)), _quantified_formula(rng, rng.randint(1, 3))))
+        return substitute(Const("b"), "y", substitute(Const("a"), "x", f))
+
+    ante = tuple(closed(forall) for _ in range(rng.randint(1, 3)))
+    return Sequent(ante, tuple(closed(exists) for _ in range(rng.randint(1, 2))))
+
+
+def reference_live_metas(s: Sequent, subst) -> list[int]:
+    """The metavariables of s under subst, as the classical prover first
+    found them at an eigenvariable step: every member resolved under subst,
+    then scanned."""
+    return sorted(metas_in(map(subst.resolve_formula, s.ante + s.succ)))
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ from seqcalc.search import (
     Refuted,
     SearchLimits,
     Subst,
+    _ClassicalProver,
     _GroundProver,
     herbrandize,
     is_quantifier_free_sequent,
@@ -33,10 +34,14 @@ from seqcalc.syntax import (
     Bound,
     Const,
     Exists,
+    Forall,
     Imp,
+    Meta,
     Sequent,
     format_sequent,
     formula_key,
+    instantiate,
+    metas_in,
     neg,
 )
 from seqcalc.transform import augment
@@ -45,6 +50,8 @@ from _oracles import (
     random_fragment_sequent,
     random_horn_sequent,
     random_propositional_sequent,
+    random_quantified_sequent,
+    reference_live_metas,
     reference_state_keys,
     truth_table_valid,
 )
@@ -367,6 +374,27 @@ def test_deep_members_are_searched_at_the_default_recursion_limit(chain, logic):
     assert sys.getrecursionlimit() == limit
 
 
+def _deep_term() -> App:
+    t = Const("a")
+    for _ in range(_DEEP):
+        t = App("f", (t,))
+    return t
+
+
+@pytest.mark.parametrize("logic", ["i", "o"])
+@pytest.mark.parametrize("goal", ["q", "exists x. p(x)"])
+def test_deep_terms_are_searched_at_the_default_recursion_limit(goal, logic):
+    # the relevance heads and the witness order walk the deep argument
+    assert sys.getrecursionlimit() < _DEEP
+    s = Sequent((Atom("p", (_deep_term(),)),), (parse_formula(goal),))
+    res = prove(s, logic)
+    if goal == "q":
+        assert isinstance(res, Refuted if logic == "i" else NotProvedWithinLimits)
+    else:
+        assert isinstance(res, Proved)
+        assert check_proof(res.proof, res.proof_class)
+
+
 #: the relations whose states the reference-key property records
 _KEYED_SEARCHES = (
     lambda s, limits: prove(s, "i", limits),
@@ -435,6 +463,79 @@ def test_reference_key_draws_reach_states_with_made_constants():
                 holed += any(type(m) is tuple for m in cache[0])
                 blank += "!" in ref_cache[0]
     assert holed > 100 and blank > 100
+
+
+@settings(max_examples=100)
+@given(st.integers(0, 10**6))
+def test_instance_memo_returns_the_object_instantiate_builds(seed):
+    s = _key_draw(seed)
+    seen = []
+    instance = _GroundProver._instance
+
+    def checked(prover, f, t):
+        got = instance(prover, f, t)
+        seen.append(got is instantiate(f, t) and got is instance(prover, f, t))
+        return got
+
+    with mock.patch.object(_GroundProver, "_instance", checked):
+        for search in _KEYED_SEARCHES:
+            search(s, SearchLimits(node_budget=400))
+    assert all(seen)
+
+
+def test_instance_memo_keeps_each_variant_s_binder_hints():
+    # alpha-variants are equal but print differently, so the memo must not
+    # hand one variant's instance to the other
+    prover = _GroundProver(parse_sequent("|- q"), SearchLimits(), uniform=False)
+    y, z = (Forall(Forall(Atom("r", (Bound(0), Bound(1))), h)) for h in "yz")
+    assert y == z and y is not z
+    a = Const("a")
+    got_y, got_z = prover._instance(y, a), prover._instance(z, a)
+    assert got_y is instantiate(y, a) and got_z is instantiate(z, a)
+    assert got_y == got_z and got_y is not got_z
+    assert prover._instance(y, a) is got_y
+
+
+def _recorded_eigen_states(s: Sequent) -> list[tuple]:
+    """Each (prover, state, substitution) the classical search of s asks
+    for the live metavariables of, at an eigenvariable step."""
+    records: list = []
+    live = _ClassicalProver._live_metas
+
+    def recording(prover, state, subst):
+        records.append((prover, state, subst))
+        return live(prover, state, subst)
+
+    with mock.patch.object(_ClassicalProver, "_live_metas", recording):
+        prove(s, "c", SearchLimits(node_budget=300))
+    return records
+
+
+@settings(max_examples=150)
+@given(st.integers(0, 10**6))
+def test_live_metavariables_match_the_resolved_members(seed):
+    for prover, state, subst in _recorded_eigen_states(random_quantified_sequent(random.Random(seed))):
+        assert prover._live_metas(state, subst) == reference_live_metas(state, subst)
+
+
+def test_live_metavariable_draws_reach_bound_metavariables():
+    # the property above must also compare states where a metavariable is
+    # bound, and bound to a term holding further metavariables
+    bound = chained = 0
+    for seed in range(100):
+        for _, state, subst in _recorded_eigen_states(random_quantified_sequent(random.Random(seed))):
+            terms = [subst._map[i] for i in metas_in(state) if i in subst._map]
+            bound += bool(terms)
+            chained += any(metas_in(t) for t in terms)
+    assert bound > 100 and chained > 10
+
+
+def test_unbound_follows_chains_of_bindings():
+    x = [Meta(i) for i in range(4)]
+    subst = Subst().bind(0, App("f", (x[1],))).bind(1, App("g", (x[2], Const("a")))).bind(3, Const("b"))
+    assert subst.unbound({0}) == {2} == metas_in(subst.resolve_term(x[0]))
+    assert subst.unbound({0, 1, 2, 3}) == {2}
+    assert subst.unbound({3}) == set() and subst.unbound(()) == set()
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Term and formula structure: binding, substitution, multisets, printing,
 interning and the flat sort keys."""
 
+import copy
 import gc
 import hashlib
 import itertools
@@ -514,3 +515,66 @@ def test_deep_members_sort_compare_and_hash_without_recursion():
     # the nested reference key cannot even be built at this depth
     with pytest.raises(RecursionError):
         reference_formula_key(f)
+
+
+# ---------------------------------------------------------------------------
+# the Sequent contract: an immutable pair of sorted sides
+
+
+def _contract_sequent() -> Sequent:
+    return Sequent((Atom("q"), Forall(Atom("p", (Bound(0),)), "y"), Atom("p")), (Exists(Atom("p", (Bound(0),))),))
+
+
+def test_sequent_attributes_cannot_be_assigned_or_deleted():
+    s = _contract_sequent()
+    for name in ("ante", "succ", "other"):
+        with pytest.raises(AttributeError):
+            setattr(s, name, ())
+        with pytest.raises(AttributeError):
+            delattr(s, name)
+    assert not hasattr(s, "__dict__")
+    assert s == _contract_sequent()
+
+
+def test_sequent_equality_and_hash_are_those_of_the_sorted_sides():
+    s = _contract_sequent()
+    t = Sequent(tuple(reversed(s.ante)), s.succ)
+    assert s == t and hash(s) == hash(t) == hash((s.ante, s.succ))
+    assert s != Sequent(s.ante[1:], s.succ) and s != Sequent(s.ante, ())
+    # a sequent equals no plain pair of its sides
+    assert s != (s.ante, s.succ) and (s.ante, s.succ) != s
+    # alpha-variant members make equal sequents
+    rehinted = Sequent(tuple(_rehinted(f, "w") for f in s.ante), s.succ)
+    assert rehinted == s and hash(rehinted) == hash(s)
+    assert len({s, t, rehinted}) == 1
+
+
+def test_sequent_keyword_construction_sorts_both_sides():
+    s = _contract_sequent()
+    assert Sequent(ante=tuple(reversed(s.ante)), succ=s.succ) == s
+    assert Sequent(succ=(Atom("q"), Atom("p"))).succ == (Atom("p"), Atom("q"))
+    assert Sequent(ante=[Atom("q"), Atom("p")]).ante == (Atom("p"), Atom("q"))
+    assert Sequent() == Sequent((), ()) and Sequent().ante == () == Sequent().succ
+
+
+def test_sequent_matches_a_class_pattern():
+    match _contract_sequent():
+        case Sequent(ante, succ):
+            assert ante == _contract_sequent().ante and succ == _contract_sequent().succ
+        case _:
+            pytest.fail("no match")
+    match _contract_sequent():
+        case Sequent(succ=(Exists(),)):
+            pass
+        case _:
+            pytest.fail("no keyword match")
+
+
+def test_sequent_pickle_and_copy_round_trips_keep_the_members():
+    s = _contract_sequent()
+    for back in (pickle.loads(pickle.dumps(s)), copy.deepcopy(s), copy.copy(s)):
+        assert type(back) is Sequent and back == s and hash(back) == hash(s)
+        # the members are interned, binder hints and all
+        assert all(a is b for a, b in zip(back.ante + back.succ, s.ante + s.succ))
+        with pytest.raises(AttributeError):
+            back.ante = ()
