@@ -1,0 +1,133 @@
+"""Alternating benchmark pairs of two checkouts, summarized per metric.
+
+    python scripts/bench_pairs.py --parent DIR --change DIR --workload W --seeds A-B
+        [--seconds 12] [--trace 0] [--out FILE]
+
+Runs ``perfbench/run.py`` of each checkout once per seed, the parent first
+on even pairs and the change first on odd ones, so drift in the machine's
+speed falls on both sides alike.  Each run must report ``correct`` and
+``failed: 0``; its metrics and the unscaled figures of its ``raw:`` line
+are kept.  Prints, per metric, each side's median and quartiles, the
+relative change of the medians and the number of pairs the change won (a
+tie is not a win); the direction of "better" comes from the change's
+``BENCHMARK.json``.  With ``--out`` the pairs and the summary are also
+written to FILE, a JSON object with one entry per workload and trace
+setting; entries already in FILE for other workloads are kept.  Neither
+checkout is modified, apart from the span files ``perfbench/run.py``
+writes under its ignored ``perfbench/out/``.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+
+def _seeds(text: str) -> list[int]:
+    first, _, last = text.partition("-")
+    return list(range(int(first), int(last or first) + 1))
+
+
+def _run(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> tuple[dict, dict]:
+    """The run's metrics and the unscaled figures of its raw: line."""
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed)]
+    cmd += ["--seconds", str(seconds), "--trace", str(trace)]
+    done = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
+    lines = done.stdout.strip().splitlines()
+    if done.returncode or not lines:
+        raise SystemExit(f"{checkout}: {' '.join(cmd)} exited {done.returncode}\n{done.stderr}")
+    result = json.loads(lines[-1])
+    if not result.get("correct") or result.get("failed"):
+        raise SystemExit(f"{checkout}, seed {seed}: correct={result.get('correct')} failed={result.get('failed')}")
+    raw = next((line.split()[1:] for line in lines if line.startswith("raw:")), [])
+    return {name: m["value"] for name, m in result["metrics"].items()}, dict(f.split("=", 1) for f in raw)
+
+
+def _quartiles(values: list[float]) -> tuple[float, float, float]:
+    if len(values) < 2:
+        return values[0], values[0], values[0]
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, median, q3
+
+
+def _directions(checkout: Path) -> dict[str, str]:
+    spec = json.loads((checkout / "BENCHMARK.json").read_text())
+    return {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
+
+
+def summarize(pairs: list[dict], better: dict[str, str]) -> dict[str, dict]:
+    """Per metric both runs reported: each side's quartiles, the median's
+    relative change and the pairs the change won."""
+    out = {}
+    for name in pairs[0]["parent"]:
+        if name not in pairs[0]["change"]:
+            continue
+        parent = [p["parent"][name] for p in pairs]
+        change = [p["change"][name] for p in pairs]
+        higher = better.get(name, "higher") == "higher"
+        won = sum((c > p) if higher else (c < p) for p, c in zip(parent, change))
+        pq, cq = _quartiles(parent), _quartiles(change)
+        out[name] = {
+            "better": "higher" if higher else "lower",
+            "parent": dict(zip(("q1", "median", "q3"), pq)),
+            "change": dict(zip(("q1", "median", "q3"), cq)),
+            "relative": (cq[1] - pq[1]) / pq[1] if pq[1] else None,
+            "won": won,
+            "pairs": len(pairs),
+        }
+    return out
+
+
+def main(argv: list[str] | None = None) -> None:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--parent", type=Path, required=True)
+    ap.add_argument("--change", type=Path, required=True)
+    ap.add_argument("--workload", required=True)
+    ap.add_argument("--seeds", required=True, help="A-B, inclusive")
+    ap.add_argument("--seconds", type=float, default=12)
+    ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
+    ap.add_argument("--out", type=Path)
+    args = ap.parse_args(argv)
+
+    sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    pairs = []
+    for i, seed in enumerate(_seeds(args.seeds)):
+        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        pair: dict = {"seed": seed, "first": order[0]}
+        for side in order:
+            pair[side], pair[f"{side}_raw"] = _run(sides[side], args.workload, seed, args.seconds, args.trace)
+        pairs.append(pair)
+        ops = "ops_per_s" if "ops_per_s" in pair["parent"] else None
+        if ops:
+            print(f"seed {seed}: {ops} {pair['parent'][ops]:.1f} -> {pair['change'][ops]:.1f}", flush=True)
+
+    summary = summarize(pairs, _directions(sides["change"]))
+    print(f"{args.workload}, {len(pairs)} pairs, --seconds {args.seconds:g} --trace {args.trace}")
+    print(f"{'metric':36} {'parent median [q1-q3]':>28} {'change median [q1-q3]':>28} {'change':>8} won")
+    for name, m in summary.items():
+        p, c = m["parent"], m["change"]
+        rel = "" if m["relative"] is None else f"{m['relative']:+.1%}"
+        print(
+            f"{name:36} {p['median']:>10.4g} [{p['q1']:.4g}-{p['q3']:.4g}]".ljust(66)
+            + f"{c['median']:>10.4g} [{c['q1']:.4g}-{c['q3']:.4g}]".ljust(29)
+            + f"{rel:>8} {m['won']}/{m['pairs']}"
+        )
+
+    if args.out:
+        doc = json.loads(args.out.read_text()) if args.out.exists() else {}
+        entry = args.workload if args.trace == 0 else f"{args.workload} --trace 1"
+        doc.setdefault("workloads", {})[entry] = {
+            "seconds": args.seconds,
+            "trace": args.trace,
+            "pairs": pairs,
+            "summary": summary,
+        }
+        args.out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
+
+
+if __name__ == "__main__":
+    main()

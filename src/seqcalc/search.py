@@ -32,8 +32,10 @@ eagerly, and so the members its loop check must not collapse.  Its loop
 check and failure cache key a state by a tuple of its members' stored sort
 keys; only a member holding a constant the search made itself (an
 eigenvariable or the blank witness, kept in the set `made`) is serialized,
-with those constants renamed by first occurrence.  A quantifier-free search
-makes no constant, so it keys every state by sort keys alone.  Every
+with those constants renamed by first occurrence, once per search for each
+antecedent.  A quantifier-free search makes no constant, so it keys every
+state by sort keys alone.  Its relevance check reads a per-formula index
+of positive heads.  Every
 engine takes its invertible rules from `calculus.INVERTIBLE` and builds
 their premises with `calculus.premises`, as the checker does.
 """
@@ -76,6 +78,25 @@ from .syntax import (
     term_key,
     term_size,
 )
+
+# the rules the provers build and compare, as module globals: reading an
+# Enum member through its class costs about ten times a global read
+_AND_L_LEFT = RuleId.AND_L_LEFT
+_AND_L_RIGHT = RuleId.AND_L_RIGHT
+_AXIOM = RuleId.AXIOM
+_BOT_R = RuleId.BOT_R
+_CONTR_L = RuleId.CONTR_L
+_EXISTS_R = RuleId.EXISTS_R
+_EXISTS_R_STAR = RuleId.EXISTS_R_STAR
+_FORALL_L = RuleId.FORALL_L
+_FORALL_L_STAR = RuleId.FORALL_L_STAR
+_IMP_L = RuleId.IMP_L
+_IMP_L_STAR_INT = RuleId.IMP_L_STAR_INT
+_OR_L = RuleId.OR_L
+_OR_L_RESTART = RuleId.OR_L_RESTART
+_OR_R_LEFT = RuleId.OR_R_LEFT
+_OR_R_RIGHT = RuleId.OR_R_RIGHT
+_RESTART = RuleId.RESTART
 
 # ---------------------------------------------------------------------------
 # substitutions and unification
@@ -384,6 +405,10 @@ class _Skel:
     eigen: str | None = None
 
 
+#: the classical prover's quantifier instantiations: (side, connective, rule)
+_INSTANTIATIONS = (("ante", Forall, _FORALL_L_STAR), ("succ", Exists, _EXISTS_R_STAR))
+
+
 class _ClassicalProver:
     def __init__(self, root: Sequent, limits: SearchLimits):
         self.root = root
@@ -406,10 +431,10 @@ class _ClassicalProver:
         so one principal per sequent suffices and a failed leaf refutes."""
         self.budget.tick()
         if is_axiom(s, self.limits.strengthened_axioms):
-            return Proof(RuleId.AXIOM, s)
+            return Proof(_AXIOM, s)
         if s.succ and _has_bot(s.ante):
-            (premise,) = premises(RuleId.BOT_R, s, 0, s.succ[0])
-            return Proof(RuleId.BOT_R, s, (Proof(RuleId.AXIOM, premise),), ("succ", 0))
+            (premise,) = premises(_BOT_R, s, 0, s.succ[0])
+            return Proof(_BOT_R, s, (Proof(_AXIOM, premise),), ("succ", 0))
 
         step = _invertible_step(s)
         if step is None:
@@ -455,12 +480,13 @@ class _ClassicalProver:
         self.budget.tick()
 
         # definitive closures: no metavariable bindings involved
-        if any(isinstance(f, Top) for f in s.succ):
-            yield subst, _Skel(RuleId.AXIOM, s)
+        if s.succ and s.succ[0] is TOP:
+            # top is interned and sorts first in a sorted side
+            yield subst, _Skel(_AXIOM, s)
             return
         if s.succ and _has_bot(s.ante):
-            (premise,) = premises(RuleId.BOT_R, s, 0, s.succ[0])
-            yield subst, _Skel(RuleId.BOT_R, s, (_Skel(RuleId.AXIOM, premise),), "succ", s.succ[0])
+            (premise,) = premises(_BOT_R, s, 0, s.succ[0])
+            yield subst, _Skel(_BOT_R, s, (_Skel(_AXIOM, premise),), "succ", s.succ[0])
             return
         # a pair that unifies without a new binding is already equal under
         # subst and closes definitively; pairs that commit to bindings are
@@ -469,12 +495,12 @@ class _ClassicalProver:
         for a, b in self._axiom_pairs(s):
             nxt = unify_formulas(a, b, subst)
             if nxt is subst:
-                yield subst, _Skel(RuleId.AXIOM, s)
+                yield subst, _Skel(_AXIOM, s)
                 return
             if nxt is not None:
                 alternatives.append(nxt)
         for nxt in alternatives:
-            yield nxt, _Skel(RuleId.AXIOM, s)
+            yield nxt, _Skel(_AXIOM, s)
 
         # one invertible step, when available
         step = _invertible_step(s)
@@ -490,7 +516,7 @@ class _ClassicalProver:
             return
 
         # quantifier instantiations: the only genuine proof-shape choices left
-        for side, k, rule in (("ante", Forall, RuleId.FORALL_L_STAR), ("succ", Exists, RuleId.EXISTS_R_STAR)):
+        for side, k, rule in _INSTANTIATIONS:
             for i, f in enumerate(s.ante if side == "ante" else s.succ):
                 if type(f) is k and counts.get(f, 0) < mult:
                     m = self.fresh_meta()
@@ -637,6 +663,27 @@ _RIGHT_INVERTIBLE = {k: rule for k, rule in INVERTIBLE["succ"].items() if k is n
 _KEY = attrgetter("_key")
 
 
+def _collapsed(keys: tuple[str, ...], ante: tuple[Formula, ...], eager: tuple[type, ...]) -> tuple:
+    """The sort keys of ante, which hold duplicates, with each run of equal
+    keys collapsed to one except those of members whose connective is in
+    eager, the connectives the mode decomposes eagerly.
+
+    The loop check collapses duplicates (contraction is admissible, and
+    set-states are what make quantifier-free search terminate); the
+    failure cache must not, since multiplicity affects what is provable
+    within fixed resources.  Eager members keep their multiplicity even in
+    the loop key: decomposing one of two copies leaves a state the
+    collapsed key cannot tell from its parent, which would be pruned as a
+    cycle.  Those steps consume their principal, so the kept copies cannot
+    pile up along a path."""
+    kept, prev = [], None
+    for k, f in zip(keys, ante):
+        if k != prev or type(f) in eager:
+            kept.append(k)
+        prev = k
+    return tuple(kept)
+
+
 class _GroundProver:
     """Single-succedent search.  uniform=False searches the contraction-free
     starred calculus; uniform=True restricts to goal-directed order and emits
@@ -661,10 +708,16 @@ class _GroundProver:
         # depth and instantiation tallies it failed under
         self.failed: dict = {}
         # formula memos keyed by the formula's sort key, which is
-        # alpha-invariant and hashes in C: the positive heads, and the
+        # alpha-invariant and hashes in C: the head index, and the
         # loop-check item (text, holes, eager) of a member or goal
-        self._heads_memo: dict[str, tuple] = {}
+        self._heads: dict[str, dict | bool] = {}
         self._items: dict[str, tuple[str, tuple[str, ...], bool]] = {}
+        # once the search has made a constant: each antecedent's summary
+        # (kept, members, hole order) by the tuple of its members' sort
+        # keys, and the per-search numbers of the holed member tuples
+        self._antes: dict[tuple[str, ...], tuple] = {}
+        self._numbers: dict[tuple, int] = {}
+        self._tallies: dict[tuple, tuple] = {}
         self._wit_memo: dict[Sequent, list] = {}
         # instantiate(f, t) by (id(f), id(t)); an entry holds f and t, so
         # neither id can pass to another object while the entry lives.  By
@@ -757,22 +810,22 @@ class _GroundProver:
         return "".join(out), tuple(holes)
 
     def _canon(self, s: Sequent, counts: dict[str, int]) -> tuple[tuple, tuple]:
-        """The state's loop-check key (members, goal) and failure-cache key
-        (members, goal, tallies), where tallies are the instantiation counts.
+        """The state's loop-check key (kept, goal) and failure-cache key
+        (members, goal, tallies), where tallies are the instantiation counts
+        and kept is members with duplicates collapsed (see _collapsed).
 
         A member or goal that holds no made constant is its sort key.  While
         the search has made no constant, members is the antecedent's sort
-        keys in the sequent's own order, which is sorted by them, and no
-        item is looked up.  Otherwise each member and the goal is its item
-        (see _item), one memo lookup each.  When no member has holes the
-        items are already in sorted order, so members is again the sort keys
-        in sequent order.  Otherwise the items are sorted.  The made
-        constants in their holes and then in the goal's are renamed by first
-        occurrence to integers, and a member with holes enters members as
-        (text, renamed holes), which no sort key equals.  So isomorphic
-        states tend to compare equal, and equal states always do.  With no
-        made constant both ways give the same tuple, so a search that makes
-        its first constant midway keys consistently.
+        keys in the sequent's own order, which is sorted by them.  Otherwise
+        the antecedent's summary is looked up by that same tuple of sort
+        keys, so an antecedent is summarized once per search (see
+        _summary).  A summary with holes stands for its members by
+        per-search numbers, which no tuple equals; one without holes keeps
+        the sort keys, so a state keys alike before and after the search's
+        first made constant.  A goal with holes is (text, renamed holes...),
+        its holes continuing the antecedent's renaming.  So isomorphic
+        states tend to compare equal, and equal states always do.  Equal
+        tallies are shared, as the failure cache holds them for the search.
 
         These keys are equal exactly when the earlier keys were, which were
         joined strings with every member as its template text.  A template
@@ -781,63 +834,82 @@ class _GroundProver:
         the text encoding, as from template text to sort key for members
         without holes, therefore only moves whole blocks of equal text
         within the sorted order, and applying the same block move to two
-        states does not change whether their renamed hole sequences agree."""
-        ante = s.ante
+        states does not change whether their renamed hole sequences agree.
+        Flattening the holed members and numbering them are injective
+        within a search."""
         goal = s.succ[0]
-        items = members = None
         if self.made:
-            memo = self._items
-            items = []
-            holed = False
-            for f in ante:
-                item = memo.get(f._key) or self._item(f)
-                if item[1]:
-                    holed = True
-                items.append(item)
-            goal_item = memo.get(goal._key) or self._item(goal)
-            if holed or goal_item[1]:
-                if holed:
-                    items.sort()
-                mapping: dict[str, int] = {}
-                keys = []
-                for text, holes, _ in items + [goal_item]:
-                    if holes:
-                        renamed = []
-                        for c in holes:
-                            n = mapping.get(c)
-                            if n is None:
-                                n = mapping[c] = len(mapping)
-                            renamed.append(n)
-                        text = (text, tuple(renamed))
-                    keys.append(text)
-                goal_key = keys.pop()
-                members = tuple(keys)
-        if members is None:
-            members = tuple(map(_KEY, ante))
-            goal_key = goal._key
-        # the loop check collapses duplicates (contraction is admissible, and
-        # set-states are what make quantifier-free search terminate); the
-        # failure cache must not, since multiplicity affects what is provable
-        # within fixed resources.  Members the mode decomposes eagerly keep
-        # their multiplicity even in the loop key: decomposing one of two
-        # copies leaves a state the collapsed key cannot tell from its parent,
-        # which would be pruned as a cycle.  Those steps consume their
-        # principal, so the kept copies cannot pile up along a path.
-        kept = members
-        if len(set(members)) < len(members):
-            # sorting put equal members side by side
-            if items is None:
-                eagers = [type(f) in self._eager for f in ante]
+            sig = tuple(map(_KEY, s.ante))
+            kept, members, order = self._antes.get(sig) or self._summary(s.ante, sig)
+            text, holes, _ = self._items.get(goal._key) or self._item(goal)
+            if holes:
+                n = len(order)
+                goal_key = [text]
+                for c in holes:
+                    if c in order:
+                        goal_key.append(order.index(c))
+                    else:
+                        goal_key.append(n)
+                        n += 1
+                goal_key = tuple(goal_key)
             else:
-                eagers = [item[2] for item in items]
-            kept, prev = [], None
-            for m, e in zip(members, eagers):
-                if m != prev or e:
-                    kept.append(m)
-                prev = m
-            kept = tuple(kept)
-        tallies = tuple(sorted(counts.items())) if counts else ()
+                goal_key = text
+        else:
+            members = tuple(map(_KEY, s.ante))
+            kept = members
+            if len(set(members)) < len(members):
+                kept = _collapsed(members, s.ante, self._eager)
+            goal_key = goal._key
+        tallies = ()
+        if counts:
+            tallies = tuple(sorted(counts.items()))
+            tallies = self._tallies.setdefault(tallies, tallies)
         return (kept, goal_key), (members, goal_key, tallies)
+
+    def _summary(self, ante: tuple[Formula, ...], sig: tuple[str, ...]) -> tuple:
+        """The antecedent's (kept, members, order), stored under sig, its
+        members' sort keys.  Each member is its item (see _item).  When no
+        member has holes, members is sig, already in sorted order, and order
+        is empty.  Otherwise the items are sorted and the made constants in
+        their holes are renamed by first occurrence to their positions in
+        order.  members is then the flat tuple of each member's text
+        followed by its renamed holes: a text with holes has at least one,
+        a sort key none, so the tuple spells the members out unambiguously.
+        kept drops the duplicates from it that _collapsed drops from sort
+        keys, and both are replaced by their numbers."""
+        memo = self._items
+        items = [memo.get(k) or self._item(f) for f, k in zip(ante, sig)]
+        if not any(item[1] for item in items):
+            kept = sig
+            if len(set(sig)) < len(sig):
+                kept = _collapsed(sig, ante, self._eager)
+            got = self._antes[sig] = (kept, sig, ())
+            return got
+        items.sort()
+        mapping: dict[str, int] = {}
+        members: list = []
+        kept: list = []
+        prev = None
+        for item in items:
+            text, holes, eager = item
+            part = [text]
+            for c in holes:
+                n = mapping.get(c)
+                if n is None:
+                    n = mapping[c] = len(mapping)
+                part.append(n)
+            members += part
+            # equal items rename alike, and sorting put them side by side
+            if item != prev or eager:
+                kept += part
+            prev = item
+        numbers = self._numbers
+        got = self._antes[sig] = (
+            numbers.setdefault(tuple(kept), len(numbers)),
+            numbers.setdefault(tuple(members), len(numbers)),
+            tuple(mapping),
+        )
+        return got
 
     # -- witness candidates -----------------------------------------------------
 
@@ -861,22 +933,27 @@ class _GroundProver:
 
     # -- relevance --------------------------------------------------------------
 
-    def _formula_heads(self, f: Formula) -> tuple:
-        """Atoms in positive position within f, argument slots a left-rule
-        instantiation could fill wildcarded to None.  Bottom in positive
-        position appears as the pair ("", ()): it lets any goal close."""
-        got = self._heads_memo.get(f._key)
-        if got is not None:
-            return got
-        acc: set = set()
+    def _head_index(self, f: Formula) -> dict | bool:
+        """The atoms in positive position within f by (predicate, arity),
+        each as (exact argument tuples, wildcarded argument tuples): an
+        argument slot a left-rule instantiation could fill is wildcarded to
+        None.  True when bottom is in positive position: it lets any goal
+        close."""
+        heads: dict[tuple[str, int], tuple[list, list]] = {}
         stack = [f]
         while stack:
             g = stack.pop()
             k = type(g)
             if k is Atom:
-                acc.add((g.pred, tuple(None if _mentions_bound(a) else a for a in g.args)))
+                args = g.args
+                exact, wild = heads.setdefault((g.pred, len(args)), ([], []))
+                if any(map(_mentions_bound, args)):
+                    wild.append(tuple(None if _mentions_bound(a) else a for a in args))
+                else:
+                    exact.append(args)
             elif k is Bot:
-                acc.add(("", ()))
+                self._heads[f._key] = True
+                return True
             elif k is And or k is Or:
                 stack.append(g.left)
                 stack.append(g.right)
@@ -884,27 +961,35 @@ class _GroundProver:
                 stack.append(g.right)
             elif k is Forall or k is Exists:
                 stack.append(g.body)
-        got = tuple(acc)
-        self._heads_memo[f._key] = got
-        return got
+        index = {head: (frozenset(exact), tuple(wild)) for head, (exact, wild) in heads.items()}
+        self._heads[f._key] = index
+        return index
 
     def _attainable(self, s: Sequent, goal: Formula) -> bool:
         """Whether left rules could ever close this atomic or bottom goal:
         every formula the left rules add to the antecedent instantiates a
         positive-position subformula of one already there, so a goal no
-        antecedent head matches is hopeless."""
+        antecedent head matches is hopeless.  One index lookup per member."""
         if type(goal) is Atom:
-            pred, args = goal.pred, goal.args
+            args = goal.args
+            head = (goal.pred, len(args))
         else:
-            pred, args = "", ()
+            args = head = None
+        memo = self._heads
         for f in s.ante:
-            for hp, ha in self._formula_heads(f):
-                if hp == "":
+            index = memo.get(f._key)
+            if index is None:
+                index = self._head_index(f)
+            if index is True:
+                return True
+            entry = index.get(head)
+            if entry is not None:
+                exact, wild = entry
+                if args in exact:
                     return True
-                if hp != pred or len(ha) != len(args):
-                    continue
-                if all(a is None or a == b for a, b in zip(ha, args)):
-                    return True
+                for ha in wild:
+                    if all(a is None or a == b for a, b in zip(ha, args)):
+                        return True
         return False
 
     # -- search -----------------------------------------------------------------
@@ -939,14 +1024,14 @@ class _GroundProver:
         # closures; goal-directed proofs may only close at an exempt goal
         if is_axiom(s, strengthened):
             if not self.uniform or isinstance(goal, (Atom, Top, Bot)):
-                return Proof(RuleId.AXIOM, s)
+                return Proof(_AXIOM, s)
         if (
             _has_bot(s.ante)
             and not isinstance(goal, Bot)
             and (not self.uniform or isinstance(goal, Atom))
         ):
-            (premise,) = premises(RuleId.BOT_R, s, 0, goal)
-            return Proof(RuleId.BOT_R, s, (Proof(RuleId.AXIOM, premise),), ("succ", 0))
+            (premise,) = premises(_BOT_R, s, 0, goal)
+            return Proof(_BOT_R, s, (Proof(_AXIOM, premise),), ("succ", 0))
 
         loop_key, cache_key = self._canon(s, counts)
         seen_at = self._path.get(loop_key)
@@ -1035,7 +1120,7 @@ class _GroundProver:
         """Introduce a disjunction or existential goal: try each disjunct,
         or each witness within the quantifier budget, until one is proved."""
         if type(goal) is Or:
-            for rule in (RuleId.OR_R_LEFT, RuleId.OR_R_RIGHT):
+            for rule in (_OR_R_LEFT, _OR_R_RIGHT):
                 (premise,) = premises(rule, s, 0, goal)
                 sub = yield (premise, depth, counts)
                 if sub is not None:
@@ -1046,10 +1131,10 @@ class _GroundProver:
             c2 = dict(counts)
             c2[key] = c2.get(key, 0) + 1
             for t in self._witnesses(s):
-                (premise,) = premises(RuleId.EXISTS_R, s, 0, goal, t)
+                (premise,) = premises(_EXISTS_R, s, 0, goal, t)
                 sub = yield (premise, depth, c2)
                 if sub is not None:
-                    return Proof(RuleId.EXISTS_R, s, (sub,), ("succ", 0), witness=t)
+                    return Proof(_EXISTS_R, s, (sub,), ("succ", 0), witness=t)
         return None
 
     # invertible-first search over the starred single-succedent rules
@@ -1075,7 +1160,7 @@ class _GroundProver:
                 if sub1 is not None:
                     sub2 = yield (s.replace_ante(i, (f.right,)), depth, counts)
                     if sub2 is not None:
-                        return Proof(RuleId.IMP_L_STAR_INT, s, (sub1, sub2), ("ante", i))
+                        return Proof(_IMP_L_STAR_INT, s, (sub1, sub2), ("ante", i))
         for i, f in enumerate(s.ante):
             if not isinstance(f, Forall):
                 continue
@@ -1091,7 +1176,7 @@ class _GroundProver:
                     continue
                 sub = yield (s.plus(ante=(inst,)), depth, c2)
                 if sub is not None:
-                    return Proof(RuleId.FORALL_L_STAR, s, (sub,), ("ante", i), witness=t)
+                    return Proof(_FORALL_L_STAR, s, (sub,), ("ante", i), witness=t)
         return None
 
     # goal-directed search emitting plain rules
@@ -1106,7 +1191,7 @@ class _GroundProver:
             if self.rgoal is not None and goal != self.rgoal:
                 sub = yield (Sequent._presorted(s.ante, (self.rgoal,)), depth, counts)
                 if sub is not None:
-                    return Proof(RuleId.RESTART, s, (sub,))
+                    return Proof(_RESTART, s, (sub,))
             return None
 
         # invertible consuming steps commit first: splitting a disjunction or
@@ -1126,7 +1211,7 @@ class _GroundProver:
             for i, f in enumerate(s.ante):
                 if type(f) is not Or:
                     continue
-                for premise in premises(RuleId.OR_L, s, i, f):
+                for premise in premises(_OR_L, s, i, f):
                     if (yield (premise, depth, counts)) is None:
                         return None
                 break
@@ -1141,9 +1226,9 @@ class _GroundProver:
                     sub2 = yield (s.plus(ante=(r,)), depth, counts)
                     if sub2 is None:
                         continue
-                    return self._contracted(s, f, RuleId.IMP_L, (sub1, sub2))
+                    return self._contracted(s, f, _IMP_L, (sub1, sub2))
                 case And(l, r):
-                    for rule, kept in ((RuleId.AND_L_LEFT, l), (RuleId.AND_L_RIGHT, r)):
+                    for rule, kept in ((_AND_L_LEFT, l), (_AND_L_RIGHT, r)):
                         if kept in s.ante:
                             continue
                         sub = yield (s.plus(ante=(kept,)), depth, counts)
@@ -1162,7 +1247,7 @@ class _GroundProver:
                             continue
                         sub = yield (s.plus(ante=(inst,)), depth, c2)
                         if sub is not None:
-                            return self._contracted(s, f, RuleId.FORALL_L, (sub,), witness=t)
+                            return self._contracted(s, f, _FORALL_L, (sub,), witness=t)
                 case Or(l, r):
                     # only reached with a restart goal; the plain split
                     # happened eagerly above
@@ -1173,20 +1258,20 @@ class _GroundProver:
                     sub2 = yield (rest.without_succ(0).plus(ante=(r,), succ=(self.rgoal,)), depth, counts)
                     if sub2 is None:
                         continue
-                    return Proof(RuleId.OR_L_RESTART, s, (sub1, sub2), ("ante", i))
+                    return Proof(_OR_L_RESTART, s, (sub1, sub2), ("ante", i))
                 case _:
                     pass
         if self.rgoal is not None and goal != self.rgoal:
             sub = yield (Sequent._presorted(s.ante, (self.rgoal,)), depth, counts)
             if sub is not None:
-                return Proof(RuleId.RESTART, s, (sub,))
+                return Proof(_RESTART, s, (sub,))
         return None
 
     def _contracted(self, s: Sequent, f: Formula, rule: RuleId, premises, witness: Term | None = None) -> Proof:
         """Wrap a keep-the-clause left step as contraction plus the plain rule."""
         doubled = s.plus(ante=(f,))
         inner = Proof(rule, doubled, premises, ("ante", doubled.ante.index(f)), witness)
-        return Proof(RuleId.CONTR_L, s, (inner,), ("ante", s.ante.index(f)))
+        return Proof(_CONTR_L, s, (inner,), ("ante", s.ante.index(f)))
 
     def run(self) -> SearchOutcome:
         qf = is_quantifier_free_sequent(self.root)

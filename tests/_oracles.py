@@ -4,10 +4,10 @@ Everything here is deliberately written against the public data types only,
 by a different mechanism than the library code uses: validity is decided by
 truth tables, grammar membership by bottom-up set construction from
 production tables, and the generators build formulas directly from those
-same tables.  The reference parser, state keys and per-rule proof transforms
-are earlier implementations of the library's own code, kept so that their
-replacements can be compared with them; the transforms share transform's
-node, inversion and weakening helpers.
+same tables.  The reference parser, state keys, relevance check and
+per-rule proof transforms are earlier implementations of the library's own
+code, kept so that their replacements can be compared with them; the
+transforms share transform's node, inversion and weakening helpers.
 """
 
 from __future__ import annotations
@@ -907,6 +907,44 @@ def reference_live_metas(s: Sequent, subst) -> list[int]:
     found them at an eigenvariable step: every member resolved under subst,
     then scanned."""
     return sorted(metas_in(map(subst.resolve_formula, s.ante + s.succ)))
+
+
+# ---------------------------------------------------------------------------
+# the ground engine's relevance check as a scan over every head
+
+
+def _reference_mentions_bound(t: Term) -> bool:
+    return isinstance(t, Bound) or isinstance(t, App) and any(map(_reference_mentions_bound, t.args))
+
+
+def _reference_heads(f: Formula) -> set[tuple]:
+    """Atoms in positive position within f as (predicate, arguments), slots
+    holding a bound variable wildcarded to None; bottom is ("", ())."""
+    if isinstance(f, Atom):
+        return {(f.pred, tuple(None if _reference_mentions_bound(a) else a for a in f.args))}
+    if isinstance(f, Bot):
+        return {("", ())}
+    if isinstance(f, (And, Or)):
+        return _reference_heads(f.left) | _reference_heads(f.right)
+    if isinstance(f, Imp):
+        return _reference_heads(f.right)
+    if isinstance(f, (Forall, Exists)):
+        return _reference_heads(f.body)
+    return set()
+
+
+def reference_attainable(s: Sequent, goal: Formula) -> bool:
+    """Whether some antecedent head could close the atomic or bottom goal,
+    as the ground engine first decided it: a scan over every head of every
+    member, where a positive bottom closes any goal."""
+    pred, args = (goal.pred, goal.args) if isinstance(goal, Atom) else ("", ())
+    for f in s.ante:
+        for hp, ha in _reference_heads(f):
+            if hp == "":
+                return True
+            if hp == pred and len(ha) == len(args) and all(a is None or a == b for a, b in zip(ha, args)):
+                return True
+    return False
 
 
 # ---------------------------------------------------------------------------

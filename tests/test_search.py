@@ -37,6 +37,7 @@ from seqcalc.syntax import (
     Forall,
     Imp,
     Meta,
+    Or,
     Sequent,
     format_sequent,
     formula_key,
@@ -51,6 +52,7 @@ from _oracles import (
     random_horn_sequent,
     random_propositional_sequent,
     random_quantified_sequent,
+    reference_attainable,
     reference_live_metas,
     reference_state_keys,
     truth_table_valid,
@@ -417,9 +419,9 @@ def _key_draw(seed: int) -> Sequent:
     return random_fragment_sequent(rng, source, rng.randint(1, 3), rng.randint(1, 3), rng.randint(1, 3))
 
 
-def _recorded_keys(s: Sequent) -> list[list[tuple]]:
-    """Per search of s, each state that reached _canon as (new loop key,
-    new cache key, reference loop key, reference cache key)."""
+def _recorded_states(s: Sequent) -> list[list[tuple]]:
+    """Per search of s, each state that reached _canon as (prover, state,
+    counts, (loop key, cache key))."""
     records: list = []
     canon = _GroundProver._canon
 
@@ -433,10 +435,17 @@ def _recorded_keys(s: Sequent) -> list[list[tuple]]:
         for search in _KEYED_SEARCHES:
             del records[:]
             search(s, SearchLimits(node_budget=400))
-            searches.append(
-                [(*keys, *reference_state_keys(prover, state, counts)) for prover, state, counts, keys in records]
-            )
+            searches.append(list(records))
     return searches
+
+
+def _recorded_keys(s: Sequent) -> list[list[tuple]]:
+    """Per search of s, each state that reached _canon as (new loop key,
+    new cache key, reference loop key, reference cache key)."""
+    return [
+        [(*keys, *reference_state_keys(prover, state, counts)) for prover, state, counts, keys in states]
+        for states in _recorded_states(s)
+    ]
 
 
 def _same_partition(xs: list, ys: list) -> bool:
@@ -455,14 +464,65 @@ def test_state_keys_are_equal_exactly_when_the_reference_keys_are(seed):
 
 def test_reference_key_draws_reach_states_with_made_constants():
     # the property above must also compare states whose members hold
-    # constants the search made: such members key as (text, holes) pairs
+    # constants the search made: such antecedents key by their number
     holed = blank = 0
     for seed in range(200):
         for states in _recorded_keys(_key_draw(seed)):
             for _, cache, _, ref_cache in states:
-                holed += any(type(m) is tuple for m in cache[0])
+                holed += type(cache[0]) is int
                 blank += "!" in ref_cache[0]
     assert holed > 100 and blank > 100
+
+
+@settings(max_examples=150)
+@given(st.integers(0, 10**6))
+def test_state_keys_do_not_depend_on_the_antecedent_memo(seed):
+    # keys recomputed after the search with emptied antecedent memos, in
+    # reverse order so that holed antecedents get other numbers, partition
+    # the states as the keys the search used did; states keyed before the
+    # first made constant are now keyed through the memo
+    for states in _recorded_states(_key_draw(seed)):
+        if not states:
+            continue
+        prover = states[0][0]
+        prover._antes.clear()
+        prover._numbers.clear()
+        again = [prover._canon(state, counts) for _, state, counts, _ in reversed(states)][::-1]
+        loop, cache = zip(*(keys for *_, keys in states))
+        loop_again, cache_again = zip(*again)
+        assert _same_partition(list(loop), list(loop_again))
+        assert _same_partition(list(cache), list(cache_again))
+
+
+@pytest.mark.parametrize("uniform, restart", [(False, False), (True, False), (True, True)])
+def test_made_constants_change_only_the_keys_of_states_that_hold_them(uniform, restart):
+    # a repeated eagerly split member, a repeated atom and a tally
+    s = parse_sequent("q, q, s | t, s | t, exists x. p(x), forall x. p(x) |- p(a)")
+    prover = _GroundProver(s, SearchLimits(), uniform, s.succ[0] if restart else None)
+    counts = {"q": 1}
+    before = prover._canon(s, counts)
+    made = Const(prover._fresh())
+    assert prover.made and prover._canon(s, counts) == before
+    (kept, _), (members, _, _) = before
+    assert members == tuple(f._key for f in s.ante)
+    split = parse_formula("s | t")
+    assert kept.count(Atom("q")._key) == 1
+    assert kept.count(split._key) == (2 if type(split) in prover._eager else 1)
+    # once a member holds the made constant, the antecedent keys by number
+    holed = s.plus(ante=(Atom("p", (made,)),))
+    loop, cache = prover._canon(holed, counts)
+    assert type(loop[0]) is int and type(cache[0]) is int
+    assert prover._canon(holed, counts) == (loop, cache)
+    # its goal's holes continue the antecedent's renaming
+    goal = Sequent._presorted(holed.ante, (Atom("r", (made, Const(prover._fresh()))),))
+    assert prover._canon(goal, {})[0][1][1:] == (0, 1)
+    # a repeated member with holes collapses in the loop key unless the mode
+    # splits it eagerly, and never in the cache key
+    for m in (Atom("q", (made,)), Or(Atom("s", (made,)), Atom("t"))):
+        once, twice = holed.plus(ante=(m,)), holed.plus(ante=(m, m))
+        (loop1, _), (cache1, _, _) = prover._canon(once, {})
+        (loop2, _), (cache2, _, _) = prover._canon(twice, {})
+        assert (loop1 == loop2) is (type(m) not in prover._eager) and cache1 != cache2
 
 
 @settings(max_examples=100)
@@ -494,6 +554,60 @@ def test_instance_memo_keeps_each_variant_s_binder_hints():
     assert got_y is instantiate(y, a) and got_z is instantiate(z, a)
     assert got_y == got_z and got_y is not got_z
     assert prover._instance(y, a) is got_y
+
+
+def _recorded_relevance(s: Sequent) -> list[tuple]:
+    """Each (state, goal, verdict) the ground searches of s checked for
+    relevance."""
+    records: list = []
+    attainable = _GroundProver._attainable
+
+    def recording(prover, state, goal):
+        got = attainable(prover, state, goal)
+        records.append((state, goal, got))
+        return got
+
+    with mock.patch.object(_GroundProver, "_attainable", recording):
+        for search in _KEYED_SEARCHES:
+            search(s, SearchLimits(node_budget=400))
+    return records
+
+
+@settings(max_examples=150)
+@given(st.integers(0, 10**6))
+def test_head_index_agrees_with_the_head_scan(seed):
+    for state, goal, got in _recorded_relevance(_key_draw(seed)):
+        assert got == reference_attainable(state, goal)
+
+
+def test_head_index_draws_reach_both_verdicts():
+    verdicts = [got for seed in range(100) for *_, got in _recorded_relevance(_key_draw(seed))]
+    assert verdicts.count(True) > 100 and verdicts.count(False) > 100
+
+
+@pytest.mark.parametrize(
+    "text, attainable",
+    [
+        ("p(a) |- p(a)", True),
+        ("p(a) |- p(b)", False),
+        ("p(a) |- p(a, a)", False),
+        ("forall x. (q => p(x, b)) |- p(a, b)", True),
+        ("forall x. (q => p(x, b)) |- p(a, a)", False),
+        ("forall x. p(f(x)) |- p(a)", True),
+        ("q => bot |- p(a)", True),
+        ("bot => p(a) |- q", False),
+        ("(p(a) => q) & r |- p(a)", False),
+        ("p(a) | exists x. s(x) |- s(b)", True),
+        ("p(a) |- bot", False),
+    ],
+)
+def test_head_index_cases(text, attainable):
+    s = parse_sequent(text)
+    prover = _GroundProver(s, SearchLimits(), uniform=True)
+    assert prover._attainable(s, s.succ[0]) is attainable
+    assert reference_attainable(s, s.succ[0]) is attainable
+    # the second call reads the memoized index
+    assert prover._attainable(s, s.succ[0]) is attainable
 
 
 def _recorded_eigen_states(s: Sequent) -> list[tuple]:
@@ -669,3 +783,51 @@ def test_goal_directed_and_restart_proofs_check(seed):
     if isinstance(res, Proved):
         assert check_proof(res.proof, res.proof_class, strengthened_axioms=True)
         assert isinstance(prove(s, "c"), Proved)
+
+
+# ---------------------------------------------------------------------------
+# the paper's reductions on in-fragment draws
+
+#: the fragments whose guarantee starts from a classical proof
+_CLASSICAL_FRAGMENTS = ("f1", "f2", "f3", "f4", "lp-cls")
+#: a classical proof within this budget is the premise of each reduction
+_CLASSICAL_LIMITS = SearchLimits(node_budget=250)
+#: where the reduced search is retried: the ground engine goes depth first,
+#: so a shallow bound finds a short proof a deep one would spend its nodes
+#: before reaching
+_RETRY_LIMITS = tuple(SearchLimits(node_budget=20_000, depth=d) for d in (6, 12, 24))
+
+
+def _fragment_draw(fragment: str, seed: int) -> Sequent:
+    rng = random.Random(seed)
+    return random_fragment_sequent(rng, fragment, rng.randint(1, 3), rng.randint(1, 3), rng.randint(1, 3))
+
+
+def _reduced_search(fragment: str, s: Sequent, limits: SearchLimits):
+    """The search the fragment's guarantee promises a proof under: i for
+    F1-F4, restart on the augmented sequent for LP_CLS."""
+    if fragment == "lp-cls":
+        return prove_restart(augment(s), limits)
+    return prove(s, "i", limits)
+
+
+@settings(max_examples=200)
+@given(st.sampled_from(_CLASSICAL_FRAGMENTS), st.integers(0, 10**6))
+def test_classically_provable_fragment_sequents_are_proved_by_the_reduction(fragment, seed):
+    s = _fragment_draw(fragment, seed)
+    if not isinstance(prove(s, "c", _CLASSICAL_LIMITS), Proved):
+        return
+    for limits in _RETRY_LIMITS:
+        out = _reduced_search(fragment, s, limits)
+        if isinstance(out, Proved):
+            assert check_proof(out.proof, out.proof_class)
+            return
+    pytest.fail(f"{fragment}: c proves {format_sequent(s)}, the reduced search does not")
+
+
+def test_fragment_draws_are_mostly_classically_provable():
+    # the property above holds vacuously on a draw that c does not prove
+    for fragment in _CLASSICAL_FRAGMENTS:
+        outs = [prove(_fragment_draw(fragment, seed), "c", _CLASSICAL_LIMITS) for seed in range(100)]
+        proved = sum(isinstance(out, Proved) for out in outs)
+        assert proved > 50, fragment

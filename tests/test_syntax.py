@@ -517,6 +517,17 @@ def test_deep_members_sort_compare_and_hash_without_recursion():
         reference_formula_key(f)
 
 
+@given(st.lists(FORMULAS, max_size=6), st.lists(FORMULAS, max_size=6))
+def test_top_sorts_first_in_any_sorted_side(ante, succ):
+    # the provers test a side for top by its first member alone, and for
+    # bottom by the members before the first that is not top
+    s = Sequent(tuple(ante) + (TOP,), tuple(succ) + (TOP,))
+    assert s.ante[0] is TOP and s.succ[0] is TOP
+    assert Top() is TOP and all(formula_key(TOP) < formula_key(f) for f in ante + succ if f is not TOP)
+    with_bot = Sequent(tuple(ante) + (BOT,), ()).ante
+    assert next(f for f in with_bot if f is not TOP) is BOT
+
+
 # ---------------------------------------------------------------------------
 # the Sequent contract: an immutable pair of sorted sides
 
