@@ -1,7 +1,7 @@
 """Alternating benchmark pairs of two checkouts, summarized per metric.
 
     python scripts/bench_pairs.py --parent DIR --change DIR --workload W --seeds A-B
-        [--seconds 12] [--trace 0] [--out FILE]
+        [--seconds 12] [--trace 0] [--out FILE] [--previous FILE]
 
 Runs ``perfbench/run.py`` of each checkout once per seed, the parent first
 on even pairs and the change first on odd ones, so drift in the machine's
@@ -12,7 +12,10 @@ relative change of the medians and the number of pairs the change won (a
 tie is not a win); the direction of "better" comes from the change's
 ``BENCHMARK.json``.  With ``--out`` the pairs and the summary are also
 written to FILE, a JSON object with one entry per workload and trace
-setting; entries already in FILE for other workloads are kept.  Neither
+setting; entries already in FILE for other workloads are kept.  With
+``--previous`` each metric's change median is also set against the change
+median of the same entry in an earlier such file, so a series of files
+reads as a trajectory; metrics or entries that file lacks are skipped.  Neither
 checkout is modified, apart from the span files ``perfbench/run.py``
 writes under its ignored ``perfbench/out/``.
 """
@@ -82,6 +85,18 @@ def summarize(pairs: list[dict], better: dict[str, str]) -> dict[str, dict]:
     return out
 
 
+def against_previous(summary: dict[str, dict], previous: dict[str, dict]) -> dict[str, dict]:
+    """Per metric in both summaries: the earlier and the present change
+    median and the relative change between them."""
+    out = {}
+    for name, m in summary.items():
+        if name not in previous:
+            continue
+        before, now = previous[name]["change"]["median"], m["change"]["median"]
+        out[name] = {"previous": before, "change": now, "relative": (now - before) / before if before else None}
+    return out
+
+
 def main(argv: list[str] | None = None) -> None:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--parent", type=Path, required=True)
@@ -91,6 +106,7 @@ def main(argv: list[str] | None = None) -> None:
     ap.add_argument("--seconds", type=float, default=12)
     ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
     ap.add_argument("--out", type=Path)
+    ap.add_argument("--previous", type=Path, help="an earlier --out file to set the change medians against")
     args = ap.parse_args(argv)
 
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
@@ -117,9 +133,20 @@ def main(argv: list[str] | None = None) -> None:
             + f"{rel:>8} {m['won']}/{m['pairs']}"
         )
 
+    entry = args.workload if args.trace == 0 else f"{args.workload} --trace 1"
+    if args.previous:
+        earlier = json.loads(args.previous.read_text()).get("workloads", {}).get(entry)
+        if earlier is None:
+            print(f"{args.previous} has no entry {entry!r}")
+        else:
+            print(f"change medians against {args.previous}, entry {entry!r}")
+            print(f"{'metric':36} {'previous':>12} {'now':>12} {'change':>8}")
+            for name, m in against_previous(summary, earlier["summary"]).items():
+                rel = "" if m["relative"] is None else f"{m['relative']:+.1%}"
+                print(f"{name:36} {m['previous']:>12.4g} {m['change']:>12.4g} {rel:>8}")
+
     if args.out:
         doc = json.loads(args.out.read_text()) if args.out.exists() else {}
-        entry = args.workload if args.trace == 0 else f"{args.workload} --trace 1"
         doc.setdefault("workloads", {})[entry] = {
             "seconds": args.seconds,
             "trace": args.trace,

@@ -7,7 +7,18 @@ Three engines share this module:
   occurs check); eigenvariables for the fresh-constant rules are function
   terms over the metavariables alive at that point, so the occurs check
   doubles as the freshness proviso.  Iterative deepening raises the number of
-  instantiations allowed per quantified formula per branch.  Quantifier-free
+  instantiations allowed per quantified formula per branch.  Two failure
+  memos skip searches that already failed: a rule's second premise is
+  searched once per substitution its first premise yields, and its failures
+  are kept per rule application by the resolved bindings of its
+  metavariables; a premise a vacuous quantifier's instance extends recurs
+  under other orders of instantiation, and its failures are kept per search
+  by its members, their tallies, the round and those bindings.  A skipped
+  search is charged the nodes it spent and numbers off the metavariables it
+  made, so every outcome is the one the full search gives.  Failures that
+  made an eigenvariable are not kept: eigenvariable names compare as strings
+  (e10 < e9), so one renumbered later could sort differently.  Unification,
+  the occurs check and resolution walk explicit stacks.  Quantifier-free
   inputs take a saturation path that decides the sequent outright.
 
 * The intuitionistic prover searches the contraction-free single-succedent
@@ -43,8 +54,9 @@ their premises with `calculus.premises`, as the checker does.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from operator import attrgetter
-from typing import Generator, Iterable, Iterator, Union
+from typing import Callable, Generator, Iterable, Iterator, Union
 
 from .calculus import INVERTIBLE, Proof, ProofClass, RuleId, is_axiom, premises, restart_class
 from .syntax import (
@@ -98,6 +110,8 @@ _OR_R_LEFT = RuleId.OR_R_LEFT
 _OR_R_RIGHT = RuleId.OR_R_RIGHT
 _RESTART = RuleId.RESTART
 
+_KEY = attrgetter("_key")
+
 # ---------------------------------------------------------------------------
 # substitutions and unification
 
@@ -125,10 +139,32 @@ class Subst:
         return t
 
     def resolve_term(self, t: Term) -> Term:
+        """t with every bound metavariable replaced by its resolved binding.
+        Walks an explicit stack, so nesting depth costs no recursion."""
         t = self.walk(t)
-        if isinstance(t, App):
-            return App(t.name, tuple(self.resolve_term(a) for a in t.args))
-        return t
+        if type(t) is not App:
+            return t
+        walk = self.walk
+        # post-order: an application is popped again, as None and itself,
+        # once its resolved arguments are on done
+        done: list[Term] = []
+        stack: list = [t, None]
+        stack += reversed(t.args)
+        while stack:
+            u = stack.pop()
+            if u is None:
+                app = stack.pop()
+                n = len(app.args)
+                done[-n:] = (App(app.name, done[-n:]),)
+                continue
+            u = walk(u)
+            if type(u) is App and u.args:
+                stack.append(u)
+                stack.append(None)
+                stack += reversed(u.args)
+            else:
+                done.append(u)
+        return done[0]
 
     def resolve_formula(self, f: Formula) -> Formula:
         return map_terms(f, lambda a, _: self.resolve_term(a))
@@ -152,44 +188,73 @@ class Subst:
         return out
 
 
+class _Grounding(Subst):
+    """A substitution's grounding: each term walks as under the substitution,
+    then a metavariable it leaves unbound as the blank constant and a term
+    headed by an eigenvariable as that name, so resolve_term grounds a term
+    in one pass."""
+
+    __slots__ = ("_blank", "_eigens")
+
+    def __init__(self, subst: Subst, blank: Const, eigens: set[str]):
+        super().__init__(subst._map)
+        self._blank = blank
+        self._eigens = eigens
+
+    def walk(self, t: Term) -> Term:
+        t = Subst.walk(self, t)
+        k = type(t)
+        if k is Meta:
+            return self._blank
+        if k is App and t.name in self._eigens:
+            return Const(t.name)
+        return t
+
+
 def _occurs_or_captures(ident: int, t: Term, subst: Subst) -> bool:
-    """True if metavariable ident occurs in t, or t is not locally closed."""
-    t = subst.walk(t)
-    match t:
-        case Meta(i):
-            return i == ident
-        case Bound():
+    """True if metavariable ident occurs in t, or t is not locally closed.
+    Walks an explicit stack, so nesting depth costs no recursion."""
+    stack = [t]
+    while stack:
+        u = subst.walk(stack.pop())
+        k = type(u)
+        if k is App:
+            stack += u.args
+        elif k is Meta:
+            if u.ident == ident:
+                return True
+        elif k is Bound:
             return True
-        case App(_, args):
-            return any(_occurs_or_captures(ident, a, subst) for a in args)
-        case _:
-            return False
+    return False
 
 
 def unify(a: Term, b: Term, subst: Subst) -> Subst | None:
-    """Most general extension of subst unifying a with b, or None."""
-    a = subst.walk(a)
-    b = subst.walk(b)
-    if isinstance(a, Meta) and isinstance(b, Meta) and a.ident == b.ident:
-        return subst
-    if isinstance(a, Meta):
-        return None if _occurs_or_captures(a.ident, b, subst) else subst.bind(a.ident, b)
-    if isinstance(b, Meta):
-        return None if _occurs_or_captures(b.ident, a, subst) else subst.bind(b.ident, a)
-    match (a, b):
-        case (Const(x), Const(y)) | (Var(x), Var(y)):
-            return subst if x == y else None
-        case (Bound(i), Bound(j)):
-            return subst if i == j else None
-        case (App(f, xs), App(g, ys)) if f == g and len(xs) == len(ys):
-            for x, y in zip(xs, ys):
-                nxt = unify(x, y, subst)
-                if nxt is None:
-                    return None
-                subst = nxt
-            return subst
-        case _:
+    """Most general extension of subst unifying a with b, or None; subst
+    itself when they are equal under it.  Pairs of arguments are unified
+    left to right, depth first, on an explicit stack, so nesting depth
+    costs no recursion."""
+    stack = [(a, b)]
+    while stack:
+        a, b = stack.pop()
+        a = subst.walk(a)
+        b = subst.walk(b)
+        # terms are interned: equal terms are one object
+        if a is b:
+            continue
+        ka, kb = type(a), type(b)
+        if ka is Meta:
+            if _occurs_or_captures(a.ident, b, subst):
+                return None
+            subst = subst.bind(a.ident, b)
+        elif kb is Meta:
+            if _occurs_or_captures(b.ident, a, subst):
+                return None
+            subst = subst.bind(b.ident, a)
+        elif ka is App and kb is App and a.name == b.name and len(a.args) == len(b.args):
+            stack += zip(reversed(a.args), reversed(b.args))
+        else:
             return None
+    return subst
 
 
 def unify_formulas(f: Formula, g: Formula, subst: Subst) -> Subst | None:
@@ -280,7 +345,9 @@ class SearchLimits:
     quantifier-free inputs are decided by saturation or loop-checked search
     and ignore it.  quantifier_budget caps how often any one quantified
     formula may be instantiated per branch (the classical prover deepens
-    iteratively on this).  node_budget bounds total expansions per call.
+    iteratively on this).  node_budget bounds total expansions per call; a
+    failure the classical prover skips because it is memoized counts at its
+    full size, so no outcome depends on the memo.
     strengthened_axioms lets closures match any shared formula rather than
     only shared atoms and bottom.
     """
@@ -332,6 +399,14 @@ class _Budget:
         if self.left <= 0:
             raise _OutOfNodes
         self.left -= 1
+
+    def charge(self, nodes: int) -> None:
+        """Spend nodes ticks at once: out of nodes, with none left, when
+        fewer are left, as the tick that would have found none."""
+        if self.left < nodes:
+            self.left = 0
+            raise _OutOfNodes
+        self.left -= nodes
 
 
 def _mentions_bound(t: Term) -> bool:
@@ -423,6 +498,11 @@ class _ClassicalProver:
         self.dynamic_eigens: set[str] = set()
         # each member's own metavariables, by the member's sort key
         self._metas: dict[str, frozenset[int]] = {}
+        # whether a quantified formula's instances are free of the witness,
+        # by its sort key, and the failures of premises such vacuous
+        # instances extend (see _memoized)
+        self._vacuous: dict[str, bool] = {}
+        self._failed: dict[tuple, tuple[int, int]] = {}
 
     # -- quantifier-free decision -------------------------------------------
 
@@ -523,13 +603,19 @@ class _ClassicalProver:
                     c2 = dict(counts)
                     c2[f] = c2.get(f, 0) + 1
                     (premise,) = premises(rule, s, i, f, m)
-                    for sb, sk in self.solve(premise, subst, c2, mult):
+                    if self._is_vacuous(f, m):
+                        # the premise recurs under other orders of vacuous
+                        # instantiations
+                        key = partial(self._state_key, premise, subst, c2, mult)
+                        closings = self._memoized(self._failed, key, premise, subst, c2, mult)
+                    else:
+                        closings = self.solve(premise, subst, c2, mult)
+                    for sb, sk in closings:
                         yield sb, _Skel(rule, s, (sk,), side, f, witness=m)
 
-    def _live_metas(self, s: Sequent, subst: Subst) -> list[int]:
-        """The metavariables of s resolved under subst, in order: each
-        member's own, memoized by sort key, followed through subst's
-        bindings, so no member is rebuilt."""
+    def _own_metas(self, s: Sequent) -> set[int]:
+        """The metavariables s's members hold, each member's memoized by its
+        sort key."""
         memo = self._metas
         own: set[int] = set()
         for side in (s.ante, s.succ):
@@ -538,56 +624,101 @@ class _ClassicalProver:
                 if ms is None:
                     ms = memo[f._key] = metas_in(f)
                 own |= ms
-        return sorted(subst.unbound(own))
+        return own
+
+    def _live_metas(self, s: Sequent, subst: Subst) -> list[int]:
+        """The metavariables of s resolved under subst, in order: each
+        member's own followed through subst's bindings, so no member is
+        rebuilt."""
+        return sorted(subst.unbound(self._own_metas(s)))
+
+    def _is_vacuous(self, f: Formula, m: Meta) -> bool:
+        """Whether f's instance by the fresh metavariable m holds no m."""
+        got = self._vacuous.get(f._key)
+        if got is None:
+            got = self._vacuous[f._key] = m.ident not in metas_in(instantiate(f, m))
+        return got
+
+    def _resolved(self, s: Sequent, subst: Subst) -> tuple[str, ...]:
+        """The sort keys of the resolved bindings of s's metavariables, in
+        the order of their numbers."""
+        return tuple([subst.resolve_term(Meta(i))._key for i in sorted(self._own_metas(s))])
+
+    def _state_key(self, s: Sequent, subst: Subst, counts: dict[Formula, int], mult: int) -> tuple:
+        """What a search of s under subst, counts and mult depends on: its
+        members' sort keys, the tallies of the members an instantiation may
+        pick, mult, and the resolved bindings of its metavariables.  Every
+        formula counts holds is such a member of s: instantiations keep
+        their principal."""
+        ante, succ = s.ante, s.succ
+        return (
+            tuple(map(_KEY, ante)),
+            tuple(map(_KEY, succ)),
+            tuple([counts.get(f, 0) for f in ante if type(f) is Forall]),
+            tuple([counts.get(f, 0) for f in succ if type(f) is Exists]),
+            mult,
+            self._resolved(s, subst),
+        )
+
+    def _memoized(self, memo: dict, key_of: Callable[[], tuple], s: Sequent, subst: Subst, counts, mult: int):
+        """solve(s, subst, counts, mult) through a failure memo.  A search
+        that yields nothing and makes no eigenvariable is stored under its
+        key with the nodes it spent and the metavariables it made; a later
+        search under the same key is skipped, its nodes charged to the
+        budget and its metavariables numbered off, so the search goes on
+        exactly as if it had run.  It would run alike: the fresh
+        metavariables are numbered above every one the state holds, and
+        metavariable sort keys order numerically, so members sort and
+        unify the same way.  Eigenvariable names compare as strings
+        (e10 < e9), so a failure that made one is not stored.  key_of()
+        gives the key, asked for only when memo holds failures to look up
+        or the search failed."""
+        key = None
+        if memo:
+            key = key_of()
+            got = memo.get(key)
+            if got is not None:
+                nodes, made = got
+                self.budget.charge(nodes)
+                self.next_meta += made
+                return
+        left, metas, eigens = self.budget.left, self.next_meta, self.next_eigen
+        found = False
+        for out in self.solve(s, subst, counts, mult):
+            found = True
+            yield out
+        if not found and self.next_eigen == eigens:
+            memo[key_of() if key is None else key] = (left - self.budget.left, self.next_meta - metas)
 
     def _solve_all(self, prems, subst, counts, mult) -> Iterator[tuple[Subst, tuple[_Skel, ...]]]:
         """solve over the one or two premises of a rule, threading the
-        substitution from the first into the second."""
+        substitution from the first into the second.  The second premise
+        is searched once per substitution the first yields; its failures
+        are memoized by the resolved bindings of its metavariables."""
         if len(prems) == 1:
             for sb, sk in self.solve(prems[0], subst, counts, mult):
                 yield sb, (sk,)
             return
         p1, p2 = prems
+        failed: dict[tuple, tuple[int, int]] = {}
         for sb1, sk1 in self.solve(p1, subst, counts, mult):
-            for sb2, sk2 in self.solve(p2, sb1, counts, mult):
+            for sb2, sk2 in self._memoized(failed, partial(self._resolved, p2, sb1), p2, sb1, counts, mult):
                 yield sb2, (sk1, sk2)
 
     # -- grounding -------------------------------------------------------------
 
     def _ground(self, skel: _Skel, subst: Subst) -> Proof:
-        leftovers: set[int] = set()
-        symbols = self.root_symbols | self.dynamic_eigens
+        """The proof skel stands for under subst.  Every metavariable subst
+        leaves unbound becomes one blank constant, the const prefix and 0:
+        that name avoids the root's symbols, the eigenvariables (which start
+        with the eigen prefix) and the metavariables (which start with X).
+        Every eigenvariable term becomes its name."""
+        grounding = _Grounding(subst, Const(f"{self.const_prefix}0"), self.dynamic_eigens)
+        gterm = grounding.resolve_term
         # the skeleton's sequents share most of their members; the skeleton
-        # keeps every member alive during the call, so each is scanned and
-        # grounded once, by its id
-        scanned: set[int] = set()
+        # keeps every member alive during the call, so each is grounded
+        # once, by its id
         grounded: dict[int, Formula] = {}
-
-        def scan(sk: _Skel) -> None:
-            resolved = []
-            for f in sk.seq.ante + sk.seq.succ:
-                if id(f) not in scanned:
-                    scanned.add(id(f))
-                    resolved.append(subst.resolve_formula(f))
-            leftovers.update(metas_in(resolved))
-            symbols.update(free_symbols(resolved))
-            if sk.witness is not None:
-                w = subst.resolve_term(sk.witness)
-                leftovers.update(metas_in(w))
-                symbols.update(free_symbols(w))
-            for p in sk.premises:
-                scan(p)
-
-        scan(skel)
-        k = 0
-        while f"{self.const_prefix}{k}" in symbols:
-            k += 1
-        blank = Const(f"{self.const_prefix}{k}")
-        fill = Subst({i: blank for i in leftovers})
-
-        def gterm(t: Term) -> Term:
-            t = fill.resolve_term(subst.resolve_term(t))
-            return self._collapse(t)
 
         def gformula(f: Formula) -> Formula:
             g = grounded.get(id(f))
@@ -609,15 +740,6 @@ class _ClassicalProver:
             return Proof(sk.rule, seq, tuple(build(p) for p in sk.premises), principal, witness, sk.eigen)
 
         return build(skel)
-
-    def _collapse(self, t: Term) -> Term:
-        match t:
-            case App(name, args):
-                if name in self.dynamic_eigens:
-                    return Const(name)
-                return App(name, tuple(self._collapse(a) for a in args))
-            case _:
-                return t
 
     def run(self) -> SearchOutcome:
         if is_quantifier_free_sequent(self.root):
@@ -660,7 +782,19 @@ _EAGER = {
 #: the right rules the ground searches apply without a choice (or-r* needs two succedent slots)
 _RIGHT_INVERTIBLE = {k: rule for k, rule in INVERTIBLE["succ"].items() if k is not Or}
 
-_KEY = attrgetter("_key")
+
+class _Counts(dict):
+    """A ground search's instantiation tallies: how often each quantified
+    formula, by its item text, was instantiated on the path, with the same
+    as sorted items in tallies, built once where the counts are made (see
+    _GroundProver._raised).  Never changed once made."""
+
+    __slots__ = ("tallies",)
+
+
+#: the counts at a search's root
+_NO_COUNTS = _Counts()
+_NO_COUNTS.tallies = ()
 
 
 def _collapsed(keys: tuple[str, ...], ante: tuple[Formula, ...], eager: tuple[type, ...]) -> tuple:
@@ -809,10 +943,11 @@ class _GroundProver:
                 out.append(x.name)
         return "".join(out), tuple(holes)
 
-    def _canon(self, s: Sequent, counts: dict[str, int]) -> tuple[tuple, tuple]:
+    def _canon(self, s: Sequent, counts: _Counts) -> tuple[tuple, tuple]:
         """The state's loop-check key (kept, goal) and failure-cache key
         (members, goal, tallies), where tallies are the instantiation counts
-        and kept is members with duplicates collapsed (see _collapsed).
+        as the sorted items counts carries (see _raised) and kept is members
+        with duplicates collapsed (see _collapsed).
 
         A member or goal that holds no made constant is its sort key.  While
         the search has made no constant, members is the antecedent's sort
@@ -824,8 +959,7 @@ class _GroundProver:
         the sort keys, so a state keys alike before and after the search's
         first made constant.  A goal with holes is (text, renamed holes...),
         its holes continuing the antecedent's renaming.  So isomorphic
-        states tend to compare equal, and equal states always do.  Equal
-        tallies are shared, as the failure cache holds them for the search.
+        states tend to compare equal, and equal states always do.
 
         These keys are equal exactly when the earlier keys were, which were
         joined strings with every member as its template text.  A template
@@ -860,11 +994,7 @@ class _GroundProver:
             if len(set(members)) < len(members):
                 kept = _collapsed(members, s.ante, self._eager)
             goal_key = goal._key
-        tallies = ()
-        if counts:
-            tallies = tuple(sorted(counts.items()))
-            tallies = self._tallies.setdefault(tallies, tallies)
-        return (kept, goal_key), (members, goal_key, tallies)
+        return (kept, goal_key), (members, goal_key, counts.tallies)
 
     def _summary(self, ante: tuple[Formula, ...], sig: tuple[str, ...]) -> tuple:
         """The antecedent's (kept, members, order), stored under sig, its
@@ -910,6 +1040,15 @@ class _GroundProver:
             tuple(mapping),
         )
         return got
+
+    def _raised(self, counts: _Counts, key: str) -> _Counts:
+        """counts with key's tally one higher.  Equal tallies are shared, as
+        the failure cache holds them for the search."""
+        c2 = _Counts(counts)
+        c2[key] = c2.get(key, 0) + 1
+        tallies = tuple(sorted(c2.items()))
+        c2.tallies = self._tallies.setdefault(tallies, tallies)
+        return c2
 
     # -- witness candidates -----------------------------------------------------
 
@@ -994,7 +1133,7 @@ class _GroundProver:
 
     # -- search -----------------------------------------------------------------
 
-    def search(self, s: Sequent, depth: int, counts: dict[str, int]) -> Proof | None:
+    def search(self, s: Sequent, depth: int, counts: _Counts) -> Proof | None:
         """Search s on an explicit stack in the caller's thread.  A visit is
         a generator that yields each premise it needs as (sequent, depth,
         counts) and receives the premise's proof or None; the stack holds
@@ -1016,7 +1155,7 @@ class _GroundProver:
                 visit = self._visit(*premise)
                 result = None
 
-    def _visit(self, s: Sequent, depth: int, counts: dict[str, int]) -> _Visit:
+    def _visit(self, s: Sequent, depth: int, counts: _Counts) -> _Visit:
         self.budget.tick()
         goal = s.succ[0]
         strengthened = self.limits.strengthened_axioms
@@ -1128,8 +1267,7 @@ class _GroundProver:
             return None
         key = self._item(goal)[0]
         if counts.get(key, 0) < self.limits.quantifier_budget:
-            c2 = dict(counts)
-            c2[key] = c2.get(key, 0) + 1
+            c2 = self._raised(counts, key)
             for t in self._witnesses(s):
                 (premise,) = premises(_EXISTS_R, s, 0, goal, t)
                 sub = yield (premise, depth, c2)
@@ -1167,8 +1305,7 @@ class _GroundProver:
             key = self._item(f)[0]
             if counts.get(key, 0) >= self.limits.quantifier_budget:
                 continue
-            c2 = dict(counts)
-            c2[key] = c2.get(key, 0) + 1
+            c2 = self._raised(counts, key)
             ante_set = set(s.ante)
             for t in self._witnesses(s):
                 inst = self._instance(f, t)
@@ -1238,8 +1375,7 @@ class _GroundProver:
                     key = self._item(f)[0]
                     if counts.get(key, 0) >= self.limits.quantifier_budget:
                         continue
-                    c2 = dict(counts)
-                    c2[key] = c2.get(key, 0) + 1
+                    c2 = self._raised(counts, key)
                     ante_set = set(s.ante)
                     for t in self._witnesses(s):
                         inst = self._instance(f, t)
@@ -1281,7 +1417,7 @@ class _GroundProver:
         depth = 10**9 if qf else self.limits.depth
         out_of_nodes = False
         try:
-            proof = self.search(self.root, depth, {})
+            proof = self.search(self.root, depth, _NO_COUNTS)
         except _OutOfNodes:
             proof, out_of_nodes = None, True
         if proof is not None:

@@ -4,10 +4,11 @@ Everything here is deliberately written against the public data types only,
 by a different mechanism than the library code uses: validity is decided by
 truth tables, grammar membership by bottom-up set construction from
 production tables, and the generators build formulas directly from those
-same tables.  The reference parser, state keys, relevance check and
-per-rule proof transforms are earlier implementations of the library's own
-code, kept so that their replacements can be compared with them; the
-transforms share transform's node, inversion and weakening helpers.
+same tables.  The reference parser, state keys, relevance check,
+un-memoized classical search and per-rule proof transforms are earlier
+implementations of the library's own code, kept so that their replacements
+can be compared with them; the transforms share transform's node, inversion
+and weakening helpers, and the classical search the rest of the prover.
 """
 
 from __future__ import annotations
@@ -907,6 +908,129 @@ def reference_live_metas(s: Sequent, subst) -> list[int]:
     found them at an eigenvariable step: every member resolved under subst,
     then scanned."""
     return sorted(metas_in(map(subst.resolve_formula, s.ante + s.succ)))
+
+
+# ---------------------------------------------------------------------------
+# the classical prover's metavariable search without failure memos
+
+
+def _reference_collapse(t: Term, eigens: set[str]) -> Term:
+    if isinstance(t, App):
+        if t.name in eigens:
+            return Const(t.name)
+        return App(t.name, tuple(_reference_collapse(a, eigens) for a in t.args))
+    return t
+
+
+def reference_classical_prover(root: Sequent, limits):
+    """A classical prover whose metavariable search is the un-memoized one:
+    solve searches every premise afresh, the second premise of a rule once
+    per substitution the first yields, and grounding scans the resolved
+    skeleton for leftover metavariables and symbols before it grounds each
+    member.  Built as a subclass so it shares the rest of the prover."""
+    from seqcalc.calculus import premises
+    from seqcalc.search import (
+        _INSTANTIATIONS,
+        Subst,
+        _ClassicalProver,
+        _has_bot,
+        _invertible_step,
+        _Skel,
+        unify_formulas,
+    )
+    from seqcalc.syntax import TOP, free_symbols, map_terms
+
+    class ReferenceClassicalProver(_ClassicalProver):
+        def solve(self, s, subst, counts, mult):
+            self.budget.tick()
+            if s.succ and s.succ[0] is TOP:
+                yield subst, _Skel(RuleId.AXIOM, s)
+                return
+            if s.succ and _has_bot(s.ante):
+                (premise,) = premises(RuleId.BOT_R, s, 0, s.succ[0])
+                yield subst, _Skel(RuleId.BOT_R, s, (_Skel(RuleId.AXIOM, premise),), "succ", s.succ[0])
+                return
+            alternatives = []
+            for a, b in self._axiom_pairs(s):
+                nxt = unify_formulas(a, b, subst)
+                if nxt is subst:
+                    yield subst, _Skel(RuleId.AXIOM, s)
+                    return
+                if nxt is not None:
+                    alternatives.append(nxt)
+            for nxt in alternatives:
+                yield nxt, _Skel(RuleId.AXIOM, s)
+            step = _invertible_step(s)
+            if step is not None:
+                rule, side, i, f = step
+                term = eigen = None
+                if type(f) in (Exists, Forall):
+                    eigen = self.fresh_eigen()
+                    live = self._live_metas(s, subst)
+                    term = App(eigen, tuple(Meta(m) for m in live)) if live else Const(eigen)
+                for sb, subs in self._solve_all(premises(rule, s, i, f, term), subst, counts, mult):
+                    yield sb, _Skel(rule, s, subs, side, f, eigen=eigen)
+                return
+            for side, k, rule in _INSTANTIATIONS:
+                for i, f in enumerate(s.ante if side == "ante" else s.succ):
+                    if type(f) is k and counts.get(f, 0) < mult:
+                        m = self.fresh_meta()
+                        c2 = dict(counts)
+                        c2[f] = c2.get(f, 0) + 1
+                        (premise,) = premises(rule, s, i, f, m)
+                        for sb, sk in self.solve(premise, subst, c2, mult):
+                            yield sb, _Skel(rule, s, (sk,), side, f, witness=m)
+
+        def _solve_all(self, prems, subst, counts, mult):
+            if len(prems) == 1:
+                for sb, sk in self.solve(prems[0], subst, counts, mult):
+                    yield sb, (sk,)
+                return
+            p1, p2 = prems
+            for sb1, sk1 in self.solve(p1, subst, counts, mult):
+                for sb2, sk2 in self.solve(p2, sb1, counts, mult):
+                    yield sb2, (sk1, sk2)
+
+        def _ground(self, skel, subst):
+            leftovers: set[int] = set()
+            symbols = self.root_symbols | self.dynamic_eigens
+
+            def scan(sk) -> None:
+                resolved = [subst.resolve_formula(f) for f in sk.seq.ante + sk.seq.succ]
+                leftovers.update(metas_in(resolved))
+                symbols.update(free_symbols(resolved))
+                if sk.witness is not None:
+                    w = subst.resolve_term(sk.witness)
+                    leftovers.update(metas_in(w))
+                    symbols.update(free_symbols(w))
+                for p in sk.premises:
+                    scan(p)
+
+            scan(skel)
+            k = 0
+            while f"{self.const_prefix}{k}" in symbols:
+                k += 1
+            blank = Const(f"{self.const_prefix}{k}")
+            fill = Subst({i: blank for i in leftovers})
+
+            def gterm(t: Term) -> Term:
+                return _reference_collapse(fill.resolve_term(subst.resolve_term(t)), self.dynamic_eigens)
+
+            def build(sk) -> Proof:
+                seq = Sequent(
+                    tuple(map_terms(f, lambda a, _: gterm(a)) for f in sk.seq.ante),
+                    tuple(map_terms(f, lambda a, _: gterm(a)) for f in sk.seq.succ),
+                )
+                principal = None
+                if sk.pformula is not None:
+                    pf = map_terms(sk.pformula, lambda a, _: gterm(a))
+                    principal = (sk.side, (seq.ante if sk.side == "ante" else seq.succ).index(pf))
+                witness = None if sk.witness is None else gterm(sk.witness)
+                return Proof(sk.rule, seq, tuple(build(p) for p in sk.premises), principal, witness, sk.eigen)
+
+            return build(skel)
+
+    return ReferenceClassicalProver(root, limits)
 
 
 # ---------------------------------------------------------------------------

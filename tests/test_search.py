@@ -18,7 +18,9 @@ from seqcalc.search import (
     Refuted,
     SearchLimits,
     Subst,
+    _Budget,
     _ClassicalProver,
+    _NO_COUNTS,
     _GroundProver,
     herbrandize,
     is_quantifier_free_sequent,
@@ -53,6 +55,7 @@ from _oracles import (
     random_propositional_sequent,
     random_quantified_sequent,
     reference_attainable,
+    reference_classical_prover,
     reference_live_metas,
     reference_state_keys,
     truth_table_valid,
@@ -383,15 +386,16 @@ def _deep_term() -> App:
     return t
 
 
-@pytest.mark.parametrize("logic", ["i", "o"])
+@pytest.mark.parametrize("logic", ["c", "i", "o"])
 @pytest.mark.parametrize("goal", ["q", "exists x. p(x)"])
 def test_deep_terms_are_searched_at_the_default_recursion_limit(goal, logic):
-    # the relevance heads and the witness order walk the deep argument
+    # the relevance heads and the witness order walk the deep argument, and
+    # the classical prover's occurs check, bindings and grounding do
     assert sys.getrecursionlimit() < _DEEP
     s = Sequent((Atom("p", (_deep_term(),)),), (parse_formula(goal),))
     res = prove(s, logic)
     if goal == "q":
-        assert isinstance(res, Refuted if logic == "i" else NotProvedWithinLimits)
+        assert isinstance(res, Refuted if logic in ("c", "i") else NotProvedWithinLimits)
     else:
         assert isinstance(res, Proved)
         assert check_proof(res.proof, res.proof_class)
@@ -427,7 +431,7 @@ def _recorded_states(s: Sequent) -> list[list[tuple]]:
 
     def recording(prover, state, counts):
         keys = canon(prover, state, counts)
-        records.append((prover, state, dict(counts), keys))
+        records.append((prover, state, counts, keys))
         return keys
 
     searches = []
@@ -499,7 +503,7 @@ def test_made_constants_change_only_the_keys_of_states_that_hold_them(uniform, r
     # a repeated eagerly split member, a repeated atom and a tally
     s = parse_sequent("q, q, s | t, s | t, exists x. p(x), forall x. p(x) |- p(a)")
     prover = _GroundProver(s, SearchLimits(), uniform, s.succ[0] if restart else None)
-    counts = {"q": 1}
+    counts = prover._raised(_NO_COUNTS, "q")
     before = prover._canon(s, counts)
     made = Const(prover._fresh())
     assert prover.made and prover._canon(s, counts) == before
@@ -515,13 +519,13 @@ def test_made_constants_change_only_the_keys_of_states_that_hold_them(uniform, r
     assert prover._canon(holed, counts) == (loop, cache)
     # its goal's holes continue the antecedent's renaming
     goal = Sequent._presorted(holed.ante, (Atom("r", (made, Const(prover._fresh()))),))
-    assert prover._canon(goal, {})[0][1][1:] == (0, 1)
+    assert prover._canon(goal, _NO_COUNTS)[0][1][1:] == (0, 1)
     # a repeated member with holes collapses in the loop key unless the mode
     # splits it eagerly, and never in the cache key
     for m in (Atom("q", (made,)), Or(Atom("s", (made,)), Atom("t"))):
         once, twice = holed.plus(ante=(m,)), holed.plus(ante=(m, m))
-        (loop1, _), (cache1, _, _) = prover._canon(once, {})
-        (loop2, _), (cache2, _, _) = prover._canon(twice, {})
+        (loop1, _), (cache1, _, _) = prover._canon(once, _NO_COUNTS)
+        (loop2, _), (cache2, _, _) = prover._canon(twice, _NO_COUNTS)
         assert (loop1 == loop2) is (type(m) not in prover._eager) and cache1 != cache2
 
 
@@ -650,6 +654,97 @@ def test_unbound_follows_chains_of_bindings():
     assert subst.unbound({0}) == {2} == metas_in(subst.resolve_term(x[0]))
     assert subst.unbound({0, 1, 2, 3}) == {2}
     assert subst.unbound({3}) == set() and subst.unbound(()) == set()
+
+
+# ---------------------------------------------------------------------------
+# the classical prover's failure memos against the un-memoized search
+
+
+def _classical_run(prover) -> tuple:
+    """The outcome's kind, its proof document and the nodes left after run."""
+    out = prover.run()
+    doc = dump_proof(out.proof, out.proof_class) if isinstance(out, Proved) else None
+    return type(out).__name__, doc, prover.budget.left
+
+
+@settings(max_examples=300)
+@given(st.integers(0, 10**6), st.integers(20, 250))
+def test_classical_memos_match_the_unmemoized_search(seed, budget):
+    # in-fragment draws, and first-order draws whose eigenvariables hold
+    # bound metavariables; the budget cuts searches at every point, also
+    # inside a memoized failure, where the charge must run out exactly
+    # where the search would
+    if seed % 3:
+        s = _fragment_draw(_FRAGMENTS[seed % len(_FRAGMENTS)], seed)
+    else:
+        s = random_quantified_sequent(random.Random(seed))
+    limits = SearchLimits(node_budget=budget)
+    assert _classical_run(_ClassicalProver(s, limits)) == _classical_run(reference_classical_prover(s, limits))
+
+
+#: sequents on which the memos hit, each with a neighbour the memo must tell
+#: apart: under another binding of the second premise's metavariable
+#: (first two), of a vacuous premise's metavariable (second), under other
+#: tallies (third), and a failure that made an eigenvariable, which shifts
+#: the names of those made after it (fourth)
+_MEMO_HITS = (
+    "p(a), p(b), q(b) |- exists x. (p(x) & q(x))",
+    "p(a), p(b) |- exists x. (p(x) & ((forall y. q(b)) => q(x)))",
+    "forall x. q, forall x. (q | t), forall x. u |- s",
+    "p(a), p(b), forall w. (s(w) => s(f(w))), s(a) |- forall v. (exists x. (p(x) & (forall y. r(y)))) | s(f(f(a)))",
+)
+
+
+@pytest.mark.parametrize("text", _MEMO_HITS)
+def test_classical_memos_tell_apart_what_the_search_does(text):
+    s = parse_sequent(text)
+    for budget in (10_000, *range(20, 400, 7)):
+        limits = SearchLimits(node_budget=budget)
+        assert _classical_run(_ClassicalProver(s, limits)) == _classical_run(reference_classical_prover(s, limits))
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        # each witness the first conjunct finds leaves the second as it was
+        "p(a), p(b) |- (exists x. p(x)) & r",
+        # vacuous instantiations reach one premise in either order
+        "forall x. q, forall y. s |- r",
+    ],
+)
+def test_memoized_failures_are_charged_at_their_full_size(text):
+    s = parse_sequent(text)
+    limits = SearchLimits(node_budget=10_000)
+    real = 0
+    tick = _Budget.tick
+
+    def counting(budget):
+        nonlocal real
+        real += 1
+        tick(budget)
+
+    prover = _ClassicalProver(s, limits)
+    with mock.patch.object(_Budget, "tick", counting):
+        prover.run()
+    reference = reference_classical_prover(s, limits)
+    assert _classical_run(reference)[0] == "NotProvedWithinLimits"
+    charged = limits.node_budget - prover.budget.left
+    assert real < charged == limits.node_budget - reference.budget.left
+    assert prover.next_meta == reference.next_meta
+    # a budget that runs out inside a memoized failure leaves no nodes
+    for budget in range(real, charged + 1):
+        cut = SearchLimits(node_budget=budget)
+        assert _classical_run(_ClassicalProver(s, cut)) == _classical_run(reference_classical_prover(s, cut))
+
+
+def test_deep_terms_unify_and_resolve_at_the_default_recursion_limit():
+    deep, pattern = _deep_term(), Meta(0)
+    for _ in range(_DEEP):
+        pattern = App("f", (pattern,))
+    subst = unify(pattern, deep, Subst())
+    assert subst is not None and subst.resolve_term(Meta(0)) == Const("a")
+    assert subst.resolve_term(pattern) is deep
+    assert unify(Meta(0), App("g", (pattern,)), Subst()) is None
 
 
 # ---------------------------------------------------------------------------
