@@ -10,7 +10,12 @@ speed falls on both sides alike.  Each run must report ``correct`` and
 are kept.  Prints, per metric, each side's median and quartiles, the
 relative change of the medians and the number of pairs the change won (a
 tie is not a win); the direction of "better" comes from the change's
-``BENCHMARK.json``.  With ``--out`` the pairs and the summary are also
+``BENCHMARK.json``.  Then, per end-to-end metric, it prints that file's
+bound and a verdict: ``worse beyond bound`` when the change's median is
+worse than the parent's by more than the bound; else ``unresolved`` when
+the parent's quartile spread, relative to its median, exceeds the bound
+and not every change run reads better than every parent run; else
+``within bound``.  With ``--out`` the pairs and the summary are also
 written to FILE, a JSON object with one entry per workload and trace
 setting; entries already in FILE for other workloads are kept.  With
 ``--previous`` each metric's change median is also set against the change
@@ -57,14 +62,32 @@ def _quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, median, q3
 
 
-def _directions(checkout: Path) -> dict[str, str]:
+def _spec(checkout: Path) -> tuple[dict[str, str], dict[str, float]]:
+    """The direction of every metric, and the bound of each end-to-end one."""
     spec = json.loads((checkout / "BENCHMARK.json").read_text())
-    return {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
+    better = {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
+    return better, {m["name"]: m["bound"] for m in spec["end_to_end"]}
 
 
-def summarize(pairs: list[dict], better: dict[str, str]) -> dict[str, dict]:
+def verdict(parent: list[float], change: list[float], higher: bool, bound: float) -> str:
+    """Whether the change's median stays within bound of the parent's (see
+    the module docstring)."""
+    (pq1, pmed, pq3), cmed = _quartiles(parent), _quartiles(change)[1]
+    if not pmed:
+        return "unresolved" if cmed else "within bound"
+    worse = (pmed - cmed if higher else cmed - pmed) / abs(pmed)
+    if worse > bound:
+        return "worse beyond bound"
+    better_always = min(change) > max(parent) if higher else max(change) < min(parent)
+    if (pq3 - pq1) / abs(pmed) > bound and not better_always:
+        return "unresolved"
+    return "within bound"
+
+
+def summarize(pairs: list[dict], better: dict[str, str], bounds: dict[str, float]) -> dict[str, dict]:
     """Per metric both runs reported: each side's quartiles, the median's
-    relative change and the pairs the change won."""
+    relative change and the pairs the change won; per end-to-end metric
+    also its bound and verdict."""
     out = {}
     for name in pairs[0]["parent"]:
         if name not in pairs[0]["change"]:
@@ -82,6 +105,9 @@ def summarize(pairs: list[dict], better: dict[str, str]) -> dict[str, dict]:
             "won": won,
             "pairs": len(pairs),
         }
+        if name in bounds:
+            out[name]["bound"] = bounds[name]
+            out[name]["verdict"] = verdict(parent, change, higher, bounds[name])
     return out
 
 
@@ -121,7 +147,7 @@ def main(argv: list[str] | None = None) -> None:
         if ops:
             print(f"seed {seed}: {ops} {pair['parent'][ops]:.1f} -> {pair['change'][ops]:.1f}", flush=True)
 
-    summary = summarize(pairs, _directions(sides["change"]))
+    summary = summarize(pairs, *_spec(sides["change"]))
     print(f"{args.workload}, {len(pairs)} pairs, --seconds {args.seconds:g} --trace {args.trace}")
     print(f"{'metric':36} {'parent median [q1-q3]':>28} {'change median [q1-q3]':>28} {'change':>8} won")
     for name, m in summary.items():
@@ -132,6 +158,13 @@ def main(argv: list[str] | None = None) -> None:
             + f"{c['median']:>10.4g} [{c['q1']:.4g}-{c['q3']:.4g}]".ljust(29)
             + f"{rel:>8} {m['won']}/{m['pairs']}"
         )
+    print(f"{'end-to-end metric':36} {'bound':>6} {'change':>8} {'parent spread':>14}  verdict")
+    for name, m in summary.items():
+        if "verdict" in m:
+            p = m["parent"]
+            rel = "" if m["relative"] is None else f"{m['relative']:+.1%}"
+            spread = f"{(p['q3'] - p['q1']) / abs(p['median']):.1%}" if p["median"] else ""
+            print(f"{name:36} {m['bound']:>6.0%} {rel:>8} {spread:>14}  {m['verdict']}")
 
     entry = args.workload if args.trace == 0 else f"{args.workload} --trace 1"
     if args.previous:

@@ -55,6 +55,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
+from itertools import count
 from operator import attrgetter
 from typing import Callable, Generator, Iterable, Iterator, Union
 
@@ -78,7 +79,6 @@ from .syntax import (
     Term,
     Top,
     Var,
-    exists as bind_exists,
     forall as bind_forall,
     free_symbols,
     ground_subterms,
@@ -212,18 +212,18 @@ class _Grounding(Subst):
 
 
 def _occurs_or_captures(ident: int, t: Term, subst: Subst) -> bool:
-    """True if metavariable ident occurs in t, or t is not locally closed.
-    Walks an explicit stack, so nesting depth costs no recursion."""
+    """True if metavariable ident occurs in t, or t is not locally closed
+    (every binding passed this check, so t's own range tells).  Walks an
+    explicit stack, so nesting depth costs no recursion."""
+    if t._lbr:
+        return True
     stack = [t]
     while stack:
         u = subst.walk(stack.pop())
         k = type(u)
         if k is App:
             stack += u.args
-        elif k is Meta:
-            if u.ident == ident:
-                return True
-        elif k is Bound:
+        elif k is Meta and u.ident == ident:
             return True
     return False
 
@@ -292,45 +292,35 @@ def herbrandize(s: Sequent) -> Sequent:
     preserved, and the result has no eigenvariable rules left to apply.
     """
     taken = _symbols_everywhere(s)
-    fn_counter = 0
-    var_counter = 0
-
-    def fresh_fn() -> str:
-        nonlocal fn_counter
-        while f"h{fn_counter}" in taken:
-            fn_counter += 1
-        name = f"h{fn_counter}"
-        fn_counter += 1
-        return name
-
-    def herb(f: Formula, positive: bool, weak: tuple[str, ...]) -> Formula:
-        nonlocal var_counter
-        match f:
-            case And(l, r):
-                return And(herb(l, positive, weak), herb(r, positive, weak))
-            case Or(l, r):
-                return Or(herb(l, positive, weak), herb(r, positive, weak))
-            case Imp(l, r):
-                return Imp(herb(l, not positive, weak), herb(r, positive, weak))
-            case Forall() | Exists():
-                strong = positive if isinstance(f, Forall) else not positive
-                if strong:
-                    name = fresh_fn()
-                    t: Term = App(name, tuple(Var(v) for v in weak)) if weak else Const(name)
-                    return herb(instantiate(f, t), positive, weak)
-                v = f"_w{var_counter}"
-                var_counter += 1
-                body = herb(instantiate(f, Var(v)), positive, weak + (v,))
-                binder = bind_forall if isinstance(f, Forall) else bind_exists
-                rebound = binder(v, body)
-                return type(f)(rebound.body, f.hint)
-            case _:
-                return f
-
-    return Sequent(
-        tuple(herb(f, False, ()) for f in s.ante),
-        tuple(herb(f, True, ()) for f in s.succ),
-    )
+    fns = (name for name in map("h{}".format, count()) if name not in taken)
+    weak_vars = map("_w{}".format, count())
+    # visits (formula, polarity, weak variables) and, below the visits of a
+    # binary connective's or weak quantifier's parts, its rebuild (formula,
+    # None, weak variable or None): left parts first, as a recursion takes them
+    done: list[Formula] = []
+    stack = [(f, True, ()) for f in reversed(s.succ)] + [(f, False, ()) for f in reversed(s.ante)]
+    while stack:
+        f, positive, weak = stack.pop()
+        k = type(f)
+        if positive is None:
+            if k is Forall or k is Exists:
+                done[-1] = k(bind_forall(weak, done[-1]).body, f.hint)
+            else:
+                right = done.pop()
+                done[-1] = k(done[-1], right)
+        elif k is And or k is Or or k is Imp:
+            stack += ((f, None, None), (f.right, positive, weak), (f.left, positive != (k is Imp), weak))
+        elif k is Forall or k is Exists:
+            if positive == (k is Forall):
+                name = next(fns)
+                t: Term = App(name, tuple(map(Var, weak))) if weak else Const(name)
+                stack.append((instantiate(f, t), positive, weak))
+            else:
+                v = next(weak_vars)
+                stack += ((f, None, v), (instantiate(f, Var(v)), positive, weak + (v,)))
+        else:
+            done.append(f)
+    return Sequent(done[: len(s.ante)], done[len(s.ante) :])
 
 
 # ---------------------------------------------------------------------------
@@ -409,20 +399,6 @@ class _Budget:
         self.left -= nodes
 
 
-def _mentions_bound(t: Term) -> bool:
-    """Whether t holds a Bound.  Walks an explicit stack, so nesting depth
-    costs no recursion."""
-    stack = [t]
-    while stack:
-        u = stack.pop()
-        k = type(u)
-        if k is Bound:
-            return True
-        if k is App:
-            stack += u.args
-    return False
-
-
 def _reserved_prefix(base: str, taken: set[str]) -> str:
     """A prefix such that prefix+digits collides with nothing in taken."""
     prefix = base
@@ -498,10 +474,8 @@ class _ClassicalProver:
         self.dynamic_eigens: set[str] = set()
         # each member's own metavariables, by the member's sort key
         self._metas: dict[str, frozenset[int]] = {}
-        # whether a quantified formula's instances are free of the witness,
-        # by its sort key, and the failures of premises such vacuous
-        # instances extend (see _memoized)
-        self._vacuous: dict[str, bool] = {}
+        # the failures of premises that vacuous instantiations extend (see
+        # _memoized)
         self._failed: dict[tuple, tuple[int, int]] = {}
 
     # -- quantifier-free decision -------------------------------------------
@@ -603,9 +577,10 @@ class _ClassicalProver:
                     c2 = dict(counts)
                     c2[f] = c2.get(f, 0) + 1
                     (premise,) = premises(rule, s, i, f, m)
-                    if self._is_vacuous(f, m):
-                        # the premise recurs under other orders of vacuous
-                        # instantiations
+                    if not f.body._lbr:
+                        # a vacuous instantiation (members are locally
+                        # closed, so the body holds no index of f's binder):
+                        # the premise recurs under other orders of them
                         key = partial(self._state_key, premise, subst, c2, mult)
                         closings = self._memoized(self._failed, key, premise, subst, c2, mult)
                     else:
@@ -631,13 +606,6 @@ class _ClassicalProver:
         member's own followed through subst's bindings, so no member is
         rebuilt."""
         return sorted(subst.unbound(self._own_metas(s)))
-
-    def _is_vacuous(self, f: Formula, m: Meta) -> bool:
-        """Whether f's instance by the fresh metavariable m holds no m."""
-        got = self._vacuous.get(f._key)
-        if got is None:
-            got = self._vacuous[f._key] = m.ident not in metas_in(instantiate(f, m))
-        return got
 
     def _resolved(self, s: Sequent, subst: Subst) -> tuple[str, ...]:
         """The sort keys of the resolved bindings of s's metavariables, in
@@ -1059,6 +1027,19 @@ class _GroundProver:
             got = self._instances[id(f), id(t)] = (f, t, instantiate(f, t))
         return got[2]
 
+    def _forall_premises(self, s: Sequent, f: Forall, counts: _Counts) -> Iterator[tuple[Term, Sequent, _Counts]]:
+        """forall-l on f, a member of s, as (witness, premise, raised
+        counts) per instance s lacks; none once f is at the budget."""
+        key = self._item(f)[0]
+        if counts.get(key, 0) >= self.limits.quantifier_budget:
+            return
+        c2 = self._raised(counts, key)
+        ante_set = set(s.ante)
+        for t in self._witnesses(s):
+            inst = self._instance(f, t)
+            if inst not in ante_set:
+                yield t, s.plus(ante=(inst,)), c2
+
     def _witnesses(self, s: Sequent) -> list[Term]:
         got = self._wit_memo.get(s)
         if got is None:
@@ -1086,8 +1067,8 @@ class _GroundProver:
             if k is Atom:
                 args = g.args
                 exact, wild = heads.setdefault((g.pred, len(args)), ([], []))
-                if any(map(_mentions_bound, args)):
-                    wild.append(tuple(None if _mentions_bound(a) else a for a in args))
+                if g._lbr:
+                    wild.append(tuple(None if a._lbr else a for a in args))
                 else:
                     exact.append(args)
             elif k is Bot:
@@ -1300,20 +1281,11 @@ class _GroundProver:
                     if sub2 is not None:
                         return Proof(_IMP_L_STAR_INT, s, (sub1, sub2), ("ante", i))
         for i, f in enumerate(s.ante):
-            if not isinstance(f, Forall):
-                continue
-            key = self._item(f)[0]
-            if counts.get(key, 0) >= self.limits.quantifier_budget:
-                continue
-            c2 = self._raised(counts, key)
-            ante_set = set(s.ante)
-            for t in self._witnesses(s):
-                inst = self._instance(f, t)
-                if inst in ante_set:
-                    continue
-                sub = yield (s.plus(ante=(inst,)), depth, c2)
-                if sub is not None:
-                    return Proof(_FORALL_L_STAR, s, (sub,), ("ante", i), witness=t)
+            if isinstance(f, Forall):
+                for t, premise, c2 in self._forall_premises(s, f, counts):
+                    sub = yield (premise, depth, c2)
+                    if sub is not None:
+                        return Proof(_FORALL_L_STAR, s, (sub,), ("ante", i), witness=t)
         return None
 
     # goal-directed search emitting plain rules
@@ -1372,16 +1344,8 @@ class _GroundProver:
                         if sub is not None:
                             return self._contracted(s, f, rule, (sub,))
                 case Forall():
-                    key = self._item(f)[0]
-                    if counts.get(key, 0) >= self.limits.quantifier_budget:
-                        continue
-                    c2 = self._raised(counts, key)
-                    ante_set = set(s.ante)
-                    for t in self._witnesses(s):
-                        inst = self._instance(f, t)
-                        if inst in ante_set:
-                            continue
-                        sub = yield (s.plus(ante=(inst,)), depth, c2)
+                    for t, premise, c2 in self._forall_premises(s, f, counts):
+                        sub = yield (premise, depth, c2)
                         if sub is not None:
                             return self._contracted(s, f, _FORALL_L, (sub,), witness=t)
                 case Or(l, r):

@@ -17,12 +17,20 @@ immutable.  At construction each node also stores
   Keys compare exactly as the structural tuples (kind, then the fields left
   to right, shorter argument lists first) would, and depend on the
   structure alone, never on the order in which nodes were built, so every
-  process orders the same sequent the same way.
+  process orders the same sequent the same way;
+* its loose-bound range, _lbr: one past its highest loose de Bruijn
+  index, 0 when it is closed.  Bound(i) has i + 1; an atom, application or
+  binary connective the largest range of its parts (0 without any); a
+  quantifier its body's range less one, at least 0.  So instantiate keeps
+  each term whose range is at most its depth, and a quantifier of a closed
+  formula is vacuous exactly when its body's range is 0.
 
 So == is an identity test on twins, while hash, formula_key and term_key
-read the key; none of them recurses.  The table may be shared by threads:
-an insert is one dict.setdefault on a table key that hashes and compares in
-C, so threads that build equal structures get one object.
+read the key; none of them recurses.  Binding, opening, substitution and
+renaming are callbacks of one explicit-stack walk, map_terms, so they do
+not recurse either.  The table may be shared by threads: an insert is one
+dict.setdefault on a table key that hashes and compares in C, so threads
+that build equal structures get one object.
 
 Sequents keep both sides as multisets in a canonical sorted order (by
 formula_key, stable), which makes multiset equality plain tuple equality.
@@ -68,14 +76,16 @@ def _interned(ikey: tuple):
     return None if ref is None else ref()
 
 
-def _build(cls, ikey: tuple, values: tuple, key: str, twin):
-    """A new node of cls with the given field values, sort key and twin,
-    entered under ikey; the node another thread entered first, if any."""
+def _build(cls, ikey: tuple, values: tuple, key: str, twin, lbr: int):
+    """A new node of cls with the given field values, sort key, twin and
+    loose-bound range, entered under ikey; the node another thread entered
+    first, if any.  Every field is set before the node is published."""
     node = object.__new__(cls)
     for name, value in zip(cls.__match_args__, values):
         _set(node, name, value)
     _set(node, "_key", key)
     _set(node, "_twin", twin)
+    _set(node, "_lbr", lbr)
     ref = _Ref(node, _drop)
     ref.key = ikey
     while True:
@@ -116,7 +126,7 @@ def _int_key(n: int) -> str:
 class _Node:
     """A hash-consed term or formula (see the module docstring)."""
 
-    __slots__ = ("_key", "_twin", "__weakref__")
+    __slots__ = ("_key", "_twin", "_lbr", "__weakref__")
     __match_args__: tuple[str, ...] = ()
 
     def __eq__(self, other):
@@ -140,17 +150,19 @@ class _Node:
         return f"{type(self).__name__}({fields})"
 
 
-def _leaf(cls, value, encode: Callable) -> _Node:
+def _leaf(cls, value, encode: Callable, lbr: int = 0) -> _Node:
     ikey = (cls, value)
-    return _interned(ikey) or _build(cls, ikey, (value,), cls._tag + encode(value), None)
+    return _interned(ikey) or _build(cls, ikey, (value,), cls._tag + encode(value), None, lbr)
 
 
 def _applied(cls, name: str, args) -> _Node:
     args = tuple(args)
     ikey = (cls, name, *map(id, args))
-    return _interned(ikey) or _build(
-        cls, ikey, (name, args), cls._tag + _name_key(name) + "".join([a._key for a in args]) + _END, None
-    )
+    node = _interned(ikey)
+    if node is None:
+        key = cls._tag + _name_key(name) + "".join([a._key for a in args]) + _END
+        node = _build(cls, ikey, (name, args), key, None, max([a._lbr for a in args], default=0))
+    return node
 
 
 # ---------------------------------------------------------------------------
@@ -174,7 +186,7 @@ class Bound(_Node):
     _tag = "a"
 
     def __new__(cls, index: int) -> Bound:
-        return _leaf(cls, index, _int_key)
+        return _leaf(cls, index, _int_key, max(index + 1, 0))
 
 
 class Const(_Node):
@@ -217,7 +229,7 @@ class _Unit(_Node):
     __slots__ = ()
 
     def __new__(cls):
-        return _interned((cls,)) or _build(cls, (cls,), (), cls._tag, None)
+        return _interned((cls,)) or _build(cls, (cls,), (), cls._tag, None, 0)
 
 
 class Top(_Unit):
@@ -246,11 +258,12 @@ class _Binary(_Node):
         node = _interned(ikey)
         if node is None:
             lt, rt = left._twin, right._twin
+            lbr = max(left._lbr, right._lbr)
             if lt is None and rt is None:
-                node = _build(cls, ikey, (left, right), cls._tag + left._key + right._key, None)
+                node = _build(cls, ikey, (left, right), cls._tag + left._key + right._key, None, lbr)
             else:
                 twin = cls(lt or left, rt or right)
-                node = _build(cls, ikey, (left, right), twin._key, twin)
+                node = _build(cls, ikey, (left, right), twin._key, twin, lbr)
         return node
 
 
@@ -277,11 +290,12 @@ class _Quantifier(_Node):
         node = _interned(ikey)
         if node is None:
             bt = body._twin
+            lbr = max(body._lbr - 1, 0)
             if bt is None and hint == _CANONICAL_HINT:
-                node = _build(cls, ikey, (body, hint), cls._tag + body._key, None)
+                node = _build(cls, ikey, (body, hint), cls._tag + body._key, None, lbr)
             else:
                 twin = cls(bt or body, _CANONICAL_HINT)
-                node = _build(cls, ikey, (body, hint), twin._key, twin)
+                node = _build(cls, ikey, (body, hint), twin._key, twin, lbr)
         return node
 
 
@@ -326,29 +340,58 @@ def connective_count(f: Formula) -> int:
 
 
 # ---------------------------------------------------------------------------
-# traversal core: every rewrite of atom arguments goes through map_terms, and
-# every collector reads the nodes that _walk yields
-
-
-def map_terms(f: Formula, fn: Callable[[Term, int], Term]) -> Formula:
-    """f rebuilt with fn(term, depth) in place of each atom argument, where
-    depth is the number of binders enclosing the atom."""
-
-    def go(g: Formula, depth: int) -> Formula:
-        k = type(g)
-        if k is Atom:
-            return Atom(g.pred, tuple(fn(a, depth) for a in g.args)) if g.args else g
-        if k is And or k is Or or k is Imp:
-            return k(go(g.left, depth), go(g.right, depth))
-        if k is Forall or k is Exists:
-            return k(go(g.body, depth + 1), g.hint)
-        return g
-
-    return go(f, 0)
-
+# traversal core: every rewrite of terms goes through map_terms, and every
+# collector reads the nodes that _walk yields
 
 _TERM_TYPES = frozenset((Var, Bound, Const, App, Meta))
 _FORMULA_TYPES = frozenset((Top, Bot, Atom, And, Or, Imp, Forall, Exists))
+
+
+def map_terms(x: Formula | Term, fn: Callable[[Term, int], Term | str | None]) -> Formula | Term:
+    """x, a formula or a term, with fn(term, depth) applied to x itself or
+    to each atom argument, under depth binders.  fn returns the term's
+    replacement; or None to map the term's arguments by fn and rebuild it;
+    or, for an application, a name to do so under that name.  A node whose
+    parts all come back as they were is kept, so a rewrite that changes
+    nothing returns x.  Walks an explicit stack, so nesting depth costs no
+    recursion."""
+    done: list = []
+    # (node, depth) pairs to map, and (node, marker) pairs to rebuild a node
+    # from its mapped parts, the last entries of done: the marker is None or
+    # the name an atom or application is rebuilt under
+    stack: list = [x, 0]
+    while stack:
+        depth = stack.pop()
+        x = stack.pop()
+        k = type(x)
+        if k is And or k is Or or k is Imp:
+            if type(depth) is int:
+                stack += (x, None, x.right, depth, x.left, depth)
+            else:
+                right = done.pop()
+                done[-1] = x if done[-1] is x.left and right is x.right else k(done[-1], right)
+        elif k is Forall or k is Exists:
+            if type(depth) is int:
+                stack += (x, None, x.body, depth + 1)
+            else:
+                done[-1] = x if done[-1] is x.body else k(done[-1], x.hint)
+        elif type(depth) is not int:
+            n = len(x.args)
+            args = tuple(done[-n:])
+            done[-n:] = (x if args == x.args and depth == (x.pred if k is Atom else x.name) else k(depth, args),)
+        else:
+            name = x.pred if k is Atom else None if k is Top or k is Bot else fn(x, depth)
+            if name is None and k is App:
+                name = x.name
+            if type(name) is not str:
+                done.append(x if name is None else name)
+            elif not x.args:
+                done.append(x if k is Atom else App(name, ()))
+            else:
+                stack += (x, name)
+                for a in reversed(x.args):
+                    stack += (a, depth)
+    return done[0]
 
 
 def _walk(x, kinds: frozenset) -> Iterator:
@@ -389,63 +432,51 @@ def subterms(x) -> Iterator[Term]:
 
 
 # ---------------------------------------------------------------------------
-# de Bruijn plumbing
-
-
-def _replace_bound_term(t: Term, depth: int, repl: Term) -> Term:
-    match t:
-        case Bound(i) if i == depth:
-            return repl
-        case Bound(i) if i > depth:
-            return Bound(i - 1)
-        case App(name, args):
-            return App(name, tuple(_replace_bound_term(a, depth, repl) for a in args))
-        case _:
-            return t
+# binding and substitution: map_terms callbacks
 
 
 def instantiate(q: Formula, t: Term) -> Formula:
     """Open a quantifier: the body with the bound variable replaced by t.
 
-    t must be locally closed (no stray Bound indices of its own).
+    t must be locally closed (no stray Bound indices of its own).  A term
+    whose loose-bound range is at most its depth is kept as it is.
     """
     if not isinstance(q, (Forall, Exists)):
         raise TypeError(f"not a quantified formula: {q!r}")
-    return map_terms(q.body, lambda a, depth: _replace_bound_term(a, depth, t))
+    if not q.body._lbr:
+        return q.body
+
+    def opened(a: Term, depth: int) -> Term | None:
+        if a._lbr <= depth:
+            return a
+        if type(a) is Bound:
+            return t if a.index == depth else Bound(a.index - 1)
+        return None
+
+    return map_terms(q.body, opened)
 
 
-def _abstract_term(t: Term, name: str, depth: int) -> Term:
-    match t:
-        case Var(n) if n == name:
-            return Bound(depth)
-        case App(fn, args):
-            return App(fn, tuple(_abstract_term(a, name, depth) for a in args))
-        case _:
-            return t
+def _replacing(name: str, repl: Term | None) -> Callable[[Term, int], Term | None]:
+    """The map_terms callback that replaces Var(name) by repl, or, with no
+    repl, by the index of a binder about to enclose the formula."""
+
+    def replaced(a: Term, depth: int) -> Term | None:
+        k = type(a)
+        if k is Var and a.name == name:
+            return Bound(depth) if repl is None else repl
+        return None if k is App else a
+
+    return replaced
 
 
 def forall(name: str, f: Formula) -> Formula:
     """Bind every free Var(name) in f under a new universal quantifier."""
-    return Forall(map_terms(f, lambda a, depth: _abstract_term(a, name, depth)), name)
+    return Forall(map_terms(f, _replacing(name, None)), name)
 
 
 def exists(name: str, f: Formula) -> Formula:
     """Bind every free Var(name) in f under a new existential quantifier."""
-    return Exists(map_terms(f, lambda a, depth: _abstract_term(a, name, depth)), name)
-
-
-# ---------------------------------------------------------------------------
-# substitution over free named variables
-
-
-def substitute_term(t: Term, name: str, repl: Term) -> Term:
-    match t:
-        case Var(n) if n == name:
-            return repl
-        case App(fn, args):
-            return App(fn, tuple(substitute_term(a, name, repl) for a in args))
-        case _:
-            return t
+    return Exists(map_terms(f, _replacing(name, None)), name)
 
 
 def substitute(t: Term, name: str, f: Formula) -> Formula:
@@ -454,23 +485,20 @@ def substitute(t: Term, name: str, f: Formula) -> Formula:
     Capture cannot occur: binders are nameless, so any binder in f leaves
     the replacement term untouched.
     """
-    return map_terms(f, lambda a, _: substitute_term(a, name, t))
+    return map_terms(f, _replacing(name, t))
 
 
-def rename_constant_term(t: Term, old: str, new: str) -> Term:
-    match t:
-        case Const(n) if n == old:
-            return Const(new)
-        case App(fn, args):
-            args2 = tuple(rename_constant_term(a, old, new) for a in args)
-            return App(new if fn == old else fn, args2)
-        case _:
-            return t
+def rename_constant(x: Formula | Term, old: str, new: str) -> Formula | Term:
+    """Rename a constant or function symbol everywhere in x, a formula or a
+    term."""
 
+    def renamed(a: Term, _: int) -> Term | str | None:
+        k = type(a)
+        if k is App:
+            return new if a.name == old else None
+        return Const(new) if k is Const and a.name == old else a
 
-def rename_constant(f: Formula, old: str, new: str) -> Formula:
-    """Rename a constant or function symbol everywhere in f."""
-    return map_terms(f, lambda a, _: rename_constant_term(a, old, new))
+    return map_terms(x, renamed)
 
 
 # ---------------------------------------------------------------------------

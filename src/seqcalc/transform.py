@@ -55,7 +55,6 @@ from .syntax import (
     multiset_minus,
     predicate_names,
     rename_constant,
-    rename_constant_term,
 )
 
 
@@ -127,7 +126,7 @@ def _rename_eigen_subtree(p: Proof, old: str, new: str) -> Proof:
         pf = rename_constant(src[idx], old, new)
         dst = concl.ante if side == "ante" else concl.succ
         principal = (side, dst.index(pf))
-    witness = rename_constant_term(p.witness, old, new) if p.witness is not None else None
+    witness = rename_constant(p.witness, old, new) if p.witness is not None else None
     eigen = new if p.eigen == old else p.eigen
     premises = tuple(_rename_eigen_subtree(q, old, new) for q in p.premises)
     return Proof(p.rule, concl, premises, principal, witness, eigen)

@@ -4,9 +4,10 @@ Everything here is deliberately written against the public data types only,
 by a different mechanism than the library code uses: validity is decided by
 truth tables, grammar membership by bottom-up set construction from
 production tables, and the generators build formulas directly from those
-same tables.  The reference parser, state keys, relevance check,
-un-memoized classical search and per-rule proof transforms are earlier
-implementations of the library's own code, kept so that their replacements
+same tables.  The reference parser, term rewriters, loose-bound ranges,
+Herbrandization, state keys, relevance check, un-memoized classical search
+and per-rule proof transforms are earlier implementations of the library's
+own code, kept so that their replacements
 can be compared with them; the transforms share transform's node, inversion
 and weakening helpers, and the classical search the rest of the prover.
 """
@@ -42,10 +43,12 @@ from seqcalc.syntax import (
     exists,
     forall,
     format_formula,
+    free_symbols,
     instantiate,
     metas_in,
     multiset_minus,
     neg,
+    predicate_names,
     substitute,
 )
 from seqcalc.transform import (
@@ -93,6 +96,149 @@ def reference_formula_key(f: Formula) -> tuple:
     if isinstance(f, (Forall, Exists)):
         return (tag, reference_formula_key(f.body))
     return (tag,)
+
+
+# ---------------------------------------------------------------------------
+# term rewriters and loose-bound ranges by recursion
+
+
+def reference_lbr(x) -> int:
+    """One past the highest loose de Bruijn index in a term or formula, 0
+    when it is closed.  syntax stores this as each node's _lbr."""
+    if isinstance(x, Bound):
+        return max(x.index + 1, 0)
+    if isinstance(x, (App, Atom)):
+        return max((reference_lbr(a) for a in x.args), default=0)
+    if isinstance(x, (And, Or, Imp)):
+        return max(reference_lbr(x.left), reference_lbr(x.right))
+    if isinstance(x, (Forall, Exists)):
+        return max(reference_lbr(x.body) - 1, 0)
+    return 0
+
+
+def _reference_map_terms(f: Formula, fn) -> Formula:
+    """f rebuilt with fn(term, depth) in place of each atom argument."""
+
+    def go(g: Formula, depth: int) -> Formula:
+        if isinstance(g, Atom):
+            return Atom(g.pred, tuple(fn(a, depth) for a in g.args)) if g.args else g
+        if isinstance(g, (And, Or, Imp)):
+            return type(g)(go(g.left, depth), go(g.right, depth))
+        if isinstance(g, (Forall, Exists)):
+            return type(g)(go(g.body, depth + 1), g.hint)
+        return g
+
+    return go(f, 0)
+
+
+def _replace_bound_term(t: Term, depth: int, repl: Term) -> Term:
+    match t:
+        case Bound(i) if i == depth:
+            return repl
+        case Bound(i) if i > depth:
+            return Bound(i - 1)
+        case App(name, args):
+            return App(name, tuple(_replace_bound_term(a, depth, repl) for a in args))
+        case _:
+            return t
+
+
+def reference_instantiate(q: Formula, t: Term) -> Formula:
+    return _reference_map_terms(q.body, lambda a, depth: _replace_bound_term(a, depth, t))
+
+
+def _abstract_term(t: Term, name: str, depth: int) -> Term:
+    match t:
+        case Var(n) if n == name:
+            return Bound(depth)
+        case App(fn, args):
+            return App(fn, tuple(_abstract_term(a, name, depth) for a in args))
+        case _:
+            return t
+
+
+def reference_forall(name: str, f: Formula) -> Formula:
+    return Forall(_reference_map_terms(f, lambda a, depth: _abstract_term(a, name, depth)), name)
+
+
+def reference_exists(name: str, f: Formula) -> Formula:
+    return Exists(_reference_map_terms(f, lambda a, depth: _abstract_term(a, name, depth)), name)
+
+
+def _substitute_term(t: Term, name: str, repl: Term) -> Term:
+    match t:
+        case Var(n) if n == name:
+            return repl
+        case App(fn, args):
+            return App(fn, tuple(_substitute_term(a, name, repl) for a in args))
+        case _:
+            return t
+
+
+def reference_substitute(t: Term, name: str, f: Formula) -> Formula:
+    return _reference_map_terms(f, lambda a, _: _substitute_term(a, name, t))
+
+
+def _rename_constant_term(t: Term, old: str, new: str) -> Term:
+    match t:
+        case Const(n) if n == old:
+            return Const(new)
+        case App(fn, args):
+            args2 = tuple(_rename_constant_term(a, old, new) for a in args)
+            return App(new if fn == old else fn, args2)
+        case _:
+            return t
+
+
+def reference_rename_constant(x, old: str, new: str):
+    """x, a term or a formula, with a constant or function symbol renamed."""
+    if isinstance(x, (Bound, Var, Const, App, Meta)):
+        return _rename_constant_term(x, old, new)
+    return _reference_map_terms(x, lambda a, _: _rename_constant_term(a, old, new))
+
+
+def reference_herbrandize(s: Sequent) -> Sequent:
+    """search.herbrandize by recursion on the formula."""
+    taken = set(free_symbols(s)).union(*(predicate_names(f) for f in s.ante + s.succ))
+    fn_counter = 0
+    var_counter = 0
+
+    def fresh_fn() -> str:
+        nonlocal fn_counter
+        while f"h{fn_counter}" in taken:
+            fn_counter += 1
+        name = f"h{fn_counter}"
+        fn_counter += 1
+        return name
+
+    def herb(f: Formula, positive: bool, weak: tuple[str, ...]) -> Formula:
+        nonlocal var_counter
+        match f:
+            case And(l, r):
+                return And(herb(l, positive, weak), herb(r, positive, weak))
+            case Or(l, r):
+                return Or(herb(l, positive, weak), herb(r, positive, weak))
+            case Imp(l, r):
+                return Imp(herb(l, not positive, weak), herb(r, positive, weak))
+            case Forall() | Exists():
+                strong = positive if isinstance(f, Forall) else not positive
+                if strong:
+                    name = fresh_fn()
+                    t: Term = App(name, tuple(Var(v) for v in weak)) if weak else Const(name)
+                    return herb(reference_instantiate(f, t), positive, weak)
+                v = f"_w{var_counter}"
+                var_counter += 1
+                body = herb(reference_instantiate(f, Var(v)), positive, weak + (v,))
+                binder = reference_forall if isinstance(f, Forall) else reference_exists
+                rebound = binder(v, body)
+                return type(f)(rebound.body, f.hint)
+            case _:
+                return f
+
+    return Sequent(
+        tuple(herb(f, False, ()) for f in s.ante),
+        tuple(herb(f, True, ()) for f in s.succ),
+    )
 
 
 # ---------------------------------------------------------------------------

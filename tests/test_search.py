@@ -56,6 +56,7 @@ from _oracles import (
     random_quantified_sequent,
     reference_attainable,
     reference_classical_prover,
+    reference_herbrandize,
     reference_live_metas,
     reference_state_keys,
     truth_table_valid,
@@ -379,20 +380,24 @@ def test_deep_members_are_searched_at_the_default_recursion_limit(chain, logic):
     assert sys.getrecursionlimit() == limit
 
 
-def _deep_term() -> App:
-    t = Const("a")
+def _deep_term(leaf=Const("a")) -> App:
+    t = leaf
     for _ in range(_DEEP):
         t = App("f", (t,))
     return t
 
 
 @pytest.mark.parametrize("logic", ["c", "i", "o"])
-@pytest.mark.parametrize("goal", ["q", "exists x. p(x)"])
+@pytest.mark.parametrize("goal", ["q", "exists x. p(x)", "p(f^1500(a))"])
 def test_deep_terms_are_searched_at_the_default_recursion_limit(goal, logic):
     # the relevance heads and the witness order walk the deep argument, and
-    # the classical prover's occurs check, bindings and grounding do
+    # the classical prover's occurs check, bindings and grounding do; the
+    # last goal needs the deep argument opened under its binder
     assert sys.getrecursionlimit() < _DEEP
-    s = Sequent((Atom("p", (_deep_term(),)),), (parse_formula(goal),))
+    if goal == "p(f^1500(a))":
+        s = Sequent((Forall(Atom("p", (_deep_term(Bound(0)),)), "x"),), (Atom("p", (_deep_term(),)),))
+    else:
+        s = Sequent((Atom("p", (_deep_term(),)),), (parse_formula(goal),))
     res = prove(s, logic)
     if goal == "q":
         assert isinstance(res, Refuted if logic in ("c", "i") else NotProvedWithinLimits)
@@ -795,6 +800,25 @@ def test_herbrandized_verdicts_agree_classically():
         direct = prove(s, "c")
         via = prove(herbrandize(s), "c")
         assert isinstance(direct, Proved) == isinstance(via, Proved), text
+
+
+@settings(max_examples=50)
+@given(st.integers(0, 2**32 - 1))
+def test_herbrandize_matches_the_recursive_reference(seed):
+    s = random_quantified_sequent(random.Random(seed))
+    got, want = herbrandize(s), reference_herbrandize(s)
+    # members are interned with their binder hints: `is` compares those too
+    assert len(got.ante) == len(want.ante) and len(got.succ) == len(want.succ)
+    assert all(a is b for a, b in zip(got.ante + got.succ, want.ante + want.succ))
+
+
+def test_herbrandize_takes_a_member_nested_past_the_recursion_limit():
+    assert sys.getrecursionlimit() < 2000
+    f = Atom("p", (Bound(0),))
+    for _ in range(2000):
+        f = neg(f)
+    (g,) = herbrandize(Sequent((), (Forall(f, "x"),))).succ
+    assert g is instantiate(Forall(f, "x"), Const("h0"))
 
 
 # ---------------------------------------------------------------------------

@@ -52,6 +52,7 @@ from seqcalc.syntax import (
     rename_constant,
     subformulas,
     substitute,
+    subterms,
     term_key,
     term_size,
 )
@@ -62,7 +63,13 @@ from _oracles import (
     mixed_leaves,
     random_in_grammar,
     random_propositional,
+    reference_exists,
+    reference_forall,
     reference_formula_key,
+    reference_instantiate,
+    reference_lbr,
+    reference_rename_constant,
+    reference_substitute,
     reference_term_key,
 )
 
@@ -515,6 +522,21 @@ def test_deep_members_sort_compare_and_hash_without_recursion():
     # the nested reference key cannot even be built at this depth
     with pytest.raises(RecursionError):
         reference_formula_key(f)
+    # binding, opening, substitution and renaming, on a member 2,000 deep
+    # in both its formula and its term
+    deep = {}
+    for leaf in (Var("x"), Bound(0), Const("a"), Const("b")):
+        t = leaf
+        for _ in range(2000):
+            t = App("f", (t,))
+        deep[leaf] = _tower(Atom("p", (t,)))
+    opened, closed, named = deep[Bound(0)], deep[Const("a")], deep[Var("x")]
+    assert forall("x", named) is Forall(opened, "x") and exists("x", named) is Exists(opened, "x")
+    assert instantiate(Forall(opened, "x"), Const("a")) is closed
+    assert instantiate(Exists(closed), Const("b")) is closed
+    assert substitute(Const("a"), "x", named) is closed
+    assert rename_constant(closed, "a", "b") is deep[Const("b")]
+    assert rename_constant(closed, "f", "g") is rename_constant(rename_constant(closed, "f", "h"), "h", "g")
 
 
 @given(st.lists(FORMULAS, max_size=6), st.lists(FORMULAS, max_size=6))
@@ -526,6 +548,37 @@ def test_top_sorts_first_in_any_sorted_side(ante, succ):
     assert Top() is TOP and all(formula_key(TOP) < formula_key(f) for f in ante + succ if f is not TOP)
     with_bot = Sequent(tuple(ante) + (BOT,), ()).ante
     assert next(f for f in with_bot if f is not TOP) is BOT
+
+
+# ---------------------------------------------------------------------------
+# the rewrites and the stored loose-bound range against recursive references
+
+
+@given(FORMULAS, TERMS, NAMES, NAMES, HINTS)
+def test_rewrites_return_the_objects_the_recursive_rewriters_build(f, t, name, other, hint):
+    # the intern table keys binder hints too, so `is` compares them as well
+    for q in (Forall(f, hint), Exists(f, hint)):
+        assert instantiate(q, t) is reference_instantiate(q, t)
+    assert forall(name, f) is reference_forall(name, f)
+    assert exists(name, f) is reference_exists(name, f)
+    assert substitute(t, name, f) is reference_substitute(t, name, f)
+    for x in (f, t):
+        assert rename_constant(x, name, other) is reference_rename_constant(x, name, other)
+
+
+@given(TERMS | FORMULAS)
+def test_the_stored_loose_bound_range_is_the_reference_walk(x):
+    for y in itertools.chain(subterms(x), subformulas(x)):
+        assert y._lbr == reference_lbr(y)
+
+
+@given(seeds)
+def test_a_closed_quantifier_is_vacuous_exactly_when_its_body_has_range_0(seed):
+    # clause draws hold no metavariable, so Meta(0) is fresh
+    f = clause_draw(seed)
+    for g in subformulas((forall("x", f), substitute(Const("a"), "x", f), Forall(f), Exists(Forall(f)))):
+        if isinstance(g, (Forall, Exists)) and reference_lbr(g) == 0:
+            assert (g.body._lbr == 0) == (metas_in(instantiate(g, Meta(0))) == frozenset())
 
 
 # ---------------------------------------------------------------------------
