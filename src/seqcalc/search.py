@@ -41,14 +41,24 @@ call changes no interpreter-wide setting; concurrent calls are independent.
 Its per-mode table `_EAGER` names the antecedent connectives it splits
 eagerly, and so the members its loop check must not collapse.  Its loop
 check and failure cache key a state by a tuple of its members' stored sort
-keys; only a member holding a constant the search made itself (an
-eigenvariable or the blank witness, kept in the set `made`) is serialized,
-with those constants renamed by first occurrence, once per search for each
-antecedent.  A quantifier-free search makes no constant, so it keys every
-state by sort keys alone.  Its relevance check reads a per-formula index
-of positive heads.  Every
-engine takes its invertible rules from `calculus.INVERTIBLE` and builds
-their premises with `calculus.premises`, as the checker does.
+keys; only a member holding a constant the search made itself is
+serialized, with those constants renamed by first occurrence, once per
+search for each antecedent.  A quantifier-free search makes no constant, so
+it keys every state by sort keys alone.  Its relevance check reads a
+per-formula index of positive heads.  Every engine takes its invertible
+rules from `calculus.INVERTIBLE` and builds their premises with
+`calculus.premises`, as the checker does.
+
+Both engines extend one search context, `_Search`: the root, the limits,
+the nodes left, and the constants the search made, in `made`, each named
+under a prefix that avoids the root's symbols.  Every memo is keyed by
+values (sort keys, numbers, ids), never by a live sequent.  The pure memos,
+whose evicted entries are just recomputed, are emptied when they reach
+`_MEMO_CAP` entries, so their memory stays bounded and no outcome changes:
+`_instances`, `_wit_memo`, `_items`, `_heads`, `_antes` and the classical
+`_metas`.  What prunes or numbers the search stays unbounded, as evicting
+it would change node counts or keys: the failure caches, `_numbers`,
+`_path` and `_pending`.
 """
 
 from __future__ import annotations
@@ -242,14 +252,12 @@ def unify(a: Term, b: Term, subst: Subst) -> Subst | None:
         if a is b:
             continue
         ka, kb = type(a), type(b)
+        if kb is Meta and ka is not Meta:
+            a, b, ka = b, a, kb
         if ka is Meta:
             if _occurs_or_captures(a.ident, b, subst):
                 return None
             subst = subst.bind(a.ident, b)
-        elif kb is Meta:
-            if _occurs_or_captures(b.ident, a, subst):
-                return None
-            subst = subst.bind(b.ident, a)
         elif ka is App and kb is App and a.name == b.name and len(a.args) == len(b.args):
             stack += zip(reversed(a.args), reversed(b.args))
         else:
@@ -258,24 +266,26 @@ def unify(a: Term, b: Term, subst: Subst) -> Subst | None:
 
 
 def unify_formulas(f: Formula, g: Formula, subst: Subst) -> Subst | None:
-    """Structural unification of formulas; binder display names are irrelevant."""
-    match (f, g):
-        case (Top(), Top()) | (Bot(), Bot()):
-            return subst
-        case (Atom(p, xs), Atom(q, ys)) if p == q and len(xs) == len(ys):
-            for x, y in zip(xs, ys):
-                nxt = unify(x, y, subst)
-                if nxt is None:
-                    return None
-                subst = nxt
-            return subst
-        case (And(a, b), And(c, d)) | (Or(a, b), Or(c, d)) | (Imp(a, b), Imp(c, d)):
-            nxt = unify_formulas(a, c, subst)
-            return None if nxt is None else unify_formulas(b, d, nxt)
-        case (Forall(body=a), Forall(body=b)) | (Exists(body=a), Exists(body=b)):
-            return unify_formulas(a, b, subst)
-        case _:
+    """Structural unification of formulas, or None; subst itself when they
+    are equal under it.  Binder display names are irrelevant.  Parts are
+    unified left to right on an explicit stack, so nesting depth costs no
+    recursion."""
+    stack = [(f, g)]
+    while stack:
+        f, g = stack.pop()
+        k = type(f)
+        if k is not type(g) or k is Atom and (f.pred != g.pred or len(f.args) != len(g.args)):
             return None
+        if k is Atom:
+            for x, y in zip(f.args, g.args):
+                subst = unify(x, y, subst)
+                if subst is None:
+                    return None
+        elif k is Forall or k is Exists:
+            stack.append((f.body, g.body))
+        elif k is not Top and k is not Bot:
+            stack += ((f.right, g.right), (f.left, g.left))
+    return subst
 
 
 # ---------------------------------------------------------------------------
@@ -379,11 +389,29 @@ _NO_CYCLE = 10**9
 _Visit = Generator[tuple, Proof | None, Proof | None]
 
 
-class _Budget:
-    __slots__ = ("left",)
+#: the entries a pure memo holds before _stored empties it
+_MEMO_CAP = 4_096
 
-    def __init__(self, nodes: int):
-        self.left = nodes
+
+def _stored(memo: dict, key, value):
+    """Store value under key in memo, a pure memo, emptied first when it
+    holds _MEMO_CAP entries; return value."""
+    if len(memo) >= _MEMO_CAP:
+        memo.clear()
+    memo[key] = value
+    return value
+
+
+class _Search:
+    """What a search of either engine keeps: its root and limits, the nodes
+    left, and the names of the constants it made (see _made_name)."""
+
+    def __init__(self, root: Sequent, limits: SearchLimits):
+        self.root = root
+        self.limits = limits
+        self.left = limits.node_budget
+        self.made: set[str] = set()
+        self._prefixes: dict[str, str] = {}
 
     def tick(self) -> None:
         if self.left <= 0:
@@ -397,6 +425,16 @@ class _Budget:
             self.left = 0
             raise _OutOfNodes
         self.left -= nodes
+
+    def _made_name(self, base: str, number: int) -> str:
+        """The made constant number under base's prefix, which avoids every
+        symbol of the root and is reserved on first need; kept in made."""
+        prefix = self._prefixes.get(base)
+        if prefix is None:
+            prefix = self._prefixes[base] = _reserved_prefix(base, _symbols_everywhere(self.root))
+        name = f"{prefix}{number}"
+        self.made.add(name)
+        return name
 
 
 def _reserved_prefix(base: str, taken: set[str]) -> str:
@@ -460,18 +498,13 @@ class _Skel:
 _INSTANTIATIONS = (("ante", Forall, _FORALL_L_STAR), ("succ", Exists, _EXISTS_R_STAR))
 
 
-class _ClassicalProver:
+class _ClassicalProver(_Search):
+    """Its made constants are the eigenvariables e<n>, numbered in order,
+    and, once the search is over, a proof's blank c0 (see _ground)."""
+
     def __init__(self, root: Sequent, limits: SearchLimits):
-        self.root = root
-        self.limits = limits
-        self.budget = _Budget(limits.node_budget)
-        # the root's symbols and the name prefixes that avoid them, set by
-        # run on the first-order path only
-        self.root_symbols: set[str] = set()
-        self.eigen_prefix = self.const_prefix = ""
+        super().__init__(root, limits)
         self.next_meta = 0
-        self.next_eigen = 0
-        self.dynamic_eigens: set[str] = set()
         # each member's own metavariables, by the member's sort key
         self._metas: dict[str, frozenset[int]] = {}
         # the failures of premises that vacuous instantiations extend (see
@@ -483,7 +516,7 @@ class _ClassicalProver:
     def decide(self, s: Sequent) -> Proof | None:
         """Saturation decision: every propositional rule here is invertible,
         so one principal per sequent suffices and a failed leaf refutes."""
-        self.budget.tick()
+        self.tick()
         if is_axiom(s, self.limits.strengthened_axioms):
             return Proof(_AXIOM, s)
         if s.succ and _has_bot(s.ante):
@@ -510,10 +543,7 @@ class _ClassicalProver:
         return m
 
     def fresh_eigen(self) -> str:
-        name = f"{self.eigen_prefix}{self.next_eigen}"
-        self.next_eigen += 1
-        self.dynamic_eigens.add(name)
-        return name
+        return self._made_name("e", len(self.made))
 
     def _axiom_pairs(self, s: Sequent) -> Iterator[tuple[Formula, Formula]]:
         strengthened = self.limits.strengthened_axioms
@@ -521,17 +551,14 @@ class _ClassicalProver:
             if not (strengthened or isinstance(a, (Atom, Bot))):
                 continue
             for b in s.succ:
-                if isinstance(a, Atom) and isinstance(b, Atom):
-                    if a.pred == b.pred and len(a.args) == len(b.args):
-                        yield a, b
-                elif type(a) is type(b):
+                if type(a) is type(b) and (type(a) is not Atom or a.pred == b.pred and len(a.args) == len(b.args)):
                     yield a, b
 
     def solve(
         self, s: Sequent, subst: Subst, counts: dict[Formula, int], mult: int
     ) -> Iterator[tuple[Subst, _Skel]]:
         """Yield substitution/skeleton pairs that close every branch over s."""
-        self.budget.tick()
+        self.tick()
 
         # definitive closures: no metavariable bindings involved
         if s.succ and s.succ[0] is TOP:
@@ -593,12 +620,11 @@ class _ClassicalProver:
         sort key."""
         memo = self._metas
         own: set[int] = set()
-        for side in (s.ante, s.succ):
-            for f in side:
-                ms = memo.get(f._key)
-                if ms is None:
-                    ms = memo[f._key] = metas_in(f)
-                own |= ms
+        for f in s.ante + s.succ:
+            ms = memo.get(f._key)
+            if ms is None:
+                ms = _stored(memo, f._key, metas_in(f))
+            own |= ms
         return own
 
     def _live_metas(self, s: Sequent, subst: Subst) -> list[int]:
@@ -647,16 +673,16 @@ class _ClassicalProver:
             got = memo.get(key)
             if got is not None:
                 nodes, made = got
-                self.budget.charge(nodes)
+                self.charge(nodes)
                 self.next_meta += made
                 return
-        left, metas, eigens = self.budget.left, self.next_meta, self.next_eigen
+        left, metas, eigens = self.left, self.next_meta, len(self.made)
         found = False
         for out in self.solve(s, subst, counts, mult):
             found = True
             yield out
-        if not found and self.next_eigen == eigens:
-            memo[key_of() if key is None else key] = (left - self.budget.left, self.next_meta - metas)
+        if not found and len(self.made) == eigens:
+            memo[key_of() if key is None else key] = (left - self.left, self.next_meta - metas)
 
     def _solve_all(self, prems, subst, counts, mult) -> Iterator[tuple[Subst, tuple[_Skel, ...]]]:
         """solve over the one or two premises of a rule, threading the
@@ -677,11 +703,11 @@ class _ClassicalProver:
 
     def _ground(self, skel: _Skel, subst: Subst) -> Proof:
         """The proof skel stands for under subst.  Every metavariable subst
-        leaves unbound becomes one blank constant, the const prefix and 0:
-        that name avoids the root's symbols, the eigenvariables (which start
-        with the eigen prefix) and the metavariables (which start with X).
-        Every eigenvariable term becomes its name."""
-        grounding = _Grounding(subst, Const(f"{self.const_prefix}0"), self.dynamic_eigens)
+        leaves unbound becomes one blank constant, made constant 0 under c:
+        that name avoids the root's symbols, the eigenvariables (made under
+        e) and the metavariables (which start with X).  Every eigenvariable
+        term becomes its name."""
+        grounding = _Grounding(subst, Const(self._made_name("c", 0)), self.made)
         gterm = grounding.resolve_term
         # the skeleton's sequents share most of their members; the skeleton
         # keeps every member alive during the call, so each is grounded
@@ -718,9 +744,6 @@ class _ClassicalProver:
             if proof is None:
                 return Refuted()
             return Proved(proof, ProofClass("cstar"))
-        self.root_symbols = _symbols_everywhere(self.root)
-        self.eigen_prefix = _reserved_prefix("e", self.root_symbols)
-        self.const_prefix = _reserved_prefix("c", self.root_symbols)
         try:
             for mult in range(1, self.limits.quantifier_budget + 1):
                 for subst, skel in self.solve(self.root, Subst(), {}, mult):
@@ -786,24 +809,15 @@ def _collapsed(keys: tuple[str, ...], ante: tuple[Formula, ...], eager: tuple[ty
     return tuple(kept)
 
 
-class _GroundProver:
+class _GroundProver(_Search):
     """Single-succedent search.  uniform=False searches the contraction-free
     starred calculus; uniform=True restricts to goal-directed order and emits
     plain rules; a restart goal additionally enables the restart rules."""
 
     def __init__(self, root: Sequent, limits: SearchLimits, uniform: bool, restart_goal: Formula | None = None):
-        self.root = root
-        self.limits = limits
+        super().__init__(root, limits)
         self.uniform = uniform
         self.rgoal = restart_goal
-        self.budget = _Budget(limits.node_budget)
-        # the names of the constants this search made: the blank witness,
-        # number 0, and the eigenvariables, numbered from 1.  Their prefix
-        # avoids every symbol of the root; it and the blank are found on
-        # first need, which a quantifier-free search never has
-        self.made: set[str] = set()
-        self._prefix: str | None = None
-        self._blank: Const | None = None
         self.counter = 0
         self.truncated = False
         # definitive failures per canonical state, each recorded with the
@@ -819,8 +833,8 @@ class _GroundProver:
         # keys, and the per-search numbers of the holed member tuples
         self._antes: dict[tuple[str, ...], tuple] = {}
         self._numbers: dict[tuple, int] = {}
-        self._tallies: dict[tuple, tuple] = {}
-        self._wit_memo: dict[Sequent, list] = {}
+        # the witness candidates of a state, by its members' sort keys
+        self._wit_memo: dict[tuple, list] = {}
         # instantiate(f, t) by (id(f), id(t)); an entry holds f and t, so
         # neither id can pass to another object while the entry lives.  By
         # identity, not sort key: an instance keeps f's binder hints
@@ -837,17 +851,12 @@ class _GroundProver:
         self.prunes = 0
         self._eager = _EAGER[uniform, restart_goal is not None]
 
-    def _made_name(self, number: int) -> str:
-        if self._prefix is None:
-            self._prefix = _reserved_prefix("c", _symbols_everywhere(self.root))
-        name = f"{self._prefix}{number}"
-        self.made.add(name)
-        return name
-
     def _fresh(self) -> str:
-        """A new eigenvariable name."""
+        """A new eigenvariable name.  The made constants are c<n>: the
+        eigenvariables, numbered from 1, and the blank witness c0, made on
+        first need, which a quantifier-free search never has."""
         self.counter += 1
-        return self._made_name(self.counter)
+        return self._made_name("c", self.counter)
 
     # -- loop-check keys ------------------------------------------------------
 
@@ -863,8 +872,7 @@ class _GroundProver:
         got = self._items.get(f._key)
         if got is None:
             text, holes = self._template(f)
-            got = (text if holes else f._key, holes, type(f) in self._eager)
-            self._items[f._key] = got
+            got = _stored(self._items, f._key, (text if holes else f._key, holes, type(f) in self._eager))
         return got
 
     def _template(self, f: Formula) -> tuple[str, tuple[str, ...]]:
@@ -981,8 +989,7 @@ class _GroundProver:
             kept = sig
             if len(set(sig)) < len(sig):
                 kept = _collapsed(sig, ante, self._eager)
-            got = self._antes[sig] = (kept, sig, ())
-            return got
+            return _stored(self._antes, sig, (kept, sig, ()))
         items.sort()
         mapping: dict[str, int] = {}
         members: list = []
@@ -1002,20 +1009,18 @@ class _GroundProver:
                 kept += part
             prev = item
         numbers = self._numbers
-        got = self._antes[sig] = (
+        summary = (
             numbers.setdefault(tuple(kept), len(numbers)),
             numbers.setdefault(tuple(members), len(numbers)),
             tuple(mapping),
         )
-        return got
+        return _stored(self._antes, sig, summary)
 
     def _raised(self, counts: _Counts, key: str) -> _Counts:
-        """counts with key's tally one higher.  Equal tallies are shared, as
-        the failure cache holds them for the search."""
+        """counts with key's tally one higher."""
         c2 = _Counts(counts)
         c2[key] = c2.get(key, 0) + 1
-        tallies = tuple(sorted(c2.items()))
-        c2.tallies = self._tallies.setdefault(tallies, tallies)
+        c2.tallies = tuple(sorted(c2.items()))
         return c2
 
     # -- witness candidates -----------------------------------------------------
@@ -1024,7 +1029,7 @@ class _GroundProver:
         """instantiate(f, t), memoized for this search by identity."""
         got = self._instances.get((id(f), id(t)))
         if got is None:
-            got = self._instances[id(f), id(t)] = (f, t, instantiate(f, t))
+            got = _stored(self._instances, (id(f), id(t)), (f, t, instantiate(f, t)))
         return got[2]
 
     def _forall_premises(self, s: Sequent, f: Forall, counts: _Counts) -> Iterator[tuple[Term, Sequent, _Counts]]:
@@ -1041,14 +1046,12 @@ class _GroundProver:
                 yield t, s.plus(ante=(inst,)), c2
 
     def _witnesses(self, s: Sequent) -> list[Term]:
-        got = self._wit_memo.get(s)
+        key = (tuple(map(_KEY, s.ante)), s.succ[0]._key)
+        got = self._wit_memo.get(key)
         if got is None:
-            if self._blank is None:
-                self._blank = Const(self._made_name(0))
             terms = set(ground_subterms(s))
-            terms.add(self._blank)
-            got = sorted(terms, key=lambda t: (term_size(t), term_key(t)))
-            self._wit_memo[s] = got
+            terms.add(Const(self._made_name("c", 0)))
+            got = _stored(self._wit_memo, key, sorted(terms, key=lambda t: (term_size(t), term_key(t))))
         return got
 
     # -- relevance --------------------------------------------------------------
@@ -1072,8 +1075,7 @@ class _GroundProver:
                 else:
                     exact.append(args)
             elif k is Bot:
-                self._heads[f._key] = True
-                return True
+                return _stored(self._heads, f._key, True)
             elif k is And or k is Or:
                 stack.append(g.left)
                 stack.append(g.right)
@@ -1082,8 +1084,7 @@ class _GroundProver:
             elif k is Forall or k is Exists:
                 stack.append(g.body)
         index = {head: (frozenset(exact), tuple(wild)) for head, (exact, wild) in heads.items()}
-        self._heads[f._key] = index
-        return index
+        return _stored(self._heads, f._key, index)
 
     def _attainable(self, s: Sequent, goal: Formula) -> bool:
         """Whether left rules could ever close this atomic or bottom goal:
@@ -1137,7 +1138,7 @@ class _GroundProver:
                 result = None
 
     def _visit(self, s: Sequent, depth: int, counts: _Counts) -> _Visit:
-        self.budget.tick()
+        self.tick()
         goal = s.succ[0]
         strengthened = self.limits.strengthened_axioms
 
@@ -1145,11 +1146,7 @@ class _GroundProver:
         if is_axiom(s, strengthened):
             if not self.uniform or isinstance(goal, (Atom, Top, Bot)):
                 return Proof(_AXIOM, s)
-        if (
-            _has_bot(s.ante)
-            and not isinstance(goal, Bot)
-            and (not self.uniform or isinstance(goal, Atom))
-        ):
+        if _has_bot(s.ante) and not isinstance(goal, Bot) and (not self.uniform or isinstance(goal, Atom)):
             (premise,) = premises(_BOT_R, s, 0, goal)
             return Proof(_BOT_R, s, (Proof(_AXIOM, premise),), ("succ", 0))
 

@@ -1081,14 +1081,16 @@ def reference_classical_prover(root: Sequent, limits):
         _ClassicalProver,
         _has_bot,
         _invertible_step,
+        _reserved_prefix,
         _Skel,
+        _symbols_everywhere,
         unify_formulas,
     )
     from seqcalc.syntax import TOP, free_symbols, map_terms
 
     class ReferenceClassicalProver(_ClassicalProver):
         def solve(self, s, subst, counts, mult):
-            self.budget.tick()
+            self.tick()
             if s.succ and s.succ[0] is TOP:
                 yield subst, _Skel(RuleId.AXIOM, s)
                 return
@@ -1139,7 +1141,8 @@ def reference_classical_prover(root: Sequent, limits):
 
         def _ground(self, skel, subst):
             leftovers: set[int] = set()
-            symbols = self.root_symbols | self.dynamic_eigens
+            taken = _symbols_everywhere(self.root)
+            symbols = taken | self.made
 
             def scan(sk) -> None:
                 resolved = [subst.resolve_formula(f) for f in sk.seq.ante + sk.seq.succ]
@@ -1153,14 +1156,15 @@ def reference_classical_prover(root: Sequent, limits):
                     scan(p)
 
             scan(skel)
+            prefix = _reserved_prefix("c", taken)
             k = 0
-            while f"{self.const_prefix}{k}" in symbols:
+            while f"{prefix}{k}" in symbols:
                 k += 1
-            blank = Const(f"{self.const_prefix}{k}")
+            blank = Const(f"{prefix}{k}")
             fill = Subst({i: blank for i in leftovers})
 
             def gterm(t: Term) -> Term:
-                return _reference_collapse(fill.resolve_term(subst.resolve_term(t)), self.dynamic_eigens)
+                return _reference_collapse(fill.resolve_term(subst.resolve_term(t)), self.made)
 
             def build(sk) -> Proof:
                 seq = Sequent(

@@ -18,10 +18,11 @@ from seqcalc.search import (
     Refuted,
     SearchLimits,
     Subst,
-    _Budget,
     _ClassicalProver,
     _NO_COUNTS,
+    _MEMO_CAP,
     _GroundProver,
+    _Search,
     herbrandize,
     is_quantifier_free_sequent,
     prove,
@@ -565,6 +566,61 @@ def test_instance_memo_keeps_each_variant_s_binder_hints():
     assert prover._instance(y, a) is got_y
 
 
+#: the relations the memo-cap property runs: the keyed searches and c
+_CAPPED_SEARCHES = _KEYED_SEARCHES + (lambda s, limits: prove(s, "c", limits),)
+
+
+def _capped_run(search, s: Sequent, cap: int) -> tuple:
+    """The outcome's kind, its proof document, the nodes left and the
+    prunes (None under c) of search on s within 400 nodes, with the memo
+    cap at cap."""
+    provers = []
+    init = _Search.__init__
+
+    def recording(prover, *args):
+        provers.append(prover)
+        init(prover, *args)
+
+    with mock.patch.object(_Search, "__init__", recording), mock.patch("seqcalc.search._MEMO_CAP", cap):
+        out = search(s, SearchLimits(node_budget=400))
+    (prover,) = provers
+    doc = dump_proof(out.proof, out.proof_class) if isinstance(out, Proved) else None
+    return type(out).__name__, doc, prover.left, getattr(prover, "prunes", None)
+
+
+@settings(max_examples=100)
+@given(st.integers(0, 10**6))
+def test_outcomes_do_not_depend_on_the_memo_cap(seed):
+    # cap 1 empties a memo at every store, cap 7 now and then
+    for s in (_key_draw(seed), _fragment_draw(_FRAGMENTS[seed % len(_FRAGMENTS)], seed)):
+        for search in _CAPPED_SEARCHES:
+            want = _capped_run(search, s, _MEMO_CAP)
+            assert _capped_run(search, s, 1) == want and _capped_run(search, s, 7) == want
+
+
+def test_a_long_search_keeps_its_pure_memos_within_the_cap():
+    # the restart search of CHANGES.md's depth-first repro, cut at 20,000
+    # nodes; its default-cap memos outgrow the small cap
+    s = augment(
+        parse_sequent(
+            "(forall x0. (p(a) & (forall x1. p(x0)))), (forall x0. (forall x1. (s => p(x1)))), "
+            "(forall x0. (p(x0) => p(x0))) |- (forall x0. (p(x0) & (q | p(a))))"
+        )
+    )
+
+    def run(cap: int) -> tuple:
+        prover = _GroundProver(s, SearchLimits(node_budget=20_000), uniform=True, restart_goal=s.succ[0])
+        with mock.patch("seqcalc.search._MEMO_CAP", cap):
+            out = prover.run()
+        memos = (prover._instances, prover._wit_memo, prover._items, prover._heads, prover._antes)
+        return (type(out).__name__, prover.prunes, len(prover.failed), prover.left), max(map(len, memos))
+
+    capped, largest = run(64)
+    assert largest <= 64
+    full, largest = run(_MEMO_CAP)
+    assert largest > 64 and capped == full
+
+
 def _recorded_relevance(s: Sequent) -> list[tuple]:
     """Each (state, goal, verdict) the ground searches of s checked for
     relevance."""
@@ -669,7 +725,7 @@ def _classical_run(prover) -> tuple:
     """The outcome's kind, its proof document and the nodes left after run."""
     out = prover.run()
     doc = dump_proof(out.proof, out.proof_class) if isinstance(out, Proved) else None
-    return type(out).__name__, doc, prover.budget.left
+    return type(out).__name__, doc, prover.left
 
 
 @settings(max_examples=300)
@@ -721,20 +777,20 @@ def test_memoized_failures_are_charged_at_their_full_size(text):
     s = parse_sequent(text)
     limits = SearchLimits(node_budget=10_000)
     real = 0
-    tick = _Budget.tick
+    tick = _Search.tick
 
-    def counting(budget):
+    def counting(search):
         nonlocal real
         real += 1
-        tick(budget)
+        tick(search)
 
     prover = _ClassicalProver(s, limits)
-    with mock.patch.object(_Budget, "tick", counting):
+    with mock.patch.object(_Search, "tick", counting):
         prover.run()
     reference = reference_classical_prover(s, limits)
     assert _classical_run(reference)[0] == "NotProvedWithinLimits"
-    charged = limits.node_budget - prover.budget.left
-    assert real < charged == limits.node_budget - reference.budget.left
+    charged = limits.node_budget - prover.left
+    assert real < charged == limits.node_budget - reference.left
     assert prover.next_meta == reference.next_meta
     # a budget that runs out inside a memoized failure leaves no nodes
     for budget in range(real, charged + 1):
@@ -750,6 +806,16 @@ def test_deep_terms_unify_and_resolve_at_the_default_recursion_limit():
     assert subst is not None and subst.resolve_term(Meta(0)) == Const("a")
     assert subst.resolve_term(pattern) is deep
     assert unify(Meta(0), App("g", (pattern,)), Subst()) is None
+    # a strengthened closure unifies two members nested past the limit
+    body = Atom("p", (Bound(0),))
+    for _ in range(_DEEP):
+        body = neg(body)
+    q = Forall(body, "x")
+    empty = Subst()
+    assert unify_formulas(q, q, empty) is empty
+    res = prove(Sequent((q,), (q,)), "c", SearchLimits(strengthened_axioms=True))
+    assert isinstance(res, Proved), res
+    assert check_proof(res.proof, res.proof_class, strengthened_axioms=True)
 
 
 # ---------------------------------------------------------------------------
