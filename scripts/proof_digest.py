@@ -19,7 +19,11 @@ eliminate_contractions both of the expanded c proof and of a copy of each
 starred proof with seeded contractions inserted (decorate_with_contractions
 in tests/_oracles.py).  Each result is recorded as its dump_proof document,
 or as the class of the error it raised.  It is not part of the all line.
-The output does not depend on PYTHONHASHSEED.
+
+The weaken line covers weakening with eigenvariable renaming on the same
+proofs: for every eigenvariable e of a proof, in the order the proof's
+nodes first bind them, weaken by w(e) on the antecedent and on the
+succedent, recorded alike.  The output does not depend on PYTHONHASHSEED.
 """
 
 from __future__ import annotations
@@ -34,12 +38,14 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 from seqcalc import Proved, SearchLimits, augment, dump_proof, parse_corpus, prove, prove_restart  # noqa: E402
-from seqcalc.syntax import Atom, Sequent  # noqa: E402
+from seqcalc.calculus import proof_nodes  # noqa: E402
+from seqcalc.syntax import Atom, Const, Sequent  # noqa: E402
 from seqcalc.transform import (  # noqa: E402
     TransformError,
     eliminate_contractions,
     expand_starred,
     extract_intuitionistic,
+    weaken,
 )
 
 from _oracles import (  # noqa: E402
@@ -87,6 +93,16 @@ def _transforms(out: Proved, seed: int):
         yield "elim-decorated", _transformed(
             lambda: eliminate_contractions(decorate_with_contractions(rng, p, 2)), cls
         )
+
+
+def _weakenings(out: Proved):
+    """(eigenvariable, side, record) for each weakening of the proof of out
+    by w(e), e an eigenvariable the proof binds."""
+    p, cls = out.proof, out.proof_class
+    for e in dict.fromkeys(n.eigen for n in proof_nodes(p) if n.eigen):
+        w = (Atom("w", (Const(e),)),)
+        yield e, "ante", _transformed(lambda: weaken(p, extra_ante=w), cls)
+        yield e, "succ", _transformed(lambda: weaken(p, extra_succ=w), cls)
 
 
 def _relations(s: Sequent, limits: SearchLimits):
@@ -147,6 +163,12 @@ def main(argv=None) -> int:
             h.update(f"{rel}\t{step}\t{record}\n".encode())
             n += 1
     print(f"transforms {n} {h.hexdigest()}")
+    h, n = hashlib.sha256(), 0
+    for rel, out in proved:
+        for e, side, record in _weakenings(out):
+            h.update(f"{rel}\t{e}\t{side}\t{record}\n".encode())
+            n += 1
+    print(f"weaken {n} {h.hexdigest()}")
     return 0
 
 

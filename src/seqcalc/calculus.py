@@ -3,8 +3,12 @@
 A proof is a tree of rule applications.  Each node records its conclusion
 sequent, the rule used, which formula was principal (side and index into the
 canonical sequent), plus a witness term or eigenvariable name where the rule
-needs one.  `check_proof` replays the tree bottom-up against one of the
-calculus classes:
+needs one.  `fold_proof` is the one post-order walk over a proof, on an
+explicit stack: `proof_height`, `proof_to_json`, the proof transforms and
+the classical prover's grounding are its callbacks.  `Proof` equality walks
+an explicit stack too, and a proof hashes by its rule and conclusion.
+`check_proof` replays the tree bottom-up against one of the calculus
+classes:
 
     c           classical multiset calculus with explicit contraction
     i           the same rules restricted to singleton succedents
@@ -39,7 +43,7 @@ from __future__ import annotations
 import enum
 import json
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Any, Callable, Iterator
 
 from .syntax import (
     BOT,
@@ -124,7 +128,7 @@ def rule_family(rule: RuleId) -> str:
     return _FAMILY.get(rule, rule.value)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Proof:
     rule: RuleId
     conclusion: Sequent
@@ -133,18 +137,48 @@ class Proof:
     witness: Term | None = None
     eigen: str | None = None
 
+    def __eq__(self, other):
+        """Node by node on an explicit stack, a pair of one node at once."""
+        if not isinstance(other, Proof):
+            return NotImplemented
+        stack = [(self, other)]
+        while stack:
+            a, b = stack.pop()
+            if a is b:
+                continue
+            if (a.rule, a.conclusion, a.principal, a.witness, a.eigen) != (
+                b.rule, b.conclusion, b.principal, b.witness, b.eigen
+            ) or len(a.premises) != len(b.premises):
+                return False
+            stack += zip(a.premises, b.premises)
+        return True
+
+    def __hash__(self) -> int:
+        return hash((self.rule, self.conclusion))
+
+
+def fold_proof(p: Proof, leave: Callable[[Proof, tuple], Any]) -> Any:
+    """leave(node, results) for every node of p in post-order, results being
+    what leave gave the node's premises, left to right; the root's result.
+    Walks an explicit stack, so proof height costs no recursion."""
+    done: list = []
+    stack: list = [(p, False)]
+    while stack:
+        node, ready = stack.pop()
+        if ready or not node.premises:
+            n = len(done) - len(node.premises)
+            results = tuple(done[n:])
+            del done[n:]
+            done.append(leave(node, results))
+        else:
+            stack.append((node, True))
+            stack += [(q, False) for q in reversed(node.premises)]
+    return done[0]
+
 
 def proof_height(p: Proof) -> int:
     """Nodes on the longest root-to-leaf path: a lone axiom has height 1."""
-    best = 1
-    stack = [(p, 1)]
-    while stack:
-        node, h = stack.pop()
-        if not node.premises:
-            best = max(best, h)
-        for q in node.premises:
-            stack.append((q, h + 1))
-    return best
+    return fold_proof(p, lambda node, heights: 1 + max(heights, default=0))
 
 
 def proof_nodes(p: Proof) -> Iterator[Proof]:
@@ -561,14 +595,9 @@ def proof_to_json(p: Proof, cls: ProofClass) -> dict:
         return out
 
     nodes: list[dict] = []
-    # post-order on an explicit stack: (node, indices of its premises so far)
-    stack: list[tuple[Proof, list[int]]] = [(p, [])]
-    while stack:
-        node, done = stack[-1]
-        if len(done) < len(node.premises):
-            stack.append((node.premises[len(done)], []))
-            continue
-        stack.pop()
+
+    def leave(node: Proof, done: tuple[int, ...]) -> int:
+        """Append node's entry; its index in nodes."""
         entry: dict = {"rule": node.rule.value}
         if node.conclusion.ante:
             entry["ante"] = refs(node.conclusion.ante)
@@ -581,10 +610,11 @@ def proof_to_json(p: Proof, cls: ProofClass) -> dict:
         if node.eigen is not None:
             entry["eigen"] = node.eigen
         if done:
-            entry["premises"] = done
-        if stack:
-            stack[-1][1].append(len(nodes))
+            entry["premises"] = list(done)
         nodes.append(entry)
+        return len(nodes) - 1
+
+    fold_proof(p, leave)
 
     doc: dict = {"format": _FORMAT, "class": cls.kind}
     if cls.goal is not None:

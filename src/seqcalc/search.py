@@ -69,7 +69,7 @@ from itertools import count
 from operator import attrgetter
 from typing import Callable, Generator, Iterable, Iterator, Union
 
-from .calculus import INVERTIBLE, Proof, ProofClass, RuleId, is_axiom, premises, restart_class
+from .calculus import INVERTIBLE, Proof, ProofClass, RuleId, fold_proof, is_axiom, premises, restart_class
 from .syntax import (
     BOT,
     TOP,
@@ -481,19 +481,6 @@ def _invertible_step(s: Sequent) -> tuple[RuleId, str, int, Formula] | None:
 # classical prover
 
 
-@dataclass
-class _Skel:
-    """Proof node under construction; sequents may still contain metavariables."""
-
-    rule: RuleId
-    seq: Sequent
-    premises: tuple["_Skel", ...] = ()
-    side: str | None = None
-    pformula: Formula | None = None
-    witness: Term | None = None
-    eigen: str | None = None
-
-
 #: the classical prover's quantifier instantiations: (side, connective, rule)
 _INSTANTIATIONS = (("ante", Forall, _FORALL_L_STAR), ("succ", Exists, _EXISTS_R_STAR))
 
@@ -556,18 +543,19 @@ class _ClassicalProver(_Search):
 
     def solve(
         self, s: Sequent, subst: Subst, counts: dict[Formula, int], mult: int
-    ) -> Iterator[tuple[Subst, _Skel]]:
-        """Yield substitution/skeleton pairs that close every branch over s."""
+    ) -> Iterator[tuple[Subst, Proof]]:
+        """Yield substitution/skeleton pairs that close every branch over s:
+        a skeleton is a proof whose sequents may hold metavariables."""
         self.tick()
 
         # definitive closures: no metavariable bindings involved
         if s.succ and s.succ[0] is TOP:
             # top is interned and sorts first in a sorted side
-            yield subst, _Skel(_AXIOM, s)
+            yield subst, Proof(_AXIOM, s)
             return
         if s.succ and _has_bot(s.ante):
             (premise,) = premises(_BOT_R, s, 0, s.succ[0])
-            yield subst, _Skel(_BOT_R, s, (_Skel(_AXIOM, premise),), "succ", s.succ[0])
+            yield subst, Proof(_BOT_R, s, (Proof(_AXIOM, premise),), ("succ", 0))
             return
         # a pair that unifies without a new binding is already equal under
         # subst and closes definitively; pairs that commit to bindings are
@@ -576,12 +564,12 @@ class _ClassicalProver(_Search):
         for a, b in self._axiom_pairs(s):
             nxt = unify_formulas(a, b, subst)
             if nxt is subst:
-                yield subst, _Skel(_AXIOM, s)
+                yield subst, Proof(_AXIOM, s)
                 return
             if nxt is not None:
                 alternatives.append(nxt)
         for nxt in alternatives:
-            yield nxt, _Skel(_AXIOM, s)
+            yield nxt, Proof(_AXIOM, s)
 
         # one invertible step, when available
         step = _invertible_step(s)
@@ -593,7 +581,7 @@ class _ClassicalProver(_Search):
                 live = self._live_metas(s, subst)
                 term = App(eigen, tuple(Meta(m) for m in live)) if live else Const(eigen)
             for sb, subs in self._solve_all(premises(rule, s, i, f, term), subst, counts, mult):
-                yield sb, _Skel(rule, s, subs, side, f, eigen=eigen)
+                yield sb, Proof(rule, s, subs, (side, i), eigen=eigen)
             return
 
         # quantifier instantiations: the only genuine proof-shape choices left
@@ -613,7 +601,7 @@ class _ClassicalProver(_Search):
                     else:
                         closings = self.solve(premise, subst, c2, mult)
                     for sb, sk in closings:
-                        yield sb, _Skel(rule, s, (sk,), side, f, witness=m)
+                        yield sb, Proof(rule, s, (sk,), (side, i), m)
 
     def _own_metas(self, s: Sequent) -> set[int]:
         """The metavariables s's members hold, each member's memoized by its
@@ -684,7 +672,7 @@ class _ClassicalProver(_Search):
         if not found and len(self.made) == eigens:
             memo[key_of() if key is None else key] = (left - self.left, self.next_meta - metas)
 
-    def _solve_all(self, prems, subst, counts, mult) -> Iterator[tuple[Subst, tuple[_Skel, ...]]]:
+    def _solve_all(self, prems, subst, counts, mult) -> Iterator[tuple[Subst, tuple[Proof, ...]]]:
         """solve over the one or two premises of a rule, threading the
         substitution from the first into the second.  The second premise
         is searched once per substitution the first yields; its failures
@@ -701,7 +689,7 @@ class _ClassicalProver(_Search):
 
     # -- grounding -------------------------------------------------------------
 
-    def _ground(self, skel: _Skel, subst: Subst) -> Proof:
+    def _ground(self, skel: Proof, subst: Subst) -> Proof:
         """The proof skel stands for under subst.  Every metavariable subst
         leaves unbound becomes one blank constant, made constant 0 under c:
         that name avoids the root's symbols, the eigenvariables (made under
@@ -720,20 +708,18 @@ class _ClassicalProver(_Search):
                 g = grounded[id(f)] = map_terms(f, lambda a, _: gterm(a))
             return g
 
-        def build(sk: _Skel) -> Proof:
-            seq = Sequent(
-                tuple(gformula(f) for f in sk.seq.ante),
-                tuple(gformula(f) for f in sk.seq.succ),
-            )
-            principal = None
-            if sk.pformula is not None:
-                pf = gformula(sk.pformula)
-                formulas = seq.ante if sk.side == "ante" else seq.succ
-                principal = (sk.side, formulas.index(pf))
+        def leave(sk: Proof, grounded_premises: tuple[Proof, ...]) -> Proof:
+            s = sk.conclusion
+            seq = Sequent(tuple(map(gformula, s.ante)), tuple(map(gformula, s.succ)))
+            principal = sk.principal
+            if principal is not None:
+                side, i = principal
+                pf = gformula((s.ante if side == "ante" else s.succ)[i])
+                principal = (side, (seq.ante if side == "ante" else seq.succ).index(pf))
             witness = None if sk.witness is None else gterm(sk.witness)
-            return Proof(sk.rule, seq, tuple(build(p) for p in sk.premises), principal, witness, sk.eigen)
+            return Proof(sk.rule, seq, grounded_premises, principal, witness, sk.eigen)
 
-        return build(skel)
+        return fold_proof(skel, leave)
 
     def run(self) -> SearchOutcome:
         if is_quantifier_free_sequent(self.root):

@@ -488,15 +488,17 @@ def substitute(t: Term, name: str, f: Formula) -> Formula:
     return map_terms(f, _replacing(name, t))
 
 
-def rename_constant(x: Formula | Term, old: str, new: str) -> Formula | Term:
-    """Rename a constant or function symbol everywhere in x, a formula or a
-    term."""
+def rename_constant(x: Formula | Term, names: dict[str, str]) -> Formula | Term:
+    """Rename each constant or function symbol that names maps, everywhere
+    in x, a formula or a term, to the name it maps to: all at once, so a
+    name renamed and a name renamed to are never confused."""
+    get = names.get
 
     def renamed(a: Term, _: int) -> Term | str | None:
         k = type(a)
         if k is App:
-            return new if a.name == old else None
-        return Const(new) if k is Const and a.name == old else a
+            return get(a.name)
+        return Const(names[a.name]) if k is Const and a.name in names else a
 
     return map_terms(x, renamed)
 

@@ -26,13 +26,20 @@ principal.  So contraction elimination takes one step for every rule that
 consumes the contracted formula, and expansion and its inverse, ``_starify``,
 one step for those four rules.  Transformations detect malformed inputs
 lazily and raise TransformError.
+
+Weakening, freshening and rebinding are one explicit-stack walk,
+``_rewrite``; ``expand_starred``, ``_starify`` and the outer walk of
+``eliminate_contractions`` are ``calculus.fold_proof`` callbacks.  The
+steps that may stop at a node, ``_contract_once``, ``_invert_once``,
+``_drop_bot_succ`` and ``_extract_some_goal``, still recurse.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
+from operator import is_
 
-from .calculus import INVERTIBLE, Proof, RuleId, is_axiom, premises, proof_nodes, rule_family, rule_usage
+from .calculus import INVERTIBLE, Proof, RuleId, fold_proof, is_axiom, premises, proof_nodes, rule_family, rule_usage
 from .fragments import FORBIDDEN_FAMILIES
 from .syntax import (
     BOT,
@@ -104,58 +111,70 @@ def _tree_symbols(p: Proof) -> set[str]:
     return set(free_symbols(parts)) | {n.eigen for n in nodes if n.eigen}
 
 
-def _rename_seq(s: Sequent, old: str, new: str) -> Sequent:
-    return Sequent(
-        tuple(rename_constant(f, old, new) for f in s.ante),
-        tuple(rename_constant(f, old, new) for f in s.succ),
-    )
+def _renamed(s: Sequent, names: dict[str, str]) -> Sequent:
+    """s with names renamed; s itself, not sorted anew, if no member changes."""
+    ante, succ = ([rename_constant(f, names) for f in side] for side in (s.ante, s.succ))
+    return s if all(map(is_, ante + succ, s.ante + s.succ)) else Sequent(ante, succ)
 
 
-def _rename_eigen_subtree(p: Proof, old: str, new: str) -> Proof:
-    """Rename a constant throughout a subtree, eigen bindings included.
-
-    Sound on valid proofs: reuse of an eigenvariable name deeper in the tree
-    is only possible where the outer name no longer occurs, so a blanket
-    rename cannot conflate distinct binders.
-    """
-    concl = _rename_seq(p.conclusion, old, new)
-    principal = None
-    if p.principal is not None:
-        side, idx = p.principal
-        src = p.conclusion.ante if side == "ante" else p.conclusion.succ
-        pf = rename_constant(src[idx], old, new)
-        dst = concl.ante if side == "ante" else concl.succ
-        principal = (side, dst.index(pf))
-    witness = rename_constant(p.witness, old, new) if p.witness is not None else None
-    eigen = new if p.eigen == old else p.eigen
-    premises = tuple(_rename_eigen_subtree(q, old, new) for q in p.premises)
-    return Proof(p.rule, concl, premises, principal, witness, eigen)
-
-
-def _avoid_eigens(p: Proof, avoid: set[str], taken: set[str]) -> Proof:
-    if p.eigen and p.eigen in avoid:
-        new = fresh_name(p.eigen, taken | avoid)
-        taken.add(new)
-        p = _rename_eigen_subtree(p, p.eigen, new)
-    if not p.premises:
-        return p
-    return replace(p, premises=tuple(_avoid_eigens(q, avoid, taken) for q in p.premises))
-
-
-def _freshen_eigens(p: Proof, avoid: set[str]) -> Proof:
-    """Rename every eigenvariable of p that collides with a name in avoid."""
-    return _avoid_eigens(p, set(avoid), _tree_symbols(p))
+def _rebuilt(p: Proof, premises: tuple[Proof, ...]) -> Proof:
+    """p over premises: p itself when each is the premise p has."""
+    return p if all(map(is_, premises, p.premises)) else replace(p, premises=premises)
 
 
 # ---------------------------------------------------------------------------
-# weakening
+# weakening, freshening and rebinding: one rewrite
+
+
+def _rewrite(p: Proof, names: dict[str, str], avoid, ante: tuple = (), succ: tuple = ()) -> Proof:
+    """p with the constants names maps renamed, each eigenvariable in avoid
+    freshened throughout its subtree when the walk reaches its node (so in
+    pre-order), and every sequent widened by ante and succ (an imp-l's first
+    premise by ante only).  Sound on valid proofs, which reuse an eigenvariable
+    name only where the outer one no longer occurs.  Keeps unchanged nodes."""
+    taken = None
+    done: list[Proof] = []
+    stack: list = [(p, names, succ, False)]
+    while stack:
+        node, names, es, ready = stack.pop()
+        rule = node.rule
+        if not ready:
+            x = node.eigen
+            if x in avoid and x not in names:
+                if taken is None:
+                    taken = _tree_symbols(p) | avoid
+                names = {**names, x: fresh_name(x, taken)}
+                taken.add(names[x])
+            if es and rule in (RuleId.RESTART, RuleId.OR_L_RESTART):
+                raise TransformError("cannot weaken the succedent of a restart-rule node")
+            stack.append((node, names, es, True))
+            # imp-l's first premise drops the succedent context
+            first = () if rule in (RuleId.IMP_L, RuleId.IMP_L_STAR_INT) else es
+            prems = node.premises
+            stack += [(prems[j], names, es if j else first, False) for j in range(len(prems) - 1, -1, -1)]
+            continue
+        n = len(done) - len(node.premises)
+        premises = tuple(done[n:])
+        del done[n:]
+        if not names and not ante and not es:
+            done.append(_rebuilt(node, premises))
+            continue
+        t, witness = node.conclusion, node.witness
+        formula = _principal_formula(node) if node.principal is not None else None
+        if names:
+            t = _renamed(t, names)
+            formula, witness = [x if x is None else rename_constant(x, names) for x in (formula, witness)]
+        side = node.principal[0] if formula is not None else None
+        eigen = names.get(node.eigen, node.eigen)
+        done.append(_node(rule, t.plus(ante=ante, succ=es), premises, side, formula, witness, eigen))
+    return done[0]
 
 
 def weaken(p: Proof, extra_ante=(), extra_succ=()) -> Proof:
     """Widen every sequent of p by the extra formulas; height never grows.
 
-    Eigenvariables that occur in the added formulas are renamed first, so
-    the freshness provisos keep holding.  Succedent weakening is rejected on
+    Eigenvariables that occur in the added formulas are renamed, so the
+    freshness provisos keep holding.  Succedent weakening is rejected on
     restart-rule nodes, whose goal premise admits no extra succedent context,
     and on single-succedent implication-left nodes, whose left premise drops
     the succedent outright.
@@ -168,29 +187,19 @@ def weaken(p: Proof, extra_ante=(), extra_succ=()) -> Proof:
         raise TransformError(
             "cannot weaken the succedent through a single-succedent implication-left rule"
         )
-    avoid = set(free_symbols(extra_ante)) | set(free_symbols(extra_succ))
-    if avoid:
-        p = _freshen_eigens(p, avoid)
-    return _widen(p, extra_ante, extra_succ)
+    return _rewrite(p, {}, free_symbols(extra_ante + extra_succ), extra_ante, extra_succ)
 
 
-def _widen(p: Proof, ea: tuple, es: tuple) -> Proof:
-    s = p.conclusion
-    t = s.plus(ante=ea, succ=es)
-    rule = p.rule
-    if rule is RuleId.AXIOM:
-        return Proof(RuleId.AXIOM, t)
-    if rule in (RuleId.RESTART, RuleId.OR_L_RESTART) and es:
-        raise TransformError("cannot weaken the succedent of a restart-rule node")
+def _freshen_eigens(p: Proof, avoid) -> Proof:
+    """Rename every eigenvariable of p that collides with a name in avoid."""
+    return _rewrite(p, {}, avoid)
 
-    if rule in (RuleId.IMP_L, RuleId.IMP_L_STAR_INT):
-        premises = (_widen(p.premises[0], ea, ()), _widen(p.premises[1], ea, es))
-    else:
-        premises = tuple(_widen(q, ea, es) for q in p.premises)
 
-    formula = _principal_formula(p) if p.principal is not None else None
-    side = p.principal[0] if p.principal is not None else None
-    return _node(rule, t, premises, side, formula, p.witness, p.eigen)
+def _rebind_eigen(q: Proof, old: str, new: str) -> Proof:
+    """q with old renamed to new and, at once, each eigenvariable new to a fresh name."""
+    if old == new:
+        return q
+    return _rewrite(q, {old: new}, {new})
 
 
 # ---------------------------------------------------------------------------
@@ -276,13 +285,6 @@ def _inverted_sequent(s: Sequent, side: str, f: Formula, which: int, eigen: str 
     return premises(rule, s, index, f, None if eigen is None else Const(eigen))[which]
 
 
-def _rebind_eigen(q: Proof, old: str, new: str) -> Proof:
-    if old == new:
-        return q
-    q = _freshen_eigens(q, {new})
-    return _rename_eigen_subtree(q, old, new)
-
-
 def _invert_once(p: Proof, side: str, f: Formula, which: int = 0, eigen: str | None = None) -> Proof:
     """Replace one occurrence of f in p's conclusion by its rule premise parts.
 
@@ -320,7 +322,7 @@ def _invert_once(p: Proof, side: str, f: Formula, which: int = 0, eigen: str | N
             parts_succ = multiset_minus(t.succ, multiset_minus(s.succ, (f,)))
             parts_ante = multiset_minus(t.ante, s.ante)
             head = parts_succ[0]
-            q = _widen_or_keep(p.premises[0], parts_ante, multiset_minus(parts_succ, (head,)))
+            q = weaken(p.premises[0], parts_ante, multiset_minus(parts_succ, (head,)))
             return _node(RuleId.BOT_R, t, [q], "succ", head)
         # keep-style rules fall through to the context case below
 
@@ -348,12 +350,6 @@ def _reclose(s: Sequent, t: Sequent, redo) -> Proof:
             rest_succ = multiset_minus(s.succ, (g,))
             return redo(weaken(identity_proof(g), rest_ante, rest_succ))
     raise TransformError(f"axiom {s} does not close {t}")
-
-
-def _widen_or_keep(p: Proof, ea, es) -> Proof:
-    if not ea and not es:
-        return p
-    return weaken(p, ea, es)
 
 
 # ---------------------------------------------------------------------------
@@ -474,13 +470,15 @@ def eliminate_contractions(p: Proof) -> Proof:
     """Rewrite a starred-calculus proof with contraction nodes into one
     without, preserving the end sequent.  Contractions are removed topmost
     first, so each removal works on a contraction-free subproof."""
-    premises = tuple(eliminate_contractions(q) for q in p.premises)
+    return fold_proof(p, _eliminated)
+
+
+def _eliminated(p: Proof, premises: tuple[Proof, ...]) -> Proof:
+    """p over its premises made contraction-free, its own contraction removed."""
     if p.rule in (RuleId.CONTR_L, RuleId.CONTR_R):
         side = "ante" if p.rule is RuleId.CONTR_L else "succ"
         return _contract_once(premises[0], side, _principal_formula(p))
-    if premises == p.premises:
-        return p
-    return replace(p, premises=premises)
+    return _rebuilt(p, premises)
 
 
 # ---------------------------------------------------------------------------
@@ -491,7 +489,11 @@ def expand_starred(p: Proof) -> Proof:
     """Replace every starred node by its plain decomposition with explicit
     contractions.  Succedent cardinalities are preserved, so single-succedent
     inputs expand to single-succedent outputs."""
-    expanded = tuple(expand_starred(q) for q in p.premises)
+    return fold_proof(p, _expanded)
+
+
+def _expanded(p: Proof, expanded: tuple[Proof, ...]) -> Proof:
+    """p over its expanded premises, itself expanded if starred."""
     s = p.conclusion
     rule = p.rule
 
@@ -529,10 +531,7 @@ def expand_starred(p: Proof) -> Proof:
             acc.remove(d)
             cur = _node(RuleId.CONTR_R, Sequent(doubled_ante, tuple(acc)), [cur], "succ", d)
         return _node(RuleId.CONTR_L, s, [cur], "ante", f)
-
-    if expanded == p.premises:
-        return p
-    return replace(p, premises=expanded)
+    return _rebuilt(p, expanded)
 
 
 # ---------------------------------------------------------------------------
@@ -542,7 +541,11 @@ def expand_starred(p: Proof) -> Proof:
 def _starify(p: Proof) -> Proof:
     """Convert plain rule applications to their starred forms, weakening the
     subproofs so the kept principal is available in the premises."""
-    starred = tuple(_starify(q) for q in p.premises)
+    return fold_proof(p, _starred)
+
+
+def _starred(p: Proof, starred: tuple[Proof, ...]) -> Proof:
+    """p over its starified premises, itself in starred form if plain."""
     s = p.conclusion
     rule = p.rule
 
@@ -568,10 +571,7 @@ def _starify(p: Proof) -> Proof:
         q1 = weaken(starred[0], extra_succ=theta)
         q2 = weaken(starred[1], extra_succ=delta1)
         return _node(RuleId.IMP_L_STAR, s, [q1, q2], "ante", f)
-
-    if starred == p.premises:
-        return p
-    return replace(p, premises=starred)
+    return _rebuilt(p, starred)
 
 
 def _extract_some_goal(p: Proof) -> Proof:

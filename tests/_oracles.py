@@ -6,10 +6,10 @@ truth tables, grammar membership by bottom-up set construction from
 production tables, and the generators build formulas directly from those
 same tables.  The reference parser, term rewriters, loose-bound ranges,
 Herbrandization, state keys, relevance check, un-memoized classical search
-and per-rule proof transforms are earlier implementations of the library's
-own code, kept so that their replacements
-can be compared with them; the transforms share transform's node, inversion
-and weakening helpers, and the classical search the rest of the prover.
+weakening, freshening and rebinding, and per-rule proof transforms are
+earlier implementations of the library's own code, kept so that their
+replacements can be compared with them; the transforms share transform's
+node and inversion helpers, and the classical search the rest of the prover.
 """
 
 from __future__ import annotations
@@ -44,6 +44,7 @@ from seqcalc.syntax import (
     forall,
     format_formula,
     free_symbols,
+    fresh_name,
     instantiate,
     metas_in,
     multiset_minus,
@@ -54,11 +55,11 @@ from seqcalc.syntax import (
 from seqcalc.transform import (
     TransformError,
     _drop_bot_succ,
-    _freshen_eigens,
     _invert_once,
     _node,
     _principal_formula,
     _reclose,
+    _tree_symbols,
     weaken,
 )
 
@@ -1068,12 +1069,27 @@ def _reference_collapse(t: Term, eigens: set[str]) -> Term:
     return t
 
 
+@dataclass
+class _Skel:
+    """Proof node under construction; sequents may still contain metavariables."""
+
+    rule: RuleId
+    seq: Sequent
+    premises: tuple["_Skel", ...] = ()
+    side: str | None = None
+    pformula: Formula | None = None
+    witness: Term | None = None
+    eigen: str | None = None
+
+
 def reference_classical_prover(root: Sequent, limits):
     """A classical prover whose metavariable search is the un-memoized one:
     solve searches every premise afresh, the second premise of a rule once
     per substitution the first yields, and grounding scans the resolved
     skeleton for leftover metavariables and symbols before it grounds each
-    member.  Built as a subclass so it shares the rest of the prover."""
+    member.  Its skeletons are _Skel nodes, each naming its principal by the
+    formula rather than its index.  Built as a subclass so it shares the
+    rest of the prover."""
     from seqcalc.calculus import premises
     from seqcalc.search import (
         _INSTANTIATIONS,
@@ -1082,7 +1098,6 @@ def reference_classical_prover(root: Sequent, limits):
         _has_bot,
         _invertible_step,
         _reserved_prefix,
-        _Skel,
         _symbols_everywhere,
         unify_formulas,
     )
@@ -1222,6 +1237,90 @@ def reference_attainable(s: Sequent, goal: Formula) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# weakening, freshening and rebinding by recursion, one walk per rename: the
+# reference for transform._rewrite, which must return the same proofs and
+# raise the same errors
+
+
+def _reference_rename_seq(s: Sequent, old: str, new: str) -> Sequent:
+    return Sequent(
+        tuple(reference_rename_constant(f, old, new) for f in s.ante),
+        tuple(reference_rename_constant(f, old, new) for f in s.succ),
+    )
+
+
+def _reference_rename_eigen_subtree(p, old: str, new: str):
+    """Rename a constant throughout a subtree, eigen bindings included."""
+    concl = _reference_rename_seq(p.conclusion, old, new)
+    principal = None
+    if p.principal is not None:
+        side, idx = p.principal
+        src = p.conclusion.ante if side == "ante" else p.conclusion.succ
+        pf = reference_rename_constant(src[idx], old, new)
+        dst = concl.ante if side == "ante" else concl.succ
+        principal = (side, dst.index(pf))
+    witness = reference_rename_constant(p.witness, old, new) if p.witness is not None else None
+    eigen = new if p.eigen == old else p.eigen
+    premises = tuple(_reference_rename_eigen_subtree(q, old, new) for q in p.premises)
+    return Proof(p.rule, concl, premises, principal, witness, eigen)
+
+
+def _reference_avoid_eigens(p, avoid: set[str], taken: set[str]):
+    if p.eigen and p.eigen in avoid:
+        new = fresh_name(p.eigen, taken | avoid)
+        taken.add(new)
+        p = _reference_rename_eigen_subtree(p, p.eigen, new)
+    if not p.premises:
+        return p
+    return replace(p, premises=tuple(_reference_avoid_eigens(q, avoid, taken) for q in p.premises))
+
+
+def reference_freshen_eigens(p, avoid):
+    """Rename every eigenvariable of p that collides with a name in avoid."""
+    return _reference_avoid_eigens(p, set(avoid), _tree_symbols(p))
+
+
+def reference_rebind_eigen(q, old: str, new: str):
+    """Freshen the eigenvariables named new, then rename old to new."""
+    if old == new:
+        return q
+    q = reference_freshen_eigens(q, {new})
+    return _reference_rename_eigen_subtree(q, old, new)
+
+
+def _reference_widen(p, ea: tuple, es: tuple):
+    s = p.conclusion
+    t = s.plus(ante=ea, succ=es)
+    rule = p.rule
+    if rule is RuleId.AXIOM:
+        return Proof(RuleId.AXIOM, t)
+    if rule in (RuleId.RESTART, RuleId.OR_L_RESTART) and es:
+        raise TransformError("cannot weaken the succedent of a restart-rule node")
+    if rule in (RuleId.IMP_L, RuleId.IMP_L_STAR_INT):
+        premises = (_reference_widen(p.premises[0], ea, ()), _reference_widen(p.premises[1], ea, es))
+    else:
+        premises = tuple(_reference_widen(q, ea, es) for q in p.premises)
+    formula = _principal_formula(p) if p.principal is not None else None
+    side = p.principal[0] if p.principal is not None else None
+    return _node(rule, t, premises, side, formula, p.witness, p.eigen)
+
+
+def reference_weaken(p, extra_ante=(), extra_succ=()):
+    """Weakening as four walks: the rule usage, the tree's symbols, the
+    freshening and the widening."""
+    extra_ante = tuple(extra_ante)
+    extra_succ = tuple(extra_succ)
+    if not extra_ante and not extra_succ:
+        return p
+    if extra_succ and RuleId.IMP_L_STAR_INT in rule_usage(p):
+        raise TransformError("cannot weaken the succedent through a single-succedent implication-left rule")
+    avoid = set(free_symbols(extra_ante)) | set(free_symbols(extra_succ))
+    if avoid:
+        p = reference_freshen_eigens(p, avoid)
+    return _reference_widen(p, extra_ante, extra_succ)
+
+
+# ---------------------------------------------------------------------------
 # per-rule proof transforms: the reference for seqcalc.transform's generic
 # steps, which read each rule's premises from calculus.premises and must
 # return the same proofs and raise the same errors
@@ -1295,7 +1394,7 @@ def _reference_contract_once(p, side: str, f: Formula):
             return _node(rule, target, [a, b], "ante", f)
         case RuleId.EXISTS_L:
             c = p.eigen
-            q = _freshen_eigens(p.premises[0], {c})
+            q = reference_freshen_eigens(p.premises[0], {c})
             q = invert(q, "ante", f, eigen=c)
             q = contract(q, "ante", instantiate(f, Const(c)))
             return _node(rule, target, [q], "ante", f, eigen=c)
@@ -1315,7 +1414,7 @@ def _reference_contract_once(p, side: str, f: Formula):
             return _node(rule, target, [q], "succ", f)
         case RuleId.FORALL_R:
             c = p.eigen
-            q = _freshen_eigens(p.premises[0], {c})
+            q = reference_freshen_eigens(p.premises[0], {c})
             q = invert(q, "succ", f, eigen=c)
             q = contract(q, "succ", instantiate(f, Const(c)))
             return _node(rule, target, [q], "succ", f, eigen=c)
@@ -1363,14 +1462,14 @@ def reference_expand_starred(p):
     if rule is RuleId.IMP_L_STAR_INT:
         f = _principal_formula(p)
         doubled = s.plus(ante=(f,))
-        second = weaken(premises[1], extra_ante=(f,))
+        second = reference_weaken(premises[1], extra_ante=(f,))
         inner = _node(RuleId.IMP_L, doubled, [premises[0], second], "ante", f)
         return _node(RuleId.CONTR_L, s, [inner], "ante", f)
     if rule is RuleId.IMP_L_STAR:
         f = _principal_formula(p)
         doubled_ante = s.ante + (f,)
-        first = weaken(premises[0], extra_ante=(f,))
-        second = weaken(premises[1], extra_ante=(f,))
+        first = reference_weaken(premises[0], extra_ante=(f,))
+        second = reference_weaken(premises[1], extra_ante=(f,))
         cur = _node(RuleId.IMP_L, Sequent(doubled_ante, s.succ + s.succ), [first, second], "ante", f)
         acc = list(s.succ + s.succ)
         for d in s.succ:
@@ -1392,20 +1491,20 @@ def reference_starify(p):
     if rule in (RuleId.AND_L_LEFT, RuleId.AND_L_RIGHT):
         f = _principal_formula(p)
         other = f.right if rule is RuleId.AND_L_LEFT else f.left
-        q = weaken(premises[0], extra_ante=(other,))
+        q = reference_weaken(premises[0], extra_ante=(other,))
         return _node(RuleId.AND_L_STAR, s, [q], "ante", f)
     if rule is RuleId.FORALL_L:
         f = _principal_formula(p)
-        q = weaken(premises[0], extra_ante=(f,))
+        q = reference_weaken(premises[0], extra_ante=(f,))
         return _node(RuleId.FORALL_L_STAR, s, [q], "ante", f, witness=p.witness)
     if rule in (RuleId.OR_R_LEFT, RuleId.OR_R_RIGHT):
         f = _principal_formula(p)
         other = f.right if rule is RuleId.OR_R_LEFT else f.left
-        q = weaken(premises[0], extra_succ=(other,))
+        q = reference_weaken(premises[0], extra_succ=(other,))
         return _node(RuleId.OR_R_STAR, s, [q], "succ", f)
     if rule is RuleId.EXISTS_R:
         f = _principal_formula(p)
-        q = weaken(premises[0], extra_succ=(f,))
+        q = reference_weaken(premises[0], extra_succ=(f,))
         return _node(RuleId.EXISTS_R_STAR, s, [q], "succ", f, witness=p.witness)
     if rule is RuleId.IMP_L:
         f = _principal_formula(p)
@@ -1413,8 +1512,8 @@ def reference_starify(p):
         if delta1 is None:
             raise TransformError(f"malformed implication-left node at {s}")
         theta = p.premises[1].conclusion.succ
-        q1 = weaken(premises[0], extra_succ=theta)
-        q2 = weaken(premises[1], extra_succ=delta1)
+        q1 = reference_weaken(premises[0], extra_succ=theta)
+        q2 = reference_weaken(premises[1], extra_succ=delta1)
         return _node(RuleId.IMP_L_STAR, s, [q1, q2], "ante", f)
 
     if premises == p.premises:
@@ -1479,7 +1578,7 @@ def reference_extract_some_goal(p):
             raise TransformError(f"malformed implication-left node at {s}")
         q1 = reference_extract_some_goal(p.premises[0])
         if q1.conclusion.succ[0] in set(delta1):
-            return weaken(q1, extra_ante=(f,))
+            return reference_weaken(q1, extra_ante=(f,))
         q2 = reference_extract_some_goal(p.premises[1])
         return _node(rule, Sequent(s.ante, q2.conclusion.succ), [q1, q2], "ante", f)
 

@@ -10,7 +10,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from seqcalc.calculus import ProofClass, check_proof, dump_proof, load_proof, proof_nodes
+from seqcalc.calculus import (
+    CLASSICAL,
+    INTUITIONISTIC,
+    ProofClass,
+    check_proof,
+    dump_proof,
+    load_proof,
+    proof_height,
+    proof_nodes,
+)
 from seqcalc.parser import parse_formula, parse_sequent
 from seqcalc.search import (
     NotProvedWithinLimits,
@@ -48,7 +57,7 @@ from seqcalc.syntax import (
     metas_in,
     neg,
 )
-from seqcalc.transform import augment
+from seqcalc.transform import augment, expand_starred, weaken
 
 from _oracles import (
     random_fragment_sequent,
@@ -305,21 +314,31 @@ def _node_fields(node):
 
 def test_deep_proofs_round_trip_through_json():
     # the i proof of the 512-atom sequent above is over 500 nodes high; the
-    # c proof of ~^100 p |- p nests its members 100 deep
+    # c proof of ~^100 p |- p nests its members 100 deep; the i proof of
+    # p0 & ... & p699 |- p0 & ... & p699 is 1,399 nodes high, one and-l* per
+    # conjunction above one and-r per conjunction
     c = _balanced_conjunction([Atom(f"p{k}") for k in range(512)])
     negated = Atom("p")
     for _ in range(100):
         negated = neg(negated)
+    conjuncts = " & ".join(f"p{k}" for k in range(700))
+    chain = parse_sequent(f"{conjuncts} |- {conjuncts}")
+    inputs = ((Sequent((c,), (c,)), "i", None), (Sequent((negated,), (Atom("p"),)), "c", None), (chain, "i", 1_399))
     limit = sys.getrecursionlimit()
-    for s, logic in ((Sequent((c,), (c,)), "i"), (Sequent((negated,), (Atom("p"),)), "c")):
+    for s, logic, height in inputs:
         res = prove(s, logic)
         assert isinstance(res, Proved), res
+        assert height is None or proof_height(res.proof) == height
         text = dump_proof(res.proof, res.proof_class)
         p, cls = load_proof(text)
         assert cls == res.proof_class
         assert dump_proof(p, cls) == text
-        # node by node: Proof.__eq__ recurses, so a deep proof is not compared whole
         assert [_node_fields(n) for n in proof_nodes(p)] == [_node_fields(n) for n in proof_nodes(res.proof)]
+        assert p == res.proof and hash(p) == hash(res.proof)
+        # weakening and expansion fold over the tree too
+        w = weaken(p, extra_ante=(Atom("r", (Const("a"),)),))
+        assert check_proof(w, cls) and proof_height(w) == proof_height(p)
+        assert check_proof(expand_starred(p), INTUITIONISTIC if logic == "i" else CLASSICAL)
     assert sys.getrecursionlimit() == limit
 
 

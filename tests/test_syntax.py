@@ -177,8 +177,11 @@ def test_ground_subterms_ignores_bound_containing_terms():
 
 def test_rename_constant():
     f = parse_formula("p(a) => exists x. r(x, a)")
-    g = rename_constant(f, "a", "z")
+    g = rename_constant(f, {"a": "z"})
     assert g == parse_formula("p(z) => exists x. r(x, z)")
+    # every name of the map at once: a swap, not a chain
+    swapped = rename_constant(parse_formula("r(a, f(b))"), {"a": "b", "b": "a", "f": "g"})
+    assert swapped == parse_formula("r(b, g(a))")
 
 
 # ---------------------------------------------------------------------------
@@ -202,9 +205,9 @@ def test_binding_and_renaming_round_trip(seed):
     t = App("g", (Var("x"), Const("b")))
     assert instantiate(forall("x", f), t) == substitute(t, "x", f)
     z = fresh_name("z", free_symbols(f) | predicate_names(f))
-    renamed = rename_constant(f, "a", z)
+    renamed = rename_constant(f, {"a": z})
     assert (renamed != f) == ("a" in free_symbols(f))
-    assert rename_constant(renamed, z, "a") == f
+    assert rename_constant(renamed, {z: "a"}) == f
 
 
 @given(seeds)
@@ -535,8 +538,8 @@ def test_deep_members_sort_compare_and_hash_without_recursion():
     assert instantiate(Forall(opened, "x"), Const("a")) is closed
     assert instantiate(Exists(closed), Const("b")) is closed
     assert substitute(Const("a"), "x", named) is closed
-    assert rename_constant(closed, "a", "b") is deep[Const("b")]
-    assert rename_constant(closed, "f", "g") is rename_constant(rename_constant(closed, "f", "h"), "h", "g")
+    assert rename_constant(closed, {"a": "b"}) is deep[Const("b")]
+    assert rename_constant(closed, {"f": "g"}) is rename_constant(rename_constant(closed, {"f": "h"}), {"h": "g"})
 
 
 @given(st.lists(FORMULAS, max_size=6), st.lists(FORMULAS, max_size=6))
@@ -563,7 +566,7 @@ def test_rewrites_return_the_objects_the_recursive_rewriters_build(f, t, name, o
     assert exists(name, f) is reference_exists(name, f)
     assert substitute(t, name, f) is reference_substitute(t, name, f)
     for x in (f, t):
-        assert rename_constant(x, name, other) is reference_rename_constant(x, name, other)
+        assert rename_constant(x, {name: other}) is reference_rename_constant(x, name, other)
 
 
 @given(TERMS | FORMULAS)

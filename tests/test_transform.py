@@ -24,7 +24,7 @@ from seqcalc.calculus import (
 )
 from seqcalc.parser import parse_formula, parse_sequent
 from seqcalc.search import Proved, SearchLimits, prove, prove_restart
-from seqcalc.syntax import And, Atom, Bot, Const, Forall, Imp, Or, Sequent, Top, Var, forall
+from seqcalc.syntax import And, Atom, Bot, Const, Forall, Imp, Or, Sequent, Top, Var, forall, free_symbols
 from seqcalc.transform import (
     TransformError,
     augment,
@@ -34,7 +34,7 @@ from seqcalc.transform import (
     identity_proof,
     weaken,
 )
-from seqcalc.transform import _extract_some_goal, _invert_once, _starify
+from seqcalc.transform import _extract_some_goal, _freshen_eigens, _invert_once, _rebind_eigen, _starify
 
 from _oracles import (
     decorate_with_contractions,
@@ -45,7 +45,10 @@ from _oracles import (
     reference_expand_starred,
     reference_extract_intuitionistic,
     reference_extract_some_goal,
+    reference_freshen_eigens,
+    reference_rebind_eigen,
     reference_starify,
+    reference_weaken,
 )
 
 Q, S, T = Atom("q"), Atom("s"), Atom("t")
@@ -429,9 +432,48 @@ def _contracted_on_principals(p):
             yield Proof(RuleId.CONTR_L if side == "ante" else RuleId.CONTR_R, n.conclusion, (widened,), n.principal)
 
 
-def test_generic_steps_match_the_per_rule_reference():
+def _renaming_cases(p):
+    """(new, reference) pairs of weakening, freshening and rebinding on p,
+    built from p's own eigenvariables and constants so that renames happen:
+    weakening by w(e) on the antecedent and on both sides, freshening away
+    from one name and from all of them, and rebinding each eigen node's
+    premise to another eigenvariable of p."""
+    eigens = list(dict.fromkeys(n.eigen for n in proof_nodes(p) if n.eigen))
+    names = eigens + sorted(free_symbols(p.conclusion))
+    for e in names:
+        w = (Atom("w", (Const(e),)),)
+        yield lambda w=w: weaken(p, extra_ante=w), lambda w=w: reference_weaken(p, extra_ante=w)
+        yield lambda w=w: weaken(p, w, w), lambda w=w: reference_weaken(p, w, w)
+        yield lambda e=e: _freshen_eigens(p, {e}), lambda e=e: reference_freshen_eigens(p, {e})
+    yield lambda: _freshen_eigens(p, set(names)), lambda: reference_freshen_eigens(p, set(names))
+    for n in proof_nodes(p):
+        for e in eigens if n.eigen else ():
+            args = (n.premises[0], n.eigen, e)
+            yield lambda args=args: _rebind_eigen(*args), lambda args=args: reference_rebind_eigen(*args)
+
+
+def _corpus_proofs(corpus):
+    """The c, i and o proofs of the corpus entries."""
+    limits = SearchLimits(node_budget=5_000)
+    for e in corpus:
+        for logic in "cio":
+            try:
+                res = prove(e.sequent, logic, limits)
+            except ValueError:  # a single-succedent relation on a wider sequent
+                continue
+            if isinstance(res, Proved):
+                yield res
+
+
+def test_generic_steps_match_the_per_rule_reference(corpus):
     rng = random.Random(21)
     compared = errors = 0
+    # the corpus proofs nest eigenvariable binders, the outer eigenvariable
+    # occurring below the inner one, which rebinding must keep apart
+    for res in _corpus_proofs(corpus):
+        for new, ref in _renaming_cases(res.proof):
+            assert _record(new, res.proof_class) == _record(ref, res.proof_class), res.proof.conclusion
+            compared += 1
     for res in _seeded_proofs(150):
         p, cls = res.proof, res.proof_class
         try:
@@ -458,6 +500,7 @@ def test_generic_steps_match_the_per_rule_reference():
             )
         for q in _contracted_on_principals(p):
             cases.append((lambda q=q: eliminate_contractions(q), lambda q=q: reference_eliminate_contractions(q)))
+        cases += _renaming_cases(p)
         for new, ref in cases:
             got = _record(new, cls)
             assert got == _record(ref, cls), (p.conclusion, cls)
