@@ -1,0 +1,117 @@
+"""Bytes held per proof node, as tracemalloc counts them.
+
+    PYTHONPATH=src python scripts/proof_memory.py [--stream N] [--seed S]
+
+Draws two seeded streams with the test suite's generators in
+tests/_oracles.py, as scripts/proof_digest.py does: random
+quantifier-free sequents (cut to one succedent member) and in-fragment
+sequents (F1-F4, LP_INT, LP_CLS and Horn).  Each stream is searched under
+c, i, o and restart within 250 nodes per call, one relation at a time, and
+only the proofs found are kept.  A line per stream and relation prints the
+proofs, their nodes, and the bytes tracemalloc counts as newly held once
+the searches are over and the garbage is collected, per node; so it counts
+the nodes, their sequents and principals and any formula only a proof
+holds.  A stream's `c+i+o` line sums its c, i and o lines.
+
+The last line loads the dumped i proof of p0 & ... & p699 |- p0 & ... &
+p699 (2,098 nodes) and prints the bytes its load_proof result holds per
+node.
+
+Sequents are drawn and every search path is warmed before tracing starts,
+and each line's proofs are dropped before the next line's searches, so
+what a line counts is what its proofs hold.  Figures depend on the
+Python version; they are meant to compare two builds on one interpreter.
+"""
+
+from __future__ import annotations
+
+import argparse
+import gc
+import random
+import sys
+import tracemalloc
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
+
+from seqcalc import Proved, SearchLimits, dump_proof, load_proof, parse_sequent, prove, prove_restart  # noqa: E402
+from seqcalc.calculus import proof_size  # noqa: E402
+from seqcalc.syntax import Atom, Sequent  # noqa: E402
+
+from _oracles import random_fragment_sequent, random_horn_sequent, random_propositional_sequent  # noqa: E402
+
+LIMITS = SearchLimits(node_budget=250)
+FRAGMENTS = ("f1", "f2", "f3", "f4", "lp-int", "lp-cls", "horn")
+RELATIONS = {
+    "c": lambda s: prove(s, "c", LIMITS),
+    "i": lambda s: prove(s, "i", LIMITS),
+    "o": lambda s: prove(s, "o", LIMITS),
+    "restart": lambda s: prove_restart(s, LIMITS),
+}
+
+
+def streams(n: int, seed: int) -> dict[str, list[Sequent]]:
+    rng = random.Random(seed)
+    prop = []
+    for _ in range(n):
+        s = random_propositional_sequent(rng, 8)
+        prop.append(Sequent(s.ante, s.succ[:1] or (Atom("q"),)))
+    rng = random.Random(seed + 1)
+    fragment = []
+    for k in range(n):
+        frag, j = FRAGMENTS[k % len(FRAGMENTS)], k // len(FRAGMENTS)
+        if frag == "horn":
+            fragment.append(random_horn_sequent(rng))
+        else:
+            fragment.append(random_fragment_sequent(rng, frag, 1 + j % 3, 1 + (j // 3) % 3, 1 + (j // 9) % 3))
+    return {"prop": prop, "fragment": fragment}
+
+
+def held(make) -> tuple[object, int]:
+    """make()'s result and the bytes it holds, counted by tracemalloc."""
+    gc.collect()
+    before = tracemalloc.get_traced_memory()[0]
+    result = make()
+    gc.collect()
+    return result, tracemalloc.get_traced_memory()[0] - before
+
+
+def per_node(nbytes: int, nodes: int) -> str:
+    return f"{nbytes / nodes:.1f}" if nodes else "-"
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--stream", type=int, default=1000, help="sequents per seeded stream (default 1000)")
+    ap.add_argument("--seed", type=int, default=1, help="seed of the streams (default 1)")
+    args = ap.parse_args(argv)
+    drawn = streams(args.stream, args.seed)
+    conjuncts = " & ".join(f"p{k}" for k in range(700))
+    deep = prove(parse_sequent(f"{conjuncts} |- {conjuncts}"), "i")
+    text = dump_proof(deep.proof, deep.proof_class)
+    for sequents in drawn.values():
+        for search in RELATIONS.values():
+            for s in sequents[:20]:
+                search(s)
+    load_proof(text)
+
+    tracemalloc.start()
+    for name, sequents in drawn.items():
+        sums = [0, 0, 0]
+        for rel, search in RELATIONS.items():
+            proofs, nbytes = held(lambda: [out.proof for out in map(search, sequents) if isinstance(out, Proved)])
+            nodes = sum(map(proof_size, proofs))
+            print(f"{name} {rel}: proofs={len(proofs)} nodes={nodes} bytes_per_node={per_node(nbytes, nodes)}")
+            if rel != "restart":
+                sums = [sums[0] + len(proofs), sums[1] + nodes, sums[2] + nbytes]
+        print(f"{name} c+i+o: proofs={sums[0]} nodes={sums[1]} bytes_per_node={per_node(sums[2], sums[1])}")
+    (loaded, _), nbytes = held(lambda: load_proof(text))
+    nodes = proof_size(loaded)
+    print(f"loaded deep i proof: nodes={nodes} bytes_per_node={per_node(nbytes, nodes)}")
+    tracemalloc.stop()
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -7,6 +7,14 @@ needs one.  `fold_proof` is the one post-order walk over a proof, on an
 explicit stack: `proof_height`, `proof_to_json`, the proof transforms and
 the classical prover's grounding are its callbacks.  `Proof` equality walks
 an explicit stack too, and a proof hashes by its rule and conclusion.
+
+A `Proof` node is a frozen, slotted dataclass: it has no `__dict__`, and
+its constructor sets the six slots through their descriptors, as
+`Sequent`'s does.  The principals at positions `("ante"|"succ", 0..63)`
+are 128 shared pairs: the constructor swaps an equal pair for the shared
+one and keeps any other principal as given, so the many nodes at one
+position hold one tuple between them.
+
 `check_proof` replays the tree bottom-up against one of the calculus
 classes:
 
@@ -35,7 +43,10 @@ premise of exactly one later node, so the document is a tree and not a
 shared graph.  A node names its conclusion's `ante` and `succ` as indices
 into `formulas` and its `premises` as indices into `nodes`, next to its
 `rule`, `principal`, `witness` and `eigen`; null and empty fields are left
-out.  `load_proof` rejects a document that breaks any of this.
+out.  `load_proof` rejects a document that breaks any of this.  Within one
+document it builds one sorted side per distinct index list and one
+`Sequent` per distinct pair of them, so nodes that list the same
+conclusion share it.
 """
 
 from __future__ import annotations
@@ -61,6 +72,7 @@ from .syntax import (
     Top,
     format_formula,
     format_term,
+    formula_key,
     free_symbols,
     instantiate,
     metas_in,
@@ -128,7 +140,12 @@ def rule_family(rule: RuleId) -> str:
     return _FAMILY.get(rule, rule.value)
 
 
-@dataclass(frozen=True, eq=False)
+#: the shared principal of each position ("ante"|"succ", 0..63), keyed by
+#: itself: a node built with an equal pair holds this one instead
+_PAIRS = {pair: pair for pair in ((side, i) for side in ("ante", "succ") for i in range(64))}
+
+
+@dataclass(frozen=True, eq=False, slots=True, init=False)
 class Proof:
     rule: RuleId
     conclusion: Sequent
@@ -136,6 +153,17 @@ class Proof:
     principal: tuple[str, int] | None = None  # ("ante"|"succ", index)
     witness: Term | None = None
     eigen: str | None = None
+
+    def __init__(self, rule, conclusion, premises=(), principal=None, witness=None, eigen=None) -> None:
+        _set_rule(self, rule)
+        _set_conclusion(self, conclusion)
+        _set_premises(self, premises)
+        _set_principal(self, _PAIRS.get(principal, principal))
+        _set_witness(self, witness)
+        _set_eigen(self, eigen)
+
+    def __reduce__(self):
+        return Proof, (self.rule, self.conclusion, self.premises, self.principal, self.witness, self.eigen)
 
     def __eq__(self, other):
         """Node by node on an explicit stack, a pair of one node at once."""
@@ -155,6 +183,15 @@ class Proof:
 
     def __hash__(self) -> int:
         return hash((self.rule, self.conclusion))
+
+
+# the constructor sets the frozen slots through their descriptors
+_set_rule = Proof.rule.__set__
+_set_conclusion = Proof.conclusion.__set__
+_set_premises = Proof.premises.__set__
+_set_principal = Proof.principal.__set__
+_set_witness = Proof.witness.__set__
+_set_eigen = Proof.eigen.__set__
 
 
 def fold_proof(p: Proof, leave: Callable[[Proof, tuple], Any]) -> Any:
@@ -282,7 +319,7 @@ _UNIFORM_KINDS = {"o", "og"}
 _RESTART_KINDS = {"ig", "og"}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ProofClass:
     """A calculus to check against; restart classes carry their goal formula."""
 
@@ -627,8 +664,10 @@ def proof_to_json(p: Proof, cls: ProofClass) -> dict:
 def _indices(entry: dict, key: str, bound: int) -> list[int]:
     """entry[key] (default empty) as a list of indices below bound."""
     value = entry.get(key, [])
-    if isinstance(value, list) and all(type(i) is int and 0 <= i < bound for i in value):
-        return value
+    # the type and range checks run in C: one set of the types, then min and max
+    if isinstance(value, list) and set(map(type, value)) <= {int}:
+        if not value or 0 <= min(value) and max(value) < bound:
+            return value
     raise ValueError(f"{key} must be a list of indices below {bound}, found {value!r}")
 
 
@@ -655,13 +694,24 @@ def proof_from_json(data: dict) -> tuple[Proof, ProofClass]:
         if not entries:
             raise ValueError("proof document has no nodes")
         formulas = [parse_formula(text) for text in table]
+        # one sorted side per distinct index list, one sequent per pair of them
+        sides: dict[tuple[int, ...], tuple[Formula, ...]] = {}
+        sequents: dict[tuple, Sequent] = {}
+
+        def side(indices: tuple[int, ...]) -> tuple[Formula, ...]:
+            got = sides.get(indices)
+            if got is None:
+                got = sides[indices] = tuple(sorted(map(formulas.__getitem__, indices), key=formula_key))
+            return got
+
         built: list[Proof] = []
         used = [False] * len(entries)
         for k, entry in enumerate(entries):
             rule = rule_from_string(entry["rule"])
-            ante = _indices(entry, "ante", len(formulas))
-            succ = _indices(entry, "succ", len(formulas))
-            conclusion = Sequent([formulas[i] for i in ante], [formulas[i] for i in succ])
+            key = (tuple(_indices(entry, "ante", len(formulas))), tuple(_indices(entry, "succ", len(formulas))))
+            conclusion = sequents.get(key)
+            if conclusion is None:
+                conclusion = sequents[key] = Sequent._presorted(side(key[0]), side(key[1]))
             premises = _indices(entry, "premises", k)
             for j in premises:
                 if used[j]:

@@ -59,6 +59,11 @@ whose evicted entries are just recomputed, are emptied when they reach
 `_metas`.  What prunes or numbers the search stays unbounded, as evicting
 it would change node counts or keys: the failure caches, `_numbers`,
 `_path` and `_pending`.
+
+Outcomes are frozen, slotted dataclasses.  A `Proved` outcome carries one
+of `calculus`'s shared class constants, `CLASSICAL_STAR` under c,
+`INTUITIONISTIC_STAR` under i and `UNIFORM` under o; only a restart proof
+builds its class, which holds the search's goal.
 """
 
 from __future__ import annotations
@@ -69,7 +74,19 @@ from itertools import count
 from operator import attrgetter
 from typing import Callable, Generator, Iterable, Iterator, Union
 
-from .calculus import INVERTIBLE, Proof, ProofClass, RuleId, fold_proof, is_axiom, premises, restart_class
+from .calculus import (
+    CLASSICAL_STAR,
+    INTUITIONISTIC_STAR,
+    INVERTIBLE,
+    UNIFORM,
+    Proof,
+    ProofClass,
+    RuleId,
+    fold_proof,
+    is_axiom,
+    premises,
+    restart_class,
+)
 from .syntax import (
     BOT,
     TOP,
@@ -358,18 +375,18 @@ class SearchLimits:
     strengthened_axioms: bool = False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Proved:
     proof: Proof
     proof_class: ProofClass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Refuted:
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NotProvedWithinLimits:
     pass
 
@@ -729,11 +746,11 @@ class _ClassicalProver(_Search):
                 return NotProvedWithinLimits()
             if proof is None:
                 return Refuted()
-            return Proved(proof, ProofClass("cstar"))
+            return Proved(proof, CLASSICAL_STAR)
         try:
             for mult in range(1, self.limits.quantifier_budget + 1):
                 for subst, skel in self.solve(self.root, Subst(), {}, mult):
-                    return Proved(self._ground(skel, subst), ProofClass("cstar"))
+                    return Proved(self._ground(skel, subst), CLASSICAL_STAR)
         except _OutOfNodes:
             pass
         return NotProvedWithinLimits()
@@ -1370,7 +1387,7 @@ class _GroundProver(_Search):
         if proof is not None:
             if self.rgoal is not None:
                 return Proved(proof, restart_class(self.rgoal))
-            return Proved(proof, ProofClass("o" if self.uniform else "istar"))
+            return Proved(proof, UNIFORM if self.uniform else INTUITIONISTIC_STAR)
         if not self.uniform and qf and not self.truncated and not out_of_nodes:
             return Refuted()
         return NotProvedWithinLimits()

@@ -36,7 +36,6 @@ steps that may stop at a node, ``_contract_once``, ``_invert_once``,
 
 from __future__ import annotations
 
-from dataclasses import replace
 from operator import is_
 
 from .calculus import INVERTIBLE, Proof, RuleId, fold_proof, is_axiom, premises, proof_nodes, rule_family, rule_usage
@@ -119,7 +118,9 @@ def _renamed(s: Sequent, names: dict[str, str]) -> Sequent:
 
 def _rebuilt(p: Proof, premises: tuple[Proof, ...]) -> Proof:
     """p over premises: p itself when each is the premise p has."""
-    return p if all(map(is_, premises, p.premises)) else replace(p, premises=premises)
+    if all(map(is_, premises, p.premises)):
+        return p
+    return Proof(p.rule, p.conclusion, premises, p.principal, p.witness, p.eigen)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,9 @@
 """Proof checking: rule schemata, class constraints, metrics, JSON round trip."""
 
+import copy
+import dataclasses
 import json
+import pickle
 import re
 
 import pytest
@@ -32,7 +35,7 @@ from seqcalc.calculus import (
     rule_usage,
 )
 from seqcalc.parser import parse_sequent
-from seqcalc.search import Proved, prove, prove_restart
+from seqcalc.search import NotProvedWithinLimits, Proved, Refuted, prove, prove_restart
 from seqcalc.syntax import (
     And,
     App,
@@ -51,7 +54,7 @@ from seqcalc.syntax import (
     forall,
     format_formula,
 )
-from seqcalc.transform import expand_starred
+from seqcalc.transform import TransformError, expand_starred, extract_intuitionistic, weaken
 
 from _documents import DEEPLY_NESTED, FLAT, MALFORMED, malformed
 from _oracles import random_propositional_sequent, reference_premises
@@ -761,3 +764,80 @@ def test_load_rejects_malformed_flat_document(name):
 def test_load_rejects_deeply_nested_json():
     with pytest.raises(ValueError, match="proof document nests too deeply"):
         load_proof(DEEPLY_NESTED)
+
+
+# ---------------------------------------------------------------------------
+# slotted proof objects
+
+
+def _slotted_samples():
+    """A searched proof, its outcome and class, a restart class and the two
+    outcomes without fields."""
+    res = prove(parse_sequent("forall x. p(x) |- exists y. p(y)"), "c")
+    assert isinstance(res, Proved)
+    return [res.proof, res, res.proof_class, restart_class(Q), Refuted(), NotProvedWithinLimits()]
+
+
+def test_proof_objects_have_no_dict_and_refuse_assignment():
+    for obj in _slotted_samples():
+        assert not hasattr(obj, "__dict__"), type(obj)
+        for f in dataclasses.fields(obj):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(obj, f.name, None)
+        # no attribute can be added either (the frozen __setattr__ of a
+        # slotted dataclass raises TypeError for a name that is not a field)
+        with pytest.raises((AttributeError, TypeError)):
+            obj.extra = None
+
+
+def test_proof_objects_survive_replace_pickle_and_copy():
+    for obj in _slotted_samples():
+        for back in (dataclasses.replace(obj), pickle.loads(pickle.dumps(obj)), copy.copy(obj), copy.deepcopy(obj)):
+            assert type(back) is type(obj) and back == obj and hash(back) == hash(obj)
+    p = _slotted_samples()[0]
+    for back in (dataclasses.replace(p), pickle.loads(pickle.dumps(p)), copy.deepcopy(p)):
+        assert [n.principal for n in proof_nodes(back)] == [n.principal for n in proof_nodes(p)]
+        assert all(a.principal is b.principal for a, b in zip(proof_nodes(back), proof_nodes(p)))
+
+
+def test_a_principal_position_is_one_object_across_search_transforms_and_loading():
+    proofs = []
+    for text in (
+        "forall x. p(x), forall y. p(y) |- (forall z. p(z)) & (forall w. p(w))",
+        "q | s, q => t, s => t |- t",
+        "|- ((q => s) => q) => q",
+    ):
+        for p, cls in _proofs_of_every_class(text):
+            proofs += [p, load_proof(dump_proof(p, cls))[0], weaken(p, extra_ante=(T,))]
+            if cls.kind == "cstar":
+                try:
+                    proofs.append(extract_intuitionistic(expand_starred(p)))
+                except TransformError:
+                    pass
+    shared: dict = {}
+    for p in proofs:
+        for node in proof_nodes(p):
+            if node.principal is not None:
+                assert shared.setdefault(node.principal, node.principal) is node.principal
+    assert len(shared) > 4
+    # a pair built at run time is swapped for the shared one; a position
+    # past the table is kept as given
+    s = parse_sequent("q & s |- q")
+    built = Proof(RuleId.AND_L_LEFT, s, (axiom([Q, S], [Q]),), tuple(["ante", int("0")]))
+    assert built.principal is Proof(RuleId.AND_L_LEFT, s, built.premises, ("ante", 0)).principal
+    far = ("ante", 64)
+    assert Proof(RuleId.AND_L_LEFT, s, built.premises, far).principal is far
+
+
+def test_load_shares_sides_and_sequents_within_a_document():
+    p, _ = load_proof(json.dumps(FLAT))
+    left, right = p.premises
+    # every node has ante [0, 1]: one tuple; each node's sequent is its own
+    assert p.conclusion.ante is left.conclusion.ante is right.conclusion.ante
+    assert left.conclusion is not right.conclusion
+    leaf = axiom([Q], [Q])
+    twice = Proof(RuleId.AND_R, Sequent((Q,), (And(Q, Q),)), (leaf, leaf), ("succ", 0))
+    q, _ = load_proof(dump_proof(twice, CLASSICAL))
+    # a subproof listed twice loads as two nodes over one sequent
+    assert q.premises[0] is not q.premises[1]
+    assert q.premises[0].conclusion is q.premises[1].conclusion

@@ -12,7 +12,10 @@ from hypothesis import strategies as st
 
 from seqcalc.calculus import (
     CLASSICAL,
+    CLASSICAL_STAR,
     INTUITIONISTIC,
+    INTUITIONISTIC_STAR,
+    UNIFORM,
     ProofClass,
     check_proof,
     dump_proof,
@@ -170,6 +173,17 @@ def test_intuitionistic_proofs_come_back_starred():
     res = prove(parse_sequent("q | s |- s | q"), "i")
     assert res.proof_class == ProofClass("istar")
     assert check_proof(res.proof, res.proof_class)
+
+
+def test_outcomes_carry_the_shared_class_constants():
+    # quantifier-free and first-order inputs take different paths in each
+    # engine; every c, i and o outcome holds the module's constant itself
+    for text in ("q & s |- s & q", "forall x. p(x) |- exists y. p(y)"):
+        s = parse_sequent(text)
+        for logic, cls in (("c", CLASSICAL_STAR), ("i", INTUITIONISTIC_STAR), ("o", UNIFORM)):
+            res = prove(s, logic)
+            assert isinstance(res, Proved), (text, logic)
+            assert res.proof_class is cls, (text, logic)
 
 
 def test_restart_proofs_carry_their_goal():
