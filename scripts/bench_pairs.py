@@ -7,11 +7,13 @@ Runs ``perfbench/run.py`` of each checkout once per seed, the parent first
 on even pairs and the change first on odd ones, so drift in the machine's
 speed falls on both sides alike.  Each run must report ``correct`` and
 ``failed: 0``; its metrics and the unscaled figures of its ``raw:`` line
-are kept.  Prints, per metric, each side's median and quartiles, the
-relative change of the medians and the number of pairs the change won (a
-tie is not a win); the direction of "better" comes from the change's
-``BENCHMARK.json``.  Then, per end-to-end metric, it prints that file's
-bound and a verdict: ``worse beyond bound`` when the change's median is
+are kept.  Each run gets a fresh, empty ``PYTHONPYCACHEPREFIX``, so
+neither checkout imports bytecode compiled before it: stale bytecode on
+one side skews that side's ``setup_s``.  Prints, per metric, each side's
+median and quartiles, the relative change of the medians and the number
+of pairs the change won (a tie is not a win); the direction of "better"
+comes from the change's ``BENCHMARK.json``.  Then, per end-to-end metric,
+it prints that file's bound and a verdict: ``worse beyond bound`` when the change's median is
 worse than the parent's by more than the bound; else ``unresolved`` when
 the parent's quartile spread, relative to its median, exceeds the bound
 and not every change run reads better than every parent run; else
@@ -29,9 +31,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 
@@ -44,7 +48,9 @@ def _run(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -
     """The run's metrics and the unscaled figures of its raw: line."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed)]
     cmd += ["--seconds", str(seconds), "--trace", str(trace)]
-    done = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
+    with tempfile.TemporaryDirectory(prefix="bench-pycache-") as cache:
+        env = dict(os.environ, PYTHONPYCACHEPREFIX=cache)
+        done = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, env=env)
     lines = done.stdout.strip().splitlines()
     if done.returncode or not lines:
         raise SystemExit(f"{checkout}: {' '.join(cmd)} exited {done.returncode}\n{done.stderr}")

@@ -47,7 +47,33 @@ search for each antecedent.  A quantifier-free search makes no constant, so
 it keys every state by sort keys alone.  Its relevance check reads a
 per-formula index of positive heads.  Every engine takes its invertible
 rules from `calculus.INVERTIBLE` and builds their premises with
-`calculus.premises`, as the checker does.
+`calculus.premises`, as the checker does.  A visit starts with an entry
+step that settles closures, loop-check hits, recorded failures and depth
+cuts; only a state that branches gets a generator.
+
+Quantifier-free i and o searches, which have no restart goal, let a
+failure subsume others.  They keep, per goal key, the antecedent key sets
+of the failures they make final, in place of the exact failure cache, and
+a state whose antecedent key set is a subset of a kept one fails at once.
+A final failure is one that no cycle escapes, so it does not assume that
+an ancestor fails.  On quantifier-free input the search decides, so a
+final failure of S |- G means that S |- G has no proof in the calculus
+searched.  Weakening is admissible there, for the contraction-free
+intuitionistic calculus and for uniform proofs alike (Miller, Nadathur,
+Pfenning & Scedrov 1991), so for no antecedent S' <= S does S' |- G have a
+proof either, and the skipped visit would have failed.  Proofs and the
+depth-first order do not change; only the nodes spent do.  The key sets
+are sets, not multisets, because contraction is admissible too.  Only the
+maximal sets are kept: a subset of a kept set finds nothing that the set
+does not, so a lookup tests one set per maximal failure.
+
+Subsumption stays off in two cases.  Under a restart goal the search is
+not monotone in its antecedent: a second copy of an antecedent
+disjunction can lose a proof (tests/test_search.py pins a repro).  On
+first-order input a failure only says that nothing was found within the
+depth and the instantiation tallies it had.  No argument here carries
+that to a smaller antecedent, so the exact cache keyed by the state, its
+tallies and its depth stays.
 
 Both engines extend one search context, `_Search`: the root, the limits,
 the nodes left, and the constants the search made, in `made`, each named
@@ -72,6 +98,7 @@ from dataclasses import dataclass
 from functools import partial
 from itertools import count
 from operator import attrgetter
+from types import GeneratorType
 from typing import Callable, Generator, Iterable, Iterator, Union
 
 from .calculus import (
@@ -824,7 +851,8 @@ class _GroundProver(_Search):
         self.counter = 0
         self.truncated = False
         # definitive failures per canonical state, each recorded with the
-        # depth and instantiation tallies it failed under
+        # depth and instantiation tallies it failed under; empty where
+        # failures subsume (see _maximal)
         self.failed: dict = {}
         # formula memos keyed by the formula's sort key, which is
         # alpha-invariant and hashes in C: the head index, and the
@@ -853,6 +881,17 @@ class _GroundProver(_Search):
         self._pending: list[tuple] = []
         self.prunes = 0
         self._eager = _EAGER[uniform, restart_goal is not None]
+        # strengthened closures at a compound goal, which goal-directed
+        # proofs do not make
+        self._closes_compound = limits.strengthened_axioms and not uniform
+        # a quantifier-free search has no depth bound and no tallies
+        self.quantifier_free = is_quantifier_free_sequent(root)
+        # where failures subsume (a quantifier-free search with no restart
+        # goal), the final failures in place of failed: per goal key, the
+        # maximal antecedent key sets that failed; else None
+        self._maximal: dict[str, list[frozenset[str]]] | None = (
+            {} if self.quantifier_free and restart_goal is None else None
+        )
 
     def _fresh(self) -> str:
         """A new eigenvariable name.  The made constants are c<n>: the
@@ -1119,37 +1158,46 @@ class _GroundProver(_Search):
     # -- search -----------------------------------------------------------------
 
     def search(self, s: Sequent, depth: int, counts: _Counts) -> Proof | None:
-        """Search s on an explicit stack in the caller's thread.  A visit is
-        a generator that yields each premise it needs as (sequent, depth,
+        """Search s on an explicit stack in the caller's thread.  Each state
+        goes through _enter, which settles a state that does not branch and
+        returns its proof or None, and returns a generator for one that
+        does.  Such a visit yields each premise it needs as (sequent, depth,
         counts) and receives the premise's proof or None; the stack holds
         the suspended visits of the current path, so the path's length is
         bounded by memory, not by the interpreter's recursion limit."""
+        enter = self._enter
         stack: list = []
-        visit = self._visit(s, depth, counts)
-        result = None
+        result = enter(s, depth, counts)
         while True:
+            if type(result) is GeneratorType:
+                stack.append(result)
+                result = None
+            elif not stack:
+                return result
             try:
-                premise = visit.send(result)
+                premise = stack[-1].send(result)
             except StopIteration as done:
-                if not stack:
-                    return done.value
-                visit = stack.pop()
+                stack.pop()
                 result = done.value
             else:
-                stack.append(visit)
-                visit = self._visit(*premise)
-                result = None
+                result = enter(*premise)
 
-    def _visit(self, s: Sequent, depth: int, counts: _Counts) -> _Visit:
+    def _enter(self, s: Sequent, depth: int, counts: _Counts) -> Proof | None | _Visit:
+        """The entry step of a visit: the proof or None of a state that a
+        closure, the loop check, a recorded failure or the depth settles;
+        else the generator that searches it (see _branch)."""
         self.tick()
         goal = s.succ[0]
-        strengthened = self.limits.strengthened_axioms
+        k = type(goal)
 
-        # closures; goal-directed proofs may only close at an exempt goal
-        if is_axiom(s, strengthened):
-            if not self.uniform or isinstance(goal, (Atom, Top, Bot)):
-                return Proof(_AXIOM, s)
-        if _has_bot(s.ante) and not isinstance(goal, Bot) and (not self.uniform or isinstance(goal, Atom)):
+        # closures; goal-directed proofs may only close at an exempt goal.
+        # An atom or bottom equal to the goal is the goal's interned object:
+        # neither holds a binder hint
+        if k is Top or (k is Atom or k is Bot) and id(goal) in map(id, s.ante):
+            return Proof(_AXIOM, s)
+        if self._closes_compound and goal in s.ante:
+            return Proof(_AXIOM, s)
+        if k is not Bot and (k is Atom or not self.uniform) and _has_bot(s.ante):
             (premise,) = premises(_BOT_R, s, 0, goal)
             return Proof(_BOT_R, s, (Proof(_AXIOM, premise),), ("succ", 0))
 
@@ -1162,15 +1210,28 @@ class _GroundProver(_Search):
                 self._low = seen_at
             self.prunes += 1
             return None
-        # a recorded failure of the same state with the same tallies subsumes
-        # this visit when it had at least as much depth available
-        failed_depth = self.failed.get(cache_key)
-        if failed_depth is not None and depth <= failed_depth:
-            return None
+        maximal = self._maximal
+        if maximal is None:
+            # a recorded failure of the same state with the same tallies
+            # subsumes this visit when it had at least as much depth
+            failed_depth = self.failed.get(cache_key)
+            if failed_depth is not None and depth <= failed_depth:
+                return None
+        else:
+            # a final failure of a superset of this antecedent, same goal
+            members = cache_key[0]
+            for failed in maximal.get(cache_key[1], ()):
+                if failed.issuperset(members):
+                    return None
         if depth <= 0:
             self.truncated = True
             return None
+        return self._branch(s, goal, depth, counts, loop_key, cache_key)
 
+    def _branch(self, s: Sequent, goal: Formula, depth: int, counts: _Counts, loop_key, cache_key) -> _Visit:
+        """Search a state that _enter did not settle, on the path, and
+        record its failure: as final when no cycle beneath it closes above
+        it, else as pending (see _path)."""
         level = len(self._path)
         self._path[loop_key] = level
         outer_low, self._low = self._low, _NO_CYCLE
@@ -1190,18 +1251,35 @@ class _GroundProver(_Search):
             # no cycle escapes this node, so its failure and every
             # provisional failure beneath it are final
             for key, d in self._pending[mark:]:
-                prev = self.failed.get(key)
-                if prev is None or prev < d:
-                    self.failed[key] = d
+                self._record(key, d)
             del self._pending[mark:]
-            if failed_depth is None or failed_depth < depth:
-                self.failed[cache_key] = depth
+            self._record(cache_key, depth)
             self._low = outer_low
         else:
             self._pending.append((cache_key, depth))
             if outer_low < self._low:
                 self._low = outer_low
         return None
+
+    def _record(self, cache_key: tuple, depth: int) -> None:
+        """Record a final failure: in failed, with the most depth it failed
+        under; or, where failures subsume, as its antecedent's key set under
+        its goal's key, unless a stored set holds it, dropping the stored
+        sets it holds."""
+        maximal = self._maximal
+        if maximal is None:
+            prev = self.failed.get(cache_key)
+            if prev is None or prev < depth:
+                self.failed[cache_key] = depth
+            return
+        members, goal_key, _ = cache_key
+        sets = maximal.get(goal_key)
+        if sets is None:
+            maximal[goal_key] = [frozenset(members)]
+        elif not any(m.issuperset(members) for m in sets):
+            failed = frozenset(members)
+            sets[:] = [m for m in sets if not failed.issuperset(m)]
+            sets.append(failed)
 
     def _apply(self, rule: RuleId, s, side: str, i: int, f, depth, counts) -> _Visit:
         """Apply an invertible rule: search its premises in order and stop at
@@ -1374,7 +1452,7 @@ class _GroundProver(_Search):
         return Proof(_CONTR_L, s, (inner,), ("ante", s.ante.index(f)))
 
     def run(self) -> SearchOutcome:
-        qf = is_quantifier_free_sequent(self.root)
+        qf = self.quantifier_free
         # quantifier-free search has no depth bound (the loop check is what
         # terminates it); its paths grow on search's own stack, not the
         # interpreter's

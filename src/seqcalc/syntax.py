@@ -23,7 +23,12 @@ immutable.  At construction each node also stores
   binary connective the largest range of its parts (0 without any); a
   quantifier its body's range less one, at least 0.  So instantiate keeps
   each term whose range is at most its depth, and a quantifier of a closed
-  formula is vacuous exactly when its body's range is 0.
+  formula is vacuous exactly when its body's range is 0;
+* its quantifier-free flag, _qf: whether it holds no quantifier.  Only a
+  binary connective stores it, in a slot, True when both its parts have
+  it; every other kind has it as a class attribute, True on terms, atoms,
+  top and bottom and False on quantifiers, so their nodes are no larger.
+  So is_quantifier_free reads one attribute.
 
 So == is an identity test on twins, while hash, formula_key and term_key
 read the key; none of them recurses.  Binding, opening, substitution and
@@ -76,16 +81,19 @@ def _interned(ikey: tuple):
     return None if ref is None else ref()
 
 
-def _build(cls, ikey: tuple, values: tuple, key: str, twin, lbr: int):
-    """A new node of cls with the given field values, sort key, twin and
-    loose-bound range, entered under ikey; the node another thread entered
-    first, if any.  Every field is set before the node is published."""
+def _build(cls, ikey: tuple, values: tuple, key: str, twin, lbr: int, qf: bool | None = None):
+    """A new node of cls with the given field values, sort key, twin,
+    loose-bound range and, for a binary connective, quantifier-free flag,
+    entered under ikey; the node another thread entered first, if any.
+    Every field is set before the node is published."""
     node = object.__new__(cls)
     for name, value in zip(cls.__match_args__, values):
         _set(node, name, value)
     _set(node, "_key", key)
     _set(node, "_twin", twin)
     _set(node, "_lbr", lbr)
+    if qf is not None:
+        _set(node, "_qf", qf)
     ref = _Ref(node, _drop)
     ref.key = ikey
     while True:
@@ -128,6 +136,9 @@ class _Node:
 
     __slots__ = ("_key", "_twin", "_lbr", "__weakref__")
     __match_args__: tuple[str, ...] = ()
+    # the quantifier-free flag of terms, atoms, top and bottom; a binary
+    # connective stores its own, and a quantifier's is False
+    _qf = True
 
     def __eq__(self, other):
         if isinstance(other, _Node):
@@ -251,7 +262,8 @@ class Atom(_Node):
 
 
 class _Binary(_Node):
-    __slots__ = __match_args__ = ("left", "right")
+    __slots__ = ("left", "right", "_qf")
+    __match_args__ = ("left", "right")
 
     def __new__(cls, left: Formula, right: Formula):
         ikey = (cls, id(left), id(right))
@@ -259,11 +271,12 @@ class _Binary(_Node):
         if node is None:
             lt, rt = left._twin, right._twin
             lbr = max(left._lbr, right._lbr)
+            qf = left._qf and right._qf
             if lt is None and rt is None:
-                node = _build(cls, ikey, (left, right), cls._tag + left._key + right._key, None, lbr)
+                node = _build(cls, ikey, (left, right), cls._tag + left._key + right._key, None, lbr, qf)
             else:
                 twin = cls(lt or left, rt or right)
-                node = _build(cls, ikey, (left, right), twin._key, twin, lbr)
+                node = _build(cls, ikey, (left, right), twin._key, twin, lbr, qf)
         return node
 
 
@@ -284,6 +297,7 @@ class Imp(_Binary):
 
 class _Quantifier(_Node):
     __slots__ = __match_args__ = ("body", "hint")
+    _qf = False
 
     def __new__(cls, body: Formula, hint: str = _CANONICAL_HINT):
         ikey = (cls, id(body), hint)
@@ -321,18 +335,8 @@ def neg(f: Formula) -> Formula:
 
 
 def is_quantifier_free(f: Formula) -> bool:
-    """Whether f has no quantifier.  Walks f's formula nodes on an explicit
-    stack, never entering a term, and stops at the first quantifier."""
-    stack = [f]
-    while stack:
-        g = stack.pop()
-        k = type(g)
-        if k is And or k is Or or k is Imp:
-            stack.append(g.left)
-            stack.append(g.right)
-        elif k is Forall or k is Exists:
-            return False
-    return True
+    """Whether f has no quantifier: f's flag, set when f was built."""
+    return f._qf
 
 
 def connective_count(f: Formula) -> int:

@@ -5,8 +5,9 @@ by a different mechanism than the library code uses: validity is decided by
 truth tables, grammar membership by bottom-up set construction from
 production tables, and the generators build formulas directly from those
 same tables.  The reference parser, term rewriters, loose-bound ranges,
-Herbrandization, state keys, relevance check, un-memoized classical search
-weakening, freshening and rebinding, and per-rule proof transforms are
+Herbrandization, state keys, relevance check, un-memoized classical search,
+ground visit without failure subsumption, quantifier-free walk, weakening,
+freshening and rebinding, and per-rule proof transforms are
 earlier implementations of the library's own code, kept so that their
 replacements can be compared with them; the transforms share transform's
 node and inversion helpers, and the classical search the rest of the prover.
@@ -1196,6 +1197,127 @@ def reference_classical_prover(root: Sequent, limits):
             return build(skel)
 
     return ReferenceClassicalProver(root, limits)
+
+
+# ---------------------------------------------------------------------------
+# the ground engine's visit without failure subsumption
+
+
+def reference_is_quantifier_free(f: Formula) -> bool:
+    """Whether f has no quantifier, by walking its formula nodes."""
+    stack = [f]
+    while stack:
+        g = stack.pop()
+        k = type(g)
+        if k is And or k is Or or k is Imp:
+            stack.append(g.left)
+            stack.append(g.right)
+        elif k is Forall or k is Exists:
+            return False
+    return True
+
+
+def reference_ground_prover(root: Sequent, limits, uniform: bool, restart_goal: Formula | None = None):
+    """A ground prover whose visit is the earlier one: every state gets one
+    generator, closures test is_axiom, and a state is skipped only on a
+    recorded failure of the same state, with the same tallies and at least
+    as much depth; no failure subsumes another.  The quantifier-free flag
+    comes from the walk above.  Built as a subclass so it shares the rest
+    of the prover."""
+    from seqcalc.calculus import is_axiom, premises
+    from seqcalc.search import _NO_CYCLE, _GroundProver, _has_bot
+
+    class ReferenceGroundProver(_GroundProver):
+        def __init__(self, *args):
+            super().__init__(*args)
+            self.quantifier_free = all(map(reference_is_quantifier_free, root.ante + root.succ))
+
+        def search(self, s, depth, counts):
+            stack: list = []
+            visit = self._visit(s, depth, counts)
+            result = None
+            while True:
+                try:
+                    premise = visit.send(result)
+                except StopIteration as done:
+                    if not stack:
+                        return done.value
+                    visit = stack.pop()
+                    result = done.value
+                else:
+                    stack.append(visit)
+                    visit = self._visit(*premise)
+                    result = None
+
+        def _visit(self, s, depth, counts):
+            self.tick()
+            goal = s.succ[0]
+            if is_axiom(s, self.limits.strengthened_axioms):
+                if not self.uniform or isinstance(goal, (Atom, Top, Bot)):
+                    return Proof(RuleId.AXIOM, s)
+            if _has_bot(s.ante) and not isinstance(goal, Bot) and (not self.uniform or isinstance(goal, Atom)):
+                (premise,) = premises(RuleId.BOT_R, s, 0, goal)
+                return Proof(RuleId.BOT_R, s, (Proof(RuleId.AXIOM, premise),), ("succ", 0))
+            loop_key, cache_key = self._canon(s, counts)
+            seen_at = self._path.get(loop_key)
+            if seen_at is not None:
+                if seen_at < self._low:
+                    self._low = seen_at
+                self.prunes += 1
+                return None
+            failed_depth = self.failed.get(cache_key)
+            if failed_depth is not None and depth <= failed_depth:
+                return None
+            if depth <= 0:
+                self.truncated = True
+                return None
+            level = len(self._path)
+            self._path[loop_key] = level
+            outer_low, self._low = self._low, _NO_CYCLE
+            mark = len(self._pending)
+            if self.uniform:
+                result = yield from self._search_uniform(s, goal, depth - 1, counts)
+            else:
+                result = yield from self._search_starred(s, goal, depth - 1, counts)
+            del self._path[loop_key]
+            if result is not None:
+                del self._pending[mark:]
+                self._low = outer_low
+                return result
+            if self._low >= level:
+                for key, d in self._pending[mark:]:
+                    prev = self.failed.get(key)
+                    if prev is None or prev < d:
+                        self.failed[key] = d
+                del self._pending[mark:]
+                if failed_depth is None or failed_depth < depth:
+                    self.failed[cache_key] = depth
+                self._low = outer_low
+            else:
+                self._pending.append((cache_key, depth))
+                if outer_low < self._low:
+                    self._low = outer_low
+            return None
+
+    return ReferenceGroundProver(root, limits, uniform, restart_goal)
+
+
+def random_goal_sequent(rng: random.Random, repeat_share: float = 0.3) -> Sequent:
+    """A quantifier-free sequent with 1-4 antecedent members, one goal and
+    3-10 connectives in all, over PROP_LEAVES and r(a).  Compound members
+    may repeat: in repeat_share of the draws one compound antecedent member,
+    where there is one, is there twice, and else another member."""
+    leaves = PROP_LEAVES + (Atom("r", (Const("a"),)),)
+    n_ante = rng.randint(1, 4)
+    sizes = [0] * (n_ante + 1)
+    for _ in range(rng.randint(3, 10)):
+        sizes[rng.randrange(len(sizes))] += 1
+    members = [random_propositional(rng, k, leaves) for k in sizes]
+    ante, goal = members[:-1], members[-1]
+    if rng.random() < repeat_share:
+        compound = [f for f in ante if isinstance(f, (And, Or, Imp))]
+        ante.append(rng.choice(compound or ante))
+    return Sequent(ante, (goal,))
 
 
 # ---------------------------------------------------------------------------

@@ -67,6 +67,7 @@ from _oracles import (
     reference_forall,
     reference_formula_key,
     reference_instantiate,
+    reference_is_quantifier_free,
     reference_lbr,
     reference_rename_constant,
     reference_substitute,
@@ -554,7 +555,8 @@ def test_top_sorts_first_in_any_sorted_side(ante, succ):
 
 
 # ---------------------------------------------------------------------------
-# the rewrites and the stored loose-bound range against recursive references
+# the rewrites, the stored loose-bound range and the stored quantifier-free
+# flag against recursive references and walks
 
 
 @given(FORMULAS, TERMS, NAMES, NAMES, HINTS)
@@ -573,6 +575,12 @@ def test_rewrites_return_the_objects_the_recursive_rewriters_build(f, t, name, o
 def test_the_stored_loose_bound_range_is_the_reference_walk(x):
     for y in itertools.chain(subterms(x), subformulas(x)):
         assert y._lbr == reference_lbr(y)
+
+
+@given(TERMS | FORMULAS)
+def test_the_stored_quantifier_free_flag_is_the_reference_walk(x):
+    for y in itertools.chain(subterms(x), subformulas(x)):
+        assert is_quantifier_free(y) is y._qf is reference_is_quantifier_free(y)
 
 
 @given(seeds)
