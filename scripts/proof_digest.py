@@ -23,7 +23,14 @@ or as the class of the error it raised.  It is not part of the all line.
 The weaken line covers weakening with eigenvariable renaming on the same
 proofs: for every eigenvariable e of a proof, in the order the proof's
 nodes first bind them, weaken by w(e) on the antecedent and on the
-succedent, recorded alike.  The output does not depend on PYTHONHASHSEED.
+succedent, recorded alike.
+
+The eta line covers eta expansion, which turns a compound axiom into atomic
+ones: the identity proof of every distinct member of the corpus sequents,
+then expand_starred, extract_intuitionistic and eliminate_contractions of a
+decorated copy, as on the transforms line, of every c and i proof of a
+corpus sequent found with strengthened (compound) axioms.  The output does
+not depend on PYTHONHASHSEED.
 """
 
 from __future__ import annotations
@@ -38,13 +45,14 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 from seqcalc import Proved, SearchLimits, augment, dump_proof, parse_corpus, prove, prove_restart  # noqa: E402
-from seqcalc.calculus import proof_nodes  # noqa: E402
+from seqcalc.calculus import CLASSICAL_STAR, proof_nodes  # noqa: E402
 from seqcalc.syntax import Atom, Const, Sequent  # noqa: E402
 from seqcalc.transform import (  # noqa: E402
     TransformError,
     eliminate_contractions,
     expand_starred,
     extract_intuitionistic,
+    identity_proof,
     weaken,
 )
 
@@ -57,6 +65,7 @@ from _oracles import (  # noqa: E402
 
 CORPUS_LIMITS = SearchLimits(node_budget=5_000)
 STREAM_LIMITS = SearchLimits(node_budget=250)
+ETA_LIMITS = SearchLimits(node_budget=5_000, strengthened_axioms=True)
 FRAGMENTS = ("f1", "f2", "f3", "f4", "lp-int", "lp-cls", "horn")
 
 
@@ -81,12 +90,13 @@ def _transformed(make, cls) -> str:
         return type(exc).__name__
 
 
-def _transforms(out: Proved, seed: int):
-    """(name, record) for each transform applied to the proof of out."""
+def _transforms(out: Proved, seed: int, expanded: bool = True):
+    """(name, record) for each transform applied to the proof of out; the
+    elimination on the expanded c proof only if expanded."""
     p, cls = out.proof, out.proof_class
     yield "expand", _transformed(lambda: expand_starred(p), cls)
     yield "extract", _transformed(lambda: extract_intuitionistic(p), cls)
-    if cls.kind == "cstar":
+    if expanded and cls.kind == "cstar":
         yield "elim-expanded", _transformed(lambda: eliminate_contractions(expand_starred(p)), cls)
     if cls.kind in ("cstar", "istar"):
         rng = random.Random(seed)
@@ -103,6 +113,22 @@ def _weakenings(out: Proved):
         w = (Atom("w", (Const(e),)),)
         yield e, "ante", _transformed(lambda: weaken(p, extra_ante=w), cls)
         yield e, "succ", _transformed(lambda: weaken(p, extra_succ=w), cls)
+
+
+def _eta(sequents: list[Sequent], seed: int):
+    """(name, record) for the identity proof of each distinct member of the
+    sequents, then for each transform but elim-expanded of each c and i proof
+    of them with strengthened axioms."""
+    for f in dict.fromkeys(f for s in sequents for f in s.ante + s.succ):
+        yield "identity", _transformed(lambda: identity_proof(f), CLASSICAL_STAR)
+    k = 0
+    for s in sequents:
+        for rel in ("c", "i"):
+            out = _outcome(lambda: prove(s, rel, ETA_LIMITS))
+            if isinstance(out, Proved):
+                for step, record in _transforms(out, seed + k, expanded=False):
+                    yield f"{rel}\t{step}", record
+                k += 1
 
 
 def _relations(s: Sequent, limits: SearchLimits):
@@ -144,6 +170,8 @@ def main(argv=None) -> int:
     total, n_total = hashlib.sha256(), 0
     proved: list[tuple[str, Proved]] = []
     for name, sequents, limits in groups(args.stream, args.seed):
+        if name == "corpus":
+            corpus = sequents
         h, n = hashlib.sha256(), 0
         for s in sequents:
             for rel, search in _relations(s, limits):
@@ -169,6 +197,11 @@ def main(argv=None) -> int:
             h.update(f"{rel}\t{e}\t{side}\t{record}\n".encode())
             n += 1
     print(f"weaken {n} {h.hexdigest()}")
+    h, n = hashlib.sha256(), 0
+    for step, record in _eta(corpus, args.seed):
+        h.update(f"{step}\t{record}\n".encode())
+        n += 1
+    print(f"eta {n} {h.hexdigest()}")
     return 0
 
 

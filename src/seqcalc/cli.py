@@ -105,12 +105,7 @@ def cmd_prove(args) -> int:
     if args.restart and args.logic in ("c", "i"):
         raise _UsageError("--restart is a goal-directed relation; it cannot be combined with --logic c or i")
 
-    try:
-        sequent = parse_sequent(_read_text(args.sequent))
-    except ParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-
+    sequent = parse_sequent(_read_text(args.sequent))
     limits = _limits(args)
     if args.herbrandize:
         sequent = herbrandize(sequent)
@@ -159,13 +154,7 @@ def _load_proof_file(path: str):
 def cmd_check(args) -> int:
     proof, cls = _load_proof_file(args.proof)
     if args.proof_class:
-        goal = None
-        if args.goal:
-            try:
-                goal = parse_formula(_read_text(args.goal))
-            except ParseError as exc:
-                print(f"parse error in --goal: {exc}", file=sys.stderr)
-                return EXIT_DATA
+        goal = parse_formula(_read_text(args.goal)) if args.goal else None
         if args.proof_class in ("ig", "og"):
             if goal is None:
                 raise _UsageError(f"class {args.proof_class} needs --goal")
@@ -210,11 +199,7 @@ _ROLE_ALIASES = {"goal": "goal", "clause": "clause", "gprime": "base-goal", "bas
 
 
 def cmd_classify(args) -> int:
-    try:
-        formula = parse_formula(_read_text(args.formula))
-    except ParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_DATA
+    formula = parse_formula(_read_text(args.formula))
     try:
         verdict = classify(formula, args.fragment, _ROLE_ALIASES[args.role])
     except ValueError as exc:
@@ -235,12 +220,7 @@ def _corpus_text(path: str | None) -> str:
 
 
 def cmd_corpus(args) -> int:
-    try:
-        entries = parse_corpus(_corpus_text(args.file))
-    except (_DataError, ParseError) as exc:
-        print(f"{exc}", file=sys.stderr)
-        return EXIT_DATA
-
+    entries = parse_corpus(_corpus_text(args.file))
     limits = _limits(args)
     failures = 0
     rows = []
@@ -329,6 +309,9 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except _DataError as exc:
         print(exc, file=sys.stderr)
+        return EXIT_DATA
+    except ParseError as exc:
+        print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_DATA
 
 

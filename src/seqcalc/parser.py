@@ -346,15 +346,14 @@ class CorpusEntry:
             raise ValueError(f"unknown logic {logic!r}; expected 'c', 'i', or 'o'") from None
 
 
-def _parse_verdict(field: str, key: str, line_no: int, offset: int, source: str) -> bool:
-    field = field.strip()
+def _parse_verdict(field: str, start: int, key: str, source: str) -> bool:
     if field == f"{key}=yes":
         return True
     if field == f"{key}=no":
         return False
     raise ParseError(
         f"expected '{key}=yes' or '{key}=no', found {field!r}",
-        SourceSpan(offset, offset + max(len(field), 1)),
+        SourceSpan(start, start + max(len(field), 1)),
         source,
     )
 
@@ -363,40 +362,47 @@ def parse_corpus(source: str) -> list[CorpusEntry]:
     """Parse a corpus file: `name ; sequent ; C=... ; I=... ; O=...` per line.
 
     Blank lines and lines starting with '#' are skipped; a trailing
-    '# comment' on an entry line is allowed.
+    '# comment' on an entry line is allowed.  Errors name their line and
+    column in the whole source.
     """
     entries: list[CorpusEntry] = []
     seen: set[str] = set()
     offset = 0
-    for line_no, raw in enumerate(source.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            parts = line.split(";")
+    for line_no, raw in enumerate(source.splitlines(keepends=True), start=1):
+        body = raw.split("#", 1)[0]
+        if body.strip():
+            parts = body.split(";")
             if len(parts) != 5:
                 raise ParseError(
                     f"expected 5 ';'-separated fields, found {len(parts)}",
                     SourceSpan(offset, offset + len(raw)),
                     source,
                 )
-            name = parts[0].strip()
+            # each field stripped, with the offset in source where its text starts
+            fields, at = [], offset
+            for part in parts:
+                fields.append((part.strip(), at + len(part) - len(part.lstrip())))
+                at += len(part) + 1
+            name = fields[0][0]
             if not name:
                 raise ParseError("empty entry name", SourceSpan(offset, offset + len(raw)), source)
             if name in seen:
                 raise ParseError(f"duplicate entry name {name!r}", SourceSpan(offset, offset + len(raw)), source)
             seen.add(name)
+            text, start = fields[1]
             try:
-                sequent = parse_sequent(parts[1].strip())
+                sequent = parse_sequent(text)
             except ParseError as exc:
-                raise ParseError(f"line {line_no}: {exc.message}", exc.span, parts[1]) from exc
+                raise ParseError(exc.message, SourceSpan(start + exc.span.start, start + exc.span.end), source) from exc
             entries.append(
                 CorpusEntry(
                     name=name,
                     sequent=sequent,
-                    classical=_parse_verdict(parts[2], "C", line_no, offset, source),
-                    intuitionistic=_parse_verdict(parts[3], "I", line_no, offset, source),
-                    uniform=_parse_verdict(parts[4], "O", line_no, offset, source),
+                    classical=_parse_verdict(*fields[2], "C", source),
+                    intuitionistic=_parse_verdict(*fields[3], "I", source),
+                    uniform=_parse_verdict(*fields[4], "O", source),
                     line=line_no,
                 )
             )
-        offset += len(raw) + 1
+        offset += len(raw)
     return entries

@@ -24,8 +24,13 @@ No transform restates a rule's premises: each reads them from
 exists-r* with the plain rules each expands into above a contraction on its
 principal.  So contraction elimination takes one step for every rule that
 consumes the contracted formula, and expansion and its inverse, ``_starify``,
-one step for those four rules.  Transformations detect malformed inputs
-lazily and raise TransformError.
+one step for those four rules.  ``identity_proof``, the eta expansion
+``_reclose`` uses to turn a compound axiom into atomic ones, is one loop over
+``_ETA``: per connective, its invertible rule and the starred rule of the
+other side.  The sequents built by hand are not rule premises: imp-l's
+succedent split, which the rule leaves free, and the extraction's
+single-goal projections.  Transformations detect malformed inputs lazily and
+raise TransformError.
 
 Weakening, freshening and rebinding are one explicit-stack walk,
 ``_rewrite``; ``expand_starred``, ``_starify`` and the outer walk of
@@ -57,7 +62,6 @@ from .syntax import (
     format_formula,
     free_symbols,
     fresh_name,
-    instantiate,
     multiset_minus,
     predicate_names,
     rename_constant,
@@ -207,66 +211,41 @@ def _rebind_eigen(q: Proof, old: str, new: str) -> Proof:
 # identity proofs (eta expansion)
 
 
+#: eta expansion per connective: the side of its invertible rule, that rule,
+#: and the starred rule of the other side, applied in each premise of the first
+_ETA: dict[type, tuple[str, RuleId, RuleId]] = {
+    And: ("succ", RuleId.AND_R, RuleId.AND_L_STAR),
+    Or: ("ante", RuleId.OR_L, RuleId.OR_R_STAR),
+    Imp: ("succ", RuleId.IMP_R, RuleId.IMP_L_STAR),
+    Forall: ("succ", RuleId.FORALL_R, RuleId.FORALL_L_STAR),
+    Exists: ("ante", RuleId.EXISTS_L, RuleId.EXISTS_R_STAR),
+}
+
+
 def identity_proof(f: Formula) -> Proof:
-    """A starred-calculus proof of ⟨f ⊢ f⟩ closing only on atomic axioms."""
+    """A starred-calculus proof of ⟨f ⊢ f⟩ closing only on atomic axioms.
+    Each leaf the two rules of f's _ETA entry leave holds a part g of f alone
+    on one side; g's identity proof, weakened by the other side less g, proves
+    it.  g is removed by identity, so alpha-variant parts keep their hints."""
     s = Sequent((f,), (f,))
-    match f:
-        case Atom() | Top() | Bot():
-            return Proof(RuleId.AXIOM, s)
-        case And(l, r):
-            left = _node(
-                RuleId.AND_L_STAR,
-                Sequent((f,), (l,)),
-                [weaken(identity_proof(l), extra_ante=(r,))],
-                "ante",
-                f,
-            )
-            right = _node(
-                RuleId.AND_L_STAR,
-                Sequent((f,), (r,)),
-                [weaken(identity_proof(r), extra_ante=(l,))],
-                "ante",
-                f,
-            )
-            return _node(RuleId.AND_R, s, [left, right], "succ", f)
-        case Or(l, r):
-            pl = _node(
-                RuleId.OR_R_STAR,
-                Sequent((l,), (f,)),
-                [weaken(identity_proof(l), extra_succ=(r,))],
-                "succ",
-                f,
-            )
-            pr = _node(
-                RuleId.OR_R_STAR,
-                Sequent((r,), (f,)),
-                [weaken(identity_proof(r), extra_succ=(l,))],
-                "succ",
-                f,
-            )
-            return _node(RuleId.OR_L, s, [pl, pr], "ante", f)
-        case Imp(l, r):
-            p1 = weaken(identity_proof(l), extra_succ=(r,))
-            p2 = weaken(identity_proof(r), extra_ante=(l,))
-            inner = _node(RuleId.IMP_L_STAR, Sequent((f, l), (r,)), [p1, p2], "ante", f)
-            return _node(RuleId.IMP_R, s, [inner], "succ", f)
-        case Forall():
-            c = fresh_name("c", free_symbols(f) | predicate_names(f))
-            inst = instantiate(f, Const(c))
-            core = weaken(identity_proof(inst), extra_ante=(f,))
-            fl = _node(
-                RuleId.FORALL_L_STAR, Sequent((f,), (inst,)), [core], "ante", f, witness=Const(c)
-            )
-            return _node(RuleId.FORALL_R, s, [fl], "succ", f, eigen=c)
-        case Exists():
-            c = fresh_name("c", free_symbols(f) | predicate_names(f))
-            inst = instantiate(f, Const(c))
-            core = weaken(identity_proof(inst), extra_succ=(f,))
-            er = _node(
-                RuleId.EXISTS_R_STAR, Sequent((inst,), (f,)), [core], "succ", f, witness=Const(c)
-            )
-            return _node(RuleId.EXISTS_L, s, [er], "ante", f, eigen=c)
-    raise TransformError(f"cannot build an identity proof for {format_formula(f)}")
+    if isinstance(f, (Atom, Top, Bot)):
+        return Proof(RuleId.AXIOM, s)
+    side, rule, star = _ETA[type(f)]
+    other = "succ" if side == "ante" else "ante"
+    c = Const(fresh_name("c", free_symbols(f) | predicate_names(f))) if isinstance(f, (Forall, Exists)) else None
+    tops = []
+    for t in premises(rule, s, 0, f, c):
+        i = (t.ante if other == "ante" else t.succ).index(f)
+        leaves = []
+        for u in premises(star, t, i, f, c):
+            alone, others = (u.ante, u.succ) if len(u.ante) == 1 else (u.succ, u.ante)
+            g = alone[0]
+            k = next(k for k, h in enumerate(others) if h is g)
+            rest = others[:k] + others[k + 1 :]
+            q = identity_proof(g)
+            leaves.append(weaken(q, (), rest) if alone is u.ante else weaken(q, rest))
+        tops.append(Proof(star, t, tuple(leaves), (other, i), c))
+    return Proof(rule, s, tuple(tops), (side, 0), None, None if c is None else c.name)
 
 
 # ---------------------------------------------------------------------------
@@ -342,9 +321,8 @@ def _reclose(s: Sequent, t: Sequent, redo) -> Proof:
     if is_axiom(t):
         return Proof(RuleId.AXIOM, t)
     if BOT in t.ante and t.succ:
-        head = t.succ[0]
-        inner = Sequent(t.ante, multiset_minus(t.succ, (head,)) + (BOT,))
-        return _node(RuleId.BOT_R, t, [Proof(RuleId.AXIOM, inner)], "succ", head)
+        inner = premises(RuleId.BOT_R, t, 0, t.succ[0])[0]
+        return Proof(RuleId.BOT_R, t, (Proof(RuleId.AXIOM, inner),), ("succ", 0))
     for g in s.ante:
         if g in s.succ and not isinstance(g, (Atom, Top, Bot)):
             rest_ante = multiset_minus(s.ante, (g,))

@@ -7,10 +7,11 @@ production tables, and the generators build formulas directly from those
 same tables.  The reference parser, term rewriters, loose-bound ranges,
 Herbrandization, state keys, relevance check, un-memoized classical search,
 ground visit without failure subsumption, quantifier-free walk, weakening,
-freshening and rebinding, and per-rule proof transforms are
-earlier implementations of the library's own code, kept so that their
-replacements can be compared with them; the transforms share transform's
-node and inversion helpers, and the classical search the rest of the prover.
+freshening and rebinding, per-connective identity proofs, and per-rule proof
+transforms are earlier implementations of the library's own code, kept so
+that their replacements can be compared with them; the transforms share
+transform's node and inversion helpers, and the classical search the rest
+of the prover.
 """
 
 from __future__ import annotations
@@ -1446,6 +1447,69 @@ def reference_weaken(p, extra_ante=(), extra_succ=()):
 # per-rule proof transforms: the reference for seqcalc.transform's generic
 # steps, which read each rule's premises from calculus.premises and must
 # return the same proofs and raise the same errors
+
+
+def reference_identity_proof(f: Formula) -> Proof:
+    """A starred-calculus proof of ⟨f ⊢ f⟩ closing only on atomic axioms, one
+    case per connective with its premises written out."""
+    s = Sequent((f,), (f,))
+    match f:
+        case Atom() | Top() | Bot():
+            return Proof(RuleId.AXIOM, s)
+        case And(l, r):
+            left = _node(
+                RuleId.AND_L_STAR,
+                Sequent((f,), (l,)),
+                [weaken(reference_identity_proof(l), extra_ante=(r,))],
+                "ante",
+                f,
+            )
+            right = _node(
+                RuleId.AND_L_STAR,
+                Sequent((f,), (r,)),
+                [weaken(reference_identity_proof(r), extra_ante=(l,))],
+                "ante",
+                f,
+            )
+            return _node(RuleId.AND_R, s, [left, right], "succ", f)
+        case Or(l, r):
+            pl = _node(
+                RuleId.OR_R_STAR,
+                Sequent((l,), (f,)),
+                [weaken(reference_identity_proof(l), extra_succ=(r,))],
+                "succ",
+                f,
+            )
+            pr = _node(
+                RuleId.OR_R_STAR,
+                Sequent((r,), (f,)),
+                [weaken(reference_identity_proof(r), extra_succ=(l,))],
+                "succ",
+                f,
+            )
+            return _node(RuleId.OR_L, s, [pl, pr], "ante", f)
+        case Imp(l, r):
+            p1 = weaken(reference_identity_proof(l), extra_succ=(r,))
+            p2 = weaken(reference_identity_proof(r), extra_ante=(l,))
+            inner = _node(RuleId.IMP_L_STAR, Sequent((f, l), (r,)), [p1, p2], "ante", f)
+            return _node(RuleId.IMP_R, s, [inner], "succ", f)
+        case Forall():
+            c = fresh_name("c", free_symbols(f) | predicate_names(f))
+            inst = instantiate(f, Const(c))
+            core = weaken(reference_identity_proof(inst), extra_ante=(f,))
+            fl = _node(
+                RuleId.FORALL_L_STAR, Sequent((f,), (inst,)), [core], "ante", f, witness=Const(c)
+            )
+            return _node(RuleId.FORALL_R, s, [fl], "succ", f, eigen=c)
+        case Exists():
+            c = fresh_name("c", free_symbols(f) | predicate_names(f))
+            inst = instantiate(f, Const(c))
+            core = weaken(reference_identity_proof(inst), extra_succ=(f,))
+            er = _node(
+                RuleId.EXISTS_R_STAR, Sequent((inst,), (f,)), [core], "succ", f, witness=Const(c)
+            )
+            return _node(RuleId.EXISTS_L, s, [er], "ante", f, eigen=c)
+    raise TransformError(f"cannot build an identity proof for {format_formula(f)}")
 
 
 def _reference_contract_once(p, side: str, f: Formula):

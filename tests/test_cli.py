@@ -136,6 +136,13 @@ def test_check_restart_classes_need_goal(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_check_goal_parse_error_is_data(tmp_path, capsys):
+    out = tmp_path / "p.json"
+    run("prove", "--restart", PEIRCE, "--emit", str(out))
+    assert run("check", str(out), "--class", "og", "--goal", "q &") == EXIT_DATA
+    assert capsys.readouterr().err.startswith("parse error: ")
+
+
 def test_check_missing_file_is_data_error(capsys):
     assert run("check", "/nonexistent/p.json") == EXIT_DATA
     capsys.readouterr()
@@ -244,7 +251,7 @@ def test_classify_gprime_needs_the_classical_lp_fragment(capsys):
 
 def test_classify_parse_error(capsys):
     assert run("classify", "--fragment", "f1", "--role", "goal", "q &") == EXIT_DATA
-    capsys.readouterr()
+    assert capsys.readouterr().err.startswith("parse error: ")
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +277,7 @@ def test_corpus_parse_error_is_data(tmp_path, capsys):
     f = tmp_path / "c.corpus"
     f.write_text("only two fields ; q |- q\n")
     assert run("corpus", "run", str(f)) == EXIT_DATA
-    capsys.readouterr()
+    assert capsys.readouterr().err.startswith("parse error: ")
 
 
 # ---------------------------------------------------------------------------

@@ -204,6 +204,29 @@ def test_corpus_rejects_malformed_rows():
         parse_corpus("gamma ; p |- p ; C=maybe ; I=yes ; O=no")
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (
+            "ok ; p |- p ; C=yes ; I=yes ; O=yes\nbad ;   p |- q & ; C=yes ; I=yes ; O=yes",
+            "expected a formula, found end of input (line 2, column 17)",
+        ),
+        (
+            "ok ; p |- p ; C=yes ; I=maybe ; O=yes",
+            "expected 'I=yes' or 'I=no', found 'I=maybe' (line 1, column 23)",
+        ),
+        (
+            "ok ; p |- p ; C=yes ; I=yes ; O=yes\r\n\r\nok2 ; p |- p ; C=yes ; I=maybe ; O=yes",
+            "expected 'I=yes' or 'I=no', found 'I=maybe' (line 3, column 24)",
+        ),
+    ],
+)
+def test_corpus_errors_name_their_place_in_the_whole_source(text, message):
+    with pytest.raises(ParseError) as exc:
+        parse_corpus(text)
+    assert str(exc.value) == message
+
+
 def test_corpus_duplicate_names_rejected():
     text = "a ; p |- p ; C=yes ; I=yes ; O=yes\na ; q |- q ; C=yes ; I=yes ; O=yes"
     with pytest.raises(ParseError):

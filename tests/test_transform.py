@@ -41,11 +41,13 @@ from _oracles import (
     random_fragment_sequent,
     random_horn_sequent,
     random_propositional_sequent,
+    random_quantified_sequent,
     reference_eliminate_contractions,
     reference_expand_starred,
     reference_extract_intuitionistic,
     reference_extract_some_goal,
     reference_freshen_eigens,
+    reference_identity_proof,
     reference_rebind_eigen,
     reference_starify,
     reference_weaken,
@@ -139,15 +141,51 @@ def test_weaken_succedent_rejected_on_intuitionistic_implication_nodes():
 # identity proofs
 
 
-@pytest.mark.parametrize(
-    "text",
-    ["q", "q & s", "q | s", "q => s", "forall x. p(x)", "exists x. (p(x) & q)", "top", "bot"],
-)
-def test_identity_proof_closes_on_plain_axioms(text):
-    f = parse_formula(text)
+def _assert_identity_proof_is_the_reference(f):
     p = identity_proof(f)
     assert p.conclusion == Sequent((f,), (f,))
+    assert dump_proof(p, CLASSICAL_STAR) == dump_proof(reference_identity_proof(f), CLASSICAL_STAR)
     assert check_proof(p, CLASSICAL_STAR)  # standard axioms suffice
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "q",
+        "q & s",
+        "q | s",
+        "q => s",
+        "forall x. p(x)",
+        "exists x. (p(x) & q)",
+        "top",
+        "bot",
+        # repeated and alpha-variant parts: each leaf keeps the part it was built from
+        "(forall x. p(x)) & (forall y. p(y))",
+        "(forall x. p(x)) | (forall y. p(y))",
+        "(forall x. p(x)) => (forall y. p(y))",
+        "(exists x. p(x)) & (exists y. p(y))",
+        "p & p",
+        "p => p",
+        "forall c. (p(c) & exists c0. q(c0, c))",
+        "~~~p",
+    ],
+)
+def test_identity_proof_closes_on_plain_axioms(text):
+    _assert_identity_proof_is_the_reference(parse_formula(text))
+
+
+@given(st.integers(0, 5_000))
+def test_identity_proof_matches_reference_on_drawn_members(seed):
+    rng = random.Random(seed)
+    fragment = ("f1", "f2", "f3", "f4", "lp-int", "lp-cls")[seed % 6]
+    drawn = (
+        random_quantified_sequent(rng),
+        random_fragment_sequent(rng, fragment, rng.randint(1, 3), rng.randint(1, 3), rng.randint(1, 3)),
+        random_propositional_sequent(rng, 6),
+    )
+    for s in drawn:
+        for f in s.ante + s.succ:
+            _assert_identity_proof_is_the_reference(f)
 
 
 # ---------------------------------------------------------------------------
