@@ -29,8 +29,12 @@ The eta line covers eta expansion, which turns a compound axiom into atomic
 ones: the identity proof of every distinct member of the corpus sequents,
 then expand_starred, extract_intuitionistic and eliminate_contractions of a
 decorated copy, as on the transforms line, of every c and i proof of a
-corpus sequent found with strengthened (compound) axioms.  The output does
-not depend on PYTHONHASHSEED.
+corpus sequent found with strengthened (compound) axioms.
+
+The roundtrip line covers load_proof: every Proved document of the all
+line, loaded and dumped again in the same process, so later documents
+load and dump through the text memos that earlier ones filled.  The output
+does not depend on PYTHONHASHSEED.
 """
 
 from __future__ import annotations
@@ -44,7 +48,16 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
-from seqcalc import Proved, SearchLimits, augment, dump_proof, parse_corpus, prove, prove_restart  # noqa: E402
+from seqcalc import (  # noqa: E402
+    Proved,
+    SearchLimits,
+    augment,
+    dump_proof,
+    load_proof,
+    parse_corpus,
+    prove,
+    prove_restart,
+)
 from seqcalc.calculus import CLASSICAL_STAR, proof_nodes  # noqa: E402
 from seqcalc.syntax import Atom, Const, Sequent  # noqa: E402
 from seqcalc.transform import (  # noqa: E402
@@ -168,6 +181,7 @@ def main(argv=None) -> int:
     ap.add_argument("--seed", type=int, default=1, help="seed of the streams (default 1)")
     args = ap.parse_args(argv)
     total, n_total = hashlib.sha256(), 0
+    reloaded, n_reloaded = hashlib.sha256(), 0
     proved: list[tuple[str, Proved]] = []
     for name, sequents, limits in groups(args.stream, args.seed):
         if name == "corpus":
@@ -176,9 +190,13 @@ def main(argv=None) -> int:
         for s in sequents:
             for rel, search in _relations(s, limits):
                 out = _outcome(search)
-                if name == "corpus" and isinstance(out, Proved):
-                    proved.append((rel, out))
-                line = f"{rel}\t{_record(out)}\n".encode()
+                record = _record(out)
+                if isinstance(out, Proved):
+                    if name == "corpus":
+                        proved.append((rel, out))
+                    reloaded.update(f"{rel}\t{dump_proof(*load_proof(record))}\n".encode())
+                    n_reloaded += 1
+                line = f"{rel}\t{record}\n".encode()
                 h.update(line)
                 total.update(line)
                 n += 1
@@ -202,6 +220,7 @@ def main(argv=None) -> int:
         h.update(f"{step}\t{record}\n".encode())
         n += 1
     print(f"eta {n} {h.hexdigest()}")
+    print(f"roundtrip {n_reloaded} {reloaded.hexdigest()}")
     return 0
 
 

@@ -47,15 +47,33 @@ out.  `load_proof` rejects a document that breaks any of this.  Within one
 document it builds one sorted side per distinct index list and one
 `Sequent` per distinct pair of them, so nodes that list the same
 conclusion share it.
+
+Formulas are interned, so the same objects come back document after
+document.  Two process-wide memos convert each distinct formula once, not
+once per document: `_TEXTS` holds the printed text of each live formula
+`proof_to_json` listed, keyed by the formula's id (never by ==, which
+would give an alpha-variant another variant's binder names); an entry
+holds its formula weakly and goes when the formula dies, so the memo
+keeps no formula alive.  `_PARSED` holds the formula each table or goal
+text `proof_from_json` read, keyed by the text; a text that fails to
+parse is never stored.  Both are bounded as the searches' memos are, by
+`syntax._stored`: each is emptied when it reaches `syntax._MEMO_CAP`
+entries.  Threads may share them: a lookup is one dict read, and every
+store holds `_MEMO_LOCK`, so no memo grows past the cap.  `parse_formula`
+and `format_formula` themselves stay uncached.
 """
 
 from __future__ import annotations
 
 import enum
 import json
+import threading
+import weakref
+from _weakref import _remove_dead_weakref
 from dataclasses import dataclass
 from typing import Any, Callable, Iterator
 
+from .parser import parse_formula, parse_term
 from .syntax import (
     BOT,
     And,
@@ -70,6 +88,7 @@ from .syntax import (
     Sequent,
     Term,
     Top,
+    _stored,
     format_formula,
     format_term,
     formula_key,
@@ -610,11 +629,62 @@ def check_proof(proof: Proof, cls: ProofClass, strengthened_axioms: bool = False
 _FORMAT = 2
 
 
+class _Text(weakref.ref):
+    """A print memo entry: a weak reference to a formula that keeps the
+    formula's id and printed text."""
+
+    __slots__ = ("key", "text")
+
+
+#: the printed text of each live formula a document listed, by the
+#: formula's id.  An entry holds its formula weakly and is dropped when the
+#: formula dies, before any other object can take that id, so the entry
+#: found under an id is that very formula's, and the memo keeps no formula
+#: alive.
+_TEXTS: dict[int, _Text] = {}
+#: the formula each table or goal text a document listed parses to
+_PARSED: dict[str, Formula] = {}
+#: held while storing into either memo, so threads cannot fill one past the cap
+_MEMO_LOCK = threading.Lock()
+
+
+def _forget(entry: _Text, memo=_TEXTS, remove=_remove_dead_weakref) -> None:
+    # remove deletes the entry only while it holds a dead reference, as
+    # syntax._drop does
+    remove(memo, entry.key)
+
+
+def _text(f: Formula) -> str:
+    """format_formula(f), printed once per object while it lives, unless
+    the memo was emptied at the cap."""
+    got = _TEXTS.get(id(f))
+    if got is None:
+        got = _Text(f, _forget)
+        got.key, got.text = id(f), format_formula(f)
+        with _MEMO_LOCK:
+            _stored(_TEXTS, got.key, got)
+    return got.text
+
+
+def _parsed(text: str) -> Formula:
+    """parse_formula(text), parsed once while the memo keeps it; a text
+    that fails to parse raises each time and is never stored."""
+    f = _PARSED.get(text)
+    if f is None:
+        f = parse_formula(text)
+        with _MEMO_LOCK:
+            _stored(_PARSED, text, f)
+    return f
+
+
 def proof_to_json(p: Proof, cls: ProofClass) -> dict:
     """The flat document of p (see the module docstring).  Nodes are listed
     per occurrence, so a subproof used twice is listed twice; formulas are
     shared by object identity, then by printed text, never by == (which
-    would merge alpha-variants and lose a member's binder name)."""
+    would merge alpha-variants and lose a member's binder name).  Each
+    formula's text comes from a process-wide memo keyed by the formula's
+    id, so a formula listed by many documents is printed once while it
+    lives."""
     formulas: list[str] = []
     by_text: dict[str, int] = {}
     by_id: dict[int, int] = {}
@@ -624,7 +694,7 @@ def proof_to_json(p: Proof, cls: ProofClass) -> dict:
         for f in side:
             i = by_id.get(id(f))
             if i is None:
-                text = format_formula(f)
+                text = _text(f)
                 i = by_id[id(f)] = by_text.setdefault(text, len(formulas))
                 if i == len(formulas):
                     formulas.append(text)
@@ -655,7 +725,7 @@ def proof_to_json(p: Proof, cls: ProofClass) -> dict:
 
     doc: dict = {"format": _FORMAT, "class": cls.kind}
     if cls.goal is not None:
-        doc["goal"] = format_formula(cls.goal)
+        doc["goal"] = _text(cls.goal)
     doc["formulas"] = formulas
     doc["nodes"] = nodes
     return doc
@@ -674,9 +744,9 @@ def _indices(entry: dict, key: str, bound: int) -> list[int]:
 def proof_from_json(data: dict) -> tuple[Proof, ProofClass]:
     """The proof and class of a flat document.  ValueError (ParseError for
     bad formula or term text) unless the document keeps every invariant of
-    the module docstring."""
-    from .parser import parse_formula, parse_term
-
+    the module docstring.  The goal and table texts are parsed through a
+    process-wide memo keyed by the text, so a formula listed by many
+    documents is parsed once."""
     if not isinstance(data, dict):
         raise ValueError("proof document must be a JSON object")
     if data.get("format") != _FORMAT:
@@ -686,14 +756,14 @@ def proof_from_json(data: dict) -> tuple[Proof, ProofClass]:
         raise ValueError(f"unknown proof class {kind!r}")
     try:
         goal = data.get("goal")
-        cls = ProofClass(kind, parse_formula(goal) if goal is not None else None)
+        cls = ProofClass(kind, _parsed(goal) if goal is not None else None)
         table = data["formulas"]
         entries = data["nodes"]
         if not isinstance(table, list) or not isinstance(entries, list):
             raise ValueError("formulas and nodes must be lists")
         if not entries:
             raise ValueError("proof document has no nodes")
-        formulas = [parse_formula(text) for text in table]
+        formulas = list(map(_parsed, table))
         # one sorted side per distinct index list, one sequent per pair of them
         sides: dict[tuple[int, ...], tuple[Formula, ...]] = {}
         sequents: dict[tuple, Sequent] = {}

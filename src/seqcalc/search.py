@@ -79,12 +79,12 @@ Both engines extend one search context, `_Search`: the root, the limits,
 the nodes left, and the constants the search made, in `made`, each named
 under a prefix that avoids the root's symbols.  Every memo is keyed by
 values (sort keys, numbers, ids), never by a live sequent.  The pure memos,
-whose evicted entries are just recomputed, are emptied when they reach
-`_MEMO_CAP` entries, so their memory stays bounded and no outcome changes:
-`_instances`, `_wit_memo`, `_items`, `_heads`, `_antes` and the classical
-`_metas`.  What prunes or numbers the search stays unbounded, as evicting
-it would change node counts or keys: the failure caches, `_numbers`,
-`_path` and `_pending`.
+whose evicted entries are just recomputed, are kept by `syntax._stored`,
+which empties a memo when it reaches `syntax._MEMO_CAP` entries, so their
+memory stays bounded and no outcome changes: `_instances`, `_wit_memo`,
+`_items`, `_heads`, `_antes` and the classical `_metas`.  What prunes or
+numbers the search stays unbounded, as evicting it would change node
+counts or keys: the failure caches, `_numbers`, `_path` and `_pending`.
 
 Outcomes are frozen, slotted dataclasses.  A `Proved` outcome carries one
 of `calculus`'s shared class constants, `CLASSICAL_STAR` under c,
@@ -133,6 +133,7 @@ from .syntax import (
     Term,
     Top,
     Var,
+    _stored,
     forall as bind_forall,
     free_symbols,
     ground_subterms,
@@ -433,19 +434,6 @@ _NO_CYCLE = 10**9
 _Visit = Generator[tuple, Proof | None, Proof | None]
 
 
-#: the entries a pure memo holds before _stored empties it
-_MEMO_CAP = 4_096
-
-
-def _stored(memo: dict, key, value):
-    """Store value under key in memo, a pure memo, emptied first when it
-    holds _MEMO_CAP entries; return value."""
-    if len(memo) >= _MEMO_CAP:
-        memo.clear()
-    memo[key] = value
-    return value
-
-
 class _Search:
     """What a search of either engine keeps: its root and limits, the nodes
     left, and the names of the constants it made (see _made_name)."""
@@ -525,6 +513,11 @@ def _invertible_step(s: Sequent) -> tuple[RuleId, str, int, Formula] | None:
 # classical prover
 
 
+def _members_key(s: Sequent) -> tuple:
+    """The sort keys of s's members, side by side."""
+    return tuple(map(_KEY, s.ante)), tuple(map(_KEY, s.succ))
+
+
 #: the classical prover's quantifier instantiations: (side, connective, rule)
 _INSTANTIATIONS = (("ante", Forall, _FORALL_L_STAR), ("succ", Exists, _EXISTS_R_STAR))
 
@@ -539,8 +532,8 @@ class _ClassicalProver(_Search):
         # each member's own metavariables, by the member's sort key
         self._metas: dict[str, frozenset[int]] = {}
         # the failures of premises that vacuous instantiations extend (see
-        # _memoized)
-        self._failed: dict[tuple, tuple[int, int]] = {}
+        # _memoized), by _members_key, then by _rest_key
+        self._failed: dict[tuple, dict[tuple, tuple[int, int]]] = {}
 
     # -- quantifier-free decision -------------------------------------------
 
@@ -640,8 +633,9 @@ class _ClassicalProver(_Search):
                         # a vacuous instantiation (members are locally
                         # closed, so the body holds no index of f's binder):
                         # the premise recurs under other orders of them
-                        key = partial(self._state_key, premise, subst, c2, mult)
-                        closings = self._memoized(self._failed, key, premise, subst, c2, mult)
+                        members = partial(_members_key, premise)
+                        rest = partial(self._rest_key, premise, subst, c2, mult)
+                        closings = self._memoized(self._failed, members, rest, premise, subst, c2, mult)
                     else:
                         closings = self.solve(premise, subst, c2, mult)
                     for sb, sk in closings:
@@ -670,23 +664,29 @@ class _ClassicalProver(_Search):
         the order of their numbers."""
         return tuple([subst.resolve_term(Meta(i))._key for i in sorted(self._own_metas(s))])
 
-    def _state_key(self, s: Sequent, subst: Subst, counts: dict[Formula, int], mult: int) -> tuple:
-        """What a search of s under subst, counts and mult depends on: its
-        members' sort keys, the tallies of the members an instantiation may
-        pick, mult, and the resolved bindings of its metavariables.  Every
-        formula counts holds is such a member of s: instantiations keep
-        their principal."""
-        ante, succ = s.ante, s.succ
+    def _rest_key(self, s: Sequent, subst: Subst, counts: dict[Formula, int], mult: int) -> tuple:
+        """What a search of s under subst, counts and mult depends on beside
+        its members' sort keys (_members_key): the tallies of the members an
+        instantiation may pick, mult, and the resolved bindings of its
+        metavariables.  Every formula counts holds is such a member of s:
+        instantiations keep their principal."""
         return (
-            tuple(map(_KEY, ante)),
-            tuple(map(_KEY, succ)),
-            tuple([counts.get(f, 0) for f in ante if type(f) is Forall]),
-            tuple([counts.get(f, 0) for f in succ if type(f) is Exists]),
+            tuple([counts.get(f, 0) for f in s.ante if type(f) is Forall]),
+            tuple([counts.get(f, 0) for f in s.succ if type(f) is Exists]),
             mult,
             self._resolved(s, subst),
         )
 
-    def _memoized(self, memo: dict, key_of: Callable[[], tuple], s: Sequent, subst: Subst, counts, mult: int):
+    def _memoized(
+        self,
+        memo: dict,
+        head_of: Callable[[], tuple],
+        rest_of: Callable[[], tuple],
+        s: Sequent,
+        subst: Subst,
+        counts,
+        mult: int,
+    ):
         """solve(s, subst, counts, mult) through a failure memo.  A search
         that yields nothing and makes no eigenvariable is stored under its
         key with the nodes it spent and the metavariables it made; a later
@@ -696,25 +696,31 @@ class _ClassicalProver(_Search):
         metavariables are numbered above every one the state holds, and
         metavariable sort keys order numerically, so members sort and
         unify the same way.  Eigenvariable names compare as strings
-        (e10 < e9), so a failure that made one is not stored.  key_of()
-        gives the key, asked for only when memo holds failures to look up
-        or the search failed."""
-        key = None
+        (e10 < e9), so a failure that made one is not stored.  The key is
+        the pair (head_of(), rest_of()), held as memo[head][rest]: the head
+        is asked for only when memo holds failures to look up or the search
+        failed, and the rest, dearer, only when failures are stored under
+        that head too or the search failed."""
+        head = rest = None
         if memo:
-            key = key_of()
-            got = memo.get(key)
-            if got is not None:
-                nodes, made = got
-                self.charge(nodes)
-                self.next_meta += made
-                return
+            head = head_of()
+            under = memo.get(head)
+            if under is not None:
+                rest = rest_of()
+                got = under.get(rest)
+                if got is not None:
+                    nodes, made = got
+                    self.charge(nodes)
+                    self.next_meta += made
+                    return
         left, metas, eigens = self.left, self.next_meta, len(self.made)
         found = False
         for out in self.solve(s, subst, counts, mult):
             found = True
             yield out
         if not found and len(self.made) == eigens:
-            memo[key_of() if key is None else key] = (left - self.left, self.next_meta - metas)
+            under = memo.setdefault(head_of() if head is None else head, {})
+            under[rest_of() if rest is None else rest] = (left - self.left, self.next_meta - metas)
 
     def _solve_all(self, prems, subst, counts, mult) -> Iterator[tuple[Subst, tuple[Proof, ...]]]:
         """solve over the one or two premises of a rule, threading the
@@ -726,9 +732,10 @@ class _ClassicalProver(_Search):
                 yield sb, (sk,)
             return
         p1, p2 = prems
-        failed: dict[tuple, tuple[int, int]] = {}
+        failed: dict[tuple, dict[tuple, tuple[int, int]]] = {}
         for sb1, sk1 in self.solve(p1, subst, counts, mult):
-            for sb2, sk2 in self._memoized(failed, partial(self._resolved, p2, sb1), p2, sb1, counts, mult):
+            # keyed by the resolved bindings alone: the rest is the empty tuple
+            for sb2, sk2 in self._memoized(failed, partial(self._resolved, p2, sb1), tuple, p2, sb1, counts, mult):
                 yield sb2, (sk1, sk2)
 
     # -- grounding -------------------------------------------------------------
@@ -741,10 +748,12 @@ class _ClassicalProver(_Search):
         term becomes its name."""
         grounding = _Grounding(subst, Const(self._made_name("c", 0)), self.made)
         gterm = grounding.resolve_term
-        # the skeleton's sequents share most of their members; the skeleton
-        # keeps every member alive during the call, so each is grounded
-        # once, by its id
+        # the skeleton's sequents share most of their members and many of
+        # their sides; the skeleton keeps every member and side alive during
+        # the call, so each is grounded once, by its id, and each side is
+        # sorted once into a tuple the nodes that list it share
         grounded: dict[int, Formula] = {}
+        sides: dict[int, tuple[Formula, ...]] = {}
 
         def gformula(f: Formula) -> Formula:
             g = grounded.get(id(f))
@@ -752,9 +761,15 @@ class _ClassicalProver(_Search):
                 g = grounded[id(f)] = map_terms(f, lambda a, _: gterm(a))
             return g
 
+        def gside(side: tuple[Formula, ...]) -> tuple[Formula, ...]:
+            g = sides.get(id(side))
+            if g is None:
+                g = sides[id(side)] = tuple(sorted(map(gformula, side), key=_KEY))
+            return g
+
         def leave(sk: Proof, grounded_premises: tuple[Proof, ...]) -> Proof:
             s = sk.conclusion
-            seq = Sequent(tuple(map(gformula, s.ante)), tuple(map(gformula, s.succ)))
+            seq = Sequent._presorted(gside(s.ante), gside(s.succ))
             principal = sk.principal
             if principal is not None:
                 side, i = principal

@@ -108,6 +108,20 @@ def _build(cls, ikey: tuple, values: tuple, key: str, twin, lbr: int, qf: bool |
         _remove_dead_weakref(_TABLE, ikey)
 
 
+#: the entries a pure memo holds before _stored empties it
+_MEMO_CAP = 4_096
+
+
+def _stored(memo: dict, key, value):
+    """Store value under key in memo, a pure memo, emptied first when it
+    holds _MEMO_CAP entries; return value.  The searches' memos and the
+    proof documents' text memos (calculus) are kept this way."""
+    if len(memo) >= _MEMO_CAP:
+        memo.clear()
+    memo[key] = value
+    return value
+
+
 # sort keys: each node kind has a one-character tag, names and integers
 # have order-preserving, prefix-free encodings, and ")" closes an argument
 # list (it sorts below every term tag, so a shorter list sorts first)

@@ -1,15 +1,23 @@
 """Proof checking: rule schemata, class constraints, metrics, JSON round trip."""
 
+import contextlib
 import copy
 import dataclasses
+import gc
 import json
 import pickle
 import re
+import sys
+import threading
+import weakref
+from concurrent.futures import ThreadPoolExecutor
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from seqcalc import calculus
 from seqcalc.calculus import (
     _RULES,
     CLASSICAL,
@@ -34,7 +42,7 @@ from seqcalc.calculus import (
     rule_profile,
     rule_usage,
 )
-from seqcalc.parser import parse_sequent
+from seqcalc.parser import ParseError, parse_formula, parse_sequent
 from seqcalc.search import NotProvedWithinLimits, Proved, Refuted, prove, prove_restart
 from seqcalc.syntax import (
     And,
@@ -50,6 +58,7 @@ from seqcalc.syntax import (
     Sequent,
     Top,
     Var,
+    _MEMO_CAP,
     exists,
     forall,
     format_formula,
@@ -764,6 +773,134 @@ def test_load_rejects_malformed_flat_document(name):
 def test_load_rejects_deeply_nested_json():
     with pytest.raises(ValueError, match="proof document nests too deeply"):
         load_proof(DEEPLY_NESTED)
+
+
+# ---------------------------------------------------------------------------
+# the text memos of dump and load
+
+
+@contextlib.contextmanager
+def _cold_memos():
+    """Run with both text memos empty, and empty them again after.  Their
+    old entries are not put back: a print memo entry whose formula died
+    meanwhile would be stale."""
+    calculus._TEXTS.clear()
+    calculus._PARSED.clear()
+    try:
+        yield
+    finally:
+        calculus._TEXTS.clear()
+        calculus._PARSED.clear()
+
+
+def _round_trips(proofs) -> list[tuple[str, list]]:
+    """Each proof's document under class c and the members of every node of
+    its loaded proof, as printed."""
+    out = []
+    for p in proofs:
+        text = dump_proof(p, CLASSICAL)
+        q, _ = load_proof(text)
+        out.append((text, [_members(n) for n in proof_nodes(q)]))
+    return out
+
+
+def test_alpha_variants_keep_their_binder_names_through_the_text_memos():
+    fx, fy = parse_formula("forall x. p(x)"), parse_formula("forall y. p(y)")
+    assert fx == fy and fx is not fy
+    # both in one document, then each alone in a document of its own
+    proofs = [axiom([fx, fy], [fy]), axiom([fx], [fx]), axiom([fy], [fy])]
+    x, y = "forall x. p(x)", "forall y. p(y)"
+    want = [[[x, y, y]], [[x, x]], [[y, y]]]
+    for order, expected in ((proofs, want), (proofs[::-1], want[::-1])):
+        with _cold_memos():
+            cold = _round_trips(order)
+            warm = _round_trips(order)
+        assert cold == warm
+        assert [members for _, members in cold] == expected
+    assert json.loads(_round_trips(proofs[:1])[0][0])["formulas"] == [x, y]
+
+
+def _chains(n: int, width: int) -> list[Proof]:
+    """n axioms over width atoms each, every atom distinct, and one member
+    all of them share."""
+    atoms = [Atom(f"p{k}") for k in range(n * width)]
+    return [axiom([Q] + atoms[k * width : (k + 1) * width], [Q]) for k in range(n)]
+
+
+def test_the_text_memos_hold_at_most_the_cap_and_change_no_document():
+    proofs = _chains(1_100, 4)
+    assert 4 * len(proofs) > _MEMO_CAP
+    sizes = []
+    with _cold_memos():
+        for p in proofs:
+            _round_trips([p])
+            sizes.append((len(calculus._TEXTS), len(calculus._PARSED)))
+        warm = _round_trips(proofs)
+    assert max(max(pair) for pair in sizes) <= _MEMO_CAP
+    # each memo filled up and was emptied
+    for n in (0, 1):
+        assert any(b[n] < a[n] for a, b in zip(sizes, sizes[1:]))
+    cold = []
+    for p in proofs:
+        with _cold_memos():
+            cold += _round_trips([p])
+    assert warm == cold
+
+
+def test_threads_dumping_and_loading_at_once_get_the_single_thread_documents():
+    fx, fy = parse_formula("forall x. p(x)"), parse_formula("forall y. p(y)")
+    proofs = _chains(300, 3) + [axiom([fx, fy], [fy]), axiom([fy], [fy]), axiom([fx], [fx])]
+    proofs += [p for text in ("|- ((q => s) => q) => q", "q | s, q => t, s => t |- t")
+               for p, _ in _proofs_of_every_class(text)]
+    with _cold_memos():
+        want = _round_trips(proofs)
+    # cap 5 empties the memos all the time, under every thread at once
+    for cap in (_MEMO_CAP, 5):
+        start = threading.Barrier(8, timeout=60)
+
+        def run(k):
+            # each thread starts at its own place in the list, then puts
+            # its results back in list order; with the largest memo size
+            # it saw after each document
+            start.wait()
+            mine, largest = [], 0
+            for p in proofs[k:] + proofs[:k]:
+                mine += _round_trips([p])
+                largest = max(largest, len(calculus._TEXTS), len(calculus._PARSED))
+            return mine[len(proofs) - k :] + mine[: len(proofs) - k], largest
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with _cold_memos(), mock.patch("seqcalc.syntax._MEMO_CAP", cap):
+                with ThreadPoolExecutor(max_workers=8) as pool:
+                    got = list(pool.map(run, range(8), timeout=300))
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(docs == want and largest <= cap for docs, largest in got)
+
+
+def test_the_print_memo_keeps_no_formula_alive():
+    p = axiom([Atom("fleeting", (Const("a"),))], [Q])
+    dump_proof(p, CLASSICAL)
+    f = weakref.ref(p.conclusion.ante[0])
+    assert calculus._TEXTS[id(f())].text == "fleeting(a)"
+    key = id(f())
+    del p
+    gc.collect()
+    assert f() is None and key not in calculus._TEXTS
+
+
+def test_a_bad_table_text_raises_the_same_parse_error_every_time():
+    doc = copy.deepcopy(FLAT)
+    doc["formulas"][2] = "q & "
+    errors = []
+    for _ in range(2):
+        with pytest.raises(ParseError) as info:
+            load_proof(json.dumps(doc))
+        errors.append((str(info.value), info.value.span))
+    assert errors[0] == errors[1]
+    assert "q & " not in calculus._PARSED
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,6 @@ from seqcalc.search import (
     Subst,
     _ClassicalProver,
     _NO_COUNTS,
-    _MEMO_CAP,
     _GroundProver,
     _Search,
     herbrandize,
@@ -54,6 +53,7 @@ from seqcalc.syntax import (
     Meta,
     Or,
     Sequent,
+    _MEMO_CAP,
     format_sequent,
     formula_key,
     instantiate,
@@ -616,7 +616,7 @@ def _capped_run(search, s: Sequent, cap: int) -> tuple:
         provers.append(prover)
         init(prover, *args)
 
-    with mock.patch.object(_Search, "__init__", recording), mock.patch("seqcalc.search._MEMO_CAP", cap):
+    with mock.patch.object(_Search, "__init__", recording), mock.patch("seqcalc.syntax._MEMO_CAP", cap):
         out = search(s, SearchLimits(node_budget=400))
     (prover,) = provers
     doc = dump_proof(out.proof, out.proof_class) if isinstance(out, Proved) else None
@@ -645,7 +645,7 @@ def test_a_long_search_keeps_its_pure_memos_within_the_cap():
 
     def run(cap: int) -> tuple:
         prover = _GroundProver(s, SearchLimits(node_budget=20_000), uniform=True, restart_goal=s.succ[0])
-        with mock.patch("seqcalc.search._MEMO_CAP", cap):
+        with mock.patch("seqcalc.syntax._MEMO_CAP", cap):
             out = prover.run()
         memos = (prover._instances, prover._wit_memo, prover._items, prover._heads, prover._antes)
         return (type(out).__name__, prover.prunes, len(prover.failed), prover.left), max(map(len, memos))
