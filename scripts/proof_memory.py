@@ -2,8 +2,8 @@
 
     PYTHONPATH=src python scripts/proof_memory.py [--stream N] [--seed S]
 
-Draws two seeded streams with the test suite's generators in
-tests/_oracles.py, as scripts/proof_digest.py does: random
+Draws the two seeded streams of scripts/proof_digest.py, through its
+groups, made by the test suite's generators in tests/_oracles.py: random
 quantifier-free sequents (cut to one succedent member) and in-fragment
 sequents (F1-F4, LP_INT, LP_CLS and Horn).  Each stream is searched under
 c, i, o and restart within 250 nodes per call, one relation at a time, and
@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import argparse
 import gc
-import random
 import sys
 import tracemalloc
 from pathlib import Path
@@ -37,35 +36,16 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 from seqcalc import Proved, SearchLimits, dump_proof, load_proof, parse_sequent, prove, prove_restart  # noqa: E402
 from seqcalc.calculus import proof_size  # noqa: E402
-from seqcalc.syntax import Atom, Sequent  # noqa: E402
 
-from _oracles import random_fragment_sequent, random_horn_sequent, random_propositional_sequent  # noqa: E402
+from proof_digest import groups  # noqa: E402
 
 LIMITS = SearchLimits(node_budget=250)
-FRAGMENTS = ("f1", "f2", "f3", "f4", "lp-int", "lp-cls", "horn")
 RELATIONS = {
     "c": lambda s: prove(s, "c", LIMITS),
     "i": lambda s: prove(s, "i", LIMITS),
     "o": lambda s: prove(s, "o", LIMITS),
     "restart": lambda s: prove_restart(s, LIMITS),
 }
-
-
-def streams(n: int, seed: int) -> dict[str, list[Sequent]]:
-    rng = random.Random(seed)
-    prop = []
-    for _ in range(n):
-        s = random_propositional_sequent(rng, 8)
-        prop.append(Sequent(s.ante, s.succ[:1] or (Atom("q"),)))
-    rng = random.Random(seed + 1)
-    fragment = []
-    for k in range(n):
-        frag, j = FRAGMENTS[k % len(FRAGMENTS)], k // len(FRAGMENTS)
-        if frag == "horn":
-            fragment.append(random_horn_sequent(rng))
-        else:
-            fragment.append(random_fragment_sequent(rng, frag, 1 + j % 3, 1 + (j // 3) % 3, 1 + (j // 9) % 3))
-    return {"prop": prop, "fragment": fragment}
 
 
 def held(make) -> tuple[object, int]:
@@ -86,7 +66,7 @@ def main(argv=None) -> int:
     ap.add_argument("--stream", type=int, default=1000, help="sequents per seeded stream (default 1000)")
     ap.add_argument("--seed", type=int, default=1, help="seed of the streams (default 1)")
     args = ap.parse_args(argv)
-    drawn = streams(args.stream, args.seed)
+    drawn = {name: sequents for name, sequents, _ in groups(args.stream, args.seed) if name != "corpus"}
     conjuncts = " & ".join(f"p{k}" for k in range(700))
     deep = prove(parse_sequent(f"{conjuncts} |- {conjuncts}"), "i")
     text = dump_proof(deep.proof, deep.proof_class)

@@ -35,6 +35,13 @@ Its builders edit the conclusion's sorted sides instead of sorting, so the
 sides must be sorted, as every Sequent's are.  `INVERTIBLE` names the
 invertible rule of each connective on each side.
 
+The checker tests every rule by one premise comparison: a node's premise
+conclusions must be exactly the sequents that its rule and its own fields
+determine, so a wrong premise count fails that comparison too.  An axiom
+has none, a restart one, and every rule with a principal those
+`premises` builds; imp-l, whose succedent split is free, reads the split
+off its first premise.
+
 `dump_proof` writes a proof as one flat JSON document, `{"format": 2,
 "class", "goal"?, "formulas", "nodes"}`.  `formulas` lists each distinct
 formula text once.  `nodes` lists the nodes in post-order, so every node
@@ -96,7 +103,6 @@ from .syntax import (
     instantiate,
     metas_in,
     multiset_minus,
-    multiset_union,
 )
 
 
@@ -493,10 +499,7 @@ def premises(
 
 
 def _uniform_violation(node: Proof) -> str | None:
-    succ = node.conclusion.succ
-    if len(succ) != 1:
-        return "goal-directed proofs need singleton succedents"
-    goal = succ[0]
+    goal = node.conclusion.succ[0]
     if isinstance(goal, (Atom, Top, Bot)):
         return None
     if _RULES.get(node.rule, ())[:2] != ("succ", type(goal)):
@@ -532,18 +535,12 @@ def _check_node(node: Proof, cls: ProofClass, strengthened: bool, clean: set[int
         return "witness term contains unresolved metavariables"
 
     if rule is RuleId.AXIOM:
-        if node.premises:
-            return "axiom must not have premises"
         if not is_axiom(s, strengthened):
             return f"not an axiom: {s}"
-        return None
+        return _expect_premises(node) if node.premises else None
 
     if rule is RuleId.RESTART:
-        if len(node.premises) != 1:
-            return "restart takes one premise"
-        if len(s.succ) != 1:
-            return "restart needs a singleton succedent"
-        return _expect_premises(node, Sequent(s.ante, (cls.goal,)))
+        return _expect_premises(node, Sequent._presorted(s.ante, (cls.goal,)))
 
     side, connective, _ = _RULES[rule]
     if node.principal is None:
@@ -558,21 +555,18 @@ def _check_node(node: Proof, cls: ProofClass, strengthened: bool, clean: set[int
     if connective is not None and not isinstance(f, connective):
         return f"principal of {rule.value} must be {_CONNECTIVE_NAMES[connective]}"
     if rule is RuleId.IMP_L:
-        # multi-succedent: the premise succedents split the conclusion's
-        if len(node.premises) != 2:
-            return "imp-l takes two premises"
-        rest = s.without_ante(index)
-        p1, p2 = (q.conclusion for q in node.premises)
-        if p1.ante != rest.ante:
-            return "imp-l: first premise must keep the remaining antecedent"
-        delta1 = multiset_minus(p1.succ, (f.left,))
-        if delta1 is None:
-            return "imp-l: first premise must add the implication antecedent to the succedent"
-        if p2.ante != multiset_union(rest.ante, (f.right,)):
-            return "imp-l: second premise must add the implication consequent to the antecedent"
-        if multiset_union(delta1, p2.succ) != s.succ:
-            return "imp-l: premise succedents must split the conclusion succedent"
-        return None
+        # the succedent split is free, so read it off the first premise: its
+        # succedent less the implication's antecedent (delta1) is the part of
+        # the conclusion's it keeps, and the second premise keeps the rest
+        delta1 = multiset_minus(node.premises[0].conclusion.succ, (f.left,)) if node.premises else None
+        theta = None if delta1 is None else multiset_minus(s.succ, delta1)
+        if theta is None:
+            return (
+                "imp-l: the first premise's succedent must be the implication's "
+                "antecedent plus part of the conclusion's succedent"
+            )
+        rest = s.ante[:index] + s.ante[index + 1 :]
+        return _expect_premises(node, Sequent(rest, delta1 + (f.left,)), Sequent(rest + (f.right,), theta))
     term = node.witness
     if (side, connective) in (("ante", Forall), ("succ", Exists)):
         if term is None:

@@ -24,7 +24,6 @@ from .calculus import (
     load_proof,
     proof_height,
     proof_size,
-    restart_class,
     rule_profile,
     rule_usage,
 )
@@ -155,12 +154,10 @@ def cmd_check(args) -> int:
     proof, cls = _load_proof_file(args.proof)
     if args.proof_class:
         goal = parse_formula(_read_text(args.goal)) if args.goal else None
-        if args.proof_class in ("ig", "og"):
-            if goal is None:
-                raise _UsageError(f"class {args.proof_class} needs --goal")
-            cls = restart_class(goal, uniform=args.proof_class == "og")
-        else:
-            cls = ProofClass(args.proof_class)
+        try:
+            cls = ProofClass(args.proof_class, goal)
+        except ValueError as exc:
+            raise _UsageError(str(exc)) from exc
 
     report = check_proof(proof, cls, strengthened_axioms=args.strengthened_axioms)
     if report:

@@ -40,8 +40,8 @@ that build equal structures get one object.
 Sequents keep both sides as multisets in a canonical sorted order (by
 formula_key, stable), which makes multiset equality plain tuple equality.
 The public Sequent constructor sorts; only the private Sequent._presorted
-and the edits without_ante, without_succ and plus skip that sort, so they
-must be given sides that are already in that order.
+and the edits without_ante, replace_ante, replace_succ and plus skip that
+sort, so they must be given sides that are already in that order.
 """
 
 from __future__ import annotations
@@ -353,10 +353,6 @@ def is_quantifier_free(f: Formula) -> bool:
     return f._qf
 
 
-def connective_count(f: Formula) -> int:
-    return sum(type(g) not in (Atom, Top, Bot) for g in subformulas(f))
-
-
 # ---------------------------------------------------------------------------
 # traversal core: every rewrite of terms goes through map_terms, and every
 # collector reads the nodes that _walk yields
@@ -618,10 +614,10 @@ class Sequent:
     and assigning or deleting an attribute raises AttributeError.
 
     The constructor sorts both sides.  Sequent._presorted, without_ante,
-    without_succ, replace_ante, replace_succ and plus do not: they need
-    sides already in the order sorted(key=formula_key) gives, as every
-    Sequent's sides are, and keep that order (plus and replace_* insert
-    each new member where sorted() would put it)."""
+    replace_ante, replace_succ and plus do not: they need sides already in
+    the order sorted(key=formula_key) gives, as every Sequent's sides are,
+    and keep that order (plus and replace_* insert each new member where
+    sorted() would put it)."""
 
     __slots__ = ("ante", "succ")
     __match_args__ = ("ante", "succ")
@@ -666,14 +662,11 @@ class Sequent:
         return Sequent._presorted(_insorted(self.ante[:index] + self.ante[index + 1 :], new), self.succ)
 
     def replace_succ(self, index: int, new: Iterable[Formula]) -> "Sequent":
-        """without_succ(index).plus(succ=new), building one sequent."""
+        """The sequent with succ[index] replaced by the new members."""
         return Sequent._presorted(self.ante, _insorted(self.succ[:index] + self.succ[index + 1 :], new))
 
     def without_ante(self, index: int) -> "Sequent":
         return Sequent._presorted(self.ante[:index] + self.ante[index + 1 :], self.succ)
-
-    def without_succ(self, index: int) -> "Sequent":
-        return Sequent._presorted(self.ante, self.succ[:index] + self.succ[index + 1 :])
 
     def __str__(self) -> str:
         return format_sequent(self)
@@ -707,13 +700,6 @@ def multiset_minus(xs: tuple[Formula, ...], ys: Iterable[Formula]) -> tuple[Form
         except ValueError:
             return None
     return tuple(rest)
-
-
-def multiset_union(*parts: Iterable[Formula]) -> tuple[Formula, ...]:
-    out: list[Formula] = []
-    for p in parts:
-        out.extend(p)
-    return tuple(sorted(out, key=_KEY))
 
 
 # ---------------------------------------------------------------------------

@@ -89,6 +89,11 @@ MALFORMED = {
     "format-unknown": (lambda d: d.update(format=1), "unknown proof document format 1, expected 2"),
     "format-as-text": (lambda d: d.update(format="2"), "unknown proof document format '2', expected 2"),
     "nested-document": (_nested, "unknown proof document format None, expected 2"),
+    "class-unknown": (lambda d: d.update({"class": "x"}), "unknown proof class 'x'"),
+    "formulas-not-a-list": (lambda d: d.update(formulas="q"), "formulas and nodes must be lists"),
+    "nodes-not-a-list": (lambda d: d.update(nodes={}), "formulas and nodes must be lists"),
+    "eigen-not-a-string": (lambda d: d["nodes"][0].update(eigen=1), "bad eigenvariable 1"),
+    "rule-missing": (lambda d: d["nodes"][0].pop("rule"), "malformed proof document: 'rule'"),
 }
 
 

@@ -7,11 +7,12 @@ production tables, and the generators build formulas directly from those
 same tables.  The reference parser, term rewriters, loose-bound ranges,
 Herbrandization, state keys, relevance check, un-memoized classical search,
 ground visit without failure subsumption, quantifier-free walk, weakening,
-freshening and rebinding, per-connective identity proofs, and per-rule proof
-transforms are earlier implementations of the library's own code, kept so
+freshening and rebinding, per-connective identity proofs, per-rule proof
+transforms, and the proof checker with hand-written axiom, restart and
+imp-l cases are earlier implementations of the library's own code, kept so
 that their replacements can be compared with them; the transforms share
-transform's node and inversion helpers, and the classical search the rest
-of the prover.
+transform's node and inversion helpers, the classical search the rest of
+the prover, and the checker the premise table of every other rule.
 """
 
 from __future__ import annotations
@@ -22,7 +23,22 @@ import re
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
-from seqcalc.calculus import INVERTIBLE, Proof, RuleId, rule_family, rule_usage
+from seqcalc.calculus import (
+    _CONNECTIVE_NAMES,
+    _RULES,
+    _RULESETS,
+    _SINGLETON_KINDS,
+    _UNIFORM_KINDS,
+    INVERTIBLE,
+    CheckReport,
+    Proof,
+    RuleId,
+    _expect_premises,
+    is_axiom,
+    premises,
+    rule_family,
+    rule_usage,
+)
 from seqcalc.fragments import FORBIDDEN_FAMILIES
 from seqcalc.parser import ParseError, SourceSpan
 from seqcalc.syntax import (
@@ -45,6 +61,7 @@ from seqcalc.syntax import (
     exists,
     forall,
     format_formula,
+    formula_key,
     free_symbols,
     fresh_name,
     instantiate,
@@ -315,6 +332,118 @@ def reference_premises(
         case RuleId.EXISTS_L | RuleId.FORALL_R:
             return (add(instantiate(f, Const(eigen))),)
     raise ValueError(f"rule {rule.value} leaves its succedent split free")
+
+
+# ---------------------------------------------------------------------------
+# proof checking with the axiom, restart and imp-l cases written out
+
+
+def _reference_union(*parts) -> tuple[Formula, ...]:
+    return tuple(sorted((f for part in parts for f in part), key=formula_key))
+
+
+def _reference_uniform_violation(node: Proof) -> str | None:
+    succ = node.conclusion.succ
+    if len(succ) != 1:
+        return "goal-directed proofs need singleton succedents"
+    goal = succ[0]
+    if isinstance(goal, (Atom, Top, Bot)):
+        return None
+    if _RULES.get(node.rule, ())[:2] != ("succ", type(goal)):
+        return (
+            f"compound goal {format_formula(goal)} must be introduced by its "
+            f"right rule, not {node.rule.value}"
+        )
+    return None
+
+
+def _reference_check_node(node: Proof, cls, strengthened: bool) -> str | None:
+    """One rule application, with its own arity check for the axiom,
+    restart and imp-l rules and five conditions on imp-l's split."""
+    rule = node.rule
+    s = node.conclusion
+    for f in s.ante + s.succ:
+        if metas_in(f):
+            return "sequent contains unresolved metavariables"
+    if node.witness is not None and metas_in(node.witness):
+        return "witness term contains unresolved metavariables"
+
+    if rule is RuleId.AXIOM:
+        if node.premises:
+            return "axiom must not have premises"
+        if not is_axiom(s, strengthened):
+            return f"not an axiom: {s}"
+        return None
+
+    if rule is RuleId.RESTART:
+        if len(node.premises) != 1:
+            return "restart takes one premise"
+        if len(s.succ) != 1:
+            return "restart needs a singleton succedent"
+        return _expect_premises(node, Sequent(s.ante, (cls.goal,)))
+
+    side, connective, _ = _RULES[rule]
+    if node.principal is None:
+        return f"rule {rule.value} needs a principal formula"
+    got_side, index = node.principal
+    if got_side != side:
+        return f"rule {rule.value} expects its principal on the {side} side"
+    formulas = s.ante if side == "ante" else s.succ
+    if not 0 <= index < len(formulas):
+        return f"principal index {index} out of range"
+    f = formulas[index]
+    if connective is not None and not isinstance(f, connective):
+        return f"principal of {rule.value} must be {_CONNECTIVE_NAMES[connective]}"
+    if rule is RuleId.IMP_L:
+        if len(node.premises) != 2:
+            return "imp-l takes two premises"
+        rest = s.ante[:index] + s.ante[index + 1 :]
+        p1, p2 = (q.conclusion for q in node.premises)
+        if p1.ante != rest:
+            return "imp-l: first premise must keep the remaining antecedent"
+        delta1 = multiset_minus(p1.succ, (f.left,))
+        if delta1 is None:
+            return "imp-l: first premise must add the implication antecedent to the succedent"
+        if p2.ante != _reference_union(rest, (f.right,)):
+            return "imp-l: second premise must add the implication consequent to the antecedent"
+        if _reference_union(delta1, p2.succ) != s.succ:
+            return "imp-l: premise succedents must split the conclusion succedent"
+        return None
+    term = node.witness
+    if (side, connective) in (("ante", Forall), ("succ", Exists)):
+        if term is None:
+            return f"rule {rule.value} needs a witness term"
+    elif (side, connective) in (("ante", Exists), ("succ", Forall)):
+        if not node.eigen:
+            return f"rule {rule.value} needs an eigenvariable"
+        if node.eigen in free_symbols(s):
+            return f"eigenvariable {node.eigen!r} already occurs in the conclusion"
+        if cls.goal is not None and node.eigen in free_symbols(cls.goal):
+            return f"eigenvariable {node.eigen!r} occurs in the restart goal"
+        term = Const(node.eigen)
+    return _expect_premises(node, *premises(rule, s, index, f, term, cls.goal))
+
+
+def reference_check_proof(proof: Proof, cls, strengthened_axioms: bool = False) -> CheckReport:
+    """check_proof as it was when the axiom, restart and imp-l rules were
+    checked by hand, each with its own arity check; the other rules share
+    the library's premise table."""
+    allowed = _RULESETS[cls.kind]
+    stack = [(proof, ())]
+    while stack:
+        node, path = stack.pop()
+        if node.rule not in allowed:
+            return CheckReport(False, f"rule {node.rule.value} is not part of class {cls}", path)
+        if cls.kind in _SINGLETON_KINDS and len(node.conclusion.succ) != 1:
+            return CheckReport(False, f"class {cls} needs singleton succedents, found {node.conclusion}", path)
+        msg = (_reference_uniform_violation(node) if cls.kind in _UNIFORM_KINDS else None) or _reference_check_node(
+            node, cls, strengthened_axioms
+        )
+        if msg:
+            return CheckReport(False, msg, path)
+        for i, q in enumerate(node.premises):
+            stack.append((q, path + (i,)))
+    return CheckReport(True)
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,10 @@ import contextlib
 import copy
 import dataclasses
 import gc
+import itertools
 import json
 import pickle
+import random
 import re
 import sys
 import threading
@@ -43,7 +45,7 @@ from seqcalc.calculus import (
     rule_usage,
 )
 from seqcalc.parser import ParseError, parse_formula, parse_sequent
-from seqcalc.search import NotProvedWithinLimits, Proved, Refuted, prove, prove_restart
+from seqcalc.search import NotProvedWithinLimits, Proved, Refuted, SearchLimits, prove, prove_restart
 from seqcalc.syntax import (
     And,
     App,
@@ -66,7 +68,7 @@ from seqcalc.syntax import (
 from seqcalc.transform import TransformError, expand_starred, extract_intuitionistic, weaken
 
 from _documents import DEEPLY_NESTED, FLAT, MALFORMED, malformed
-from _oracles import random_propositional_sequent, reference_premises
+from _oracles import random_goal_sequent, random_propositional_sequent, reference_check_proof, reference_premises
 
 Q, S, T = Atom("q"), Atom("s"), Atom("t")
 
@@ -478,6 +480,171 @@ def test_or_l_restart_second_branch_swaps_goal():
 
 
 # ---------------------------------------------------------------------------
+# axiom, restart and imp-l: premises that no builder in the table gives
+
+
+_IMP = Imp(Q, S)
+#: q, q => s |- s, t, t, forall x. p(x), forall y. p(y); the last two are
+#: alpha-variants, so a split may send either one to either premise
+_DELTA = (S, T, T, _px("x"), _px("y"))
+
+
+def _imp_l(first, second, delta=_DELTA):
+    s = Sequent((Q, _IMP), delta)
+    return Proof(RuleId.IMP_L, s, tuple(first) + tuple(second), ("ante", s.ante.index(_IMP)))
+
+
+def test_imp_l_accepts_every_split_of_its_succedent():
+    # the first premise, q |- delta1, q, is an axiom; the second, q, s |-
+    # theta, is one exactly when it keeps s
+    accepted = 0
+    for picks in itertools.product((False, True), repeat=len(_DELTA)):
+        delta1 = tuple(g for g, first in zip(_DELTA, picks) if first)
+        theta = tuple(g for g, first in zip(_DELTA, picks) if not first)
+        node = _imp_l([axiom([Q], delta1 + (Q,))], [axiom([Q, S], theta)])
+        for rep in (check_proof(node, CLASSICAL), reference_check_proof(node, CLASSICAL)):
+            if S in theta:
+                assert rep
+            else:
+                assert not rep and rep.path == (1,) and rep.message.startswith("not an axiom")
+        accepted += S in theta
+    assert accepted == 2 ** (len(_DELTA) - 1)
+
+
+@pytest.mark.parametrize(
+    "first, second, message",
+    [
+        ((), (), "split"),
+        ([axiom([Q], [S])], [axiom([Q, S], [S])], "split"),
+        ([axiom([Q], [Q, Atom("u")])], [axiom([Q, S], _DELTA)], "split"),
+        ([axiom([Q], [Q, S, S])], [axiom([Q, S], _DELTA[1:])], "split"),
+        (
+            [axiom([Q], [Q])],
+            [],
+            "imp-l: expected premises [q |- q; q, s |- s, t, t, forall x. p(x), forall y. p(y)], found [q |- q]",
+        ),
+        (
+            [axiom([Q, T], [Q])],
+            [axiom([Q, S], _DELTA)],
+            "imp-l: expected premises [q |- q; q, s |- s, t, t, forall x. p(x), forall y. p(y)], "
+            "found [q, t |- q; q, s |- s, t, t, forall x. p(x), forall y. p(y)]",
+        ),
+        (
+            [axiom([Q], [Q, T])],
+            [axiom([Q, S], _DELTA[:2] + _DELTA[3:]), axiom([Q], [Q])],
+            "imp-l: expected premises [q |- q, t; q, s |- s, t, forall x. p(x), forall y. p(y)], "
+            "found [q |- q, t; q, s |- s, t, forall x. p(x), forall y. p(y); q |- q]",
+        ),
+    ],
+    ids=["no-premises", "no-antecedent", "foreign-member", "member-twice", "one-premise", "wrong-antecedent", "three"],
+)
+def test_imp_l_rejects_premises_off_its_split(first, second, message):
+    if message == "split":
+        message = (
+            "imp-l: the first premise's succedent must be the implication's "
+            "antecedent plus part of the conclusion's succedent"
+        )
+    node = _imp_l(first, second)
+    rep = check_proof(node, CLASSICAL)
+    assert not rep and rep.path == () and rep.message == message
+    want = reference_check_proof(node, CLASSICAL)
+    assert not want and want.path == ()
+
+
+def test_axiom_and_restart_reject_a_wrong_premise_count():
+    rep = check_proof(Proof(RuleId.AXIOM, Sequent((Q,), (Q,)), (axiom([Q], [Q]),)), CLASSICAL)
+    assert not rep and rep.path == ()
+    assert rep.message == "axiom: expected premises [], found [q |- q]"
+    cls = ProofClass("og", goal=Q)
+    for subs, found in (((), ""), ((axiom([Q], [Q]),) * 2, "q |- q; q |- q")):
+        rep = check_proof(Proof(RuleId.RESTART, Sequent((Q,), (T,)), subs), cls)
+        assert not rep and rep.path == ()
+        assert rep.message == f"restart: expected premises [q |- q], found [{found}]"
+
+
+def test_a_witness_with_a_metavariable_is_rejected():
+    inst = Atom("p", (Meta(1),))
+    node = Proof(RuleId.FORALL_L, Sequent((PX,), (Q,)), (axiom([inst], [Q]),), ("ante", 0), witness=Meta(1))
+    rep = check_proof(node, CLASSICAL)
+    assert not rep and rep.path == ()
+    assert rep.message == "witness term contains unresolved metavariables"
+
+
+def _replaced(p: Proof, path: tuple[int, ...], new: Proof) -> Proof:
+    """p with its node at path replaced by new."""
+    if not path:
+        return new
+    subs = list(p.premises)
+    subs[path[0]] = _replaced(subs[path[0]], path[1:], new)
+    return dataclasses.replace(p, premises=tuple(subs))
+
+
+def _mutant(rng: random.Random, node: Proof) -> Proof:
+    """node with one premise added or removed, or one member dropped from a
+    premise's conclusion, added to it, moved to its other side or moved to
+    another premise's conclusion."""
+    subs = list(node.premises)
+    kinds = ["add-premise"] + ["remove-premise", "drop", "add", "move"] * bool(subs) + ["shift"] * 2 * (len(subs) > 1)
+    kind = rng.choice(kinds)
+    if kind == "add-premise":
+        extra = rng.choice(subs + [axiom(node.conclusion.ante, node.conclusion.succ)])
+        subs.insert(rng.randrange(len(subs) + 1), extra)
+    elif kind == "remove-premise":
+        del subs[rng.randrange(len(subs))]
+    else:
+        j = rng.randrange(len(subs))
+        sides = [list(subs[j].conclusion.ante), list(subs[j].conclusion.succ)]
+        if kind == "add" or not any(sides):
+            sides[rng.randrange(2)].append(rng.choice([Q, *node.conclusion.ante, *node.conclusion.succ]))
+        else:
+            k = rng.choice([k for k in (0, 1) if sides[k]])
+            f = sides[k].pop(rng.randrange(len(sides[k])))
+            if kind == "move":
+                sides[1 - k].append(f)
+            elif kind == "shift":
+                other = rng.choice([i for i in range(len(subs)) if i != j])
+                into = [list(subs[other].conclusion.ante), list(subs[other].conclusion.succ)]
+                into[k].append(f)
+                subs[other] = dataclasses.replace(subs[other], conclusion=Sequent(*into))
+        subs[j] = dataclasses.replace(subs[j], conclusion=Sequent(*sides))
+    return dataclasses.replace(node, premises=tuple(subs))
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_mutated_premises_get_the_verdict_of_the_hand_written_checker(seed):
+    # expanded classical proofs hold multi-succedent imp-l nodes, restart
+    # proofs that restart hold restart and singleton imp-l nodes, and all
+    # of them hold axioms
+    rng = random.Random(seed)
+    limits = SearchLimits(node_budget=250)
+    bases = []
+    for _ in range(40):
+        out = prove(random_propositional_sequent(rng, 8), "c", limits)
+        if isinstance(out, Proved):
+            bases.append((expand_starred(out.proof), CLASSICAL))
+    for _ in range(200):
+        out = prove_restart(random_goal_sequent(rng), limits)
+        if isinstance(out, Proved) and RuleId.RESTART in rule_usage(out.proof):
+            bases.append((out.proof, out.proof_class))
+    verdicts = {rule: set() for rule in (RuleId.IMP_L, RuleId.RESTART, RuleId.AXIOM)}
+    for proof, cls in bases:
+        assert check_proof(proof, cls) and reference_check_proof(proof, cls)
+        stack = [(proof, ())]
+        while stack:
+            node, path = stack.pop()
+            stack += [(q, path + (i,)) for i, q in enumerate(node.premises)]
+            if node.rule not in verdicts:
+                continue
+            for _ in range(4):
+                mutant = _replaced(proof, path, _mutant(rng, node))
+                got, want = check_proof(mutant, cls), reference_check_proof(mutant, cls)
+                assert (got.ok, got.path) == (want.ok, want.path)
+                verdicts[node.rule].add("ok" if got else "here" if got.path == path else "below")
+    # each rule rejects some mutants at the mutated node itself
+    assert all("here" in seen for seen in verdicts.values())
+
+
+# ---------------------------------------------------------------------------
 # deep proofs: each member is scanned for metavariables once
 
 
@@ -768,6 +935,15 @@ def test_hand_written_flat_document_loads():
 def test_load_rejects_malformed_flat_document(name):
     with pytest.raises(ValueError, match=re.escape(MALFORMED[name][1])):
         load_proof(json.dumps(malformed(name)))
+
+
+@pytest.mark.parametrize(
+    "text", ["[]", json.dumps([FLAT]), "2", '"proof"', "null"], ids=["empty-list", "list", "number", "string", "null"]
+)
+def test_load_rejects_a_document_that_is_not_an_object(text):
+    with pytest.raises(ValueError) as err:
+        load_proof(text)
+    assert str(err.value) == "proof document must be a JSON object"
 
 
 def test_load_rejects_deeply_nested_json():

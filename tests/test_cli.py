@@ -133,7 +133,15 @@ def test_check_restart_classes_need_goal(tmp_path, capsys):
     goal = "((q => s) => q) => q"
     assert run("check", str(out), "--class", "og", "--goal", goal) == EXIT_PROVED
     assert run("check", str(out), "--class", "og", "--goal", "s") == EXIT_REFUTED
+    assert capsys.readouterr().err == "proof class 'og' needs a goal formula\n"
+
+
+def test_check_goal_of_a_goalless_class_is_usage_error(tmp_path, capsys):
+    out = tmp_path / "p.json"
+    run("prove", PEIRCE, "--emit", str(out))
     capsys.readouterr()
+    assert run("check", str(out), "--class", "c", "--goal", "q") == EXIT_USAGE
+    assert capsys.readouterr().err == "proof class 'c' does not take a goal\n"
 
 
 def test_check_goal_parse_error_is_data(tmp_path, capsys):

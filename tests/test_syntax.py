@@ -32,7 +32,6 @@ from seqcalc.syntax import (
     Sequent,
     Top,
     Var,
-    connective_count,
     exists,
     forall,
     format_formula,
@@ -46,7 +45,6 @@ from seqcalc.syntax import (
     is_quantifier_free,
     metas_in,
     multiset_minus,
-    multiset_union,
     neg,
     predicate_names,
     rename_constant,
@@ -253,11 +251,6 @@ def test_multiset_minus_respects_multiplicity():
     assert multiset_minus(xs, (Atom("s"),)) is None
 
 
-def test_multiset_union_counts():
-    out = multiset_union((Atom("p"),), (Atom("p"), Atom("q")))
-    assert sorted(f.pred for f in out) == ["p", "p", "q"]
-
-
 def test_sequent_plus_and_without():
     s = parse_sequent("p |- q")
     t = s.plus(ante=(Atom("s"),))
@@ -282,7 +275,7 @@ def _shown(s: Sequent):
 
 @given(seeds)
 def test_sequent_edits_match_the_sorting_constructor(seed):
-    # without_*, replace_* and plus skip the constructor's sort; they must still
+    # without_ante, replace_* and plus skip the constructor's sort; they must still
     # give the order sorted() gives, down to which of two alpha-variants comes first
     rng = random.Random(seed)
     pool = [
@@ -295,7 +288,6 @@ def test_sequent_edits_match_the_sorting_constructor(seed):
 
     s = Sequent(members(rng.randrange(6)), members(rng.randrange(4)))
     edits = [(s.without_ante(i), Sequent(s.ante[:i] + s.ante[i + 1 :], s.succ)) for i in range(len(s.ante))]
-    edits += [(s.without_succ(i), Sequent(s.ante, s.succ[:i] + s.succ[i + 1 :])) for i in range(len(s.succ))]
     for _ in range(4):
         a, b = members(rng.randrange(3)), members(rng.randrange(3))
         edits.append((s.plus(a, b), Sequent(s.ante + a, s.succ + b)))
@@ -312,11 +304,6 @@ def test_sequent_edits_match_the_sorting_constructor(seed):
 
 # ---------------------------------------------------------------------------
 # sizes, keys, printing
-
-
-def test_connective_count():
-    assert connective_count(parse_formula("p & (q | s) => t")) == 3
-    assert connective_count(parse_formula("forall x. p(x)")) == 1
 
 
 def test_is_quantifier_free():
