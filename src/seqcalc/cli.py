@@ -151,6 +151,8 @@ def _load_proof_file(path: str):
 
 
 def cmd_check(args) -> int:
+    if args.goal is not None and not args.proof_class:
+        raise _UsageError("--goal needs --class: the goal is read only with an explicit class")
     proof, cls = _load_proof_file(args.proof)
     if args.proof_class:
         goal = parse_formula(_read_text(args.goal)) if args.goal else None
@@ -273,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="calculus to validate against (default: the class recorded in the file)",
     )
-    p.add_argument("--goal", help="reserved goal formula for the restart classes")
+    p.add_argument("--goal", help="reserved goal formula for the restart classes (needs --class)")
     p.add_argument("--strengthened-axioms", action="store_true", help="allow compound axiom closures")
     p.set_defaults(run=cmd_check)
 

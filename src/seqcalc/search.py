@@ -79,6 +79,20 @@ depth and the instantiation tallies it had.  No argument here carries
 that to a smaller antecedent, so the exact cache keyed by the state, its
 tallies and its depth stays.
 
+Before any engine is built, `prove` and `prove_restart` valuate a
+quantifier-free root classically.  Each distinct atom gets a fixed bit
+pattern over all 2**n valuations of the n atoms, each formula is one int
+built by `&`, `|` and complement in one post-order walk on an explicit
+stack, and the sequent is valid iff AND(ante) & ~OR(succ) == 0.  Uniform
+provability implies intuitionistic and that classical provability, so a
+falsifying valuation settles every relation at once: c and i return
+Refuted, o and restart NotProvedWithinLimits, and no node is spent, so c
+and i refute such a root even with no node budget.  A root with a
+quantifier or with more than 12 distinct atoms is searched as before, and
+so is every valid root, so no proof changes.  Only the root is valuated:
+pruning every classically invalid state of the i and o searches made
+their searches of valid sequents about a fifth slower.
+
 Both engines extend one search context, `_Search`: the root, the limits,
 the nodes left, and the constants the search made, in `made`, each named
 under a prefix that avoids the root's symbols.  Every memo is keyed by
@@ -1491,6 +1505,69 @@ class _GroundProver(_Search):
 
 
 # ---------------------------------------------------------------------------
+# classical valuation of quantifier-free sequents
+
+
+def _atom_patterns(n: int) -> tuple[int, ...]:
+    """Each atom's truth over the 2**n valuations of n atoms, as an int:
+    bit v of atom k's pattern is bit k of v."""
+    full = (1 << (1 << n)) - 1
+    return tuple(full // ((1 << (2 << k)) - 1) * (((1 << (1 << k)) - 1) << (1 << k)) for k in range(n))
+
+
+#: the atom patterns a valuation tries in turn; the last try's atom count is
+#: the bound past which a sequent is searched without one.  Five atoms cover
+#: the quantifier-free sequents of the benchmark's streams with small ints.
+_PATTERNS = (_atom_patterns(5), _atom_patterns(12))
+
+
+def _classically_valid(s: Sequent) -> bool | None:
+    """Whether the quantifier-free sequent s holds under every valuation of
+    its atoms; None if s has a quantifier or more than 12 distinct atoms.
+
+    Each formula is read as an int whose bit v is its truth under valuation
+    v, by one post-order walk on an explicit stack, memoized by identity
+    (interned quantifier-free formulas are equal exactly when identical).
+    A try gives up at an atom its patterns do not cover, and the next try,
+    with more patterns, walks again."""
+    if not is_quantifier_free_sequent(s):
+        return None
+    for patterns in _PATTERNS:
+        full = (1 << (1 << len(patterns))) - 1
+        fresh = iter(patterns)
+        val = {id(TOP): full, id(BOT): 0}
+        stack = [*s.ante, *s.succ]
+        while stack:
+            f = stack.pop()
+            i = id(f)
+            if i in val:
+                continue
+            t = type(f)
+            if t is Atom:
+                v = next(fresh, None)
+                if v is None:
+                    break
+            else:
+                left, right = val.get(id(f.left)), val.get(id(f.right))
+                if left is None or right is None:
+                    # back once both parts have a value
+                    stack += (f, f.right, f.left)
+                    continue
+                v = left & right if t is And else left | right if t is Or else (full ^ left) | right
+            val[i] = v
+        else:
+            # the valuations that make every antecedent member true and
+            # every succedent member false
+            falsifying = full
+            for f in s.ante:
+                falsifying &= val[id(f)]
+            for f in s.succ:
+                falsifying &= ~val[id(f)]
+            return not falsifying
+    return None
+
+
+# ---------------------------------------------------------------------------
 # entry points
 
 
@@ -1501,19 +1578,34 @@ def prove(s: Sequent, logic: str = "c", limits: SearchLimits | None = None) -> S
     Refuted); quantified sequents may come back NotProvedWithinLimits.  The
     i logic decides quantifier-free sequents too.  The o (goal-directed)
     logic never refutes.
+
+    A quantifier-free s with at most 12 distinct atoms is first valuated
+    classically (see _classically_valid).  A falsifying valuation settles
+    every logic without a search and spends no nodes: uniform provability
+    implies intuitionistic and that classical provability, so c and i
+    return Refuted, whatever the limits, and o returns
+    NotProvedWithinLimits.  Otherwise the search runs as if there were no
+    valuation, so every Proved outcome is the search's.
     """
     limits = limits or SearchLimits()
+    if logic not in ("c", "i", "o"):
+        raise ValueError(f"unknown logic {logic!r} (expected c, i, or o)")
+    if logic != "c" and len(s.succ) != 1:
+        raise ValueError(f"logic {logic!r} needs exactly one succedent formula, got {s}")
+    if _classically_valid(s) is False:
+        return NotProvedWithinLimits() if logic == "o" else Refuted()
     if logic == "c":
         return _ClassicalProver(s, limits).run()
-    if logic in ("i", "o"):
-        if len(s.succ) != 1:
-            raise ValueError(f"logic {logic!r} needs exactly one succedent formula, got {s}")
-        return _GroundProver(s, limits, uniform=(logic == "o")).run()
-    raise ValueError(f"unknown logic {logic!r} (expected c, i, or o)")
+    return _GroundProver(s, limits, uniform=(logic == "o")).run()
 
 
 def prove_restart(s: Sequent, limits: SearchLimits | None = None) -> SearchOutcome:
-    """Goal-directed search with restart: the succedent formula is the restart goal."""
+    """Goal-directed search with restart: the succedent formula is the restart goal.
+
+    A quantifier-free s that a valuation falsifies (as in prove) returns
+    NotProvedWithinLimits without a search: restart proofs are classical."""
     if len(s.succ) != 1:
         raise ValueError(f"restart search needs exactly one succedent formula, got {s}")
+    if _classically_valid(s) is False:
+        return NotProvedWithinLimits()
     return _GroundProver(s, limits or SearchLimits(), uniform=True, restart_goal=s.succ[0]).run()

@@ -535,7 +535,9 @@ def random_propositional(rng: random.Random, n: int, leaves: tuple[Formula, ...]
     return rng.choice((And, Or, Imp))(l, r)
 
 
-def random_propositional_sequent(rng: random.Random, max_connectives: int = 6) -> Sequent:
+def random_propositional_sequent(
+    rng: random.Random, max_connectives: int = 6, leaves: tuple[Formula, ...] = PROP_LEAVES
+) -> Sequent:
     """A random quantifier-free sequent with a bounded connective total."""
     n_ante = rng.randrange(3)
     n_succ = rng.randrange(1, 3)
@@ -543,7 +545,7 @@ def random_propositional_sequent(rng: random.Random, max_connectives: int = 6) -
     sizes = [0] * (n_ante + n_succ)
     for _ in range(budget):
         sizes[rng.randrange(len(sizes))] += 1
-    members = [random_propositional(rng, k) for k in sizes]
+    members = [random_propositional(rng, k, leaves) for k in sizes]
     return Sequent(tuple(members[:n_ante]), tuple(members[n_ante:]))
 
 

@@ -144,6 +144,17 @@ def test_check_goal_of_a_goalless_class_is_usage_error(tmp_path, capsys):
     assert capsys.readouterr().err == "proof class 'c' does not take a goal\n"
 
 
+def test_check_goal_without_class_is_usage_error(tmp_path, capsys):
+    # the goal would otherwise be dropped and the file's own class checked
+    out = tmp_path / "p.json"
+    run("prove", "p |- p", "--emit", str(out))
+    capsys.readouterr()
+    assert run("check", str(out), "--goal", "q & r") == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.err == "--goal needs --class: the goal is read only with an explicit class\n"
+    assert captured.out == ""
+
+
 def test_check_goal_parse_error_is_data(tmp_path, capsys):
     out = tmp_path / "p.json"
     run("prove", "--restart", PEIRCE, "--emit", str(out))

@@ -34,6 +34,7 @@ from seqcalc.search import (
     _NO_COUNTS,
     _GroundProver,
     _Search,
+    _classically_valid,
     herbrandize,
     is_quantifier_free_sequent,
     prove,
@@ -63,6 +64,7 @@ from seqcalc.syntax import (
 from seqcalc.transform import augment, expand_starred, weaken
 
 from _oracles import (
+    PROP_LEAVES,
     random_fragment_sequent,
     random_goal_sequent,
     random_horn_sequent,
@@ -442,11 +444,18 @@ def test_deep_terms_are_searched_at_the_default_recursion_limit(goal, logic):
         assert check_proof(res.proof, res.proof_class)
 
 
-#: the relations whose states the reference-key property records
+def _restart_engine(s: Sequent, limits: SearchLimits):
+    s = augment(s)
+    return _GroundProver(s, limits, uniform=True, restart_goal=s.succ[0]).run()
+
+
+#: the relations whose states the reference-key property records, run on
+#: their engines: prove's valuation settles a classically invalid
+#: quantifier-free draw without building one
 _KEYED_SEARCHES = (
-    lambda s, limits: prove(s, "i", limits),
-    lambda s, limits: prove(s, "o", limits),
-    lambda s, limits: prove_restart(augment(s), limits),
+    lambda s, limits: _GroundProver(s, limits, uniform=False).run(),
+    lambda s, limits: _GroundProver(s, limits, uniform=True).run(),
+    _restart_engine,
 )
 
 
@@ -601,8 +610,9 @@ def test_instance_memo_keeps_each_variant_s_binder_hints():
     assert prover._instance(y, a) is got_y
 
 
-#: the relations the memo-cap property runs: the keyed searches and c
-_CAPPED_SEARCHES = _KEYED_SEARCHES + (lambda s, limits: prove(s, "c", limits),)
+#: the relations the memo-cap property runs: the keyed searches and c, each
+#: on its engine
+_CAPPED_SEARCHES = _KEYED_SEARCHES + (lambda s, limits: _ClassicalProver(s, limits).run(),)
 
 
 def _capped_run(search, s: Sequent, cap: int) -> tuple:
@@ -1190,3 +1200,113 @@ def test_restart_proves_the_sequent_with_one_copy_of_the_disjunction():
 def test_restart_proves_the_sequent_with_two_copies_of_the_disjunction():
     doubled = _RESTART_MONOTONE.plus(ante=(parse_formula("bot & top | bot"),))
     assert isinstance(prove_restart(doubled), Proved)
+
+
+# ---------------------------------------------------------------------------
+# classical valuation of quantifier-free roots
+
+#: the propositional leaves with a ground atom of arity one
+_VALUATION_LEAVES = PROP_LEAVES + (Atom("r", (Const("a"),)),)
+
+
+def _valuation_draw(seed: int) -> Sequent:
+    return random_propositional_sequent(random.Random(seed), 7, _VALUATION_LEAVES)
+
+
+@settings(max_examples=300)
+@given(st.integers(0, 10**6))
+def test_the_valuation_agrees_with_truth_tables_and_the_engines(seed):
+    s = _valuation_draw(seed)
+    valid = _classically_valid(s)
+    assert valid is truth_table_valid(s), format_sequent(s)
+    # the engines, run directly, never see the valuation
+    engine = _ClassicalProver(s, SearchLimits()).run()
+    assert type(engine) is (Proved if valid else Refuted)
+    assert _signature(prove(s, "c")) == _signature(engine)
+    one = Sequent(s.ante, s.succ[:1])
+    if _classically_valid(one) is False:
+        assert isinstance(_GroundProver(one, SearchLimits(), uniform=False).run(), Refuted)
+        limits = SearchLimits(node_budget=5_000)
+        o_engine = _GroundProver(one, limits, uniform=True).run()
+        restart_engine = _GroundProver(one, limits, uniform=True, restart_goal=one.succ[0]).run()
+        assert not isinstance(o_engine, Proved) and not isinstance(restart_engine, Proved)
+        assert isinstance(prove(one, "i"), Refuted)
+        assert isinstance(prove(one, "o"), NotProvedWithinLimits)
+        assert isinstance(prove_restart(one), NotProvedWithinLimits)
+
+
+def test_valuation_draws_reach_r_a_the_units_and_both_verdicts():
+    draws = [_valuation_draw(seed) for seed in range(300)]
+    texts = " ".join(map(format_sequent, draws))
+    assert all(leaf in texts for leaf in ("r(a)", "top", "bot"))
+    verdicts = [_classically_valid(s) for s in draws]
+    assert 50 < verdicts.count(False) < 250 and None not in verdicts
+
+
+@pytest.mark.parametrize("search", ["i", "o", "restart"])
+def test_an_invalid_multi_succedent_sequent_still_raises(search):
+    s = parse_sequent("q |- s, t")
+    assert _classically_valid(s) is False
+    with pytest.raises(ValueError, match="exactly one succedent"):
+        prove_restart(s) if search == "restart" else prove(s, search)
+
+
+def test_a_refuted_root_spends_no_nodes():
+    # at no budget the engines give up, but the valuation still refutes:
+    # c and i now return Refuted where they returned NotProvedWithinLimits
+    s = parse_sequent("q |- s")
+    none = SearchLimits(node_budget=0)
+    assert isinstance(_ClassicalProver(s, none).run(), NotProvedWithinLimits)
+    assert isinstance(_GroundProver(s, none, uniform=False).run(), NotProvedWithinLimits)
+    assert isinstance(prove(s, "c", none), Refuted)
+    assert isinstance(prove(s, "i", none), Refuted)
+    # o and restart report no proof, never a refutation
+    assert isinstance(prove(s, "o", none), NotProvedWithinLimits)
+    assert isinstance(prove_restart(s, none), NotProvedWithinLimits)
+    # a valid root is searched as before
+    assert isinstance(prove(parse_sequent("q |- q"), "c", none), NotProvedWithinLimits)
+
+
+@pytest.mark.parametrize("atoms, searched", [(12, False), (13, True)])
+def test_more_atoms_than_the_bound_are_searched(atoms, searched):
+    s = Sequent(tuple(Atom(f"p{k}") for k in range(atoms - 1)), (Atom("q"),))
+    assert _classically_valid(s) is (None if searched else False)
+    none = SearchLimits(node_budget=0)
+    for logic in "ci":
+        engine = _ClassicalProver(s, none) if logic == "c" else _GroundProver(s, none, uniform=False)
+        want = engine.run() if searched else Refuted()
+        assert want == prove(s, logic, none) == (NotProvedWithinLimits() if searched else Refuted())
+        assert isinstance(prove(s, logic), Refuted)
+
+
+def test_a_deep_negation_chain_valuates_at_the_default_recursion_limit():
+    assert sys.getrecursionlimit() < 2_000
+    p, q = Atom("p"), Atom("q")
+    f = p
+    for _ in range(2_000):
+        f = neg(f)
+    assert _classically_valid(Sequent((f,), (p,))) is True
+    assert _classically_valid(Sequent((neg(f),), (p,))) is False
+    for logic in "cio":
+        assert type(prove(Sequent((f,), (q,)), logic)) is (NotProvedWithinLimits if logic == "o" else Refuted)
+
+
+def test_concurrent_valuations_give_the_single_thread_outcomes():
+    jobs = []
+    for seed in range(96):
+        s = _valuation_draw(seed)
+        one = Sequent(s.ante, s.succ[:1])
+        jobs.append((s, "c") if seed % 4 == 0 else (one, "restart" if seed % 4 == 3 else "io"[seed % 2]))
+
+    def run(s, search):
+        return prove_restart(s) if search == "restart" else prove(s, search)
+
+    expected = [_signature(run(*job)) for job in jobs]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            got = [_signature(f.result(timeout=120)) for f in [pool.submit(run, *job) for job in jobs]]
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == expected
