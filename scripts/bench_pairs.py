@@ -12,9 +12,14 @@ neither checkout imports bytecode compiled before it: stale bytecode on
 one side skews that side's ``setup_s``.  Prints, per metric, each side's
 median and quartiles, the relative change of the medians and the number
 of pairs the change won (a tie is not a win); the direction of "better"
-comes from the change's ``BENCHMARK.json``.  Then, per end-to-end metric,
-it prints that file's bound and a verdict: ``worse beyond bound`` when the change's median is
-worse than the parent's by more than the bound; else ``unresolved`` when
+comes from the change's ``BENCHMARK.json``.  Beside a metric that the
+``raw:`` lines also report, it prints the unscaled medians, their relative
+change and the pairs the change won on them, and ``unresolved`` where the
+scaled and the unscaled won counts lean opposite ways: the change won more
+than half the pairs on one figure and fewer than half on the other.  Then,
+per end-to-end metric, it prints that file's bound and a verdict: ``worse
+beyond bound`` when the change's median is worse than the parent's by more
+than the bound; else ``unresolved`` when
 the parent's quartile spread, relative to its median, exceeds the bound
 and not every change run reads better than every parent run; else
 ``within bound``.  With ``--out`` the pairs and the summary are also
@@ -90,10 +95,22 @@ def verdict(parent: list[float], change: list[float], higher: bool, bound: float
     return "within bound"
 
 
+def _won(parent: list[float], change: list[float], higher: bool) -> int:
+    return sum((c > p) if higher else (c < p) for p, c in zip(parent, change))
+
+
+def _leaning(won: int, pairs: int) -> int:
+    """1 when the change won more than half the pairs, -1 when fewer."""
+    return (2 * won > pairs) - (2 * won < pairs)
+
+
 def summarize(pairs: list[dict], better: dict[str, str], bounds: dict[str, float]) -> dict[str, dict]:
     """Per metric both runs reported: each side's quartiles, the median's
     relative change and the pairs the change won; per end-to-end metric
-    also its bound and verdict."""
+    also its bound and verdict; per metric that every pair's raw figures
+    hold, the unscaled medians, their relative change and won count, and
+    whether the two won counts lean opposite ways (see the module
+    docstring)."""
     out = {}
     for name in pairs[0]["parent"]:
         if name not in pairs[0]["change"]:
@@ -101,7 +118,7 @@ def summarize(pairs: list[dict], better: dict[str, str], bounds: dict[str, float
         parent = [p["parent"][name] for p in pairs]
         change = [p["change"][name] for p in pairs]
         higher = better.get(name, "higher") == "higher"
-        won = sum((c > p) if higher else (c < p) for p, c in zip(parent, change))
+        won = _won(parent, change, higher)
         pq, cq = _quartiles(parent), _quartiles(change)
         out[name] = {
             "better": "higher" if higher else "lower",
@@ -114,6 +131,18 @@ def summarize(pairs: list[dict], better: dict[str, str], bounds: dict[str, float
         if name in bounds:
             out[name]["bound"] = bounds[name]
             out[name]["verdict"] = verdict(parent, change, higher, bounds[name])
+        if all(name in p.get("parent_raw", ()) and name in p.get("change_raw", ()) for p in pairs):
+            parent = [float(p["parent_raw"][name]) for p in pairs]
+            change = [float(p["change_raw"][name]) for p in pairs]
+            pmed, cmed = statistics.median(parent), statistics.median(change)
+            raw_won = _won(parent, change, higher)
+            out[name]["raw"] = {
+                "parent": pmed,
+                "change": cmed,
+                "relative": (cmed - pmed) / pmed if pmed else None,
+                "won": raw_won,
+            }
+            out[name]["unresolved"] = _leaning(won, len(pairs)) * _leaning(raw_won, len(pairs)) < 0
     return out
 
 
@@ -127,6 +156,10 @@ def against_previous(summary: dict[str, dict], previous: dict[str, dict]) -> dic
         before, now = previous[name]["change"]["median"], m["change"]["median"]
         out[name] = {"previous": before, "change": now, "relative": (now - before) / before if before else None}
     return out
+
+
+def _percent(relative: float | None) -> str:
+    return "" if relative is None else f"{relative:+.1%}"
 
 
 def main(argv: list[str] | None = None) -> None:
@@ -155,20 +188,28 @@ def main(argv: list[str] | None = None) -> None:
 
     summary = summarize(pairs, *_spec(sides["change"]))
     print(f"{args.workload}, {len(pairs)} pairs, --seconds {args.seconds:g} --trace {args.trace}")
-    print(f"{'metric':36} {'parent median [q1-q3]':>28} {'change median [q1-q3]':>28} {'change':>8} won")
+    print(
+        f"{'metric':36} {'parent median [q1-q3]':>28} {'change median [q1-q3]':>28} {'change':>8} won"
+        f"   {'raw parent':>10} {'raw change':>10} {'change':>8} won"
+    )
     for name, m in summary.items():
         p, c = m["parent"], m["change"]
-        rel = "" if m["relative"] is None else f"{m['relative']:+.1%}"
-        print(
+        line = (
             f"{name:36} {p['median']:>10.4g} [{p['q1']:.4g}-{p['q3']:.4g}]".ljust(66)
             + f"{c['median']:>10.4g} [{c['q1']:.4g}-{c['q3']:.4g}]".ljust(29)
-            + f"{rel:>8} {m['won']}/{m['pairs']}"
+            + f"{_percent(m['relative']):>8} {m['won']}/{m['pairs']}"
         )
+        if "raw" in m:
+            r = m["raw"]
+            line += f"   {r['parent']:>10.4g} {r['change']:>10.4g} {_percent(r['relative']):>8} {r['won']}/{m['pairs']}"
+            if m["unresolved"]:
+                line += "  unresolved"
+        print(line)
     print(f"{'end-to-end metric':36} {'bound':>6} {'change':>8} {'parent spread':>14}  verdict")
     for name, m in summary.items():
         if "verdict" in m:
             p = m["parent"]
-            rel = "" if m["relative"] is None else f"{m['relative']:+.1%}"
+            rel = _percent(m["relative"])
             spread = f"{(p['q3'] - p['q1']) / abs(p['median']):.1%}" if p["median"] else ""
             print(f"{name:36} {m['bound']:>6.0%} {rel:>8} {spread:>14}  {m['verdict']}")
 
@@ -181,7 +222,7 @@ def main(argv: list[str] | None = None) -> None:
             print(f"change medians against {args.previous}, entry {entry!r}")
             print(f"{'metric':36} {'previous':>12} {'now':>12} {'change':>8}")
             for name, m in against_previous(summary, earlier["summary"]).items():
-                rel = "" if m["relative"] is None else f"{m['relative']:+.1%}"
+                rel = _percent(m["relative"])
                 print(f"{name:36} {m['previous']:>12.4g} {m['change']:>12.4g} {rel:>8}")
 
     if args.out:

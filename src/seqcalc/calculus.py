@@ -3,9 +3,11 @@
 A proof is a tree of rule applications.  Each node records its conclusion
 sequent, the rule used, which formula was principal (side and index into the
 canonical sequent), plus a witness term or eigenvariable name where the rule
-needs one.  `fold_proof` is the one post-order walk over a proof, on an
-explicit stack: `proof_height`, `proof_to_json`, the proof transforms and
-the classical prover's grounding are its callbacks.  `Proof` equality walks
+needs one.  Two explicit-stack loops stand in for recursion:
+`fold_proof`, the one post-order walk over a proof, whose callbacks are
+`proof_height`, `proof_to_json`, the plain transforms and the classical
+prover's grounding; and `drive`, which runs the ground search and the
+transforms that stop at a node or rebuild above it.  `Proof` equality walks
 an explicit stack too, and a proof hashes by its rule and conclusion.
 
 A `Proof` node is a frozen, slotted dataclass: it has no `__dict__`, and
@@ -78,6 +80,7 @@ import threading
 import weakref
 from _weakref import _remove_dead_weakref
 from dataclasses import dataclass
+from types import GeneratorType
 from typing import Any, Callable, Iterator
 
 from .parser import parse_formula, parse_term
@@ -236,6 +239,34 @@ def fold_proof(p: Proof, leave: Callable[[Proof, tuple], Any]) -> Any:
             stack.append((node, True))
             stack += [(q, False) for q in reversed(node.premises)]
     return done[0]
+
+
+def drive(enter: Callable[..., Any], *args) -> Any:
+    """enter(*args), run as a recursion on an explicit stack.  enter returns
+    a result, or a visit: a generator that yields the arguments of each
+    sub-call of enter, is sent its result or raised its exception at that
+    yield, and returns its own.  The stack holds the suspended visits of the
+    current path, so its length costs no interpreter recursion."""
+    stack: list = []
+    result, failure = enter(*args), None
+    while True:
+        if type(result) is GeneratorType:
+            stack.append(result)
+            result = None
+        elif not stack:
+            return result
+        try:
+            call = stack[-1].send(result) if failure is None else stack[-1].throw(failure)
+            result, failure = enter(*call), None
+        except StopIteration as done:
+            stack.pop()
+            result, failure = done.value, None
+        except Exception as exc:
+            if stack[-1].gi_frame is None:  # the visit itself raised
+                stack.pop()
+                if not stack:
+                    raise
+            result, failure = None, exc
 
 
 def proof_height(p: Proof) -> int:

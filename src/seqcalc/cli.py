@@ -30,7 +30,6 @@ from .calculus import (
 from .fragments import REDUCTION_STAGES, FragmentId, classify, reduction_conditions
 from .parser import ParseError, parse_corpus, parse_formula, parse_sequent
 from .search import (
-    NotProvedWithinLimits,
     Proved,
     Refuted,
     SearchLimits,
@@ -89,9 +88,12 @@ def _limits(args) -> SearchLimits:
 
 
 def _add_limit_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--depth", type=int, default=40, help="proof search depth bound")
-    p.add_argument("--qbudget", type=int, default=3, help="instantiations allowed per quantifier occurrence")
-    p.add_argument("--node-budget", type=int, default=1_000_000, help="total search node bound")
+    limits = SearchLimits()
+    p.add_argument("--depth", type=int, default=limits.depth, help="proof search depth bound")
+    p.add_argument(
+        "--qbudget", type=int, default=limits.quantifier_budget, help="instantiations allowed per quantifier occurrence"
+    )
+    p.add_argument("--node-budget", type=int, default=limits.node_budget, help="total search node bound")
 
 
 # ---------------------------------------------------------------------------

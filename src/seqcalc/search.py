@@ -35,9 +35,10 @@ Three engines share this module:
   searches report Proved or NotProvedWithinLimits, never Refuted.
 
 The intuitionistic, goal-directed and restart searches share one ground
-engine.  It runs in the caller's thread on an explicit stack of suspended
-rule applications, so a search path may be as long as memory allows and a
-call changes no interpreter-wide setting; concurrent calls are independent.
+engine.  It runs in the caller's thread on `calculus.drive`, the explicit
+stack of suspended rule applications that the proof transforms share, so a
+search path may be as long as memory allows and a call changes no
+interpreter-wide setting; concurrent calls are independent.
 Its per-mode table `_EAGER` names the antecedent connectives it splits
 eagerly, and so the members its loop check must not collapse.  Its loop
 check and failure cache key a state by a tuple of its members' stored sort
@@ -116,7 +117,6 @@ from dataclasses import dataclass
 from functools import partial
 from itertools import count
 from operator import attrgetter
-from types import GeneratorType
 from typing import Callable, Generator, Iterable, Iterator, Union
 
 from .calculus import (
@@ -127,6 +127,7 @@ from .calculus import (
     Proof,
     ProofClass,
     RuleId,
+    drive,
     fold_proof,
     is_axiom,
     premises,
@@ -238,9 +239,6 @@ class Subst:
             else:
                 done.append(u)
         return done[0]
-
-    def resolve_formula(self, f: Formula) -> Formula:
-        return map_terms(f, lambda a, _: self.resolve_term(a))
 
     def unbound(self, idents: Iterable[int]) -> set[int]:
         """The metavariables the given ones resolve into: metas_in of their
@@ -1191,29 +1189,9 @@ class _GroundProver(_Search):
     # -- search -----------------------------------------------------------------
 
     def search(self, s: Sequent, depth: int, counts: _Counts) -> Proof | None:
-        """Search s on an explicit stack in the caller's thread.  Each state
-        goes through _enter, which settles a state that does not branch and
-        returns its proof or None, and returns a generator for one that
-        does.  Such a visit yields each premise it needs as (sequent, depth,
-        counts) and receives the premise's proof or None; the stack holds
-        the suspended visits of the current path, so the path's length is
-        bounded by memory, not by the interpreter's recursion limit."""
-        enter = self._enter
-        stack: list = []
-        result = enter(s, depth, counts)
-        while True:
-            if type(result) is GeneratorType:
-                stack.append(result)
-                result = None
-            elif not stack:
-                return result
-            try:
-                premise = stack[-1].send(result)
-            except StopIteration as done:
-                stack.pop()
-                result = done.value
-            else:
-                result = enter(*premise)
+        """Search s on calculus.drive's explicit stack in the caller's thread,
+        each state through _enter (see _enter); kept for tests to override."""
+        return drive(self._enter, s, depth, counts)
 
     def _enter(self, s: Sequent, depth: int, counts: _Counts) -> Proof | None | _Visit:
         """The entry step of a visit: the proof or None of a state that a

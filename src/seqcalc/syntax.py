@@ -31,9 +31,9 @@ immutable.  At construction each node also stores
   So is_quantifier_free reads one attribute.
 
 So == is an identity test on twins, while hash, formula_key and term_key
-read the key; none of them recurses.  Binding, opening, substitution and
-renaming are callbacks of one explicit-stack walk, map_terms, so they do
-not recurse either.  The table may be shared by threads: an insert is one
+read the key; none of them recurses.  Binding, opening and renaming are
+callbacks of one explicit-stack walk, map_terms, so they do not recurse
+either.  The table may be shared by threads: an insert is one
 dict.setdefault on a table key that hashes and compares in C, so threads
 that build equal structures get one object.
 
@@ -446,7 +446,7 @@ def subterms(x) -> Iterator[Term]:
 
 
 # ---------------------------------------------------------------------------
-# binding and substitution: map_terms callbacks
+# binding and opening: map_terms callbacks
 
 
 def instantiate(q: Formula, t: Term) -> Formula:
@@ -470,14 +470,14 @@ def instantiate(q: Formula, t: Term) -> Formula:
     return map_terms(q.body, opened)
 
 
-def _replacing(name: str, repl: Term | None) -> Callable[[Term, int], Term | None]:
-    """The map_terms callback that replaces Var(name) by repl, or, with no
-    repl, by the index of a binder about to enclose the formula."""
+def _replacing(name: str) -> Callable[[Term, int], Term | None]:
+    """The map_terms callback that replaces Var(name) by the index of a
+    binder about to enclose the formula."""
 
     def replaced(a: Term, depth: int) -> Term | None:
         k = type(a)
         if k is Var and a.name == name:
-            return Bound(depth) if repl is None else repl
+            return Bound(depth)
         return None if k is App else a
 
     return replaced
@@ -485,21 +485,12 @@ def _replacing(name: str, repl: Term | None) -> Callable[[Term, int], Term | Non
 
 def forall(name: str, f: Formula) -> Formula:
     """Bind every free Var(name) in f under a new universal quantifier."""
-    return Forall(map_terms(f, _replacing(name, None)), name)
+    return Forall(map_terms(f, _replacing(name)), name)
 
 
 def exists(name: str, f: Formula) -> Formula:
     """Bind every free Var(name) in f under a new existential quantifier."""
-    return Exists(map_terms(f, _replacing(name, None)), name)
-
-
-def substitute(t: Term, name: str, f: Formula) -> Formula:
-    """Replace every free Var(name) in f by t.
-
-    Capture cannot occur: binders are nameless, so any binder in f leaves
-    the replacement term untouched.
-    """
-    return map_terms(f, _replacing(name, t))
+    return Exists(map_terms(f, _replacing(name)), name)
 
 
 def rename_constant(x: Formula | Term, names: dict[str, str]) -> Formula | Term:

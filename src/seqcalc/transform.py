@@ -32,18 +32,22 @@ succedent split, which the rule leaves free, and the extraction's
 single-goal projections.  Transformations detect malformed inputs lazily and
 raise TransformError.
 
-Weakening, freshening and rebinding are one explicit-stack walk,
-``_rewrite``; ``expand_starred``, ``_starify`` and the outer walk of
-``eliminate_contractions`` are ``calculus.fold_proof`` callbacks.  The
-steps that may stop at a node, ``_contract_once``, ``_invert_once``,
-``_drop_bot_succ`` and ``_extract_some_goal``, still recurse.
+No transform recurses on proof height.  Weakening, freshening and
+rebinding are one explicit-stack walk, ``_rewrite``; ``expand_starred``,
+``_starify`` and the outer walk of ``eliminate_contractions`` are
+``calculus.fold_proof`` callbacks.  Inversion, contraction and single-goal
+extraction, which may stop at a node or rebuild what lies above it, run on
+``calculus.drive``, as the ground search does.  Inversion and contraction
+settle axioms (through ``_reclose``) and the nodes that act on their
+formula in one entry step per node, and hand every other node to the one
+``_context`` visit, which transforms each premise and rebuilds the node.
 """
 
 from __future__ import annotations
 
 from operator import is_
 
-from .calculus import INVERTIBLE, Proof, RuleId, fold_proof, is_axiom, premises, proof_nodes, rule_family, rule_usage
+from .calculus import INVERTIBLE, Proof, RuleId, drive, fold_proof, is_axiom, premises, proof_nodes, rule_family, rule_usage
 from .fragments import FORBIDDEN_FAMILIES
 from .syntax import (
     BOT,
@@ -273,6 +277,12 @@ def _invert_once(p: Proof, side: str, f: Formula, which: int = 0, eigen: str | N
     the input height) or an axiom closed only under strengthened axioms
     needs a bottom-right step or eta expansion (see _reclose).
     """
+    return drive(_inversion, p, side, f, which, eigen)
+
+
+def _inversion(p: Proof, side: str, f: Formula, which: int, eigen: str | None):
+    """The entry step of inversion at p: the proof when p's rule acts on f
+    or p is an axiom, else the _context visit that inverts p's premises."""
     s = p.conclusion
     rule = p.rule
 
@@ -307,9 +317,17 @@ def _invert_once(p: Proof, side: str, f: Formula, which: int = 0, eigen: str | N
         # keep-style rules fall through to the context case below
 
     # f is context for this node: premises all carry it
-    t = _inverted_sequent(s, side, f, which, eigen)
-    premises = tuple(_invert_once(q, side, f, which, eigen) for q in p.premises)
-    return _node(rule, t, premises, pside, pf, p.witness, p.eigen)
+    return _context(p, _inverted_sequent(s, side, f, which, eigen), pside, pf, (side, f, which, eigen))
+
+
+def _context(p: Proof, t: Sequent, pside: str | None, pf: Formula | None, args: tuple):
+    """The visit of a node that keeps the transformed formula as context:
+    each premise q transformed by the step's sub-call on (q, *args), and
+    p's rule, principal pf on pside, over them concluding t."""
+    done = []
+    for q in p.premises:
+        done.append((yield (q, *args)))
+    return _node(p.rule, t, done, pside, pf, p.witness, p.eigen)
 
 
 def _reclose(s: Sequent, t: Sequent, redo) -> Proof:
@@ -352,97 +370,76 @@ _STARRED_RULES = frozenset(_PLAIN_STEPS) | {RuleId.IMP_L_STAR, RuleId.IMP_L_STAR
 _PLAIN_DROPPING = frozenset(_STARRED_OF) | {RuleId.IMP_L}
 
 
-def _contract_once(p: Proof, side: str, f: Formula) -> Proof:
-    """From a contraction-free proof of a sequent holding two copies of f,
-    build a contraction-free proof with one copy, by induction on the size
-    of f and the height of p."""
+def _contraction(p: Proof, side: str, f: Formula):
+    """The entry step that drive runs to build, from a contraction-free proof
+    p of a sequent holding two copies of f, a contraction-free proof with one
+    copy: the proof when p is an axiom, else the visit that contracts p's
+    premises, on f as context (see _context) or on the parts p's rule put in
+    place of f (see _consumed)."""
     s = p.conclusion
-    if side == "ante":
-        rest = multiset_minus(s.ante, (f,))
-        if rest is None:
-            raise TransformError(f"{format_formula(f)} missing from the antecedent of {s}")
-        target = Sequent(rest, s.succ)
-    else:
-        rest = multiset_minus(s.succ, (f,))
-        if rest is None:
-            raise TransformError(f"{format_formula(f)} missing from the succedent of {s}")
-        target = Sequent(s.ante, rest)
-
+    rest = multiset_minus(s.ante if side == "ante" else s.succ, (f,))
+    if rest is None:
+        where = "antecedent" if side == "ante" else "succedent"
+        raise TransformError(f"{format_formula(f)} missing from the {where} of {s}")
+    target = Sequent(rest, s.succ) if side == "ante" else Sequent(s.ante, rest)
     rule = p.rule
     if rule in (RuleId.CONTR_L, RuleId.CONTR_R):
         raise TransformError("contraction elimination expects contraction-free subproofs")
     if rule is RuleId.AXIOM:
-        return _reclose(s, target, lambda q: _contract_once(q, side, f))
+        return _reclose(s, target, lambda q: drive(_contraction, q, side, f))
 
     pf = _principal_formula(p) if p.principal is not None else None
     pside = p.principal[0] if p.principal is not None else None
+    mine = pf == f and pside == side
     # the invertible rules, imp-l*-int and bot-r consume their principal
-    consuming = pf == f and pside == side and (
-        rule is INVERTIBLE[side].get(type(f)) or rule in (RuleId.IMP_L_STAR_INT, RuleId.BOT_R)
-    )
+    if mine and (rule is INVERTIBLE[side].get(type(f)) or rule in (RuleId.IMP_L_STAR_INT, RuleId.BOT_R)):
+        return _consumed(p, side, f, target)
+    visit = _context(p, target, pside, pf, (side, f))
+    # a plain rule drops a copy by consuming it, or imp-l by handing the
+    # succedent copies to different premises
+    if rule in _PLAIN_DROPPING and (mine or rule is RuleId.IMP_L and side == "succ"):
+        return _dropping(visit, rule, f)
+    return visit
 
-    if not consuming:
-        try:
-            kept = tuple(_contract_once(q, side, f) for q in p.premises)
-        except TransformError as exc:
-            # a plain rule drops a copy by consuming it, or imp-l by handing
-            # the succedent copies to different premises
-            if rule in _PLAIN_DROPPING and (pf == f and pside == side or rule is RuleId.IMP_L and side == "succ"):
-                raise TransformError(
-                    f"contraction elimination expects starred-calculus proofs: {rule.value} drops "
-                    f"a copy of {format_formula(f)} that it treats as context"
-                ) from exc
-            raise
-        return _node(rule, target, kept, pside, pf, p.witness, p.eigen)
 
+def _dropping(visit, rule: RuleId, f: Formula):
+    """visit, its failure blamed on the plain rule that drops a copy of f."""
+    try:
+        return (yield from visit)
+    except TransformError as exc:
+        raise TransformError(
+            f"contraction elimination expects starred-calculus proofs: {rule.value} drops "
+            f"a copy of {format_formula(f)} that it treats as context"
+        ) from exc
+
+
+def _consumed(p: Proof, side: str, f: Formula, target: Sequent):
+    """The visit of a node whose rule consumes the contracted f.  Premise j
+    holds the context copy of f beside the parts the rule put in place of
+    the principal: that copy is inverted into premise j's parts of f's own
+    invertible rule, and each part contracted.  The goal premise of
+    imp-l*-int still holds the principal, so it is contracted on f; and
+    bot-r's premise proves the target with an extra bottom on the right."""
+    rule = p.rule
     if rule is RuleId.BOT_R:
-        # the premise proves the target with an extra bottom on the right
-        return _drop_bot_succ(p.premises[0])
-    # Premise j holds the context copy of f beside the parts the rule put in
-    # place of the principal: invert that copy into premise j's parts of f's
-    # own invertible rule, then contract each part.  The goal premise of
-    # imp-l*-int still holds the principal, so it is contracted on f.
+        return (yield (p.premises[0], "succ", BOT))
     c = p.eigen if rule in (RuleId.EXISTS_L, RuleId.FORALL_R) else None
-    wanted = premises(rule, s, p.principal[1], f, None if c is None else Const(c))
+    wanted = premises(rule, p.conclusion, p.principal[1], f, None if c is None else Const(c))
     built = []
     for j, want in enumerate(wanted):
         q = p.premises[j]
         if rule is RuleId.IMP_L_STAR_INT and j == 0:
-            built.append(_contract_once(q, "ante", f))
+            built.append((yield (q, "ante", f)))
             continue
         if c is not None:
             q = _freshen_eigens(q, {c})
         q = _invert_once(q, side, f, which=j, eigen=c)
         for g in multiset_minus(want.ante, target.ante):
-            q = _contract_once(q, "ante", g)
+            q = yield (q, "ante", g)
         for g in multiset_minus(want.succ, target.succ):
-            q = _contract_once(q, "succ", g)
+            q = yield (q, "succ", g)
         built.append(q)
     return _node(rule, target, built, side, f, eigen=c)
-
-
-def _drop_bot_succ(p: Proof) -> Proof:
-    """Remove one succedent bottom from every sequent along the proof."""
-    s = p.conclusion
-    rest = multiset_minus(s.succ, (BOT,))
-    if rest is None:
-        raise TransformError(f"no bottom to drop in {s}")
-    target = Sequent(s.ante, rest)
-    rule = p.rule
-
-    if rule in (RuleId.CONTR_L, RuleId.CONTR_R):
-        raise TransformError("bottom removal expects a contraction-free proof")
-    if rule is RuleId.AXIOM:
-        return _reclose(s, target, _drop_bot_succ)
-
-    pf = _principal_formula(p) if p.principal is not None else None
-    if rule is RuleId.BOT_R and isinstance(pf, Bot):
-        # degenerate bottom-for-bottom node: premise proves the same sequent
-        return _drop_bot_succ(p.premises[0])
-
-    premises = tuple(_drop_bot_succ(q) for q in p.premises)
-    pside = p.principal[0] if p.principal is not None else None
-    return _node(rule, target, premises, pside, pf, p.witness, p.eigen)
 
 
 def eliminate_contractions(p: Proof) -> Proof:
@@ -456,7 +453,7 @@ def _eliminated(p: Proof, premises: tuple[Proof, ...]) -> Proof:
     """p over its premises made contraction-free, its own contraction removed."""
     if p.rule in (RuleId.CONTR_L, RuleId.CONTR_R):
         side = "ante" if p.rule is RuleId.CONTR_L else "succ"
-        return _contract_once(premises[0], side, _principal_formula(p))
+        return drive(_contraction, premises[0], side, _principal_formula(p))
     return _rebuilt(p, premises)
 
 
@@ -553,10 +550,12 @@ def _starred(p: Proof, starred: tuple[Proof, ...]) -> Proof:
     return _rebuilt(p, starred)
 
 
-def _extract_some_goal(p: Proof) -> Proof:
-    """Pick one succedent member per branch, turning a classical proof that
-    avoids implication-right and disjunction-left into a single-succedent
-    proof of one of its goals.  Antecedents are preserved exactly."""
+def _extract_some_goal(p: Proof):
+    """The visit that drive runs to pick one succedent member per branch,
+    turning a classical proof that avoids implication-right and
+    disjunction-left into a single-succedent proof of one of its goals,
+    preserving antecedents exactly: it yields (q,) for each premise q it
+    extracts, in order, and stops at the first that settles p."""
     s = p.conclusion
     rule = p.rule
 
@@ -570,20 +569,18 @@ def _extract_some_goal(p: Proof) -> Proof:
         raise TransformError(f"axiom node is not closed: {s}")
 
     if rule is RuleId.CONTR_R:
-        return _extract_some_goal(p.premises[0])
+        return (yield (p.premises[0],))
     if rule is RuleId.BOT_R:
         f = _principal_formula(p)
-        q = _extract_some_goal(p.premises[0])
+        q = yield (p.premises[0],)
         if q.conclusion.succ[0] in set(s.succ):
             return q
         return _node(rule, Sequent(s.ante, (f,)), [q], "succ", f)
 
     if rule in (RuleId.CONTR_L, RuleId.AND_L_LEFT, RuleId.AND_L_RIGHT, RuleId.FORALL_L, RuleId.EXISTS_L):
         f = _principal_formula(p)
-        q = _extract_some_goal(p.premises[0])
-        return _node(
-            rule, Sequent(s.ante, q.conclusion.succ), [q], "ante", f, p.witness, p.eigen
-        )
+        q = yield (p.premises[0],)
+        return _node(rule, Sequent(s.ante, q.conclusion.succ), [q], "ante", f, p.witness, p.eigen)
 
     if rule in (RuleId.AND_R, RuleId.OR_R_LEFT, RuleId.OR_R_RIGHT, RuleId.EXISTS_R, RuleId.FORALL_R):
         # a premise whose goal is another member of the succedent proves it
@@ -591,7 +588,7 @@ def _extract_some_goal(p: Proof) -> Proof:
         others = set(multiset_minus(s.succ, (f,)))
         extracted = []
         for q in p.premises:
-            q = _extract_some_goal(q)
+            q = yield (q,)
             if q.conclusion.succ[0] in others:
                 return q
             extracted.append(q)
@@ -602,10 +599,10 @@ def _extract_some_goal(p: Proof) -> Proof:
         delta1 = multiset_minus(p.premises[0].conclusion.succ, (f.left,))
         if delta1 is None:
             raise TransformError(f"malformed implication-left node at {s}")
-        q1 = _extract_some_goal(p.premises[0])
+        q1 = yield (p.premises[0],)
         if q1.conclusion.succ[0] in set(delta1):
             return weaken(q1, extra_ante=(f,))
-        q2 = _extract_some_goal(p.premises[1])
+        q2 = yield (p.premises[1],)
         return _node(rule, Sequent(s.ante, q2.conclusion.succ), [q1, q2], "ante", f)
 
     raise TransformError(f"rule {rule.value} cannot appear in this extraction")
@@ -629,7 +626,7 @@ def extract_intuitionistic(p: Proof) -> Proof:
     # the two paths are conditions 1 and 4 of the intuitionistic stage
     some_goal, round_trip = FORBIDDEN_FAMILIES[1], FORBIDDEN_FAMILIES[4]
     if not fams & some_goal:
-        return _extract_some_goal(p)
+        return drive(_extract_some_goal, p)
     if not fams & round_trip:
         if len(p.conclusion.succ) != 1:
             raise TransformError(

@@ -42,6 +42,7 @@ from seqcalc.calculus import (
 from seqcalc.fragments import FORBIDDEN_FAMILIES
 from seqcalc.parser import ParseError, SourceSpan
 from seqcalc.syntax import (
+    BOT,
     And,
     App,
     Atom,
@@ -65,15 +66,14 @@ from seqcalc.syntax import (
     free_symbols,
     fresh_name,
     instantiate,
+    map_terms,
     metas_in,
     multiset_minus,
     neg,
     predicate_names,
-    substitute,
 )
 from seqcalc.transform import (
     TransformError,
-    _drop_bot_succ,
     _invert_once,
     _node,
     _principal_formula,
@@ -753,7 +753,7 @@ def mixed_leaves() -> tuple[Formula, ...]:
 
 def _grounded(f: Formula) -> Formula:
     """Replace any x the quantifier productions left unbound by a constant."""
-    return substitute(Const("a"), "x", f)
+    return instantiate(forall("x", f), Const("a"))
 
 
 def random_fragment_sequent(
@@ -1177,7 +1177,7 @@ def random_quantified_sequent(rng: random.Random) -> Sequent:
         v = rng.choice("xy")
         split = rng.choice((And, Or, Imp))
         f = binder(v, split(_quantified_formula(rng, rng.randint(1, 3)), _quantified_formula(rng, rng.randint(1, 3))))
-        return substitute(Const("b"), "y", substitute(Const("a"), "x", f))
+        return instantiate(forall("y", instantiate(forall("x", f), Const("a"))), Const("b"))
 
     ante = tuple(closed(forall) for _ in range(rng.randint(1, 3)))
     return Sequent(ante, tuple(closed(exists) for _ in range(rng.randint(1, 2))))
@@ -1187,7 +1187,7 @@ def reference_live_metas(s: Sequent, subst) -> list[int]:
     """The metavariables of s under subst, as the classical prover first
     found them at an eigenvariable step: every member resolved under subst,
     then scanned."""
-    return sorted(metas_in(map(subst.resolve_formula, s.ante + s.succ)))
+    return sorted(metas_in(map_terms(f, lambda a, _: subst.resolve_term(a)) for f in s.ante + s.succ))
 
 
 # ---------------------------------------------------------------------------
@@ -1234,7 +1234,7 @@ def reference_classical_prover(root: Sequent, limits):
         _symbols_everywhere,
         unify_formulas,
     )
-    from seqcalc.syntax import TOP, free_symbols, map_terms
+    from seqcalc.syntax import TOP, free_symbols
 
     class ReferenceClassicalProver(_ClassicalProver):
         def solve(self, s, subst, counts, mult):
@@ -1293,7 +1293,7 @@ def reference_classical_prover(root: Sequent, limits):
             symbols = taken | self.made
 
             def scan(sk) -> None:
-                resolved = [subst.resolve_formula(f) for f in sk.seq.ante + sk.seq.succ]
+                resolved = [map_terms(f, lambda a, _: subst.resolve_term(a)) for f in sk.seq.ante + sk.seq.succ]
                 leftovers.update(metas_in(resolved))
                 symbols.update(free_symbols(resolved))
                 if sk.witness is not None:
@@ -1643,6 +1643,30 @@ def reference_identity_proof(f: Formula) -> Proof:
     raise TransformError(f"cannot build an identity proof for {format_formula(f)}")
 
 
+def _reference_drop_bot_succ(p):
+    """Remove one succedent bottom from every sequent along the proof."""
+    s = p.conclusion
+    rest = multiset_minus(s.succ, (BOT,))
+    if rest is None:
+        raise TransformError(f"no bottom to drop in {s}")
+    target = Sequent(s.ante, rest)
+    rule = p.rule
+
+    if rule in (RuleId.CONTR_L, RuleId.CONTR_R):
+        raise TransformError("bottom removal expects a contraction-free proof")
+    if rule is RuleId.AXIOM:
+        return _reclose(s, target, _reference_drop_bot_succ)
+
+    pf = _principal_formula(p) if p.principal is not None else None
+    if rule is RuleId.BOT_R and isinstance(pf, Bot):
+        # degenerate bottom-for-bottom node: premise proves the same sequent
+        return _reference_drop_bot_succ(p.premises[0])
+
+    premises = tuple(_reference_drop_bot_succ(q) for q in p.premises)
+    pside = p.principal[0] if p.principal is not None else None
+    return _node(rule, target, premises, pside, pf, p.witness, p.eigen)
+
+
 def _reference_contract_once(p, side: str, f: Formula):
     """Contraction of one copy of f, one case per consuming rule."""
     s = p.conclusion
@@ -1736,7 +1760,7 @@ def _reference_contract_once(p, side: str, f: Formula):
             q = contract(q, "succ", instantiate(f, Const(c)))
             return _node(rule, target, [q], "succ", f, eigen=c)
         case RuleId.BOT_R:
-            return _drop_bot_succ(p.premises[0])
+            return _reference_drop_bot_succ(p.premises[0])
     raise TransformError(f"cannot contract past rule {rule.value}")
 
 

@@ -13,8 +13,11 @@ from seqcalc.cli import (
     EXIT_REFUTED,
     EXIT_UNKNOWN,
     EXIT_USAGE,
+    _limits,
+    build_parser,
     main,
 )
+from seqcalc.search import SearchLimits
 
 from _documents import DEEPLY_NESTED, FLAT, MALFORMED, malformed
 
@@ -86,6 +89,11 @@ def test_restart_conflicts_with_explicit_logic(capsys):
 def test_multi_succedent_with_singleton_logic_is_usage(capsys):
     assert run("prove", "--logic", "i", "|- q, s") == EXIT_USAGE
     assert "succedent" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [("prove", PEIRCE), ("corpus", "run")])
+def test_limit_flags_default_to_the_search_limits(argv):
+    assert _limits(build_parser().parse_args(argv)) == SearchLimits()
 
 
 def test_unparsable_sequent_is_a_data_error(capsys):

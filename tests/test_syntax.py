@@ -49,7 +49,6 @@ from seqcalc.syntax import (
     predicate_names,
     rename_constant,
     subformulas,
-    substitute,
     subterms,
     term_key,
     term_size,
@@ -137,12 +136,6 @@ def test_display_hint_does_not_affect_equality():
     assert hash(Forall(Atom("p", (Bound(0),)), "x")) == hash(Forall(Atom("p", (Bound(0),)), "z"))
 
 
-def test_substitute_formula():
-    f = Imp(Atom("p", (Var("x"),)), forall("x", Atom("p", (Var("x"),))))
-    g = substitute(Const("a"), "x", f)
-    assert g == Imp(Atom("p", (Const("a"),)), Forall(Atom("p", (Bound(0),))))
-
-
 def test_neg_is_implication_to_bottom():
     assert neg(Atom("q")) == Imp(Atom("q"), BOT)
 
@@ -202,7 +195,7 @@ def test_binding_and_renaming_round_trip(seed):
     f = clause_draw(seed)
     assert instantiate(forall("x", f), Var("x")) == f
     t = App("g", (Var("x"), Const("b")))
-    assert instantiate(forall("x", f), t) == substitute(t, "x", f)
+    assert instantiate(forall("x", f), t) == reference_substitute(t, "x", f)
     z = fresh_name("z", free_symbols(f) | predicate_names(f))
     renamed = rename_constant(f, {"a": z})
     assert (renamed != f) == ("a" in free_symbols(f))
@@ -213,15 +206,15 @@ def test_binding_and_renaming_round_trip(seed):
 def test_substituted_metavariable_occurs_exactly_where_x_is_free(seed):
     f = clause_draw(seed)
     want = frozenset({0}) if "x" in free_symbols(f) else frozenset()
-    assert metas_in(substitute(Meta(0), "x", f)) == want
+    assert metas_in(instantiate(forall("x", f), Meta(0))) == want
 
 
 @given(seeds)
 def test_sequent_collectors_are_unions_over_members(seed):
     rng = random.Random(seed)
     members = [clause_draw(rng.randrange(2**32)) for _ in range(3)]
-    members[1] = substitute(App("g", (Meta(1),)), "x", members[1])
-    members[2] = substitute(App("g", (Const("b"),)), "x", members[2])
+    members[1] = instantiate(forall("x", members[1]), App("g", (Meta(1),)))
+    members[2] = instantiate(forall("x", members[2]), App("g", (Const("b"),)))
     s = Sequent(tuple(members[:2]), tuple(members[2:]))
     for collect in (free_symbols, metas_in, ground_subterms):
         assert collect(s) == frozenset().union(*(collect(m) for m in members))
@@ -344,7 +337,7 @@ def test_format_parse_round_trip(seed):
     rng = random.Random(seed)
     f = rand_fo_formula(rng, 4)
     # ground the free variables: the concrete syntax has no free variables
-    f = substitute(Const("a"), "x", substitute(Const("b"), "y", f))
+    f = instantiate(forall("x", instantiate(forall("y", f), Const("b"))), Const("a"))
     assert parse_formula(format_formula(f)) == f
 
 
@@ -513,7 +506,7 @@ def test_deep_members_sort_compare_and_hash_without_recursion():
     # the nested reference key cannot even be built at this depth
     with pytest.raises(RecursionError):
         reference_formula_key(f)
-    # binding, opening, substitution and renaming, on a member 2,000 deep
+    # binding, opening and renaming, on a member 2,000 deep
     # in both its formula and its term
     deep = {}
     for leaf in (Var("x"), Bound(0), Const("a"), Const("b")):
@@ -525,7 +518,6 @@ def test_deep_members_sort_compare_and_hash_without_recursion():
     assert forall("x", named) is Forall(opened, "x") and exists("x", named) is Exists(opened, "x")
     assert instantiate(Forall(opened, "x"), Const("a")) is closed
     assert instantiate(Exists(closed), Const("b")) is closed
-    assert substitute(Const("a"), "x", named) is closed
     assert rename_constant(closed, {"a": "b"}) is deep[Const("b")]
     assert rename_constant(closed, {"f": "g"}) is rename_constant(rename_constant(closed, {"f": "h"}), {"h": "g"})
 
@@ -553,7 +545,6 @@ def test_rewrites_return_the_objects_the_recursive_rewriters_build(f, t, name, o
         assert instantiate(q, t) is reference_instantiate(q, t)
     assert forall(name, f) is reference_forall(name, f)
     assert exists(name, f) is reference_exists(name, f)
-    assert substitute(t, name, f) is reference_substitute(t, name, f)
     for x in (f, t):
         assert rename_constant(x, {name: other}) is reference_rename_constant(x, name, other)
 
@@ -574,7 +565,7 @@ def test_the_stored_quantifier_free_flag_is_the_reference_walk(x):
 def test_a_closed_quantifier_is_vacuous_exactly_when_its_body_has_range_0(seed):
     # clause draws hold no metavariable, so Meta(0) is fresh
     f = clause_draw(seed)
-    for g in subformulas((forall("x", f), substitute(Const("a"), "x", f), Forall(f), Exists(Forall(f)))):
+    for g in subformulas((forall("x", f), instantiate(forall("x", f), Const("a")), Forall(f), Exists(Forall(f)))):
         if isinstance(g, (Forall, Exists)) and reference_lbr(g) == 0:
             assert (g.body._lbr == 0) == (metas_in(instantiate(g, Meta(0))) == frozenset())
 

@@ -10,11 +10,13 @@ from seqcalc.calculus import (
     CLASSICAL,
     CLASSICAL_STAR,
     INTUITIONISTIC,
+    INTUITIONISTIC_STAR,
     INVERTIBLE,
     Proof,
     ProofClass,
     RuleId,
     check_proof,
+    drive,
     dump_proof,
     proof_height,
     proof_nodes,
@@ -524,7 +526,7 @@ def test_generic_steps_match_the_per_rule_reference(corpus):
             # the two extraction paths on every expanded proof, eligible or not
             (lambda: _starify(expand_starred(p)), lambda: reference_starify(reference_expand_starred(p))),
             (
-                lambda: _extract_some_goal(expand_starred(p)),
+                lambda: drive(_extract_some_goal, expand_starred(p)),
                 lambda: reference_extract_some_goal(reference_expand_starred(p)),
             ),
             (
@@ -613,3 +615,40 @@ def test_inverted_premise_matches_the_rule_schema():
     res = proved("s |- q | s")
     inv = _invert_once(res.proof, "succ", Or(Q, S))
     assert inv.conclusion == parse_sequent("s |- q, s")
+
+
+# ---------------------------------------------------------------------------
+# a proof 1,399 nodes high, at the default recursion limit
+
+
+@pytest.fixture(scope="module")
+def wide_conjunction_proof():
+    # one and-l* per conjunction of p0 & ... & p699 above one and-r per
+    # conjunction, as in test_search's round trip of the same proof
+    conjuncts = " & ".join(f"p{k}" for k in range(700))
+    res = prove(parse_sequent(f"{conjuncts} |- {conjuncts}"), "i")
+    assert isinstance(res, Proved) and proof_height(res.proof) == 1_399
+    return res.proof
+
+
+def test_extraction_of_a_1399_high_proof_replays(wide_conjunction_proof):
+    p = wide_conjunction_proof
+    out = extract_intuitionistic(p)
+    assert out.conclusion == p.conclusion
+    assert check_proof(out, INTUITIONISTIC)
+
+
+def test_inversion_of_a_1399_high_proof_replays(wide_conjunction_proof):
+    p = wide_conjunction_proof
+    f = p.conclusion.succ[0]
+    out = _invert_once(p, "succ", f)
+    assert out.conclusion == Sequent(p.conclusion.ante, (f.left,))
+    assert check_proof(out, INTUITIONISTIC_STAR)
+
+
+def test_contraction_elimination_of_a_1399_high_proof_replays(wide_conjunction_proof):
+    p, r = wide_conjunction_proof, Atom("r")
+    s = p.conclusion.plus(ante=(r,))
+    out = eliminate_contractions(Proof(RuleId.CONTR_L, s, (weaken(p, (r, r)),), ("ante", s.ante.index(r))))
+    assert out.conclusion == s
+    assert check_proof(out, INTUITIONISTIC_STAR)
