@@ -13,9 +13,15 @@ the searches are over and the garbage is collected, per node; so it counts
 the nodes, their sequents and principals and any formula only a proof
 holds.  A stream's `c+i+o` line sums its c, i and o lines.
 
-The last line loads the dumped i proof of p0 & ... & p699 |- p0 & ... &
+Then a line loads the dumped i proof of p0 & ... & p699 |- p0 & ... &
 p699 (2,098 nodes) and prints the bytes its load_proof result holds per
 node.
+
+The intern table's ring of recently built nodes (syntax._RECENT) is
+emptied before each count is read, so the counts hold only what proofs
+hold.  The last line prints what the ring itself holds once the streams
+of the next seed have been drawn and dropped: the bytes that emptying it
+frees.
 
 Sequents are drawn and every search path is warmed before tracing starts,
 and each line's proofs are dropped before the next line's searches, so
@@ -36,6 +42,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 from seqcalc import Proved, SearchLimits, dump_proof, load_proof, parse_sequent, prove, prove_restart  # noqa: E402
 from seqcalc.calculus import proof_size  # noqa: E402
+from seqcalc.syntax import _RECENT  # noqa: E402
 
 from proof_digest import groups  # noqa: E402
 
@@ -48,13 +55,19 @@ RELATIONS = {
 }
 
 
+def traced() -> int:
+    """The bytes tracemalloc counts once the ring is empty and the garbage
+    collected."""
+    _RECENT.clear()
+    gc.collect()
+    return tracemalloc.get_traced_memory()[0]
+
+
 def held(make) -> tuple[object, int]:
     """make()'s result and the bytes it holds, counted by tracemalloc."""
-    gc.collect()
-    before = tracemalloc.get_traced_memory()[0]
+    before = traced()
     result = make()
-    gc.collect()
-    return result, tracemalloc.get_traced_memory()[0] - before
+    return result, traced() - before
 
 
 def per_node(nbytes: int, nodes: int) -> str:
@@ -89,6 +102,14 @@ def main(argv=None) -> int:
     (loaded, _), nbytes = held(lambda: load_proof(text))
     nodes = proof_size(loaded)
     print(f"loaded deep i proof: nodes={nodes} bytes_per_node={per_node(nbytes, nodes)}")
+    del loaded
+    traced()
+    # streams of another seed, drawn and dropped, leave the ring full
+    for _ in groups(args.stream, args.seed + 1):
+        pass
+    gc.collect()
+    full = tracemalloc.get_traced_memory()[0]
+    print(f"ring of recent nodes: nodes={len(_RECENT)} bytes={full - traced()}")
     tracemalloc.stop()
     return 0
 

@@ -19,14 +19,15 @@ is reserved for printed metavariables.  A sequent is written
 `ante |- succ` with comma-separated, possibly empty sides.
 
 The first pass is one regex findall over the source, which yields the token
-texts, and one dict lookup per text for its kind.  The second is an
-operator-precedence (shunting-yard) loop over an operand stack and an
-operator stack that holds the pending binary connectives, prefix `~`,
+texts, and one dict lookup per text for its kind; a source whose tokens and
+spaces add up to its length is well formed without a further scan.  The
+second is an operator-precedence (shunting-yard) loop over an operand stack
+and an operator stack that holds the pending binary connectives, prefix `~`,
 quantifier frames (each with its name on the binder list) and open
 parentheses; argument lists are read by the same kind of loop over a stack
-of open applications.  Neither pass recurses, so nesting depth is bounded
-by memory only.  The passes build no position objects: a ParseError finds
-the offending token's offsets by scanning the source again.
+of open applications.  Neither pass recurses, so nesting depth is bounded by
+memory only.  The passes build no position objects: a ParseError finds the
+offending token's offsets by scanning the source again.
 """
 
 from __future__ import annotations
@@ -114,9 +115,14 @@ _BINARY = {_IMP: Imp, _OR: Or, _AND: And}
 
 
 def _tokens(source: str) -> tuple[list[str], list[int]]:
-    """The token texts of source and their kinds, the kinds ending in _EOF."""
+    """The token texts of source and their kinds, the kinds ending in _EOF.
+
+    Tokens hold no whitespace and findall's matches are disjoint, so when
+    the tokens' lengths and the spaces add up to the source's length every
+    character is in a token or is a space, and the source is well formed;
+    other whitespace takes the slower check."""
     texts = _TOKEN.findall(source)
-    if "".join(texts) != "".join(source.split()):
+    if sum(map(len, texts)) + source.count(" ") != len(source) and "".join(texts) != "".join(source.split()):
         raise _lexical_error(source)
     kinds = list(map(_KIND.get, texts, repeat(_IDENT)))
     kinds.append(_EOF)

@@ -92,7 +92,10 @@ and i refute such a root even with no node budget.  A root with a
 quantifier or with more than 12 distinct atoms is searched as before, and
 so is every valid root, so no proof changes.  Only the root is valuated:
 pruning every classically invalid state of the i and o searches made
-their searches of valid sequents about a fifth slower.
+their searches of valid sequents about a fifth slower.  The last verdict
+is kept in one module slot, keyed by the members' sort keys and replaced
+as a whole tuple, so c, i, o and restart asked in turn about one sequent
+valuate it once; the slot holds no formula and cannot grow.
 
 Both engines extend one search context, `_Search`: the root, the limits,
 the nodes left, and the constants the search made, in `made`, each named
@@ -1499,17 +1502,38 @@ def _atom_patterns(n: int) -> tuple[int, ...]:
 _PATTERNS = (_atom_patterns(5), _atom_patterns(12))
 
 
+#: the last quantifier-free verdict, (members' sort keys, verdict), replaced
+#: as one tuple, so a reader always gets a key with its own verdict
+_LAST_VERDICT: tuple = ((), None)
+
+
 def _classically_valid(s: Sequent) -> bool | None:
     """Whether the quantifier-free sequent s holds under every valuation of
     its atoms; None if s has a quantifier or more than 12 distinct atoms.
+
+    The last verdict is kept by the members' sort keys, which determine a
+    quantifier-free member, so asking c, i, o and restart about one sequent
+    valuates it once."""
+    global _LAST_VERDICT
+    if not is_quantifier_free_sequent(s):
+        return None
+    key = _members_key(s)
+    last = _LAST_VERDICT
+    if last[0] == key:
+        return last[1]
+    verdict = _valuate(s)
+    _LAST_VERDICT = (key, verdict)
+    return verdict
+
+
+def _valuate(s: Sequent) -> bool | None:
+    """_classically_valid of the quantifier-free sequent s, computed.
 
     Each formula is read as an int whose bit v is its truth under valuation
     v, by one post-order walk on an explicit stack, memoized by identity
     (interned quantifier-free formulas are equal exactly when identical).
     A try gives up at an atom its patterns do not cover, and the next try,
     with more patterns, walks again."""
-    if not is_quantifier_free_sequent(s):
-        return None
     for patterns in _PATTERNS:
         full = (1 << (1 << len(patterns))) - 1
         fresh = iter(patterns)
@@ -1558,7 +1582,8 @@ def prove(s: Sequent, logic: str = "c", limits: SearchLimits | None = None) -> S
     logic never refutes.
 
     A quantifier-free s with at most 12 distinct atoms is first valuated
-    classically (see _classically_valid).  A falsifying valuation settles
+    classically (see _classically_valid), or its verdict read back when the
+    previous call valuated an equal sequent.  A falsifying valuation settles
     every logic without a search and spends no nodes: uniform provability
     implies intuitionistic and that classical provability, so c and i
     return Refuted, whatever the limits, and o returns

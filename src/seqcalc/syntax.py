@@ -6,13 +6,18 @@ alpha-equivalent formulas compare equal.
 
 Terms and formulas are hash-consed: every constructor looks its structure up
 in one table of weak references, so building a structure that is alive
-already, with the same binder hints, returns the existing object.  Nodes are
-immutable.  At construction each node also stores
+already, with the same binder hints, returns the existing object.  In front
+of that table sits a bounded strong cache (Filliatre & Conchon, "Type-safe
+modular hash-consing", 2006): a ring of the _RECENT_CAP nodes built last, so
+the atoms and small subformulas that one call drops and the next call builds
+again are found alive.  Nodes are immutable.  At construction each node also
+stores
 
 * its alpha-canonical twin: the same structure with every binder hint "x",
   or None on a node that is canonical already.  No node refers to itself or
   sits in a reference cycle, so a node is freed, and its table entry
-  dropped, as soon as the last reference to it goes;
+  dropped, as soon as the last reference to it goes and it has left the
+  ring;
 * its sort key: a flat, prefix-free string built from its children's keys.
   Keys compare exactly as the structural tuples (kind, then the fields left
   to right, shorter argument lists first) would, and depend on the
@@ -35,7 +40,8 @@ read the key; none of them recurses.  Binding, opening and renaming are
 callbacks of one explicit-stack walk, map_terms, so they do not recurse
 either.  The table may be shared by threads: an insert is one
 dict.setdefault on a table key that hashes and compares in C, so threads
-that build equal structures get one object.
+that build equal structures get one object, and a ring append is one
+deque.append, which is atomic too.
 
 Sequents keep both sides as multisets in a canonical sorted order (by
 formula_key, stable), which makes multiset equality plain tuple equality.
@@ -49,6 +55,7 @@ from __future__ import annotations
 import bisect
 import re
 import weakref
+from collections import deque
 from _weakref import _remove_dead_weakref
 from operator import attrgetter
 from typing import Callable, Iterable, Iterator, Union
@@ -69,6 +76,12 @@ class _Ref(weakref.ref):
 _TABLE: dict[tuple, _Ref] = {}
 _set = object.__setattr__
 
+#: the nodes the ring keeps alive: the last ones _build published.  On
+#: prop-decide 1,024 gave the latency of 4,096 within 2 points at a quarter
+#: of the memory (about 0.4 MB of nodes and table entries)
+_RECENT_CAP = 1_024
+_RECENT: deque = deque(maxlen=_RECENT_CAP)
+
 
 def _drop(ref: _Ref, table=_TABLE, remove=_remove_dead_weakref) -> None:
     # remove deletes the entry only while it holds a dead reference: a
@@ -81,11 +94,12 @@ def _interned(ikey: tuple):
     return None if ref is None else ref()
 
 
-def _build(cls, ikey: tuple, values: tuple, key: str, twin, lbr: int, qf: bool | None = None):
+def _build(cls, ikey: tuple, values: tuple, key: str, twin, lbr: int, qf: bool | None = None, keep=_RECENT.append):
     """A new node of cls with the given field values, sort key, twin,
     loose-bound range and, for a binary connective, quantifier-free flag,
-    entered under ikey; the node another thread entered first, if any.
-    Every field is set before the node is published."""
+    entered under ikey and kept in the ring; the node another thread
+    entered first, if any.  Every field is set before the node is
+    published."""
     node = object.__new__(cls)
     for name, value in zip(cls.__match_args__, values):
         _set(node, name, value)
@@ -101,6 +115,7 @@ def _build(cls, ikey: tuple, values: tuple, key: str, twin, lbr: int, qf: bool |
         # classes, strings and ints, which hash and compare in C
         got = _TABLE.setdefault(ikey, ref)
         if got is ref:
+            keep(node)
             return node
         other = got()
         if other is not None:

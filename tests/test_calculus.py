@@ -19,13 +19,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from seqcalc import calculus
+from seqcalc import calculus, syntax
 from seqcalc.calculus import (
     _RULES,
     CLASSICAL,
     CLASSICAL_STAR,
     INTUITIONISTIC,
-    INTUITIONISTIC_STAR,
     UNIFORM,
     Proof,
     ProofClass,
@@ -1062,6 +1061,9 @@ def test_the_print_memo_keeps_no_formula_alive():
     f = weakref.ref(p.conclusion.ante[0])
     assert calculus._TEXTS[id(f())].text == "fleeting(a)"
     key = id(f())
+    # the ring of recent nodes holds the atom too; emptied, only the memo
+    # could keep it alive
+    syntax._RECENT.clear()
     del p
     gc.collect()
     assert f() is None and key not in calculus._TEXTS

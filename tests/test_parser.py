@@ -4,13 +4,14 @@ stack parser against the recursive-descent reference."""
 import random
 import re
 import sys
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from seqcalc import parser
 from seqcalc.calculus import INTUITIONISTIC, Proof, RuleId, dump_proof, load_proof
 from seqcalc.parser import (
-    CorpusEntry,
     ParseError,
     parse_corpus,
     parse_formula,
@@ -348,6 +349,34 @@ def test_mutated_texts_fail_as_the_reference_does(seed):
         assert _same_outcome(_outcome(parse, text), want), (parse.__name__, text)
     # count only the texts that their own parser now rejects
     assume(isinstance(wants[own], ParseError))
+
+
+def _joined_tokens(source: str):
+    """The tokenizer without its fast path: a source is well formed when
+    its tokens joined give its non-whitespace characters."""
+    texts = parser._TOKEN.findall(source)
+    if "".join(texts) != "".join(source.split()):
+        raise parser._lexical_error(source)
+    return texts, [parser._KIND.get(t, parser._IDENT) for t in texts] + [parser._EOF]
+
+
+_PIECES = ["p", "q", "r", "a", "f", "x", "top", "bot", "forall", "exists", "|-", "=>", "(", ")", ","]
+_PIECES += [".", "&", "|", "~", " ", "  ", "\t", "\n", "=", "-", ">", "P", "Xy"]
+
+
+@settings(max_examples=500)
+@given(st.one_of(st.lists(st.sampled_from(_PIECES), max_size=24).map("".join), st.integers(0, 2**32)))
+def test_the_lexical_fast_path_accepts_and_rejects_as_the_joined_check(drawn):
+    if isinstance(drawn, int):
+        # a well-formed text, its spaces turned into other whitespace
+        rng = random.Random(drawn)
+        text = "".join(rng.choice((" ", " ", "\t", "\n", "  ")) if c == " " else c for c in _random_text(rng)[0])
+    else:
+        text = drawn
+    for parse, _ in _ENTRY_POINTS:
+        with mock.patch("seqcalc.parser._tokens", _joined_tokens):
+            want = _outcome(parse, text)
+        assert _same_outcome(_outcome(parse, text), want), (parse.__name__, text)
 
 
 @pytest.mark.parametrize(

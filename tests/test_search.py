@@ -4,6 +4,7 @@ import random
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from unittest import mock
 
 import pytest
@@ -35,6 +36,7 @@ from seqcalc.search import (
     _GroundProver,
     _Search,
     _classically_valid,
+    _valuate,
     herbrandize,
     is_quantifier_free_sequent,
     prove,
@@ -1289,6 +1291,61 @@ def test_a_deep_negation_chain_valuates_at_the_default_recursion_limit():
     assert _classically_valid(Sequent((neg(f),), (p,))) is False
     for logic in "cio":
         assert type(prove(Sequent((f,), (q,)), logic)) is (NotProvedWithinLimits if logic == "o" else Refuted)
+
+
+@contextmanager
+def _counted_valuations():
+    """An empty verdict slot, and a mock that counts the valuations made."""
+    with mock.patch("seqcalc.search._LAST_VERDICT", ((), None)):
+        with mock.patch("seqcalc.search._valuate", wraps=_valuate) as valuate:
+            yield valuate
+
+
+@pytest.mark.parametrize("text", ["q |- s", "q & s |- s"])
+def test_c_i_o_and_restart_on_one_sequent_valuate_it_once(text):
+    s = parse_sequent(text)
+    with _counted_valuations() as valuate:
+        outcomes = [type(prove(s, logic)) for logic in "cio"] + [type(prove_restart(s))]
+    assert valuate.call_count == 1
+    want = [Refuted, Refuted, NotProvedWithinLimits, NotProvedWithinLimits] if "&" not in text else [Proved] * 4
+    assert outcomes == want
+
+
+def test_an_equal_sequent_built_separately_reads_the_slot():
+    with _counted_valuations() as valuate:
+        assert _classically_valid(parse_sequent("q, s => q |- s")) is False
+        again = Sequent((Imp(Atom("s"), Atom("q")), Atom("q")), (Atom("s"),))
+        assert _classically_valid(again) is False
+    assert valuate.call_count == 1
+
+
+def test_a_different_sequent_is_valuated_anew():
+    texts = ["p |- q", "q |- p", "p, p |- q", "p |- q", "p |- p"]
+    with _counted_valuations() as valuate:
+        verdicts = [_classically_valid(parse_sequent(t)) for t in texts]
+        # a quantified sequent is not valuated and leaves the slot as it was
+        assert _classically_valid(parse_sequent("forall x. r(x) |- r(a)")) is None
+        assert _classically_valid(parse_sequent("p |- p")) is True
+    assert verdicts == [False, False, False, False, True]
+    assert valuate.call_count == len(texts)
+
+
+def test_threads_deciding_interleaved_sequents_get_the_truth_table_verdicts():
+    draws = [_valuation_draw(seed) for seed in range(48)]
+    want = [truth_table_valid(s) for s in draws]
+
+    def decide(shift):
+        order = [(k + shift) % len(draws) for k in range(len(draws))] * 4
+        return [(k, _classically_valid(draws[k])) for k in order]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            got = [pair for run in pool.map(decide, range(0, 48, 6), timeout=120) for pair in run]
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(verdict is want[k] for k, verdict in got)
 
 
 def test_concurrent_valuations_give_the_single_thread_outcomes():

@@ -9,6 +9,7 @@ import pickle
 import random
 import sys
 import threading
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -21,7 +22,6 @@ from seqcalc.syntax import (
     And,
     App,
     Atom,
-    Bot,
     Bound,
     Const,
     Exists,
@@ -56,7 +56,6 @@ from seqcalc.syntax import (
 from seqcalc.parser import parse_formula, parse_sequent
 
 from _oracles import (
-    PROP_LEAVES,
     mixed_leaves,
     random_in_grammar,
     random_propositional,
@@ -457,15 +456,42 @@ def test_equal_builds_are_one_object_and_alpha_variants_are_not(f):
 
 def test_dropped_formulas_leave_the_intern_table():
     # with the cycle collector off only reference counts free nodes, so the
-    # table shrinks back only if no node sits in a reference cycle
+    # table shrinks back only if no node sits in a reference cycle; the ring
+    # of recent nodes is emptied on both sides, so it keeps none of them
     gc.collect()
     gc.disable()
     try:
+        syntax._RECENT.clear()
         before = len(syntax._TABLE)
         built = [forall("y", Imp(Atom(f"dropped{k}", (Var("y"), Const(f"c{k}"))), BOT)) for k in range(10_000)]
         assert len(syntax._TABLE) >= before + 40_000
         del built
+        syntax._RECENT.clear()
         assert len(syntax._TABLE) == before
+    finally:
+        gc.enable()
+
+
+def test_the_ring_keeps_the_last_nodes_built_and_frees_older_dropped_ones():
+    gc.collect()
+    gc.disable()
+    try:
+        cap = syntax._RECENT_CAP
+        dropped = Imp(Atom("ringed", (Const("r0"),)), BOT)
+        gone = weakref.ref(dropped), weakref.ref(dropped.left)
+        del dropped
+        # nodes the ring still holds stay in the table
+        assert gone[0]() is not None and gone[0]() is syntax._RECENT[-1]
+        for k in range(cap):
+            Atom(f"filler{k}")
+            assert len(syntax._RECENT) <= cap
+        # pushed out of the ring with no other reference, both are freed
+        assert len(syntax._RECENT) == cap
+        assert gone[0]() is None and gone[1]() is None
+        assert not any(ikey[:2] == (Atom, "ringed") for ikey in syntax._TABLE)
+        # a node built again while the ring holds it is the same object
+        last = syntax._RECENT[-1]
+        assert Atom(f"filler{cap - 1}") is last
     finally:
         gc.enable()
 

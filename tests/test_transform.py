@@ -26,7 +26,7 @@ from seqcalc.calculus import (
 )
 from seqcalc.parser import parse_formula, parse_sequent
 from seqcalc.search import Proved, SearchLimits, prove, prove_restart
-from seqcalc.syntax import And, Atom, Bot, Const, Forall, Imp, Or, Sequent, Top, Var, forall, free_symbols
+from seqcalc.syntax import And, Atom, Bot, Const, Forall, Imp, Or, Sequent, Top, free_symbols
 from seqcalc.transform import (
     TransformError,
     augment,
