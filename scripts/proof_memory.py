@@ -18,8 +18,12 @@ p699 (2,098 nodes) and prints the bytes its load_proof result holds per
 node.
 
 The intern table's ring of recently built nodes (syntax._RECENT) is
-emptied before each count is read, so the counts hold only what proofs
-hold.  The last line prints what the ring itself holds once the streams
+emptied before each count is read, and the table's own size
+(syntax._TABLE) is left out of every count, so the counts hold only what
+proofs hold: the table resizes whenever its live nodes cross a threshold,
+whichever line's searches get there.  So that tracemalloc sees that size,
+the table is rebuilt in place, its entries unchanged, once tracing starts.
+The last line prints what the ring itself holds once the streams
 of the next seed have been drawn and dropped: the bytes that emptying it
 frees.
 
@@ -42,7 +46,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 from seqcalc import Proved, SearchLimits, dump_proof, load_proof, parse_sequent, prove, prove_restart  # noqa: E402
 from seqcalc.calculus import proof_size  # noqa: E402
-from seqcalc.syntax import _RECENT  # noqa: E402
+from seqcalc.syntax import _RECENT, _TABLE  # noqa: E402
 
 from proof_digest import groups  # noqa: E402
 
@@ -55,12 +59,27 @@ RELATIONS = {
 }
 
 
+def counted() -> int:
+    """The bytes tracemalloc counts, less the intern table's size: the table
+    resizes when its live nodes cross a threshold, whichever line's searches
+    get there."""
+    return tracemalloc.get_traced_memory()[0] - sys.getsizeof(_TABLE)
+
+
 def traced() -> int:
-    """The bytes tracemalloc counts once the ring is empty and the garbage
-    collected."""
+    """The bytes counted once the ring is empty and the garbage collected."""
     _RECENT.clear()
     gc.collect()
-    return tracemalloc.get_traced_memory()[0]
+    return counted()
+
+
+def trace_table() -> None:
+    """Rebuild the intern table in place, its entries unchanged, so that
+    tracemalloc traces its storage: then a resize changes the traced bytes
+    by the change in the table's size."""
+    entries = dict(_TABLE)
+    _TABLE.clear()
+    _TABLE.update(entries)
 
 
 def held(make) -> tuple[object, int]:
@@ -90,6 +109,7 @@ def main(argv=None) -> int:
     load_proof(text)
 
     tracemalloc.start()
+    trace_table()
     for name, sequents in drawn.items():
         sums = [0, 0, 0]
         for rel, search in RELATIONS.items():
@@ -108,7 +128,7 @@ def main(argv=None) -> int:
     for _ in groups(args.stream, args.seed + 1):
         pass
     gc.collect()
-    full = tracemalloc.get_traced_memory()[0]
+    full = counted()
     print(f"ring of recent nodes: nodes={len(_RECENT)} bytes={full - traced()}")
     tracemalloc.stop()
     return 0

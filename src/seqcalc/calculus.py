@@ -529,6 +529,12 @@ def premises(
     return build(s, index, f, term, goal)
 
 
+def bottom_closure(s: Sequent) -> Proof:
+    """s closed by bot-r on its first succedent member over an axiom: s has bottom on the left."""
+    (premise,) = premises(RuleId.BOT_R, s, 0, s.succ[0])
+    return Proof(RuleId.BOT_R, s, (Proof(RuleId.AXIOM, premise),), ("succ", 0))
+
+
 def _uniform_violation(node: Proof) -> str | None:
     goal = node.conclusion.succ[0]
     if isinstance(goal, (Atom, Top, Bot)):

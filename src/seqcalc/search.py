@@ -130,6 +130,7 @@ from .calculus import (
     Proof,
     ProofClass,
     RuleId,
+    bottom_closure,
     drive,
     fold_proof,
     is_axiom,
@@ -173,7 +174,6 @@ from .syntax import (
 _AND_L_LEFT = RuleId.AND_L_LEFT
 _AND_L_RIGHT = RuleId.AND_L_RIGHT
 _AXIOM = RuleId.AXIOM
-_BOT_R = RuleId.BOT_R
 _CONTR_L = RuleId.CONTR_L
 _EXISTS_R = RuleId.EXISTS_R
 _EXISTS_R_STAR = RuleId.EXISTS_R_STAR
@@ -497,10 +497,7 @@ def _reserved_prefix(base: str, taken: set[str]) -> str:
 
 
 def _symbols_everywhere(s: Sequent) -> set[str]:
-    out = set(free_symbols(s))
-    for f in s.ante + s.succ:
-        out |= predicate_names(f)
-    return out
+    return set(free_symbols(s) | predicate_names(s))
 
 
 def is_quantifier_free_sequent(s: Sequent) -> bool:
@@ -563,8 +560,7 @@ class _ClassicalProver(_Search):
         if is_axiom(s, self.limits.strengthened_axioms):
             return Proof(_AXIOM, s)
         if s.succ and _has_bot(s.ante):
-            (premise,) = premises(_BOT_R, s, 0, s.succ[0])
-            return Proof(_BOT_R, s, (Proof(_AXIOM, premise),), ("succ", 0))
+            return bottom_closure(s)
 
         step = _invertible_step(s)
         if step is None:
@@ -610,8 +606,7 @@ class _ClassicalProver(_Search):
             yield subst, Proof(_AXIOM, s)
             return
         if s.succ and _has_bot(s.ante):
-            (premise,) = premises(_BOT_R, s, 0, s.succ[0])
-            yield subst, Proof(_BOT_R, s, (Proof(_AXIOM, premise),), ("succ", 0))
+            yield subst, bottom_closure(s)
             return
         # a pair that unifies without a new binding is already equal under
         # subst and closes definitively; pairs that commit to bindings are
@@ -1212,8 +1207,7 @@ class _GroundProver(_Search):
         if self._closes_compound and goal in s.ante:
             return Proof(_AXIOM, s)
         if k is not Bot and (k is Atom or not self.uniform) and _has_bot(s.ante):
-            (premise,) = premises(_BOT_R, s, 0, goal)
-            return Proof(_BOT_R, s, (Proof(_AXIOM, premise),), ("succ", 0))
+            return bottom_closure(s)
 
         loop_key, cache_key = self._canon(s, counts)
         seen_at = self._path.get(loop_key)
@@ -1387,72 +1381,64 @@ class _GroundProver(_Search):
             return (yield from step)
 
         # atomic (or bottom) goal: a goal no antecedent head can produce is
-        # hopeless here, and only a restart can rescue it
-        if not self._attainable(s, goal):
-            if self.rgoal is not None and goal != self.rgoal:
-                sub = yield (Sequent._presorted(s.ante, (self.rgoal,)), depth, counts)
-                if sub is not None:
-                    return Proof(_RESTART, s, (sub,))
-            return None
+        # hopeless here, and only the restart step at the end can rescue it
+        if self._attainable(s, goal):
+            # invertible consuming steps commit first: splitting a disjunction
+            # or opening an existential at an exempt goal loses no proofs
+            # (with a restart goal the disjunction step is a genuine choice
+            # and stays in the backchain loop below)
+            step = self._eager_step(s, depth, counts)
+            if step is not None:
+                return (yield from step)
 
-        # invertible consuming steps commit first: splitting a disjunction or
-        # opening an existential at an exempt goal loses no proofs (with a
-        # restart goal the disjunction step is a genuine choice and stays in
-        # the backchain loop below)
-        step = self._eager_step(s, depth, counts)
-        if step is not None:
-            return (yield from step)
+            if self.rgoal is not None:
+                # the restart split is a genuine choice, but each disjunct
+                # alone must still carry the goal: replacing the disjunction
+                # by either side maps any proof to a proof (a restart step
+                # absorbs the goal swap at the split's second branch), so one
+                # failing projection dooms the node
+                for i, f in enumerate(s.ante):
+                    if type(f) is not Or:
+                        continue
+                    for premise in premises(_OR_L, s, i, f):
+                        if (yield (premise, depth, counts)) is None:
+                            return None
+                    break
 
-        if self.rgoal is not None:
-            # the restart split is a genuine choice, but each disjunct alone
-            # must still carry the goal: replacing the disjunction by either
-            # side maps any proof to a proof (a restart step absorbs the
-            # goal swap at the split's second branch), so one failing
-            # projection dooms the node
+            # backchain on the antecedent
             for i, f in enumerate(s.ante):
-                if type(f) is not Or:
-                    continue
-                for premise in premises(_OR_L, s, i, f):
-                    if (yield (premise, depth, counts)) is None:
-                        return None
-                break
-
-        # backchain on the antecedent
-        for i, f in enumerate(s.ante):
-            match f:
-                case Imp(l, r):
-                    sub1 = yield (Sequent._presorted(s.ante, (l,)), depth, counts)
-                    if sub1 is None:
-                        continue
-                    sub2 = yield (s.plus(ante=(r,)), depth, counts)
-                    if sub2 is None:
-                        continue
-                    return self._contracted(s, f, _IMP_L, (sub1, sub2))
-                case And(l, r):
-                    for rule, kept in ((_AND_L_LEFT, l), (_AND_L_RIGHT, r)):
-                        if kept in s.ante:
+                match f:
+                    case Imp(l, r):
+                        sub1 = yield (Sequent._presorted(s.ante, (l,)), depth, counts)
+                        if sub1 is None:
                             continue
-                        sub = yield (s.plus(ante=(kept,)), depth, counts)
-                        if sub is not None:
-                            return self._contracted(s, f, rule, (sub,))
-                case Forall():
-                    for t, premise, c2 in self._forall_premises(s, f, counts):
-                        sub = yield (premise, depth, c2)
-                        if sub is not None:
-                            return self._contracted(s, f, _FORALL_L, (sub,), witness=t)
-                case Or():
-                    # only reached with a restart goal; the plain split
-                    # happened eagerly above
-                    first, second = premises(_OR_L_RESTART, s, i, f, None, self.rgoal)
-                    sub1 = yield (first, depth, counts)
-                    if sub1 is None:
-                        continue
-                    sub2 = yield (second, depth, counts)
-                    if sub2 is None:
-                        continue
-                    return Proof(_OR_L_RESTART, s, (sub1, sub2), ("ante", i))
-                case _:
-                    pass
+                        sub2 = yield (s.plus(ante=(r,)), depth, counts)
+                        if sub2 is None:
+                            continue
+                        return self._contracted(s, f, _IMP_L, (sub1, sub2))
+                    case And(l, r):
+                        for rule, kept in ((_AND_L_LEFT, l), (_AND_L_RIGHT, r)):
+                            if kept in s.ante:
+                                continue
+                            sub = yield (s.plus(ante=(kept,)), depth, counts)
+                            if sub is not None:
+                                return self._contracted(s, f, rule, (sub,))
+                    case Forall():
+                        for t, premise, c2 in self._forall_premises(s, f, counts):
+                            sub = yield (premise, depth, c2)
+                            if sub is not None:
+                                return self._contracted(s, f, _FORALL_L, (sub,), witness=t)
+                    case Or():
+                        # only reached with a restart goal; the plain split
+                        # happened eagerly above
+                        first, second = premises(_OR_L_RESTART, s, i, f, None, self.rgoal)
+                        sub1 = yield (first, depth, counts)
+                        if sub1 is None:
+                            continue
+                        sub2 = yield (second, depth, counts)
+                        if sub2 is None:
+                            continue
+                        return Proof(_OR_L_RESTART, s, (sub1, sub2), ("ante", i))
         if self.rgoal is not None and goal != self.rgoal:
             sub = yield (Sequent._presorted(s.ante, (self.rgoal,)), depth, counts)
             if sub is not None:

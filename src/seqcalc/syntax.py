@@ -536,8 +536,8 @@ def free_symbols(x) -> frozenset[str]:
     return frozenset(t.name for t in subterms(x) if type(t) is not Bound)
 
 
-def predicate_names(f: Formula) -> frozenset[str]:
-    return frozenset(g.pred for g in subformulas(f) if type(g) is Atom)
+def predicate_names(x) -> frozenset[str]:
+    return frozenset(g.pred for g in subformulas(x) if type(g) is Atom)
 
 
 def metas_in(x) -> frozenset[int]:

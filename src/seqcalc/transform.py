@@ -24,30 +24,30 @@ No transform restates a rule's premises: each reads them from
 exists-r* with the plain rules each expands into above a contraction on its
 principal.  So contraction elimination takes one step for every rule that
 consumes the contracted formula, and expansion and its inverse, ``_starify``,
-one step for those four rules.  ``identity_proof``, the eta expansion
-``_reclose`` uses to turn a compound axiom into atomic ones, is one loop over
-``_ETA``: per connective, its invertible rule and the starred rule of the
-other side.  The sequents built by hand are not rule premises: imp-l's
-succedent split, which the rule leaves free, and the extraction's
-single-goal projections.  Transformations detect malformed inputs lazily and
-raise TransformError.
+one step for those four rules.  The sequents built by hand are not rule
+premises: imp-l's succedent split, which the rule leaves free, and the
+extraction's single-goal projections.  Transformations detect malformed
+inputs lazily and raise TransformError.
 
-No transform recurses on proof height.  Weakening, freshening and
-rebinding are one explicit-stack walk, ``_rewrite``; ``expand_starred``,
-``_starify`` and the outer walk of ``eliminate_contractions`` are
-``calculus.fold_proof`` callbacks.  Inversion, contraction and single-goal
-extraction, which may stop at a node or rebuild what lies above it, run on
-``calculus.drive``, as the ground search does.  Inversion and contraction
-settle axioms (through ``_reclose``) and the nodes that act on their
-formula in one entry step per node, and hand every other node to the one
-``_context`` visit, which transforms each premise and rebuilds the node.
+No transform recurses on proof height or formula depth.  Weakening,
+freshening and rebinding are one explicit-stack walk, ``_rewrite``;
+``expand_starred``, ``_starify`` and the outer walk of
+``eliminate_contractions`` are ``calculus.fold_proof`` callbacks.  The rest
+run on ``calculus.drive``, as the ground search does.  Eta expansion, which
+``identity_proof`` and ``_reclose`` use to turn a compound axiom into atomic
+ones, is one visit, ``_eta``: per connective, the two rules of ``_ETA``,
+each leaf built with its context in place, so ``weaken`` is not on its path.
+Inversion and contraction settle axioms (through ``_reclose``) and the nodes
+that act on their formula in one entry step per node, and hand every other
+node to the one ``_context`` visit, which transforms each premise and
+rebuilds the node.
 """
 
 from __future__ import annotations
 
 from operator import is_
 
-from .calculus import INVERTIBLE, Proof, RuleId, drive, fold_proof, is_axiom, premises, proof_nodes, rule_family, rule_usage
+from .calculus import INVERTIBLE, Proof, RuleId, bottom_closure, drive, fold_proof, is_axiom, premises, proof_nodes, rule_family, rule_usage
 from .fragments import FORBIDDEN_FAMILIES
 from .syntax import (
     BOT,
@@ -66,6 +66,7 @@ from .syntax import (
     format_formula,
     free_symbols,
     fresh_name,
+    instantiate,
     multiset_minus,
     predicate_names,
     rename_constant,
@@ -227,29 +228,36 @@ _ETA: dict[type, tuple[str, RuleId, RuleId]] = {
 
 
 def identity_proof(f: Formula) -> Proof:
-    """A starred-calculus proof of ⟨f ⊢ f⟩ closing only on atomic axioms.
-    Each leaf the two rules of f's _ETA entry leave holds a part g of f alone
-    on one side; g's identity proof, weakened by the other side less g, proves
-    it.  g is removed by identity, so alpha-variant parts keep their hints."""
-    s = Sequent((f,), (f,))
+    """A starred-calculus proof of ⟨f ⊢ f⟩ closing only on atomic axioms."""
+    return drive(_eta, Sequent((f,), (f,)), f)
+
+
+def _eta(s: Sequent, f: Formula):
+    """The visit that drive runs to prove s, which holds f itself on both
+    sides, closing only on atomic axioms, with s's context in place: an axiom
+    when f is atomic, else the two rules of f's _ETA entry at f's own index.
+    It yields (leaf, part) for each leaf they leave, in order; the parts are
+    f's two sides, or its instance at an eigenvariable fresh for s."""
     if isinstance(f, (Atom, Top, Bot)):
         return Proof(RuleId.AXIOM, s)
     side, rule, star = _ETA[type(f)]
     other = "succ" if side == "ante" else "ante"
-    c = Const(fresh_name("c", free_symbols(f) | predicate_names(f))) if isinstance(f, (Forall, Exists)) else None
+    c = Const(fresh_name("c", free_symbols(s) | predicate_names(s))) if isinstance(f, (Forall, Exists)) else None
+    parts = iter((f.left, f.right) if c is None else (instantiate(f, c),))
+    j = _own(s, side, f)
     tops = []
-    for t in premises(rule, s, 0, f, c):
-        i = (t.ante if other == "ante" else t.succ).index(f)
+    for t in premises(rule, s, j, f, c):
+        i = _own(t, other, f)
         leaves = []
         for u in premises(star, t, i, f, c):
-            alone, others = (u.ante, u.succ) if len(u.ante) == 1 else (u.succ, u.ante)
-            g = alone[0]
-            k = next(k for k, h in enumerate(others) if h is g)
-            rest = others[:k] + others[k + 1 :]
-            q = identity_proof(g)
-            leaves.append(weaken(q, (), rest) if alone is u.ante else weaken(q, rest))
+            leaves.append((yield (u, next(parts))))
         tops.append(Proof(star, t, tuple(leaves), (other, i), c))
-    return Proof(rule, s, tuple(tops), (side, 0), None, None if c is None else c.name)
+    return Proof(rule, s, tuple(tops), (side, j), None, None if c is None else c.name)
+
+
+def _own(s: Sequent, side: str, f: Formula) -> int:
+    """The index of f itself, not of an alpha-variant, on s's side."""
+    return next(i for i, g in enumerate(s.ante if side == "ante" else s.succ) if g is f)
 
 
 # ---------------------------------------------------------------------------
@@ -339,13 +347,10 @@ def _reclose(s: Sequent, t: Sequent, redo) -> Proof:
     if is_axiom(t):
         return Proof(RuleId.AXIOM, t)
     if BOT in t.ante and t.succ:
-        inner = premises(RuleId.BOT_R, t, 0, t.succ[0])[0]
-        return Proof(RuleId.BOT_R, t, (Proof(RuleId.AXIOM, inner),), ("succ", 0))
+        return bottom_closure(t)
     for g in s.ante:
         if g in s.succ and not isinstance(g, (Atom, Top, Bot)):
-            rest_ante = multiset_minus(s.ante, (g,))
-            rest_succ = multiset_minus(s.succ, (g,))
-            return redo(weaken(identity_proof(g), rest_ante, rest_succ))
+            return redo(drive(_eta, s.replace_succ(s.succ.index(g), (g,)), g))
     raise TransformError(f"axiom {s} does not close {t}")
 
 

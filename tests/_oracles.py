@@ -1581,65 +1581,71 @@ def reference_weaken(p, extra_ante=(), extra_succ=()):
 
 
 def reference_identity_proof(f: Formula) -> Proof:
-    """A starred-calculus proof of ⟨f ⊢ f⟩ closing only on atomic axioms, one
-    case per connective with its premises written out."""
-    s = Sequent((f,), (f,))
+    """A starred-calculus proof of ⟨f ⊢ f⟩ closing only on atomic axioms."""
+    return _reference_eta(Sequent((f,), (f,)), f)
+
+
+def _without(side: tuple[Formula, ...], f: Formula) -> tuple[Formula, ...]:
+    """side less f itself, not an alpha-variant of it."""
+    i = next(i for i, g in enumerate(side) if g is f)
+    return side[:i] + side[i + 1 :]
+
+
+def _reference_eta(s: Sequent, f: Formula) -> Proof:
+    """A proof of s, which holds f itself on both sides, closing only on
+    atomic axioms: one case per connective, its leaf sequents written out
+    with their context, gamma and delta being s's sides less f itself.  Each
+    principal is f itself; an eigenvariable is fresh for the sequent it is
+    introduced in."""
+
+    def node(rule, conclusion, prems, side, witness=None, eigen=None):
+        formulas = conclusion.ante if side == "ante" else conclusion.succ
+        principal = (side, next(i for i, g in enumerate(formulas) if g is f))
+        return Proof(rule, conclusion, tuple(prems), principal, witness, eigen)
+
+    gamma, delta = _without(s.ante, f), _without(s.succ, f)
     match f:
         case Atom() | Top() | Bot():
             return Proof(RuleId.AXIOM, s)
         case And(l, r):
-            left = _node(
-                RuleId.AND_L_STAR,
-                Sequent((f,), (l,)),
-                [weaken(reference_identity_proof(l), extra_ante=(r,))],
-                "ante",
-                f,
-            )
-            right = _node(
-                RuleId.AND_L_STAR,
-                Sequent((f,), (r,)),
-                [weaken(reference_identity_proof(r), extra_ante=(l,))],
-                "ante",
-                f,
-            )
-            return _node(RuleId.AND_R, s, [left, right], "succ", f)
+            tops = [
+                node(
+                    RuleId.AND_L_STAR,
+                    Sequent(s.ante, delta + (g,)),
+                    [_reference_eta(Sequent(gamma + (l, r), delta + (g,)), g)],
+                    "ante",
+                )
+                for g in (l, r)
+            ]
+            return node(RuleId.AND_R, s, tops, "succ")
         case Or(l, r):
-            pl = _node(
-                RuleId.OR_R_STAR,
-                Sequent((l,), (f,)),
-                [weaken(reference_identity_proof(l), extra_succ=(r,))],
-                "succ",
-                f,
-            )
-            pr = _node(
-                RuleId.OR_R_STAR,
-                Sequent((r,), (f,)),
-                [weaken(reference_identity_proof(r), extra_succ=(l,))],
-                "succ",
-                f,
-            )
-            return _node(RuleId.OR_L, s, [pl, pr], "ante", f)
+            tops = [
+                node(
+                    RuleId.OR_R_STAR,
+                    Sequent(gamma + (g,), s.succ),
+                    [_reference_eta(Sequent(gamma + (g,), delta + (l, r)), g)],
+                    "succ",
+                )
+                for g in (l, r)
+            ]
+            return node(RuleId.OR_L, s, tops, "ante")
         case Imp(l, r):
-            p1 = weaken(reference_identity_proof(l), extra_succ=(r,))
-            p2 = weaken(reference_identity_proof(r), extra_ante=(l,))
-            inner = _node(RuleId.IMP_L_STAR, Sequent((f, l), (r,)), [p1, p2], "ante", f)
-            return _node(RuleId.IMP_R, s, [inner], "succ", f)
+            p1 = _reference_eta(Sequent(gamma + (l,), delta + (r, l)), l)
+            p2 = _reference_eta(Sequent(gamma + (l, r), delta + (r,)), r)
+            inner = node(RuleId.IMP_L_STAR, Sequent(s.ante + (l,), delta + (r,)), [p1, p2], "ante")
+            return node(RuleId.IMP_R, s, [inner], "succ")
         case Forall():
-            c = fresh_name("c", free_symbols(f) | predicate_names(f))
+            c = fresh_name("c", free_symbols(s) | predicate_names(s))
             inst = instantiate(f, Const(c))
-            core = weaken(reference_identity_proof(inst), extra_ante=(f,))
-            fl = _node(
-                RuleId.FORALL_L_STAR, Sequent((f,), (inst,)), [core], "ante", f, witness=Const(c)
-            )
-            return _node(RuleId.FORALL_R, s, [fl], "succ", f, eigen=c)
+            core = _reference_eta(Sequent(s.ante + (inst,), delta + (inst,)), inst)
+            fl = node(RuleId.FORALL_L_STAR, Sequent(s.ante, delta + (inst,)), [core], "ante", Const(c))
+            return node(RuleId.FORALL_R, s, [fl], "succ", eigen=c)
         case Exists():
-            c = fresh_name("c", free_symbols(f) | predicate_names(f))
+            c = fresh_name("c", free_symbols(s) | predicate_names(s))
             inst = instantiate(f, Const(c))
-            core = weaken(reference_identity_proof(inst), extra_succ=(f,))
-            er = _node(
-                RuleId.EXISTS_R_STAR, Sequent((inst,), (f,)), [core], "succ", f, witness=Const(c)
-            )
-            return _node(RuleId.EXISTS_L, s, [er], "ante", f, eigen=c)
+            core = _reference_eta(Sequent(gamma + (inst,), s.succ + (inst,)), inst)
+            er = node(RuleId.EXISTS_R_STAR, Sequent(gamma + (inst,), s.succ), [core], "succ", Const(c))
+            return node(RuleId.EXISTS_L, s, [er], "ante", eigen=c)
     raise TransformError(f"cannot build an identity proof for {format_formula(f)}")
 
 

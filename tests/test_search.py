@@ -1065,6 +1065,32 @@ def test_fragment_draws_are_mostly_classically_provable():
         assert proved > 50, fragment
 
 
+#: an intuitionistic proof within this budget is the premise of LP_INT, and
+#: the uniform search gets the same budget
+_LP_INT_LIMITS = SearchLimits(node_budget=20_000)
+
+
+@settings(max_examples=400)
+@given(st.integers(0, 10**6))
+def test_intuitionistically_provable_lp_int_sequents_are_proved_uniformly(seed):
+    # LP_INT needs an intuitionistic proof: classical provability is not
+    # enough, as a classically valid hereditary Harrop sequent may have no
+    # uniform proof
+    s = _fragment_draw("lp-int", seed)
+    if not isinstance(prove(s, "i", _LP_INT_LIMITS), Proved):
+        return
+    out = prove(s, "o", _LP_INT_LIMITS)
+    assert isinstance(out, Proved), format_sequent(s)
+    assert out.proof_class == UNIFORM
+    assert check_proof(out.proof, UNIFORM)
+
+
+def test_lp_int_draws_are_mostly_intuitionistically_provable():
+    # the property above holds vacuously on a draw that i does not prove
+    outs = [prove(_fragment_draw("lp-int", seed), "i", _LP_INT_LIMITS) for seed in range(100)]
+    assert sum(isinstance(out, Proved) for out in outs) > 50
+
+
 # ---------------------------------------------------------------------------
 # failure subsumption and leaf states against the earlier visit
 

@@ -26,7 +26,7 @@ from seqcalc.calculus import (
 )
 from seqcalc.parser import parse_formula, parse_sequent
 from seqcalc.search import Proved, SearchLimits, prove, prove_restart
-from seqcalc.syntax import And, Atom, Bot, Const, Forall, Imp, Or, Sequent, Top, free_symbols
+from seqcalc.syntax import And, Atom, Bot, Const, Forall, Imp, Or, Sequent, Top, free_symbols, neg
 from seqcalc.transform import (
     TransformError,
     augment,
@@ -188,6 +188,62 @@ def test_identity_proof_matches_reference_on_drawn_members(seed):
     for s in drawn:
         for f in s.ante + s.succ:
             _assert_identity_proof_is_the_reference(f)
+
+
+def _negations(n: int):
+    f = Atom("p")
+    for _ in range(n):
+        f = neg(f)
+    return f
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 10, 100, 400])
+def test_identity_proof_of_nested_negations_has_three_nodes_per_level(n):
+    # imp-r over imp-l* per negation, whose bottom premise is an axiom
+    f = _negations(n)
+    p = identity_proof(f)
+    assert proof_size(p) == 3 * n + 1
+    assert check_proof(p, CLASSICAL_STAR)
+
+
+def test_identity_proof_of_a_2000_deep_negation_replays():
+    # built on drive's explicit stack, at the default recursion limit
+    f = _negations(2_000)
+    p = identity_proof(f)
+    assert p.conclusion == Sequent((f,), (f,))
+    assert proof_size(p) == 6_001
+    assert check_proof(p, CLASSICAL_STAR)
+
+
+@pytest.fixture
+def alpha_variant_axiom():
+    # a strengthened axiom whose succedent holds an alpha-variant of the
+    # compound formula it shares with the antecedent
+    s = parse_sequent("forall x. p(x), q |- forall y. p(y)")
+    g, h = s.ante[-1], s.succ[0]
+    assert isinstance(g, Forall) and g == h and g is not h
+    res = prove(s, "c", SearchLimits(strengthened_axioms=True))
+    assert isinstance(res, Proved) and res.proof.rule is RuleId.AXIOM
+    return res.proof
+
+
+def test_eta_expansion_recloses_an_alpha_variant_axiom_under_contraction(alpha_variant_axiom):
+    p = alpha_variant_axiom
+    s = p.conclusion
+    doubled = weaken(p, (Q,))
+    root = Proof(RuleId.CONTR_L, s, (doubled,), ("ante", s.ante.index(Q)))
+    out = eliminate_contractions(root)
+    assert out.conclusion == s
+    assert RuleId.FORALL_R in rule_usage(out)
+    assert check_proof(out, CLASSICAL_STAR)
+
+
+def test_eta_expansion_recloses_an_alpha_variant_axiom_under_inversion(alpha_variant_axiom):
+    p = alpha_variant_axiom
+    s = p.conclusion
+    out = _invert_once(p, "succ", s.succ[0], eigen="e")
+    assert out.conclusion == parse_sequent("forall x. p(x), q |- p(e)")
+    assert check_proof(out, CLASSICAL_STAR)
 
 
 # ---------------------------------------------------------------------------
