@@ -23,9 +23,14 @@ emptied before each count is read, and the table's own size
 proofs hold: the table resizes whenever its live nodes cross a threshold,
 whichever line's searches get there.  So that tracemalloc sees that size,
 the table is rebuilt in place, its entries unchanged, once tracing starts.
-The last line prints what the ring itself holds once the streams
+The next line prints what the ring itself holds once the streams
 of the next seed have been drawn and dropped: the bytes that emptying it
-frees.
+frees.  The last line prints the bytes of one interned node of each kind
+that stores facts in slots (an atom, an application, a binary connective
+and a quantifier), as sys.getsizeof gives them (an atom's or
+application's argument tuple not counted), and the pymalloc block that
+holds it: the allocator rounds each request up to a multiple of 16 bytes,
+so a new slot costs 0 or 16 bytes per node of a kind, not 8.
 
 Sequents are drawn and every search path is warmed before tracing starts,
 and each line's proofs are dropped before the next line's searches, so
@@ -46,7 +51,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 from seqcalc import Proved, SearchLimits, dump_proof, load_proof, parse_sequent, prove, prove_restart  # noqa: E402
 from seqcalc.calculus import proof_size  # noqa: E402
-from seqcalc.syntax import _RECENT, _TABLE  # noqa: E402
+from seqcalc.syntax import _RECENT, _TABLE, BOT, TOP, And, App, Atom, Const, Forall  # noqa: E402
 
 from proof_digest import groups  # noqa: E402
 
@@ -131,6 +136,9 @@ def main(argv=None) -> int:
     full = counted()
     print(f"ring of recent nodes: nodes={len(_RECENT)} bytes={full - traced()}")
     tracemalloc.stop()
+    kinds = {"Atom": Atom("p", ()), "App": App("f", (Const("a"),)), "binary": And(TOP, BOT), "quantifier": Forall(TOP)}
+    sizes = {kind: sys.getsizeof(node) for kind, node in kinds.items()}
+    print("interned node bytes:", " ".join(f"{kind}={n} (block {-(-n // 16) * 16})" for kind, n in sizes.items()))
     return 0
 
 

@@ -104,7 +104,6 @@ from .syntax import (
     formula_key,
     free_symbols,
     instantiate,
-    metas_in,
     multiset_minus,
 )
 
@@ -556,19 +555,17 @@ def _expect_premises(node: Proof, *wanted: Sequent) -> str | None:
     return f"{node.rule.value}: expected premises [{want_text}], found [{got_text}]"
 
 
-def _check_node(node: Proof, cls: ProofClass, strengthened: bool, clean: set[int]) -> str | None:
+def _check_node(node: Proof, cls: ProofClass, strengthened: bool) -> str | None:
     """Validate one rule application (premise sequents, not their subtrees).
-    clean holds the ids of the members already found free of metavariables;
-    the members scanned here are added to it."""
+    Members and witnesses are tested for metavariables by the flag each
+    node carries, so no member is walked."""
     rule = node.rule
     s = node.conclusion
 
     for f in s.ante + s.succ:
-        if id(f) not in clean:
-            if metas_in(f):
-                return "sequent contains unresolved metavariables"
-            clean.add(id(f))
-    if node.witness is not None and metas_in(node.witness):
+        if f._mv:
+            return "sequent contains unresolved metavariables"
+    if node.witness is not None and node.witness._mv:
         return "witness term contains unresolved metavariables"
 
     if rule is RuleId.AXIOM:
@@ -629,8 +626,6 @@ def check_proof(proof: Proof, cls: ProofClass, strengthened_axioms: bool = False
     allowed = _RULESETS[cls.kind]
     singleton = cls.kind in _SINGLETON_KINDS
     uniform = cls.kind in _UNIFORM_KINDS
-    # every member is scanned for metavariables once, not once per node
-    clean: set[int] = set()
 
     stack: list[tuple[Proof, tuple[int, ...]]] = [(proof, ())]
     while stack:
@@ -645,7 +640,7 @@ def check_proof(proof: Proof, cls: ProofClass, strengthened_axioms: bool = False
             msg = _uniform_violation(node)
             if msg:
                 return CheckReport(False, msg, path)
-        msg = _check_node(node, cls, strengthened_axioms, clean)
+        msg = _check_node(node, cls, strengthened_axioms)
         if msg:
             return CheckReport(False, msg, path)
         for i, q in enumerate(node.premises):

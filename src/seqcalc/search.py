@@ -6,8 +6,8 @@ Three engines share this module:
   Quantifier witnesses are metavariables resolved by unification (with an
   occurs check); eigenvariables for the fresh-constant rules are function
   terms over the metavariables alive at that point, so the occurs check
-  doubles as the freshness proviso.  Iterative deepening raises the number of
-  instantiations allowed per quantified formula per branch.  Two failure
+  doubles as the freshness proviso.  Iterative deepening raises the number
+  of instantiations allowed per quantified formula per branch.  Two failure
   memos skip searches that already failed: a rule's second premise is
   searched once per substitution its first premise yields, and its failures
   are kept per rule application by the resolved bindings of its
@@ -17,9 +17,23 @@ Three engines share this module:
   search is charged the nodes it spent and numbers off the metavariables it
   made, so every outcome is the one the full search gives.  Failures that
   made an eigenvariable are not kept: eigenvariable names compare as strings
-  (e10 < e9), so one renumbered later could sort differently.  Unification,
-  the occurs check and resolution walk explicit stacks.  Quantifier-free
-  inputs take a saturation path that decides the sequent outright.
+  (e10 < e9), so one renumbered later could sort differently.  A round of
+  the deepening that fails without refusing any instantiation at its
+  multiplicity ends the search: the next round would differ only where an
+  instantiation met the multiplicity, so it would search the same tree up to
+  the numbering of its metavariables and eigenvariables, and fail too (over
+  the 6,000 c calls of the fo-reduction stream of seeds 7, 11 and 3 this
+  saves 6,008 charged nodes on 548 of them and changes no outcome or proof).
+  A memoized failure keeps the refusals of the search it skips, so the
+  round's count is the full search's.  Unification, the occurs check and
+  resolution walk explicit stacks, and pass over what holds no metavariable
+  by the flag every node carries (syntax._mv): two such parts unify exactly
+  when they are equal.  A proof is grounded from its skeleton by identity
+  where it can be: a member, atom argument or side without a metavariable is
+  kept as the skeleton's own object, and a node whose two sides are kept
+  keeps the skeleton's sequent, so a grounded proof shares them with the
+  skeleton and sorts no such side again.  Quantifier-free inputs take a
+  saturation path that decides the sequent outright.
 
 * The intuitionistic prover searches the contraction-free single-succedent
   calculus on ground sequents: invertible rules apply eagerly, the remaining
@@ -99,8 +113,11 @@ valuate it once; the slot holds no formula and cannot grow.
 
 Both engines extend one search context, `_Search`: the root, the limits,
 the nodes left, and the constants the search made, in `made`, each named
-under a prefix that avoids the root's symbols.  Every memo is keyed by
-values (sort keys, numbers, ids), never by a live sequent.  The pure memos,
+under a prefix that avoids the root's symbols.  Those symbols are collected
+in one walk of the root, once per search, on the first made name, however
+many prefixes it reserves (a proved c call reserves two: e for its
+eigenvariables, c for its blank).  Every memo is keyed by values (sort
+keys, numbers, ids), never by a live sequent.  The pure memos,
 whose evicted entries are just recomputed, are kept by `syntax._stored`,
 which empties a memo when it reaches `syntax._MEMO_CAP` entries, so their
 memory stays bounded and no outcome changes: `_instances`, `_wit_memo`,
@@ -157,14 +174,13 @@ from .syntax import (
     Top,
     Var,
     _stored,
+    _walk,
     forall as bind_forall,
-    free_symbols,
     ground_subterms,
     instantiate,
     is_quantifier_free,
     map_terms,
     metas_in,
-    predicate_names,
     term_key,
     term_size,
 )
@@ -216,10 +232,11 @@ class Subst:
         return t
 
     def resolve_term(self, t: Term) -> Term:
-        """t with every bound metavariable replaced by its resolved binding.
-        Walks an explicit stack, so nesting depth costs no recursion."""
+        """t with every bound metavariable replaced by its resolved binding;
+        a part that holds no metavariable is kept as it is.  Walks an
+        explicit stack, so nesting depth costs no recursion."""
         t = self.walk(t)
-        if type(t) is not App:
+        if type(t) is not App or not t._mv:
             return t
         walk = self.walk
         # post-order: an application is popped again, as None and itself,
@@ -235,7 +252,7 @@ class Subst:
                 done[-n:] = (App(app.name, done[-n:]),)
                 continue
             u = walk(u)
-            if type(u) is App and u.args:
+            if type(u) is App and u._mv:
                 stack.append(u)
                 stack.append(None)
                 stack += reversed(u.args)
@@ -245,7 +262,8 @@ class Subst:
 
     def unbound(self, idents: Iterable[int]) -> set[int]:
         """The metavariables the given ones resolve into: metas_in of their
-        resolved forms, found by following the bindings, building no term."""
+        resolved forms, found by following the bindings that hold
+        metavariables, building no term."""
         out: set[int] = set()
         seen: set[int] = set()
         todo = list(idents)
@@ -257,7 +275,7 @@ class Subst:
             t = self._map.get(i)
             if t is None:
                 out.add(i)
-            else:
+            elif t._mv:
                 todo += metas_in(t)
         return out
 
@@ -266,7 +284,9 @@ class _Grounding(Subst):
     """A substitution's grounding: each term walks as under the substitution,
     then a metavariable it leaves unbound as the blank constant and a term
     headed by an eigenvariable as that name, so resolve_term grounds a term
-    in one pass."""
+    in one pass.  A term that holds no metavariable grounds to itself: an
+    eigenvariable term is applied to the metavariables alive where it was
+    made, or is a constant when there were none."""
 
     __slots__ = ("_blank", "_eigens")
 
@@ -288,7 +308,8 @@ class _Grounding(Subst):
 def _occurs_or_captures(ident: int, t: Term, subst: Subst) -> bool:
     """True if metavariable ident occurs in t, or t is not locally closed
     (every binding passed this check, so t's own range tells).  Walks an
-    explicit stack, so nesting depth costs no recursion."""
+    explicit stack over the parts that hold a metavariable, so nesting depth
+    costs no recursion."""
     if t._lbr:
         return True
     stack = [t]
@@ -296,7 +317,7 @@ def _occurs_or_captures(ident: int, t: Term, subst: Subst) -> bool:
         u = subst.walk(stack.pop())
         k = type(u)
         if k is App:
-            stack += u.args
+            stack += [a for a in u.args if a._mv]
         elif k is Meta and u.ident == ident:
             return True
     return False
@@ -312,9 +333,12 @@ def unify(a: Term, b: Term, subst: Subst) -> Subst | None:
         a, b = stack.pop()
         a = subst.walk(a)
         b = subst.walk(b)
-        # terms are interned: equal terms are one object
+        # terms are interned: equal terms are one object, and two distinct
+        # terms that hold no metavariable never unify
         if a is b:
             continue
+        if not (a._mv or b._mv):
+            return None
         ka, kb = type(a), type(b)
         if kb is Meta and ka is not Meta:
             a, b, ka = b, a, kb
@@ -331,12 +355,17 @@ def unify(a: Term, b: Term, subst: Subst) -> Subst | None:
 
 def unify_formulas(f: Formula, g: Formula, subst: Subst) -> Subst | None:
     """Structural unification of formulas, or None; subst itself when they
-    are equal under it.  Binder display names are irrelevant.  Parts are
-    unified left to right on an explicit stack, so nesting depth costs no
-    recursion."""
+    are equal under it.  Binder display names are irrelevant.  A pair of
+    parts that holds no metavariable unifies exactly when the parts are
+    equal, so == settles it.  Parts are unified left to right on an
+    explicit stack, so nesting depth costs no recursion."""
     stack = [(f, g)]
     while stack:
         f, g = stack.pop()
+        if not (f._mv or g._mv):
+            if f == g:
+                continue
+            return None
         k = type(f)
         if k is not type(g) or k is Atom and (f.pred != g.pred or len(f.args) != len(g.args)):
             return None
@@ -409,7 +438,8 @@ class SearchLimits:
     quantifier-free inputs are decided by saturation or loop-checked search
     and ignore it.  quantifier_budget caps how often any one quantified
     formula may be instantiated per branch (the classical prover deepens
-    iteratively on this).  node_budget bounds total expansions per call; a
+    iteratively on this, and stops after a round that refused no
+    instantiation).  node_budget bounds total expansions per call; a
     failure the classical prover skips because it is memoized counts at its
     full size, so no outcome depends on the memo.
     strengthened_axioms lets closures match any shared formula rather than
@@ -463,6 +493,8 @@ class _Search:
         self.left = limits.node_budget
         self.made: set[str] = set()
         self._prefixes: dict[str, str] = {}
+        # the root's symbols, collected on the first made name
+        self._taken: set[str] | None = None
 
     def tick(self) -> None:
         if self.left <= 0:
@@ -479,10 +511,13 @@ class _Search:
 
     def _made_name(self, base: str, number: int) -> str:
         """The made constant number under base's prefix, which avoids every
-        symbol of the root and is reserved on first need; kept in made."""
+        symbol of the root and is reserved on first need; kept in made.  The
+        root's symbols are collected once per search, whatever the bases."""
         prefix = self._prefixes.get(base)
         if prefix is None:
-            prefix = self._prefixes[base] = _reserved_prefix(base, _symbols_everywhere(self.root))
+            if self._taken is None:
+                self._taken = _symbols_everywhere(self.root)
+            prefix = self._prefixes[base] = _reserved_prefix(base, self._taken)
         name = f"{prefix}{number}"
         self.made.add(name)
         return name
@@ -496,8 +531,13 @@ def _reserved_prefix(base: str, taken: set[str]) -> str:
     return prefix
 
 
+#: the kinds of node that carry a symbol: a name, or an atom's predicate
+_NAMED = frozenset((Var, Const, App, Meta, Atom))
+
+
 def _symbols_everywhere(s: Sequent) -> set[str]:
-    return set(free_symbols(s) | predicate_names(s))
+    """free_symbols(s) | predicate_names(s), in one walk."""
+    return {x.pred if type(x) is Atom else x.name for x in _walk(s, _NAMED)}
 
 
 def is_quantifier_free_sequent(s: Sequent) -> bool:
@@ -545,11 +585,14 @@ class _ClassicalProver(_Search):
     def __init__(self, root: Sequent, limits: SearchLimits):
         super().__init__(root, limits)
         self.next_meta = 0
+        # the instantiations refused at their round's multiplicity, over
+        # every round so far: run reads how much a round adds
+        self.refused = 0
         # each member's own metavariables, by the member's sort key
         self._metas: dict[str, frozenset[int]] = {}
         # the failures of premises that vacuous instantiations extend (see
         # _memoized), by _members_key, then by _rest_key
-        self._failed: dict[tuple, dict[tuple, tuple[int, int]]] = {}
+        self._failed: dict[tuple, dict[tuple, tuple[int, int, int]]] = {}
 
     # -- quantifier-free decision -------------------------------------------
 
@@ -638,7 +681,10 @@ class _ClassicalProver(_Search):
         # quantifier instantiations: the only genuine proof-shape choices left
         for side, k, rule in _INSTANTIATIONS:
             for i, f in enumerate(s.ante if side == "ante" else s.succ):
-                if type(f) is k and counts.get(f, 0) < mult:
+                if type(f) is k:
+                    if counts.get(f, 0) >= mult:
+                        self.refused += 1
+                        continue
                     m = self.fresh_meta()
                     c2 = dict(counts)
                     c2[f] = c2.get(f, 0) + 1
@@ -657,14 +703,15 @@ class _ClassicalProver(_Search):
 
     def _own_metas(self, s: Sequent) -> set[int]:
         """The metavariables s's members hold, each member's memoized by its
-        sort key."""
+        sort key; a member that holds none is passed over."""
         memo = self._metas
         own: set[int] = set()
         for f in s.ante + s.succ:
-            ms = memo.get(f._key)
-            if ms is None:
-                ms = _stored(memo, f._key, metas_in(f))
-            own |= ms
+            if f._mv:
+                ms = memo.get(f._key)
+                if ms is None:
+                    ms = _stored(memo, f._key, metas_in(f))
+                own |= ms
         return own
 
     def _live_metas(self, s: Sequent, subst: Subst) -> list[int]:
@@ -703,13 +750,13 @@ class _ClassicalProver(_Search):
     ):
         """solve(s, subst, counts, mult) through a failure memo.  A search
         that yields nothing and makes no eigenvariable is stored under its
-        key with the nodes it spent and the metavariables it made; a later
-        search under the same key is skipped, its nodes charged to the
-        budget and its metavariables numbered off, so the search goes on
-        exactly as if it had run.  It would run alike: the fresh
-        metavariables are numbered above every one the state holds, and
-        metavariable sort keys order numerically, so members sort and
-        unify the same way.  Eigenvariable names compare as strings
+        key with the nodes it spent, the metavariables it made and the
+        instantiations it refused; a later search under the same key is
+        skipped, its nodes charged to the budget, its metavariables numbered
+        off and its refusals counted, so the search goes on exactly as if it
+        had run.  It would run alike: the fresh metavariables are numbered
+        above every one the state holds, and metavariable sort keys order
+        numerically, so members sort and unify the same way.  Eigenvariable names compare as strings
         (e10 < e9), so a failure that made one is not stored.  The key is
         the pair (head_of(), rest_of()), held as memo[head][rest]: the head
         is asked for only when memo holds failures to look up or the search
@@ -723,18 +770,20 @@ class _ClassicalProver(_Search):
                 rest = rest_of()
                 got = under.get(rest)
                 if got is not None:
-                    nodes, made = got
+                    nodes, made, refused = got
                     self.charge(nodes)
                     self.next_meta += made
+                    self.refused += refused
                     return
-        left, metas, eigens = self.left, self.next_meta, len(self.made)
+        left, metas, eigens, refused = self.left, self.next_meta, len(self.made), self.refused
         found = False
         for out in self.solve(s, subst, counts, mult):
             found = True
             yield out
         if not found and len(self.made) == eigens:
             under = memo.setdefault(head_of() if head is None else head, {})
-            under[rest_of() if rest is None else rest] = (left - self.left, self.next_meta - metas)
+            spent = (left - self.left, self.next_meta - metas, self.refused - refused)
+            under[rest_of() if rest is None else rest] = spent
 
     def _solve_all(self, prems, subst, counts, mult) -> Iterator[tuple[Subst, tuple[Proof, ...]]]:
         """solve over the one or two premises of a rule, threading the
@@ -746,7 +795,7 @@ class _ClassicalProver(_Search):
                 yield sb, (sk,)
             return
         p1, p2 = prems
-        failed: dict[tuple, dict[tuple, tuple[int, int]]] = {}
+        failed: dict[tuple, dict[tuple, tuple[int, int, int]]] = {}
         for sb1, sk1 in self.solve(p1, subst, counts, mult):
             # keyed by the resolved bindings alone: the rest is the empty tuple
             for sb2, sk2 in self._memoized(failed, partial(self._resolved, p2, sb1), tuple, p2, sb1, counts, mult):
@@ -765,25 +814,38 @@ class _ClassicalProver(_Search):
         # the skeleton's sequents share most of their members and many of
         # their sides; the skeleton keeps every member and side alive during
         # the call, so each is grounded once, by its id, and each side is
-        # sorted once into a tuple the nodes that list it share
+        # sorted once into a tuple the nodes that list it share.  What holds
+        # no metavariable grounds to itself (an eigenvariable term has one
+        # as argument, or is a constant already): such a member, atom
+        # argument or side is kept as it is, and a node whose sides are
+        # both kept keeps its sequent
         grounded: dict[int, Formula] = {}
         sides: dict[int, tuple[Formula, ...]] = {}
 
+        def garg(a: Term, _: int) -> Term:
+            return gterm(a) if a._mv else a
+
         def gformula(f: Formula) -> Formula:
+            if not f._mv:
+                return f
             g = grounded.get(id(f))
             if g is None:
-                g = grounded[id(f)] = map_terms(f, lambda a, _: gterm(a))
+                g = grounded[id(f)] = map_terms(f, garg)
             return g
 
         def gside(side: tuple[Formula, ...]) -> tuple[Formula, ...]:
             g = sides.get(id(side))
             if g is None:
-                g = sides[id(side)] = tuple(sorted(map(gformula, side), key=_KEY))
+                g = side
+                if True in [f._mv for f in side]:
+                    g = tuple(sorted(map(gformula, side), key=_KEY))
+                sides[id(side)] = g
             return g
 
         def leave(sk: Proof, grounded_premises: tuple[Proof, ...]) -> Proof:
             s = sk.conclusion
-            seq = Sequent._presorted(gside(s.ante), gside(s.succ))
+            ante, succ = gside(s.ante), gside(s.succ)
+            seq = s if ante is s.ante and succ is s.succ else Sequent._presorted(ante, succ)
             principal = sk.principal
             if principal is not None:
                 side, i = principal
@@ -805,8 +867,14 @@ class _ClassicalProver(_Search):
             return Proved(proof, CLASSICAL_STAR)
         try:
             for mult in range(1, self.limits.quantifier_budget + 1):
+                refused = self.refused
                 for subst, skel in self.solve(self.root, Subst(), {}, mult):
                     return Proved(self._ground(skel, subst), CLASSICAL_STAR)
+                if self.refused == refused:
+                    # no instantiation met the multiplicity, so a higher one
+                    # would search the same tree again (see the module
+                    # docstring)
+                    break
         except _OutOfNodes:
             pass
         return NotProvedWithinLimits()

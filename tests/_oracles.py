@@ -1221,8 +1221,9 @@ def reference_classical_prover(root: Sequent, limits):
     per substitution the first yields, and grounding scans the resolved
     skeleton for leftover metavariables and symbols before it grounds each
     member.  Its skeletons are _Skel nodes, each naming its principal by the
-    formula rather than its index.  Built as a subclass so it shares the
-    rest of the prover."""
+    formula rather than its index.  It counts each instantiation refused at
+    the multiplicity where it happens, which run reads to stop deepening.
+    Built as a subclass so it shares the rest of the prover."""
     from seqcalc.calculus import premises
     from seqcalc.search import (
         _INSTANTIATIONS,
@@ -1269,7 +1270,11 @@ def reference_classical_prover(root: Sequent, limits):
                 return
             for side, k, rule in _INSTANTIATIONS:
                 for i, f in enumerate(s.ante if side == "ante" else s.succ):
-                    if type(f) is k and counts.get(f, 0) < mult:
+                    if type(f) is k and counts.get(f, 0) >= mult:
+                        # counted as it happens: run stops deepening after a
+                        # round that refused nothing
+                        self.refused += 1
+                    elif type(f) is k:
                         m = self.fresh_meta()
                         c2 = dict(counts)
                         c2[f] = c2.get(f, 0) + 1

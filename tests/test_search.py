@@ -11,12 +11,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from seqcalc import search
 from seqcalc.calculus import (
     CLASSICAL,
     CLASSICAL_STAR,
     INTUITIONISTIC,
     INTUITIONISTIC_STAR,
     UNIFORM,
+    Proof,
     ProofClass,
     check_proof,
     dump_proof,
@@ -34,6 +36,7 @@ from seqcalc.search import (
     _ClassicalProver,
     _NO_COUNTS,
     _GroundProver,
+    _OutOfNodes,
     _Search,
     _classically_valid,
     _valuate,
@@ -839,10 +842,111 @@ def test_memoized_failures_are_charged_at_their_full_size(text):
     charged = limits.node_budget - prover.left
     assert real < charged == limits.node_budget - reference.left
     assert prover.next_meta == reference.next_meta
+    # a skipped failure counts the refusals of the search it stands for
+    assert prover.refused == reference.refused > 0
     # a budget that runs out inside a memoized failure leaves no nodes
     for budget in range(real, charged + 1):
         cut = SearchLimits(node_budget=budget)
         assert _classical_run(_ClassicalProver(s, cut)) == _classical_run(reference_classical_prover(s, cut))
+
+
+# ---------------------------------------------------------------------------
+# the classical prover's rounds of quantifier multiplicity
+
+
+def _spent(text: str, quantifier_budget: int) -> tuple:
+    """The classical outcome's kind, the nodes the search spent and the
+    instantiations it refused."""
+    prover = _ClassicalProver(parse_sequent(text), SearchLimits(quantifier_budget=quantifier_budget))
+    out = prover.run()
+    return type(out).__name__, prover.limits.node_budget - prover.left, prover.refused
+
+
+@pytest.mark.parametrize("text", ["p(a) |- forall x. p(x)", "exists x. p(x) |- p(a)"])
+def test_a_round_that_refuses_no_instantiation_ends_the_search(text):
+    assert _spent(text, 3) == _spent(text, 1) == ("NotProvedWithinLimits", 2, 0)
+
+
+def test_a_round_that_refuses_an_instantiation_deepens():
+    text = "forall x. (p(x) => p(f(x))), p(a) |- p(b)"
+    runs = [_spent(text, budget) for budget in (1, 2, 3)]
+    assert [kind for kind, _, _ in runs] == ["NotProvedWithinLimits"] * 3
+    assert 0 < runs[0][2] and runs[0][1] < runs[1][1] < runs[2][1]
+
+
+@settings(max_examples=200)
+@given(st.integers(0, 10**6))
+def test_a_round_that_refuses_nothing_leaves_no_proof_to_a_higher_multiplicity(seed):
+    # the round stop keeps every outcome: a multiplicity whose search
+    # fails without refusing an instantiation fails at every higher one
+    if seed % 3:
+        s = _fragment_draw(_FRAGMENTS[seed % len(_FRAGMENTS)], seed)
+    else:
+        s = random_quantified_sequent(random.Random(seed))
+    limits = SearchLimits(node_budget=2_000)
+
+    def first(mult: int):
+        prover = _ClassicalProver(s, limits)
+        try:
+            return next(prover.solve(s, Subst(), {}, mult), None), prover.refused
+        except _OutOfNodes:
+            return "out of nodes", None
+
+    for mult in (1, 2):
+        found, refused = first(mult)
+        if found is not None:
+            return
+        if not refused:
+            for higher in range(mult + 1, 4):
+                assert first(higher)[0] in (None, "out of nodes")
+            return
+
+
+# ---------------------------------------------------------------------------
+# grounding and made names
+
+
+def _conclusions(p: Proof) -> list[Sequent]:
+    return [p.conclusion, *(s for q in p.premises for s in _conclusions(q))]
+
+
+@pytest.mark.parametrize("text", ["|- forall x. (p(x) => p(x))", "p(a), q => r |- p(a) & (q => r)"])
+def test_grounding_a_skeleton_without_metavariables_keeps_its_sequents(text):
+    s = parse_sequent(text)
+    prover = _ClassicalProver(s, SearchLimits())
+    subst, skel = next(prover.solve(s, Subst(), {}, 1))
+    proof = prover._ground(skel, subst)
+    assert check_proof(proof, CLASSICAL_STAR)
+    kept, skeleton = _conclusions(proof), _conclusions(skel)
+    assert len(kept) == len(skeleton) > 1
+    assert all(a is b for a, b in zip(kept, skeleton))
+
+
+def test_grounding_keeps_the_meta_free_sequents_and_sides_of_a_skeleton():
+    s = parse_sequent("forall x. p(x) |- p(a)")
+    prover = _ClassicalProver(s, SearchLimits())
+    subst, skel = next(prover.solve(s, Subst(), {}, 1))
+    proof = prover._ground(skel, subst)
+    assert check_proof(proof, CLASSICAL_STAR)
+    # the root holds no metavariable; its premise's antecedent holds p(X0)
+    assert proof.conclusion is skel.conclusion
+    (premise,), (skel_premise,) = proof.premises, skel.premises
+    assert metas_in(skel_premise.conclusion) and not metas_in(premise.conclusion)
+    assert premise.conclusion.succ is skel_premise.conclusion.succ
+    assert premise.conclusion.ante is not skel_premise.conclusion.ante
+
+
+def test_a_classical_search_collects_the_roots_symbols_once(monkeypatch):
+    calls = []
+    collect = search._symbols_everywhere
+    monkeypatch.setattr(search, "_symbols_everywhere", lambda s: calls.append(s) or collect(s))
+    s = parse_sequent("|- forall x. (p(x) => p(x))")
+    prover = _ClassicalProver(s, SearchLimits())
+    out = prover.run()
+    # an eigenvariable (under e) and the blank (under c) were made
+    assert isinstance(out, Proved) and out.proof.eigen == "e0"
+    assert prover.made == {"e0", "c0"} and set(prover._prefixes) == {"e", "c"}
+    assert calls == [s]
 
 
 def test_deep_terms_unify_and_resolve_at_the_default_recursion_limit():

@@ -587,6 +587,23 @@ def test_the_stored_quantifier_free_flag_is_the_reference_walk(x):
         assert is_quantifier_free(y) is y._qf is reference_is_quantifier_free(y)
 
 
+@given(TERMS | FORMULAS)
+def test_the_stored_metavariable_flag_is_the_reference_walk(x):
+    for y in itertools.chain(subterms(x), subformulas(x)):
+        assert y._mv is bool(metas_in(y))
+
+
+def test_the_metavariable_flag_of_a_deep_formula_needs_no_recursion():
+    # a metavariable under more nested negations than the recursion limit
+    assert sys.getrecursionlimit() < 2_000
+    f = Atom("p", (App("f", (Meta(0),)),))
+    ground = Atom("p", (Const("a"),))
+    for _ in range(2_000):
+        f, ground = neg(f), neg(ground)
+    assert f._mv and not ground._mv
+    assert Forall(And(ground, f))._mv and not Exists(Or(ground, ground))._mv
+
+
 @given(seeds)
 def test_a_closed_quantifier_is_vacuous_exactly_when_its_body_has_range_0(seed):
     # clause draws hold no metavariable, so Meta(0) is fresh
