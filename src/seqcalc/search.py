@@ -7,33 +7,37 @@ Three engines share this module:
   occurs check); eigenvariables for the fresh-constant rules are function
   terms over the metavariables alive at that point, so the occurs check
   doubles as the freshness proviso.  Iterative deepening raises the number
-  of instantiations allowed per quantified formula per branch.  Two failure
-  memos skip searches that already failed: a rule's second premise is
-  searched once per substitution its first premise yields, and its failures
-  are kept per rule application by the resolved bindings of its
-  metavariables; a premise a vacuous quantifier's instance extends recurs
-  under other orders of instantiation, and its failures are kept per search
-  by its members, their tallies, the round and those bindings.  A skipped
-  search is charged the nodes it spent and numbers off the metavariables it
-  made, so every outcome is the one the full search gives.  Failures that
-  made an eigenvariable are not kept: eigenvariable names compare as strings
-  (e10 < e9), so one renumbered later could sort differently.  A round of
-  the deepening that fails without refusing any instantiation at its
-  multiplicity ends the search: the next round would differ only where an
-  instantiation met the multiplicity, so it would search the same tree up to
-  the numbering of its metavariables and eigenvariables, and fail too (over
-  the 6,000 c calls of the fo-reduction stream of seeds 7, 11 and 3 this
-  saves 6,008 charged nodes on 548 of them and changes no outcome or proof).
-  A memoized failure keeps the refusals of the search it skips, so the
-  round's count is the full search's.  Unification, the occurs check and
-  resolution walk explicit stacks, and pass over what holds no metavariable
-  by the flag every node carries (syntax._mv): two such parts unify exactly
-  when they are equal.  A proof is grounded from its skeleton by identity
-  where it can be: a member, atom argument or side without a metavariable is
-  kept as the skeleton's own object, and a node whose two sides are kept
-  keeps the skeleton's sequent, so a grounded proof shares them with the
-  skeleton and sorts no such side again.  Quantifier-free inputs take a
-  saturation path that decides the sequent outright.
+  of instantiations allowed per quantified formula per branch.  One failure
+  memo, kept for the whole search, skips searches that already failed.  It
+  takes two kinds of premise: a rule's second premise, searched once per
+  substitution its first premise yields, and a premise that a vacuous
+  quantifier's instance extends, which recurs under other orders of
+  instantiation.  Its one key is all that such a search depends on: the
+  premise's members, the tallies of its quantified members, the round and
+  the resolved bindings of its metavariables, so a second premise that
+  failed under one rule application is skipped under another too.  (Keying
+  every premise cuts more expansions but costs more in keys than it saves.)
+  A skipped search is charged the nodes it spent and numbers off the
+  metavariables it made, so every outcome is the one the full search gives.
+  Failures that made an eigenvariable are not kept: eigenvariable names
+  compare as strings (e10 < e9), so one renumbered later could sort
+  differently.  A round of the deepening that fails without refusing any
+  instantiation at its multiplicity ends the search: the next round would
+  differ only where an instantiation met the multiplicity, so it would
+  search the same tree up to the numbering of its metavariables and
+  eigenvariables, and fail too (over the 6,000 c calls of the fo-reduction
+  stream of seeds 7, 11 and 3 this saves 6,008 charged nodes on 548 of them
+  and changes no outcome or proof).  A memoized failure keeps the refusals of
+  the search it skips, so the round's count is the full search's.
+  Unification, the occurs check and resolution walk explicit stacks, and
+  pass over what holds no metavariable by the flag every node carries
+  (syntax._mv): two such parts unify exactly when they are equal.  A proof
+  is grounded from its skeleton by identity where it can be: a member, atom
+  argument or side without a metavariable is kept as the skeleton's own
+  object, and a node whose two sides are kept keeps the skeleton's sequent,
+  so a grounded proof shares them with the skeleton and sorts no such side
+  again.  Quantifier-free inputs take a saturation path that decides the
+  sequent outright.
 
 * The intuitionistic prover searches the contraction-free single-succedent
   calculus on ground sequents: invertible rules apply eagerly, the remaining
@@ -134,10 +138,9 @@ builds its class, which holds the search's goal.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from itertools import count
 from operator import attrgetter
-from typing import Callable, Generator, Iterable, Iterator, Union
+from typing import Generator, Iterable, Iterator, Union
 
 from .calculus import (
     CLASSICAL_STAR,
@@ -181,8 +184,6 @@ from .syntax import (
     is_quantifier_free,
     map_terms,
     metas_in,
-    term_key,
-    term_size,
 )
 
 # the rules the provers build and compare, as module globals: reading an
@@ -590,8 +591,9 @@ class _ClassicalProver(_Search):
         self.refused = 0
         # each member's own metavariables, by the member's sort key
         self._metas: dict[str, frozenset[int]] = {}
-        # the failures of premises that vacuous instantiations extend (see
-        # _memoized), by _members_key, then by _rest_key
+        # the failures of second premises and of premises that vacuous
+        # instantiations extend (see _memoized), by _members_key, then by
+        # _rest_key
         self._failed: dict[tuple, dict[tuple, tuple[int, int, int]]] = {}
 
     # -- quantifier-free decision -------------------------------------------
@@ -693,9 +695,7 @@ class _ClassicalProver(_Search):
                         # a vacuous instantiation (members are locally
                         # closed, so the body holds no index of f's binder):
                         # the premise recurs under other orders of them
-                        members = partial(_members_key, premise)
-                        rest = partial(self._rest_key, premise, subst, c2, mult)
-                        closings = self._memoized(self._failed, members, rest, premise, subst, c2, mult)
+                        closings = self._memoized(premise, subst, c2, mult)
                     else:
                         closings = self.solve(premise, subst, c2, mult)
                     for sb, sk in closings:
@@ -720,54 +720,43 @@ class _ClassicalProver(_Search):
         rebuilt."""
         return sorted(subst.unbound(self._own_metas(s)))
 
-    def _resolved(self, s: Sequent, subst: Subst) -> tuple[str, ...]:
-        """The sort keys of the resolved bindings of s's metavariables, in
-        the order of their numbers."""
-        return tuple([subst.resolve_term(Meta(i))._key for i in sorted(self._own_metas(s))])
-
     def _rest_key(self, s: Sequent, subst: Subst, counts: dict[Formula, int], mult: int) -> tuple:
         """What a search of s under subst, counts and mult depends on beside
         its members' sort keys (_members_key): the tallies of the members an
-        instantiation may pick, mult, and the resolved bindings of its
-        metavariables.  Every formula counts holds is such a member of s:
-        instantiations keep their principal."""
+        instantiation may pick, mult, and the sort keys of the resolved
+        bindings of its metavariables, in the order of their numbers.  Every
+        formula counts holds is such a member of s: instantiations keep
+        their principal."""
         return (
             tuple([counts.get(f, 0) for f in s.ante if type(f) is Forall]),
             tuple([counts.get(f, 0) for f in s.succ if type(f) is Exists]),
             mult,
-            self._resolved(s, subst),
+            tuple([subst.resolve_term(Meta(i))._key for i in sorted(self._own_metas(s))]),
         )
 
-    def _memoized(
-        self,
-        memo: dict,
-        head_of: Callable[[], tuple],
-        rest_of: Callable[[], tuple],
-        s: Sequent,
-        subst: Subst,
-        counts,
-        mult: int,
-    ):
-        """solve(s, subst, counts, mult) through a failure memo.  A search
-        that yields nothing and makes no eigenvariable is stored under its
-        key with the nodes it spent, the metavariables it made and the
-        instantiations it refused; a later search under the same key is
+    def _memoized(self, s: Sequent, subst: Subst, counts: dict[Formula, int], mult: int):
+        """solve(s, subst, counts, mult) through the failure memo _failed.
+        A search that yields nothing and makes no eigenvariable is stored
+        under its key with the nodes it spent, the metavariables it made and
+        the instantiations it refused; a later search under the same key is
         skipped, its nodes charged to the budget, its metavariables numbered
         off and its refusals counted, so the search goes on exactly as if it
         had run.  It would run alike: the fresh metavariables are numbered
         above every one the state holds, and metavariable sort keys order
-        numerically, so members sort and unify the same way.  Eigenvariable names compare as strings
-        (e10 < e9), so a failure that made one is not stored.  The key is
-        the pair (head_of(), rest_of()), held as memo[head][rest]: the head
-        is asked for only when memo holds failures to look up or the search
-        failed, and the rest, dearer, only when failures are stored under
-        that head too or the search failed."""
+        numerically, so members sort and unify the same way.  Eigenvariable
+        names compare as strings (e10 < e9), so a failure that made one is
+        not stored.  The key is the pair (_members_key, _rest_key), held as
+        _failed[members][rest]: the members' key is built only when the memo
+        holds failures to look up or the search failed, and the rest, dearer,
+        only when failures are stored under those members too or the search
+        failed."""
+        memo = self._failed
         head = rest = None
         if memo:
-            head = head_of()
+            head = _members_key(s)
             under = memo.get(head)
             if under is not None:
-                rest = rest_of()
+                rest = self._rest_key(s, subst, counts, mult)
                 got = under.get(rest)
                 if got is not None:
                     nodes, made, refused = got
@@ -781,24 +770,22 @@ class _ClassicalProver(_Search):
             found = True
             yield out
         if not found and len(self.made) == eigens:
-            under = memo.setdefault(head_of() if head is None else head, {})
+            under = memo.setdefault(_members_key(s) if head is None else head, {})
             spent = (left - self.left, self.next_meta - metas, self.refused - refused)
-            under[rest_of() if rest is None else rest] = spent
+            under[self._rest_key(s, subst, counts, mult) if rest is None else rest] = spent
 
     def _solve_all(self, prems, subst, counts, mult) -> Iterator[tuple[Subst, tuple[Proof, ...]]]:
         """solve over the one or two premises of a rule, threading the
         substitution from the first into the second.  The second premise
-        is searched once per substitution the first yields; its failures
-        are memoized by the resolved bindings of its metavariables."""
+        is searched once per substitution the first yields, through the
+        failure memo (_memoized)."""
         if len(prems) == 1:
             for sb, sk in self.solve(prems[0], subst, counts, mult):
                 yield sb, (sk,)
             return
         p1, p2 = prems
-        failed: dict[tuple, dict[tuple, tuple[int, int, int]]] = {}
         for sb1, sk1 in self.solve(p1, subst, counts, mult):
-            # keyed by the resolved bindings alone: the rest is the empty tuple
-            for sb2, sk2 in self._memoized(failed, partial(self._resolved, p2, sb1), tuple, p2, sb1, counts, mult):
+            for sb2, sk2 in self._memoized(p2, sb1, counts, mult):
                 yield sb2, (sk1, sk2)
 
     # -- grounding -------------------------------------------------------------
@@ -1190,7 +1177,7 @@ class _GroundProver(_Search):
         if got is None:
             terms = set(ground_subterms(s))
             terms.add(Const(self._made_name("c", 0)))
-            got = _stored(self._wit_memo, key, sorted(terms, key=lambda t: (term_size(t), term_key(t))))
+            got = _stored(self._wit_memo, key, sorted(terms, key=lambda t: (t._size, t._key)))
         return got
 
     # -- relevance --------------------------------------------------------------
@@ -1253,11 +1240,6 @@ class _GroundProver(_Search):
         return False
 
     # -- search -----------------------------------------------------------------
-
-    def search(self, s: Sequent, depth: int, counts: _Counts) -> Proof | None:
-        """Search s on calculus.drive's explicit stack in the caller's thread,
-        each state through _enter (see _enter); kept for tests to override."""
-        return drive(self._enter, s, depth, counts)
 
     def _enter(self, s: Sequent, depth: int, counts: _Counts) -> Proof | None | _Visit:
         """The entry step of a visit: the proof or None of a state that a
@@ -1522,12 +1504,12 @@ class _GroundProver(_Search):
     def run(self) -> SearchOutcome:
         qf = self.quantifier_free
         # quantifier-free search has no depth bound (the loop check is what
-        # terminates it); its paths grow on search's own stack, not the
+        # terminates it); its paths grow on drive's own stack, not the
         # interpreter's
         depth = 10**9 if qf else self.limits.depth
         out_of_nodes = False
         try:
-            proof = self.search(self.root, depth, _NO_COUNTS)
+            proof = drive(self._enter, self.root, depth, _NO_COUNTS)
         except _OutOfNodes:
             proof, out_of_nodes = None, True
         if proof is not None:

@@ -119,7 +119,7 @@ def reference_formula_key(f: Formula) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# term rewriters and loose-bound ranges by recursion
+# term rewriters, loose-bound ranges and term sizes by recursion
 
 
 def reference_lbr(x) -> int:
@@ -134,6 +134,14 @@ def reference_lbr(x) -> int:
     if isinstance(x, (Forall, Exists)):
         return max(reference_lbr(x.body) - 1, 0)
     return 0
+
+
+def reference_term_size(t: Term) -> int:
+    """The number of term nodes in t.  syntax stores this as each
+    application's _size."""
+    if isinstance(t, App):
+        return 1 + sum(map(reference_term_size, t.args))
+    return 1
 
 
 def _reference_map_terms(f: Formula, fn) -> Formula:
@@ -1191,7 +1199,7 @@ def reference_live_metas(s: Sequent, subst) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# the classical prover's metavariable search without failure memos
+# the classical prover's metavariable search without its failure memo
 
 
 def _reference_collapse(t: Term, eigens: set[str]) -> Term:
@@ -1360,7 +1368,8 @@ def reference_ground_prover(root: Sequent, limits, uniform: bool, restart_goal: 
     recorded failure of the same state, with the same tallies and at least
     as much depth; no failure subsumes another.  The quantifier-free flag
     comes from the walk above.  Built as a subclass so it shares the rest
-    of the prover."""
+    of the prover: its _enter replaces the engine's, and calculus.drive
+    runs it alike."""
     from seqcalc.calculus import is_axiom, premises
     from seqcalc.search import _NO_CYCLE, _GroundProver, _has_bot
 
@@ -1369,24 +1378,7 @@ def reference_ground_prover(root: Sequent, limits, uniform: bool, restart_goal: 
             super().__init__(*args)
             self.quantifier_free = all(map(reference_is_quantifier_free, root.ante + root.succ))
 
-        def search(self, s, depth, counts):
-            stack: list = []
-            visit = self._visit(s, depth, counts)
-            result = None
-            while True:
-                try:
-                    premise = visit.send(result)
-                except StopIteration as done:
-                    if not stack:
-                        return done.value
-                    visit = stack.pop()
-                    result = done.value
-                else:
-                    stack.append(visit)
-                    visit = self._visit(*premise)
-                    result = None
-
-        def _visit(self, s, depth, counts):
+        def _enter(self, s, depth, counts):
             self.tick()
             goal = s.succ[0]
             if is_axiom(s, self.limits.strengthened_axioms):

@@ -51,7 +51,6 @@ from seqcalc.syntax import (
     subformulas,
     subterms,
     term_key,
-    term_size,
 )
 from seqcalc.parser import parse_formula, parse_sequent
 
@@ -68,6 +67,7 @@ from _oracles import (
     reference_rename_constant,
     reference_substitute,
     reference_term_key,
+    reference_term_size,
 )
 
 
@@ -310,8 +310,8 @@ def test_is_quantifier_free():
 
 
 def test_term_size():
-    assert term_size(Const("a")) == 1
-    assert term_size(App("f", (Const("a"), App("g", (Const("b"),))))) == 4
+    assert Const("a")._size == 1
+    assert App("f", (Const("a"), App("g", (Const("b"),))))._size == 4
 
 
 @given(seeds)
@@ -560,8 +560,9 @@ def test_top_sorts_first_in_any_sorted_side(ante, succ):
 
 
 # ---------------------------------------------------------------------------
-# the rewrites, the stored loose-bound range and the stored quantifier-free
-# flag against recursive references and walks
+# the rewrites, the stored loose-bound range, the stored quantifier-free
+# and metavariable flags and the stored term size against recursive
+# references and walks
 
 
 @given(FORMULAS, TERMS, NAMES, NAMES, HINTS)
@@ -602,6 +603,21 @@ def test_the_metavariable_flag_of_a_deep_formula_needs_no_recursion():
         f, ground = neg(f), neg(ground)
     assert f._mv and not ground._mv
     assert Forall(And(ground, f))._mv and not Exists(Or(ground, ground))._mv
+
+
+@given(TERMS)
+def test_the_stored_term_size_is_the_reference_walk(t):
+    for u in subterms(t):
+        assert u._size == reference_term_size(u)
+
+
+def test_the_size_of_a_deep_term_needs_no_recursion():
+    # a term nested deeper than the recursion limit, two arguments a level
+    assert sys.getrecursionlimit() < 2_000
+    t = Const("a")
+    for _ in range(2_000):
+        t = App("f", (t, Meta(0)))
+    assert t._size == 4_001
 
 
 @given(seeds)

@@ -3,7 +3,7 @@
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from seqcalc.calculus import (
@@ -24,6 +24,7 @@ from seqcalc.calculus import (
     rule_family,
     rule_usage,
 )
+from seqcalc.fragments import FORBIDDEN_FAMILIES
 from seqcalc.parser import parse_formula, parse_sequent
 from seqcalc.search import Proved, SearchLimits, prove, prove_restart
 from seqcalc.syntax import And, Atom, Bot, Const, Forall, Imp, Or, Sequent, Top, free_symbols, neg
@@ -474,6 +475,38 @@ def test_extraction_property_on_eligible_random_proofs(seed):
     assert check_proof(out, INTUITIONISTIC)
     assert out.conclusion.ante == s.ante
     assert out.conclusion.succ[0] in s.succ
+
+
+_EXTRACTION_FRAGMENTS = ("f1", "f2", "f3", "f4", "lp-int", "lp-cls")
+
+
+@settings(max_examples=300)
+@given(st.integers(0, 10**6))
+def test_extraction_succeeds_exactly_where_the_rule_profile_allows(seed):
+    # c proofs of propositional and in-fragment draws: extraction takes the
+    # some-goal path where the expanded proof avoids condition 1's families,
+    # else the round-trip path where it avoids condition 4's and ends in a
+    # single succedent, and raises everywhere else
+    rng = random.Random(seed)
+    if seed % 2:
+        s = random_propositional_sequent(rng)
+    else:
+        fragment = _EXTRACTION_FRAGMENTS[seed // 2 % len(_EXTRACTION_FRAGMENTS)]
+        s = random_fragment_sequent(rng, fragment, rng.randint(1, 3), rng.randint(1, 3), rng.randint(1, 3))
+    res = prove(s, "c", SearchLimits(node_budget=2_000))
+    if not isinstance(res, Proved):
+        return
+    fams = {rule_family(r) for r in rule_usage(expand_starred(res.proof))}
+    some_goal = not fams & FORBIDDEN_FAMILIES[1]
+    round_trip = not fams & FORBIDDEN_FAMILIES[4] and len(s.succ) == 1
+    if not (some_goal or round_trip):
+        with pytest.raises(TransformError):
+            extract_intuitionistic(res.proof)
+        return
+    out = extract_intuitionistic(res.proof)
+    assert check_proof(out, INTUITIONISTIC)
+    assert out.conclusion.ante == s.ante
+    assert len(out.conclusion.succ) == 1 and out.conclusion.succ[0] in s.succ
 
 
 # ---------------------------------------------------------------------------
