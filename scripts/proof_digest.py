@@ -35,6 +35,10 @@ The roundtrip line covers load_proof: every Proved document of the all
 line, loaded and dumped again in the same process, so later documents
 load and dump through the text memos that earlier ones filled.  The output
 does not depend on PYTHONHASHSEED.
+
+Every document the script records must load back as the proof and class
+it was dumped from (==, so up to binder names): the script exits with
+status 1 at the first that does not.
 """
 
 from __future__ import annotations
@@ -90,15 +94,24 @@ def _outcome(search):
         return exc
 
 
+def _dumped(p, cls) -> str:
+    """dump_proof(p, cls); the script exits with an error unless the
+    document loads back as (p, cls)."""
+    text = dump_proof(p, cls)
+    if load_proof(text) != (p, cls):
+        sys.exit(f"a document does not load back as the proof it was dumped from: {text}")
+    return text
+
+
 def _record(out) -> str:
     if isinstance(out, Proved):
-        return dump_proof(out.proof, out.proof_class)
+        return _dumped(out.proof, out.proof_class)
     return type(out).__name__
 
 
 def _transformed(make, cls) -> str:
     try:
-        return dump_proof(make(), cls)
+        return _dumped(make(), cls)
     except TransformError as exc:
         return type(exc).__name__
 

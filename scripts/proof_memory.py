@@ -15,7 +15,13 @@ holds.  A stream's `c+i+o` line sums its c, i and o lines.
 
 Then a line loads the dumped i proof of p0 & ... & p699 |- p0 & ... &
 p699 (2,098 nodes) and prints the bytes its load_proof result holds per
-node.
+node.  The document names only the root's sequent, and the loader builds
+every other conclusion with the rule table's premise builders, so the
+loaded sequents share side tuples where the builders do (a premise that
+replaces a succedent member keeps its conclusion's antecedent), as the
+searched proof's do.  On Python 3.11 this line read 1182.5 bytes per node
+both with that rebuild and with the earlier layout that listed every
+conclusion, whose loader shared one tuple per distinct member list.
 
 The intern table's ring of recently built nodes (syntax._RECENT) is
 emptied before each count is read, and the table's own size

@@ -37,33 +37,36 @@ Its builders edit the conclusion's sorted sides instead of sorting, so the
 sides must be sorted, as every Sequent's are.  `INVERTIBLE` names the
 invertible rule of each connective on each side.
 
-The checker tests every rule by one premise comparison: a node's premise
-conclusions must be exactly the sequents that its rule and its own fields
-determine, so a wrong premise count fails that comparison too.  An axiom
-has none, a restart one, and every rule with a principal those
-`premises` builds; imp-l, whose succedent split is free, reads the split
-off its first premise.
+`dump_proof` writes a proof as one flat JSON document, `{"format": 3,
+"class", "goal"?, "ante", "succ", "nodes"}`: the root's member texts, then
+the nodes in post-order, so every node comes after its premises and the
+root is last.  Each non-root node is the premise of exactly one later
+node, so the document is a tree and not a shared graph.  A node names its
+`rule`, `principal`, `witness`, `eigen` and `premises` (indices into
+`nodes`), null and empty fields left out; an imp-l node also names its
+`split`, even when empty: the indices of its conclusion's succedent
+members that go to its first premise.
 
-`dump_proof` writes a proof as one flat JSON document, `{"format": 2,
-"class", "goal"?, "formulas", "nodes"}`.  `formulas` lists each distinct
-formula text once.  `nodes` lists the nodes in post-order, so every node
-comes after its premises and the root is last; each non-root node is the
-premise of exactly one later node, so the document is a tree and not a
-shared graph.  A node names its conclusion's `ante` and `succ` as indices
-into `formulas` and its `premises` as indices into `nodes`, next to its
-`rule`, `principal`, `witness` and `eigen`; null and empty fields are left
-out.  `load_proof` rejects a document that breaks any of this.  Within one
-document it builds one sorted side per distinct index list and one
-`Sequent` per distinct pair of them, so nodes that list the same
-conclusion share it.
+`_premises_of` derives a node's premises from its conclusion, rule and
+fields, through `premises` for every rule but the axiom, restart and
+imp-l.  The checker compares each node's premises with them, reading
+imp-l's split off the first premise, so a wrong premise count fails too.
+`load_proof` rebuilds every conclusion below the root with them, from the
+root down, so a derived member takes the binder names of the root's
+printed text; alpha-variants compare equal, so every proof `check_proof`
+accepts loads back ==.  The loader rejects a document that breaks the
+layout or holds a node its rule cannot rebuild: a bad principal; a
+missing witness, eigenvariable or split; an eigenvariable that is not
+fresh; a restart rule in a class without a goal; a premise count other
+than the rule's.
 
 Formulas are interned, so the same objects come back document after
-document.  Two process-wide memos convert each distinct formula once, not
-once per document: `_TEXTS` holds the printed text of each live formula
-`proof_to_json` listed, keyed by the formula's id (never by ==, which
-would give an alpha-variant another variant's binder names); an entry
-holds its formula weakly and goes when the formula dies, so the memo
-keeps no formula alive.  `_PARSED` holds the formula each table or goal
+document.  Two process-wide memos convert each distinct root member or
+goal once, not once per document: `_TEXTS` holds the printed text of each
+live formula `proof_to_json` listed, keyed by the formula's id (never by
+==, which would give an alpha-variant another variant's binder names); an
+entry holds its formula weakly and goes when the formula dies, so the memo
+keeps no formula alive.  `_PARSED` holds the formula each member or goal
 text `proof_from_json` read, keyed by the text; a text that fails to
 parse is never stored.  Both are bounded as the searches' memos are, by
 `syntax._stored`: each is emptied when it reaches `syntax._MEMO_CAP`
@@ -101,7 +104,6 @@ from .syntax import (
     _stored,
     format_formula,
     format_term,
-    formula_key,
     free_symbols,
     instantiate,
     multiset_minus,
@@ -555,6 +557,54 @@ def _expect_premises(node: Proof, *wanted: Sequent) -> str | None:
     return f"{node.rule.value}: expected premises [{want_text}], found [{got_text}]"
 
 
+def _premises_of(rule, s, principal, witness, eigen, goal, delta1, first=None) -> tuple[Sequent, ...] | str:
+    """The premise sequents a `rule` node with these fields derives `s`
+    from, or the checker's message for why it derives none.  `delta1` is
+    the part of `s`'s succedent an imp-l node's first premise keeps; the
+    checker gives `first`, that premise's succedent, to read it off."""
+    if rule is RuleId.AXIOM:
+        return ()
+    if rule is RuleId.RESTART:
+        return (Sequent._presorted(s.ante, (goal,)),)
+    side, connective, build = _RULES[rule]
+    if principal is None:
+        return f"rule {rule.value} needs a principal formula"
+    got_side, index = principal
+    if got_side != side:
+        return f"rule {rule.value} expects its principal on the {side} side"
+    formulas = s.ante if side == "ante" else s.succ
+    if not 0 <= index < len(formulas):
+        return f"principal index {index} out of range"
+    f = formulas[index]
+    if connective is not None and not isinstance(f, connective):
+        return f"principal of {rule.value} must be {_CONNECTIVE_NAMES[connective]}"
+    if build is None:
+        # imp-l: the second premise keeps the rest of the succedent
+        if first is not None:
+            delta1 = multiset_minus(first, (f.left,))
+        theta = None if delta1 is None else multiset_minus(s.succ, delta1)
+        if theta is None:
+            return (
+                "imp-l: the first premise's succedent must be the implication's "
+                "antecedent plus part of the conclusion's succedent"
+            )
+        rest = s.ante[:index] + s.ante[index + 1 :]
+        return Sequent(rest, delta1 + (f.left,)), Sequent(rest + (f.right,), theta)
+    term = witness
+    if (side, connective) in (("ante", Forall), ("succ", Exists)):
+        if term is None:
+            return f"rule {rule.value} needs a witness term"
+    elif (side, connective) in (("ante", Exists), ("succ", Forall)):
+        if not eigen:
+            return f"rule {rule.value} needs an eigenvariable"
+        if eigen in free_symbols(s):
+            return f"eigenvariable {eigen!r} already occurs in the conclusion"
+        if goal is not None and eigen in free_symbols(goal):
+            return f"eigenvariable {eigen!r} occurs in the restart goal"
+        term = Const(eigen)
+    return build(s, index, f, term, goal)
+
+
 def _check_node(node: Proof, cls: ProofClass, strengthened: bool) -> str | None:
     """Validate one rule application (premise sequents, not their subtrees).
     Members and witnesses are tested for metavariables by the flag each
@@ -573,47 +623,9 @@ def _check_node(node: Proof, cls: ProofClass, strengthened: bool) -> str | None:
             return f"not an axiom: {s}"
         return _expect_premises(node) if node.premises else None
 
-    if rule is RuleId.RESTART:
-        return _expect_premises(node, Sequent._presorted(s.ante, (cls.goal,)))
-
-    side, connective, _ = _RULES[rule]
-    if node.principal is None:
-        return f"rule {rule.value} needs a principal formula"
-    got_side, index = node.principal
-    if got_side != side:
-        return f"rule {rule.value} expects its principal on the {side} side"
-    formulas = s.ante if side == "ante" else s.succ
-    if not 0 <= index < len(formulas):
-        return f"principal index {index} out of range"
-    f = formulas[index]
-    if connective is not None and not isinstance(f, connective):
-        return f"principal of {rule.value} must be {_CONNECTIVE_NAMES[connective]}"
-    if rule is RuleId.IMP_L:
-        # the succedent split is free, so read it off the first premise: its
-        # succedent less the implication's antecedent (delta1) is the part of
-        # the conclusion's it keeps, and the second premise keeps the rest
-        delta1 = multiset_minus(node.premises[0].conclusion.succ, (f.left,)) if node.premises else None
-        theta = None if delta1 is None else multiset_minus(s.succ, delta1)
-        if theta is None:
-            return (
-                "imp-l: the first premise's succedent must be the implication's "
-                "antecedent plus part of the conclusion's succedent"
-            )
-        rest = s.ante[:index] + s.ante[index + 1 :]
-        return _expect_premises(node, Sequent(rest, delta1 + (f.left,)), Sequent(rest + (f.right,), theta))
-    term = node.witness
-    if (side, connective) in (("ante", Forall), ("succ", Exists)):
-        if term is None:
-            return f"rule {rule.value} needs a witness term"
-    elif (side, connective) in (("ante", Exists), ("succ", Forall)):
-        if not node.eigen:
-            return f"rule {rule.value} needs an eigenvariable"
-        if node.eigen in free_symbols(s):
-            return f"eigenvariable {node.eigen!r} already occurs in the conclusion"
-        if cls.kind in _RESTART_KINDS and node.eigen in free_symbols(cls.goal):
-            return f"eigenvariable {node.eigen!r} occurs in the restart goal"
-        term = Const(node.eigen)
-    return _expect_premises(node, *premises(rule, s, index, f, term, cls.goal))
+    first = node.premises[0].conclusion.succ if rule is RuleId.IMP_L and node.premises else None
+    wanted = _premises_of(rule, s, node.principal, node.witness, node.eigen, cls.goal, None, first)
+    return wanted if type(wanted) is str else _expect_premises(node, *wanted)
 
 
 def check_proof(proof: Proof, cls: ProofClass, strengthened_axioms: bool = False) -> CheckReport:
@@ -652,7 +664,7 @@ def check_proof(proof: Proof, cls: ProofClass, strengthened_axioms: bool = False
 # JSON round trip
 
 #: version of the flat document layout, the only one load_proof reads
-_FORMAT = 2
+_FORMAT = 3
 
 
 class _Text(weakref.ref):
@@ -668,7 +680,7 @@ class _Text(weakref.ref):
 #: found under an id is that very formula's, and the memo keeps no formula
 #: alive.
 _TEXTS: dict[int, _Text] = {}
-#: the formula each table or goal text a document listed parses to
+#: the formula each member or goal text a document listed parses to
 _PARSED: dict[str, Formula] = {}
 #: held while storing into either memo, so threads cannot fill one past the cap
 _MEMO_LOCK = threading.Lock()
@@ -705,43 +717,25 @@ def _parsed(text: str) -> Formula:
 
 def proof_to_json(p: Proof, cls: ProofClass) -> dict:
     """The flat document of p (see the module docstring).  Nodes are listed
-    per occurrence, so a subproof used twice is listed twice; formulas are
-    shared by object identity, then by printed text, never by == (which
-    would merge alpha-variants and lose a member's binder name).  Each
-    formula's text comes from a process-wide memo keyed by the formula's
-    id, so a formula listed by many documents is printed once while it
-    lives."""
-    formulas: list[str] = []
-    by_text: dict[str, int] = {}
-    by_id: dict[int, int] = {}
-
-    def refs(side: tuple[Formula, ...]) -> list[int]:
-        out = []
-        for f in side:
-            i = by_id.get(id(f))
-            if i is None:
-                text = _text(f)
-                i = by_id[id(f)] = by_text.setdefault(text, len(formulas))
-                if i == len(formulas):
-                    formulas.append(text)
-            out.append(i)
-        return out
-
+    per occurrence, so a subproof used twice is listed twice.  Each root
+    member's text comes from a process-wide memo keyed by the formula's id,
+    so a formula many documents list is printed once while it lives."""
     nodes: list[dict] = []
 
     def leave(node: Proof, done: tuple[int, ...]) -> int:
         """Append node's entry; its index in nodes."""
         entry: dict = {"rule": node.rule.value}
-        if node.conclusion.ante:
-            entry["ante"] = refs(node.conclusion.ante)
-        if node.conclusion.succ:
-            entry["succ"] = refs(node.conclusion.succ)
         if node.principal is not None:
             entry["principal"] = list(node.principal)
         if node.witness is not None:
             entry["witness"] = format_term(node.witness)
         if node.eigen is not None:
             entry["eigen"] = node.eigen
+        if node.rule is RuleId.IMP_L:
+            # the succedent members that go to the first premise: each one the
+            # second premise keeps is taken out of theta instead (remove gives None)
+            theta = list(node.premises[1].conclusion.succ) if len(node.premises) > 1 else []
+            entry["split"] = [i for i, g in enumerate(node.conclusion.succ) if g not in theta or theta.remove(g)]
         if done:
             entry["premises"] = list(done)
         nodes.append(entry)
@@ -752,7 +746,8 @@ def proof_to_json(p: Proof, cls: ProofClass) -> dict:
     doc: dict = {"format": _FORMAT, "class": cls.kind}
     if cls.goal is not None:
         doc["goal"] = _text(cls.goal)
-    doc["formulas"] = formulas
+    doc["ante"] = list(map(_text, p.conclusion.ante))
+    doc["succ"] = list(map(_text, p.conclusion.succ))
     doc["nodes"] = nodes
     return doc
 
@@ -768,11 +763,11 @@ def _indices(entry: dict, key: str, bound: int) -> list[int]:
 
 
 def proof_from_json(data: dict) -> tuple[Proof, ProofClass]:
-    """The proof and class of a flat document.  ValueError (ParseError for
-    bad formula or term text) unless the document keeps every invariant of
-    the module docstring.  The goal and table texts are parsed through a
-    process-wide memo keyed by the text, so a formula listed by many
-    documents is parsed once."""
+    """The proof and class of a flat document, each conclusion below the
+    root rebuilt from the root down.  ValueError (ParseError for bad
+    formula or term text) unless the document keeps the layout of the
+    module docstring and its rules rebuild every node.  Root member and
+    goal texts are parsed through a process-wide memo keyed by the text."""
     if not isinstance(data, dict):
         raise ValueError("proof document must be a JSON object")
     if data.get("format") != _FORMAT:
@@ -783,36 +778,23 @@ def proof_from_json(data: dict) -> tuple[Proof, ProofClass]:
     try:
         goal = data.get("goal")
         cls = ProofClass(kind, _parsed(goal) if goal is not None else None)
-        table = data["formulas"]
-        entries = data["nodes"]
-        if not isinstance(table, list) or not isinstance(entries, list):
-            raise ValueError("formulas and nodes must be lists")
+        ante, succ, entries = data["ante"], data["succ"], data["nodes"]
+        if not (isinstance(ante, list) and isinstance(succ, list) and isinstance(entries, list)):
+            raise ValueError("ante, succ and nodes must be lists")
         if not entries:
             raise ValueError("proof document has no nodes")
-        formulas = list(map(_parsed, table))
-        # one sorted side per distinct index list, one sequent per pair of them
-        sides: dict[tuple[int, ...], tuple[Formula, ...]] = {}
-        sequents: dict[tuple, Sequent] = {}
-
-        def side(indices: tuple[int, ...]) -> tuple[Formula, ...]:
-            got = sides.get(indices)
-            if got is None:
-                got = sides[indices] = tuple(sorted(map(formulas.__getitem__, indices), key=formula_key))
-            return got
-
-        built: list[Proof] = []
-        used = [False] * len(entries)
-        for k, entry in enumerate(entries):
+        # a node's conclusion is set by the node it is the premise of, which
+        # comes after it: so from the root down, each is set before it is read
+        conclusions: list = [None] * len(entries)
+        conclusions[-1] = Sequent(map(_parsed, ante), map(_parsed, succ))
+        fields: list = [None] * len(entries)
+        for k in range(len(entries) - 1, -1, -1):
+            s = conclusions[k]
+            if s is None:
+                raise ValueError(f"node {k} is not the premise of any node")
+            entry = entries[k]
             rule = rule_from_string(entry["rule"])
-            key = (tuple(_indices(entry, "ante", len(formulas))), tuple(_indices(entry, "succ", len(formulas))))
-            conclusion = sequents.get(key)
-            if conclusion is None:
-                conclusion = sequents[key] = Sequent._presorted(side(key[0]), side(key[1]))
             premises = _indices(entry, "premises", k)
-            for j in premises:
-                if used[j]:
-                    raise ValueError(f"node {j} is a premise of more than one node")
-                used[j] = True
             principal = entry.get("principal")
             if principal is not None:
                 if not (
@@ -829,12 +811,28 @@ def proof_from_json(data: dict) -> tuple[Proof, ProofClass]:
             eigen = entry.get("eigen")
             if eigen is not None and not isinstance(eigen, str):
                 raise ValueError(f"bad eigenvariable {eigen!r}")
-            subproofs = tuple(built[j] for j in premises)
-            built.append(Proof(rule, conclusion, subproofs, principal, witness, eigen))
+            delta1 = None
+            if "split" in entry:
+                delta1 = tuple(map(s.succ.__getitem__, _indices(entry, "split", len(s.succ))))
+            elif rule is RuleId.IMP_L:
+                raise ValueError(f"node {k}: rule imp-l needs a split")
+            if cls.goal is None and rule in (RuleId.OR_L_RESTART, RuleId.RESTART):
+                raise ValueError(f"node {k}: rule {rule.value} needs a restart goal")
+            wanted = _premises_of(rule, s, principal, witness, eigen, cls.goal, delta1)
+            if type(wanted) is str:
+                raise ValueError(f"node {k}: {wanted}")
+            if len(wanted) != len(premises):
+                raise ValueError(f"node {k}: rule {rule.value} derives {len(wanted)} premises, found {len(premises)}")
+            for j, t in zip(premises, wanted):
+                if conclusions[j] is not None:
+                    raise ValueError(f"node {j} is a premise of more than one node")
+                conclusions[j] = t
+            fields[k] = (rule, premises, principal, witness, eigen)
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed proof document: {exc}") from exc
-    if not all(used[:-1]):
-        raise ValueError(f"node {used.index(False)} is not the premise of any node")
+    built: list[Proof] = []
+    for s, (rule, premises, principal, witness, eigen) in zip(conclusions, fields):
+        built.append(Proof(rule, s, tuple(map(built.__getitem__, premises)), principal, witness, eigen))
     return built[-1], cls
 
 

@@ -47,7 +47,21 @@ from __future__ import annotations
 
 from operator import is_
 
-from .calculus import INVERTIBLE, Proof, RuleId, bottom_closure, drive, fold_proof, is_axiom, premises, proof_nodes, rule_family, rule_usage
+from .calculus import (
+    _CONNECTIVE_NAMES,
+    _RULES,
+    INVERTIBLE,
+    Proof,
+    RuleId,
+    bottom_closure,
+    drive,
+    fold_proof,
+    is_axiom,
+    premises,
+    proof_nodes,
+    rule_family,
+    rule_usage,
+)
 from .fragments import FORBIDDEN_FAMILIES
 from .syntax import (
     BOT,
@@ -82,13 +96,20 @@ class TransformError(Exception):
 
 
 def _principal_formula(p: Proof) -> Formula:
+    """p's principal formula, which must have the connective the rule table
+    gives p's rule."""
     if p.principal is None:
         raise TransformError(f"rule {p.rule.value} node is missing its principal formula")
     side, idx = p.principal
     formulas = p.conclusion.ante if side == "ante" else p.conclusion.succ
     if not 0 <= idx < len(formulas):
         raise TransformError(f"principal index {idx} out of range in {p.conclusion}")
-    return formulas[idx]
+    f = formulas[idx]
+    connective = _RULES.get(p.rule, (None, None))[1]
+    if connective is not None and not isinstance(f, connective):
+        name = _CONNECTIVE_NAMES[connective]
+        raise TransformError(f"principal {format_formula(f)} of {p.rule.value} must be {name}")
+    return f
 
 
 def _node(
@@ -521,7 +542,9 @@ def _expanded(p: Proof, expanded: tuple[Proof, ...]) -> Proof:
 
 def _starify(p: Proof) -> Proof:
     """Convert plain rule applications to their starred forms, weakening the
-    subproofs so the kept principal is available in the premises."""
+    subproofs so the kept principal is available in the premises.  Its one
+    use, the starred round trip, runs only on proofs without imp-l, so an
+    imp-l node is kept plain."""
     return fold_proof(p, _starred)
 
 
@@ -543,15 +566,6 @@ def _starred(p: Proof, starred: tuple[Proof, ...]) -> Proof:
             raise TransformError(f"malformed {rule.value} node at {s}")
         q = weaken(starred[0], extra_ante, extra_succ)
         return _node(star, s, [q], side, f, p.witness)
-    if rule is RuleId.IMP_L:
-        f = _principal_formula(p)
-        delta1 = multiset_minus(p.premises[0].conclusion.succ, (f.left,))
-        if delta1 is None:
-            raise TransformError(f"malformed implication-left node at {s}")
-        theta = p.premises[1].conclusion.succ
-        q1 = weaken(starred[0], extra_succ=theta)
-        q2 = weaken(starred[1], extra_succ=delta1)
-        return _node(RuleId.IMP_L_STAR, s, [q1, q2], "ante", f)
     return _rebuilt(p, starred)
 
 

@@ -1827,7 +1827,8 @@ def reference_expand_starred(p):
 
 
 def reference_starify(p):
-    """Plain rules to their starred forms, the kept parts named by hand."""
+    """Plain rules to their starred forms, the kept parts named by hand;
+    imp-l, which the starred round trip never meets, stays plain."""
     premises = tuple(reference_starify(q) for q in p.premises)
     s = p.conclusion
     rule = p.rule
@@ -1850,15 +1851,6 @@ def reference_starify(p):
         f = _principal_formula(p)
         q = reference_weaken(premises[0], extra_succ=(f,))
         return _node(RuleId.EXISTS_R_STAR, s, [q], "succ", f, witness=p.witness)
-    if rule is RuleId.IMP_L:
-        f = _principal_formula(p)
-        delta1 = multiset_minus(p.premises[0].conclusion.succ, (f.left,))
-        if delta1 is None:
-            raise TransformError(f"malformed implication-left node at {s}")
-        theta = p.premises[1].conclusion.succ
-        q1 = reference_weaken(premises[0], extra_succ=theta)
-        q2 = reference_weaken(premises[1], extra_succ=delta1)
-        return _node(RuleId.IMP_L_STAR, s, [q1, q2], "ante", f)
 
     if premises == p.premises:
         return p

@@ -831,17 +831,19 @@ def test_round_trip_restart_class_keeps_goal():
 def test_json_schema_keys():
     res = prove_restart(parse_sequent("q | s, q => t, s => t |- t"))
     data = json.loads(dump_proof(res.proof, res.proof_class))
-    assert set(data) == {"format", "class", "goal", "formulas", "nodes"}
-    assert data["format"] == 2
-    assert all(isinstance(f, str) for f in data["formulas"])
-    assert len(set(data["formulas"])) == len(data["formulas"])
+    assert set(data) == {"format", "class", "goal", "ante", "succ", "nodes"}
+    assert data["format"] == 3
+    assert (data["ante"], data["succ"]) == (["q | s", "q => t", "s => t"], ["t"])
     for k, node in enumerate(data["nodes"]):
         assert "rule" in node
-        assert set(node) <= {"rule", "ante", "succ", "principal", "witness", "eigen", "premises"}
-        assert all(v is not None and v != [] for v in node.values())
+        assert set(node) <= {"rule", "principal", "witness", "eigen", "split", "premises"}
+        # imp-l's split is kept when empty; every other empty field is left out
+        assert all(v is not None and (v != [] or key == "split") for key, v in node.items())
+        assert ("split" in node) == (node["rule"] == "imp-l")
         assert all(j < k for j in node.get("premises", []))
     root = data["nodes"][-1]
-    assert {"rule", "ante", "succ", "principal", "premises"} <= set(root)
+    assert {"rule", "principal", "premises"} <= set(root)
+    assert any(node.get("split") == [] for node in data["nodes"])
     res = prove(parse_sequent("forall x. p(x) |- forall y. p(y)"), "c")
     data = json.loads(dump_proof(res.proof, res.proof_class))
     assert "goal" not in data
@@ -889,8 +891,8 @@ def _members(node):
 
 
 def test_round_trip_on_every_class_keeps_binder_names():
-    # alpha-variant members compare equal, yet each keeps its own binder
-    # name through the formula table
+    # alpha-variant members compare equal, yet each root member keeps its
+    # own binder name; a derived member takes the names of the root's text
     texts = (
         "forall x. p(x), forall y. p(y) |- (forall z. p(z)) & (forall w. p(w))",
         "exists x. p(x), exists y. p(y) |- (exists z. p(z)) & (exists w. p(w))",
@@ -903,11 +905,21 @@ def test_round_trip_on_every_class_keeps_binder_names():
             q, got = load_proof(dump_proof(p, cls))
             assert q == p and got == cls
             assert format_formula(got.goal or Q) == format_formula(cls.goal or Q)
-            assert [_members(n) for n in proof_nodes(q)] == [_members(n) for n in proof_nodes(p)], (text, cls)
+            assert _members(q) == _members(p), (text, cls)
             kinds.add(cls.kind)
     assert kinds == {"c", "i", "o", "cstar", "istar", "ig", "og"}
     ante = parse_sequent(texts[0]).ante
     assert [format_formula(f) for f in ante] == ["forall x. p(x)", "forall y. p(y)"]
+
+
+def test_proofs_differing_in_one_node_are_unequal():
+    leaf = axiom([Q], [Q])
+    p = Proof(RuleId.AND_R, Sequent((Q,), (And(Q, Q),)), (leaf, leaf), ("succ", 0))
+    deep = Proof(RuleId.AND_R, p.conclusion, (leaf, axiom([Q], [Q, S])), ("succ", 0))
+    assert p == Proof(RuleId.AND_R, p.conclusion, (axiom([Q], [Q]), leaf), ("succ", 0))
+    for other in (deep, Proof(RuleId.AND_R, p.conclusion, (leaf,), ("succ", 0)), leaf):
+        assert p != other and other != p
+    assert p != "proof"
 
 
 def test_dump_lists_a_shared_premise_once_per_use():
@@ -915,11 +927,33 @@ def test_dump_lists_a_shared_premise_once_per_use():
     p = Proof(RuleId.AND_R, Sequent((Q,), (And(Q, Q),)), (leaf, leaf), ("succ", 0))
     assert check_proof(p, CLASSICAL)
     data = json.loads(dump_proof(p, CLASSICAL))
-    assert data["formulas"] == ["q", "q & q"]
+    assert (data["ante"], data["succ"]) == (["q"], ["q & q"])
     assert [n.get("premises") for n in data["nodes"]] == [None, None, [0, 1]]
     q, cls = load_proof(json.dumps(data))
     assert q == p and cls == CLASSICAL
     assert q.premises[0] is not q.premises[1]
+
+
+def test_every_imp_l_split_round_trips():
+    # the split names the succedent members that go to the first premise
+    for picks in itertools.product((False, True), repeat=len(_DELTA)):
+        delta1 = tuple(g for g, first in zip(_DELTA, picks) if first)
+        theta = tuple(g for g, first in zip(_DELTA, picks) if not first)
+        node = _imp_l([axiom([Q], delta1 + (Q,))], [axiom([Q, S], theta)])
+        data = json.loads(dump_proof(node, CLASSICAL))
+        (split,) = [n["split"] for n in data["nodes"] if n["rule"] == "imp-l"]
+        assert Sequent((), [node.conclusion.succ[i] for i in split]) == Sequent((), delta1)
+        assert load_proof(json.dumps(data)) == (node, CLASSICAL)
+
+
+def test_the_700_conjunct_proof_dumps_small_and_loads_back_equal():
+    # 2,098 nodes, most of whose conclusions hold hundreds of members
+    conjuncts = " & ".join(f"p{k}" for k in range(700))
+    res = prove(parse_sequent(f"{conjuncts} |- {conjuncts}"), "i")
+    assert proof_size(res.proof) == 2_098
+    text = dump_proof(res.proof, res.proof_class)
+    assert len(text) < 200_000
+    assert load_proof(text) == (res.proof, res.proof_class)
 
 
 def test_hand_written_flat_document_loads():
@@ -969,11 +1003,12 @@ def _cold_memos():
 
 
 def _round_trips(proofs) -> list[tuple[str, list]]:
-    """Each proof's document under class c and the members of every node of
-    its loaded proof, as printed."""
+    """Each proof's document, under its class where it comes as a (proof,
+    class) pair and under class c otherwise, and the members of every node
+    of its loaded proof, as printed."""
     out = []
     for p in proofs:
-        text = dump_proof(p, CLASSICAL)
+        text = dump_proof(*(p if isinstance(p, tuple) else (p, CLASSICAL)))
         q, _ = load_proof(text)
         out.append((text, [_members(n) for n in proof_nodes(q)]))
     return out
@@ -992,7 +1027,7 @@ def test_alpha_variants_keep_their_binder_names_through_the_text_memos():
             warm = _round_trips(order)
         assert cold == warm
         assert [members for _, members in cold] == expected
-    assert json.loads(_round_trips(proofs[:1])[0][0])["formulas"] == [x, y]
+    assert json.loads(_round_trips(proofs[:1])[0][0])["ante"] == [x, y]
 
 
 def _chains(n: int, width: int) -> list[Proof]:
@@ -1025,8 +1060,8 @@ def test_the_text_memos_hold_at_most_the_cap_and_change_no_document():
 def test_threads_dumping_and_loading_at_once_get_the_single_thread_documents():
     fx, fy = parse_formula("forall x. p(x)"), parse_formula("forall y. p(y)")
     proofs = _chains(300, 3) + [axiom([fx, fy], [fy]), axiom([fy], [fy]), axiom([fx], [fx])]
-    proofs += [p for text in ("|- ((q => s) => q) => q", "q | s, q => t, s => t |- t")
-               for p, _ in _proofs_of_every_class(text)]
+    proofs += [pair for text in ("|- ((q => s) => q) => q", "q | s, q => t, s => t |- t")
+               for pair in _proofs_of_every_class(text)]
     with _cold_memos():
         want = _round_trips(proofs)
     # cap 5 empties the memos all the time, under every thread at once
@@ -1071,7 +1106,7 @@ def test_the_print_memo_keeps_no_formula_alive():
 
 def test_a_bad_table_text_raises_the_same_parse_error_every_time():
     doc = copy.deepcopy(FLAT)
-    doc["formulas"][2] = "q & "
+    doc["succ"][0] = "q & "
     errors = []
     for _ in range(2):
         with pytest.raises(ParseError) as info:
@@ -1142,17 +1177,3 @@ def test_a_principal_position_is_one_object_across_search_transforms_and_loading
     assert built.principal is Proof(RuleId.AND_L_LEFT, s, built.premises, ("ante", 0)).principal
     far = ("ante", 64)
     assert Proof(RuleId.AND_L_LEFT, s, built.premises, far).principal is far
-
-
-def test_load_shares_sides_and_sequents_within_a_document():
-    p, _ = load_proof(json.dumps(FLAT))
-    left, right = p.premises
-    # every node has ante [0, 1]: one tuple; each node's sequent is its own
-    assert p.conclusion.ante is left.conclusion.ante is right.conclusion.ante
-    assert left.conclusion is not right.conclusion
-    leaf = axiom([Q], [Q])
-    twice = Proof(RuleId.AND_R, Sequent((Q,), (And(Q, Q),)), (leaf, leaf), ("succ", 0))
-    q, _ = load_proof(dump_proof(twice, CLASSICAL))
-    # a subproof listed twice loads as two nodes over one sequent
-    assert q.premises[0] is not q.premises[1]
-    assert q.premises[0].conclusion is q.premises[1].conclusion

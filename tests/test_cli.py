@@ -179,7 +179,7 @@ def test_check_malformed_json_is_data_error(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{]")
     assert run("check", str(bad)) == EXIT_DATA
-    bad.write_text('{"format": 2, "class": "c", "formulas": [], "nodes": [{"rule": "axiom2"}]}')
+    bad.write_text('{"format": 3, "class": "c", "ante": [], "succ": [], "nodes": [{"rule": "axiom2"}]}')
     assert run("check", str(bad)) == EXIT_DATA
     capsys.readouterr()
 
@@ -233,7 +233,7 @@ def test_analyze_malformed_file_is_data_error(tmp_path, capsys):
     assert run("analyze", str(bad)) == EXIT_DATA
     assert capsys.readouterr().err.startswith("malformed proof file: ")
     bad.write_text(
-        '{"format": 2, "class": "c", "formulas": ["q &"], "nodes": [{"rule": "axiom", "ante": [0]}]}'
+        '{"format": 3, "class": "c", "ante": ["q &"], "succ": [], "nodes": [{"rule": "axiom"}]}'
     )
     assert run("analyze", str(bad)) == EXIT_DATA
     assert capsys.readouterr().err == "expected a formula, found end of input (line 1, column 4)\n"

@@ -2,23 +2,33 @@
 the hash seed, and stays what it was when the pins below were taken (on
 Python 3.11)."""
 
+import importlib.util
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
+from seqcalc.calculus import CLASSICAL, Proof, RuleId, dump_proof
+from seqcalc.parser import parse_sequent
+
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "proof_digest.py"
+
+
+def axiom(text: str) -> Proof:
+    return Proof(RuleId.AXIOM, parse_sequent(text))
 
 
 #: the all, transforms, weaken, eta and roundtrip lines of --stream 20; a
 #: change that alters any proof the searches, the transforms, weakening or
 #: eta expansion emit, or any document load_proof reads back, changes them
 PINNED = [
-    "all 375 c9c8b8b9570989986ebd7828e2479aa847659c7405c202472d233b5629989340",
-    "transforms 310 8b88f52c57b03b70f2629d44ce3b1f16b1f51d1cd0fd554851b22efbcab40177",
-    "weaken 170 12cb1f7915d0c72082fd97bc6ea8af7b40a9867e02f4b054c92778a14e988472",
-    "eta 223 92922c74013cec9a945fee33812cc2d60723b71185377ec314c0794bd817b5e7",
-    "roundtrip 239 2aa860ab6ce0a2215ff1b2bb051b85c070b3c7319b6e85259368367b0d45f458",
+    "all 375 16497d666eba7cdf21d87c67e7e7a6588e25a1714f656d1f757735c16f47950e",
+    "transforms 310 d9174ad33635a86da84155e5b09d9e8d2fd0f75849eceaf93c878790f8787f35",
+    "weaken 170 0f644da6f48518164fa76d8a5d44dc49f3bbfb5d36ffee0bf5bee5af97fa8e53",
+    "eta 223 18fccd95621343f0c335fcd34aac10f804a7aec11a02becd043151ba54804606",
+    "roundtrip 239 a03648d1f5c8617f9949a2e32e316420eaaeb59fe561db9e7211497b45303e65",
 ]
 
 
@@ -46,3 +56,16 @@ def test_proof_digest_is_the_same_under_two_hash_seeds():
         ["roundtrip", "239"],
     ]
     assert outs[0].splitlines()[-5:] == PINNED
+
+
+def test_a_document_that_does_not_load_back_stops_the_digest():
+    spec = importlib.util.spec_from_file_location("proof_digest", SCRIPT)
+    digest = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(digest)
+    good = Proof(RuleId.AND_R, parse_sequent("q, s |- q & s"), (axiom("q, s |- q"), axiom("q, s |- s")), ("succ", 0))
+    assert digest._dumped(good, CLASSICAL) == dump_proof(good, CLASSICAL)
+    # premises without the context: the loader rebuilds them with it
+    bad = Proof(RuleId.AND_R, good.conclusion, (axiom("q |- q"), axiom("s |- s")), ("succ", 0))
+    with pytest.raises(SystemExit) as info:
+        digest._dumped(bad, CLASSICAL)
+    assert str(info.value.code).startswith("a document does not load back as the proof it was dumped from: ")

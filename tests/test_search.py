@@ -5,6 +5,7 @@ import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -51,6 +52,7 @@ from seqcalc.syntax import (
     And,
     App,
     Atom,
+    Bot,
     Bound,
     Const,
     Exists,
@@ -59,7 +61,9 @@ from seqcalc.syntax import (
     Meta,
     Or,
     Sequent,
+    Top,
     _MEMO_CAP,
+    format_formula,
     format_sequent,
     formula_key,
     instantiate,
@@ -83,6 +87,10 @@ from _oracles import (
     reference_state_keys,
     truth_table_valid,
 )
+
+# the benchmark's own G4ip decider, which shares no code with the package
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+from oracles import G4ip  # noqa: E402
 
 _FRAGMENTS = ("f1", "f2", "f3", "f4", "lp-int", "lp-cls")
 
@@ -952,6 +960,13 @@ def test_a_classical_search_collects_the_roots_symbols_once(monkeypatch):
     assert calls == [s]
 
 
+def test_a_made_constant_keeps_clear_of_a_root_symbol_of_its_form():
+    # the root holds c0, so the blank witness takes the prefix cc
+    out = prove(parse_sequent("c0 |- exists x. top"), "i")
+    assert isinstance(out, Proved) and out.proof.witness == Const("cc0")
+    assert check_proof(out.proof, out.proof_class)
+
+
 def test_deep_terms_unify_and_resolve_at_the_default_recursion_limit():
     deep, pattern = _deep_term(), Meta(0)
     for _ in range(_DEEP):
@@ -1072,6 +1087,16 @@ def test_unify_identical_constants():
 
 def test_unify_clash():
     assert unify(Const("a"), Const("b"), Subst()) is None
+
+
+def test_unify_formulas_decomposes_a_compound_pair_with_a_metavariable():
+    x, b = Meta(1), Const("b")
+    left = And(Atom("p", (x,)), Exists(Atom("r", (Bound(0), x)), "y"))
+    right = And(Atom("p", (b,)), Exists(Atom("r", (Bound(0), b)), "z"))
+    subst = unify_formulas(left, right, Subst())
+    assert subst is not None and subst.resolve_term(x) == b
+    # two connectives over the same metavariable do not unify
+    assert unify_formulas(And(Atom("p", (x,)), Atom("q")), Or(Atom("p", (x,)), Atom("q")), Subst()) is None
 
 
 # ---------------------------------------------------------------------------
@@ -1196,6 +1221,33 @@ def test_lp_int_draws_are_mostly_intuitionistically_provable():
     # the property above holds vacuously on a draw that i does not prove
     outs = [prove(_fragment_draw("lp-int", seed), "i", _LP_INT_LIMITS) for seed in range(100)]
     assert sum(isinstance(out, Proved) for out in outs) > 50
+
+
+#: every quantifier-free goal draw is decided within this budget (checked
+#: on 50,000 draws, none needing more than 200 nodes)
+_G4IP_LIMITS = SearchLimits(node_budget=1_000)
+_TAGS = {And: "and", Or: "or", Imp: "imp"}
+
+
+def _benchmark_formula(f) -> tuple:
+    """A quantifier-free formula as perfbench's formula tuple."""
+    if isinstance(f, Atom):
+        return ("atom", format_formula(f))
+    if isinstance(f, Top):
+        return ("top",)
+    if isinstance(f, Bot):
+        return ("bot",)
+    return (_TAGS[type(f)], _benchmark_formula(f.left), _benchmark_formula(f.right))
+
+
+@settings(max_examples=1000)
+@given(st.integers(0, 10**6))
+def test_i_proves_a_quantifier_free_draw_exactly_when_g4ip_says_it_is_valid(seed):
+    s = random_goal_sequent(random.Random(seed))
+    out = prove(s, "i", _G4IP_LIMITS)
+    assert isinstance(out, (Proved, Refuted)), format_sequent(s)
+    valid = G4ip().valid(tuple(map(_benchmark_formula, s.ante)), _benchmark_formula(s.succ[0]))
+    assert isinstance(out, Proved) == valid, format_sequent(s)
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ from seqcalc.calculus import (
     check_proof,
     drive,
     dump_proof,
+    premises,
     proof_height,
     proof_nodes,
     proof_size,
@@ -61,6 +62,10 @@ Q, S, T = Atom("q"), Atom("s"), Atom("t")
 
 def axiom(ante, succ):
     return Proof(RuleId.AXIOM, Sequent(tuple(ante), tuple(succ)))
+
+
+def axiom_of(s: Sequent) -> Proof:
+    return Proof(RuleId.AXIOM, s)
 
 
 def proved(text, logic="c"):
@@ -289,6 +294,53 @@ def test_hand_built_contraction_r():
     assert RuleId.CONTR_L not in rule_usage(out)
 
 
+P, IMP = Atom("p"), Imp(Atom("p"), Atom("p"))
+
+
+def test_contracting_an_implication_inverts_an_imp_l_star_int_on_its_other_copy():
+    # contr-l on p => p over an imp-l*-int on one copy, whose second premise
+    # applies imp-l*-int to the other: inverting that copy of p => p takes
+    # the upper node's second premise
+    s = Sequent((P, IMP), (P,))
+    (doubled,) = premises(RuleId.CONTR_L, s, 1, IMP)
+    goal, rest = premises(RuleId.IMP_L_STAR_INT, doubled, 1, IMP)
+    j = rest.ante.index(IMP)
+    leaves = tuple(map(axiom_of, premises(RuleId.IMP_L_STAR_INT, rest, j, IMP)))
+    upper = Proof(RuleId.IMP_L_STAR_INT, rest, leaves, ("ante", j))
+    lower = Proof(RuleId.IMP_L_STAR_INT, doubled, (axiom_of(goal), upper), ("ante", 1))
+    assert check_proof(lower, INTUITIONISTIC_STAR)
+    out = eliminate_contractions(Proof(RuleId.CONTR_L, s, (lower,), ("ante", 1)))
+    assert out.conclusion == s and check_proof(out, INTUITIONISTIC_STAR)
+    assert out.rule is RuleId.IMP_L_STAR_INT and proof_size(out) == 3
+
+
+def test_contracting_a_conjunction_inverts_bot_r_on_its_other_copy():
+    # contr-r on q & r over an and-r on one copy, each premise closed by
+    # bot-r on the other: inversion rebuilds each bot-r on a part
+    f = And(Q, Atom("r"))
+    s = Sequent((Q, Atom("r")), (f,))
+    (doubled,) = premises(RuleId.CONTR_R, s, 0, f)
+
+    def bottom(t):
+        i = t.succ.index(f)
+        return Proof(RuleId.BOT_R, t, tuple(map(axiom_of, premises(RuleId.BOT_R, t, i, f))), ("succ", i))
+
+    split = Proof(RuleId.AND_R, doubled, tuple(map(bottom, premises(RuleId.AND_R, doubled, 0, f))), ("succ", 0))
+    assert check_proof(split, CLASSICAL_STAR)
+    out = eliminate_contractions(Proof(RuleId.CONTR_R, s, (split,), ("succ", 0)))
+    assert out.conclusion == s and check_proof(out, CLASSICAL_STAR)
+
+
+def test_a_principal_without_its_rules_connective_is_a_transform_error():
+    # imp-l*-int whose principal is the atom p: elimination used to fail
+    # with an AttributeError on the atom's missing left part
+    leaves = (axiom([P, P, IMP], [P]), axiom([P, P, P], [P]))
+    node = Proof(RuleId.IMP_L_STAR_INT, Sequent((P, P, IMP), (P,)), leaves, ("ante", 0))
+    root = Proof(RuleId.CONTR_L, Sequent((P, IMP), (P,)), (node,), ("ante", 0))
+    with pytest.raises(TransformError, match=r"^principal p of imp-l\*-int must be an implication$"):
+        eliminate_contractions(root)
+
+
 def test_contraction_elimination_closes_on_standard_axioms(corpus_by_name):
     # the succedent forall is shared with the antecedent next to a bottom, so
     # removing the contraction meets a leaf that only a strengthened axiom or
@@ -450,6 +502,17 @@ def test_extraction_round_trip_path_handles_implication_right():
     out = extract_intuitionistic(res.proof)
     assert out.conclusion == s
     assert check_proof(out, INTUITIONISTIC)
+
+
+@pytest.mark.parametrize("text", ["p & q |- r => p", "forall x. p(x) |- r => p(a)"])
+def test_extraction_round_trip_maps_plain_and_l_and_forall_l_back_to_starred_rules(text):
+    # imp-r blocks the some-goal path; expansion turns and-l* and forall-l*
+    # into plain steps, which the round trip maps back to the starred rules
+    s = parse_sequent(text)
+    res = proved(text)
+    assert rule_usage(expand_starred(res.proof)) & {RuleId.AND_L_LEFT, RuleId.AND_L_RIGHT, RuleId.FORALL_L}
+    out = extract_intuitionistic(res.proof)
+    assert out.conclusion == s and check_proof(out, INTUITIONISTIC)
 
 
 def test_extraction_rejects_proofs_blocking_both_paths():
