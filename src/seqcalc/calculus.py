@@ -837,6 +837,12 @@ def proof_from_json(data: dict) -> tuple[Proof, ProofClass]:
 
 
 def dump_proof(p: Proof, cls: ProofClass) -> str:
+    """The compact JSON text of proof_to_json(p, cls).  The document names
+    only the root's sequent, and load_proof rebuilds every other conclusion
+    from the rule table, so the document describes p only when
+    check_proof(p, cls) accepts it; a proof whose premises are not the ones
+    its rules derive is written all the same and loads back as another
+    proof."""
     return json.dumps(proof_to_json(p, cls), separators=(",", ":"))
 
 

@@ -933,7 +933,6 @@ class _GroundProver(_Search):
         self.uniform = uniform
         self.rgoal = restart_goal
         self.counter = 0
-        self.truncated = False
         # definitive failures per canonical state, each recorded with the
         # depth and instantiation tallies it failed under; empty where
         # failures subsume (see _maximal)
@@ -1282,7 +1281,6 @@ class _GroundProver(_Search):
                 if failed.issuperset(members):
                     return None
         if depth <= 0:
-            self.truncated = True
             return None
         return self._branch(s, goal, depth, counts, loop_key, cache_key)
 
@@ -1504,19 +1502,18 @@ class _GroundProver(_Search):
     def run(self) -> SearchOutcome:
         qf = self.quantifier_free
         # quantifier-free search has no depth bound (the loop check is what
-        # terminates it); its paths grow on drive's own stack, not the
-        # interpreter's
+        # terminates it), so only the node budget cuts it; its paths grow on
+        # drive's own stack, not the interpreter's
         depth = 10**9 if qf else self.limits.depth
-        out_of_nodes = False
         try:
             proof = drive(self._enter, self.root, depth, _NO_COUNTS)
         except _OutOfNodes:
-            proof, out_of_nodes = None, True
+            return NotProvedWithinLimits()
         if proof is not None:
             if self.rgoal is not None:
                 return Proved(proof, restart_class(self.rgoal))
             return Proved(proof, UNIFORM if self.uniform else INTUITIONISTIC_STAR)
-        if not self.uniform and qf and not self.truncated and not out_of_nodes:
+        if not self.uniform and qf:
             return Refuted()
         return NotProvedWithinLimits()
 

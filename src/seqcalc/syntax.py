@@ -10,19 +10,17 @@ already, with the same binder hints, returns the existing object.  In front
 of that table sits a bounded strong cache (Filliatre & Conchon, "Type-safe
 modular hash-consing", 2006): a ring of the _RECENT_CAP nodes built last, so
 the atoms and small subformulas that one call drops and the next call builds
-again are found alive.  Nodes are immutable.  At construction each node also
-stores
+again are found alive.  No node refers to itself or sits in a reference
+cycle, so a node is freed, and its table entry dropped, as soon as the last
+reference to it goes and it has left the ring.  Nodes are immutable.  At
+construction each node also stores
 
-* its alpha-canonical twin: the same structure with every binder hint "x",
-  or None on a node that is canonical already.  No node refers to itself or
-  sits in a reference cycle, so a node is freed, and its table entry
-  dropped, as soon as the last reference to it goes and it has left the
-  ring;
 * its sort key: a flat, prefix-free string built from its children's keys.
   Keys compare exactly as the structural tuples (kind, then the fields left
-  to right, shorter argument lists first) would, and depend on the
-  structure alone, never on the order in which nodes were built, so every
-  process orders the same sequent the same way;
+  to right, shorter argument lists first) would, ignore binder hints, and
+  depend on the structure alone, never on the order in which nodes were
+  built, so every process orders the same sequent the same way.  Two nodes
+  have equal keys exactly when they are alpha-equivalent;
 * its loose-bound range, _lbr: one past its highest loose de Bruijn
   index, 0 when it is closed.  Bound(i) has i + 1; an atom, application or
   binary connective the largest range of its parts (0 without any); a
@@ -34,10 +32,7 @@ stores
   True when one of its parts has it; a leaf has it as a class attribute,
   True on Meta and False on Var, Bound, Const, Top and Bot, so leaves are
   no larger.  The classical prover's grounding and unification, and the
-  checker, read it to pass over meta-free parts without walking them.  The
-  slot adds 8 bytes to each node that holds one, which moves an atom,
-  application or quantifier node from the 80-byte to the 96-byte pymalloc
-  block (CPython 3.11, 64-bit); a binary node stays in its 96-byte block;
+  checker, read it to pass over meta-free parts without walking them;
 * its quantifier-free flag, _qf: whether it holds no quantifier.  Only a
   binary connective stores it, in a slot, True when both its parts have
   it; every other kind has it as a class attribute, True on terms, atoms,
@@ -46,21 +41,23 @@ stores
 * its term size, _size: the number of term nodes in it.  An application
   stores it in a slot, one more than the sum of its arguments' sizes;
   every other node has 1 as a class attribute.  The ground engine orders
-  its witness candidates by it.  The slot takes an application node from
-  88 to 96 bytes, which stays in its 96-byte pymalloc block.
+  its witness candidates by it.
 
 The range, the flags and the size are computed from the children's at
 construction, so a node nested deeper than the recursion limit gets them
 without recursion.  Sets, such as a node's metavariables or ground
 subterms, are not stored: metas_in and ground_subterms walk for them.
+On CPython 3.11 (64-bit) an atom or quantifier node takes 80 bytes, in an
+80-byte pymalloc block, and an application or binary connective 88, in a
+96-byte block (scripts/proof_memory.py, its last line).
 
-So == is an identity test on twins, while hash, formula_key and term_key
-read the key; none of them recurses.  Binding, opening and renaming are
-callbacks of one explicit-stack walk, map_terms, so they do not recurse
-either.  The table may be shared by threads: an insert is one
-dict.setdefault on a table key that hashes and compares in C, so threads
-that build equal structures get one object, and a ring append is one
-deque.append, which is atomic too.
+So ==, hash, formula_key and term_key all read the key, and none of them
+recurses: alpha-variants are distinct objects with equal keys.  Binding,
+opening and renaming are callbacks of one explicit-stack walk, map_terms,
+so they do not recurse either.  The table may be shared by threads: an
+insert is one dict.setdefault on a table key that hashes and compares in
+C, so threads that build equal structures get one object, and a ring
+append is one deque.append, which is atomic too.
 
 Sequents keep both sides as multisets in a canonical sorted order (by
 formula_key, stable), which makes multiset equality plain tuple equality.
@@ -114,10 +111,10 @@ def _interned(ikey: tuple):
 
 
 def _build(
-    cls, ikey: tuple, values: tuple, key: str, twin, lbr: int, mv: bool | None = None, qf: bool | None = None,
+    cls, ikey: tuple, values: tuple, key: str, lbr: int, mv: bool | None = None, qf: bool | None = None,
     size: int | None = None, keep=_RECENT.append,
 ):
-    """A new node of cls with the given field values, sort key, twin,
+    """A new node of cls with the given field values, sort key,
     loose-bound range and, for the kinds that store them, metavariable flag,
     quantifier-free flag and term size, entered under ikey and kept in the
     ring; the node another thread entered first, if any.  Every field is
@@ -126,7 +123,6 @@ def _build(
     for name, value in zip(cls.__match_args__, values):
         _set(node, name, value)
     _set(node, "_key", key)
-    _set(node, "_twin", twin)
     _set(node, "_lbr", lbr)
     if mv is not None:
         _set(node, "_mv", mv)
@@ -167,7 +163,6 @@ def _stored(memo: dict, key, value):
 # have order-preserving, prefix-free encodings, and ")" closes an argument
 # list (it sorts below every term tag, so a shorter list sorts first)
 _END = ")"
-_CANONICAL_HINT = "x"
 _COMPLEMENT = str.maketrans("0123456789", "9876543210")
 
 
@@ -189,7 +184,7 @@ def _int_key(n: int) -> str:
 class _Node:
     """A hash-consed term or formula (see the module docstring)."""
 
-    __slots__ = ("_key", "_twin", "_lbr", "__weakref__")
+    __slots__ = ("_key", "_lbr", "__weakref__")
     __match_args__: tuple[str, ...] = ()
     # the metavariable flag of every leaf but a metavariable; an atom,
     # application, binary connective or quantifier stores its own
@@ -203,7 +198,7 @@ class _Node:
 
     def __eq__(self, other):
         if isinstance(other, _Node):
-            return (self._twin or self) is (other._twin or other)
+            return self._key == other._key
         return NotImplemented
 
     def __hash__(self) -> int:
@@ -224,7 +219,7 @@ class _Node:
 
 def _leaf(cls, value, encode: Callable, lbr: int = 0) -> _Node:
     ikey = (cls, value)
-    return _interned(ikey) or _build(cls, ikey, (value,), cls._tag + encode(value), None, lbr)
+    return _interned(ikey) or _build(cls, ikey, (value,), cls._tag + encode(value), lbr)
 
 
 def _applied(cls, name: str, args) -> _Node:
@@ -236,7 +231,7 @@ def _applied(cls, name: str, args) -> _Node:
         lbr = max([a._lbr for a in args], default=0)
         mv = True in [a._mv for a in args]
         size = 1 + sum([a._size for a in args]) if cls is App else None
-        node = _build(cls, ikey, (name, args), key, None, lbr, mv, size=size)
+        node = _build(cls, ikey, (name, args), key, lbr, mv, size=size)
     return node
 
 
@@ -306,7 +301,7 @@ class _Unit(_Node):
     __slots__ = ()
 
     def __new__(cls):
-        return _interned((cls,)) or _build(cls, (cls,), (), cls._tag, None, 0)
+        return _interned((cls,)) or _build(cls, (cls,), (), cls._tag, 0)
 
 
 class Top(_Unit):
@@ -336,15 +331,9 @@ class _Binary(_Node):
         ikey = (cls, id(left), id(right))
         node = _interned(ikey)
         if node is None:
-            lt, rt = left._twin, right._twin
+            key = cls._tag + left._key + right._key
             lbr = max(left._lbr, right._lbr)
-            mv = left._mv or right._mv
-            qf = left._qf and right._qf
-            if lt is None and rt is None:
-                node = _build(cls, ikey, (left, right), cls._tag + left._key + right._key, None, lbr, mv, qf)
-            else:
-                twin = cls(lt or left, rt or right)
-                node = _build(cls, ikey, (left, right), twin._key, twin, lbr, mv, qf)
+            node = _build(cls, ikey, (left, right), key, lbr, left._mv or right._mv, left._qf and right._qf)
         return node
 
 
@@ -368,17 +357,11 @@ class _Quantifier(_Node):
     __match_args__ = ("body", "hint")
     _qf = False
 
-    def __new__(cls, body: Formula, hint: str = _CANONICAL_HINT):
+    def __new__(cls, body: Formula, hint: str = "x"):
         ikey = (cls, id(body), hint)
         node = _interned(ikey)
         if node is None:
-            bt = body._twin
-            lbr = max(body._lbr - 1, 0)
-            if bt is None and hint == _CANONICAL_HINT:
-                node = _build(cls, ikey, (body, hint), cls._tag + body._key, None, lbr, body._mv)
-            else:
-                twin = cls(bt or body, _CANONICAL_HINT)
-                node = _build(cls, ikey, (body, hint), twin._key, twin, lbr, body._mv)
+            node = _build(cls, ikey, (body, hint), cls._tag + body._key, max(body._lbr - 1, 0), body._mv)
         return node
 
 
@@ -639,9 +622,9 @@ class Sequent:
     so each keeps its own binder hints.  The sides are sorted, stably, by
     formula_key, which reads the key stored on each member and orders
     alpha-variants as equal; so two sequents compare equal exactly when
-    their members do, pairwise, and == and hash cost one identity test and
-    one cached string hash per member.  Sequents themselves are not
-    interned.
+    their members do, pairwise, and == costs one identity test per member
+    (a key comparison where the members are distinct objects) and hash one
+    cached string hash per member.  Sequents themselves are not interned.
 
     A sequent is immutable: its two slots are set once, at construction,
     and assigning or deleting an attribute raises AttributeError.

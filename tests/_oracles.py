@@ -1398,7 +1398,6 @@ def reference_ground_prover(root: Sequent, limits, uniform: bool, restart_goal: 
             if failed_depth is not None and depth <= failed_depth:
                 return None
             if depth <= 0:
-                self.truncated = True
                 return None
             level = len(self._path)
             self._path[loop_key] = level

@@ -117,6 +117,11 @@ def test_unbound_name_is_a_constant():
     assert parse_formula("p(a)") == Atom("p", (Const("a"),))
 
 
+def test_negation_of_a_quantifier_wraps_the_whole_quantifier():
+    f = parse_formula("~forall x. p(x)")
+    assert f is Imp(Forall(Atom("p", (Bound(0),))), Bot())
+
+
 # ---------------------------------------------------------------------------
 # sequents
 
@@ -226,6 +231,17 @@ def test_corpus_errors_name_their_place_in_the_whole_source(text, message):
     with pytest.raises(ParseError) as exc:
         parse_corpus(text)
     assert str(exc.value) == message
+
+
+def test_corpus_empty_names_rejected():
+    with pytest.raises(ParseError) as exc:
+        parse_corpus("ok ; p |- p ; C=yes ; I=yes ; O=yes\n ; q |- q ; C=yes ; I=yes ; O=yes")
+    assert str(exc.value) == "empty entry name (line 2, column 1)"
+
+
+def test_an_error_without_its_source_names_the_offset():
+    err = ParseError("expected a formula", parser.SourceSpan(7, 9))
+    assert str(err) == "expected a formula (at offset 7)"
 
 
 def test_corpus_duplicate_names_rejected():

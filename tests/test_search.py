@@ -21,6 +21,7 @@ from seqcalc.calculus import (
     UNIFORM,
     Proof,
     ProofClass,
+    RuleId,
     check_proof,
     dump_proof,
     load_proof,
@@ -267,6 +268,13 @@ def test_strengthened_axioms_close_on_compound_formulas():
     assert res.proof.premises == ()  # closed at the root
     assert check_proof(res.proof, res.proof_class, strengthened_axioms=True)
     assert not check_proof(res.proof, res.proof_class)
+
+
+def test_strengthened_axioms_close_a_compound_goal_in_the_ground_engine():
+    s = parse_sequent("p & q |- p & q")
+    res = prove(s, "i", SearchLimits(strengthened_axioms=True))
+    assert isinstance(res, Proved)
+    assert res.proof == Proof(RuleId.AXIOM, s)
 
 
 def test_determinism_across_runs():
@@ -1079,6 +1087,10 @@ def test_unify_occurs_check():
     assert unify(x, App("f", (x,)), Subst()) is None
 
 
+def test_unify_refuses_a_term_with_a_loose_bound_variable():
+    assert unify(Meta(0), App("f", (Bound(0),)), Subst()) is None
+
+
 def test_unify_identical_constants():
     subst = unify(Const("a"), Const("a"), Subst())
     assert subst is not None
@@ -1147,6 +1159,26 @@ def test_goal_directed_and_restart_proofs_check(seed):
     if isinstance(res, Proved):
         assert check_proof(res.proof, res.proof_class, strengthened_axioms=True)
         assert isinstance(prove(s, "c"), Proved)
+
+
+#: soundness across engines is checked at this budget; the draws are small,
+#: so each search ends well within it
+_SOUNDNESS_LIMITS = SearchLimits(node_budget=20_000)
+
+
+@settings(max_examples=2_000)
+@given(st.integers(0, 10**6))
+def test_no_engine_proves_what_the_classical_prover_does_not(seed):
+    # o within i within c, and a restart proof of the augmentation is
+    # classically sound
+    s = random_goal_sequent(random.Random(seed))
+    o_res, i_res, c_res = (prove(s, logic, _SOUNDNESS_LIMITS) for logic in ("o", "i", "c"))
+    if isinstance(o_res, Proved):
+        assert isinstance(i_res, Proved), format_sequent(s)
+    if isinstance(i_res, Proved):
+        assert isinstance(c_res, Proved), format_sequent(s)
+    if isinstance(prove_restart(augment(s), _SOUNDNESS_LIMITS), Proved):
+        assert isinstance(c_res, Proved), format_sequent(s)
 
 
 # ---------------------------------------------------------------------------

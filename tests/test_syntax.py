@@ -472,6 +472,23 @@ def test_dropped_formulas_leave_the_intern_table():
         gc.enable()
 
 
+def test_a_hinted_quantifier_is_one_table_entry():
+    # the hinted node is the only one built: its alpha-variants share its
+    # key, so no canonical node is built beside it.  With the ring emptied
+    # and the cycle collector off, no other node is freed meanwhile
+    gc.collect()
+    gc.disable()
+    try:
+        body = Atom("hinted", (Bound(0), Const("h")))
+        syntax._RECENT.clear()
+        before = len(syntax._TABLE)
+        q = Forall(body, "y")
+        assert len(syntax._TABLE) == before + 1
+    finally:
+        gc.enable()
+    assert q == Forall(body) and formula_key(q) == formula_key(Forall(body))
+
+
 def test_the_ring_keeps_the_last_nodes_built_and_frees_older_dropped_ones():
     gc.collect()
     gc.disable()
@@ -526,7 +543,7 @@ def test_deep_members_sort_compare_and_hash_without_recursion():
     assert Sequent((f,), (f,)).succ == (f,)
     assert Sequent((g, f), ()).ante == (f, g)
     assert _tower(Atom("p")) is f and hash(f) == hash(_tower(Atom("p")))
-    # alpha-variants are two objects, so == must compare their twins
+    # alpha-variants are two objects, so == must compare their keys
     y, z = (_tower(Forall(Atom("p", (Bound(0),)), h)) for h in "yz")
     assert y == z and y is not z and hash(y) == hash(z)
     # the nested reference key cannot even be built at this depth
