@@ -404,8 +404,9 @@ CLASSICAL_STAR = ProofClass("cstar")
 INTUITIONISTIC_STAR = ProofClass("istar")
 
 
-def restart_class(goal: Formula, uniform: bool = True) -> ProofClass:
-    return ProofClass("og" if uniform else "ig", goal)
+def restart_class(goal: Formula) -> ProofClass:
+    """The class of restart goal-directed proofs with goal as restart goal."""
+    return ProofClass("og", goal)
 
 
 # ---------------------------------------------------------------------------

@@ -37,7 +37,7 @@ Three engines share this module:
   object, and a node whose two sides are kept keeps the skeleton's sequent,
   so a grounded proof shares them with the skeleton and sorts no such side
   again.  Quantifier-free inputs take a saturation path that decides the
-  sequent outright.
+  sequent outright, on an explicit stack.
 
 * The intuitionistic prover searches the contraction-free single-succedent
   calculus on ground sequents: invertible rules apply eagerly, the remaining
@@ -56,23 +56,24 @@ The intuitionistic, goal-directed and restart searches share one ground
 engine.  It runs in the caller's thread on `calculus.drive`, the explicit
 stack of suspended rule applications that the proof transforms share, so a
 search path may be as long as memory allows and a call changes no
-interpreter-wide setting; concurrent calls are independent.
-Its per-mode table `_EAGER` names the antecedent connectives it splits
-eagerly, and so the members its loop check must not collapse.  Its loop
-check and failure cache key a state by a tuple of its members' stored sort
-keys; only a member holding a constant the search made itself is
-serialized, with those constants renamed by first occurrence, once per
-search for each antecedent.  A quantifier-free search makes no constant, so
-it keys every state by sort keys alone.  Its relevance check reads a
-per-formula index of positive heads.  Every engine takes its invertible
-rules from `calculus.INVERTIBLE` and builds their premises with
-`calculus.premises`, as the checker does; so does the restart disjunction
-step.  The starred search's imp-l*-int step builds its two premises by
-hand, the second only once the first has a proof: taking both from
-`premises` builds the second also when the first fails, and made i and o
-searches of random goal sequents slower, o by about 9%.  A visit starts
-with an entry step that settles closures, loop-check hits, recorded
-failures and depth cuts; only a state that branches gets a generator.
+interpreter-wide setting; concurrent calls are independent.  Its per-mode
+table `_EAGER` names the antecedent connectives it splits eagerly, and so
+the members its loop check must not collapse.  Its loop check and failure
+cache key a state by a tuple of its members' stored sort keys.  In the key
+of a member holding a constant the search made itself, each such
+constant's key is a hole numbered by first occurrence, and the holes are
+renamed across the state, once per search for each antecedent.  A
+quantifier-free search makes no constant, so it keys every state by sort
+keys alone.  Its relevance check reads a per-formula index of positive
+heads.  Every engine takes its invertible rules from `calculus.INVERTIBLE`
+and builds their premises with `calculus.premises`, as the checker does;
+so does the restart disjunction step.  The starred search's imp-l*-int
+step builds its two premises by hand, the second only once the first has a
+proof: taking both from `premises` builds the second also when the first
+fails, and made i and o searches of random goal sequents slower, o by
+about 9%.  A visit starts with an entry step that settles closures,
+loop-check hits, recorded failures and depth cuts; only a state that
+branches gets a generator.
 
 Quantifier-free i and o searches, which have no restart goal, let a
 failure subsume others.  They keep, per goal key, the antecedent key sets
@@ -164,7 +165,6 @@ from .syntax import (
     App,
     Atom,
     Bot,
-    Bound,
     Const,
     Exists,
     Forall,
@@ -176,6 +176,7 @@ from .syntax import (
     Term,
     Top,
     Var,
+    _holed_keys,
     _stored,
     _walk,
     forall as bind_forall,
@@ -525,9 +526,11 @@ class _Search:
 
 
 def _reserved_prefix(base: str, taken: set[str]) -> str:
-    """A prefix such that prefix+digits collides with nothing in taken."""
+    """A prefix such that no name in taken ends in prefix+digits, so the
+    ground engine's hole finder matches no root name (see _item).  A base
+    holds no digit, so only its last occurrence can end where digits start."""
     prefix = base
-    while any(t.startswith(prefix) and t[len(prefix) :].isdigit() for t in taken):
+    while any(t[t.rfind(prefix) + len(prefix) :].isdigit() for t in taken if prefix in t):
         prefix += base
     return prefix
 
@@ -598,26 +601,45 @@ class _ClassicalProver(_Search):
 
     # -- quantifier-free decision -------------------------------------------
 
-    def decide(self, s: Sequent) -> Proof | None:
+    def decide(self, root: Sequent) -> Proof | None:
         """Saturation decision: every propositional rule here is invertible,
-        so one principal per sequent suffices and a failed leaf refutes."""
-        self.tick()
-        if is_axiom(s, self.limits.strengthened_axioms):
-            return Proof(_AXIOM, s)
-        if s.succ and _has_bot(s.ante):
-            return bottom_closure(s)
-
-        step = _invertible_step(s)
-        if step is None:
-            return None
-        rule, side, i, f = step
-        subs = []
-        for premise in premises(rule, s, i, f):
-            sub = self.decide(premise)
-            if sub is None:
-                return None
-            subs.append(sub)
-        return Proof(rule, s, tuple(subs), (side, i))
+        so one principal per sequent suffices and a failed leaf refutes.
+        Sequents are expanded in pre-order, first premise first, on an
+        explicit stack, so depth costs no recursion; the proof is built
+        afterwards from the last sequent expanded back to the root."""
+        strengthened = self.limits.strengthened_axioms
+        tick = self.tick
+        # per sequent expanded: its closing proof, or its step as (rule,
+        # sequent, principal, number of premises)
+        expanded: list = []
+        push = expanded.append
+        todo = [root]
+        pop = todo.pop
+        while todo:
+            s = pop()
+            tick()
+            if is_axiom(s, strengthened):
+                push(Proof(_AXIOM, s))
+            elif s.succ and _has_bot(s.ante):
+                push(bottom_closure(s))
+            else:
+                step = _invertible_step(s)
+                if step is None:
+                    return None
+                rule, side, i, f = step
+                prems = premises(rule, s, i, f)
+                push((rule, s, (side, i), len(prems)))
+                todo += prems[::-1]
+        # a step's premises were expanded after it, the first one's subtree
+        # first, so walking back leaves its first premise's proof on top
+        done: list[Proof] = []
+        for x in reversed(expanded):
+            if type(x) is tuple:
+                rule, s, principal, n = x
+                done[-n:] = (Proof(rule, s, tuple(done[: -n - 1 : -1]), principal),)
+            else:
+                done.append(x)
+        return done[0]
 
     # -- metavariable search --------------------------------------------------
 
@@ -871,9 +893,6 @@ class _ClassicalProver(_Search):
 # intuitionistic / goal-directed / restart prover
 
 
-#: template tag of each compound connective
-_TAGS = {And: "&(", Or: "|(", Imp: ">(", Forall: "A.", Exists: "E."}
-
 #: the connectives of the antecedent members each ground-search mode splits
 #: eagerly, by (goal-directed, has a restart goal): with a restart goal the
 #: disjunction split is a genuine choice, and goal-directed search keeps
@@ -942,6 +961,8 @@ class _GroundProver(_Search):
         # loop-check item (text, holes, eager) of a member or goal
         self._heads: dict[str, dict | bool] = {}
         self._items: dict[str, tuple[str, tuple[str, ...], bool]] = {}
+        # _item's hole finder, made once a made name has reserved its prefix
+        self._holed = None
         # once the search has made a constant: each antecedent's summary
         # (kept, members, hole order) by the tuple of its members' sort
         # keys, and the per-search numbers of the holed member tuples
@@ -986,63 +1007,24 @@ class _GroundProver(_Search):
     # -- loop-check keys ------------------------------------------------------
 
     def _item(self, f: Formula) -> tuple[str, tuple[str, ...], bool]:
-        """f's loop-check item (text, holes, eager): its template text and
-        holes when it holds a made constant, else its sort key and no holes;
-        eager tells whether this mode splits f eagerly.  The text also keys
-        f's instantiation tallies, where f is quantified: its sort key then
-        starts with a digit tag and its template text with "A." or "E.", so
-        the two kinds of text never meet.  Memoized by f's sort key: a
-        constant's status never changes, since made names avoid the root's
-        symbols and a made constant enters a state only after it is made."""
-        got = self._items.get(f._key)
+        """f's loop-check item (text, holes, eager): f's sort key with a
+        marker numbered by first occurrence for each made constant's key,
+        and those constants in that order (see syntax._holed_keys); eager
+        tells whether this mode splits f eagerly.  A member holding no made
+        constant is its own key.  The text also keys f's instantiation
+        tallies, where f is quantified; only a text with holes holds a
+        marker, so the two kinds never meet.  Memoized by f's sort key: a
+        made constant enters a state only after it is made."""
+        key = f._key
+        got = self._items.get(key)
         if got is None:
-            text, holes = self._template(f)
-            got = _stored(self._items, f._key, (text if holes else f._key, holes, type(f) in self._eager))
+            text, holes = key, ()
+            if self.made:
+                if self._holed is None:
+                    self._holed = _holed_keys(self._prefixes["c"])
+                text, holes = self._holed(key)
+            got = _stored(self._items, key, (text, holes, type(f) in self._eager))
         return got
-
-    def _template(self, f: Formula) -> tuple[str, tuple[str, ...]]:
-        """Serialize f: a flat token text with each made constant replaced
-        by a hole number, plus the hole fillers in first-occurrence order.
-        The text is an injective function of f's structure with its made
-        constants taken as holes.  Walks an explicit stack, emitting tokens
-        left to right, so hole numbers follow first occurrence and nesting
-        depth costs no recursion."""
-        made = self.made
-        holes: dict[str, int] = {}
-        out: list[str] = []
-        stack: list = [f]
-        while stack:
-            x = stack.pop()
-            k = type(x)
-            if k is str:
-                out.append(x)
-            elif k is Const:
-                n = x.name
-                out.append(f"!{holes.setdefault(n, len(holes))}" if n in made else n)
-            elif k is Atom and not x.args:
-                out.append(x.pred)
-            elif k is Atom or k is App:
-                args = x.args
-                out.append((x.pred if k is Atom else x.name) + "(")
-                stack.append(")")
-                for i in range(len(args) - 1, 0, -1):
-                    stack.append(args[i])
-                    stack.append(",")
-                if args:
-                    stack.append(args[0])
-            elif k is Bound:
-                out.append(f"#{x.index}")
-            elif k is Top or k is Bot:
-                out.append("T" if k is Top else "F")
-            elif k is Forall or k is Exists:
-                out.append(_TAGS[k])
-                stack.append(x.body)
-            elif k in _TAGS:
-                out.append(_TAGS[k])
-                stack += (")", x.right, ",", x.left)
-            else:
-                out.append(x.name)
-        return "".join(out), tuple(holes)
 
     def _canon(self, s: Sequent, counts: _Counts) -> tuple[tuple, tuple]:
         """The state's loop-check key (kept, goal) and failure-cache key
@@ -1059,19 +1041,11 @@ class _GroundProver(_Search):
         per-search numbers, which no tuple equals; one without holes keeps
         the sort keys, so a state keys alike before and after the search's
         first made constant.  A goal with holes is (text, renamed holes...),
-        its holes continuing the antecedent's renaming.  So isomorphic
-        states tend to compare equal, and equal states always do.
-
-        These keys are equal exactly when the earlier keys were, which were
-        joined strings with every member as its template text.  A template
-        text is an injective function of a member's structure, and hole
-        numbers keep their left-to-right first-occurrence order.  Changing
-        the text encoding, as from template text to sort key for members
-        without holes, therefore only moves whole blocks of equal text
-        within the sorted order, and applying the same block move to two
-        states does not change whether their renamed hole sequences agree.
-        Flattening the holed members and numbering them are injective
-        within a search."""
+        its holes continuing the antecedent's renaming.  A text is its key
+        with holes, so two members have equal texts exactly when one is the
+        other with its made constants renamed.  So isomorphic states tend to
+        compare equal, and equal states always do.  Flattening the holed
+        members and numbering them are injective within a search."""
         goal = s.succ[0]
         if self.made:
             sig = tuple(map(_KEY, s.ante))
@@ -1099,13 +1073,14 @@ class _GroundProver(_Search):
 
     def _summary(self, ante: tuple[Formula, ...], sig: tuple[str, ...]) -> tuple:
         """The antecedent's (kept, members, order), stored under sig, its
-        members' sort keys.  Each member is its item (see _item).  When no
-        member has holes, members is sig, already in sorted order, and order
-        is empty.  Otherwise the items are sorted and the made constants in
-        their holes are renamed by first occurrence to their positions in
-        order.  members is then the flat tuple of each member's text
-        followed by its renamed holes: a text with holes has at least one,
-        a sort key none, so the tuple spells the members out unambiguously.
+        members' sort keys.  Each member is its item: its key, with holes
+        for its made constants (see _item).  When no member has holes,
+        members is sig, already in sorted order, and order is empty.
+        Otherwise the items are sorted and the made constants in their holes
+        are renamed by first occurrence to their positions in order.
+        members is then the flat tuple of each member's text followed by its
+        renamed holes: a text with holes has at least one, a plain key none,
+        so the tuple spells the members out unambiguously.
         kept drops the duplicates from it that _collapsed drops from sort
         keys, and both are replaced by their numbers."""
         memo = self._items

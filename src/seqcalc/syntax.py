@@ -181,6 +181,27 @@ def _int_key(n: int) -> str:
     return "\x7f" + chr(0x10FFFF - len(digits)) + digits.translate(_COMPLEMENT)
 
 
+def _holed_keys(prefix: str) -> Callable[[str], tuple[str, tuple[str, ...]]]:
+    """The function from a sort key to (text, holes): holes names the
+    constants named prefix plus digits in the key, by first occurrence, and
+    text is the key with each one's key replaced by a marker of its number.
+    A marker holds "\\0\\2", which _name_key keeps out of every key, and
+    ends as a name does.  No match lands inside another name as long as no
+    other name ends in prefix plus digits."""
+    split = re.compile(re.escape(Const._tag) + "(" + re.escape(prefix) + "[0-9]+)\0\0").split
+
+    def holed(key: str) -> tuple[str, tuple[str, ...]]:
+        parts = split(key)
+        if len(parts) == 1:
+            return key, ()
+        holes: dict[str, int] = {}
+        for i in range(1, len(parts), 2):
+            parts[i] = f"\0\2{holes.setdefault(parts[i], len(holes))}\0\0"
+        return "".join(parts), tuple(holes)
+
+    return holed
+
+
 class _Node:
     """A hash-consed term or formula (see the module docstring)."""
 

@@ -420,7 +420,7 @@ def test_unknown_class_rejected():
 
 def test_restart_class_helper():
     assert restart_class(Q).kind == "og"
-    assert restart_class(Q, uniform=False).kind == "ig"
+    assert str(ProofClass("ig", Q)) == "ig[q]"
     assert str(restart_class(Q)) == "og[q]"
 
 

@@ -300,6 +300,14 @@ def test_corpus_mismatch_fails(tmp_path, capsys):
     assert "FAIL" in out and "0/1 entries match" in out
 
 
+def test_corpus_counts_a_multi_succedent_entry_as_no_under_i_and_o(tmp_path, capsys):
+    f = tmp_path / "c.corpus"
+    f.write_text("excluded-middle ; |- q, q => bot ; C=yes ; I=no ; O=no\n")
+    assert run("corpus", "run", str(f)) == EXIT_PROVED
+    out = capsys.readouterr().out
+    assert "c=yes i=no o=no" in out and "1/1 entries match" in out
+
+
 def test_corpus_parse_error_is_data(tmp_path, capsys):
     f = tmp_path / "c.corpus"
     f.write_text("only two fields ; q |- q\n")

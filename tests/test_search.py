@@ -41,6 +41,7 @@ from seqcalc.search import (
     _OutOfNodes,
     _Search,
     _classically_valid,
+    _reserved_prefix,
     _valuate,
     herbrandize,
     is_quantifier_free_sequent,
@@ -432,11 +433,25 @@ def test_deep_members_are_searched_at_the_default_recursion_limit(chain, logic):
     s = _deep_chain(chain)
     assert isinstance(prove(s, logic), Proved)
     # the search opens the existential with a constant of its own, so the
-    # states after it key the chain by its serialized template
+    # states after it key their members through the hole finder
     s = s.plus(ante=(Exists(Atom("r", (Bound(0),)), "x"),))
     res = prove(s, logic, SearchLimits(node_budget=20_000))
     assert isinstance(res, (Proved, NotProvedWithinLimits)), res
     assert sys.getrecursionlimit() == limit
+
+
+def test_deep_quantifier_free_sequents_are_decided_at_the_default_recursion_limit():
+    # a balanced conjunction of 1,024 atoms on both sides, and a chain of
+    # 2,000 implications: decide expands them on its own stack
+    level = [Atom(f"p{i}") for i in range(1_024)]
+    while len(level) > 1:
+        level = [And(level[i], level[i + 1]) for i in range(0, len(level), 2)]
+    chain = Atom("p")
+    for _ in range(2_000):
+        chain = Imp(Atom("q"), chain)
+    for s in (Sequent(level, level), Sequent((chain, Atom("q")), (Atom("p"),))):
+        res = prove(s, "c")
+        assert isinstance(res, Proved) and check_proof(res.proof, res.proof_class)
 
 
 def _deep_term(leaf=Const("a")) -> App:
@@ -975,6 +990,29 @@ def test_a_made_constant_keeps_clear_of_a_root_symbol_of_its_form():
     assert check_proof(out.proof, out.proof_class)
 
 
+def test_a_root_name_ending_in_a_prefix_and_digits_reserves_the_prefix():
+    # c1's key lies inside acc1's, so the hole finder under c would match
+    # inside a root name
+    assert _reserved_prefix("c", {"acc1"}) != "c"
+    assert _reserved_prefix("c", {"acc1", "c", "c1x"}) == "ccc"
+    assert _reserved_prefix("e", {"e", "ex1"}) == "e"
+
+
+def test_an_item_holes_only_the_made_constants():
+    s = parse_sequent("p(acc1) |- exists x. p(x)")
+    prover = _GroundProver(s, SearchLimits(), uniform=False)
+    made = Const(prover._fresh())
+    acc1 = Const("acc1")
+    root = Atom("p", (acc1,))
+    assert prover._item(root) == (root._key, (), False)
+    text, holes, _ = prover._item(Atom("r", (acc1, made, made)))
+    assert holes == (made.name,) and acc1._key in text and made._key not in text
+    # equal up to the made constant's name, equal text
+    other = Const(prover._fresh())
+    assert prover._item(Atom("r", (acc1, other, other)))[0] == text
+    assert prover._item(Atom("r", (acc1, made, other)))[0] != text
+
+
 def test_deep_terms_unify_and_resolve_at_the_default_recursion_limit():
     deep, pattern = _deep_term(), Meta(0)
     for _ in range(_DEEP):
@@ -1164,6 +1202,23 @@ def test_goal_directed_and_restart_proofs_check(seed):
 #: soundness across engines is checked at this budget; the draws are small,
 #: so each search ends well within it
 _SOUNDNESS_LIMITS = SearchLimits(node_budget=20_000)
+
+
+@settings(max_examples=150)
+@given(st.integers(0, 10**6))
+def test_no_engine_proves_a_horn_draw_that_the_classical_prover_does_not(seed):
+    # o within i within c on first-order states that hold made constants;
+    # c => o is not asserted: depth first, o can spend its budget where c
+    # proves
+    s = random_horn_sequent(random.Random(seed))
+    o_res, i_res, c_res = outs = [prove(s, logic, _SOUNDNESS_LIMITS) for logic in ("o", "i", "c")]
+    if isinstance(o_res, Proved):
+        assert isinstance(i_res, Proved), format_sequent(s)
+    if isinstance(i_res, Proved):
+        assert isinstance(c_res, Proved), format_sequent(s)
+    for res in outs:
+        if isinstance(res, Proved):
+            assert check_proof(res.proof, res.proof_class), format_sequent(s)
 
 
 @settings(max_examples=2_000)

@@ -145,6 +145,16 @@ def test_weaken_succedent_rejected_on_intuitionistic_implication_nodes():
     assert check_proof(w, ProofClass("istar"))
 
 
+@pytest.mark.parametrize("text", ["q | s, q => t, s => t |- t", "|- q | (q => bot)"])
+def test_weaken_succedent_rejected_on_restart_rule_nodes(text):
+    # the first proof has an or-l-restart node, the second a restart node
+    res = prove_restart(parse_sequent(text))
+    assert isinstance(res, Proved)
+    with pytest.raises(TransformError, match="^cannot weaken the succedent of a restart-rule node$"):
+        weaken(res.proof, extra_succ=(T,))
+    assert check_proof(weaken(res.proof, extra_ante=(T,)), res.proof_class)
+
+
 # ---------------------------------------------------------------------------
 # identity proofs
 
