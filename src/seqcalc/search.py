@@ -37,7 +37,16 @@ Three engines share this module:
   object, and a node whose two sides are kept keeps the skeleton's sequent,
   so a grounded proof shares them with the skeleton and sorts no such side
   again.  Quantifier-free inputs take a saturation path that decides the
-  sequent outright, on an explicit stack.
+  sequent outright, on an explicit stack.  Every rule it applies is
+  invertible, so any choice of principal keeps the verdict; it chooses
+  closing first, the selection of branching rules by closure in tableaux
+  (Fitting 1996, ch. 3): a one-premise rule when there is one, else the
+  branching rule with the fewest premises that do not close at once, ranked
+  by the one formula each premise adds, without building any.  A split
+  taken before a rule whose premises close copies the open context into
+  both branches: taking the first rule found, the pigeonhole sequent of 4
+  holes exhausts the default node budget, where closing first proves it in
+  898 nodes.
 
 * The intuitionistic prover searches the contraction-free single-succedent
   calculus on ground sequents: invertible rules apply eagerly, the remaining
@@ -569,6 +578,58 @@ def _invertible_step(s: Sequent) -> tuple[RuleId, str, int, Formula] | None:
     return None
 
 
+#: the two-premise invertible rules, each with whether its first and its
+#: second premise add their one new formula (the principal's left and right
+#: part) on the left
+_BRANCHING = {RuleId.OR_L: (True, True), RuleId.IMP_L_STAR: (False, True), RuleId.AND_R: (False, False)}
+
+
+def _closing_first_step(s: Sequent, strengthened: bool) -> tuple[RuleId, str, int, Formula] | None:
+    """decide's step for s, a sequent that does not close: the first
+    one-premise invertible rule in _invertible_step's order; else the
+    two-premise one with the fewest premises that do not close at once, the
+    first such on ties; None if no member has an invertible rule.
+
+    The candidates are ranked without building their premises.  What a
+    premise keeps of s does not close, so it closes at once exactly when
+    the one formula it adds does: top on the right; bottom on the left over
+    a succedent that is not empty; an atom (under strengthened axioms, any
+    formula) already on the other side, found by sort key as is_axiom finds
+    it; or anything on the right over a bottom already on the left (imp-l*'s
+    first premise, whose conclusion had an empty succedent)."""
+    branching = []
+    for side, members in (("ante", s.ante), ("succ", s.succ)):
+        rules = INVERTIBLE[side]
+        for i, f in enumerate(members):
+            rule = rules.get(type(f))
+            if rule is not None:
+                if rule not in _BRANCHING:
+                    return rule, side, i, f
+                branching.append((rule, side, i, f))
+    if len(branching) < 2:
+        return branching[0] if branching else None
+    has_succ = bool(s.succ)
+    bot_left = _has_bot(s.ante)
+    ante_keys = {f._key for f in s.ante}
+    succ_keys = {f._key for f in s.succ}
+
+    def closes(g: Formula, left: bool) -> bool:
+        if left:
+            return g is BOT and has_succ or (strengthened or type(g) is Atom) and g._key in succ_keys
+        return g is TOP or bot_left or (strengthened or type(g) is Atom) and g._key in ante_keys
+
+    best, most = None, 3
+    for step in branching:
+        f = step[3]
+        first, second = _BRANCHING[step[0]]
+        n = (not closes(f.left, first)) + (not closes(f.right, second))
+        if n < most:
+            if not n:
+                return step
+            best, most = step, n
+    return best
+
+
 # ---------------------------------------------------------------------------
 # classical prover
 
@@ -604,9 +665,11 @@ class _ClassicalProver(_Search):
     def decide(self, root: Sequent) -> Proof | None:
         """Saturation decision: every propositional rule here is invertible,
         so one principal per sequent suffices and a failed leaf refutes.
-        Sequents are expanded in pre-order, first premise first, on an
-        explicit stack, so depth costs no recursion; the proof is built
-        afterwards from the last sequent expanded back to the root."""
+        Which principal is taken cannot change the verdict, only the proof's
+        size, so _closing_first_step takes the one whose premises close
+        soonest.  Sequents are expanded in pre-order, first premise first,
+        on an explicit stack, so depth costs no recursion; the proof is
+        built afterwards from the last sequent expanded back to the root."""
         strengthened = self.limits.strengthened_axioms
         tick = self.tick
         # per sequent expanded: its closing proof, or its step as (rule,
@@ -623,7 +686,7 @@ class _ClassicalProver(_Search):
             elif s.succ and _has_bot(s.ante):
                 push(bottom_closure(s))
             else:
-                step = _invertible_step(s)
+                step = _closing_first_step(s, strengthened)
                 if step is None:
                     return None
                 rule, side, i, f = step

@@ -12,7 +12,9 @@ transforms, and the proof checker with hand-written axiom, restart and
 imp-l cases are earlier implementations of the library's own code, kept so
 that their replacements can be compared with them; the transforms share
 transform's node and inversion helpers, the classical search the rest of
-the prover, and the checker the premise table of every other rule.
+the prover, and the checker the premise table of every other rule.  The
+classical decision's step is chosen again by building every candidate's
+premises and testing them, where the library ranks them unbuilt.
 """
 
 from __future__ import annotations
@@ -833,6 +835,43 @@ def random_horn_sequent(rng: random.Random) -> Sequent:
 
 
 # ---------------------------------------------------------------------------
+# parametric families (Dyckhoff, "Some benchmark formulae for intuitionistic
+# propositional logic", 1997)
+
+
+def _chain(connective, members: list[Formula]) -> Formula:
+    f = members[0]
+    for g in members[1:]:
+        f = connective(f, g)
+    return f
+
+
+def pigeonhole_sequent(n: int) -> Sequent:
+    """PH_n: n+1 pigeons i, each in one of n holes j (atom oixj), so two
+    pigeons share a hole: the antecedent is the conjunction over i of
+    oix0 | ... | oix(n-1), the succedent the disjunction over j and i < k of
+    oixj & okxj."""
+
+    def at(i: int, j: int) -> Atom:
+        return Atom(f"o{i}x{j}")
+
+    pigeons = [_chain(Or, [at(i, j) for j in range(n)]) for i in range(n + 1)]
+    shared = [And(at(i, j), at(k, j)) for j in range(n) for i in range(n + 1) for k in range(i + 1, n + 1)]
+    return Sequent((_chain(And, pigeons),), (_chain(Or, shared),))
+
+
+def de_bruijn_sequent(n: int) -> Sequent:
+    """DB_n: atoms p0 ... p(2n), read cyclically, and C their conjunction;
+    the antecedent is the conjunction over i of ((p_i <=> p_i+1) => C), with
+    <=> spelled as two implications, and the succedent is C."""
+    m = 2 * n + 1
+    p = [Atom(f"p{i}") for i in range(m)]
+    c = _chain(And, p)
+    links = [Imp(And(Imp(p[i], p[(i + 1) % m]), Imp(p[(i + 1) % m], p[i])), c) for i in range(m)]
+    return Sequent((_chain(And, links),), (c,))
+
+
+# ---------------------------------------------------------------------------
 # contraction decoration
 
 
@@ -1342,6 +1381,35 @@ def reference_classical_prover(root: Sequent, limits):
             return build(skel)
 
     return ReferenceClassicalProver(root, limits)
+
+
+# ---------------------------------------------------------------------------
+# the quantifier-free decision's step, chosen by building every premise
+
+
+def _closes(s: Sequent, strengthened: bool) -> bool:
+    """s is an axiom, or has bottom on the left and a succedent."""
+    return is_axiom(s, strengthened) or bool(s.succ) and any(isinstance(f, Bot) for f in s.ante)
+
+
+def reference_closing_first_step(s: Sequent, strengthened: bool):
+    """The step the classical decision takes on s, as (rule, side, index,
+    principal), or None: the first one-premise invertible rule, antecedent
+    first; else the two-premise one whose premises, built by
+    reference_premises, leave the fewest that do not close, the first such on
+    ties."""
+    candidates = []
+    for side, members in (("ante", s.ante), ("succ", s.succ)):
+        for i, f in enumerate(members):
+            rule = INVERTIBLE[side].get(type(f))
+            if rule is not None:
+                candidates.append(((rule, side, i, f), reference_premises(rule, s, i, f)))
+    for step, prems in candidates:
+        if len(prems) == 1:
+            return step
+    if not candidates:
+        return None
+    return min(candidates, key=lambda c: sum(not _closes(p, strengthened) for p in c[1]))[0]
 
 
 # ---------------------------------------------------------------------------

@@ -24,11 +24,11 @@ def axiom(text: str) -> Proof:
 #: change that alters any proof the searches, the transforms, weakening or
 #: eta expansion emit, or any document load_proof reads back, changes them
 PINNED = [
-    "all 375 16497d666eba7cdf21d87c67e7e7a6588e25a1714f656d1f757735c16f47950e",
-    "transforms 310 d9174ad33635a86da84155e5b09d9e8d2fd0f75849eceaf93c878790f8787f35",
+    "all 375 2fea99a05403f9d0328301a8c69e00a03ff458b0b7ee22153f9bcf83de9d344a",
+    "transforms 310 d61566283aa7cc6b7715bebbe4ed3e87d03d8c4439b69e9e0d6ea8b8045a6b64",
     "weaken 170 0f644da6f48518164fa76d8a5d44dc49f3bbfb5d36ffee0bf5bee5af97fa8e53",
-    "eta 223 18fccd95621343f0c335fcd34aac10f804a7aec11a02becd043151ba54804606",
-    "roundtrip 239 a03648d1f5c8617f9949a2e32e316420eaaeb59fe561db9e7211497b45303e65",
+    "eta 223 6842b617da9905e778af862af2900b5ccafca0311a535ea341a4b26292c7db49",
+    "roundtrip 239 9d66699f698b13102638bce110247e673a3bd76d314ff7d733ad0699c41f8a5e",
 ]
 
 

@@ -76,6 +76,8 @@ from seqcalc.transform import augment, expand_starred, weaken
 
 from _oracles import (
     PROP_LEAVES,
+    de_bruijn_sequent,
+    pigeonhole_sequent,
     random_fragment_sequent,
     random_goal_sequent,
     random_horn_sequent,
@@ -83,6 +85,7 @@ from _oracles import (
     random_quantified_sequent,
     reference_attainable,
     reference_classical_prover,
+    reference_closing_first_step,
     reference_ground_prover,
     reference_herbrandize,
     reference_live_metas,
@@ -92,6 +95,7 @@ from _oracles import (
 
 # the benchmark's own G4ip decider, which shares no code with the package
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+from formulas import random_prop_sequent, show_sequent  # noqa: E402
 from oracles import G4ip  # noqa: E402
 
 _FRAGMENTS = ("f1", "f2", "f3", "f4", "lp-int", "lp-cls")
@@ -796,6 +800,120 @@ def test_unbound_follows_chains_of_bindings():
     assert subst.unbound({0}) == {2} == metas_in(subst.resolve_term(x[0]))
     assert subst.unbound({0, 1, 2, 3}) == {2}
     assert subst.unbound({3}) == set() and subst.unbound(()) == set()
+
+
+# ---------------------------------------------------------------------------
+# the classical decision's closing-first step
+
+
+@pytest.mark.parametrize(
+    "family,n", [(pigeonhole_sequent, 3), (pigeonhole_sequent, 4)] + [(de_bruijn_sequent, n) for n in range(2, 6)]
+)
+def test_c_proves_the_pigeonhole_and_de_bruijn_families_at_default_limits(family, n):
+    # PH4 has 20 atoms, more than the root valuation takes, so only the
+    # search settles it
+    out = prove(family(n), "c")
+    assert isinstance(out, Proved)
+    assert check_proof(out.proof, out.proof_class)
+
+
+@pytest.mark.parametrize(
+    "strengthened,text,principal",
+    [
+        # a one-premise rule, wherever it is, before any branching one
+        (False, "q | s |- p => t", "p => t"),
+        # top on the right
+        (False, "q | s, r => t |- top & p", "top & p"),
+        # bottom on the left over a succedent
+        (False, "q | s, t | bot |- p", "t | bot"),
+        # an atom already on the other side, either way
+        (False, "q | s, t | r |- r", "t | r"),
+        (False, "q | s, r => t, r |- p", "r => t"),
+        # a succedent over a bottom already on the left
+        (False, "q | s, r => t, bot |-", "r => t"),
+        # a compound formula already on the other side, under strengthened
+        # axioms only
+        (True, "q | s, r => q & s |- q & s", "r => q & s"),
+        (False, "q | s, r => q & s |- q & s", "q | s"),
+        (True, "q | s, p | t |- (p | t) & r", "(p | t) & r"),
+        (False, "q | s, p | t |- (p | t) & r", "p | t"),
+        # a tie goes to the first candidate
+        (False, "q | s, t | r |- p", "q | s"),
+    ],
+)
+def test_decide_takes_the_step_whose_premises_close_first(strengthened, text, principal):
+    s = parse_sequent(text)
+    step = search._closing_first_step(s, strengthened)
+    assert format_formula(step[3]) == principal
+    assert step == reference_closing_first_step(s, strengthened)
+
+
+#: leaves enough for draws with more atoms than the root valuation takes
+_MANY_ATOMS = tuple(Atom(f"p{i}") for i in range(16)) + (Top(), Bot())
+
+
+def _atoms(s: Sequent) -> set[Atom]:
+    todo, atoms = list(s.ante + s.succ), set()
+    while todo:
+        f = todo.pop()
+        if isinstance(f, Atom):
+            atoms.add(f)
+        elif isinstance(f, (And, Or, Imp)):
+            todo += (f.left, f.right)
+    return atoms
+
+
+def _decide_draws() -> list[Sequent]:
+    """2,000 of the benchmark's quantifier-free draws; 1,000 of the tests'
+    own, whose compound subformulas may repeat, every third with its
+    succedent dropped; then 40 draws with 13 to 16 atoms."""
+    rng = random.Random(35)
+    draws = [parse_sequent(show_sequent(*random_prop_sequent(rng, 0.4))) for _ in range(2_000)]
+    for k in range(1_000):
+        s = random_propositional_sequent(rng, 8)
+        draws.append(Sequent(s.ante, ()) if k % 3 == 0 else s)
+    rng = random.Random(12)
+    while len(draws) < 3_040:
+        s = random_propositional_sequent(rng, 24, _MANY_ATOMS)
+        if len(_atoms(s)) > 12:
+            draws.append(s)
+    return draws
+
+
+@pytest.mark.parametrize("strengthened", [False, True])
+def test_decide_takes_the_step_that_building_every_premise_ranks_first(strengthened):
+    limits = SearchLimits(strengthened_axioms=strengthened)
+    cheap = search._closing_first_step
+    steps = []
+
+    def checked(s, strong):
+        step = cheap(s, strong)
+        assert strong is strengthened
+        assert step == reference_closing_first_step(s, strong), format_sequent(s)
+        steps.append(step)
+        return step
+
+    with mock.patch.object(search, "_closing_first_step", checked):
+        for s in _decide_draws():
+            _ClassicalProver(s, limits).decide(s)
+    # the draws reach every rule decide takes, and sequents it cannot expand
+    assert {None, RuleId.AND_L_STAR, RuleId.OR_L, RuleId.IMP_L_STAR, RuleId.AND_R} <= {
+        step and step[0] for step in steps
+    }
+
+
+def test_decide_alone_refutes_exactly_the_truth_table_invalid_draws_with_a_succedent():
+    verdicts = []
+    for s in _decide_draws():
+        # straight to the decision, past the root valuation
+        proof = _ClassicalProver(s, SearchLimits()).decide(s)
+        # bottom closes only by bot-r on a succedent member, so a sequent
+        # with no succedent keeps an open branch
+        assert (proof is not None) is (bool(s.succ) and truth_table_valid(s)), format_sequent(s)
+        if proof is not None:
+            assert proof.conclusion == s and check_proof(proof, CLASSICAL_STAR)
+        verdicts.append((len(_atoms(s)) > 12, proof is not None))
+    assert {(True, True), (True, False), (False, True), (False, False)} <= set(verdicts)
 
 
 # ---------------------------------------------------------------------------
