@@ -19,7 +19,11 @@ tree's best and median time, the ratio change/base of the medians and of
 the bests, and the rounds the change won (a tie is not a win).  It also
 prints, per list, how many operation results had a different kind (their
 type names, into tuples) in the two trees, added up over all rounds: 0 when
-both trees compute alike in every round.
+both trees compute alike in every round.  Below a list with differences
+it prints each pair of kinds, base -> change, with its count, most
+frequent first, so a change's intended differences read apart from
+faults; an operation list longer on one side counts its extra results
+in the total only.
 
 perfbench is read, never changed.
 """
@@ -32,6 +36,7 @@ import importlib.util
 import statistics
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -101,12 +106,14 @@ def timed(ops: list) -> tuple[float, list]:
 
 
 def alternate(sides: dict[str, dict[str, list]], rounds: int) -> dict[str, dict]:
-    """Per list: each side's times over the rounds, and the operations whose
-    result kinds differ between the sides, added up over the rounds."""
+    """Per list: each side's times over the rounds, the operations whose
+    result kinds differ between the sides, added up over the rounds, and
+    those operations counted by pair of kinds (first side's, second's)."""
     names = list(sides)
     lists = list(sides[names[0]])
     times = {name: {side: [] for side in names} for name in lists}
     differ = dict.fromkeys(lists, 0)
+    pairs = {name: Counter() for name in lists}
     for r in range(rounds):
         order = names if r % 2 == 0 else names[::-1]
         for name in lists:
@@ -116,7 +123,8 @@ def alternate(sides: dict[str, dict[str, list]], rounds: int) -> dict[str, dict]
                 times[name][side].append(t)
             a, b = (kinds[side] for side in names)
             differ[name] += sum(x != y for x, y in zip(a, b)) + abs(len(a) - len(b))
-    return {name: {"times": times[name], "differ": differ[name]} for name in lists}
+            pairs[name].update((x, y) for x, y in zip(a, b) if x != y)
+    return {name: {"times": times[name], "differ": differ[name], "pairs": pairs[name]} for name in lists}
 
 
 def report(results: dict[str, dict]) -> list[str]:
@@ -130,6 +138,7 @@ def report(results: dict[str, dict]) -> list[str]:
             f"median {mc:.4f} s | ratio median {mc / mb:.3f} best {min(change) / min(base):.3f} | "
             f"change won {wins}/{len(base)} | outcomes differ on {res['differ']}"
         )
+        lines += [f"  {a} -> {b}: {n}" for (a, b), n in res["pairs"].most_common()]
     return lines
 
 

@@ -108,21 +108,27 @@ depth and the instantiation tallies it had.  No argument here carries
 that to a smaller antecedent, so the exact cache keyed by the state, its
 tallies and its depth stays.
 
-Before any engine is built, `prove` and `prove_restart` valuate a
-quantifier-free root classically.  Each distinct atom gets a fixed bit
-pattern over all 2**n valuations of the n atoms, each formula is one int
-built by `&`, `|` and complement in one post-order walk on an explicit
-stack, and the sequent is valid iff AND(ante) & ~OR(succ) == 0.  Uniform
-provability implies intuitionistic and that classical provability, so a
-falsifying valuation settles every relation at once: c and i return
-Refuted, o and restart NotProvedWithinLimits, and no node is spent, so c
-and i refute such a root even with no node budget.  A root with a
-quantifier or with more than 12 distinct atoms is searched as before, and
-so is every valid root, so no proof changes.  Only the root is valuated:
-pruning every classically invalid state of the i and o searches made
-their searches of valid sequents about a fifth slower.  The last verdict
-is kept in one module slot, keyed by the members' sort keys and replaced
-as a whole tuple, so c, i, o and restart asked in turn about one sequent
+Before any engine is built, `prove` and `prove_restart` valuate the root
+classically.  Each distinct atom gets a fixed bit pattern over all 2**n
+valuations of the n atoms, each formula is one int built by `&`, `|` and
+complement in one post-order walk on an explicit stack, and the sequent
+is valid iff AND(ante) & ~OR(succ) == 0.  A first-order root is valuated
+through its Herbrand expansion: Herbrandized, and, when no function
+symbol is left, each remaining (weak) quantifier replaced by the
+conjunction or disjunction of its instances over the finite set of
+constants, which by Herbrand's theorem is valid exactly when the root is
+(the Bernays-Schoenfinkel class).  Uniform provability implies
+intuitionistic and that classical provability, so a falsifying valuation
+settles every relation at once: c and i return Refuted, o and restart
+NotProvedWithinLimits, and no node is spent, so c and i refute such a
+root even with no node budget.  A root past a bound (more than 12
+distinct ground atoms, a function symbol after Herbrandization, or more
+than 1,024 quantifier instances) is searched as before, and so is every
+valid root, so no proof changes.  Only the root is valuated: pruning
+every classically invalid state of the i and o searches made their
+searches of valid sequents about a fifth slower.  The last verdict is
+kept in one module slot, keyed by the members' sort keys and replaced as
+a whole tuple, so c, i, o and restart asked in turn about one sequent
 valuate it once; the slot holds no formula and cannot grow.
 
 Both engines extend one search context, `_Search`: the root, the limits,
@@ -174,6 +180,7 @@ from .syntax import (
     App,
     Atom,
     Bot,
+    Bound,
     Const,
     Exists,
     Forall,
@@ -185,6 +192,7 @@ from .syntax import (
     Term,
     Top,
     Var,
+    _TERM_TYPES,
     _holed_keys,
     _stored,
     _walk,
@@ -407,7 +415,8 @@ def herbrandize(s: Sequent) -> Sequent:
     """
     taken = _symbols_everywhere(s)
     fns = (name for name in map("h{}".format, count()) if name not in taken)
-    weak_vars = map("_w{}".format, count())
+    # named apart from s's free variables, which binding them would capture
+    weak_vars = (name for name in map("_w{}".format, count()) if name not in taken)
     # visits (formula, polarity, weak variables) and, below the visits of a
     # binary connective's or weak quantifier's parts, its rebuild (formula,
     # None, weak variable or None): left parts first, as a recursion takes them
@@ -1557,7 +1566,7 @@ class _GroundProver(_Search):
 
 
 # ---------------------------------------------------------------------------
-# classical valuation of quantifier-free sequents
+# classical valuation of roots
 
 
 def _atom_patterns(n: int) -> tuple[int, ...]:
@@ -1573,26 +1582,31 @@ def _atom_patterns(n: int) -> tuple[int, ...]:
 _PATTERNS = (_atom_patterns(5), _atom_patterns(12))
 
 
-#: the last quantifier-free verdict, (members' sort keys, verdict), replaced
-#: as one tuple, so a reader always gets a key with its own verdict
+#: the last root verdict, (members' sort keys, verdict), replaced as one
+#: tuple, so a reader always gets a key with its own verdict
 _LAST_VERDICT: tuple = ((), None)
 
 
 def _classically_valid(s: Sequent) -> bool | None:
-    """Whether the quantifier-free sequent s holds under every valuation of
-    its atoms; None if s has a quantifier or more than 12 distinct atoms.
+    """Whether the sequent s is classically valid; None when s is past the
+    bounds below.
 
-    The last verdict is kept by the members' sort keys, which determine a
-    quantifier-free member, so asking c, i, o and restart about one sequent
-    valuates it once."""
+    A quantifier-free s is valuated (_valuate): None past 12 distinct
+    atoms.  A first-order s is valuated through its Herbrand expansion
+    (_herbrand_expansion): None when its Herbrandization keeps a function
+    symbol, a free variable or a metavariable, past the expansion's
+    instance cap, or past 12 distinct ground atoms.  The last verdict is
+    kept by the members' sort keys, which determine each member up to the
+    names of its bound variables, on which validity does not depend, so
+    asking c, i, o and restart about one sequent valuates it once."""
     global _LAST_VERDICT
-    if not is_quantifier_free_sequent(s):
-        return None
+    qf = is_quantifier_free_sequent(s)
     key = _members_key(s)
     last = _LAST_VERDICT
     if last[0] == key:
         return last[1]
-    verdict = _valuate(s)
+    ground = s if qf else _herbrand_expansion(s)
+    verdict = None if ground is None else _valuate(ground)
     _LAST_VERDICT = (key, verdict)
     return verdict
 
@@ -1640,6 +1654,86 @@ def _valuate(s: Sequent) -> bool | None:
     return None
 
 
+#: the most quantifier instances one Herbrand expansion builds
+_INSTANCE_CAP = 1_024
+
+
+def _herbrand_expansion(s: Sequent) -> Sequent | None:
+    """A quantifier-free sequent that is classically valid exactly when s
+    is; None when s's Herbrandization keeps a function symbol, a free
+    variable or a metavariable, or when more than _INSTANCE_CAP quantifier
+    instances would be built.
+
+    herbrandize preserves classical validity, and its result h holds only
+    weak quantifiers: universal on the left, existential on the right.
+    With no function symbol in h, h's Herbrand universe is the finite set U
+    of its constants (one fresh constant when it has none), so by
+    Herbrand's theorem h is valid exactly when the sequent is valid in
+    which each quantifier is replaced by the conjunction (universal) or the
+    disjunction (existential) of its instances over U, in sort order.  A
+    falsifying valuation of that expansion is a countermodel of s with
+    domain U.  Uniform provability implies intuitionistic provability, and
+    that classical provability, so the verdict settles every relation, as
+    the valuation of a quantifier-free root does.
+
+    The expansion is built bottom up on an explicit stack, each subformula
+    once per assignment of constants to the loose bound variables it
+    mentions, innermost first; a closed quantifier-free subformula is its
+    own expansion."""
+    h = herbrandize(s)
+    constants = set()
+    for t in _walk(h, _TERM_TYPES):
+        if type(t) is Const:
+            constants.add(t)
+        elif type(t) is not Bound:
+            return None
+    # h has no constant then, so any name is fresh
+    universe = sorted(constants, key=_KEY) or [Const("c")]
+    left = _INSTANCE_CAP
+    # (id of a subformula of h, the constants its loose bound variables
+    # stand for) -> its expansion
+    done: dict[tuple, Formula] = {}
+    stack = [(f, ()) for f in (*h.ante, *h.succ)]
+    while stack:
+        f, env = stack.pop()
+        key = (id(f), env[: f._lbr])
+        if key in done:
+            continue
+        k = type(f)
+        if f._qf and not f._lbr:
+            g = f
+        elif k is Atom:
+            g = Atom(f.pred, [a if type(a) is Const else env[a.index] for a in f.args])
+        elif k is Forall or k is Exists:
+            body = f.body
+            # a vacuous quantifier has one instance
+            instances = [(c,) + env for c in (universe if body._lbr else universe[:1])]
+            parts = [done.get((id(body), e[: body._lbr])) for e in instances]
+            missing = [(body, e) for e, part in zip(instances, parts) if part is None]
+            if missing:
+                left -= len(missing)
+                if left < 0:
+                    return None
+                stack.append((f, env))
+                stack += missing
+                continue
+            g = parts.pop()
+            join = And if k is Forall else Or
+            while parts:
+                g = join(parts.pop(), g)
+        else:
+            a = done.get((id(f.left), env[: f.left._lbr]))
+            b = done.get((id(f.right), env[: f.right._lbr]))
+            if a is None or b is None:
+                stack += ((f, env), (f.right, env), (f.left, env))
+                continue
+            g = k(a, b)
+        done[key] = g
+    n = len(h.ante)
+    members = [done[(id(f), ())] for f in (*h.ante, *h.succ)]
+    return Sequent(members[:n], members[n:])
+
+
 # ---------------------------------------------------------------------------
 # entry points
 
@@ -1648,12 +1742,14 @@ def prove(s: Sequent, logic: str = "c", limits: SearchLimits | None = None) -> S
     """Search for a proof of s in the given logic: c, i, or o.
 
     Classical outcomes for quantifier-free sequents are definitive (Proved or
-    Refuted); quantified sequents may come back NotProvedWithinLimits.  The
-    i logic decides quantifier-free sequents too.  The o (goal-directed)
-    logic never refutes.
+    Refuted), and so are those for first-order sequents that are
+    function-free once Herbrandized, within the bounds of
+    _classically_valid; other quantified sequents may come back
+    NotProvedWithinLimits.  The i logic decides quantifier-free sequents
+    too.  The o (goal-directed) logic never refutes.
 
-    A quantifier-free s with at most 12 distinct atoms is first valuated
-    classically (see _classically_valid), or its verdict read back when the
+    s is first valuated classically, a first-order s through its Herbrand
+    expansion (see _classically_valid), or its verdict read back when the
     previous call valuated an equal sequent.  A falsifying valuation settles
     every logic without a search and spends no nodes: uniform provability
     implies intuitionistic and that classical provability, so c and i
@@ -1676,8 +1772,9 @@ def prove(s: Sequent, logic: str = "c", limits: SearchLimits | None = None) -> S
 def prove_restart(s: Sequent, limits: SearchLimits | None = None) -> SearchOutcome:
     """Goal-directed search with restart: the succedent formula is the restart goal.
 
-    A quantifier-free s that a valuation falsifies (as in prove) returns
-    NotProvedWithinLimits without a search: restart proofs are classical."""
+    An s that a valuation falsifies (as in prove), quantifier-free or
+    through its Herbrand expansion, returns NotProvedWithinLimits without a
+    search: restart proofs are classical."""
     if len(s.succ) != 1:
         raise ValueError(f"restart search needs exactly one succedent formula, got {s}")
     if _classically_valid(s) is False:

@@ -485,25 +485,89 @@ def _eval(f: Formula, env: dict) -> bool:
     raise ValueError(f"cannot evaluate {f!r}")
 
 
-def truth_table_valid(s: Sequent) -> bool:
-    """Classical validity of a quantifier-free sequent, by enumeration.
+def falsifying_valuation(s: Sequent) -> dict | None:
+    """The first valuation, in enumeration order, that makes every
+    antecedent member of the quantifier-free sequent s true and every
+    succedent member false; None when s is classically valid.
 
     Ground atoms are propositional variables keyed by predicate and
     argument tuple.
     """
     atoms = sorted(
-        {
-            (g.pred, g.args)
-            for member in s.ante + s.succ
-            for g in _subformulas(member)
-            if isinstance(g, Atom)
-        }
+        {g for member in s.ante + s.succ for g in _subformulas(member) if isinstance(g, Atom)},
+        key=formula_key,
     )
     for bits in itertools.product((False, True), repeat=len(atoms)):
-        env = dict(zip(atoms, bits))
+        env = {(g.pred, g.args): bit for g, bit in zip(atoms, bits)}
         if all(_eval(f, env) for f in s.ante) and not any(_eval(f, env) for f in s.succ):
-            return False
-    return True
+            return env
+    return None
+
+
+def truth_table_valid(s: Sequent) -> bool:
+    """Classical validity of a quantifier-free sequent, by enumeration."""
+    return falsifying_valuation(s) is None
+
+
+# ---------------------------------------------------------------------------
+# finite structures
+
+
+def _holds(f: Formula, domain: list[Const], true_atoms: set, env: tuple) -> bool:
+    """f's truth in the structure whose elements are the constants in
+    domain, each naming itself, and in which an atom holds exactly when
+    (predicate, argument tuple) is in true_atoms; env[i] is the element
+    that the bound variable of index i stands for."""
+    if isinstance(f, Atom):
+        args = []
+        for t in f.args:
+            if isinstance(t, Bound):
+                args.append(env[t.index])
+            elif isinstance(t, Const):
+                args.append(t)
+            else:
+                raise ValueError(f"a finite structure names no term {t!r}")
+        return (f.pred, tuple(args)) in true_atoms
+    if isinstance(f, Top):
+        return True
+    if isinstance(f, Bot):
+        return False
+    if isinstance(f, And):
+        return _holds(f.left, domain, true_atoms, env) and _holds(f.right, domain, true_atoms, env)
+    if isinstance(f, Or):
+        return _holds(f.left, domain, true_atoms, env) or _holds(f.right, domain, true_atoms, env)
+    if isinstance(f, Imp):
+        return not _holds(f.left, domain, true_atoms, env) or _holds(f.right, domain, true_atoms, env)
+    instances = (_holds(f.body, domain, true_atoms, (d,) + env) for d in domain)
+    return all(instances) if isinstance(f, Forall) else any(instances)
+
+
+def _constants(s: Sequent) -> set[Const]:
+    """The constants that are arguments of s's atoms."""
+    members = s.ante + s.succ
+    return {t for f in members for g in _walk_all(f) if isinstance(g, Atom) for t in g.args if isinstance(t, Const)}
+
+
+def expansion_countermodel(s: Sequent, ground: Sequent) -> tuple[list[Const], set] | None:
+    """A finite countermodel of the first-order sequent s, read off ground,
+    a quantifier-free sequent over the same predicates (the library's
+    Herbrand expansion of s): the structure whose elements are the
+    constants of s and of ground (one element when there are none), in
+    which the atoms that ground's first falsifying valuation makes true
+    hold.  It is returned as (elements, true atoms) when s is false in it,
+    every antecedent member true and every succedent member false, as the
+    evaluator above reads s itself, quantifiers included; None when ground
+    is valid or the structure does not falsify s."""
+    valuation = falsifying_valuation(ground)
+    if valuation is None:
+        return None
+    domain = sorted(_constants(s) | _constants(ground), key=lambda c: c.name) or [Const("e")]
+    true_atoms = {atom for atom, bit in valuation.items() if bit}
+    if all(_holds(f, domain, true_atoms, ()) for f in s.ante) and not any(
+        _holds(f, domain, true_atoms, ()) for f in s.succ
+    ):
+        return domain, true_atoms
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ against itself."""
 
 import importlib.util
 import sys
+from collections import Counter
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -47,5 +48,17 @@ def test_outcomes_that_differ_in_any_round_are_counted(alternate):
         return "first" if len(calls) == 1 else 0
 
     sides = {"base": {"l": [SimpleNamespace(run=lambda: 0)]}, "change": {"l": [SimpleNamespace(run=flaky)]}}
-    assert alternate.alternate(sides, 3)["l"]["differ"] == 1
+    results = alternate.alternate(sides, 3)
+    assert results["l"]["differ"] == 1
     assert alternate.kind((1, ("a", None))) == ("int", ("str", "NoneType"))
+    # each differing pair of kinds is printed below its list, base first
+    assert results["l"]["pairs"] == {("int", "str"): 1}
+    assert alternate.report(results)[1:] == ["  int -> str: 1"]
+
+
+def test_differing_pairs_are_printed_most_frequent_first(alternate):
+    pairs = Counter({("a", "b"): 1, (("S", "c"), ("S", "d")): 2})
+    results = {"l": {"times": {"base": [1.0], "change": [0.5]}, "differ": 3, "pairs": pairs}}
+    lines = alternate.report(results)
+    assert lines[0].endswith("outcomes differ on 3")
+    assert lines[1:] == ["  ('S', 'c') -> ('S', 'd'): 2", "  a -> b: 1"]

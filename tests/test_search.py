@@ -41,6 +41,7 @@ from seqcalc.search import (
     _OutOfNodes,
     _Search,
     _classically_valid,
+    _herbrand_expansion,
     _reserved_prefix,
     _valuate,
     herbrandize,
@@ -64,6 +65,7 @@ from seqcalc.syntax import (
     Or,
     Sequent,
     Top,
+    Var,
     _MEMO_CAP,
     format_formula,
     format_sequent,
@@ -77,6 +79,7 @@ from seqcalc.transform import augment, expand_starred, weaken
 from _oracles import (
     PROP_LEAVES,
     de_bruijn_sequent,
+    expansion_countermodel,
     pigeonhole_sequent,
     random_fragment_sequent,
     random_goal_sequent,
@@ -154,11 +157,22 @@ def test_propositional_negatives_are_refuted_not_timed_out():
         assert isinstance(prove(parse_sequent(text), logic), Refuted), (text, logic)
 
 
+#: classically invalid, and its Herbrandization keeps a function symbol
+#: (the witness for y under forall x), so no valuation settles it
+FUNCTION_ROOT = "forall x. exists y. r(x, y) |- exists y. forall x. r(x, y)"
+
+
 def test_quantified_negatives_only_time_out():
-    res = prove(parse_sequent("|- exists x. p(x)"), "c")
-    assert isinstance(res, NotProvedWithinLimits)
-    res = prove(parse_sequent("|- forall x. exists y. r(y, x)"), "i")
-    assert isinstance(res, NotProvedWithinLimits)
+    # a function-free quantified negative is refuted by its Herbrand
+    # expansion; only one whose Herbrandization keeps a function symbol is
+    # searched, and runs out
+    assert isinstance(prove(parse_sequent("|- exists x. p(x)"), "c"), Refuted)
+    assert isinstance(prove(parse_sequent("|- forall x. exists y. r(y, x)"), "i"), Refuted)
+    s = parse_sequent(FUNCTION_ROOT)
+    assert _classically_valid(s) is None
+    for logic in "cio":
+        assert isinstance(prove(s, logic), NotProvedWithinLimits), logic
+    assert isinstance(prove_restart(s), NotProvedWithinLimits)
 
 
 def test_goal_directed_mode_never_refutes():
@@ -1180,6 +1194,15 @@ def test_herbrandize_leaves_weak_only_sequents_alone():
     assert herbrandize(s) == s
 
 
+def test_herbrandize_binds_no_free_variable_of_the_sequent():
+    # the weak quantifier's variable is named apart from Var("_w0"), so
+    # that stays free, and the root is not valuated
+    free = Atom("r", (Bound(0), Var("_w0")))
+    s = Sequent((Forall(free, "x"),), (parse_formula("r(a, a)"),))
+    assert herbrandize(s) == s
+    assert _classically_valid(s) is None
+
+
 def test_herbrandize_handles_antecedent_strong_quantifiers():
     s = herbrandize(parse_sequent("exists x. p(x) |- q"))
     (f,) = s.ante
@@ -1713,11 +1736,13 @@ def test_a_different_sequent_is_valuated_anew():
     texts = ["p |- q", "q |- p", "p, p |- q", "p |- q", "p |- p"]
     with _counted_valuations() as valuate:
         verdicts = [_classically_valid(parse_sequent(t)) for t in texts]
-        # a quantified sequent is not valuated and leaves the slot as it was
-        assert _classically_valid(parse_sequent("forall x. r(x) |- r(a)")) is None
+        # a root whose Herbrandization keeps a function symbol is not
+        # valuated; its verdict, None, takes the slot
+        assert _classically_valid(parse_sequent(FUNCTION_ROOT)) is None
+        assert valuate.call_count == len(texts)
         assert _classically_valid(parse_sequent("p |- p")) is True
     assert verdicts == [False, False, False, False, True]
-    assert valuate.call_count == len(texts)
+    assert valuate.call_count == len(texts) + 1
 
 
 def test_threads_deciding_interleaved_sequents_get_the_truth_table_verdicts():
@@ -1757,3 +1782,189 @@ def test_concurrent_valuations_give_the_single_thread_outcomes():
     finally:
         sys.setswitchinterval(interval)
     assert got == expected
+
+
+# ---------------------------------------------------------------------------
+# classical valuation of function-free first-order roots
+
+#: classically invalid first-order sequents (C=no): ROADMAP item 12's two
+#: repros, then quantifier shifts and instances that do not follow
+_FIRST_ORDER_INVALID = [
+    "p(a) |- forall x. p(x)",
+    "exists x. p(x) |- p(a)",
+    "exists x. p(x) |- forall x. p(x)",
+    "forall x. (p(x) | q(x)) |- (forall x. p(x)) | (forall x. q(x))",
+    "(exists x. p(x)) & (exists x. q(x)) |- exists x. p(x) & q(x)",
+    "forall x. (p(x) => q(x)), q(a) |- p(a)",
+    "forall x. forall y. (r(x, y) => r(y, x)) |- r(a, b)",
+    "exists y. forall x. r(x, y) |- forall x. r(x, x)",
+    # two weak quantifiers in one nest: each instance binds its own variable
+    "forall x. ((exists y. r(x, y)) => p(x)), r(a, b) |- p(b)",
+]
+
+
+@contextmanager
+def _no_search():
+    """Any engine built fails the test."""
+    searched = AssertionError("an engine was built")
+    with mock.patch.object(search, "_ClassicalProver", side_effect=searched):
+        with mock.patch.object(search, "_GroundProver", side_effect=searched):
+            yield
+
+
+@pytest.mark.parametrize("text", _FIRST_ORDER_INVALID)
+def test_first_order_countermodels_settle_every_relation_without_a_search(text):
+    s = parse_sequent(text)
+    assert expansion_countermodel(s, _herbrand_expansion(s)) is not None
+    none = SearchLimits(node_budget=0)
+    with _no_search():
+        assert [type(prove(s, logic, none)) for logic in "cio"] == [Refuted, Refuted, NotProvedWithinLimits]
+        assert isinstance(prove_restart(s, none), NotProvedWithinLimits)
+
+
+@pytest.mark.parametrize(
+    "text, verdict",
+    [
+        ("forall x. p(x) |- p(a)", True),
+        ("exists y. forall x. r(x, y) |- forall x. exists y. r(x, y)", True),
+        ("forall x. (p(x) => q(x)), exists x. p(x) |- exists x. q(x)", True),
+        ("forall x. ((exists y. r(x, y)) => p(x)), r(a, b) |- p(a)", True),
+        # the drinker: the witness of forall y under exists x is a function
+        ("|- exists x. (p(x) => forall y. p(y))", None),
+    ],
+)
+def test_valid_first_order_roots_are_searched_as_before(text, verdict):
+    s = parse_sequent(text)
+    assert _classically_valid(s) is verdict
+    engine = _ClassicalProver(s, SearchLimits()).run()
+    assert isinstance(engine, Proved)
+    assert _signature(prove(s, "c")) == _signature(engine)
+
+
+def test_c_i_o_and_restart_on_one_first_order_root_expand_it_once():
+    s = parse_sequent("p(a) |- forall x. p(x)")
+    with mock.patch("seqcalc.search._LAST_VERDICT", ((), None)):
+        with mock.patch("seqcalc.search._herbrand_expansion", wraps=_herbrand_expansion) as expand:
+            outcomes = [type(prove(s, logic)) for logic in "cio"] + [type(prove_restart(s))]
+    assert expand.call_count == 1
+    assert outcomes == [Refuted, Refuted, NotProvedWithinLimits, NotProvedWithinLimits]
+
+
+def _function_free_draw(kind: str, seed: int) -> Sequent:
+    """A fragment draw (the tests' mixed leaves, over p(x) and p(a)) or a
+    Horn draw; neither has a function symbol."""
+    return random_horn_sequent(random.Random(seed)) if kind == "horn" else _fragment_draw(kind, seed)
+
+
+_DRAW_KINDS = _FRAGMENTS + ("horn",)
+
+
+@settings(max_examples=500)
+@given(st.sampled_from(_DRAW_KINDS), st.integers(0, 10**6))
+def test_every_refutation_of_a_function_free_draw_has_a_finite_countermodel(kind, seed):
+    # the countermodel is read off the expansion's first falsifying
+    # valuation and checked on the draw itself by an evaluator that does
+    # not Herbrandize
+    s = _function_free_draw(kind, seed)
+    refuted = [logic for logic in "ci" if isinstance(prove(s, logic, _SOUNDNESS_LIMITS), Refuted)]
+    assert bool(refuted) == (_classically_valid(s) is False), format_sequent(s)
+    if refuted:
+        assert expansion_countermodel(s, _herbrand_expansion(s)) is not None, format_sequent(s)
+
+
+@settings(max_examples=300)
+@given(st.sampled_from(_DRAW_KINDS), st.integers(0, 10**6))
+def test_no_function_free_root_the_classical_prover_proves_is_refuted(kind, seed):
+    s = _function_free_draw(kind, seed)
+    if isinstance(_ClassicalProver(s, _SOUNDNESS_LIMITS).run(), Proved):
+        assert _classically_valid(s) is not False, format_sequent(s)
+
+
+@settings(max_examples=300)
+@given(st.sampled_from(_DRAW_KINDS), st.integers(0, 10**6))
+def test_no_goal_directed_or_intuitionistic_proof_meets_a_classical_refutation(kind, seed):
+    # the engines run directly, past the root valuation
+    s = _function_free_draw(kind, seed)
+    if not isinstance(prove(s, "c"), Refuted):
+        return
+    for uniform in (False, True):
+        assert not isinstance(_GroundProver(s, _SOUNDNESS_LIMITS, uniform=uniform).run(), Proved), format_sequent(s)
+
+
+def _first_order_draws(n: int) -> list[Sequent]:
+    draws = (_function_free_draw(_DRAW_KINDS[seed % len(_DRAW_KINDS)], seed) for seed in range(10 * n))
+    return [s for s in draws if not is_quantifier_free_sequent(s)][:n]
+
+
+def test_function_free_draws_are_mostly_first_order_and_reach_both_verdicts():
+    # the properties above hold vacuously on a quantifier-free draw
+    draws = _first_order_draws(300)
+    verdicts = [_classically_valid(s) for s in draws]
+    assert len(draws) == 300
+    assert 50 < verdicts.count(False) < 250 and 50 < verdicts.count(True)
+
+
+def test_a_deep_first_order_root_gets_a_verdict_at_the_default_recursion_limit():
+    assert sys.getrecursionlimit() < 2_000
+    q = Atom("q")
+    body = Atom("p", (Bound(0),))
+    for _ in range(2_000):
+        body = Imp(q, body)
+    # forall x. q => ... => q => p(x), with 2,000 implications
+    f = Forall(body, "x")
+    goal = Atom("p", (Const("a"),))
+    assert _classically_valid(Sequent((f, q), (goal,))) is True
+    invalid = Sequent((f,), (goal,))
+    assert _classically_valid(invalid) is False
+    assert [type(prove(invalid, logic)) for logic in "cio"] == [Refuted, Refuted, NotProvedWithinLimits]
+    assert isinstance(prove_restart(invalid), NotProvedWithinLimits)
+
+
+#: over a and b: 2 instances of x, 4 of y and 8 of z
+_NESTED = "p(a), p(b), forall x. forall y. forall z. r(x, y, z) |- q"
+
+
+@pytest.mark.parametrize("cap, verdict", [(14, False), (13, None)])
+def test_the_instance_cap_counts_every_instance_built(cap, verdict):
+    with mock.patch.object(search, "_INSTANCE_CAP", cap), mock.patch("seqcalc.search._LAST_VERDICT", ((), None)):
+        assert _classically_valid(parse_sequent(_NESTED)) is verdict
+
+
+@pytest.mark.parametrize("facts, verdict", [(5, False), (6, None)])
+def test_an_expansion_past_twelve_atoms_is_not_valuated(facts, verdict):
+    # facts p-atoms, as many q-atoms over their constants, and r
+    s = Sequent(tuple(Atom("p", (Const(f"a{k}"),)) for k in range(facts)) + (parse_formula("forall x. q(x)"),), (Atom("r"),))
+    assert _classically_valid(s) is verdict
+
+
+@pytest.mark.parametrize("goal, kind", [("r(a0, a1, a2)", Proved), ("q", NotProvedWithinLimits)])
+def test_a_root_past_the_instance_cap_is_searched_as_before(goal, kind):
+    # over 11 constants: 11 + 121 + 1,331 instances
+    facts = tuple(Atom("p", (Const(f"a{k}"),)) for k in range(11))
+    s = Sequent(facts + (parse_formula("forall x. forall y. forall z. r(x, y, z)"),), (parse_formula(goal),))
+    assert _herbrand_expansion(s) is None and _classically_valid(s) is None
+    limits = SearchLimits(node_budget=2_000)
+    want = _ClassicalProver(s, limits).run()
+    assert type(want) is kind
+    assert _signature(prove(s, "c", limits)) == _signature(want)
+    want = _GroundProver(s, limits, uniform=False).run()
+    assert _signature(prove(s, "i", limits)) == _signature(want)
+
+
+def test_threads_deciding_interleaved_first_order_roots_get_the_single_thread_verdicts():
+    draws = _first_order_draws(48)
+    want = [_classically_valid(s) for s in draws]
+    assert True in want and False in want
+
+    def decide(shift):
+        order = [(k + shift) % len(draws) for k in range(len(draws))] * 4
+        return [(k, _classically_valid(draws[k])) for k in order]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            got = [pair for run in pool.map(decide, range(0, 48, 6), timeout=120) for pair in run]
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(verdict is want[k] for k, verdict in got)
