@@ -37,16 +37,17 @@ Three engines share this module:
   object, and a node whose two sides are kept keeps the skeleton's sequent,
   so a grounded proof shares them with the skeleton and sorts no such side
   again.  Quantifier-free inputs take a saturation path that decides the
-  sequent outright, on an explicit stack.  Every rule it applies is
-  invertible, so any choice of principal keeps the verdict; it chooses
-  closing first, the selection of branching rules by closure in tableaux
-  (Fitting 1996, ch. 3): a one-premise rule when there is one, else the
-  branching rule with the fewest premises that do not close at once, ranked
-  by the one formula each premise adds, without building any.  A split
-  taken before a rule whose premises close copies the open context into
-  both branches: taking the first rule found, the pigeonhole sequent of 4
-  holes exhausts the default node budget, where closing first proves it in
-  898 nodes.
+  sequent outright, on an explicit stack.  Both paths choose their
+  invertible step by one policy, _closing_first_step.  Every propositional
+  and eigenvariable rule is invertible, so any choice of principal keeps
+  the verdict; the policy chooses closing first, the selection of branching
+  rules by closure in tableaux (Fitting 1996, ch. 3): a one-premise rule
+  when there is one, else the branching rule with the fewest premises that
+  do not close at once, ranked by the one formula each premise adds,
+  without building any.  A split taken before a rule whose premises close
+  copies the open context into both branches: taking the first rule found,
+  the pigeonhole sequent of 4 holes exhausts the default node budget, where
+  closing first proves it in 898 nodes.
 
 * The intuitionistic prover searches the contraction-free single-succedent
   calculus on ground sequents: invertible rules apply eagerly, the remaining
@@ -196,7 +197,6 @@ from .syntax import (
     _holed_keys,
     _stored,
     _walk,
-    forall as bind_forall,
     ground_subterms,
     instantiate,
     is_quantifier_free,
@@ -415,19 +415,18 @@ def herbrandize(s: Sequent) -> Sequent:
     """
     taken = _symbols_everywhere(s)
     fns = (name for name in map("h{}".format, count()) if name not in taken)
-    # named apart from s's free variables, which binding them would capture
-    weak_vars = (name for name in map("_w{}".format, count()) if name not in taken)
-    # visits (formula, polarity, weak variables) and, below the visits of a
-    # binary connective's or weak quantifier's parts, its rebuild (formula,
-    # None, weak variable or None): left parts first, as a recursion takes them
+    # visits (formula, polarity, number of weak binders above, which keep
+    # their nameless bodies) and, below the visits of a binary connective's
+    # or weak quantifier's parts, its rebuild (formula, None, None): left
+    # parts first, as a recursion takes them
     done: list[Formula] = []
-    stack = [(f, True, ()) for f in reversed(s.succ)] + [(f, False, ()) for f in reversed(s.ante)]
+    stack = [(f, True, 0) for f in reversed(s.succ)] + [(f, False, 0) for f in reversed(s.ante)]
     while stack:
         f, positive, weak = stack.pop()
         k = type(f)
         if positive is None:
             if k is Forall or k is Exists:
-                done[-1] = k(bind_forall(weak, done[-1]).body, f.hint)
+                done[-1] = k(done[-1], f.hint)
             else:
                 right = done.pop()
                 done[-1] = k(done[-1], right)
@@ -435,15 +434,31 @@ def herbrandize(s: Sequent) -> Sequent:
             stack += ((f, None, None), (f.right, positive, weak), (f.left, positive != (k is Imp), weak))
         elif k is Forall or k is Exists:
             if positive == (k is Forall):
-                name = next(fns)
-                t: Term = App(name, tuple(map(Var, weak))) if weak else Const(name)
-                stack.append((instantiate(f, t), positive, weak))
+                stack.append((_skolem_opened(f, next(fns), weak), positive, weak))
             else:
-                v = next(weak_vars)
-                stack += ((f, None, v), (instantiate(f, Var(v)), positive, weak + (v,)))
+                stack += ((f, None, None), (f.body, positive, weak + 1))
         else:
             done.append(f)
     return Sequent(done[: len(s.ante)], done[len(s.ante) :])
+
+
+def _skolem_opened(q: Formula, name: str, weak: int) -> Formula:
+    """The body of the strong quantifier q, which sits under weak binders,
+    with q's variable replaced by the Skolem term name(...) over them,
+    outermost first: at depth d in the body that is name(Bound(d+weak-1), ...,
+    Bound(d)), or Const(name) when weak is 0.  Every loose index above q's
+    own moves down by one, as q's binder goes."""
+
+    def opened(a: Term, depth: int) -> Term | None:
+        if a._lbr <= depth:
+            return a
+        if type(a) is not Bound:
+            return None
+        if a.index != depth:
+            return Bound(a.index - 1)
+        return App(name, tuple(map(Bound, range(depth + weak - 1, depth - 1, -1)))) if weak else Const(name)
+
+    return map_terms(q.body, opened)
 
 
 # ---------------------------------------------------------------------------
@@ -575,18 +590,6 @@ def _has_bot(ante: tuple[Formula, ...]) -> bool:
     return False
 
 
-def _invertible_step(s: Sequent) -> tuple[RuleId, str, int, Formula] | None:
-    """The invertible rule of the first member of s that has one, antecedent
-    first, as (rule, side, index, principal); None if no member has one."""
-    for side, members in (("ante", s.ante), ("succ", s.succ)):
-        rules = INVERTIBLE[side]
-        for i, f in enumerate(members):
-            rule = rules.get(type(f))
-            if rule is not None:
-                return rule, side, i, f
-    return None
-
-
 #: the two-premise invertible rules, each with whether its first and its
 #: second premise add their one new formula (the principal's left and right
 #: part) on the left
@@ -594,8 +597,9 @@ _BRANCHING = {RuleId.OR_L: (True, True), RuleId.IMP_L_STAR: (False, True), RuleI
 
 
 def _closing_first_step(s: Sequent, strengthened: bool) -> tuple[RuleId, str, int, Formula] | None:
-    """decide's step for s, a sequent that does not close: the first
-    one-premise invertible rule in _invertible_step's order; else the
+    """The classical prover's invertible step for s, a sequent that does not
+    close, in decide and in solve alike, as (rule, side, index, principal):
+    the first one-premise invertible rule, antecedent first; else the
     two-premise one with the fewest premises that do not close at once, the
     first such on ties; None if no member has an invertible rule.
 
@@ -605,7 +609,10 @@ def _closing_first_step(s: Sequent, strengthened: bool) -> tuple[RuleId, str, in
     a succedent that is not empty; an atom (under strengthened axioms, any
     formula) already on the other side, found by sort key as is_axiom finds
     it; or anything on the right over a bottom already on the left (imp-l*'s
-    first premise, whose conclusion had an empty succedent)."""
+    first premise, whose conclusion had an empty succedent).  In solve,
+    equal sort keys close with no new binding, and a pair that would close
+    only under a new one is ranked as not closing: the rank only orders
+    invertible rules, so it cannot change a verdict."""
     branching = []
     for side, members in (("ante", s.ante), ("succ", s.succ)):
         rules = INVERTIBLE[side]
@@ -675,10 +682,11 @@ class _ClassicalProver(_Search):
         """Saturation decision: every propositional rule here is invertible,
         so one principal per sequent suffices and a failed leaf refutes.
         Which principal is taken cannot change the verdict, only the proof's
-        size, so _closing_first_step takes the one whose premises close
-        soonest.  Sequents are expanded in pre-order, first premise first,
-        on an explicit stack, so depth costs no recursion; the proof is
-        built afterwards from the last sequent expanded back to the root."""
+        size, so _closing_first_step, which solve takes too, takes the one
+        whose premises close soonest.  Sequents are expanded in pre-order,
+        first premise first, on an explicit stack, so depth costs no
+        recursion; the proof is built afterwards from the last sequent
+        expanded back to the root."""
         strengthened = self.limits.strengthened_axioms
         tick = self.tick
         # per sequent expanded: its closing proof, or its step as (rule,
@@ -762,7 +770,7 @@ class _ClassicalProver(_Search):
             yield nxt, Proof(_AXIOM, s)
 
         # one invertible step, when available
-        step = _invertible_step(s)
+        step = _closing_first_step(s, self.limits.strengthened_axioms)
         if step is not None:
             rule, side, i, f = step
             term = eigen = None
@@ -1598,8 +1606,17 @@ def _classically_valid(s: Sequent) -> bool | None:
     instance cap, or past 12 distinct ground atoms.  The last verdict is
     kept by the members' sort keys, which determine each member up to the
     names of its bound variables, on which validity does not depend, so
-    asking c, i, o and restart about one sequent valuates it once."""
+    asking c, i, o and restart about one sequent valuates it once.
+
+    With one succedent member G, every antecedent copy of G => bot is
+    dropped first: Gamma, not G |- G is classically valid exactly when
+    Gamma |- G is, so a sequent and its augmentation share one verdict."""
     global _LAST_VERDICT
+    if len(s.succ) == 1:
+        g = s.succ[0]._key
+        ante = tuple([f for f in s.ante if type(f) is not Imp or f.right is not BOT or f.left._key != g])
+        if len(ante) < len(s.ante):
+            s = Sequent._presorted(ante, s.succ)
     qf = is_quantifier_free_sequent(s)
     key = _members_key(s)
     last = _LAST_VERDICT

@@ -1332,16 +1332,17 @@ def reference_classical_prover(root: Sequent, limits):
     per substitution the first yields, and grounding scans the resolved
     skeleton for leftover metavariables and symbols before it grounds each
     member.  Its skeletons are _Skel nodes, each naming its principal by the
-    formula rather than its index.  It counts each instantiation refused at
-    the multiplicity where it happens, which run reads to stop deepening.
-    Built as a subclass so it shares the rest of the prover."""
+    formula rather than its index.  It takes the prover's own invertible
+    step, so the two search the same tree.  It counts each instantiation
+    refused at the multiplicity where it happens, which run reads to stop
+    deepening.  Built as a subclass so it shares the rest of the prover."""
     from seqcalc.calculus import premises
     from seqcalc.search import (
         _INSTANTIATIONS,
         Subst,
         _ClassicalProver,
+        _closing_first_step,
         _has_bot,
-        _invertible_step,
         _reserved_prefix,
         _symbols_everywhere,
         unify_formulas,
@@ -1368,7 +1369,7 @@ def reference_classical_prover(root: Sequent, limits):
                     alternatives.append(nxt)
             for nxt in alternatives:
                 yield nxt, _Skel(RuleId.AXIOM, s)
-            step = _invertible_step(s)
+            step = _closing_first_step(s, self.limits.strengthened_axioms)
             if step is not None:
                 rule, side, i, f = step
                 term = eigen = None
@@ -1461,13 +1462,14 @@ def reference_closing_first_step(s: Sequent, strengthened: bool):
     principal), or None: the first one-premise invertible rule, antecedent
     first; else the two-premise one whose premises, built by
     reference_premises, leave the fewest that do not close, the first such on
-    ties."""
+    ties.  An eigenvariable rule has one premise whatever its eigenvariable,
+    so each is built with one placeholder name."""
     candidates = []
     for side, members in (("ante", s.ante), ("succ", s.succ)):
         for i, f in enumerate(members):
             rule = INVERTIBLE[side].get(type(f))
             if rule is not None:
-                candidates.append(((rule, side, i, f), reference_premises(rule, s, i, f)))
+                candidates.append(((rule, side, i, f), reference_premises(rule, s, i, f, eigen="e")))
     for step, prems in candidates:
         if len(prems) == 1:
             return step

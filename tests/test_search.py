@@ -894,6 +894,13 @@ def _decide_draws() -> list[Sequent]:
     return draws
 
 
+def _solve_draws() -> list[Sequent]:
+    """200 first-order draws over function terms, then 50 fragment draws of
+    each fragment."""
+    draws = [random_quantified_sequent(random.Random(seed)) for seed in range(200)]
+    return draws + [_fragment_draw(fragment, seed) for fragment in _FRAGMENTS for seed in range(50)]
+
+
 @pytest.mark.parametrize("strengthened", [False, True])
 def test_decide_takes_the_step_that_building_every_premise_ranks_first(strengthened):
     limits = SearchLimits(strengthened_axioms=strengthened)
@@ -910,10 +917,20 @@ def test_decide_takes_the_step_that_building_every_premise_ranks_first(strengthe
     with mock.patch.object(search, "_closing_first_step", checked):
         for s in _decide_draws():
             _ClassicalProver(s, limits).decide(s)
-    # the draws reach every rule decide takes, and sequents it cannot expand
-    assert {None, RuleId.AND_L_STAR, RuleId.OR_L, RuleId.IMP_L_STAR, RuleId.AND_R} <= {
-        step and step[0] for step in steps
-    }
+        # solve takes the same step, on sequents that hold metavariables
+        for s in _solve_draws():
+            _ClassicalProver(s, SearchLimits(node_budget=300, strengthened_axioms=strengthened)).run()
+    # the draws reach every rule the classical prover takes, eigenvariable
+    # rules too, and sequents it cannot expand
+    assert {
+        None,
+        RuleId.AND_L_STAR,
+        RuleId.OR_L,
+        RuleId.IMP_L_STAR,
+        RuleId.AND_R,
+        RuleId.EXISTS_L,
+        RuleId.FORALL_R,
+    } <= {step and step[0] for step in steps}
 
 
 def test_decide_alone_refutes_exactly_the_truth_table_invalid_draws_with_a_succedent():
@@ -1189,14 +1206,21 @@ def test_herbrandize_threads_weak_variables_into_the_witness():
     assert isinstance(first, App) and first.args == (Bound(0),)
 
 
+def test_herbrandize_shifts_the_witness_by_the_binders_below_it():
+    # x's witness sits under z's binder, so y, its argument, is Bound(1)
+    (f,) = herbrandize(parse_sequent("|- exists y. forall x. exists z. r(x, z, y)")).succ
+    assert isinstance(f, Exists) and isinstance(f.body, Exists)
+    assert f.body.body.args == (App("h0", (Bound(1),)), Bound(0), Bound(1))
+
+
 def test_herbrandize_leaves_weak_only_sequents_alone():
     s = parse_sequent("forall x. p(x) |- exists y. p(y)")
     assert herbrandize(s) == s
 
 
 def test_herbrandize_binds_no_free_variable_of_the_sequent():
-    # the weak quantifier's variable is named apart from Var("_w0"), so
-    # that stays free, and the root is not valuated
+    # the weak quantifier keeps its nameless binder, so Var("_w0") stays
+    # free, and the root is not valuated
     free = Atom("r", (Bound(0), Var("_w0")))
     s = Sequent((Forall(free, "x"),), (parse_formula("r(a, a)"),))
     assert herbrandize(s) == s
@@ -1714,13 +1738,15 @@ def _counted_valuations():
             yield valuate
 
 
-@pytest.mark.parametrize("text", ["q |- s", "q & s |- s"])
+@pytest.mark.parametrize("text", ["q |- s", "q & s |- s", "q, s => bot |- s"])
 def test_c_i_o_and_restart_on_one_sequent_valuate_it_once(text):
+    # the augmentation drops the goal's negations to key the verdict, as
+    # does a root that holds one already, so it reads the root's verdict
     s = parse_sequent(text)
     with _counted_valuations() as valuate:
-        outcomes = [type(prove(s, logic)) for logic in "cio"] + [type(prove_restart(s))]
+        outcomes = [type(prove(s, logic)) for logic in "cio"] + [type(prove_restart(r)) for r in (s, augment(s))]
     assert valuate.call_count == 1
-    want = [Refuted, Refuted, NotProvedWithinLimits, NotProvedWithinLimits] if "&" not in text else [Proved] * 4
+    want = [Refuted, Refuted] + [NotProvedWithinLimits] * 3 if "&" not in text else [Proved] * 5
     assert outcomes == want
 
 
@@ -1842,12 +1868,15 @@ def test_valid_first_order_roots_are_searched_as_before(text, verdict):
 
 
 def test_c_i_o_and_restart_on_one_first_order_root_expand_it_once():
-    s = parse_sequent("p(a) |- forall x. p(x)")
-    with mock.patch("seqcalc.search._LAST_VERDICT", ((), None)):
-        with mock.patch("seqcalc.search._herbrand_expansion", wraps=_herbrand_expansion) as expand:
-            outcomes = [type(prove(s, logic)) for logic in "cio"] + [type(prove_restart(s))]
-    assert expand.call_count == 1
-    assert outcomes == [Refuted, Refuted, NotProvedWithinLimits, NotProvedWithinLimits]
+    # with its augmentation, as on quantifier-free roots
+    for text in ("p(a) |- forall x. p(x)", "p(a), (forall x. p(x)) => bot |- forall x. p(x)"):
+        s = parse_sequent(text)
+        with mock.patch("seqcalc.search._LAST_VERDICT", ((), None)):
+            with mock.patch("seqcalc.search._herbrand_expansion", wraps=_herbrand_expansion) as expand:
+                outcomes = [type(prove(s, logic)) for logic in "cio"]
+                outcomes += [type(prove_restart(r)) for r in (s, augment(s))]
+        assert expand.call_count == 1, text
+        assert outcomes == [Refuted, Refuted] + [NotProvedWithinLimits] * 3, text
 
 
 def _function_free_draw(kind: str, seed: int) -> Sequent:
