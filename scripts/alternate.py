@@ -9,7 +9,12 @@ no speed mode of the host can fall on one side only.  perfbench's
 bound to that tree's package while it is imported, and each tree builds the
 benchmark's three workloads from its own copy, untraced, at seed 7 and at
 the rounds a 12-second benchmark run makes: the operation lists are
-perfbench's, unchanged.
+perfbench's, unchanged, but for proof-pipeline's proofs.  Those the base
+tree's set-up searches for are written as dump_proof documents, and each
+tree loads its proofs from them with its own load_proof, so both trees run
+the same proofs and differ only in the code that runs them, even where the
+change makes other proofs.  The change tree's set-up makes no search for
+them.
 
 Each side first runs its workloads' warm-up operations, as a benchmark run
 does after set-up.  Each round then runs every list once per tree, the base
@@ -79,11 +84,42 @@ def load_workloads(tree: Path, tag: str):
     return module
 
 
-def build(workloads) -> dict[str, list]:
-    """Each benchmark workload's timed operations, after its warm-up ran."""
+def share_proofs(w, workloads, documents: list) -> None:
+    """Make w, a proof-pipeline workload, take its proofs from documents.
+    With documents empty, the proofs w's set-up makes (its _fault_item and
+    each _items list) are written to it as the dump_proof texts of each
+    proof and of its contraction-decorated copy; else set-up makes none and
+    reads the texts written, in the same order.  Either way the proofs are
+    loaded from the texts by workloads' own load_proof."""
+    replay = iter(list(documents)) if documents else None
+
+    def shared(make, single: bool):
+        def made(*args):
+            if replay is None:
+                items = make(*args)
+                items = [items] if single else items
+                texts = [(dump(i.proof, i.cls), i.decorated and dump(i.decorated, i.cls)) for i in items]
+                documents.append(texts)
+            else:
+                texts = next(replay)
+            items = [workloads._Item(*load(p), d and load(d)[0]) for p, d in texts]
+            return items[0] if single else items
+
+        return made
+
+    dump, load = workloads.dump_proof, workloads.load_proof
+    w._fault_item = shared(w._fault_item, True)
+    w._items = shared(w._items, False)
+
+
+def build(workloads, documents: list) -> dict[str, list]:
+    """Each benchmark workload's timed operations, after its warm-up ran;
+    proof-pipeline's proofs go through documents (see share_proofs)."""
     lists = {}
     for name, cls in workloads.WORKLOADS.items():
         w = cls(SEED, max(1, round(RUN_SECONDS / cls.ROUND_SECONDS)), NoTracer())
+        if name == "proof-pipeline":
+            share_proofs(w, workloads, documents)
         w.setup(0)
         for op in w.warm:
             _attempt(op.run)
@@ -148,7 +184,12 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("change", type=Path)
     ap.add_argument("--rounds", type=int, default=10)
     args = ap.parse_args(argv)
-    sides = {tag: build(load_workloads(tree.resolve(), tag)) for tag, tree in (("base", args.base), ("change", args.change))}
+    # the base side writes the proof documents that the change side reads
+    documents: list = []
+    sides = {
+        tag: build(load_workloads(tree.resolve(), tag), documents)
+        for tag, tree in (("base", args.base), ("change", args.change))
+    }
     print(", ".join(f"{name} {len(ops)} ops" for name, ops in sides["base"].items()) + f"; {args.rounds} rounds")
     for line in report(alternate(sides, args.rounds)):
         print(line)

@@ -7,47 +7,51 @@ Three engines share this module:
   occurs check); eigenvariables for the fresh-constant rules are function
   terms over the metavariables alive at that point, so the occurs check
   doubles as the freshness proviso.  Iterative deepening raises the number
-  of instantiations allowed per quantified formula per branch.  One failure
-  memo, kept for the whole search, skips searches that already failed.  It
-  takes two kinds of premise: a rule's second premise, searched once per
-  substitution its first premise yields, and a premise that a vacuous
-  quantifier's instance extends, which recurs under other orders of
+  of instantiations allowed per quantified formula per branch, one round of
+  search per number.  A round is one loop for every root, quantifier-free or
+  not, on explicit stacks, as in the goal stack with chronological choice
+  points of tableau provers (Fitting 1996; Beckert & Posegga 1995): the open
+  sequents, the proof steps in pre-order, and an entry per sequent with more
+  than one move, so a search path may be as long as memory allows.  Every
+  propositional and eigenvariable rule is invertible, so a quantifier-free
+  sequent has one move and a round on a quantifier-free root decides it.
+  One failure memo, kept for the whole search, skips searches that already
+  failed.  It takes two kinds of premise: a rule's second premise, searched
+  once per substitution its first premise closes with, and a premise that a
+  vacuous quantifier's instance extends, which recurs under other orders of
   instantiation.  Its one key is all that such a search depends on: the
   premise's members, the tallies of its quantified members, the round and
   the resolved bindings of its metavariables, so a second premise that
-  failed under one rule application is skipped under another too.  (Keying
-  every premise cuts more expansions but costs more in keys than it saves.)
-  A skipped search is charged the nodes it spent and numbers off the
-  metavariables it made, so every outcome is the one the full search gives.
-  Failures that made an eigenvariable are not kept: eigenvariable names
-  compare as strings (e10 < e9), so one renumbered later could sort
-  differently.  A round of the deepening that fails without refusing any
-  instantiation at its multiplicity ends the search: the next round would
-  differ only where an instantiation met the multiplicity, so it would
-  search the same tree up to the numbering of its metavariables and
-  eigenvariables, and fail too (over the 6,000 c calls of the fo-reduction
-  stream of seeds 7, 11 and 3 this saves 6,008 charged nodes on 548 of them
-  and changes no outcome or proof).  A memoized failure keeps the refusals of
-  the search it skips, so the round's count is the full search's.
-  Unification, the occurs check and resolution walk explicit stacks, and
-  pass over what holds no metavariable by the flag every node carries
-  (syntax._mv): two such parts unify exactly when they are equal.  A proof
-  is grounded from its skeleton by identity where it can be: a member, atom
-  argument or side without a metavariable is kept as the skeleton's own
-  object, and a node whose two sides are kept keeps the skeleton's sequent,
-  so a grounded proof shares them with the skeleton and sorts no such side
-  again.  Quantifier-free inputs take a saturation path that decides the
-  sequent outright, on an explicit stack.  Both paths choose their
-  invertible step by one policy, _closing_first_step.  Every propositional
-  and eigenvariable rule is invertible, so any choice of principal keeps
-  the verdict; the policy chooses closing first, the selection of branching
-  rules by closure in tableaux (Fitting 1996, ch. 3): a one-premise rule
-  when there is one, else the branching rule with the fewest premises that
-  do not close at once, ranked by the one formula each premise adds,
-  without building any.  A split taken before a rule whose premises close
-  copies the open context into both branches: taking the first rule found,
-  the pigeonhole sequent of 4 holes exhausts the default node budget, where
-  closing first proves it in 898 nodes.
+  failed under one rule application is skipped under another too.  A skipped
+  search is charged the nodes it spent and numbers off the metavariables it
+  made, so every outcome is the one the full search gives.  Failures that
+  made an eigenvariable are not kept: eigenvariable names compare as strings
+  (e10 < e9), so one renumbered later could sort differently.  A round that
+  fails without refusing any instantiation at its multiplicity ends the
+  search: the next round would differ only where an instantiation met the
+  multiplicity, so it would search the same tree up to the numbering of its
+  metavariables and eigenvariables, and fail too (over the 6,000 c calls of
+  the fo-reduction stream of seeds 7, 11 and 3 this saves 6,008 charged
+  nodes on 548 of them and changes no outcome or proof).  A memoized failure
+  keeps the refusals of the search it skips, so the round's count is the
+  full search's.  Unification, the occurs check and resolution walk explicit
+  stacks, and pass over what holds no metavariable by the flag every node
+  carries (syntax._mv): two such parts unify exactly when they are equal.  A
+  round that made no metavariable has a ground skeleton, which is its proof.
+  Else the proof is grounded from the skeleton by identity where it can be:
+  a member, atom argument or side without a metavariable is kept as the
+  skeleton's own object, and a node whose two sides are kept keeps the
+  skeleton's sequent, so a grounded proof shares them with the skeleton and
+  sorts no such side again.  One policy, _closing_first_step, chooses the
+  invertible step.  Any choice of principal keeps the verdict; the policy
+  chooses closing first, the selection of branching rules by closure in
+  tableaux (Fitting 1996, ch. 3): a one-premise rule when there is one, else
+  the branching rule with the fewest premises that do not close at once,
+  ranked by the one formula each premise adds, without building any.  A
+  split taken before a rule whose premises close copies the open context
+  into both branches: taking the first rule found, the pigeonhole sequent of
+  4 holes exhausts the default node budget, where closing first proves it in
+  898 nodes.
 
 * The intuitionistic prover searches the contraction-free single-succedent
   calculus on ground sequents: invertible rules apply eagerly, the remaining
@@ -413,8 +417,14 @@ def herbrandize(s: Sequent) -> Sequent:
     under (a fresh constant when there are none).  Classical provability is
     preserved, and the result has no eigenvariable rules left to apply.
     """
-    taken = _symbols_everywhere(s)
-    fns = (name for name in map("h{}".format, count()) if name not in taken)
+
+    def fresh() -> Iterator[str]:
+        # a generator's body runs at its first next(), so the sequent's
+        # symbols are collected at the first strong quantifier, if any
+        taken = _symbols_everywhere(s)
+        yield from (name for name in map("h{}".format, count()) if name not in taken)
+
+    fns = fresh()
     # visits (formula, polarity, number of weak binders above, which keep
     # their nameless bodies) and, below the visits of a binary connective's
     # or weak quantifier's parts, its rebuild (formula, None, None): left
@@ -470,13 +480,14 @@ class SearchLimits:
     """Budgets for proof search.
 
     depth bounds rule applications per branch in the ground searches;
-    quantifier-free inputs are decided by saturation or loop-checked search
-    and ignore it.  quantifier_budget caps how often any one quantified
-    formula may be instantiated per branch (the classical prover deepens
-    iteratively on this, and stops after a round that refused no
-    instantiation).  node_budget bounds total expansions per call; a
-    failure the classical prover skips because it is memoized counts at its
-    full size, so no outcome depends on the memo.
+    quantifier-free inputs are decided (by one classical round, or a
+    loop-checked ground search) and ignore it.  quantifier_budget caps how
+    often any one quantified formula may be instantiated per branch (the
+    classical prover deepens iteratively on this, one round per value, and
+    stops after a round that refused no instantiation; a quantifier-free
+    root gets one round whatever the budget).  node_budget bounds total
+    expansions per call; a failure the classical prover skips because it
+    is memoized counts at its full size, so no outcome depends on the memo.
     strengthened_axioms lets closures match any shared formula rather than
     only shared atoms and bottom.
     """
@@ -598,7 +609,7 @@ _BRANCHING = {RuleId.OR_L: (True, True), RuleId.IMP_L_STAR: (False, True), RuleI
 
 def _closing_first_step(s: Sequent, strengthened: bool) -> tuple[RuleId, str, int, Formula] | None:
     """The classical prover's invertible step for s, a sequent that does not
-    close, in decide and in solve alike, as (rule, side, index, principal):
+    close, with or without metavariables, as (rule, side, index, principal):
     the first one-premise invertible rule, antecedent first; else the
     two-premise one with the fewest premises that do not close at once, the
     first such on ties; None if no member has an invertible rule.
@@ -609,10 +620,10 @@ def _closing_first_step(s: Sequent, strengthened: bool) -> tuple[RuleId, str, in
     a succedent that is not empty; an atom (under strengthened axioms, any
     formula) already on the other side, found by sort key as is_axiom finds
     it; or anything on the right over a bottom already on the left (imp-l*'s
-    first premise, whose conclusion had an empty succedent).  In solve,
-    equal sort keys close with no new binding, and a pair that would close
-    only under a new one is ranked as not closing: the rank only orders
-    invertible rules, so it cannot change a verdict."""
+    first premise, whose conclusion had an empty succedent).  Under
+    metavariables, equal sort keys close with no new binding, and a pair
+    that would close only under a new one is ranked as not closing: the
+    rank only orders invertible rules, so it cannot change a verdict."""
     branching = []
     for side, members in (("ante", s.ante), ("succ", s.succ)):
         rules = INVERTIBLE[side]
@@ -661,7 +672,8 @@ _INSTANTIATIONS = (("ante", Forall, _FORALL_L_STAR), ("succ", Exists, _EXISTS_R_
 
 class _ClassicalProver(_Search):
     """Its made constants are the eigenvariables e<n>, numbered in order,
-    and, once the search is over, a proof's blank c0 (see _ground)."""
+    and, once a round that made a metavariable is over, a proof's blank c0
+    (see _ground)."""
 
     def __init__(self, root: Sequent, limits: SearchLimits):
         super().__init__(root, limits)
@@ -671,137 +683,151 @@ class _ClassicalProver(_Search):
         self.refused = 0
         # each member's own metavariables, by the member's sort key
         self._metas: dict[str, frozenset[int]] = {}
-        # the failures of second premises and of premises that vacuous
-        # instantiations extend (see _memoized), by _members_key, then by
-        # _rest_key
+        # the failures of memoized premises (see _round), by _members_key,
+        # then by _rest_key
         self._failed: dict[tuple, dict[tuple, tuple[int, int, int]]] = {}
-
-    # -- quantifier-free decision -------------------------------------------
-
-    def decide(self, root: Sequent) -> Proof | None:
-        """Saturation decision: every propositional rule here is invertible,
-        so one principal per sequent suffices and a failed leaf refutes.
-        Which principal is taken cannot change the verdict, only the proof's
-        size, so _closing_first_step, which solve takes too, takes the one
-        whose premises close soonest.  Sequents are expanded in pre-order,
-        first premise first, on an explicit stack, so depth costs no
-        recursion; the proof is built afterwards from the last sequent
-        expanded back to the root."""
-        strengthened = self.limits.strengthened_axioms
-        tick = self.tick
-        # per sequent expanded: its closing proof, or its step as (rule,
-        # sequent, principal, number of premises)
-        expanded: list = []
-        push = expanded.append
-        todo = [root]
-        pop = todo.pop
-        while todo:
-            s = pop()
-            tick()
-            if is_axiom(s, strengthened):
-                push(Proof(_AXIOM, s))
-            elif s.succ and _has_bot(s.ante):
-                push(bottom_closure(s))
-            else:
-                step = _closing_first_step(s, strengthened)
-                if step is None:
-                    return None
-                rule, side, i, f = step
-                prems = premises(rule, s, i, f)
-                push((rule, s, (side, i), len(prems)))
-                todo += prems[::-1]
-        # a step's premises were expanded after it, the first one's subtree
-        # first, so walking back leaves its first premise's proof on top
-        done: list[Proof] = []
-        for x in reversed(expanded):
-            if type(x) is tuple:
-                rule, s, principal, n = x
-                done[-n:] = (Proof(rule, s, tuple(done[: -n - 1 : -1]), principal),)
-            else:
-                done.append(x)
-        return done[0]
-
-    # -- metavariable search --------------------------------------------------
-
-    def fresh_meta(self) -> Meta:
-        m = Meta(self.next_meta)
-        self.next_meta += 1
-        return m
 
     def fresh_eigen(self) -> str:
         return self._made_name("e", len(self.made))
 
-    def _axiom_pairs(self, s: Sequent) -> Iterator[tuple[Formula, Formula]]:
+    def _round(self, root: Sequent, mult: int) -> Proof | None:
+        """A proof of root in which no branch instantiates a quantified
+        formula more than mult times, or None.
+
+        A sequent closes by is_axiom, else by bottom, else by a pair of
+        members equal under the substitution; else it takes its moves in
+        turn (_moves).  todo is a cons list of open sequents, (sequent,
+        counts, memoized, rest), first premise on top, so saving it is
+        free.  steps lists in pre-order each closing proof and each step
+        as (rule, sequent, principal, premises, witness, eigenvariable).
+        choices holds an entry (moves, len(steps), todo below) per sequent
+        with more than one move, and the frame (_frame) of each memoized
+        premise searched, with a marker under the premise in todo that
+        marks it closed.  A frame backtracked over unclosed is stored."""
         strengthened = self.limits.strengthened_axioms
-        for a in s.ante:
-            if not (strengthened or isinstance(a, (Atom, Bot))):
+        tick = self.tick
+        first_meta = self.next_meta
+        subst = Subst()
+        steps: list = []
+        push = steps.append
+        choices: list = []
+        todo = (root, {}, False, None)
+        while todo is not None:
+            s, counts, memoized, todo = todo
+            if memoized is None:
+                # a marker: s is the frame of the premise that just closed
+                s[0] = True
                 continue
-            for b in s.succ:
-                if type(a) is type(b) and (type(a) is not Atom or a.pred == b.pred and len(a.args) == len(b.args)):
-                    yield a, b
+            move = None
+            # a round that has made no metavariable has no entry to
+            # backtrack to, so its failures end it and need no memo
+            if memoized and self.next_meta != first_meta:
+                frame = self._frame(s, subst, counts, mult)
+                if frame is not None:
+                    choices.append(frame)
+                    todo = (s, counts, False, (frame, None, None, todo))
+                    continue
+            else:
+                tick()
+                if is_axiom(s, strengthened):
+                    push(Proof(_AXIOM, s))
+                    continue
+                if s.succ and _has_bot(s.ante):
+                    push(bottom_closure(s))
+                    continue
+                # only a round that made a metavariable has sequents that
+                # close under a binding
+                bindings = self._bindings(s, subst) if self.next_meta != first_meta else ()
+                if bindings is None:
+                    push(Proof(_AXIOM, s))
+                    continue
+                step = _closing_first_step(s, strengthened)
+                if step is not None and not bindings:
+                    move = self._step(s, subst, counts, step)
+                else:
+                    moves = self._moves(s, subst, counts, mult, bindings, step)
+                    move = next(moves, None)
+                    if move is not None:
+                        choices.append((moves, len(steps), todo))
+            while move is None:
+                if not choices:
+                    return None
+                entry = choices.pop()
+                if type(entry) is list:
+                    self._store(entry, mult)
+                    continue
+                moves, n, todo = entry
+                move = next(moves, None)
+                if move is not None:
+                    choices.append(entry)
+                    del steps[n:]
+            subst, record, prems, counts, memoized = move
+            push(record)
+            if prems:
+                todo = (prems[-1], counts, memoized, todo)
+                if len(prems) == 2:
+                    todo = (prems[0], counts, False, todo)
+        # a step's premises were recorded after it, the first one's subtree
+        # first, so walking back leaves its first premise's proof on top
+        done: list[Proof] = []
+        for x in reversed(steps):
+            if type(x) is tuple:
+                rule, s, principal, n, witness, eigen = x
+                done[-n:] = (Proof(rule, s, tuple(done[: -n - 1 : -1]), principal, witness, eigen),)
+            else:
+                done.append(x)
+        return done[0] if self.next_meta == first_meta else self._ground(done[0], subst)
 
-    def solve(
-        self, s: Sequent, subst: Subst, counts: dict[Formula, int], mult: int
-    ) -> Iterator[tuple[Subst, Proof]]:
-        """Yield substitution/skeleton pairs that close every branch over s:
-        a skeleton is a proof whose sequents may hold metavariables."""
-        self.tick()
+    def _bindings(self, s: Sequent, subst: Subst) -> list[Subst] | None:
+        """The extensions of subst under which a pair of s's members closes
+        s, in order; None when a pair is equal under subst."""
+        strengthened = self.limits.strengthened_axioms
+        out = []
+        for a in s.ante:
+            if strengthened or type(a) is Atom or type(a) is Bot:
+                for b in s.succ:
+                    nxt = unify_formulas(a, b, subst) if type(b) is type(a) else None
+                    if nxt is subst:
+                        return None
+                    if nxt is not None:
+                        out.append(nxt)
+        return out
 
-        # definitive closures: no metavariable bindings involved
-        if s.succ and s.succ[0] is TOP:
-            # top is interned and sorts first in a sorted side
-            yield subst, Proof(_AXIOM, s)
-            return
-        if s.succ and _has_bot(s.ante):
-            yield subst, bottom_closure(s)
-            return
-        # a pair that unifies without a new binding is already equal under
-        # subst and closes definitively; pairs that commit to bindings are
-        # alternatives, tried in order when no pair closes definitively
-        alternatives = []
-        for a, b in self._axiom_pairs(s):
-            nxt = unify_formulas(a, b, subst)
-            if nxt is subst:
-                yield subst, Proof(_AXIOM, s)
-                return
-            if nxt is not None:
-                alternatives.append(nxt)
-        for nxt in alternatives:
-            yield nxt, Proof(_AXIOM, s)
+    def _step(self, s: Sequent, subst: Subst, counts: dict[Formula, int], step: tuple) -> tuple:
+        """The move of the invertible step (rule, side, index, principal)
+        on s; a second premise is memoized."""
+        rule, side, i, f = step
+        term = eigen = None
+        if type(f) is Exists or type(f) is Forall:
+            eigen = self.fresh_eigen()
+            live = self._live_metas(s, subst)
+            term = App(eigen, tuple(map(Meta, live))) if live else Const(eigen)
+        prems = premises(rule, s, i, f, term)
+        return subst, (rule, s, (side, i), len(prems), None, eigen), prems, counts, len(prems) == 2
 
-        # one invertible step, when available
-        step = _closing_first_step(s, self.limits.strengthened_axioms)
+    def _moves(self, s, subst, counts, mult, bindings, step) -> Iterator[tuple]:
+        """s's moves, made as they are tried, each as (substitution, steps
+        record, premises, counts, whether the last premise is memoized):
+        an axiom under each of bindings, then the step, or else each
+        instantiation, refused when its formula's tally is at mult."""
+        for nxt in bindings:
+            yield nxt, Proof(_AXIOM, s), (), counts, False
         if step is not None:
-            rule, side, i, f = step
-            term = eigen = None
-            if type(f) in (Exists, Forall):
-                eigen = self.fresh_eigen()
-                live = self._live_metas(s, subst)
-                term = App(eigen, tuple(Meta(m) for m in live)) if live else Const(eigen)
-            for sb, subs in self._solve_all(premises(rule, s, i, f, term), subst, counts, mult):
-                yield sb, Proof(rule, s, subs, (side, i), eigen=eigen)
+            yield self._step(s, subst, counts, step)
             return
-
-        # quantifier instantiations: the only genuine proof-shape choices left
         for side, k, rule in _INSTANTIATIONS:
             for i, f in enumerate(s.ante if side == "ante" else s.succ):
                 if type(f) is k:
                     if counts.get(f, 0) >= mult:
                         self.refused += 1
                         continue
-                    m = self.fresh_meta()
+                    m = Meta(self.next_meta)
+                    self.next_meta += 1
                     c2 = dict(counts)
                     c2[f] = c2.get(f, 0) + 1
-                    (premise,) = premises(rule, s, i, f, m)
-                    if not f.body._lbr:
-                        # a vacuous instantiation (members are locally
-                        # closed, so the body holds no index of f's binder):
-                        # the premise recurs under other orders of them
-                        closings = self._memoized(premise, subst, c2, mult)
-                    else:
-                        closings = self.solve(premise, subst, c2, mult)
-                    for sb, sk in closings:
-                        yield sb, Proof(rule, s, (sk,), (side, i), m)
+                    # a vacuous instantiation (members are locally closed,
+                    # so its body holds no index of f's binder) is memoized
+                    yield subst, (rule, s, (side, i), 1, m, None), premises(rule, s, i, f, m), c2, not f.body._lbr
 
     def _own_metas(self, s: Sequent) -> set[int]:
         """The metavariables s's members hold, each member's memoized by its
@@ -836,22 +862,15 @@ class _ClassicalProver(_Search):
             tuple([subst.resolve_term(Meta(i))._key for i in sorted(self._own_metas(s))]),
         )
 
-    def _memoized(self, s: Sequent, subst: Subst, counts: dict[Formula, int], mult: int):
-        """solve(s, subst, counts, mult) through the failure memo _failed.
-        A search that yields nothing and makes no eigenvariable is stored
-        under its key with the nodes it spent, the metavariables it made and
-        the instantiations it refused; a later search under the same key is
-        skipped, its nodes charged to the budget, its metavariables numbered
-        off and its refusals counted, so the search goes on exactly as if it
-        had run.  It would run alike: the fresh metavariables are numbered
-        above every one the state holds, and metavariable sort keys order
-        numerically, so members sort and unify the same way.  Eigenvariable
-        names compare as strings (e10 < e9), so a failure that made one is
-        not stored.  The key is the pair (_members_key, _rest_key), held as
-        _failed[members][rest]: the members' key is built only when the memo
-        holds failures to look up or the search failed, and the rest, dearer,
-        only when failures are stored under those members too or the search
-        failed."""
+    def _frame(self, s: Sequent, subst: Subst, counts: dict[Formula, int], mult: int) -> list | None:
+        """None when the failure memo holds the search of s under subst,
+        counts and mult: its nodes are charged, its metavariables numbered
+        off and its refusals counted, so the round goes on exactly as if it
+        had run, and it would run alike (fresh metavariables number above
+        every one the state holds, and sort by number).  Else the search's
+        frame: [closed, s, subst, counts, members' key, rest key, nodes
+        left, next metavariable, made constants, refusals].  Failures are
+        held as _failed[_members_key][_rest_key], each key built once needed."""
         memo = self._failed
         head = rest = None
         if memo:
@@ -865,32 +884,18 @@ class _ClassicalProver(_Search):
                     self.charge(nodes)
                     self.next_meta += made
                     self.refused += refused
-                    return
-        left, metas, eigens, refused = self.left, self.next_meta, len(self.made), self.refused
-        found = False
-        for out in self.solve(s, subst, counts, mult):
-            found = True
-            yield out
-        if not found and len(self.made) == eigens:
-            under = memo.setdefault(_members_key(s) if head is None else head, {})
+                    return None
+        return [False, s, subst, counts, head, rest, self.left, self.next_meta, len(self.made), self.refused]
+
+    def _store(self, frame: list, mult: int) -> None:
+        """Store the failure of frame's search, backtracked over, with the
+        nodes it spent, the metavariables it made and the instantiations it
+        refused, unless it closed or made an eigenvariable."""
+        closed, s, subst, counts, head, rest, left, metas, eigens, refused = frame
+        if not closed and len(self.made) == eigens:
+            under = self._failed.setdefault(_members_key(s) if head is None else head, {})
             spent = (left - self.left, self.next_meta - metas, self.refused - refused)
             under[self._rest_key(s, subst, counts, mult) if rest is None else rest] = spent
-
-    def _solve_all(self, prems, subst, counts, mult) -> Iterator[tuple[Subst, tuple[Proof, ...]]]:
-        """solve over the one or two premises of a rule, threading the
-        substitution from the first into the second.  The second premise
-        is searched once per substitution the first yields, through the
-        failure memo (_memoized)."""
-        if len(prems) == 1:
-            for sb, sk in self.solve(prems[0], subst, counts, mult):
-                yield sb, (sk,)
-            return
-        p1, p2 = prems
-        for sb1, sk1 in self.solve(p1, subst, counts, mult):
-            for sb2, sk2 in self._memoized(p2, sb1, counts, mult):
-                yield sb2, (sk1, sk2)
-
-    # -- grounding -------------------------------------------------------------
 
     def _ground(self, skel: Proof, subst: Subst) -> Proof:
         """The proof skel stands for under subst.  Every metavariable subst
@@ -946,27 +951,20 @@ class _ClassicalProver(_Search):
         return fold_proof(skel, leave)
 
     def run(self) -> SearchOutcome:
-        if is_quantifier_free_sequent(self.root):
-            try:
-                proof = self.decide(self.root)
-            except _OutOfNodes:
-                return NotProvedWithinLimits()
-            if proof is None:
-                return Refuted()
-            return Proved(proof, CLASSICAL_STAR)
+        # a quantifier-free root gets one round, which decides it
+        qf = is_quantifier_free_sequent(self.root)
         try:
-            for mult in range(1, self.limits.quantifier_budget + 1):
+            for mult in range(1, (1 if qf else self.limits.quantifier_budget) + 1):
                 refused = self.refused
-                for subst, skel in self.solve(self.root, Subst(), {}, mult):
-                    return Proved(self._ground(skel, subst), CLASSICAL_STAR)
+                proof = self._round(self.root, mult)
+                if proof is not None:
+                    return Proved(proof, CLASSICAL_STAR)
                 if self.refused == refused:
-                    # no instantiation met the multiplicity, so a higher one
-                    # would search the same tree again (see the module
-                    # docstring)
+                    # a higher multiplicity would search the same tree
                     break
         except _OutOfNodes:
-            pass
-        return NotProvedWithinLimits()
+            return NotProvedWithinLimits()
+        return Refuted() if qf else NotProvedWithinLimits()
 
 
 # ---------------------------------------------------------------------------

@@ -1327,32 +1327,55 @@ class _Skel:
 
 
 def reference_classical_prover(root: Sequent, limits):
-    """A classical prover whose metavariable search is the un-memoized one:
-    solve searches every premise afresh, the second premise of a rule once
-    per substitution the first yields, and grounding scans the resolved
-    skeleton for leftover metavariables and symbols before it grounds each
-    member.  Its skeletons are _Skel nodes, each naming its principal by the
-    formula rather than its index.  It takes the prover's own invertible
+    """A classical prover whose metavariable search is the un-memoized
+    recursive one: solve yields every closing of a sequent, searching every
+    premise afresh, the second premise of a rule once per substitution the
+    first yields, and grounding scans the resolved skeleton for leftover
+    metavariables and symbols before it grounds each member.  Its skeletons
+    are _Skel nodes, each naming its principal by the formula rather than
+    its index.  A sequent closes by is_axiom, then by bottom, then by a
+    pair of members unified, and it takes the prover's own invertible
     step, so the two search the same tree.  It counts each instantiation
     refused at the multiplicity where it happens, which run reads to stop
-    deepening.  Built as a subclass so it shares the rest of the prover."""
+    deepening; run gives a quantifier-free root one round, which decides
+    it.  Built as a subclass so it shares the rest of the prover."""
     from seqcalc.calculus import premises
     from seqcalc.search import (
         _INSTANTIATIONS,
+        CLASSICAL_STAR,
+        NotProvedWithinLimits,
+        Proved,
+        Refuted,
         Subst,
         _ClassicalProver,
         _closing_first_step,
         _has_bot,
+        _OutOfNodes,
         _reserved_prefix,
         _symbols_everywhere,
+        is_quantifier_free_sequent,
         unify_formulas,
     )
-    from seqcalc.syntax import TOP, free_symbols
+    from seqcalc.syntax import free_symbols
 
     class ReferenceClassicalProver(_ClassicalProver):
+        def run(self):
+            qf = is_quantifier_free_sequent(self.root)
+            try:
+                for mult in range(1, (1 if qf else self.limits.quantifier_budget) + 1):
+                    refused = self.refused
+                    for subst, skel in self.solve(self.root, Subst(), {}, mult):
+                        return Proved(self._ground(skel, subst), CLASSICAL_STAR)
+                    if self.refused == refused:
+                        break
+            except _OutOfNodes:
+                return NotProvedWithinLimits()
+            return Refuted() if qf else NotProvedWithinLimits()
+
         def solve(self, s, subst, counts, mult):
             self.tick()
-            if s.succ and s.succ[0] is TOP:
+            strengthened = self.limits.strengthened_axioms
+            if is_axiom(s, strengthened):
                 yield subst, _Skel(RuleId.AXIOM, s)
                 return
             if s.succ and _has_bot(s.ante):
@@ -1360,16 +1383,18 @@ def reference_classical_prover(root: Sequent, limits):
                 yield subst, _Skel(RuleId.BOT_R, s, (_Skel(RuleId.AXIOM, premise),), "succ", s.succ[0])
                 return
             alternatives = []
-            for a, b in self._axiom_pairs(s):
-                nxt = unify_formulas(a, b, subst)
-                if nxt is subst:
-                    yield subst, _Skel(RuleId.AXIOM, s)
-                    return
-                if nxt is not None:
-                    alternatives.append(nxt)
+            for a in s.ante:
+                for b in s.succ:
+                    if (strengthened or isinstance(a, (Atom, Bot))) and type(a) is type(b):
+                        nxt = unify_formulas(a, b, subst)
+                        if nxt is subst:
+                            yield subst, _Skel(RuleId.AXIOM, s)
+                            return
+                        if nxt is not None:
+                            alternatives.append(nxt)
             for nxt in alternatives:
                 yield nxt, _Skel(RuleId.AXIOM, s)
-            step = _closing_first_step(s, self.limits.strengthened_axioms)
+            step = _closing_first_step(s, strengthened)
             if step is not None:
                 rule, side, i, f = step
                 term = eigen = None
@@ -1387,7 +1412,8 @@ def reference_classical_prover(root: Sequent, limits):
                         # round that refused nothing
                         self.refused += 1
                     elif type(f) is k:
-                        m = self.fresh_meta()
+                        m = Meta(self.next_meta)
+                        self.next_meta += 1
                         c2 = dict(counts)
                         c2[f] = c2.get(f, 0) + 1
                         (premise,) = premises(rule, s, i, f, m)

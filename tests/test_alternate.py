@@ -26,9 +26,15 @@ def alternate():
 
 
 def test_the_repository_against_itself_reads_every_list_with_equal_outcomes(alternate):
-    sides = {tag: alternate.build(alternate.load_workloads(REPO, tag)) for tag in ("base", "change")}
+    documents = []
+    sides = {tag: alternate.build(alternate.load_workloads(REPO, tag), documents) for tag in ("base", "change")}
     assert sys.modules["seqcalc_base"] is not sys.modules["seqcalc_change"]
+    # the fault item, then the round's and the warm-up's proof items
+    assert len(documents) == 3 and len(documents[0]) == 1
     lists = ["prop-decide", "fo-reduction", "proof-pipeline"]
+    # both sides run the proofs of the documents, each loaded by its own tree
+    labels = [[op.label for op in side["proof-pipeline"]] for side in sides.values()]
+    assert labels[0] == labels[1]
     for side in sides.values():
         assert list(side) == lists
         for name in lists:
@@ -62,3 +68,21 @@ def test_differing_pairs_are_printed_most_frequent_first(alternate):
     lines = alternate.report(results)
     assert lines[0].endswith("outcomes differ on 3")
     assert lines[1:] == ["  ('S', 'c') -> ('S', 'd'): 2", "  a -> b: 1"]
+
+
+def test_the_change_side_runs_the_proofs_the_base_side_wrote(alternate):
+    workloads = alternate.load_workloads(REPO, "change")
+    w = workloads.ProofPipeline(alternate.SEED, 1, alternate.NoTracer())
+    searched = []
+    w._items = lambda *args: searched.append(args)
+    w._fault_item = lambda *args: searched.append(args)
+    # documents as the base side writes them: the fault item, then two lists
+    proof = workloads.Proof(workloads.RuleId.AXIOM, workloads.parse_sequent("q |- q"))
+    text = workloads.dump_proof(proof, workloads.ProofClass("cstar"))
+    documents = [[(text, None)], [(text, text)], []]
+    alternate.share_proofs(w, workloads, documents)
+    w.setup(0)
+    assert searched == []
+    assert len(w.ops) == 2 and w.warm == []
+    assert {op.label for op in w.ops} == {"cstar proof of q |- q"}
+    assert all(op.check(op.run()) is None for op in w.ops)

@@ -24,11 +24,11 @@ def axiom(text: str) -> Proof:
 #: change that alters any proof the searches, the transforms, weakening or
 #: eta expansion emit, or any document load_proof reads back, changes them
 PINNED = [
-    "all 375 155c06c7b215edd0accb3928f66b6df569955212b4724986ab34bed5d1ac46e6",
+    "all 375 895f0693e565d4c5e19339aa0713ae4adb7be3f37d21552a57c377fb7bfc9c68",
     "transforms 310 d824c35600b922bf472f2cc4725321d2ece6ea7f98cd5583db1d488bd6d28439",
     "weaken 166 5d0a607bb86999950489cca7576fc6f866a20da6952326103883d8ef77548235",
     "eta 223 a55b050a19718d0076d7379202d384671783950c9af805364bbd0a1e4373dfaa",
-    "roundtrip 239 6474c1578fba11d3b1c831dcfa8b9f1cc1fc7a64824d40a960b3636db2e745cf",
+    "roundtrip 239 4a08881185e836e0ff431d3c15bc1a22182ead12be83ec0c2aaf4a0296ea2651",
 ]
 
 

@@ -472,6 +472,38 @@ def test_deep_quantifier_free_sequents_are_decided_at_the_default_recursion_limi
         assert isinstance(res, Proved) and check_proof(res.proof, res.proof_class)
 
 
+def test_a_deep_first_order_root_is_proved_at_the_default_recursion_limit():
+    # forall x. p(x) |- q => ... => q => p(a), with 2,000 implications: the
+    # classical round keeps its open sequents, proof steps and choice
+    # points on its own stacks
+    limit = sys.getrecursionlimit()
+    assert limit < 2_000
+    goal = Atom("p", (Const("a"),))
+    for _ in range(2_000):
+        goal = Imp(Atom("q"), goal)
+    s = Sequent((Forall(Atom("p", (Bound(0),)), "x"),), (goal,))
+    res = prove(s, "c")
+    assert isinstance(res, Proved) and check_proof(res.proof, res.proof_class)
+    assert proof_height(res.proof) == 2_002
+    text = dump_proof(res.proof, res.proof_class)
+    assert load_proof(text) == (res.proof, res.proof_class)
+    for logic in "io":
+        assert isinstance(prove(s, logic), (Proved, NotProvedWithinLimits))
+    assert sys.getrecursionlimit() == limit
+
+
+def test_a_quantifier_free_root_is_decided_at_no_quantifier_budget():
+    none = SearchLimits(quantifier_budget=0)
+    assert isinstance(_ClassicalProver(parse_sequent("p | q |- q | p"), none).run(), Proved)
+    # 13 atoms, past the root valuation: the round refutes it
+    s = Sequent(tuple(Atom(f"p{k}") for k in range(12)), (Atom("q"),))
+    assert isinstance(_ClassicalProver(s, none).run(), Refuted)
+    assert isinstance(prove(s, "c", none), Refuted)
+    # a first-order root gets no round at all
+    s = parse_sequent("forall x. p(x) |- p(a)")
+    assert isinstance(_ClassicalProver(s, none).run(), NotProvedWithinLimits)
+
+
 def _deep_term(leaf=Const("a")) -> App:
     t = leaf
     for _ in range(_DEEP):
@@ -916,8 +948,9 @@ def test_decide_takes_the_step_that_building_every_premise_ranks_first(strengthe
 
     with mock.patch.object(search, "_closing_first_step", checked):
         for s in _decide_draws():
-            _ClassicalProver(s, limits).decide(s)
-        # solve takes the same step, on sequents that hold metavariables
+            _ClassicalProver(s, limits)._round(s, 1)
+        # first-order rounds take the same step, on sequents that hold
+        # metavariables
         for s in _solve_draws():
             _ClassicalProver(s, SearchLimits(node_budget=300, strengthened_axioms=strengthened)).run()
     # the draws reach every rule the classical prover takes, eigenvariable
@@ -936,8 +969,8 @@ def test_decide_takes_the_step_that_building_every_premise_ranks_first(strengthe
 def test_decide_alone_refutes_exactly_the_truth_table_invalid_draws_with_a_succedent():
     verdicts = []
     for s in _decide_draws():
-        # straight to the decision, past the root valuation
-        proof = _ClassicalProver(s, SearchLimits()).decide(s)
+        # straight to the round, past the root valuation
+        proof = _ClassicalProver(s, SearchLimits())._round(s, 1)
         # bottom closes only by bot-r on a succedent member, so a sequent
         # with no succedent keeps an open branch
         assert (proof is not None) is (bool(s.succ) and truth_table_valid(s)), format_sequent(s)
@@ -979,13 +1012,16 @@ def test_classical_memos_match_the_unmemoized_search(seed, budget):
 #: tallies (third), a failure that made an eigenvariable, which shifts
 #: the names of those made after it (fourth), and a second premise that
 #: failed under one rule application and recurs under another, where it is
-#: skipped (fifth; budgets from 111 to 153 run out inside a skipped failure)
+#: skipped (fifth; budgets from 111 to 153 run out inside a skipped failure),
+#: and a memoized premise that closed, and whose every closing the rest of
+#: the round then backtracked over, which is no failure to keep (sixth)
 _MEMO_HITS = (
     "p(a), p(b), q(b) |- exists x. (p(x) & q(x))",
     "p(a), p(b) |- exists x. (p(x) & ((forall y. q(b)) => q(x)))",
     "forall x. q, forall x. (q | t), forall x. u |- s",
     "p(a), p(b), forall w. (s(w) => s(f(w))), s(a) |- forall v. (exists x. (p(x) & (forall y. r(y)))) | s(f(f(a)))",
     "q, p(b) |- exists x0. (p(b) & (exists x1. bot))",
+    "s | (forall x. top), forall x. t | p(a) |- exists x. t",
 )
 
 
@@ -1071,7 +1107,7 @@ def test_a_round_that_refuses_nothing_leaves_no_proof_to_a_higher_multiplicity(s
     def first(mult: int):
         prover = _ClassicalProver(s, limits)
         try:
-            return next(prover.solve(s, Subst(), {}, mult), None), prover.refused
+            return prover._round(s, mult), prover.refused
         except _OutOfNodes:
             return "out of nodes", None
 
@@ -1093,12 +1129,24 @@ def _conclusions(p: Proof) -> list[Sequent]:
     return [p.conclusion, *(s for q in p.premises for s in _conclusions(q))]
 
 
+def _grounded_round(s: Sequent) -> tuple:
+    """The proof a classical round at multiplicity 1 returns, and the
+    skeleton and substitution it grounded, or None when it grounded none."""
+    prover = _ClassicalProver(s, SearchLimits())
+    grounded = []
+    ground = prover._ground
+    prover._ground = lambda skel, subst: grounded.append((skel, subst)) or ground(skel, subst)
+    proof = prover._round(s, 1)
+    return proof, grounded[0] if grounded else None, prover
+
+
 @pytest.mark.parametrize("text", ["|- forall x. (p(x) => p(x))", "p(a), q => r |- p(a) & (q => r)"])
 def test_grounding_a_skeleton_without_metavariables_keeps_its_sequents(text):
     s = parse_sequent(text)
-    prover = _ClassicalProver(s, SearchLimits())
-    subst, skel = next(prover.solve(s, Subst(), {}, 1))
-    proof = prover._ground(skel, subst)
+    # a round that made no metavariable returns its skeleton as the proof
+    skel, grounded, prover = _grounded_round(s)
+    assert grounded is None
+    proof = prover._ground(skel, Subst())
     assert check_proof(proof, CLASSICAL_STAR)
     kept, skeleton = _conclusions(proof), _conclusions(skel)
     assert len(kept) == len(skeleton) > 1
@@ -1107,9 +1155,8 @@ def test_grounding_a_skeleton_without_metavariables_keeps_its_sequents(text):
 
 def test_grounding_keeps_the_meta_free_sequents_and_sides_of_a_skeleton():
     s = parse_sequent("forall x. p(x) |- p(a)")
-    prover = _ClassicalProver(s, SearchLimits())
-    subst, skel = next(prover.solve(s, Subst(), {}, 1))
-    proof = prover._ground(skel, subst)
+    proof, (skel, subst), prover = _grounded_round(s)
+    assert proof == prover._ground(skel, subst)
     assert check_proof(proof, CLASSICAL_STAR)
     # the root holds no metavariable; its premise's antecedent holds p(X0)
     assert proof.conclusion is skel.conclusion
@@ -1123,13 +1170,20 @@ def test_a_classical_search_collects_the_roots_symbols_once(monkeypatch):
     calls = []
     collect = search._symbols_everywhere
     monkeypatch.setattr(search, "_symbols_everywhere", lambda s: calls.append(s) or collect(s))
-    s = parse_sequent("|- forall x. (p(x) => p(x))")
-    prover = _ClassicalProver(s, SearchLimits())
-    out = prover.run()
-    # an eigenvariable (under e) and the blank (under c) were made
-    assert isinstance(out, Proved) and out.proof.eigen == "e0"
-    assert prover.made == {"e0", "c0"} and set(prover._prefixes) == {"e", "c"}
-    assert calls == [s]
+    for text, made in [
+        # an eigenvariable only: a round that made no metavariable grounds
+        # nothing, so it makes no blank
+        ("|- forall x. (p(x) => p(x))", {"e0"}),
+        # eigenvariables (under e) and the blank (under c)
+        ("|- exists x. (p(x) => forall y. p(y))", {"e0", "e1", "c0"}),
+    ]:
+        calls.clear()
+        s = parse_sequent(text)
+        prover = _ClassicalProver(s, SearchLimits())
+        out = prover.run()
+        assert isinstance(out, Proved) and check_proof(out.proof, out.proof_class)
+        assert prover.made == made and set(prover._prefixes) == {name[0] for name in made}
+        assert calls == [s]
 
 
 def test_a_made_constant_keeps_clear_of_a_root_symbol_of_its_form():
@@ -1213,9 +1267,17 @@ def test_herbrandize_shifts_the_witness_by_the_binders_below_it():
     assert f.body.body.args == (App("h0", (Bound(1),)), Bound(0), Bound(1))
 
 
-def test_herbrandize_leaves_weak_only_sequents_alone():
+def test_herbrandize_leaves_weak_only_sequents_alone(monkeypatch):
+    calls = []
+    collect = search._symbols_everywhere
+    monkeypatch.setattr(search, "_symbols_everywhere", lambda s: calls.append(s) or collect(s))
     s = parse_sequent("forall x. p(x) |- exists y. p(y)")
     assert herbrandize(s) == s
+    # the symbols are collected at the first strong quantifier, once
+    assert calls == []
+    s = parse_sequent("exists x. p(x), h0 |- forall y. p(y)")
+    assert format_sequent(herbrandize(s)) == "h0, p(h1) |- p(h2)"
+    assert calls == [s]
 
 
 def test_herbrandize_binds_no_free_variable_of_the_sequent():
