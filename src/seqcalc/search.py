@@ -15,28 +15,17 @@ Three engines share this module:
   than one move, so a search path may be as long as memory allows.  Every
   propositional and eigenvariable rule is invertible, so a quantifier-free
   sequent has one move and a round on a quantifier-free root decides it.
-  One failure memo, kept for the whole search, skips searches that already
-  failed.  It takes two kinds of premise: a rule's second premise, searched
-  once per substitution its first premise closes with, and a premise that a
-  vacuous quantifier's instance extends, which recurs under other orders of
-  instantiation.  Its one key is all that such a search depends on: the
-  premise's members, the tallies of its quantified members, the round and
-  the resolved bindings of its metavariables, so a second premise that
-  failed under one rule application is skipped under another too.  A skipped
-  search is charged the nodes it spent and numbers off the metavariables it
-  made, so every outcome is the one the full search gives.  Failures that
-  made an eigenvariable are not kept: eigenvariable names compare as strings
-  (e10 < e9), so one renumbered later could sort differently.  A round that
-  fails without refusing any instantiation at its multiplicity ends the
-  search: the next round would differ only where an instantiation met the
-  multiplicity, so it would search the same tree up to the numbering of its
-  metavariables and eigenvariables, and fail too (over the 6,000 c calls of
-  the fo-reduction stream of seeds 7, 11 and 3 this saves 6,008 charged
-  nodes on 548 of them and changes no outcome or proof).  A memoized failure
-  keeps the refusals of the search it skips, so the round's count is the
-  full search's.  Unification, the occurs check and resolution walk explicit
-  stacks, and pass over what holds no metavariable by the flag every node
-  carries (syntax._mv): two such parts unify exactly when they are equal.  A
+  A premise that recurs, under another binding or another order of
+  instantiation, is searched again, as in leanTAP: the round memoizes no
+  failure.  A round that fails without refusing any instantiation at its
+  multiplicity ends the search: the next round would differ only where an
+  instantiation met the multiplicity, so it would search the same tree up
+  to the numbering of its metavariables and eigenvariables, and fail too
+  (over the 6,000 c calls of the fo-reduction stream of seeds 7, 11 and 3
+  this saves 6,008 nodes on 548 of them and changes no outcome or proof).
+  Unification, the occurs check and resolution walk explicit stacks, and
+  pass over what holds no metavariable by the flag every node carries
+  (syntax._mv): two such parts unify exactly when they are equal.  A
   round that made no metavariable has a ground skeleton, which is its proof.
   Else the proof is grounded from the skeleton by identity where it can be:
   a member, atom argument or side without a metavariable is kept as the
@@ -147,8 +136,9 @@ whose evicted entries are just recomputed, are kept by `syntax._stored`,
 which empties a memo when it reaches `syntax._MEMO_CAP` entries, so their
 memory stays bounded and no outcome changes: `_instances`, `_wit_memo`,
 `_items`, `_heads`, `_antes` and the classical `_metas`.  What prunes or
-numbers the search stays unbounded, as evicting it would change node
-counts or keys: the failure caches, `_numbers`, `_path` and `_pending`.
+numbers the ground search stays unbounded, as evicting it would change
+node counts or keys: its failure cache `failed`, the subsumption sets
+`_maximal`, `_numbers`, `_path` and `_pending`.
 
 Outcomes are frozen, slotted dataclasses.  A `Proved` outcome carries one
 of `calculus`'s shared class constants, `CLASSICAL_STAR` under c,
@@ -486,10 +476,8 @@ class SearchLimits:
     classical prover deepens iteratively on this, one round per value, and
     stops after a round that refused no instantiation; a quantifier-free
     root gets one round whatever the budget).  node_budget bounds total
-    expansions per call; a failure the classical prover skips because it
-    is memoized counts at its full size, so no outcome depends on the memo.
-    strengthened_axioms lets closures match any shared formula rather than
-    only shared atoms and bottom.
+    expansions per call.  strengthened_axioms lets closures match any
+    shared formula rather than only shared atoms and bottom.
     """
 
     depth: int = 40
@@ -546,14 +534,6 @@ class _Search:
         if self.left <= 0:
             raise _OutOfNodes
         self.left -= 1
-
-    def charge(self, nodes: int) -> None:
-        """Spend nodes ticks at once: out of nodes, with none left, when
-        fewer are left, as the tick that would have found none."""
-        if self.left < nodes:
-            self.left = 0
-            raise _OutOfNodes
-        self.left -= nodes
 
     def _made_name(self, base: str, number: int) -> str:
         """The made constant number under base's prefix, which avoids every
@@ -673,7 +653,9 @@ _INSTANTIATIONS = (("ante", Forall, _FORALL_L_STAR), ("succ", Exists, _EXISTS_R_
 class _ClassicalProver(_Search):
     """Its made constants are the eigenvariables e<n>, numbered in order,
     and, once a round that made a metavariable is over, a proof's blank c0
-    (see _ground)."""
+    (see _ground).  Across its rounds it keeps the next metavariable's
+    number, the refusals and each member's metavariables (_metas), and no
+    failure: every node it spends is a sequent it expands."""
 
     def __init__(self, root: Sequent, limits: SearchLimits):
         super().__init__(root, limits)
@@ -683,9 +665,6 @@ class _ClassicalProver(_Search):
         self.refused = 0
         # each member's own metavariables, by the member's sort key
         self._metas: dict[str, frozenset[int]] = {}
-        # the failures of memoized premises (see _round), by _members_key,
-        # then by _rest_key
-        self._failed: dict[tuple, dict[tuple, tuple[int, int, int]]] = {}
 
     def fresh_eigen(self) -> str:
         return self._made_name("e", len(self.made))
@@ -697,13 +676,12 @@ class _ClassicalProver(_Search):
         A sequent closes by is_axiom, else by bottom, else by a pair of
         members equal under the substitution; else it takes its moves in
         turn (_moves).  todo is a cons list of open sequents, (sequent,
-        counts, memoized, rest), first premise on top, so saving it is
-        free.  steps lists in pre-order each closing proof and each step
-        as (rule, sequent, principal, premises, witness, eigenvariable).
-        choices holds an entry (moves, len(steps), todo below) per sequent
-        with more than one move, and the frame (_frame) of each memoized
-        premise searched, with a marker under the premise in todo that
-        marks it closed.  A frame backtracked over unclosed is stored."""
+        counts, rest), first premise on top, so saving it is free.  steps
+        lists in pre-order each closing proof and each step as (rule,
+        sequent, principal, premises, witness, eigenvariable).  choices
+        holds an entry (moves, len(steps), todo below) per sequent with more
+        than one move; a failure backtracks to the last entry with a move
+        left, and the round fails when none has one."""
         strengthened = self.limits.strengthened_axioms
         tick = self.tick
         first_meta = self.next_meta
@@ -711,62 +689,45 @@ class _ClassicalProver(_Search):
         steps: list = []
         push = steps.append
         choices: list = []
-        todo = (root, {}, False, None)
+        todo = (root, {}, None)
         while todo is not None:
-            s, counts, memoized, todo = todo
-            if memoized is None:
-                # a marker: s is the frame of the premise that just closed
-                s[0] = True
+            s, counts, todo = todo
+            tick()
+            if is_axiom(s, strengthened):
+                push(Proof(_AXIOM, s))
                 continue
-            move = None
-            # a round that has made no metavariable has no entry to
-            # backtrack to, so its failures end it and need no memo
-            if memoized and self.next_meta != first_meta:
-                frame = self._frame(s, subst, counts, mult)
-                if frame is not None:
-                    choices.append(frame)
-                    todo = (s, counts, False, (frame, None, None, todo))
-                    continue
+            if s.succ and _has_bot(s.ante):
+                push(bottom_closure(s))
+                continue
+            # only a round that made a metavariable has sequents that
+            # close under a binding
+            bindings = self._bindings(s, subst) if self.next_meta != first_meta else ()
+            if bindings is None:
+                push(Proof(_AXIOM, s))
+                continue
+            step = _closing_first_step(s, strengthened)
+            if step is not None and not bindings:
+                move = self._step(s, subst, counts, step)
             else:
-                tick()
-                if is_axiom(s, strengthened):
-                    push(Proof(_AXIOM, s))
-                    continue
-                if s.succ and _has_bot(s.ante):
-                    push(bottom_closure(s))
-                    continue
-                # only a round that made a metavariable has sequents that
-                # close under a binding
-                bindings = self._bindings(s, subst) if self.next_meta != first_meta else ()
-                if bindings is None:
-                    push(Proof(_AXIOM, s))
-                    continue
-                step = _closing_first_step(s, strengthened)
-                if step is not None and not bindings:
-                    move = self._step(s, subst, counts, step)
-                else:
-                    moves = self._moves(s, subst, counts, mult, bindings, step)
-                    move = next(moves, None)
-                    if move is not None:
-                        choices.append((moves, len(steps), todo))
+                moves = self._moves(s, subst, counts, mult, bindings, step)
+                move = next(moves, None)
+                if move is not None:
+                    choices.append((moves, len(steps), todo))
             while move is None:
                 if not choices:
                     return None
-                entry = choices.pop()
-                if type(entry) is list:
-                    self._store(entry, mult)
-                    continue
-                moves, n, todo = entry
+                moves, n, todo = choices[-1]
                 move = next(moves, None)
-                if move is not None:
-                    choices.append(entry)
+                if move is None:
+                    choices.pop()
+                else:
                     del steps[n:]
-            subst, record, prems, counts, memoized = move
+            subst, record, prems, counts = move
             push(record)
             if prems:
-                todo = (prems[-1], counts, memoized, todo)
+                todo = (prems[-1], counts, todo)
                 if len(prems) == 2:
-                    todo = (prems[0], counts, False, todo)
+                    todo = (prems[0], counts, todo)
         # a step's premises were recorded after it, the first one's subtree
         # first, so walking back leaves its first premise's proof on top
         done: list[Proof] = []
@@ -784,7 +745,7 @@ class _ClassicalProver(_Search):
         strengthened = self.limits.strengthened_axioms
         out = []
         for a in s.ante:
-            if strengthened or type(a) is Atom or type(a) is Bot:
+            if strengthened or type(a) is Atom:
                 for b in s.succ:
                     nxt = unify_formulas(a, b, subst) if type(b) is type(a) else None
                     if nxt is subst:
@@ -795,7 +756,7 @@ class _ClassicalProver(_Search):
 
     def _step(self, s: Sequent, subst: Subst, counts: dict[Formula, int], step: tuple) -> tuple:
         """The move of the invertible step (rule, side, index, principal)
-        on s; a second premise is memoized."""
+        on s."""
         rule, side, i, f = step
         term = eigen = None
         if type(f) is Exists or type(f) is Forall:
@@ -803,15 +764,15 @@ class _ClassicalProver(_Search):
             live = self._live_metas(s, subst)
             term = App(eigen, tuple(map(Meta, live))) if live else Const(eigen)
         prems = premises(rule, s, i, f, term)
-        return subst, (rule, s, (side, i), len(prems), None, eigen), prems, counts, len(prems) == 2
+        return subst, (rule, s, (side, i), len(prems), None, eigen), prems, counts
 
     def _moves(self, s, subst, counts, mult, bindings, step) -> Iterator[tuple]:
         """s's moves, made as they are tried, each as (substitution, steps
-        record, premises, counts, whether the last premise is memoized):
-        an axiom under each of bindings, then the step, or else each
-        instantiation, refused when its formula's tally is at mult."""
+        record, premises, counts): an axiom under each of bindings, then
+        the step, or else each instantiation, refused when its formula's
+        tally is at mult."""
         for nxt in bindings:
-            yield nxt, Proof(_AXIOM, s), (), counts, False
+            yield nxt, Proof(_AXIOM, s), (), counts
         if step is not None:
             yield self._step(s, subst, counts, step)
             return
@@ -825,9 +786,7 @@ class _ClassicalProver(_Search):
                     self.next_meta += 1
                     c2 = dict(counts)
                     c2[f] = c2.get(f, 0) + 1
-                    # a vacuous instantiation (members are locally closed,
-                    # so its body holds no index of f's binder) is memoized
-                    yield subst, (rule, s, (side, i), 1, m, None), premises(rule, s, i, f, m), c2, not f.body._lbr
+                    yield subst, (rule, s, (side, i), 1, m, None), premises(rule, s, i, f, m), c2
 
     def _own_metas(self, s: Sequent) -> set[int]:
         """The metavariables s's members hold, each member's memoized by its
@@ -847,55 +806,6 @@ class _ClassicalProver(_Search):
         member's own followed through subst's bindings, so no member is
         rebuilt."""
         return sorted(subst.unbound(self._own_metas(s)))
-
-    def _rest_key(self, s: Sequent, subst: Subst, counts: dict[Formula, int], mult: int) -> tuple:
-        """What a search of s under subst, counts and mult depends on beside
-        its members' sort keys (_members_key): the tallies of the members an
-        instantiation may pick, mult, and the sort keys of the resolved
-        bindings of its metavariables, in the order of their numbers.  Every
-        formula counts holds is such a member of s: instantiations keep
-        their principal."""
-        return (
-            tuple([counts.get(f, 0) for f in s.ante if type(f) is Forall]),
-            tuple([counts.get(f, 0) for f in s.succ if type(f) is Exists]),
-            mult,
-            tuple([subst.resolve_term(Meta(i))._key for i in sorted(self._own_metas(s))]),
-        )
-
-    def _frame(self, s: Sequent, subst: Subst, counts: dict[Formula, int], mult: int) -> list | None:
-        """None when the failure memo holds the search of s under subst,
-        counts and mult: its nodes are charged, its metavariables numbered
-        off and its refusals counted, so the round goes on exactly as if it
-        had run, and it would run alike (fresh metavariables number above
-        every one the state holds, and sort by number).  Else the search's
-        frame: [closed, s, subst, counts, members' key, rest key, nodes
-        left, next metavariable, made constants, refusals].  Failures are
-        held as _failed[_members_key][_rest_key], each key built once needed."""
-        memo = self._failed
-        head = rest = None
-        if memo:
-            head = _members_key(s)
-            under = memo.get(head)
-            if under is not None:
-                rest = self._rest_key(s, subst, counts, mult)
-                got = under.get(rest)
-                if got is not None:
-                    nodes, made, refused = got
-                    self.charge(nodes)
-                    self.next_meta += made
-                    self.refused += refused
-                    return None
-        return [False, s, subst, counts, head, rest, self.left, self.next_meta, len(self.made), self.refused]
-
-    def _store(self, frame: list, mult: int) -> None:
-        """Store the failure of frame's search, backtracked over, with the
-        nodes it spent, the metavariables it made and the instantiations it
-        refused, unless it closed or made an eigenvariable."""
-        closed, s, subst, counts, head, rest, left, metas, eigens, refused = frame
-        if not closed and len(self.made) == eigens:
-            under = self._failed.setdefault(_members_key(s) if head is None else head, {})
-            spent = (left - self.left, self.next_meta - metas, self.refused - refused)
-            under[self._rest_key(s, subst, counts, mult) if rest is None else rest] = spent
 
     def _ground(self, skel: Proof, subst: Subst) -> Proof:
         """The proof skel stands for under subst.  Every metavariable subst

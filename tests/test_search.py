@@ -981,23 +981,22 @@ def test_decide_alone_refutes_exactly_the_truth_table_invalid_draws_with_a_succe
 
 
 # ---------------------------------------------------------------------------
-# the classical prover's failure memo against the un-memoized search
+# the classical prover's round against the recursive reference search
 
 
 def _classical_run(prover) -> tuple:
-    """The outcome's kind, its proof document and the nodes left after run."""
+    """The outcome's kind, its proof document, the nodes left, the next
+    metavariable's number and the instantiations refused after run."""
     out = prover.run()
     doc = dump_proof(out.proof, out.proof_class) if isinstance(out, Proved) else None
-    return type(out).__name__, doc, prover.left
+    return type(out).__name__, doc, prover.left, prover.next_meta, prover.refused
 
 
 @settings(max_examples=300)
 @given(st.integers(0, 10**6), st.integers(20, 250))
 def test_classical_memos_match_the_unmemoized_search(seed, budget):
     # in-fragment draws, and first-order draws whose eigenvariables hold
-    # bound metavariables; the budget cuts searches at every point, also
-    # inside a memoized failure, where the charge must run out exactly
-    # where the search would
+    # bound metavariables; the budget cuts searches at every point
     if seed % 3:
         s = _fragment_draw(_FRAGMENTS[seed % len(_FRAGMENTS)], seed)
     else:
@@ -1006,16 +1005,14 @@ def test_classical_memos_match_the_unmemoized_search(seed, budget):
     assert _classical_run(_ClassicalProver(s, limits)) == _classical_run(reference_classical_prover(s, limits))
 
 
-#: sequents on which the memo hits, each with a neighbour the memo must tell
-#: apart: under another binding of the second premise's metavariable
-#: (first two), of a vacuous premise's metavariable (second), under other
-#: tallies (third), a failure that made an eigenvariable, which shifts
-#: the names of those made after it (fourth), and a second premise that
-#: failed under one rule application and recurs under another, where it is
-#: skipped (fifth; budgets from 111 to 153 run out inside a skipped failure),
-#: and a memoized premise that closed, and whose every closing the rest of
-#: the round then backtracked over, which is no failure to keep (sixth)
-_MEMO_HITS = (
+#: sequents whose searches meet a failed premise again: under another
+#: binding of the second premise's metavariable (first two), of a vacuous
+#: premise's metavariable (second), under other tallies (third), after a
+#: failure that made an eigenvariable, which shifts the names of those made
+#: after it (fourth), and under another rule application (fifth); and a
+#: premise that closed, and whose every closing the rest of the round then
+#: backtracked over (sixth)
+_RECURRING = (
     "p(a), p(b), q(b) |- exists x. (p(x) & q(x))",
     "p(a), p(b) |- exists x. (p(x) & ((forall y. q(b)) => q(x)))",
     "forall x. q, forall x. (q | t), forall x. u |- s",
@@ -1025,7 +1022,7 @@ _MEMO_HITS = (
 )
 
 
-@pytest.mark.parametrize("text", _MEMO_HITS)
+@pytest.mark.parametrize("text", _RECURRING)
 def test_classical_memos_tell_apart_what_the_search_does(text):
     s = parse_sequent(text)
     for budget in (10_000, *range(20, 400, 7)):
@@ -1059,12 +1056,12 @@ def test_memoized_failures_are_charged_at_their_full_size(text):
     reference = reference_classical_prover(s, limits)
     assert _classical_run(reference)[0] == "NotProvedWithinLimits"
     charged = limits.node_budget - prover.left
-    assert real < charged == limits.node_budget - reference.left
+    # every node charged is a sequent expanded
+    assert real == charged == limits.node_budget - reference.left
     assert prover.next_meta == reference.next_meta
-    # a skipped failure counts the refusals of the search it stands for
     assert prover.refused == reference.refused > 0
-    # a budget that runs out inside a memoized failure leaves no nodes
-    for budget in range(real, charged + 1):
+    # a budget that runs out anywhere in the search leaves no nodes
+    for budget in range(1, charged + 1):
         cut = SearchLimits(node_budget=budget)
         assert _classical_run(_ClassicalProver(s, cut)) == _classical_run(reference_classical_prover(s, cut))
 
